@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, bfs
 
 Elem = object  # int | tuple[int, ...]
 
@@ -149,20 +149,12 @@ class GroupBackend:
             return [tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)]
         return [(i + 1,) for i in range(self.rank)]
 
-    def ball(self, radius: int) -> list[Elem]:
+    def ball(self, radius: int, budget: int | None = None) -> list[Elem]:
         """All elements of generator-length <= radius, in shortlex order."""
         if self.kind == FINITE:
             raise ValueError("finite backends enumerate via .finite.elements()")
-        seen = {self.identity()}
-        frontier = [self.identity()]
+        depth: dict[Elem, int] = {}
         steps = self.generators() + [self.inv(g) for g in self.generators()]
-        for _ in range(radius):
-            nxt = []
-            for a in frontier:
-                for s in steps:
-                    b = self.mul(a, s)
-                    if b not in seen:
-                        seen.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return sorted(seen, key=self.sort_key)
+        for _ in bfs(self.identity(), steps, self.mul, depth, radius, budget, "backend ball"):
+            pass
+        return sorted(depth, key=self.sort_key)

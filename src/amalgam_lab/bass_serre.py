@@ -115,7 +115,7 @@ class TreeBall:
                 truncated = False
             else:
                 cfg = self.config
-                ball = backend.ball(cfg.star_radius)
+                ball = backend.ball(cfg.star_radius, fg.ball_budget)
                 small = ball[:cfg.star_small]
                 full = [g for g in ball if backend.gen_length(g) == cfg.star_radius]
                 fresh = full[-cfg.star_fresh:] if cfg.star_fresh > 0 else []
@@ -186,14 +186,10 @@ class TreeBall:
                         u.children.append(eid)
                         nxt.append(cvid)
                         if len(self.vertices) > self.config.budget:
-                            raise BudgetExceeded(self.config.budget)
+                            raise BudgetExceeded(self.config.budget, "tree ball")
             frontier = nxt
 
     # --- queries -----------------------------------------------------------------
-
-    @property
-    def n_unoriented_edges(self) -> int:
-        return len(self.edges)
 
     def degree(self, vid: int) -> int:
         v = self.vertices[vid]

@@ -490,7 +490,7 @@ def dist_to_vertex_coset(fg: FundamentalGroup, tree: TreeBall, x: NormalForm,
     z = fg.multiply(fg.invert(v.rep), x)
     bound = fg.wordlen(z)
     best = bound
-    for g in backend.ball(2 * bound):
+    for g in backend.ball(2 * bound, fg.ball_budget):
         cand = fg.dist(fg.vertex_element(v.vtype, g), z)
         best = min(best, cand)
     return best

@@ -7,7 +7,6 @@ failed (the report is still written), 1 on usage or input errors.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 
 from . import corpus
@@ -73,9 +72,7 @@ def _add_common(p: argparse.ArgumentParser, emit_choices=("text", "json")):
     p.add_argument("--output", default=None, help="write the artifact here")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=2_000_000,
-                   help="Cayley ball element budget")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker cap (runs are sequential and deterministic)")
+                   help="element budget of Cayley balls, backend balls and the wordlen walk")
     p.add_argument("--star-radius", type=int, default=2)
     p.add_argument("--star-small", type=int, default=3)
     p.add_argument("--star-fresh", type=int, default=2)
@@ -433,7 +430,7 @@ def build_parser() -> _Parser:
 
 
 # artifact kinds each subcommand emits; a --from json input of such a kind is
-# re-validated and re-emitted verbatim (the round-trip companion)
+# passed through and re-emitted verbatim, checking only kind and schema_version
 _EMITTED_KINDS = {
     "validate": ("graph_of_groups",),
     "collapse": ("graph_of_groups", "collapse_decision"),
@@ -456,7 +453,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    random.seed(args.seed)
     try:
         if args.from_json == "json":
             data = load_artifact(args.input)

@@ -85,8 +85,8 @@ class BaseMismatch(AmalgamLabError):
 class BudgetExceeded(AmalgamLabError):
     kind = "BudgetExceeded"
 
-    def __init__(self, limit: int, message: str = ""):
-        super().__init__(message or f"element budget {limit} exceeded")
+    def __init__(self, limit: int, walk: str, message: str = ""):
+        super().__init__(message or f"{walk}: element budget {limit} exceeded")
         self.limit = limit
 
 

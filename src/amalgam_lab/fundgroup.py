@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .backends import Elem, GroupBackend
+from .backends import Elem, GroupBackend, reduce_free_word
 from .errors import BaseMismatch, BudgetExceeded
 from .gog import GraphOfGroups, SpanningData, bar
+from .groups import bfs
 
 DEFAULT_BALL_BUDGET = 2_000_000
 
@@ -115,9 +116,8 @@ class FundamentalGroup:
 
         # word metric support
         self._genset: GeneratingSet | None = None
-        self._len_cache: dict[NormalForm, int] | None = None
-        self._len_frontier: list[NormalForm] = []
-        self._len_radius = -1
+        self._len_cache: dict[NormalForm, int] = {}
+        self._len_walk = None
         self._fast_metric = gog.all_edge_groups_trivial
         self._finite_len_tables: dict[int, dict[int, int]] = {}
         self._ball_cache: dict[int, object] = {}
@@ -281,9 +281,6 @@ class FundamentalGroup:
         """y-hat: the orientation of pair k that is NOT in A."""
         return 2 * k + 1 if 2 * k in self.sd.orientation else 2 * k
 
-    def in_edge_subgroup(self, x: NormalForm, k: int) -> bool:
-        return x in self.edge_subgroup_elements(k)
-
     def coset_membership(self, x: NormalForm, v: int, gamma: NormalForm) -> bool:
         """True iff gamma^-1 x lies in the embedded copy of G_v."""
         return self.in_vertex_subgroup(self.multiply(self.invert(gamma), x), v)
@@ -333,23 +330,11 @@ class FundamentalGroup:
     def _finite_len_table(self, v: int) -> dict[int, int]:
         """BFS word lengths inside a finite vertex group over S_v and inverses."""
         if v not in self._finite_len_tables:
-            backend = self.vertex_backend(v)
-            G = backend.finite
-            steps = set()
-            for _, elem in self.gog.generating_sets[v]:
-                steps.add(elem)
-                steps.add(G.inv(elem))
-            table = {G.identity_index: 0}
-            frontier = [G.identity_index]
-            while frontier:
-                nxt = []
-                for a in frontier:
-                    for s in steps:
-                        b = G.mul(a, s)
-                        if b not in table:
-                            table[b] = table[a] + 1
-                            nxt.append(b)
-                frontier = nxt
+            G = self.vertex_backend(v).finite
+            steps = {s for _, elem in self.gog.generating_sets[v] for s in (elem, G.inv(elem))}
+            table: dict[int, int] = {}
+            for _ in bfs(G.identity_index, tuple(steps), G.mul, table):
+                pass
             self._finite_len_tables[v] = table
         return self._finite_len_tables[v]
 
@@ -376,35 +361,23 @@ class FundamentalGroup:
         """
         if self._fast_metric:
             return self._syllable_length_sum(x)
-        if self._len_cache is None:
-            self._len_cache = {self._identity: 0}
-            self._len_frontier = [self._identity]
-            self._len_radius = 0
+        if self._len_walk is None:
+            self._len_cache = {}
+            self._len_walk = bfs(self._identity, self.generating_set().steps, self.multiply,
+                                 self._len_cache, budget=self.ball_budget, walk="wordlen")
         while x not in self._len_cache:
-            if not self._len_frontier:
-                raise BudgetExceeded(self.ball_budget, "element unreachable: S does not generate?")
-            self._extend_wordlen_layer()
+            try:
+                next(self._len_walk)
+            except StopIteration:
+                raise BudgetExceeded(self.ball_budget, "wordlen",
+                                     "element unreachable: S does not generate?") from None
+            except BudgetExceeded:
+                self._len_walk = None  # a generator that raised is closed: restart next call
+                raise
         return self._len_cache[x]
-
-    def _extend_wordlen_layer(self):
-        steps = self.generating_set().steps
-        nxt = []
-        for a in self._len_frontier:
-            for s in steps:
-                b = self.multiply(a, s)
-                if b not in self._len_cache:
-                    self._len_cache[b] = self._len_radius + 1
-                    nxt.append(b)
-        if len(self._len_cache) > self.ball_budget:
-            raise BudgetExceeded(self.ball_budget)
-        self._len_frontier = nxt
-        self._len_radius += 1
 
     def dist(self, x: NormalForm, y: NormalForm) -> int:
         return self.wordlen(self.multiply(self.invert(x), y))
-
-    def dist_to_set(self, x: NormalForm, elems) -> int:
-        return min(self.dist(x, c) for c in elems)
 
     def word_metric_ball(self, radius: int, budget: int | None = None):
         """Exact radius-n ball around the identity, with layers and adjacency.
@@ -420,24 +393,13 @@ class FundamentalGroup:
         gs = self.generating_set()
         order = sorted(range(len(gs.steps)), key=lambda i: gs.step_labels[i])
         steps = [gs.steps[i] for i in order]
-        depth = {self._identity: 0}
-        ordered = [self._identity]
-        frontier = [self._identity]
-        layers = [1]
-        for r in range(1, radius + 1):
-            nxt = []
-            for a in frontier:
-                for s in steps:
-                    b = self.multiply(a, s)
-                    if b not in depth:
-                        depth[b] = r
-                        ordered.append(b)
-                        nxt.append(b)
-                        if len(depth) > budget:
-                            raise BudgetExceeded(budget)
-            layers.append(len(nxt))
-            frontier = nxt
-        ball = CayleyBall(group=self, radius=radius, elements=tuple(ordered),
+        depth: dict[NormalForm, int] = {}
+        for _ in bfs(self._identity, steps, self.multiply, depth, radius, budget, "Cayley ball"):
+            pass
+        layers = [0] * (radius + 1)
+        for r in depth.values():
+            layers[r] += 1
+        ball = CayleyBall(group=self, radius=radius, elements=tuple(depth),
                           depth=depth, layer_sizes=tuple(layers))
         if use_default_budget:
             self._ball_cache[radius] = ball
@@ -483,16 +445,6 @@ class Presentation:
         return out
 
 
-def _free_reduce(word: list[int]) -> tuple[int, ...]:
-    out: list[int] = []
-    for l in word:
-        if out and out[-1] == -l:
-            out.pop()
-        else:
-            out.append(l)
-    return tuple(out)
-
-
 def emit_presentation(gog: GraphOfGroups, sd: SpanningData) -> Presentation:
     """Instantiate the defining presentation over the generating set S.
 
@@ -525,21 +477,11 @@ def emit_presentation(gog: GraphOfGroups, sd: SpanningData) -> Presentation:
         backend = gog.vertex_group(v)
         if backend.is_finite:
             G = backend.finite
-            steps: list[tuple[int, int]] = []
-            for gi, elem in vgen_range[v]:
-                steps.append((gi, elem))
-                steps.append((-gi, G.inv(elem)))
+            step_ids = [sgid for gi, _ in vgen_range[v] for sgid in (gi, -gi)]
+            steps = [s for _, elem in vgen_range[v] for s in (elem, G.inv(elem))]
             words = {G.identity_index: ()}
-            frontier = [G.identity_index]
-            while frontier:
-                nxt = []
-                for a in frontier:
-                    for sgid, selem in steps:
-                        b = G.mul(a, selem)
-                        if b not in words:
-                            words[b] = words[a] + (sgid,)
-                            nxt.append(b)
-                frontier = nxt
+            for b, a, i in bfs(G.identity_index, steps, G.mul, {}):
+                words[b] = words[a] + (step_ids[i],)
             word_maps[v] = words
 
     def vertex_word(v: int, elem: Elem) -> tuple[int, ...]:
@@ -560,7 +502,7 @@ def emit_presentation(gog: GraphOfGroups, sd: SpanningData) -> Presentation:
     relators: dict[tuple[int, ...], None] = {}
 
     def add(word: list[int]):
-        red = _free_reduce(word)
+        red = reduce_free_word(word)
         if red:
             relators.setdefault(red, None)
 

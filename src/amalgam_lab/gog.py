@@ -134,11 +134,6 @@ class EdgeEmbedding:
             return self.mono.apply(h)
         return self.target.identity()
 
-    def image_elements(self) -> list[Elem]:
-        if self.target.kind == FINITE:
-            return sorted(self._image)
-        return [self.target.identity()]
-
     def contains(self, g: Elem) -> bool:
         if self.target.kind == FINITE:
             return g in self._image
@@ -194,9 +189,6 @@ class GraphOfGroups:
     @property
     def all_edge_groups_trivial(self) -> bool:
         return all(g.order == 1 for g in self.edge_groups)
-
-    def has_infinite_vertex_group(self) -> bool:
-        return any(not g.is_finite for g in self.vertex_groups)
 
 
 @dataclass(frozen=True)

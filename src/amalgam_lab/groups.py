@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import (
+    BudgetExceeded,
     NoIdentity,
     NotASubgroup,
     NotAssociative,
@@ -19,6 +20,35 @@ from .errors import (
     NotInjective,
     NotLatinSquare,
 )
+
+
+def bfs(start, steps, mul, depth: dict, radius: int | None = None,
+        budget: int | None = None, walk: str = "breadth-first walk"):
+    """Walk the Cayley graph of ``steps`` breadth-first from ``start``.
+
+    Writes each element's distance from ``start`` into the caller's ``depth``
+    dict, which is the only visited set, and yields ``(b, a, i)`` the first
+    time it reaches ``b = mul(a, steps[i])``: in frontier order, then step
+    order.  Stops after layer ``radius`` (never, if None) or when a layer is
+    empty; raises :class:`BudgetExceeded`, naming ``walk``, once ``depth``
+    holds more than ``budget`` elements.
+    """
+    depth[start] = 0
+    frontier = [start]
+    r = 0
+    while frontier and (radius is None or r < radius):
+        r += 1
+        nxt = []
+        for a in frontier:
+            for i, s in enumerate(steps):
+                b = mul(a, s)
+                if b not in depth:
+                    depth[b] = r
+                    if budget is not None and len(depth) > budget:
+                        raise BudgetExceeded(budget, walk)
+                    nxt.append(b)
+                    yield b, a, i
+        frontier = nxt
 
 
 @dataclass(frozen=True)
@@ -190,9 +220,6 @@ class Monomorphism:
 
     def preimage(self, b: int) -> int:
         return self.map.index(b)
-
-    def is_iso_onto_target(self) -> bool:
-        return self.source.order == self.target.order
 
     def inverse_on_image(self) -> dict[int, int]:
         return {b: a for a, b in enumerate(self.map)}

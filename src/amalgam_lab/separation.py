@@ -225,7 +225,7 @@ def coset_elements_in_ball(fg: FundamentalGroup, ball: CayleyBall,
                 out.append(x)
     else:
         reach = maxlen + fg.wordlen(rep)
-        for g in backend.ball(reach):
+        for g in backend.ball(reach, fg.ball_budget):
             x = fg.multiply(rep, fg.vertex_element(vtype, g))
             if fg.wordlen(x) <= maxlen:
                 out.append(x)

@@ -2,16 +2,30 @@ from __future__ import annotations
 
 import pytest
 
-from amalgam_lab.corpus import text
+from amalgam_lab.corpus import NAMES, text
 from amalgam_lab.dsl import parse_gog
-from amalgam_lab.fundgroup import FundamentalGroup
+from amalgam_lab.fundgroup import DEFAULT_BALL_BUDGET, FundamentalGroup
 from amalgam_lab.gog import spanning_tree
 
 
-def make_fg(name: str):
-    gog = parse_gog(text(name))
+# SL(2,Z) = Z/4 *_{Z/2} Z/6: a non-trivial finite edge group, so the word
+# metric takes the global-BFS wordlen fallback and the presentation needs
+# word maps inside both finite vertex groups
+SL2Z = """\
+group A cyclic 4
+group B cyclic 6
+group E cyclic 2
+vertex v1 A gens [a]
+vertex v2 B gens [a]
+edge e1 v1 -- v2 group E embed_fwd {a:a3} embed_bwd {a:a2}
+"""
+
+
+def make_fg(name: str, ball_budget: int = DEFAULT_BALL_BUDGET):
+    """A corpus input by name, or a graph of groups given as DSL text."""
+    gog = parse_gog(text(name) if name in NAMES else name)
     sd = spanning_tree(gog)
-    return gog, sd, FundamentalGroup(gog, sd)
+    return gog, sd, FundamentalGroup(gog, sd, ball_budget)
 
 
 @pytest.fixture(scope="session")

@@ -207,11 +207,17 @@ def test_determinism_across_processes_with_different_hash_seeds(tmp_path):
     import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import amalgam_lab
+
+    # the children import the same package as this process, installed or not
+    src = str(Path(amalgam_lab.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     outs = []
     for i, seed in enumerate(("1", "2")):
         out = tmp_path / f"r{i}.json"
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
         cmd = [sys.executable, "-m", "amalgam_lab.cli", "amalgam-check",
                "corpus:z2z2", "--depth", "5", "--seed", "7",
                "--output", str(out)]
@@ -221,7 +227,7 @@ def test_determinism_across_processes_with_different_hash_seeds(tmp_path):
 
     for i, seed in enumerate(("3", "4")):
         out = tmp_path / f"s{i}.json"
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
         cmd = [sys.executable, "-m", "amalgam_lab.cli", "separate",
                "corpus:z2z3", "--radius", "7", "--R", "1", "--samples", "15",
                "--seed", "9", "--output", str(out)]

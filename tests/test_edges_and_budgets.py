@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from amalgam_lab.backends import GroupBackend, reduce_free_word
 from amalgam_lab.bass_serre import TreeBall, TreeBallConfig
+from amalgam_lab.boundary import dist_to_vertex_coset
 from amalgam_lab.dsl import parse_gog
 from amalgam_lab.errors import BudgetExceeded
 from amalgam_lab.gog import NonElementary, is_non_elementary
+from amalgam_lab.separation import coset_elements_in_ball
 
-from conftest import make_fg
+from conftest import SL2Z, make_fg
 
 letters = st.integers(min_value=-3, max_value=3).filter(lambda x: x != 0)
 
@@ -32,16 +34,65 @@ def test_free_mul_inverse_cancels(u, v):
     assert backend.mul(prod, backend.inv(y)) == x
 
 
-def test_cayley_ball_budget_exceeded(f2):
-    _, _, fg = f2
-    with pytest.raises(BudgetExceeded):
-        fg.word_metric_ball(6, budget=100)
+# F_2 * Z/2 with the F_2 vertex at the root; the radius-2 ball of F_2 has 17
+# elements, so a budget of 12 stops every backend ball of radius >= 2
+F2_Z2 = """\
+group F free 2
+group A cyclic 2
+vertex v1 F
+vertex v2 A gens [a]
+edge e1 v1 -- v2 group trivial embed_fwd {} embed_bwd {}
+"""
 
 
-def test_tree_ball_budget_exceeded(f2):
-    _, _, fg = f2
-    with pytest.raises(BudgetExceeded):
-        TreeBall(fg, 6, TreeBallConfig(budget=50))
+def _cayley_ball():
+    _, _, fg = make_fg("f2")
+    return lambda: fg.word_metric_ball(6, budget=100)
+
+
+def _tree_ball():
+    _, _, fg = make_fg("f2")
+    return lambda: TreeBall(fg, 6, TreeBallConfig(budget=50))
+
+
+def _wordlen():
+    _, _, fg = make_fg(SL2Z, ball_budget=50)
+    x = fg.evaluate_word(["a", "v2.a"] * 6)   # the walk meets it as element 629
+    return lambda: fg.wordlen(x)
+
+
+def _coset_elements():
+    _, _, fg = make_fg(F2_Z2, ball_budget=12)
+    ball = fg.word_metric_ball(1)
+    return lambda: coset_elements_in_ball(fg, ball, fg.identity(), 0, 2)
+
+
+def _dist_to_vertex_coset():
+    _, _, fg = make_fg(F2_Z2, ball_budget=12)
+    tree = TreeBall(fg, 1, TreeBallConfig(star_radius=1))
+    x = fg.evaluate_word(["x1", "x1"])
+    return lambda: dist_to_vertex_coset(fg, tree, x, 0)
+
+
+def _star_params():
+    _, _, fg = make_fg(F2_Z2, ball_budget=12)
+    return lambda: TreeBall(fg, 1)
+
+
+@pytest.mark.parametrize("make, walk", [
+    (_cayley_ball, "Cayley ball"),
+    (_tree_ball, "tree ball"),
+    (_wordlen, "wordlen"),
+    (_coset_elements, "backend ball"),
+    (_dist_to_vertex_coset, "backend ball"),
+    (_star_params, "backend ball"),
+], ids=["cayley-ball", "tree-ball", "wordlen", "coset-elements-in-ball",
+        "dist-to-vertex-coset", "tree-star-params"])
+def test_budget_exceeded_names_the_walk(make, walk):
+    run = make()
+    for _ in range(2):   # a second call after a budget stop stops on the budget again
+        with pytest.raises(BudgetExceeded, match=f": {walk}: element budget"):
+            run()
 
 
 def test_dsl_table_labels_and_generator_extension():
