@@ -229,9 +229,8 @@ def _cmd_cayley_ball(args, argv) -> int:
     gog, sd, fg = _fg(args)
     ball = fg.word_metric_ball(args.radius, budget=args.budget)
     gs = fg.generating_set()
-    index = {x: i for i, x in enumerate(ball.elements)}
     adjacency = [
-        [[lbl, index[y]] for lbl, y in ball.neighbors(x)]
+        [[lbl, ball.index[y]] for lbl, y in ball.neighbors(x)]
         for x in ball.elements
     ]
     payload = {

@@ -380,9 +380,10 @@ class FundamentalGroup:
         return self.wordlen(self.multiply(self.invert(x), y))
 
     def word_metric_ball(self, radius: int, budget: int | None = None):
-        """Exact radius-n ball around the identity, with layers and adjacency.
+        """Exact radius-n ball around the identity, as an indexed graph.
 
-        Returns a :class:`amalgam_lab.separation.CayleyBall`.
+        Returns a :class:`amalgam_lab.separation.CayleyBall` whose elements
+        are in BFS discovery order, layer by layer.
         """
         from .separation import CayleyBall
 
@@ -399,8 +400,12 @@ class FundamentalGroup:
         layers = [0] * (radius + 1)
         for r in depth.values():
             layers[r] += 1
+        # the walk discovers the ball layer by layer, so the depths now follow
+        # from layer_sizes and the walk's own dict becomes the position index
+        for i, x in enumerate(depth):
+            depth[x] = i
         ball = CayleyBall(group=self, radius=radius, elements=tuple(depth),
-                          depth=depth, layer_sizes=tuple(layers))
+                          index=depth, layer_sizes=tuple(layers))
         if use_default_budget:
             self._ball_cache[radius] = ball
         return ball

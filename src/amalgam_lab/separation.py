@@ -10,8 +10,12 @@ on vertices outside the ball are excluded by a margin from the sphere.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import random
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import Inconclusive, PreconditionUnmet
@@ -21,39 +25,125 @@ from .gog import GraphOfGroups, SpanningData
 
 @dataclass(frozen=True)
 class CayleyBall:
-    """Exact radius-n ball in (Gamma, d_S) with BFS layers.
+    """Exact radius-n ball in (Gamma, d_S), as an indexed graph.
 
-    Distances between ball elements are computed in the group (never
-    truncated to the ball), via ``group.dist``.
+    ``elements`` is in BFS discovery order, layer by layer, so layer k is a
+    slice whose offset follows from ``layer_sizes``; ``index`` maps each
+    element to its position.  Distances between ball elements are computed
+    in the group (never truncated to the ball), via ``group.dist``.
+    Neighbour tables are derived on first use and cached per R; they never
+    change the elements or the layers.
     """
 
     group: FundamentalGroup
     radius: int
     elements: tuple[NormalForm, ...]
-    depth: dict[NormalForm, int]
+    index: dict[NormalForm, int]
     layer_sizes: tuple[int, ...]
+    _starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _tables: dict[int, array] = field(init=False, repr=False, compare=False,
+                                      default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_starts", (0, *itertools.accumulate(self.layer_sizes)))
 
     def __contains__(self, x: NormalForm) -> bool:
-        return x in self.depth
+        return x in self.index
 
     def __len__(self) -> int:
         return len(self.elements)
 
+    def __iter__(self):
+        return iter(self.elements)
+
+    @property
+    def depth(self) -> Mapping[NormalForm, int]:
+        """Read-only element -> word length, looked up on the layer offsets."""
+        return _Depths(self)
+
     def sphere(self, k: int) -> list[NormalForm]:
-        return [x for x in self.elements if self.depth[x] == k]
+        if not 0 <= k <= self.radius:
+            return []
+        return list(self.elements[self._starts[k]:self._starts[k + 1]])
 
     def dist(self, x: NormalForm, y: NormalForm) -> int:
         return self.group.dist(x, y)
 
+    def neighbours(self, R: int) -> array:
+        """Row-major |B| x m table of R-steps, m = |ball(R)| - 1.
+
+        Entry (i, j) is the position of ``elements[i] * shift_j``, or -1 if
+        that product lies outside the ball; the shifts are the non-identity
+        elements of ``group.word_metric_ball(R)`` in its order (for R = 1,
+        the steps sorted by label).  Built once per R from exact group
+        products: R-hop paths inside the ball would miss steps whose
+        geodesics leave it.
+        """
+        if R not in self._tables:
+            self._tables[R] = _neighbour_table(self.elements, self.index, R)
+        return self._tables[R]
+
     def neighbors(self, x: NormalForm) -> list[tuple[str, NormalForm]]:
-        """In-ball Cayley edges at x: (generator label, x * s)."""
+        """In-ball Cayley edges at x: (generator label, x * s), in
+        ``step_labels`` order; read off the R = 1 table."""
         gs = self.group.generating_set()
+        # table column j is position j + 1 of ball(1): its steps in BFS order
+        columns = self.group.word_metric_ball(1).index
+        row = self.index[x] * len(gs.steps)
+        table = self.neighbours(1)
         out = []
         for lbl, s in zip(gs.step_labels, gs.steps):
-            y = self.group.multiply(x, s)
-            if y in self.depth:
-                out.append((lbl, y))
+            k = table[row + columns[s] - 1]
+            if k >= 0:
+                out.append((lbl, self.elements[k]))
         return out
+
+
+class _Depths(Mapping):
+    """``CayleyBall.depth``: the layer of each element, by bisecting its
+    position against the layer offsets; holds no dict of its own."""
+
+    def __init__(self, ball: CayleyBall):
+        self._ball = ball
+
+    def __getitem__(self, x: NormalForm) -> int:
+        return bisect.bisect_right(self._ball._starts, self._ball.index[x]) - 1
+
+    def __iter__(self):
+        return iter(self._ball.index)
+
+    def __len__(self) -> int:
+        return len(self._ball.index)
+
+
+_UNSET = -2
+
+
+def _neighbour_table(elements, index: dict, R: int) -> array:
+    """The table of :meth:`CayleyBall.neighbours` for distinct group
+    elements with position ``index``, in one pass of exact products.
+
+    The shifts are closed under inversion, so a product x * s = y found in
+    the set also fills y's entry for s^-1 (which is x) without a multiply.
+    """
+    if not elements:
+        return array("i")
+    fg = elements[0].group
+    shifts = fg.word_metric_ball(R).elements[1:]
+    column = {s: j for j, s in enumerate(shifts)}
+    inverse = [column[fg.invert(s)] for s in shifts]
+    m = len(shifts)
+    table = array("i", [_UNSET]) * (len(elements) * m)
+    mul, get = fg.multiply, index.get
+    for i, x in enumerate(elements):
+        row = i * m
+        for j, s in enumerate(shifts):
+            if table[row + j] == _UNSET:
+                k = get(mul(x, s), -1)
+                table[row + j] = k
+                if k >= 0:
+                    table[k * m + inverse[j]] = i
+    return table
 
 
 class _UnionFind:
@@ -75,37 +165,49 @@ class _UnionFind:
 def r_components(points, R: int, excluded=(), dist=None) -> list[list]:
     """Partition points minus ``excluded`` into maximal R-path components.
 
-    Group elements use exact word-metric steps; other point types need an
-    explicit ``dist`` function (then all pairs are inspected).
-    Components are ordered by first appearance and keep the input order.
+    ``points`` is a :class:`CayleyBall` (its cached R-step table is used,
+    and excluded elements outside the ball are ignored) or a sequence of
+    distinct points.  A sequence of group elements gets an uncached table of
+    exact word-metric steps; other point types need an explicit ``dist``
+    function (then all pairs are inspected).  Components are ordered by
+    first appearance and keep the input order.
     """
-    excluded = set(excluded)
-    live = [p for p in points if p not in excluded]
-    if not live:
-        return []
-    index = {p: i for i, p in enumerate(live)}
-    uf = _UnionFind(len(live))
-    if dist is None and isinstance(live[0], NormalForm):
-        fg = live[0].group
-        steps = [s for s in fg.word_metric_ball(R).elements if not s.is_identity()]
-        for p in live:
-            i = index[p]
-            for s in steps:
-                q = fg.multiply(p, s)
-                j = index.get(q)
-                if j is not None:
+    if dist is None:
+        if isinstance(points, CayleyBall):
+            elements, index, table = points.elements, points.index, points.neighbours(R)
+        else:
+            elements = list(points)
+            if elements and not isinstance(elements[0], NormalForm):
+                raise ValueError("non-group points require a dist function")
+            index = {p: i for i, p in enumerate(elements)}
+            table = _neighbour_table(elements, index, R)
+        masked = bytearray(len(elements))
+        for p in excluded:
+            i = index.get(p)
+            if i is not None:
+                masked[i] = 1
+        live = [i for i in range(len(elements)) if not masked[i]]
+        uf = _UnionFind(len(elements))
+        m = len(table) // len(elements) if elements else 0
+        for i in live:
+            # the steps are closed under inversion: each edge is seen from both ends
+            for j in table[i * m:(i + 1) * m]:
+                if j > i and not masked[j]:
                     uf.union(i, j)
     else:
-        if dist is None:
-            raise ValueError("non-group points require a dist function")
-        for i, p in enumerate(live):
-            for j in range(i + 1, len(live)):
-                if dist(p, live[j]) <= R:
+        elements = list(points)
+        excluded = set(excluded)
+        live = [i for i, p in enumerate(elements) if p not in excluded]
+        uf = _UnionFind(len(elements))
+        for a, i in enumerate(live):
+            for j in live[a + 1:]:
+                if dist(elements[i], elements[j]) <= R:
                     uf.union(i, j)
+    # union keeps the smaller root, so roots appear in order of first member
     comps: dict[int, list] = {}
-    for p in live:
-        comps.setdefault(uf.find(index[p]), []).append(p)
-    return [comps[k] for k in sorted(comps, key=lambda r: index[comps[r][0]])]
+    for i in live:
+        comps.setdefault(uf.find(i), []).append(elements[i])
+    return list(comps.values())
 
 
 def component_labels(points, R: int, excluded=(), dist=None) -> dict:
@@ -196,14 +298,14 @@ def verify_thickening_lemma(ball: CayleyBall, I, x0: NormalForm, x1: NormalForm,
         raise PreconditionUnmet(f"d(x0, I) = {d0} < {need}", x0.display())
     if d1 < need:
         raise PreconditionUnmet(f"d(x1, I) = {d1} < {need}", x1.display())
-    labels = component_labels(ball.elements, 1, excluded=set(I))
+    labels = component_labels(ball, 1, excluded=I)
     if x0 not in labels or x1 not in labels or labels[x0] == labels[x1]:
         raise PreconditionUnmet("I does not separate x0 from x1 in the graph")
     J = thicken(fg, I, math.ceil(R / 2), universe=ball.elements)
     report = SeparationReport(instance="thickening-lemma", R=R,
                               separating_set_size=len(J))
     report.witness_pairs_tested = 1
-    if not r_separates(ball.elements, J, x0, x1, R):
+    if not r_separates(ball, J, x0, x1, R):
         report.failures.append({
             "x0": x0.display(), "x1": x1.display(),
             "reason": "thickened set fails to R-separate",
@@ -278,7 +380,7 @@ def verify_cayley_separation(gog: GraphOfGroups, sd: SpanningData, ball_radius: 
             continue
         I = thicken(fg, coset, half, universe=ball.elements)
         report.separating_set_size = max(report.separating_set_size, len(I))
-        labels = component_labels(ball.elements, R, excluded=I)
+        labels = component_labels(ball, R, excluded=I)
         for x in eligible_u:
             for x2 in eligible_w:
                 report.witness_pairs_tested += 1
@@ -365,7 +467,7 @@ def verify_K_construction(gog: GraphOfGroups, sd: SpanningData, ball_radius: int
         M2 = side_elements(side1)
         if not M or not M2:
             return None
-        labels = component_labels(ball.elements, 1, excluded=gammaK)
+        labels = component_labels(ball, 1, excluded=gammaK)
         AM = [(x, set_distance(x, coset, fg.dist), labels.get(x)) for x in M]
         AM2 = [(x, set_distance(x, coset, fg.dist), labels.get(x)) for x in M2]
         report.witness_pairs_tested += len(AM) * len(AM2)
@@ -482,16 +584,15 @@ def ends_estimate(gog: GraphOfGroups, sd: SpanningData, radii, margin: int = 3,
 
     counts = []
     sizes = {}
+    outer = len(ball) - ball.layer_sizes[-1]  # position of the first outer-sphere element
     for n in radii:
-        annulus = [x for x in ball.elements if ball.depth[x] > n]
-        comps = r_components(annulus, 1)
+        # the annulus is the ball minus its prefix ball(n)
+        comps = r_components(ball, 1, excluded=ball.elements[:sum(ball.layer_sizes[:n + 1])])
         # noise floor: an unbounded component must span the annulus radially,
-        # so anything smaller than the radial width is a transient crumb
+        # so anything smaller than the radial width is a transient crumb;
+        # a component lists its elements in ball order, so its last one is outermost
         floor = max(1, n_max - n)
-        kept = [
-            c for c in comps
-            if any(ball.depth[x] == n_max for x in c) and len(c) >= floor
-        ]
+        kept = [c for c in comps if ball.index[c[-1]] >= outer and len(c) >= floor]
         counts.append(len(kept))
         sizes[n] = sorted((len(c) for c in kept), reverse=True)
 

@@ -52,6 +52,10 @@ def _cases() -> dict[str, list[str]]:
                                      "--samples", "8", "--seed", "3"]
         cases[f"verify-k-{name}"] = ["verify-k", spec, "--radius", "6", "--edges", "4",
                                      "--seed", "3"]
+    # R > 1 takes the labelling's ball(R) shifts, not the generators
+    for name, spec in (("dinf", "corpus:dinf"), ("z2z3", "corpus:z2z3"), ("sl2z", "{sl2z}")):
+        cases[f"separate-{name}-R2"] = ["separate", spec, "--radius", "6", "--R", "2",
+                                        "--samples", "8", "--seed", "3"]
     for name in ("dinf", "z2z3", "f2", "zxz2", "zz"):
         cases[f"ends-{name}"] = ["ends", f"corpus:{name}", "--radii", "2,3",
                                  "--margin", "2"]
