@@ -63,7 +63,10 @@ def _tree_config(args) -> TreeBallConfig:
     )
 
 
-def _add_common(p: argparse.ArgumentParser, emit_choices=("text", "json")):
+def _add_common(p: argparse.ArgumentParser, emit_choices=("text", "json"),
+                budget: bool = False, tree: bool = False):
+    """Flags every subcommand takes; ``budget`` and ``tree`` add the element
+    budget and the tree truncation flags for subcommands that use them."""
     p.add_argument("input", help="path to a .gog file, or corpus:NAME")
     p.add_argument("--from", dest="from_json", default=None, metavar="FORMAT",
                    choices=["json"],
@@ -71,12 +74,14 @@ def _add_common(p: argparse.ArgumentParser, emit_choices=("text", "json")):
     p.add_argument("--emit", default=emit_choices[0], choices=list(emit_choices))
     p.add_argument("--output", default=None, help="write the artifact here")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=2_000_000,
-                   help="element budget of Cayley balls, backend balls and the wordlen walk")
-    p.add_argument("--star-radius", type=int, default=2)
-    p.add_argument("--star-small", type=int, default=3)
-    p.add_argument("--star-fresh", type=int, default=2)
-    p.add_argument("--tree-budget", type=int, default=200_000)
+    if budget:
+        p.add_argument("--budget", type=int, default=2_000_000,
+                       help="element budget of Cayley balls, backend balls and the wordlen walk")
+    if tree:
+        p.add_argument("--star-radius", type=int, default=2)
+        p.add_argument("--star-small", type=int, default=3)
+        p.add_argument("--star-fresh", type=int, default=2)
+        p.add_argument("--tree-budget", type=int, default=200_000)
 
 
 def _finish(args, payload: dict, text_lines: list[str], argv, failed: bool) -> int:
@@ -87,10 +92,9 @@ def _finish(args, payload: dict, text_lines: list[str], argv, failed: bool) -> i
     return 2 if failed else 0
 
 
-def _fg(args):
+def _fg(args) -> FundamentalGroup:
     gog = _load_gog(args.input, args.from_json == "json")
-    sd = spanning_tree(gog)
-    return gog, sd, FundamentalGroup(gog, sd, ball_budget=args.budget)
+    return FundamentalGroup(gog, spanning_tree(gog), ball_budget=args.budget)
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -151,8 +155,8 @@ def _cmd_collapse(args, argv) -> int:
 
 
 def _cmd_presentation(args, argv) -> int:
-    gog, sd, _ = _fg(args)
-    p = emit_presentation(gog, sd)
+    gog = _load_gog(args.input, args.from_json == "json")
+    p = emit_presentation(gog, spanning_tree(gog))
     rank, torsion = abelianization(p)
     payload = {
         "schema_version": 1,
@@ -179,9 +183,9 @@ def _cmd_presentation(args, argv) -> int:
 
 def _cmd_tree_ball(args, argv) -> int:
     _require(args, "radius")
-    gog, sd, fg = _fg(args)
+    fg = _fg(args)
     tb = TreeBall(fg, args.radius, _tree_config(args))
-    g = gog.graph
+    g = fg.gog.graph
     payload = {
         "schema_version": 1,
         "kind": "tree_ball",
@@ -204,7 +208,7 @@ def _cmd_tree_ball(args, argv) -> int:
             for e in tb.edges
         ],
     }
-    if gog.graph.n_edges > 0:
+    if g.n_edges > 0:
         tt = tiling_tree(tb)
         payload["tiling_tree"] = {
             "vertices": list(tt.vertex_ids),
@@ -226,8 +230,8 @@ def _cmd_tree_ball(args, argv) -> int:
 
 def _cmd_cayley_ball(args, argv) -> int:
     _require(args, "radius")
-    gog, sd, fg = _fg(args)
-    ball = fg.word_metric_ball(args.radius, budget=args.budget)
+    fg = _fg(args)
+    ball = fg.word_metric_ball(args.radius)
     gs = fg.generating_set()
     adjacency = [
         [[lbl, ball.index[y]] for lbl, y in ball.neighbors(x)]
@@ -261,8 +265,7 @@ def _cmd_cayley_ball(args, argv) -> int:
 
 def _cmd_separate(args, argv) -> int:
     _require(args, "radius")
-    gog, sd, _ = _fg(args)
-    report = verify_cayley_separation(gog, sd, ball_radius=args.radius,
+    report = verify_cayley_separation(_fg(args), ball_radius=args.radius,
                                       samples=args.samples, R=args.R, seed=args.seed)
     lines = [
         f"cayley-separation R={args.R}: {'holds' if report.holds else 'FAILS'}",
@@ -275,8 +278,7 @@ def _cmd_separate(args, argv) -> int:
 
 def _cmd_verify_k(args, argv) -> int:
     _require(args, "radius")
-    gog, sd, _ = _fg(args)
-    report = verify_K_construction(gog, sd, ball_radius=args.radius,
+    report = verify_K_construction(_fg(args), ball_radius=args.radius,
                                    edges_sampled=args.edges, seed=args.seed,
                                    R_probe=args.R_probe)
     lines = [
@@ -289,10 +291,10 @@ def _cmd_verify_k(args, argv) -> int:
 
 def _cmd_ends(args, argv) -> int:
     _require(args, "radii")
-    gog, sd, _ = _fg(args)
+    fg = _fg(args)
     radii = [int(r) for r in args.radii.split(",")]
     try:
-        report = ends_estimate(gog, sd, radii, margin=args.margin, budget=args.budget)
+        report = ends_estimate(fg, radii, margin=args.margin)
         payload = report.to_json()
         lines = [f"ends: {report.verdict} (counts {list(report.counts)} at radii {list(report.radii)})"]
         return _finish(args, payload, lines, argv, failed=False)
@@ -304,27 +306,27 @@ def _cmd_ends(args, argv) -> int:
 
 def _cmd_boundary(args, argv) -> int:
     _require(args, "depth")
-    gog, sd, fg = _fg(args)
+    fg = _fg(args)
     b = boundary_approx(fg, args.depth, _tree_config(args))
     payload = {
         "schema_version": 1,
         "kind": "boundary_approx",
         "depth": args.depth,
         "branch_count": len(b),
-        "degenerate": gog.graph.n_edges == 0,
+        "degenerate": fg.gog.graph.n_edges == 0,
         "branches": [
             {"leaf_rep": b.tree.vertices[br.leaf].rep.display(), "edges": list(br.eids)}
             for br in b.branches
         ],
     }
     lines = [f"depth {args.depth}: {len(b)} branches"
-             + (" (degenerate: no tree edges)" if gog.graph.n_edges == 0 else "")]
+             + (" (degenerate: no tree edges)" if fg.gog.graph.n_edges == 0 else "")]
     return _finish(args, payload, lines, argv, failed=False)
 
 
 def _cmd_amalgam_check(args, argv) -> int:
     _require(args, "depth")
-    gog, sd, fg = _fg(args)
+    fg = _fg(args)
     b = boundary_approx(fg, args.depth, _tree_config(args))
     family = limit_set_family(b)
     cert = amalgam_check(b, family, seed=args.seed, samples=args.samples)
@@ -347,7 +349,7 @@ def _cmd_amalgam_check(args, argv) -> int:
 def _cmd_classify(args, argv) -> int:
     import json as _json
 
-    gog, sd, fg = _fg(args)
+    fg = _fg(args)
     tb = TreeBall(fg, args.depth, _tree_config(args))
     with open(args.words_json) as fh:
         data = _json.load(fh)
@@ -377,48 +379,48 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_presentation)
 
     p = sub.add_parser("tree-ball", help="finite portion of the Bass-Serre tree")
-    _add_common(p, emit_choices=("text", "json", "dot"))
+    _add_common(p, emit_choices=("text", "json", "dot"), budget=True, tree=True)
     p.add_argument("--radius", type=int, default=None)
     p.set_defaults(func=_cmd_tree_ball)
 
     p = sub.add_parser("cayley-ball", help="exact word-metric ball")
-    _add_common(p, emit_choices=("text", "json", "dot"))
+    _add_common(p, emit_choices=("text", "json", "dot"), budget=True)
     p.add_argument("--radius", type=int, default=None)
     p.set_defaults(func=_cmd_cayley_ball)
 
     p = sub.add_parser("separate", help="edge-coset separation suite")
-    _add_common(p, emit_choices=("json", "text"))
+    _add_common(p, emit_choices=("json", "text"), budget=True)
     p.add_argument("--radius", type=int, default=None)
     p.add_argument("--R", type=int, default=1)
     p.add_argument("--samples", type=int, default=50)
     p.set_defaults(func=_cmd_separate)
 
     p = sub.add_parser("verify-k", help="K-construction separation suite")
-    _add_common(p, emit_choices=("json", "text"))
+    _add_common(p, emit_choices=("json", "text"), budget=True)
     p.add_argument("--radius", type=int, default=None)
     p.add_argument("--edges", type=int, default=20)
     p.add_argument("--R-probe", type=int, default=None, dest="R_probe")
     p.set_defaults(func=_cmd_verify_k)
 
     p = sub.add_parser("ends", help="ends-count estimator")
-    _add_common(p, emit_choices=("json", "text"))
+    _add_common(p, emit_choices=("json", "text"), budget=True)
     p.add_argument("--radii", default=None, help="comma-separated radii, e.g. 4,6,8")
     p.add_argument("--margin", type=int, default=3)
     p.set_defaults(func=_cmd_ends)
 
     p = sub.add_parser("boundary", help="depth-d boundary approximation")
-    _add_common(p, emit_choices=("json", "text"))
+    _add_common(p, emit_choices=("json", "text"), budget=True, tree=True)
     p.add_argument("--depth", type=int, default=None)
     p.set_defaults(func=_cmd_boundary)
 
     p = sub.add_parser("amalgam-check", help="dense-amalgam certificate")
-    _add_common(p, emit_choices=("json", "text"))
+    _add_common(p, emit_choices=("json", "text"), budget=True, tree=True)
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--samples", type=int, default=20)
     p.set_defaults(func=_cmd_amalgam_check)
 
     p = sub.add_parser("classify", help="classify a direction sample")
-    _add_common(p, emit_choices=("json", "text"))
+    _add_common(p, emit_choices=("json", "text"), budget=True, tree=True)
     p.add_argument("--depth", type=int, default=6, help="tree ball radius")
     p.add_argument("--words-json", required=True,
                    help='JSON file {"words": [["a","b"], ...]}')

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 from .errors import Inconclusive, PreconditionUnmet
 from .fundgroup import FundamentalGroup, NormalForm
-from .gog import GraphOfGroups, SpanningData
 
 
 @dataclass(frozen=True)
@@ -315,26 +314,25 @@ def verify_thickening_lemma(ball: CayleyBall, I, x0: NormalForm, x1: NormalForm,
 
 def coset_elements_in_ball(fg: FundamentalGroup, ball: CayleyBall,
                            rep: NormalForm, vtype: int, maxlen: int) -> list[NormalForm]:
-    """All elements of rep*G_vtype with word length <= maxlen."""
+    """All elements of rep*G_vtype with word length <= maxlen.
+
+    ``ball`` is the exact word-metric ball of ``fg``, so a member's word
+    length is at most maxlen exactly when the ball holds it at depth <= maxlen.
+    """
+    if maxlen > ball.radius:
+        raise ValueError(f"maxlen {maxlen} exceeds the ball radius {ball.radius}")
     backend = fg.vertex_backend(vtype)
-    out = []
     if backend.is_finite:
-        subgroup = sorted(fg.vertex_subgroup_elements(vtype),
-                          key=lambda n: n.sort_key())
-        for h in subgroup:
-            x = fg.multiply(rep, h)
-            if fg.wordlen(x) <= maxlen:
-                out.append(x)
+        members = sorted(fg.vertex_subgroup_elements(vtype), key=lambda n: n.sort_key())
     else:
         reach = maxlen + fg.wordlen(rep)
-        for g in backend.ball(reach, fg.ball_budget):
-            x = fg.multiply(rep, fg.vertex_element(vtype, g))
-            if fg.wordlen(x) <= maxlen:
-                out.append(x)
-    return out
+        members = [fg.vertex_element(vtype, g) for g in backend.ball(reach, fg.ball_budget)]
+    depth = ball.depth
+    coset = (fg.multiply(rep, h) for h in members)
+    return [x for x in coset if depth.get(x, maxlen + 1) <= maxlen]
 
 
-def verify_cayley_separation(gog: GraphOfGroups, sd: SpanningData, ball_radius: int,
+def verify_cayley_separation(fg: FundamentalGroup, ball_radius: int,
                              samples: int, R: int, seed: int = 0,
                              tree_radius: int | None = None) -> SeparationReport:
     """Empirical suite for the edge-coset separation lemma.
@@ -345,7 +343,6 @@ def verify_cayley_separation(gog: GraphOfGroups, sd: SpanningData, ball_radius: 
     """
     from .bass_serre import TreeBall
 
-    fg = FundamentalGroup(gog, sd)
     ball = fg.word_metric_ball(ball_radius)
     tradius = tree_radius if tree_radius is not None else max(3, ball_radius - 2)
     tb = TreeBall(fg, tradius)
@@ -399,7 +396,7 @@ def verify_cayley_separation(gog: GraphOfGroups, sd: SpanningData, ball_radius: 
     return report
 
 
-def verify_K_construction(gog: GraphOfGroups, sd: SpanningData, ball_radius: int,
+def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
                           edges_sampled: int, seed: int = 0,
                           R_probe: int | None = None,
                           tree_radius: int | None = None) -> SeparationReport:
@@ -410,7 +407,6 @@ def verify_K_construction(gog: GraphOfGroups, sd: SpanningData, ball_radius: int
     """
     from .bass_serre import TreeBall
 
-    fg = FundamentalGroup(gog, sd)
     ball = fg.word_metric_ball(ball_radius)
     tradius = tree_radius if tree_radius is not None else max(3, ball_radius - 2)
     tb = TreeBall(fg, tradius)
@@ -420,17 +416,12 @@ def verify_K_construction(gog: GraphOfGroups, sd: SpanningData, ball_radius: int
     # L = closed star of the identity vertex, as a vertex set
     L = [fg.identity()] + [s for s in fg.generating_set().steps]
     # P = {gamma : gamma L meets L} = L * L^{-1}
-    P = sorted({fg.multiply(a, fg.invert(b)) for a in L for b in L},
-               key=lambda n: n.sort_key())
+    P = {fg.multiply(a, fg.invert(b)) for a in L for b in L}
     diam_P = max(fg.dist(a, b) for a in P for b in P)
-    r_half = math.ceil(diam_P / 2)
-    base = sorted({e for k in range(gog.graph.n_edges)
-                   for e in fg.edge_subgroup_elements(k)}, key=lambda n: n.sort_key())
-    I_half = sorted(thicken(fg, base, r_half), key=lambda n: n.sort_key())
-    K = sorted({fg.multiply(i, l) for i in I_half for l in L},
-               key=lambda n: n.sort_key())
-    r_sesq = math.ceil(3 * diam_P / 2)
-    I_sesq = sorted(thicken(fg, base, r_sesq), key=lambda n: n.sort_key())
+    base = {e for k in range(fg.gog.graph.n_edges) for e in fg.edge_subgroup_elements(k)}
+    I_half = thicken(fg, base, math.ceil(diam_P / 2))
+    K = {fg.multiply(i, l) for i in I_half for l in L}
+    I_sesq = thicken(fg, base, math.ceil(3 * diam_P / 2))
     diam_I_sesq = max(fg.dist(a, b) for a in I_sesq for b in I_sesq)
 
     report = SeparationReport(instance="K-construction", R=diam_P,
@@ -450,15 +441,14 @@ def verify_K_construction(gog: GraphOfGroups, sd: SpanningData, ball_radius: int
         report.not_applicable = edges_sampled
         return report
 
+    # the in-ball, margin-filtered coset points of each tree vertex, by vid
+    points = [coset_elements_in_ball(fg, ball, v.rep, v.vtype, margin) for v in tb.vertices]
+
     def side_elements(side):
-        out = []
-        for vid in sorted(side):
-            v = tb.vertices[vid]
-            out.extend(coset_elements_in_ball(fg, ball, v.rep, v.vtype, margin))
-        return sorted(set(out), key=lambda n: n.sort_key())
+        return sorted({x for vid in side for x in points[vid]}, key=lambda n: n.sort_key())
 
     def split_analysis(eid: int):
-        """(R0, labels, gammaK) for the split at one tree edge."""
+        """(R0, labels) for the split at one tree edge."""
         edge = tb.edges[eid]
         coset = tb.edge_coset_elements(eid)
         gammaK = {fg.multiply(edge.rep, k) for k in K}
@@ -491,7 +481,7 @@ def verify_K_construction(gog: GraphOfGroups, sd: SpanningData, ball_radius: int
         for _, (dm, dm2) in best_per_comp.items():
             if dm > 0 and dm2 > 0:
                 R0 = max(R0, min(dm, dm2))
-        return R0, labels, gammaK
+        return R0, labels
 
     for _ in range(edges_sampled):
         eid = rng.randrange(n_edges)
@@ -499,7 +489,7 @@ def verify_K_construction(gog: GraphOfGroups, sd: SpanningData, ball_radius: int
         if result is None:
             report.not_applicable += 1
             continue
-        R0, _, _ = result
+        R0, _ = result
         report.details["worst_R0"] = max(report.details["worst_R0"], R0)
         if R0 > diam_I_sesq:
             report.failures.append({
@@ -527,13 +517,10 @@ def verify_K_construction(gog: GraphOfGroups, sd: SpanningData, ball_radius: int
         result = split_analysis(eid)
         if result is None:
             continue
-        _, labels, _ = result
+        _, labels = result
         report.details["probe_edges"] += 1
-        vu, vw = tb.vertices[u], tb.vertices[w]
-        pu = coset_elements_in_ball(fg, ball, vu.rep, vu.vtype, margin)
-        pw = coset_elements_in_ball(fg, ball, vw.rep, vw.vtype, margin)
-        for x in pu:
-            for x2 in pw:
+        for x in points[u]:
+            for x2 in points[w]:
                 cx, cx2 = labels.get(x), labels.get(x2)
                 if cx is None or cx2 is None or cx == cx2:
                     report.failures.append({
@@ -566,8 +553,7 @@ class EndsReport:
         }
 
 
-def ends_estimate(gog: GraphOfGroups, sd: SpanningData, radii, margin: int = 3,
-                  budget: int | None = None) -> EndsReport:
+def ends_estimate(fg: FundamentalGroup, radii, margin: int = 3) -> EndsReport:
     """Count unbounded-looking complementary components of growing balls.
 
     For each n, the components of ball(n_max) minus ball(n) that touch the
@@ -577,9 +563,8 @@ def ends_estimate(gog: GraphOfGroups, sd: SpanningData, radii, margin: int = 3,
     radii = tuple(sorted(radii))
     if not radii:
         raise ValueError("radii must be nonempty")
-    fg = FundamentalGroup(gog, sd)
     n_max = radii[-1] + margin
-    ball = fg.word_metric_ball(n_max, budget=budget)
+    ball = fg.word_metric_ball(n_max)
     exhausted = ball.layer_sizes[-1] == 0
 
     counts = []

@@ -144,9 +144,9 @@ def test_criterion_5_cayley_separation_suite():
     t0 = time.perf_counter()
     tested = 0
     for name, radius in (("dinf", 10), ("z2z3", 8)):
-        gog, sd, _ = make_fg(name)
+        _, _, fg = make_fg(name)
         for R in (1, 2):
-            report = verify_cayley_separation(gog, sd, ball_radius=radius,
+            report = verify_cayley_separation(fg, ball_radius=radius,
                                               samples=50, R=R, seed=7)
             assert report.holds, (name, R, report.failures[:3])
             tested += report.witness_pairs_tested
@@ -159,8 +159,8 @@ def test_criterion_5_cayley_separation_suite():
 def test_criterion_6_K_construction_suite():
     t0 = time.perf_counter()
     for name, radius in (("dinf", 12), ("z2z3", 10)):
-        gog, sd, _ = make_fg(name)
-        report = verify_K_construction(gog, sd, ball_radius=radius,
+        _, _, fg = make_fg(name)
+        report = verify_K_construction(fg, ball_radius=radius,
                                        edges_sampled=20, seed=3)
         assert report.holds, (name, report.failures[:3])
         assert report.details["worst_R0"] <= report.details["diam_I_3/2"], name
@@ -179,8 +179,8 @@ def test_criterion_7_theorem_B_trichotomy():
         ("f2", [3, 5, 7], 2, "infinity-growing"),
         ("z2z3", [4, 6, 8], 2, "infinity-growing"),
     ]:
-        gog, sd, _ = make_fg(name)
-        assert ends_estimate(gog, sd, radii, margin=margin).verdict == expect, name
+        _, _, fg = make_fg(name)
+        assert ends_estimate(fg, radii, margin=margin).verdict == expect, name
 
     # corresponding boundary branch counts
     _, _, fg = make_fg("trivial")

@@ -120,6 +120,28 @@ def test_usage_error_exit_1():
     assert main(["tree-ball", "corpus:dinf"]) == 1   # missing --radius
 
 
+@pytest.mark.parametrize("argv", [
+    ["separate", "corpus:z2z3", "--radius", "6", "--samples", "2"],
+    ["verify-k", "corpus:z2z3", "--radius", "6", "--edges", "2"],
+    ["ends", "corpus:z2z3", "--radii", "2,3", "--margin", "2"],
+], ids=["separate", "verify-k", "ends"])
+def test_budget_bounds_the_verifiers(argv, capsys):
+    assert main(argv + ["--budget", "10"]) == 1
+    assert "Cayley ball: element budget 10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "corpus:dinf", "--tree-budget", "1"],
+    ["collapse", "corpus:dinf", "--budget", "10"],
+    ["presentation", "corpus:dinf", "--budget", "10"],
+    ["cayley-ball", "corpus:dinf", "--radius", "2", "--star-radius", "1"],
+    ["ends", "corpus:dinf", "--radii", "2", "--star-fresh", "1"],
+], ids=["validate-tree-budget", "collapse-budget", "presentation-budget",
+        "cayley-ball-star-radius", "ends-star-fresh"])
+def test_flags_a_subcommand_does_not_use_are_rejected(argv):
+    assert main(argv) == 1
+
+
 def test_missing_file_exit_1():
     assert main(["validate", "/nonexistent/x.gog"]) == 1
 

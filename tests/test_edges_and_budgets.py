@@ -63,7 +63,7 @@ def _wordlen():
 
 def _coset_elements():
     _, _, fg = make_fg(F2_Z2, ball_budget=12)
-    ball = fg.word_metric_ball(1)
+    ball = fg.word_metric_ball(2, budget=100)
     return lambda: coset_elements_in_ball(fg, ball, fg.identity(), 0, 2)
 
 

@@ -91,6 +91,6 @@ def test_tree_and_tiling():
 def test_ends_is_growing():
     from amalgam_lab.separation import ends_estimate
 
-    gog, sd, _ = build()
-    report = ends_estimate(gog, sd, [3, 5], margin=2)
+    _, _, fg = build()
+    report = ends_estimate(fg, [3, 5], margin=2)
     assert report.verdict == "infinity-growing"

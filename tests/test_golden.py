@@ -52,6 +52,9 @@ def _cases() -> dict[str, list[str]]:
                                      "--samples", "8", "--seed", "3"]
         cases[f"verify-k-{name}"] = ["verify-k", spec, "--radius", "6", "--edges", "4",
                                      "--seed", "3"]
+        # a probe bound of 1 leaves far edges, so the probe loop runs
+        cases[f"verify-k-{name}-probe"] = ["verify-k", spec, "--radius", "6", "--edges", "4",
+                                           "--seed", "3", "--R-probe", "1"]
     # R > 1 takes the labelling's ball(R) shifts, not the generators
     for name, spec in (("dinf", "corpus:dinf"), ("z2z3", "corpus:z2z3"), ("sl2z", "{sl2z}")):
         cases[f"separate-{name}-R2"] = ["separate", spec, "--radius", "6", "--R", "2",
@@ -97,6 +100,12 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         digests = run_matrix(Path(tmp))
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for label, ids in (("added", digests.keys() - old.keys()),
+                       ("changed", {k for k in digests.keys() & old.keys()
+                                    if digests[k] != old[k]}),
+                       ("dropped", old.keys() - digests.keys())):
+        sys.stdout.write(f"{label} {len(ids)}: {' '.join(sorted(ids)) or '-'}\n")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     sys.stdout.write(f"wrote {len(digests)} digests to {GOLDEN}\n")

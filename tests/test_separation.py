@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from amalgam_lab.bass_serre import TreeBall
+from amalgam_lab.corpus import NAMES
 from amalgam_lab.errors import Inconclusive, PreconditionUnmet
 from amalgam_lab.separation import (
     component_labels,
@@ -18,7 +20,7 @@ from amalgam_lab.separation import (
     verify_thickening_lemma,
 )
 
-from conftest import make_fg
+from conftest import SL2Z, make_fg
 
 
 def test_r_components_whole_ball_one_component(dinf):
@@ -158,23 +160,23 @@ def test_enlarging_lemma_random_supersets(dinf):
     ("dinf", 10, 1), ("dinf", 10, 2), ("z2z3", 8, 1), ("z2z3", 8, 2),
 ])
 def test_cayley_separation_suite(name, radius, R):
-    gog, sd, _ = make_fg(name)
-    report = verify_cayley_separation(gog, sd, ball_radius=radius, samples=50,
+    _, _, fg = make_fg(name)
+    report = verify_cayley_separation(fg, ball_radius=radius, samples=50,
                                       R=R, seed=7)
     assert report.holds, report.failures[:3]
     assert report.witness_pairs_tested > 0
 
 
 def test_cayley_separation_reports_not_applicable(dinf):
-    gog, sd, _ = dinf
-    report = verify_cayley_separation(gog, sd, ball_radius=6, samples=30, R=1, seed=1)
+    _, _, fg = dinf
+    report = verify_cayley_separation(fg, ball_radius=6, samples=30, R=1, seed=1)
     assert report.not_applicable > 0   # coincident vertex samples are skipped
 
 
 @pytest.mark.parametrize("name,radius", [("dinf", 12), ("z2z3", 10)])
 def test_K_construction_suite(name, radius):
-    gog, sd, _ = make_fg(name)
-    report = verify_K_construction(gog, sd, ball_radius=radius,
+    _, _, fg = make_fg(name)
+    report = verify_K_construction(fg, ball_radius=radius,
                                    edges_sampled=20, seed=3)
     assert report.holds, report.failures[:3]
     assert report.details["worst_R0"] <= report.details["diam_I_3/2"]
@@ -188,15 +190,15 @@ def test_ends_verdicts():
         ("f2", [3, 5, 7], 2, "infinity-growing"),
         ("z2z3", [4, 6, 8], 2, "infinity-growing"),
     ]:
-        gog, sd, _ = make_fg(name)
-        report = ends_estimate(gog, sd, radii, margin=margin)
+        _, _, fg = make_fg(name)
+        report = ends_estimate(fg, radii, margin=margin)
         assert report.verdict == expect, name
 
 
 def test_ends_inconclusive_without_margin(zz):
-    gog, sd, _ = zz
+    _, _, fg = zz
     with pytest.raises(Inconclusive):
-        ends_estimate(gog, sd, [2], margin=0)
+        ends_estimate(fg, [2], margin=0)
 
 
 def test_coset_elements_in_ball_backend(z2z2):
@@ -206,6 +208,30 @@ def test_coset_elements_in_ball_backend(z2z2):
     assert fg.identity() in elems
     assert all(fg.in_vertex_subgroup(x, 0) for x in elems)
     assert len(elems) == 41   # |Z^2 ball of radius 4| = 1+2*4*(4+1)
+
+
+def _coset_elements_by_wordlen(fg, rep, vtype, maxlen):
+    """Oracle: the coset enumeration filtered by ``fg.wordlen``, not by a ball."""
+    backend = fg.vertex_backend(vtype)
+    if backend.is_finite:
+        members = sorted(fg.vertex_subgroup_elements(vtype), key=lambda n: n.sort_key())
+    else:
+        reach = maxlen + fg.wordlen(rep)
+        members = [fg.vertex_element(vtype, g) for g in backend.ball(reach, fg.ball_budget)]
+    coset = (fg.multiply(rep, h) for h in members)
+    return [x for x in coset if fg.wordlen(x) <= maxlen]
+
+
+@pytest.mark.parametrize("name", [*NAMES, SL2Z], ids=[*NAMES, "sl2z"])
+def test_coset_elements_in_ball_matches_wordlen_filter(name):
+    _, _, fg = make_fg(name)
+    ball = fg.word_metric_ball(5)
+    for v in TreeBall(fg, 3).vertices:
+        for maxlen in range(-1, 6):
+            assert (coset_elements_in_ball(fg, ball, v.rep, v.vtype, maxlen)
+                    == _coset_elements_by_wordlen(fg, v.rep, v.vtype, maxlen)), (v.vid, maxlen)
+    with pytest.raises(ValueError, match="exceeds the ball radius"):
+        coset_elements_in_ball(fg, ball, fg.identity(), fg.root, 6)
 
 
 def test_component_labels_consistency(dinf):
@@ -240,14 +266,10 @@ edge e1 v1 -- v2 group E embed_fwd {a:b3} embed_bwd {a:a2}
 
 
 def test_verifiers_on_nontrivial_edge_group():
-    from amalgam_lab.dsl import parse_gog
-    from amalgam_lab.gog import spanning_tree
-
-    gog = parse_gog(AMALGAM_Z4_Z6)
-    sd = spanning_tree(gog)
-    rep = verify_cayley_separation(gog, sd, ball_radius=8, samples=25, R=1, seed=2)
+    _, _, fg = make_fg(AMALGAM_Z4_Z6)
+    rep = verify_cayley_separation(fg, ball_radius=8, samples=25, R=1, seed=2)
     assert rep.holds and rep.witness_pairs_tested > 0
-    rep = verify_K_construction(gog, sd, ball_radius=9, edges_sampled=10, seed=2)
+    rep = verify_K_construction(fg, ball_radius=9, edges_sampled=10, seed=2)
     assert rep.holds
     assert rep.details["worst_R0"] <= rep.details["diam_I_3/2"]
-    assert ends_estimate(gog, sd, [4, 6, 8], margin=3).verdict == "infinity-growing"
+    assert ends_estimate(fg, [4, 6, 8], margin=3).verdict == "infinity-growing"
