@@ -45,6 +45,7 @@ class BoundaryApprox:
         self.tree = tree
         self.depth = depth
         branches = []
+        by_edge: dict[int, list[int]] = {}
         for v in tree.vertices:
             if v.depth != depth:
                 continue
@@ -52,10 +53,11 @@ class BoundaryApprox:
             vids = [0]
             for e in eids:
                 vids.append(tree.edges[e].child)
+                by_edge.setdefault(e, []).append(len(branches))
             branches.append(Branch(leaf=v.vid, vids=tuple(vids), eids=tuple(eids)))
         self.branches: tuple[Branch, ...] = tuple(branches)
         self._by_leaf = {b.leaf: i for i, b in enumerate(self.branches)}
-        self._edge_sets = [frozenset(b.eids) for b in self.branches]
+        self._by_edge = by_edge     # tree edge -> indices of the branches through it
 
     def __len__(self) -> int:
         return len(self.branches)
@@ -80,7 +82,7 @@ class BoundaryApprox:
 
     def basis_members(self, eid: int) -> frozenset[int]:
         """U_e: indices of branches passing through tree edge eid."""
-        return frozenset(i for i, s in enumerate(self._edge_sets) if eid in s)
+        return frozenset(self._by_edge.get(eid, ()))
 
     def prefix_vertex(self, i: int, k: int) -> int:
         return self.branches[i].vids[k]
@@ -314,16 +316,18 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
                 owner[di] = mi
     conditions["a1_disjoint"] = {"passed": not witnesses, "witnesses": witnesses[:10]}
 
-    # (a2) nullness
+    # (a2) nullness.  In the ultrametric a member's diameter is 2^(-s), with s
+    # the common prefix length of all its directions: the least split of its
+    # first direction against the others.
     witnesses = []
+    diams = []
+    for m in nonempty:
+        first, *rest = set(m.directions)
+        diam = 2.0 ** -min(b.split(first, j) for j in rest) if rest else 0.0
+        diams.append((m.coset_depth, diam))
     max_diam_per_k = {}
     for k in range(0, d + 1):
-        diams = [
-            max((b.visual_dist(i, j) for i in m.directions for j in m.directions),
-                default=0.0)
-            for m in nonempty if m.coset_depth >= k
-        ]
-        max_diam_per_k[k] = max(diams, default=0.0)
+        max_diam_per_k[k] = max((diam for cd, diam in diams if cd >= k), default=0.0)
         if max_diam_per_k[k] > 2.0 ** (-k + 1):
             witnesses.append({"k": k, "max_diam": max_diam_per_k[k]})
     non_increasing = all(
@@ -337,13 +341,20 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
         "max_diam_per_tree_distance": {str(k): v for k, v in max_diam_per_k.items()},
     }
 
-    # (a3) boundary subsets: complement of each member is eps-dense
+    # (a3) boundary subsets: complement of each member is eps-dense.  A member
+    # covers a prefix group iff it holds as many of its directions as the
+    # group has branches; groups it does not touch are non-empty, so never
+    # covered.  Counting in branch order meets a covered group first at its
+    # least branch, which is where groups_by_prefix orders it.
     witnesses = []
     groups = b.groups_by_prefix(eps_split)
     for m in nonempty:
-        dirset = set(m.directions)
-        for anc, members in groups.items():
-            if set(members) <= dirset:
+        count: dict[int, int] = {}
+        for i in sorted(set(m.directions)):
+            anc = b.branches[i].vids[eps_split]
+            count[anc] = count.get(anc, 0) + 1
+        for anc, c in count.items():
+            if c == len(groups[anc]):
                 witnesses.append({"member": m.label, "prefix_vertex": anc})
     conditions["a3_boundary"] = {"passed": not witnesses, "witnesses": witnesses[:10]}
 

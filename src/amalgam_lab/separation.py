@@ -378,11 +378,11 @@ def verify_cayley_separation(fg: FundamentalGroup, ball_radius: int,
         I = thicken(fg, coset, half, universe=ball.elements)
         report.separating_set_size = max(report.separating_set_size, len(I))
         labels = component_labels(ball, R, excluded=I)
-        for x in eligible_u:
-            for x2 in eligible_w:
+        d_u = [set_distance(x, I, fg.dist) for x in eligible_u]
+        d_w = [set_distance(x2, I, fg.dist) for x2 in eligible_w]
+        for x, dxI in zip(eligible_u, d_u):
+            for x2, dx2I in zip(eligible_w, d_w):
                 report.witness_pairs_tested += 1
-                dxI = set_distance(x, I, fg.dist)
-                dx2I = set_distance(x2, I, fg.dist)
                 ok = (dxI >= R and dx2I >= R
                       and x in labels and x2 in labels and labels[x] != labels[x2])
                 if not ok:

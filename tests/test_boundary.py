@@ -16,6 +16,7 @@ from amalgam_lab.boundary import (
     limit_set_approx,
     limit_set_family,
 )
+from amalgam_lab.corpus import NAMES
 from amalgam_lab.errors import DepthTooSmall
 
 from conftest import make_fg
@@ -75,6 +76,34 @@ def test_basis_partitions_at_every_depth(z2z3):
             assert not (union & c)
             union |= c
         assert union == set(range(len(b)))
+
+
+# Z/2 * Z/2 with a third Z/2 hung on v1 by an isomorphism: every v1 coset
+# has one child edge whose v3 vertex has no children, a dead end
+DEAD_ENDS = """\
+group A cyclic 2
+group E cyclic 2
+vertex v1 A gens [a]
+vertex v2 A gens [a]
+vertex v3 A gens [a]
+edge e1 v1 -- v2 group trivial embed_fwd {} embed_bwd {}
+edge e2 v1 -- v3 group E embed_fwd {a:a} embed_bwd {a:a}
+"""
+
+
+@pytest.mark.parametrize("name", NAMES + ("dead-ends",))
+def test_basis_members_match_branch_scan(name):
+    _, _, fg = make_fg(DEAD_ENDS if name == "dead-ends" else name)
+    b = boundary_approx(fg, 5)
+    empty = 0
+    for e in b.tree.edges:
+        scan = frozenset(i for i, br in enumerate(b.branches) if e.eid in br.eids)
+        assert b.basis_members(e.eid) == scan
+        empty += not scan
+    # the root's parent edge (-1) lies on no branch
+    assert b.basis_members(b.tree.vertices[0].parent_edge) == frozenset()
+    if name == "dead-ends":
+        assert empty and len(b)
 
 
 def test_visual_metric_is_ultrametric(f2):
@@ -221,6 +250,105 @@ def test_amalgam_adversarial_overlap_fails_a1(z2z2):
     cert = amalgam_check(b, [nonempty[0], fake], seed=7)
     assert not cert.conditions["a1_disjoint"]["passed"]
     assert cert.conditions["a1_disjoint"]["witnesses"]
+
+
+def _a2_a3_oracle(b, family):
+    """(a2) and (a3) by the all-pairs diameter and the subset test per group."""
+    d = b.depth
+    nonempty = [m for m in family if m.directions]
+    witnesses = []
+    max_diam_per_k = {}
+    for k in range(0, d + 1):
+        diams = [
+            max((b.visual_dist(i, j) for i in m.directions for j in m.directions),
+                default=0.0)
+            for m in nonempty if m.coset_depth >= k
+        ]
+        max_diam_per_k[k] = max(diams, default=0.0)
+        if max_diam_per_k[k] > 2.0 ** (-k + 1):
+            witnesses.append({"k": k, "max_diam": max_diam_per_k[k]})
+    if not all(max_diam_per_k[k + 1] <= max_diam_per_k[k] for k in range(d)):
+        witnesses.append({"reason": "diameters not non-increasing in k"})
+    a2 = {
+        "passed": not witnesses,
+        "witnesses": witnesses[:10],
+        "max_diam_per_tree_distance": {str(k): v for k, v in max_diam_per_k.items()},
+    }
+    witnesses = []
+    groups = b.groups_by_prefix(d - 2)
+    for m in nonempty:
+        dirset = set(m.directions)
+        for anc, members in groups.items():
+            if set(members) <= dirset:
+                witnesses.append({"member": m.label, "prefix_vertex": anc})
+    a3 = {"passed": not witnesses, "witnesses": witnesses[:10]}
+    return a2, a3
+
+
+def _fake(b, directions, coset_depth, label):
+    return LimitSetApprox(coset_vid=0, vtype=0, coset_depth=coset_depth,
+                          depth=b.depth, directions=tuple(directions), label=label)
+
+
+def _adversarial_family(b):
+    """Members that cover whole prefix groups (in an order other than the
+    groups'), nearly cover one, repeat directions, and break the (a2) bound."""
+    groups = list(b.groups_by_prefix(b.depth - 2).values())
+    assert len(groups) > 12
+    picked = [i for g in (groups[8], groups[1], groups[3]) for i in reversed(g)]
+    return [
+        _fake(b, picked, 0, "covers-8-1-3"),
+        _fake(b, groups[2][1:] + groups[2][1:2], 0, "almost-2-with-repeats"),
+        _fake(b, groups[5] + groups[5], 0, "covers-5-twice"),
+        _fake(b, range(len(b)), 1, "covers-all"),
+        _fake(b, (0, 1, len(b) - 1), b.depth - 1, "wide-and-deep"),
+        _fake(b, (4, 4), b.depth, "one-direction-twice"),
+        _fake(b, (9,), 2, "single"),
+    ]
+
+
+@pytest.mark.parametrize("name,depth", [(n, d) for n in ("z2z2", "zxz2", "z2z3")
+                                        for d in (4, 5)])
+def test_a2_a3_match_oracle_on_real_families(name, depth):
+    _, _, fg = make_fg(name)
+    b = boundary_approx(fg, depth)
+    family = limit_set_family(b)
+    cert = amalgam_check(b, family, seed=7)
+    assert (cert.conditions["a2_null"], cert.conditions["a3_boundary"]) == \
+        _a2_a3_oracle(b, family)
+
+
+@pytest.mark.parametrize("depth", [4, 5])
+def test_a2_a3_match_oracle_on_adversarial_family(z2z2, depth):
+    _, _, fg = z2z2
+    b = boundary_approx(fg, depth)
+    family = _adversarial_family(b)
+    cert = amalgam_check(b, family, seed=7, samples=3)
+    a2, a3 = _a2_a3_oracle(b, family)
+    assert cert.conditions["a2_null"] == a2
+    assert cert.conditions["a3_boundary"] == a3
+    assert not a2["passed"] and not a3["passed"]
+    assert len(a3["witnesses"]) == 10      # the cut falls inside "covers-all"
+    assert [w["member"] for w in a3["witnesses"][:5]] == \
+        ["covers-8-1-3"] * 3 + ["covers-5-twice", "covers-all"]
+
+
+def test_amalgam_check_reads_groups_once_and_cells_per_sample(z2z2, monkeypatch):
+    _, _, fg = z2z2
+    b = boundary_approx(fg, 5)
+    family = limit_set_family(b)
+    calls = {"groups_by_prefix": 0, "basis_members": 0}
+    for name in calls:
+        orig = getattr(BoundaryApprox, name)
+
+        def counted(self, arg, orig=orig, name=name):
+            calls[name] += 1
+            return orig(self, arg)
+        monkeypatch.setattr(BoundaryApprox, name, counted)
+    samples = 12
+    assert amalgam_check(b, family, seed=7, samples=samples).passed
+    assert calls["groups_by_prefix"] == 1
+    assert 0 < calls["basis_members"] <= samples
 
 
 def test_amalgam_depth_too_small(z2z2):

@@ -63,7 +63,9 @@ def _cases() -> dict[str, list[str]]:
         cases[f"ends-{name}"] = ["ends", f"corpus:{name}", "--radii", "2,3",
                                  "--margin", "2"]
     cases["ends-sl2z"] = ["ends", "{sl2z}", "--radii", "2,3", "--margin", "2"]
-    for name in ("z2z2", "zxz2", "z2z3"):
+    # dinf, f2 and zz reach the Cantor-fail witnesses and the not_applicable
+    # density path, which the three factor-rich inputs never do
+    for name in ("z2z2", "zxz2", "z2z3", "dinf", "f2", "zz"):
         cases[f"amalgam-check-{name}"] = ["amalgam-check", f"corpus:{name}", "--depth", "4",
                                           "--seed", "7", "--samples", "5"]
     cases["classify-z2z2"] = ["classify", "corpus:z2z2", "--depth", "3",

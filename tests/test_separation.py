@@ -173,6 +173,46 @@ def test_cayley_separation_reports_not_applicable(dinf):
     assert report.not_applicable > 0   # coincident vertex samples are skipped
 
 
+def test_cayley_separation_measures_each_point_once(monkeypatch):
+    """Per sample, d(x, I) is computed once per eligible point, not per pair."""
+    from amalgam_lab import separation
+
+    _, _, fg = make_fg(SL2Z)
+    sesq = 2    # ceil(3R/2) for R = 1
+    blocks = []     # per sample: [eligible points, set_distance calls against I]
+    state = {"cosets": 0, "after_labels": False}
+
+    def cosets(*args, **kwargs):
+        if state["cosets"] % 2 == 0:    # u's coset opens a sample, w's follows
+            blocks.append([0, 0])
+            state["after_labels"] = False
+        state["cosets"] += 1
+        return orig_cosets(*args, **kwargs)
+
+    def labels(*args, **kwargs):
+        state["after_labels"] = True
+        return orig_labels(*args, **kwargs)
+
+    def distance(x, elems, dist):
+        d = orig_distance(x, elems, dist)
+        if state["after_labels"]:
+            blocks[-1][1] += 1
+        elif d >= sesq:
+            blocks[-1][0] += 1
+        return d
+
+    orig_cosets = separation.coset_elements_in_ball
+    orig_labels = separation.component_labels
+    orig_distance = separation.set_distance
+    monkeypatch.setattr(separation, "coset_elements_in_ball", cosets)
+    monkeypatch.setattr(separation, "component_labels", labels)
+    monkeypatch.setattr(separation, "set_distance", distance)
+    report = verify_cayley_separation(fg, ball_radius=10, samples=30, R=1, seed=7)
+    assert all(calls <= eligible for eligible, calls in blocks)
+    # per-pair distances would need two calls for each pair tested
+    assert sum(calls for _, calls in blocks) < 2 * report.witness_pairs_tested
+
+
 @pytest.mark.parametrize("name,radius", [("dinf", 12), ("z2z3", 10)])
 def test_K_construction_suite(name, radius):
     _, _, fg = make_fg(name)
