@@ -189,14 +189,24 @@ def cantor_check(b: BoundaryApprox, window: int = 3) -> CantorVerdict:
 
 @dataclass(frozen=True)
 class LimitSetApprox:
-    """Finite-depth proxy of the limit set of one infinite vertex-group coset."""
+    """Finite-depth proxy of the limit set of one infinite vertex-group coset.
+
+    Its witness label ``name:rep`` is formed only when read: a family has one
+    member per coset vertex, but only the witnesses of a failed condition
+    print a label.  A member built without ``rep`` is labelled ``name``.
+    """
 
     coset_vid: int
     vtype: int
     coset_depth: int
     depth: int
     directions: tuple[int, ...]      # branch indices in the BoundaryApprox
-    label: str = ""
+    name: str = ""
+    rep: NormalForm | None = None
+
+    @property
+    def label(self) -> str:
+        return self.name if self.rep is None else f"{self.name}:{self.rep.display()}"
 
 
 def _tame_descent(tree: TreeBall, vid: int, target_depth: int) -> int | None:
@@ -235,7 +245,7 @@ def limit_set_approx(b: BoundaryApprox, vid: int) -> LimitSetApprox:
     return LimitSetApprox(
         coset_vid=vid, vtype=v.vtype, coset_depth=v.depth, depth=b.depth,
         directions=tuple(sorted(set(dirs))),
-        label=f"{tree.fg.gog.graph.vertex_names[v.vtype]}:{v.rep.display()}",
+        name=tree.fg.gog.graph.vertex_names[v.vtype], rep=v.rep,
     )
 
 
@@ -307,13 +317,13 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
     owner: dict[int, int] = {}
     for mi, m in enumerate(family):
         for di in m.directions:
-            if di in owner:
+            if di not in owner:
+                owner[di] = mi
+            elif len(witnesses) < 10:
                 witnesses.append({
                     "branch": di,
                     "members": [family[owner[di]].label, m.label],
                 })
-            else:
-                owner[di] = mi
     conditions["a1_disjoint"] = {"passed": not witnesses, "witnesses": witnesses[:10]}
 
     # (a2) nullness.  In the ultrametric a member's diameter is 2^(-s), with s
@@ -354,7 +364,7 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
             anc = b.branches[i].vids[eps_split]
             count[anc] = count.get(anc, 0) + 1
         for anc, c in count.items():
-            if c == len(groups[anc]):
+            if c == len(groups[anc]) and len(witnesses) < 10:
                 witnesses.append({"member": m.label, "prefix_vertex": anc})
     conditions["a3_boundary"] = {"passed": not witnesses, "witnesses": witnesses[:10]}
 
@@ -407,7 +417,7 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
                 for m in family if m.directions
             )
             ok = saturated and (z_in in H) and (z_out not in H)
-            if not ok:
+            if not ok and len(witnesses) < 10:
                 witnesses.append({
                     "pair": [nonempty[m1].label, nonempty[m2].label],
                     "edge": e,
@@ -461,7 +471,7 @@ def branch_density_check(b: BoundaryApprox, family: list[LimitSetApprox]) -> Den
     witnesses = []
     for m in family:
         for di in m.directions:
-            if not any(j not in owned for j in by_branch[di]):
+            if not any(j not in owned for j in by_branch[di]) and len(witnesses) < 10:
                 witnesses.append({"member": m.label, "branch": di})
     return DensityVerdict(status="pass" if not witnesses else "fail",
                           witnesses=witnesses[:10])

@@ -331,18 +331,16 @@ def _cmd_amalgam_check(args, argv) -> int:
     family = limit_set_family(b)
     cert = amalgam_check(b, family, seed=args.seed, samples=args.samples)
     density = branch_density_check(b, family)
-    cantor = cantor_check(b) if args.depth >= 3 else None
+    cantor = cantor_check(b)
     payload = cert.to_json()
     payload["branch_density"] = density.to_json()
-    if cantor is not None:
-        payload["cantor"] = cantor.to_json()
+    payload["cantor"] = cantor.to_json()
     failed = not cert.passed or density.status == "fail"
     lines = [f"amalgam-check depth {args.depth}: {'PASS' if not failed else 'FAIL'}"]
     for name, cond in cert.conditions.items():
         lines.append(f"  {name}: {'pass' if cond['passed'] else 'fail'}")
     lines.append(f"  branch_density: {density.status}")
-    if cantor is not None:
-        lines.append(f"  cantor_surrogate: {'pass' if cantor.passed else 'fail'}")
+    lines.append(f"  cantor_surrogate: {'pass' if cantor.passed else 'fail'}")
     return _finish(args, payload, lines, argv, failed=failed)
 
 

@@ -12,6 +12,12 @@ is Britton-reduced (no subword t_e g t_{bar e} with g in the embedded edge
 group) and every gi with i >= 1 is the designated right-coset representative
 of im(i_{ei}) in its vertex group.  Canonical words represent group elements
 uniquely, so equality is literal comparison.
+
+A product x·y is computed by :meth:`FundamentalGroup.multiply`.  In general it
+sweeps the whole concatenated word (:meth:`FundamentalGroup.normalize`).  When
+every edge group is trivial, as in a free product, only the junction of x and
+y can cancel, so the product touches only the syllables that cancel there and
+the one that merges after them.
 """
 
 from __future__ import annotations
@@ -210,8 +216,40 @@ class FundamentalGroup:
     # --- group law -------------------------------------------------------------
 
     def multiply(self, x: NormalForm, y: NormalForm) -> NormalForm:
+        """The canonical form of x·y.
+
+        When every edge group is trivial, only the junction of x and y is
+        touched.  Membership of g in an embedded edge group then means g = 1,
+        and every vertex element is its own coset representative.  Both
+        operands are Britton-reduced and canonical, so the only pinch the
+        concatenation can hold is t_e·1·t_{bar e} across the junction, and
+        removing it makes a new junction one letter further in on each side.
+        So the loop merges x's last syllable with y's next element, drops both
+        letters while the merged element is 1 and y's next edge is bar of
+        x's last, and carries y's following element leftward.  The first
+        junction that does not pinch ends it.  No element ever moves left past
+        it, because there is no edge-group part to move, so every other
+        syllable of x and y stays as it is.  The cost is linear in the number
+        of cancelled letters, not in the length of the word.
+
+        With a non-trivial edge group, edge-group elements do move left, so
+        the concatenation goes through the full :meth:`normalize` sweep.
+        """
         if x.group is not y.group:
             raise BaseMismatch("operands anchored at different base structures")
+        if self._fast_metric:
+            omega, xt, yt = self.gog.graph.omega, x.tail, y.tail
+            carry, n, k = y.g0, len(xt), 0
+            while n:
+                en, gn = xt[n - 1]
+                backend = self.vertex_backend(omega[en])
+                merged = backend.mul(gn, carry)
+                if k == len(yt) or yt[k][0] != bar(en) or not backend.is_identity(merged):
+                    return NormalForm(self, x.g0, xt[:n - 1] + ((en, merged),) + yt[k:])
+                carry = yt[k][1]
+                n -= 1
+                k += 1
+            return NormalForm(self, self.root_group.mul(x.g0, carry), yt[k:])
         if not x.tail:
             return self.normalize(self.root_group.mul(x.g0, y.g0), y.tail)
         en, gn = x.tail[-1]

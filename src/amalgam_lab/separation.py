@@ -353,6 +353,14 @@ def verify_cayley_separation(fg: FundamentalGroup, ball_radius: int,
 
     report = SeparationReport(instance="cayley-separation", R=R, samples=samples)
     n_vert = len(tb.vertices)
+    points: dict[int, list[NormalForm]] = {}  # vid -> coset members in the ball
+
+    def coset_points(vid: int) -> list[NormalForm]:
+        if vid not in points:
+            v = tb.vertices[vid]
+            points[vid] = coset_elements_in_ball(fg, ball, v.rep, v.vtype, margin)
+        return points[vid]
+
     for _ in range(samples):
         u = rng.randrange(n_vert)
         w = rng.randrange(n_vert)
@@ -362,16 +370,8 @@ def verify_cayley_separation(fg: FundamentalGroup, ball_radius: int,
         path = tb.geodesic(u, w)
         eid = path[len(path) // 2]
         coset = tb.edge_coset_elements(eid)
-        du = tb.vertices[u]
-        dw = tb.vertices[w]
-        eligible_u = [
-            x for x in coset_elements_in_ball(fg, ball, du.rep, du.vtype, margin)
-            if set_distance(x, coset, fg.dist) >= sesq
-        ]
-        eligible_w = [
-            x for x in coset_elements_in_ball(fg, ball, dw.rep, dw.vtype, margin)
-            if set_distance(x, coset, fg.dist) >= sesq
-        ]
+        eligible_u = [x for x in coset_points(u) if set_distance(x, coset, fg.dist) >= sesq]
+        eligible_w = [x for x in coset_points(w) if set_distance(x, coset, fg.dist) >= sesq]
         if not eligible_u or not eligible_w:
             report.not_applicable += 1
             continue

@@ -228,7 +228,7 @@ def test_criterion_9_theorem_A_property_suite():
         coset_vid=nonempty[1].coset_vid, vtype=nonempty[1].vtype,
         coset_depth=nonempty[1].coset_depth, depth=b.depth,
         directions=(nonempty[0].directions[0],) + nonempty[1].directions,
-        label="adversarial",
+        name="adversarial",
     )
     bad = amalgam_check(b, [nonempty[0], fake], seed=7)
     assert not bad.conditions["a1_disjoint"]["passed"]

@@ -18,6 +18,7 @@ from amalgam_lab.boundary import (
 )
 from amalgam_lab.corpus import NAMES
 from amalgam_lab.errors import DepthTooSmall
+from amalgam_lab.fundgroup import NormalForm
 
 from conftest import make_fg
 
@@ -245,7 +246,7 @@ def test_amalgam_adversarial_overlap_fails_a1(z2z2):
         coset_vid=nonempty[1].coset_vid, vtype=nonempty[1].vtype,
         coset_depth=nonempty[1].coset_depth, depth=b.depth,
         directions=(nonempty[0].directions[0],) + nonempty[1].directions,
-        label="adversarial",
+        name="adversarial",
     )
     cert = amalgam_check(b, [nonempty[0], fake], seed=7)
     assert not cert.conditions["a1_disjoint"]["passed"]
@@ -287,7 +288,7 @@ def _a2_a3_oracle(b, family):
 
 def _fake(b, directions, coset_depth, label):
     return LimitSetApprox(coset_vid=0, vtype=0, coset_depth=coset_depth,
-                          depth=b.depth, directions=tuple(directions), label=label)
+                          depth=b.depth, directions=tuple(directions), name=label)
 
 
 def _adversarial_family(b):
@@ -349,6 +350,36 @@ def test_amalgam_check_reads_groups_once_and_cells_per_sample(z2z2, monkeypatch)
     assert amalgam_check(b, family, seed=7, samples=samples).passed
     assert calls["groups_by_prefix"] == 1
     assert 0 < calls["basis_members"] <= samples
+
+
+def _witness_labels(cert, density) -> int:
+    """How many member labels the certificate and the density verdict print."""
+    per_witness = {"members": 2, "member": 1, "pair": 2}
+    return sum(n for cond in [*cert.conditions.values(), density.to_json()]
+               for w in cond["witnesses"] for key, n in per_witness.items() if key in w)
+
+
+def test_limit_set_labels_are_formed_only_for_witnesses(z2z2, monkeypatch):
+    _, _, fg = z2z2
+    b = boundary_approx(fg, 5)
+    calls = []
+    display = NormalForm.display
+
+    def counted(self):
+        calls.append(self)
+        return display(self)
+    monkeypatch.setattr(NormalForm, "display", counted)
+    family = limit_set_family(b)
+    nonempty = [m for m in family if m.directions]
+    # members listed twice fail (a1) more often than the ten witnesses kept
+    for fam in (family, family + nonempty[:30]):
+        calls.clear()
+        cert = amalgam_check(b, fam, seed=7)
+        density = branch_density_check(b, fam)
+        assert len(calls) <= _witness_labels(cert, density)
+    assert len(calls) == _witness_labels(cert, density) > 0
+    assert cert.conditions["a1_disjoint"]["witnesses"][0]["members"][0] == (
+        f"{nonempty[0].name}:{display(nonempty[0].rep)}")
 
 
 def test_amalgam_depth_too_small(z2z2):

@@ -4,14 +4,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amalgam_lab.dsl import parse_gog
 from amalgam_lab.errors import BaseMismatch
 from amalgam_lab.fundgroup import FundamentalGroup, abelianization, emit_presentation
-from amalgam_lab.gog import spanning_tree
+from amalgam_lab.gog import bar, spanning_tree
 from amalgam_lab.groups import abelian_invariants
 
-from conftest import ORACLES, make_fg
+from conftest import ORACLES, SL2Z, make_fg
 
 
 # --- presentations ---------------------------------------------------------
@@ -328,3 +330,72 @@ def test_normal_form_uniqueness_random_words_length_12(name):
             x = fg.multiply(x, fg_steps[i])
         assert to_nf.setdefault(o, x) == x
         assert to_or.setdefault(x, o) == o
+
+
+# --- the junction product against the full normalize sweep ---------------------
+
+EDGED = ["dinf", "f2", "z2z2", "z2z3", "zxz2", SL2Z]
+FG = {name: make_fg(name)[2] for name in EDGED}
+
+
+def _swept_product(fg, x, y):
+    """The general product: merge the junction, then normalize the whole word."""
+    if not x.tail:
+        return fg.normalize(fg.root_group.mul(x.g0, y.g0), y.tail)
+    en, gn = x.tail[-1]
+    merged = fg.vertex_backend(fg.gog.graph.omega[en]).mul(gn, y.g0)
+    return fg.normalize(x.g0, x.tail[:-1] + ((en, merged),) + y.tail)
+
+
+def _vertex_elements(backend):
+    """Elements of a vertex group, the identity drawn about a third of the time."""
+    if backend.is_finite:
+        others = st.sampled_from(list(backend.finite.elements()))
+    elif backend.kind == "free_abelian":
+        others = st.tuples(*[st.integers(-2, 2)] * backend.rank)
+    else:
+        letters = [l for i in range(1, backend.rank + 1) for l in (i, -i)]
+        others = st.lists(st.sampled_from(letters), max_size=4).map(backend.reduce)
+    return st.one_of(st.just(backend.identity()), others)
+
+
+@st.composite
+def canonical_words(draw, fg):
+    """normalize of a random closed walk at the root with random vertex elements."""
+    g = fg.gog.graph
+    v, tail = fg.root, []
+    for _ in range(draw(st.integers(0, 10))):
+        e = draw(st.sampled_from([e for e in range(2 * g.n_edges) if g.alpha[e] == v]))
+        v = g.omega[e]
+        tail.append((e, draw(_vertex_elements(fg.vertex_backend(v)))))
+    for e in reversed(fg._tree_paths[v]):
+        tail.append((bar(e), draw(_vertex_elements(fg.vertex_backend(g.omega[bar(e)])))))
+    return fg.normalize(draw(_vertex_elements(fg.root_group)), tail)
+
+
+@pytest.mark.parametrize("name", EDGED, ids=[*EDGED[:-1], "sl2z"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_multiply_equals_full_normalize(name, data):
+    fg = FG[name]
+    x, z = data.draw(canonical_words(fg)), data.draw(canonical_words(fg))
+    # y = x^-1 z cancels against all of x down to where x and z part
+    y = _swept_product(fg, fg.invert(x), z)
+    for a, b in ((x, z), (z, x), (x, y), (y, x), (x, fg.invert(x))):
+        assert fg.multiply(a, b) == _swept_product(fg, a, b)
+    assert fg.multiply(x, y) == z
+
+
+@pytest.mark.parametrize("name,sweeps", [("f2", False), (SL2Z, True)], ids=["f2", "sl2z"])
+def test_word_metric_ball_normalizes_only_with_edge_groups(name, sweeps, monkeypatch):
+    _, _, fg = make_fg(name)
+    fg.generating_set()
+    calls = []
+    normalize = FundamentalGroup.normalize
+
+    def counted(self, g0, tail):
+        calls.append(len(tail))
+        return normalize(self, g0, tail)
+    monkeypatch.setattr(FundamentalGroup, "normalize", counted)
+    fg.word_metric_ball(5)
+    assert bool(calls) == sweeps

@@ -180,14 +180,14 @@ def test_cayley_separation_measures_each_point_once(monkeypatch):
     _, _, fg = make_fg(SL2Z)
     sesq = 2    # ceil(3R/2) for R = 1
     blocks = []     # per sample: [eligible points, set_distance calls against I]
-    state = {"cosets": 0, "after_labels": False}
+    state = {"after_labels": False}
 
-    def cosets(*args, **kwargs):
-        if state["cosets"] % 2 == 0:    # u's coset opens a sample, w's follows
-            blocks.append([0, 0])
-            state["after_labels"] = False
-        state["cosets"] += 1
-        return orig_cosets(*args, **kwargs)
+    def edge_coset(*args, **kwargs):
+        # the sampled edge's coset opens every sample with u != w; the vertex
+        # cosets are memoised by vid, so they no longer mark the samples
+        blocks.append([0, 0])
+        state["after_labels"] = False
+        return orig_edge_coset(*args, **kwargs)
 
     def labels(*args, **kwargs):
         state["after_labels"] = True
@@ -201,10 +201,10 @@ def test_cayley_separation_measures_each_point_once(monkeypatch):
             blocks[-1][0] += 1
         return d
 
-    orig_cosets = separation.coset_elements_in_ball
+    orig_edge_coset = TreeBall.edge_coset_elements
     orig_labels = separation.component_labels
     orig_distance = separation.set_distance
-    monkeypatch.setattr(separation, "coset_elements_in_ball", cosets)
+    monkeypatch.setattr(TreeBall, "edge_coset_elements", edge_coset)
     monkeypatch.setattr(separation, "component_labels", labels)
     monkeypatch.setattr(separation, "set_distance", distance)
     report = verify_cayley_separation(fg, ball_radius=10, samples=30, R=1, seed=7)
@@ -313,3 +313,18 @@ def test_verifiers_on_nontrivial_edge_group():
     assert rep.holds
     assert rep.details["worst_R0"] <= rep.details["diam_I_3/2"]
     assert ends_estimate(fg, [4, 6, 8], margin=3).verdict == "infinity-growing"
+
+
+def test_cayley_separation_enumerates_each_vertex_coset_once(monkeypatch):
+    from amalgam_lab import separation
+
+    _, _, fg = make_fg(SL2Z)
+    cosets = []
+    orig = separation.coset_elements_in_ball
+
+    def counted(fg, ball, rep, vtype, maxlen):
+        cosets.append((rep, vtype))
+        return orig(fg, ball, rep, vtype, maxlen)
+    monkeypatch.setattr(separation, "coset_elements_in_ball", counted)
+    verify_cayley_separation(fg, ball_radius=10, samples=30, R=1, seed=7)
+    assert cosets and len(cosets) == len(set(cosets))
