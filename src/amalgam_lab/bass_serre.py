@@ -6,7 +6,22 @@ A tree vertex is the coset rep*G_v; a tree edge the coset mu*G_y (edge
 subgroups are finite, so edge cosets are enumerated exactly).  The star of a
 vertex of type v is parametrized by pairs (y, g) with omega(y) = v and g
 ranging over coset representatives of im(i_y) in G_v; crossing the edge
-multiplies by the stable letter of bar(y) for non-tree types.
+multiplies by the stable letter of bar(y) for non-tree types.  The step
+g·t_{bar y} (g alone on a tree edge) is formed once per vertex type, so a
+child of u costs one product u.rep·step; a crossing against the orientation
+A also forms u.rep·g, the edge coset's representative.
+
+Cosets are keyed exactly.  Canonical forms are unique, so an element is its
+own key.  A finite coset is keyed by its least member under
+``NormalForm.sort_key``, which is injective on canonical forms: two cosets
+share the key iff they share that member, iff they are equal.  With a trivial
+edge group the edge coset mu*G_y is {mu}, so its key is mu and costs no
+product.  A backend (infinite) vertex coset other than the root is keyed by
+its parent edge, which is unique in a tree.
+
+After the build the vertices are numbered in pre-order, children in
+discovery order, with subtree sizes.  A subtree is then an interval of that
+order: ancestry is one comparison, and the two sides of an edge are slices.
 
 Vertices with an infinite (backend) vertex group have infinite degree; their
 stars are truncated to a shortlex band of coset parameters (the small band
@@ -16,7 +31,6 @@ the boundary machinery) and flagged ``truncated``.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, NoEdges, NotInBall
@@ -82,6 +96,7 @@ class TreeBall:
         self._vkey_to_vid: dict[object, int] = {}
         self._ekey_to_eid: dict[object, int] = {}
         self._build()
+        self._number()
 
     # --- construction -------------------------------------------------------
 
@@ -90,7 +105,7 @@ class TreeBall:
         if backend.is_finite:
             elems = (self.fg.multiply(rep, h)
                      for h in self.fg.vertex_subgroup_elements(vtype))
-            return ("v", vtype, min(e.sort_key() for e in elems))
+            return ("v", vtype, min(elems, key=NormalForm.sort_key))
         # backend cosets are identified through their (unique) parent edge
         return ("bv", vtype, parent_edge_key)
 
@@ -101,10 +116,17 @@ class TreeBall:
 
     def _edge_coset_key(self, mu: NormalForm, pair: int):
         subgroup = self.fg.edge_subgroup_elements(pair)
-        return ("e", pair, min(self.fg.multiply(mu, h).sort_key() for h in subgroup))
+        if len(subgroup) == 1:
+            return ("e", pair, mu)
+        return ("e", pair, min((self.fg.multiply(mu, h) for h in subgroup),
+                               key=NormalForm.sort_key))
 
-    def _star_params(self, vtype: int):
-        """Per incident oriented type y: ordered (g, param_sort, fresh) tuples."""
+    def _star(self, vtype: int):
+        """Per incident oriented type y: the child type and the ordered
+        (ve, step, param_sort, fresh) tuples of its star parameters g.  The
+        child of u is u.rep·step, with step = g·t_{bar y} (g on a tree edge).
+        ve is g when the edge coset is represented by u.rep·g instead (a
+        crossing against the orientation A), else None."""
         fg = self.fg
         backend = fg.vertex_backend(vtype)
         out = []
@@ -112,7 +134,6 @@ class TreeBall:
             emb = fg.gog.embedding(y)
             if backend.is_finite:
                 params = [(g, (g,), False) for g in emb.left_coset_reps()]
-                truncated = False
             else:
                 cfg = self.config
                 ball = backend.ball(cfg.star_radius, fg.ball_budget)
@@ -123,8 +144,14 @@ class TreeBall:
                 chosen = {g for g, _, _ in params}
                 params += [(g, tuple(backend.sort_key(g)), True)
                            for g in fresh if g not in chosen]
-                truncated = True
-            out.append((y, params, truncated))
+            crossing = None if fg.sd.in_tree(y) else fg.letter(bar(y))
+            at_child = crossing is None or y in fg.sd.orientation
+            steps = []
+            for g, psort, fresh in params:
+                ve = fg.vertex_element(vtype, g)
+                step = ve if crossing is None else fg.multiply(ve, crossing)
+                steps.append((None if at_child else ve, step, (y,) + psort, fresh))
+            out.append((y, fg.gog.graph.alpha[y], steps))
         return out
 
     def _build(self):
@@ -138,7 +165,7 @@ class TreeBall:
         self.vertices.append(root)
         self._vkey_to_vid[root_key] = 0
         frontier = [0]
-        star_cache = {v: self._star_params(v) for v in range(g.n_vertices)}
+        stars = [self._star(v) for v in range(g.n_vertices)]
 
         for depth in range(self.radius):
             nxt: list[int] = []
@@ -148,17 +175,10 @@ class TreeBall:
                 parent_key = None
                 if u.parent_edge >= 0:
                     parent_key = self.edges[u.parent_edge].key
-                for y, params, _trunc in star_cache[u.vtype]:
-                    crossing = None
-                    if not fg.sd.in_tree(y):
-                        crossing = fg.letter(bar(y))
-                    for g_elem, psort, fresh in params:
-                        base = fg.multiply(u.rep, fg.vertex_element(u.vtype, g_elem))
-                        nu = base if crossing is None else fg.multiply(base, crossing)
-                        if crossing is not None and y in fg.sd.orientation:
-                            mu = nu
-                        else:
-                            mu = base
+                for y, child_type, steps in stars[u.vtype]:
+                    for ve, step, psort, fresh in steps:
+                        nu = fg.multiply(u.rep, step)
+                        mu = nu if ve is None else fg.multiply(u.rep, ve)
                         ekey = self._edge_coset_key(mu, y // 2)
                         if ekey == parent_key:
                             continue
@@ -166,14 +186,13 @@ class TreeBall:
                             # cannot happen in a tree; guard against misuse
                             raise AssertionError("duplicate tree edge discovered")
                         eid = len(self.edges)
-                        child_type = g.alpha[y]
                         vkey = self._vertex_coset_key(nu, child_type, ekey)
                         if vkey in self._vkey_to_vid:
                             raise AssertionError("duplicate tree vertex discovered")
                         cvid = len(self.vertices)
                         edge = TreeEdge(eid=eid, ytype=y, rep=mu, key=ekey,
                                         parent=vid, child=cvid,
-                                        param_sort=(y,) + tuple(psort), fresh=fresh)
+                                        param_sort=psort, fresh=fresh)
                         self.edges.append(edge)
                         self._ekey_to_eid[ekey] = eid
                         child = TreeVertex(
@@ -188,6 +207,26 @@ class TreeBall:
                         if len(self.vertices) > self.config.budget:
                             raise BudgetExceeded(self.config.budget, "tree ball")
             frontier = nxt
+
+    def _number(self):
+        """Parent vids, subtree sizes and the pre-order numbering.  Vids are
+        in BFS order, so every parent precedes its children."""
+        n = len(self.vertices)
+        self.parent: list[int] = [-1] * n
+        for e in self.edges:
+            self.parent[e.child] = e.parent
+        size = [1] * n
+        for vid in range(n - 1, 0, -1):
+            size[self.parent[vid]] += size[vid]
+        pre = [0] * n
+        for v in self.vertices:
+            nxt = pre[v.vid] + 1
+            for eid in v.children:
+                child = self.edges[eid].child
+                pre[child] = nxt
+                nxt += size[child]
+        self._size, self._pre = size, pre
+        self._order = sorted(range(n), key=pre.__getitem__)
 
     # --- queries -----------------------------------------------------------------
 
@@ -218,13 +257,16 @@ class TreeBall:
     def find_edge(self, mu: NormalForm, pair: int) -> int | None:
         return self._ekey_to_eid.get(self._edge_coset_key(mu, pair))
 
+    def in_subtree(self, vid: int, ancestor: int) -> bool:
+        """Whether ancestor lies on the path from the root to vid."""
+        return 0 <= self._pre[vid] - self._pre[ancestor] < self._size[ancestor]
+
     def root_path(self, vid: int) -> list[int]:
         """eids from the root down to vid."""
         out = []
-        v = self.vertices[vid]
-        while v.parent_edge >= 0:
-            out.append(v.parent_edge)
-            v = self.vertices[self.edges[v.parent_edge].parent]
+        while vid:
+            out.append(self.vertices[vid].parent_edge)
+            vid = self.parent[vid]
         out.reverse()
         return out
 
@@ -232,46 +274,42 @@ class TreeBall:
         """The unique simple edge path between two ball vertices (eids)."""
         if u >= len(self.vertices) or w >= len(self.vertices):
             raise NotInBall(f"vertex {max(u, w)} not in ball")
-        pu, pw = self.root_path(u), self.root_path(w)
-        i = 0
-        while i < len(pu) and i < len(pw) and pu[i] == pw[i]:
-            i += 1
-        return pu[i:][::-1] + pw[i:]
-
-    def tree_distance(self, u: int, w: int) -> int:
-        return len(self.geodesic(u, w))
+        vs, parent = self.vertices, self.parent
+        up, down = [], []
+        while vs[u].depth > vs[w].depth:
+            up.append(vs[u].parent_edge)
+            u = parent[u]
+        while vs[w].depth > vs[u].depth:
+            down.append(vs[w].parent_edge)
+            w = parent[w]
+        while u != w:
+            up.append(vs[u].parent_edge)
+            down.append(vs[w].parent_edge)
+            u, w = parent[u], parent[w]
+        return up + down[::-1]
 
     def split_by_edge(self, eid: int) -> tuple[frozenset[int], frozenset[int]]:
         """Vertex sets of the two components of ball minus the open edge;
         the first contains the edge's alpha end (the child side)."""
         if eid >= len(self.edges):
             raise NotInBall(f"edge {eid} not in ball")
-        e = self.edges[eid]
-        side0 = set()
-        stack = [e.child]
-        while stack:
-            vid = stack.pop()
-            side0.add(vid)
-            v = self.vertices[vid]
-            for ce in v.children:
-                stack.append(self.edges[ce].child)
-        side1 = frozenset(range(len(self.vertices))) - side0
-        return frozenset(side0), side1
+        child = self.edges[eid].child
+        lo, hi = self._pre[child], self._pre[child] + self._size[child]
+        return (frozenset(self._order[lo:hi]),
+                frozenset(self._order[:lo] + self._order[hi:]))
 
     def edge_tree_distance(self, eid: int, vid: int) -> int:
         """Distance from an edge to a vertex: 0 if incident."""
         e = self.edges[eid]
-        return min(self.tree_distance(e.parent, vid), self.tree_distance(e.child, vid))
+        if self.in_subtree(vid, e.child):
+            return self.vertices[vid].depth - self.vertices[e.child].depth
+        return len(self.geodesic(e.parent, vid))
 
     # --- phi ---------------------------------------------------------------------
 
     def phi(self, eid: int) -> NormalForm:
-        """Canonical member of the edge coset (sort-key least); phi(e) in e."""
-        return min(self.edge_coset_elements(eid), key=lambda n: n.sort_key())
-
-    def phi_random(self, eid: int, rng: random.Random) -> NormalForm:
-        elems = self.edge_coset_elements(eid)
-        return elems[rng.randrange(len(elems))]
+        """Canonical member of the edge coset, the sort-key least one its key holds."""
+        return self.edges[eid].key[2]
 
 
 def tree_ball(fg: FundamentalGroup, radius: int,
@@ -303,42 +341,6 @@ def tiling_tree(ball: TreeBall) -> TilingTree:
         eids.append(eid)
         vids.add(ball.edges[eid].parent)
         vids.add(ball.edges[eid].child)
-    # connectivity within the selected subgraph
-    adj: dict[int, set[int]] = {v: set() for v in vids}
-    for eid in eids:
-        e = ball.edges[eid]
-        adj[e.parent].add(e.child)
-        adj[e.child].add(e.parent)
-    seen = set()
-    stack = [next(iter(vids))]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(adj[v] - seen)
-    return TilingTree(tuple(sorted(vids)), tuple(eids), seen == vids)
+    # distinct edges of a tree span a forest with |V| - |E| components
+    return TilingTree(tuple(sorted(vids)), tuple(eids), len(vids) == len(eids) + 1)
 
-
-def translate_vertex(ball: TreeBall, gamma: NormalForm, vid: int) -> int | None:
-    """Image of a ball vertex under left translation, if still in the ball."""
-    v = ball.vertices[vid]
-    return ball.find_vertex(ball.fg.multiply(gamma, v.rep), v.vtype)
-
-
-def translate_edge(ball: TreeBall, gamma: NormalForm, eid: int) -> int | None:
-    e = ball.edges[eid]
-    return ball.find_edge(ball.fg.multiply(gamma, e.rep), e.pair)
-
-
-def phi_spread_bound(fg: FundamentalGroup) -> int:
-    """D = max over edge pairs of the d_S-diameter of the edge subgroup;
-    any two choices of phi differ by at most D on every edge coset."""
-    g = fg.gog.graph
-    best = 0
-    for k in range(g.n_edges):
-        elems = fg.edge_subgroup_elements(k)
-        for a in elems:
-            for b in elems:
-                best = max(best, fg.dist(a, b))
-    return best

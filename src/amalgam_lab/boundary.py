@@ -46,15 +46,19 @@ class BoundaryApprox:
         self.depth = depth
         branches = []
         by_edge: dict[int, list[int]] = {}
-        for v in tree.vertices:
-            if v.depth != depth:
+        # root paths by extension of the parent's; vids are in BFS order
+        paths = [((0,), ())]
+        for v in tree.vertices[1:]:
+            if v.depth > depth:
+                break
+            vids, eids = paths[tree.parent[v.vid]]
+            paths.append((vids + (v.vid,), eids + (v.parent_edge,)))
+        for leaf, (vids, eids) in enumerate(paths):
+            if tree.vertices[leaf].depth != depth:
                 continue
-            eids = tree.root_path(v.vid)
-            vids = [0]
             for e in eids:
-                vids.append(tree.edges[e].child)
                 by_edge.setdefault(e, []).append(len(branches))
-            branches.append(Branch(leaf=v.vid, vids=tuple(vids), eids=tuple(eids)))
+            branches.append(Branch(leaf=leaf, vids=vids, eids=eids))
         self.branches: tuple[Branch, ...] = tuple(branches)
         self._by_leaf = {b.leaf: i for i, b in enumerate(self.branches)}
         self._by_edge = by_edge     # tree edge -> indices of the branches through it
@@ -83,9 +87,6 @@ class BoundaryApprox:
     def basis_members(self, eid: int) -> frozenset[int]:
         """U_e: indices of branches passing through tree edge eid."""
         return frozenset(self._by_edge.get(eid, ()))
-
-    def prefix_vertex(self, i: int, k: int) -> int:
-        return self.branches[i].vids[k]
 
     def groups_by_prefix(self, k: int) -> dict[int, list[int]]:
         """Branch indices grouped by their depth-k ancestor vertex."""
@@ -284,16 +285,6 @@ class AmalgamCertificate:
         }
 
 
-def _in_subtree(tree: TreeBall, vid: int, ancestor: int) -> bool:
-    v = tree.vertices[vid]
-    while True:
-        if v.vid == ancestor:
-            return True
-        if v.parent_edge < 0:
-            return False
-        v = tree.vertices[tree.edges[v.parent_edge].parent]
-
-
 def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
                   seed: int = 0, samples: int = 20) -> AmalgamCertificate:
     """Check the five dense-amalgam conditions at finite depth.
@@ -312,18 +303,18 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
     conditions: dict[str, dict] = {}
     nonempty = [m for m in family if m.directions]
 
-    # (a1) pairwise disjoint
+    # (a1) pairwise disjoint; owners[di] lists every member holding di
     witnesses = []
-    owner: dict[int, int] = {}
+    owners: dict[int, list[int]] = {}
     for mi, m in enumerate(family):
         for di in m.directions:
-            if di not in owner:
-                owner[di] = mi
-            elif len(witnesses) < 10:
+            held = owners.setdefault(di, [])
+            if held and len(witnesses) < 10:
                 witnesses.append({
                     "branch": di,
-                    "members": [family[owner[di]].label, m.label],
+                    "members": [family[held[0]].label, m.label],
                 })
+            held.append(mi)
     conditions["a1_disjoint"] = {"passed": not witnesses, "witnesses": witnesses[:10]}
 
     # (a2) nullness.  In the ultrametric a member's diameter is 2^(-s), with s
@@ -384,7 +375,9 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
                 })
     conditions["a4_union_dense"] = {"passed": not witnesses, "witnesses": witnesses[:10]}
 
-    # (a5) saturated clopen separation for sampled cross-member pairs
+    # (a5) saturated clopen separation for sampled cross-member pairs.  H lies
+    # in the cell U_e, so a member that misses the cell misses H: it neither
+    # changes H nor breaks saturation, and only the cell's owners are read.
     witnesses = []
     checked = 0
     rng = random.Random(seed)
@@ -395,26 +388,23 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
             z1 = W1.directions[rng.randrange(len(W1.directions))]
             z2 = W2.directions[rng.randrange(len(W2.directions))]
             C1, C2 = W1.coset_vid, W2.coset_vid
-            if C2 != 0 and not _in_subtree(tree, C1, C2):
+            if C2 != 0 and not tree.in_subtree(C1, C2):
                 side_in, z_in, z_out = C2, z2, z1
             else:
                 side_in, z_in, z_out = C1, z1, z2
             e = tree.vertices[side_in].parent_edge
-            cell = set(b.basis_members(e))
+            cell = b.basis_members(e)
+            meeting = [family[mi] for mi in {mi for di in cell for mi in owners.get(di, ())}]
             removed = 0
             H = set(cell)
-            for m in family:
-                if not m.directions:
-                    continue
-                if not _in_subtree(tree, m.coset_vid, side_in):
-                    inside = set(m.directions) & cell
-                    if inside:
-                        H -= set(m.directions)
-                        removed += 1
+            for m in meeting:
+                if not tree.in_subtree(m.coset_vid, side_in):
+                    H.difference_update(m.directions)
+                    removed += 1
             checked += 1
             saturated = all(
-                set(m.directions) <= H or not (set(m.directions) & H)
-                for m in family if m.directions
+                H.issuperset(m.directions) or H.isdisjoint(m.directions)
+                for m in meeting
             )
             ok = saturated and (z_in in H) and (z_out not in H)
             if not ok and len(witnesses) < 10:

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from amalgam_lab.bass_serre import TreeBall
 from amalgam_lab.corpus import NAMES, text
 from amalgam_lab.dsl import parse_gog
-from amalgam_lab.fundgroup import DEFAULT_BALL_BUDGET, FundamentalGroup
+from amalgam_lab.fundgroup import DEFAULT_BALL_BUDGET, FundamentalGroup, NormalForm
 from amalgam_lab.gog import spanning_tree
 
 
@@ -134,3 +137,48 @@ ORACLES = {
     "f2": FreeProductOracle([0, 0]),
     "zxz2": FreeProductOracle([0, 2]),
 }
+
+
+# --- tree-ball walks, the group action on tree balls, and choices of phi ----
+
+
+def in_subtree_walk(tree: TreeBall, vid: int, ancestor: int) -> bool:
+    """Ancestry by walking parent edges to the root: the oracle for
+    ``TreeBall.in_subtree``."""
+    v = tree.vertices[vid]
+    while True:
+        if v.vid == ancestor:
+            return True
+        if v.parent_edge < 0:
+            return False
+        v = tree.vertices[tree.edges[v.parent_edge].parent]
+
+
+def translate_vertex(ball: TreeBall, gamma: NormalForm, vid: int) -> int | None:
+    """Image of a ball vertex under left translation, if still in the ball."""
+    v = ball.vertices[vid]
+    return ball.find_vertex(ball.fg.multiply(gamma, v.rep), v.vtype)
+
+
+def translate_edge(ball: TreeBall, gamma: NormalForm, eid: int) -> int | None:
+    e = ball.edges[eid]
+    return ball.find_edge(ball.fg.multiply(gamma, e.rep), e.pair)
+
+
+def phi_random(ball: TreeBall, eid: int, rng: random.Random) -> NormalForm:
+    """A uniformly random member of the edge coset: another choice of phi."""
+    elems = ball.edge_coset_elements(eid)
+    return elems[rng.randrange(len(elems))]
+
+
+def phi_spread_bound(fg: FundamentalGroup) -> int:
+    """D = max over edge pairs of the d_S-diameter of the edge subgroup;
+    any two choices of phi differ by at most D on every edge coset."""
+    g = fg.gog.graph
+    best = 0
+    for k in range(g.n_edges):
+        elems = fg.edge_subgroup_elements(k)
+        for a in elems:
+            for b in elems:
+                best = max(best, fg.dist(a, b))
+    return best

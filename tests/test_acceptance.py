@@ -19,7 +19,7 @@ from amalgam_lab.boundary import (
     cantor_check,
     limit_set_family,
 )
-from amalgam_lab.bass_serre import TreeBall, tiling_tree, translate_vertex
+from amalgam_lab.bass_serre import TreeBall, tiling_tree
 from amalgam_lab.cli import main as cli_main
 from amalgam_lab.dsl import parse_gog
 from amalgam_lab.fundgroup import emit_presentation
@@ -30,7 +30,7 @@ from amalgam_lab.separation import (
     verify_cayley_separation,
 )
 
-from conftest import ORACLES, make_fg
+from conftest import ORACLES, make_fg, translate_vertex
 
 FULL_CORPUS = ["trivial", "dinf", "z2z3", "f2", "zxz2", "z2z2"]
 

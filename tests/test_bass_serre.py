@@ -4,17 +4,20 @@ import random
 
 import pytest
 
-from amalgam_lab.bass_serre import (
-    TreeBall,
+from amalgam_lab.bass_serre import TreeBall, tiling_tree, tree_ball
+from amalgam_lab.corpus import NAMES
+from amalgam_lab.errors import NoEdges, NotInBall
+from amalgam_lab.fundgroup import FundamentalGroup, NormalForm
+
+from conftest import (
+    SL2Z,
+    in_subtree_walk,
+    make_fg,
+    phi_random,
     phi_spread_bound,
-    tiling_tree,
     translate_edge,
     translate_vertex,
-    tree_ball,
 )
-from amalgam_lab.errors import NoEdges, NotInBall
-
-from conftest import make_fg
 
 CORPUS = ["dinf", "z2z3", "f2", "zxz2", "z2z2"]
 
@@ -226,7 +229,7 @@ def test_phi_variants_within_spread_bound(z2z3):
     edges = list(range(len(tb.edges)))
     for eid in (edges if len(edges) <= 500 else edges[:500]):
         canonical = tb.phi(eid)
-        rand = tb.phi_random(eid, rng)
+        rand = phi_random(tb, eid, rng)
         assert fg.dist(canonical, rand) <= D
 
 
@@ -299,7 +302,7 @@ def test_phi_variants_500_edges_nontrivial_subgroup():
     rng = random.Random(31)
     for eid in range(500):
         canonical = tb.phi(eid)
-        rand = tb.phi_random(eid, rng)
+        rand = phi_random(tb, eid, rng)
         assert fg.dist(canonical, rand) <= D
 
 
@@ -346,3 +349,139 @@ def test_backend_tree_vertices_pairwise_distinct_cosets(z2z2):
                 continue
             assert not fg.coset_membership(vs[i].rep, vs[i].vtype, vs[j].rep), \
                 (vs[i].rep.display(), vs[j].rep.display())
+
+
+# --- the indexed tree against the walks it replaced ---------------------------
+
+
+def _root_path_walk(tb, vid):
+    out = []
+    v = tb.vertices[vid]
+    while v.parent_edge >= 0:
+        out.append(v.parent_edge)
+        v = tb.vertices[tb.edges[v.parent_edge].parent]
+    out.reverse()
+    return out
+
+
+def _geodesic_walk(tb, u, w):
+    pu, pw = _root_path_walk(tb, u), _root_path_walk(tb, w)
+    i = 0
+    while i < len(pu) and i < len(pw) and pu[i] == pw[i]:
+        i += 1
+    return pu[i:][::-1] + pw[i:]
+
+
+def _split_walk(tb, eid):
+    side0 = set()
+    stack = [tb.edges[eid].child]
+    while stack:
+        vid = stack.pop()
+        side0.add(vid)
+        stack.extend(tb.edges[ce].child for ce in tb.vertices[vid].children)
+    return frozenset(side0), frozenset(range(len(tb.vertices))) - side0
+
+
+def _edge_tree_distance_walk(tb, eid, vid):
+    e = tb.edges[eid]
+    return min(len(_geodesic_walk(tb, e.parent, vid)),
+               len(_geodesic_walk(tb, e.child, vid)))
+
+
+ORACLE_INPUTS = [*NAMES, SL2Z]
+
+
+@pytest.mark.parametrize("spec", ORACLE_INPUTS, ids=[*NAMES, "sl2z"])
+def test_indexed_tree_matches_walks(spec):
+    _, _, fg = make_fg(spec)
+    tb = TreeBall(fg, 3 if spec == "z2z2" else 4)
+    n = len(tb.vertices)
+    for vid in range(n):
+        assert tb.root_path(vid) == _root_path_walk(tb, vid)
+        for other in range(n):
+            assert tb.in_subtree(vid, other) == in_subtree_walk(tb, vid, other)
+            assert tb.geodesic(vid, other) == _geodesic_walk(tb, vid, other)
+    for e in tb.edges:
+        sides = tb.split_by_edge(e.eid)
+        assert sides == _split_walk(tb, e.eid)
+        assert all(type(side) is frozenset for side in sides)
+        for vid in range(n):
+            assert tb.edge_tree_distance(e.eid, vid) == _edge_tree_distance_walk(tb, e.eid, vid)
+        coset = tb.edge_coset_elements(e.eid)
+        assert tb.phi(e.eid) == min(coset, key=NormalForm.sort_key)
+        for m in coset:
+            assert tb.find_edge(m, e.pair) == e.eid
+
+
+@pytest.mark.parametrize("spec", ORACLE_INPUTS, ids=[*NAMES, "sl2z"])
+def test_tiling_tree_connectivity_matches_search(spec):
+    _, _, fg = make_fg(spec)
+    tb = TreeBall(fg, 4)
+    if fg.gog.graph.n_edges == 0:
+        return
+    tt = tiling_tree(tb)
+    adj = {v: set() for v in tt.vertex_ids}
+    for eid in tt.edge_ids:
+        e = tb.edges[eid]
+        adj[e.parent].add(e.child)
+        adj[e.child].add(e.parent)
+    seen, stack = set(), [tt.vertex_ids[0]]
+    while stack:
+        v = stack.pop()
+        if v not in seen:
+            seen.add(v)
+            stack.extend(adj[v] - seen)
+    assert tt.connected == (seen == set(tt.vertex_ids))
+
+
+def _count_calls(monkeypatch, targets):
+    calls = {name: 0 for _, name in targets}
+    for owner, name in targets:
+        orig = getattr(owner, name)
+
+        def counted(*args, orig=orig, name=name):
+            calls[name] += 1
+            return orig(*args)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_tree_build_forms_one_product_per_star_candidate(monkeypatch):
+    """Trivial edge group: the edge key is the child's own form, so a star
+    candidate costs one product, no sort_key, and star elements are formed
+    once per vertex type, not once per child."""
+    _, _, fg = make_fg("z2z2")
+    calls = _count_calls(monkeypatch, [(NormalForm, "sort_key"),
+                                       (FundamentalGroup, "multiply"),
+                                       (FundamentalGroup, "vertex_element")])
+    tb = TreeBall(fg, 5)
+    monkeypatch.undo()
+    expanded_below_root = sum(1 for v in tb.vertices[1:] if v.expanded)
+    assert calls["sort_key"] == 0
+    # every candidate but the skipped parent edge becomes a tree edge
+    assert calls["multiply"] == len(tb.edges) + expanded_below_root
+    # a tree vertex meets each of its star parameters once, so an expanded
+    # vertex's degree counts its type's parameters; the edge subgroups are
+    # formed once as well
+    params = {v.vtype: tb.degree(v.vid) for v in tb.vertices if v.expanded}
+    assert len(params) == fg.gog.graph.n_vertices
+    edge_subgroups = sum(len(fg.edge_subgroup_elements(k))
+                         for k in range(fg.gog.graph.n_edges))
+    assert calls["vertex_element"] <= sum(params.values()) + edge_subgroups
+    assert calls["vertex_element"] < len(tb.edges)
+
+
+def test_tree_build_keys_finite_edge_cosets_by_products(monkeypatch):
+    """Z/2 edge group: the edge key is the least of the candidate's |G_e|
+    right translates, and a finite vertex key the least of |G_v|."""
+    _, _, fg = make_fg(SL2Z)
+    calls = _count_calls(monkeypatch, [(NormalForm, "sort_key"),
+                                       (FundamentalGroup, "multiply")])
+    tb = TreeBall(fg, 5)
+    monkeypatch.undo()
+    candidates = len(tb.edges) + sum(1 for v in tb.vertices[1:] if v.expanded)
+    edge_order = len(fg.edge_subgroup_elements(0))
+    assert edge_order == 2
+    vertex_keys = sum(len(fg.vertex_subgroup_elements(v.vtype)) for v in tb.vertices)
+    assert calls["multiply"] == candidates * (1 + edge_order) + vertex_keys
+    assert calls["sort_key"] == candidates * edge_order + vertex_keys

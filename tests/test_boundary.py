@@ -20,7 +20,7 @@ from amalgam_lab.corpus import NAMES
 from amalgam_lab.errors import DepthTooSmall
 from amalgam_lab.fundgroup import NormalForm
 
-from conftest import make_fg
+from conftest import in_subtree_walk, make_fg, phi_random
 
 
 # --- boundary approximations -----------------------------------------------
@@ -334,6 +334,94 @@ def test_a2_a3_match_oracle_on_adversarial_family(z2z2, depth):
         ["covers-8-1-3"] * 3 + ["covers-5-twice", "covers-all"]
 
 
+def _a5_oracle(b, family, seed, samples):
+    """(a5) by the full-family loop: every member is tested for removal and
+    for saturation on every sample, with ancestry by walking to the root."""
+    tree = b.tree
+    nonempty = [m for m in family if m.directions]
+    witnesses = []
+    checked = 0
+    rng = random.Random(seed)
+    if len(nonempty) >= 2:
+        for _ in range(samples):
+            m1, m2 = rng.sample(range(len(nonempty)), 2)
+            W1, W2 = nonempty[m1], nonempty[m2]
+            z1 = W1.directions[rng.randrange(len(W1.directions))]
+            z2 = W2.directions[rng.randrange(len(W2.directions))]
+            C1, C2 = W1.coset_vid, W2.coset_vid
+            if C2 != 0 and not in_subtree_walk(tree, C1, C2):
+                side_in, z_in, z_out = C2, z2, z1
+            else:
+                side_in, z_in, z_out = C1, z1, z2
+            e = tree.vertices[side_in].parent_edge
+            cell = set(b.basis_members(e))
+            removed = 0
+            H = set(cell)
+            for m in family:
+                if not m.directions:
+                    continue
+                if not in_subtree_walk(tree, m.coset_vid, side_in):
+                    if set(m.directions) & cell:
+                        H -= set(m.directions)
+                        removed += 1
+            checked += 1
+            saturated = all(
+                set(m.directions) <= H or not (set(m.directions) & H)
+                for m in family if m.directions
+            )
+            ok = saturated and (z_in in H) and (z_out not in H)
+            if not ok and len(witnesses) < 10:
+                witnesses.append({
+                    "pair": [W1.label, W2.label],
+                    "edge": e,
+                    "saturated": saturated,
+                    "z_in_ok": z_in in H,
+                    "z_out_ok": z_out not in H,
+                    "removed_members": removed,
+                })
+    return {"passed": not witnesses, "witnesses": witnesses[:10],
+            "pairs_checked": checked}
+
+
+def _shared_direction_family(b):
+    """The real family, then a second owner for every direction of every
+    third member: a copy anchored at the root, which lies outside every
+    cell's subtree but the root's, so it must be removed from H wherever it
+    meets the cell.  Two straddling members join directions of neighbours."""
+    real = [m for m in limit_set_family(b) if m.directions]
+    copies = [LimitSetApprox(coset_vid=0, vtype=m.vtype, coset_depth=m.coset_depth,
+                             depth=b.depth, directions=m.directions, name=f"copy-{i}")
+              for i, m in enumerate(real) if i % 3 == 0]
+    straddle = [LimitSetApprox(coset_vid=real[i + 1].coset_vid, vtype=real[i + 1].vtype,
+                               coset_depth=real[i + 1].coset_depth, depth=b.depth,
+                               directions=real[i].directions[:1] + real[i + 1].directions,
+                               name=f"straddle-{i}")
+                for i in (1, len(real) // 2)]
+    return real + copies + straddle
+
+
+@pytest.mark.parametrize("name,depth", [(n, d) for n in ("z2z2", "zxz2", "z2z3")
+                                        for d in (4, 5)])
+def test_a5_matches_oracle_on_real_families(name, depth):
+    _, _, fg = make_fg(name)
+    b = boundary_approx(fg, depth)
+    family = limit_set_family(b)
+    cert = amalgam_check(b, family, seed=11, samples=40)
+    assert cert.conditions["a5_saturated_separation"] == _a5_oracle(b, family, 11, 40)
+
+
+@pytest.mark.parametrize("depth", [4, 5])
+def test_a5_matches_oracle_on_shared_directions(z2z2, depth):
+    _, _, fg = z2z2
+    b = boundary_approx(fg, depth)
+    family = _shared_direction_family(b)
+    cert = amalgam_check(b, family, seed=3, samples=60)
+    a5 = _a5_oracle(b, family, 3, 60)
+    assert not cert.conditions["a1_disjoint"]["passed"]
+    assert not a5["passed"]
+    assert cert.conditions["a5_saturated_separation"] == a5
+
+
 def test_amalgam_check_reads_groups_once_and_cells_per_sample(z2z2, monkeypatch):
     _, _, fg = z2z2
     b = boundary_approx(fg, 5)
@@ -434,7 +522,7 @@ def test_classify_phi_variants_agree(dinf):
     br = b.branches[0]
     rng = random.Random(4)
     canonical = classify_direction(fg, tb, [tb.phi(e) for e in br.eids])
-    randomized = classify_direction(fg, tb, [tb.phi_random(e, rng) for e in br.eids])
+    randomized = classify_direction(fg, tb, [phi_random(tb, e, rng) for e in br.eids])
     assert canonical.kind == randomized.kind == "branch_point"
     overlap = min(len(canonical.prefix_eids), len(randomized.prefix_eids))
     assert canonical.prefix_eids[:overlap - 1] == randomized.prefix_eids[:overlap - 1]

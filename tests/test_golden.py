@@ -68,6 +68,10 @@ def _cases() -> dict[str, list[str]]:
     for name in ("z2z2", "zxz2", "z2z3", "dinf", "f2", "zz"):
         cases[f"amalgam-check-{name}"] = ["amalgam-check", f"corpus:{name}", "--depth", "4",
                                           "--seed", "7", "--samples", "5"]
+    # many (a5) samples at a depth where the family has hundreds of members
+    for name in ("z2z2", "zxz2"):
+        cases[f"amalgam-check-{name}-d6"] = ["amalgam-check", f"corpus:{name}", "--depth", "6",
+                                             "--seed", "5", "--samples", "60"]
     cases["classify-z2z2"] = ["classify", "corpus:z2z2", "--depth", "3",
                               "--words-json", "{words:z2z2}"]
     cases["classify-sl2z"] = ["classify", "{sl2z}", "--depth", "3",
