@@ -135,6 +135,8 @@ def cantor_check(b: BoundaryApprox, window: int = 3) -> CantorVerdict:
     """
     if b.depth < 3:
         raise DepthTooSmall(f"depth {b.depth} < 3")
+    if window < 1:
+        raise ValueError(f"window {window} < 1")
     tree = b.tree
     verdict = CantorVerdict(passed=False, perfect_ok=True, no_dead_ends=True,
                             separation_ok=True)
@@ -148,17 +150,29 @@ def cantor_check(b: BoundaryApprox, window: int = 3) -> CantorVerdict:
             verdict.no_dead_ends = False
             verdict.witnesses.append({"reason": "dead end", "vertex": v.rep.display()})
 
-    n_children = {v.vid: len(v.children) for v in tree.vertices}
+    # a window holds only vertices above the leaves, so walk those once
+    # top-down (parents precede children): run[v] counts the consecutive
+    # vertices with < 2 children on the root path ending at v, and first[v]
+    # is the start of the first window without branching on that path, or -1
+    run = [0] * len(tree.vertices)
+    first = [-1] * len(tree.vertices)
+    for v in tree.vertices:
+        if v.depth >= b.depth:
+            break
+        p = tree.parent[v.vid]
+        run[v.vid] = 0 if len(v.children) >= 2 else (run[p] + 1 if p >= 0 else 1)
+        if p >= 0 and first[p] >= 0:
+            first[v.vid] = first[p]
+        elif run[v.vid] >= window:
+            first[v.vid] = v.depth - window + 1
     for i, br in enumerate(b.branches):
-        for start in range(0, b.depth - window + 1):
-            if not any(n_children[br.vids[k]] >= 2 for k in range(start, start + window)):
-                verdict.perfect_ok = False
-                verdict.witnesses.append({
-                    "reason": "no branching in window",
-                    "branch": i, "window_start": start,
-                })
-                break
-        if not verdict.perfect_ok:
+        start = first[br.vids[-2]]
+        if start >= 0:
+            verdict.perfect_ok = False
+            verdict.witnesses.append({
+                "reason": "no branching in window",
+                "branch": i, "window_start": start,
+            })
             break
 
     # distinct edge paths <=> the basis separates every pair (the first
@@ -251,11 +265,23 @@ def limit_set_approx(b: BoundaryApprox, vid: int) -> LimitSetApprox:
 
 
 def limit_set_family(b: BoundaryApprox) -> list[LimitSetApprox]:
-    """W = limit-set proxies of every infinite-type coset vertex in the ball."""
+    """W = limit-set proxies of every infinite-type coset vertex in the ball.
+
+    A vertex at depth >= d has no descendant at depth d, so its member is
+    built empty, without the child scan of :func:`limit_set_approx`.
+    """
+    tree = b.tree
+    names = tree.fg.gog.graph.vertex_names
     out = []
-    for v in b.tree.vertices:
-        if not b.tree.fg.vertex_backend(v.vtype).is_finite:
+    for v in tree.vertices:
+        if tree.fg.vertex_backend(v.vtype).is_finite:
+            continue
+        if v.depth < b.depth:
             out.append(limit_set_approx(b, v.vid))
+        else:
+            out.append(LimitSetApprox(
+                coset_vid=v.vid, vtype=v.vtype, coset_depth=v.depth, depth=b.depth,
+                directions=(), name=names[v.vtype], rep=v.rep))
     return out
 
 

@@ -13,11 +13,13 @@ group) and every gi with i >= 1 is the designated right-coset representative
 of im(i_{ei}) in its vertex group.  Canonical words represent group elements
 uniquely, so equality is literal comparison.
 
-A product x·y is computed by :meth:`FundamentalGroup.multiply`.  In general it
-sweeps the whole concatenated word (:meth:`FundamentalGroup.normalize`).  When
-every edge group is trivial, as in a free product, only the junction of x and
-y can cancel, so the product touches only the syllables that cancel there and
-the one that merges after them.
+A product x·y is computed by :meth:`FundamentalGroup.multiply`.  Both operands
+are canonical, so only the junction of x and y can cancel, and the product
+touches only the syllables that cancel there and the one that merges after
+them.  With finite edge groups that merged syllable may also hand an edge-group
+element leftward; the sweep that carries it stops at the first syllable where
+the carry becomes trivial.  :meth:`FundamentalGroup.normalize` sweeps a whole
+word; it builds vertex elements and stable letters and is the test oracle.
 """
 
 from __future__ import annotations
@@ -147,9 +149,12 @@ class FundamentalGroup:
 
     def normalize(self, g0: Elem, tail) -> NormalForm:
         """Britton-reduce, then convert to canonical transversal reps."""
-        gog, g = self.gog, self.gog.graph
-        tail = list(tail)
+        g0, tail = self._britton_reduce(g0, list(tail))
+        return self._canonicalize(g0, tail)
 
+    def _britton_reduce(self, g0: Elem, tail: list) -> tuple[Elem, list]:
+        """Remove every pinch t_e i_e(h) t_{bar e} -> i_{bar e}(h), in place."""
+        gog, g = self.gog, self.gog.graph
         i = 0
         while i + 1 < len(tail):
             e1, g1 = tail[i]
@@ -168,7 +173,13 @@ class FundamentalGroup:
                 i = max(i - 1, 0)
             else:
                 i += 1
+        return g0, tail
 
+    def _canonicalize(self, g0: Elem, tail: list) -> NormalForm:
+        """Sweep a reduced word backward: write each syllable as i_e(h)·r with
+        r its right-coset representative, keep r, and move i_{bar e}(h) into
+        the syllable before it (t_e i_e(h) = i_{bar e}(h) t_e)."""
+        gog, g = self.gog, self.gog.graph
         for i in range(len(tail) - 1, -1, -1):
             e, gi = tail[i]
             emb = gog.embedding(e)
@@ -181,7 +192,6 @@ class FundamentalGroup:
                     ep, gp = tail[i - 1]
                     tail[i - 1] = (ep, self.vertex_backend(g.omega[ep]).mul(gp, x))
             tail[i] = (e, r)
-
         return self._make(g0, tail)
 
     def vertex_element(self, v: int, elem: Elem) -> NormalForm:
@@ -232,8 +242,20 @@ class FundamentalGroup:
         syllable of x and y stays as it is.  The cost is linear in the number
         of cancelled letters, not in the length of the word.
 
-        With a non-trivial edge group, edge-group elements do move left, so
-        the concatenation goes through the full :meth:`normalize` sweep.
+        With a non-trivial edge group the junction pinches when x's last edge
+        is e, y's next is bar e, and the merged element lies in im(i_e).  Then
+        t_e i_e(h) t_{bar e} = i_{bar e}(h), which joins y's following element,
+        and the loop goes one letter further in on each side.  At the first
+        junction that does not pinch, the merged syllable is split as
+        i_e(h)·r with r its right-coset representative, and i_{bar e}(h) moves
+        into the syllable before it, which is split the same way, and so on
+        leftward.  The sweep stops once the carried h is the identity, since
+        the syllables further left are already canonical, or at g0.  This
+        push creates no pinch: a pinch at syllable g of x needs the pushed
+        element to lie in the same image im(i), and g·i(h) lies in im(i)
+        exactly when g does.  y's suffix after the junction is left as it is,
+        reduced and canonical.  So the cost is the cancelled letters plus the
+        syllables the carry passes, not the length of the word.
         """
         if x.group is not y.group:
             raise BaseMismatch("operands anchored at different base structures")
@@ -250,13 +272,47 @@ class FundamentalGroup:
                 n -= 1
                 k += 1
             return NormalForm(self, self.root_group.mul(x.g0, carry), yt[k:])
-        if not x.tail:
-            return self.normalize(self.root_group.mul(x.g0, y.g0), y.tail)
-        en, gn = x.tail[-1]
-        merged = self.vertex_backend(self.gog.graph.omega[en]).mul(gn, y.g0)
-        return self.normalize(x.g0, x.tail[:-1] + ((en, merged),) + y.tail)
+        groups, embeddings = self.gog.vertex_groups, self.gog.embeddings
+        omega, xt, yt = self.gog.graph.omega, x.tail, y.tail
+        carry, n, k = y.g0, len(xt), 0
+        while n:
+            en, gn = xt[n - 1]
+            merged = groups[omega[en]].mul(gn, carry)
+            emb = embeddings[en]
+            if k == len(yt) or yt[k][0] != bar(en) or not emb.contains(merged):
+                break
+            f, yk = yt[k]
+            carry = groups[omega[f]].mul(embeddings[f].apply(emb.preimage(merged)), yk)
+            n -= 1
+            k += 1
+        else:
+            return NormalForm(self, self.root_group.mul(x.g0, carry), yt[k:])
+        h, r = emb.right_decompose(merged)
+        head = list(xt[:n])
+        head[-1] = (en, r)
+        i, g0 = n - 1, x.g0
+        while h != emb.edge_group.identity_index:
+            pushed = embeddings[bar(head[i][0])].apply(h)
+            if i == 0:
+                g0 = self.root_group.mul(g0, pushed)
+                break
+            i -= 1
+            e, gi = head[i]
+            emb = embeddings[e]
+            h, r = emb.right_decompose(groups[omega[e]].mul(gi, pushed))
+            head[i] = (e, r)
+        return NormalForm(self, g0, tuple(head) + yt[k:])
 
     def invert(self, x: NormalForm) -> NormalForm:
+        """x^-1, canonicalised without a Britton pass.
+
+        x = g0 t_{e1} g1 ... t_{en} gn gives x^-1 = gn^-1 t_{bar en} ...
+        t_{bar e1} g0^-1.  The inverse of a reduced word is reduced: its
+        syllable g_j^-1 sits between t_{bar e_{j+1}} and t_{bar e_j}, so it
+        pinches when e_j = bar e_{j+1} and g_j^-1 lies in im(i_{bar e_{j+1}}) =
+        im(i_{e_j}), which is exactly when g_j pinches in x.  So only the
+        canonicalising sweep of :meth:`normalize` runs.
+        """
         if not x.tail:
             return self._make(self.root_group.inv(x.g0), ())
         g = self.gog.graph
@@ -268,7 +324,7 @@ class FundamentalGroup:
             e = bar(edges[i])
             prev = elems[i]
             tail.append((e, self.vertex_backend(g.omega[e]).inv(prev)))
-        return self.normalize(new_g0, tail)
+        return self._canonicalize(new_g0, tail)
 
     # --- subgroup membership ----------------------------------------------------
 

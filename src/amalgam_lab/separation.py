@@ -223,6 +223,29 @@ def set_distance(x, elems, dist) -> float:
     return min(dist(x, c) for c in elems)
 
 
+def edge_coset_distance(fg: FundamentalGroup, x: NormalForm, gamma_inv: NormalForm,
+                        subgroup) -> int:
+    """d(x, gamma·H) for a finite edge subgroup H, given gamma^-1.
+
+    d(x, gamma·h) = |h^-1·gamma^-1·x| and h -> h^-1 permutes H, so the
+    distance is the least |h·y| over h in H with y = gamma^-1·x: one product
+    per member, and no inverse per member.
+    """
+    y = fg.multiply(gamma_inv, x)
+    return min(fg.wordlen(fg.multiply(h, y)) for h in subgroup)
+
+
+def diameter(fg: FundamentalGroup, points) -> int:
+    """The d_S-diameter of a finite set of group elements.
+
+    d is symmetric (S is closed under inversion), so each unordered pair is
+    measured once.
+    """
+    points = list(points)
+    return max((fg.dist(a, b) for i, a in enumerate(points) for b in points[i + 1:]),
+               default=0)
+
+
 def r_separates(space, I, x0, x1, R: int, dist=None) -> bool:
     """Definition check: d(x0,I) >= R, d(x1,I) >= R, and no R-path in
     space minus I joins x0 to x1."""
@@ -370,8 +393,13 @@ def verify_cayley_separation(fg: FundamentalGroup, ball_radius: int,
         path = tb.geodesic(u, w)
         eid = path[len(path) // 2]
         coset = tb.edge_coset_elements(eid)
-        eligible_u = [x for x in coset_points(u) if set_distance(x, coset, fg.dist) >= sesq]
-        eligible_w = [x for x in coset_points(w) if set_distance(x, coset, fg.dist) >= sesq]
+        edge = tb.edges[eid]
+        gamma_inv = fg.invert(edge.rep)
+        subgroup = fg.edge_subgroup_elements(edge.pair)
+        eligible_u = [x for x in coset_points(u)
+                      if edge_coset_distance(fg, x, gamma_inv, subgroup) >= sesq]
+        eligible_w = [x for x in coset_points(w)
+                      if edge_coset_distance(fg, x, gamma_inv, subgroup) >= sesq]
         if not eligible_u or not eligible_w:
             report.not_applicable += 1
             continue
@@ -387,7 +415,7 @@ def verify_cayley_separation(fg: FundamentalGroup, ball_radius: int,
                       and x in labels and x2 in labels and labels[x] != labels[x2])
                 if not ok:
                     report.failures.append({
-                        "edge": tb.edges[eid].rep.display(),
+                        "edge": edge.rep.display(),
                         "delta": x.display(), "delta2": x2.display(),
                         "d_delta_I": dxI, "d_delta2_I": dx2I,
                         "same_component": bool(
@@ -417,12 +445,12 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
     L = [fg.identity()] + [s for s in fg.generating_set().steps]
     # P = {gamma : gamma L meets L} = L * L^{-1}
     P = {fg.multiply(a, fg.invert(b)) for a in L for b in L}
-    diam_P = max(fg.dist(a, b) for a in P for b in P)
+    diam_P = diameter(fg, P)
     base = {e for k in range(fg.gog.graph.n_edges) for e in fg.edge_subgroup_elements(k)}
     I_half = thicken(fg, base, math.ceil(diam_P / 2))
     K = {fg.multiply(i, l) for i in I_half for l in L}
     I_sesq = thicken(fg, base, math.ceil(3 * diam_P / 2))
-    diam_I_sesq = max(fg.dist(a, b) for a in I_sesq for b in I_sesq)
+    diam_I_sesq = diameter(fg, I_sesq)
 
     report = SeparationReport(instance="K-construction", R=diam_P,
                               samples=edges_sampled,
@@ -450,7 +478,6 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
     def split_analysis(eid: int):
         """(R0, labels) for the split at one tree edge."""
         edge = tb.edges[eid]
-        coset = tb.edge_coset_elements(eid)
         gammaK = {fg.multiply(edge.rep, k) for k in K}
         side0, side1 = tb.split_by_edge(eid)
         M = side_elements(side0)
@@ -458,8 +485,11 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
         if not M or not M2:
             return None
         labels = component_labels(ball, 1, excluded=gammaK)
-        AM = [(x, set_distance(x, coset, fg.dist), labels.get(x)) for x in M]
-        AM2 = [(x, set_distance(x, coset, fg.dist), labels.get(x)) for x in M2]
+        gamma_inv = fg.invert(edge.rep)
+        subgroup = fg.edge_subgroup_elements(edge.pair)
+        AM = [(x, edge_coset_distance(fg, x, gamma_inv, subgroup), labels.get(x)) for x in M]
+        AM2 = [(x, edge_coset_distance(fg, x, gamma_inv, subgroup), labels.get(x))
+               for x in M2]
         report.witness_pairs_tested += len(AM) * len(AM2)
         # minimal exclusion radius R0 killing all offending pairs
         max_d_M = max(d for _, d, _ in AM)

@@ -23,6 +23,46 @@ vertex v2 B gens [a]
 edge e1 v1 -- v2 group E embed_fwd {a:a3} embed_bwd {a:a2}
 """
 
+# finite edge groups beyond Z/2, for the junction product and the coset
+# distances; test inputs only, so the corpus goldens do not grow
+Z6_Z3_Z9 = """\
+group A cyclic 6
+group B cyclic 9
+group E cyclic 3
+vertex v1 A gens [a]
+vertex v2 B gens [a]
+edge e1 v1 -- v2 group E embed_fwd {a:a3} embed_bwd {a:a2}
+"""
+
+# an HNN extension of Z/6 conjugating a^2 to a^4, with a Z/4 leaf over Z/2
+HNN_Z6 = """\
+group A cyclic 6
+group C cyclic 4
+group E cyclic 3
+group F cyclic 2
+vertex v A gens [a]
+vertex w C gens [a]
+edge h v -- v group E embed_fwd {a:a4} embed_bwd {a:a2}
+edge l v -- w group F embed_fwd {a:a2} embed_bwd {a:a3}
+"""
+
+# Z/4 *_{Z/2} Z/8 *_{Z/4} Z/12: the second edge group sits at a non-root
+# vertex, so its elements are written with a tail
+CHAIN = """\
+group A cyclic 4
+group B cyclic 8
+group C cyclic 12
+group E cyclic 2
+group F cyclic 4
+vertex v1 A gens [a]
+vertex v2 B gens [a]
+vertex v3 C gens [a]
+edge e1 v1 -- v2 group E embed_fwd {a:a4} embed_bwd {a:a2}
+edge e2 v2 -- v3 group F embed_fwd {a:a3} embed_bwd {a:a2}
+"""
+
+FINITE_EDGED = {"z6z9": Z6_Z3_Z9, "hnn6": HNN_Z6, "chain": CHAIN}
+
 
 def make_fg(name: str, ball_budget: int = DEFAULT_BALL_BUDGET):
     """A corpus input by name, or a graph of groups given as DSL text."""

@@ -10,6 +10,7 @@ from amalgam_lab.errors import NoEdges, NotInBall
 from amalgam_lab.fundgroup import FundamentalGroup, NormalForm
 
 from conftest import (
+    FINITE_EDGED,
     SL2Z,
     in_subtree_walk,
     make_fg,
@@ -308,25 +309,26 @@ def test_phi_variants_500_edges_nontrivial_subgroup():
 
 def test_amalgam_normal_forms_satisfy_canonical_invariants():
     """Every ball element is Britton-reduced with canonical transversal reps,
-    and the group law is associative with exact inverses."""
+    and the group law is associative with exact inverses: on Z/4 *_{Z/2} Z/6
+    and on the finite-edge-group test inputs."""
     from amalgam_lab.gog import bar
 
-    gog, _, fg = make_amalgam()
-    ball = fg.word_metric_ball(5)
-    for x in ball.elements:
-        for i, (e, g) in enumerate(x.tail):
-            emb = gog.embedding(e)
-            assert emb.is_canonical_rep(g)
-            if i + 1 < len(x.tail):
-                e2, _ = x.tail[i + 1]
-                if e2 == bar(e):
-                    assert not emb.contains(g)   # Britton condition
-        assert fg.multiply(x, fg.invert(x)).is_identity()
-    rng = random.Random(13)
-    elems = ball.elements
-    for _ in range(500):
-        x, y, z = (elems[rng.randrange(len(elems))] for _ in range(3))
-        assert fg.multiply(fg.multiply(x, y), z) == fg.multiply(x, fg.multiply(y, z))
+    for gog, _, fg in [make_amalgam(), *(make_fg(s) for s in FINITE_EDGED.values())]:
+        ball = fg.word_metric_ball(5)
+        for x in ball.elements:
+            for i, (e, g) in enumerate(x.tail):
+                emb = gog.embedding(e)
+                assert emb.is_canonical_rep(g)
+                if i + 1 < len(x.tail):
+                    e2, _ = x.tail[i + 1]
+                    if e2 == bar(e):
+                        assert not emb.contains(g)   # Britton condition
+            assert fg.multiply(x, fg.invert(x)).is_identity()
+        rng = random.Random(13)
+        elems = ball.elements
+        for _ in range(500):
+            x, y, z = (elems[rng.randrange(len(elems))] for _ in range(3))
+            assert fg.multiply(fg.multiply(x, y), z) == fg.multiply(x, fg.multiply(y, z))
 
 
 def test_amalgam_abelianization_is_z12():

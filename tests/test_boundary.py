@@ -153,6 +153,38 @@ def test_cantor_verdicts():
             assert not v.perfect_ok     # fails perfectness, two isolated branches
 
 
+def _first_unbranched_window(b, window):
+    """The per-branch scan cantor_check replaced: (branch, start) of the
+    first window of levels with no vertex of >= 2 children, or None."""
+    n_children = {v.vid: len(v.children) for v in b.tree.vertices}
+    for i, br in enumerate(b.branches):
+        for start in range(0, b.depth - window + 1):
+            if not any(n_children[br.vids[k]] >= 2 for k in range(start, start + window)):
+                return i, start
+    return None
+
+
+@pytest.mark.parametrize("name", ["z2z3", "f2", "dinf"])
+def test_cantor_windows_match_branch_scan_on_pruned_trees(name):
+    """On trees whose branching is cut at random vertices, the top-down window
+    flags name the same first failing branch and window start as the scan."""
+    _, _, fg = make_fg(name)
+    rng = random.Random(5)
+    for trial in range(12):
+        b = boundary_approx(fg, 6)
+        p = trial / 12
+        for v in b.tree.vertices:
+            if v.depth < b.depth and rng.random() < p:
+                v.children = v.children[:1]   # only the window flags read the count
+        for window in range(1, b.depth + 2):
+            verdict = cantor_check(b, window)
+            found = [(w["branch"], w["window_start"]) for w in verdict.witnesses
+                     if w["reason"] == "no branching in window"]
+            expected = _first_unbranched_window(b, window)
+            assert found == ([expected] if expected else []), (trial, window)
+            assert verdict.perfect_ok is (expected is None)
+
+
 def test_cantor_depth_too_small(dinf):
     _, _, fg = dinf
     with pytest.raises(DepthTooSmall):
@@ -201,6 +233,19 @@ def test_limit_set_translate_invariance(z2z2):
         assert t is not None
         translated_leaves.add(t)
     assert translated_leaves == {b.branches[i].leaf for i in m2.directions}
+
+
+@pytest.mark.parametrize("name,radius", [("z2z2", 4), ("z2z2", 5), ("zxz2", 6)])
+def test_family_builds_boundary_depth_members_empty(name, radius):
+    """Members of vertices at depth >= d, built without the child scan, equal
+    limit_set_approx's, also when the tree reaches past the boundary depth."""
+    _, _, fg = make_fg(name)
+    b = boundary_approx(fg, 4, tree=TreeBall(fg, radius))
+    family = limit_set_family(b)
+    assert family == [limit_set_approx(b, v.vid) for v in b.tree.vertices
+                      if not fg.vertex_backend(v.vtype).is_finite]
+    assert any(m.coset_depth >= b.depth for m in family)
+    assert any(m.directions for m in family)
 
 
 def test_members_have_packet_diameter(z2z2):

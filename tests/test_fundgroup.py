@@ -13,7 +13,7 @@ from amalgam_lab.fundgroup import FundamentalGroup, abelianization, emit_present
 from amalgam_lab.gog import bar, spanning_tree
 from amalgam_lab.groups import abelian_invariants
 
-from conftest import ORACLES, SL2Z, make_fg
+from conftest import FINITE_EDGED, ORACLES, SL2Z, make_fg
 
 
 # --- presentations ---------------------------------------------------------
@@ -334,8 +334,9 @@ def test_normal_form_uniqueness_random_words_length_12(name):
 
 # --- the junction product against the full normalize sweep ---------------------
 
-EDGED = ["dinf", "f2", "z2z2", "z2z3", "zxz2", SL2Z]
-FG = {name: make_fg(name)[2] for name in EDGED}
+EDGED = {**{name: name for name in ("dinf", "f2", "z2z2", "z2z3", "zxz2")},
+         "sl2z": SL2Z, **FINITE_EDGED}
+FG = {name: make_fg(source)[2] for name, source in EDGED.items()}
 
 
 def _swept_product(fg, x, y):
@@ -373,7 +374,7 @@ def canonical_words(draw, fg):
     return fg.normalize(draw(_vertex_elements(fg.root_group)), tail)
 
 
-@pytest.mark.parametrize("name", EDGED, ids=[*EDGED[:-1], "sl2z"])
+@pytest.mark.parametrize("name", EDGED)
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_multiply_equals_full_normalize(name, data):
@@ -386,8 +387,10 @@ def test_multiply_equals_full_normalize(name, data):
     assert fg.multiply(x, y) == z
 
 
-@pytest.mark.parametrize("name,sweeps", [("f2", False), (SL2Z, True)], ids=["f2", "sl2z"])
-def test_word_metric_ball_normalizes_only_with_edge_groups(name, sweeps, monkeypatch):
+@pytest.mark.parametrize("name", ["f2", SL2Z], ids=["f2", "sl2z"])
+def test_word_metric_ball_never_normalizes(name, monkeypatch):
+    """The junction product never sweeps a whole word, with or without
+    non-trivial edge groups."""
     _, _, fg = make_fg(name)
     fg.generating_set()
     calls = []
@@ -397,5 +400,22 @@ def test_word_metric_ball_normalizes_only_with_edge_groups(name, sweeps, monkeyp
         calls.append(len(tail))
         return normalize(self, g0, tail)
     monkeypatch.setattr(FundamentalGroup, "normalize", counted)
-    fg.word_metric_ball(5)
-    assert bool(calls) == sweeps
+    ball = fg.word_metric_ball(5)
+    assert len(ball) > 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", EDGED)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_invert_equals_normalize_of_reversed_word(name, data):
+    """invert skips the Britton pass; normalize of the reversed word runs it."""
+    fg = FG[name]
+    x = data.draw(canonical_words(fg))
+    omega = fg.gog.graph.omega
+    elems = [x.g0] + [g for _, g in x.tail]
+    reversed_tail = [(bar(e), fg.vertex_backend(omega[bar(e)]).inv(elems[i]))
+                     for i, (e, _) in reversed(list(enumerate(x.tail)))]
+    expected = fg.normalize(fg.root_group.inv(elems[-1]), reversed_tail)
+    assert fg.invert(x) == expected
+    assert fg.multiply(x, expected).is_identity()

@@ -10,6 +10,8 @@ from amalgam_lab.errors import Inconclusive, PreconditionUnmet
 from amalgam_lab.separation import (
     component_labels,
     coset_elements_in_ball,
+    diameter,
+    edge_coset_distance,
     ends_estimate,
     r_components,
     r_separates,
@@ -20,7 +22,7 @@ from amalgam_lab.separation import (
     verify_thickening_lemma,
 )
 
-from conftest import SL2Z, make_fg
+from conftest import FINITE_EDGED, SL2Z, make_fg
 
 
 def test_r_components_whole_ball_one_component(dinf):
@@ -193,19 +195,25 @@ def test_cayley_separation_measures_each_point_once(monkeypatch):
         state["after_labels"] = True
         return orig_labels(*args, **kwargs)
 
-    def distance(x, elems, dist):
-        d = orig_distance(x, elems, dist)
-        if state["after_labels"]:
-            blocks[-1][1] += 1
-        elif d >= sesq:
+    def coset_distance(*args, **kwargs):
+        # the eligibility filters measure d(x, edge coset) before the labelling
+        d = orig_coset_distance(*args, **kwargs)
+        if not state["after_labels"] and d >= sesq:
             blocks[-1][0] += 1
         return d
 
+    def distance(*args, **kwargs):
+        if state["after_labels"]:
+            blocks[-1][1] += 1
+        return orig_distance(*args, **kwargs)
+
     orig_edge_coset = TreeBall.edge_coset_elements
     orig_labels = separation.component_labels
+    orig_coset_distance = separation.edge_coset_distance
     orig_distance = separation.set_distance
     monkeypatch.setattr(TreeBall, "edge_coset_elements", edge_coset)
     monkeypatch.setattr(separation, "component_labels", labels)
+    monkeypatch.setattr(separation, "edge_coset_distance", coset_distance)
     monkeypatch.setattr(separation, "set_distance", distance)
     report = verify_cayley_separation(fg, ball_radius=10, samples=30, R=1, seed=7)
     assert all(calls <= eligible for eligible, calls in blocks)
@@ -313,6 +321,41 @@ def test_verifiers_on_nontrivial_edge_group():
     assert rep.holds
     assert rep.details["worst_R0"] <= rep.details["diam_I_3/2"]
     assert ends_estimate(fg, [4, 6, 8], margin=3).verdict == "infinity-growing"
+
+
+@pytest.mark.parametrize("name", ["sl2z", *FINITE_EDGED])
+def test_edge_coset_distance_equals_set_distance(name):
+    """d(x, gamma·H) from one product per member of H equals the minimum of
+    d(x, c) over the enumerated edge coset, for every tree edge and every
+    in-ball coset point."""
+    _, _, fg = make_fg(SL2Z if name == "sl2z" else FINITE_EDGED[name])
+    ball = fg.word_metric_ball(5)
+    tb = TreeBall(fg, 2)
+    points = {x for v in tb.vertices
+              for x in coset_elements_in_ball(fg, ball, v.rep, v.vtype, 3)}
+    assert points
+    for e in tb.edges:
+        gamma_inv = fg.invert(e.rep)
+        subgroup = fg.edge_subgroup_elements(e.pair)
+        coset = tb.edge_coset_elements(e.eid)
+        for x in points:
+            assert (edge_coset_distance(fg, x, gamma_inv, subgroup)
+                    == set_distance(x, coset, fg.dist)), (e.eid, x.display())
+
+
+@pytest.mark.parametrize("name", ["sl2z", "dinf", "z2z3"])
+def test_diameter_equals_ordered_pairs_max(name):
+    """The unordered-pairs diameter equals the max over ordered pairs on the
+    sets P and I_{3/2} of the K-construction."""
+    _, _, fg = make_fg(SL2Z if name == "sl2z" else name)
+    L = [fg.identity(), *fg.generating_set().steps]
+    P = {fg.multiply(a, fg.invert(b)) for a in L for b in L}
+    diam_P = max(fg.dist(a, b) for a in P for b in P)
+    assert diameter(fg, P) == diam_P
+    base = {h for k in range(fg.gog.graph.n_edges) for h in fg.edge_subgroup_elements(k)}
+    I_sesq = thicken(fg, base, (3 * diam_P + 1) // 2)
+    assert diameter(fg, I_sesq) == max(fg.dist(a, b) for a in I_sesq for b in I_sesq)
+    assert diameter(fg, [fg.identity()]) == 0
 
 
 def test_cayley_separation_enumerates_each_vertex_coset_once(monkeypatch):
