@@ -6,7 +6,7 @@ lemmas empirically, and check dense-amalgam properties of finite-depth boundary
 approximations.
 """
 
-from .bass_serre import TreeBall, TreeBallConfig, tiling_tree, tree_ball
+from .bass_serre import TreeBall, TreeBallConfig, tiling_tree
 from .boundary import (
     BoundaryApprox,
     amalgam_check,
@@ -47,7 +47,7 @@ from .separation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "TreeBall", "TreeBallConfig", "tiling_tree", "tree_ball",
+    "TreeBall", "TreeBallConfig", "tiling_tree",
     "BoundaryApprox", "amalgam_check", "boundary_approx",
     "branch_density_check", "cantor_check", "classify_direction",
     "limit_set_approx", "limit_set_family",

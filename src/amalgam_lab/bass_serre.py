@@ -312,11 +312,6 @@ class TreeBall:
         return self.edges[eid].key[2]
 
 
-def tree_ball(fg: FundamentalGroup, radius: int,
-              config: TreeBallConfig | None = None) -> TreeBall:
-    return TreeBall(fg, radius, config)
-
-
 @dataclass(frozen=True)
 class TilingTree:
     """The subtree spanned by the identity edge cosets G_y, one per pair."""

@@ -97,10 +97,8 @@ class BoundaryApprox:
 
 
 def boundary_approx(fg: FundamentalGroup, depth: int,
-                    config: TreeBallConfig | None = None,
-                    tree: TreeBall | None = None) -> BoundaryApprox:
-    tree = tree if tree is not None else TreeBall(fg, depth, config)
-    return BoundaryApprox(tree, depth)
+                    config: TreeBallConfig | None = None) -> BoundaryApprox:
+    return BoundaryApprox(TreeBall(fg, depth, config), depth)
 
 
 # --- Cantor check -------------------------------------------------------------
@@ -240,12 +238,13 @@ def _tame_descent(tree: TreeBall, vid: int, target_depth: int) -> int | None:
 def limit_set_approx(b: BoundaryApprox, vid: int) -> LimitSetApprox:
     """Member packet for the coset vertex vid: one branch per escaping star
     edge, each continued tamely to the full depth.  Finite vertex groups have
-    empty limit sets."""
+    empty limit sets, and so, at depth d, does a vertex at depth >= d: it has
+    no descendant at depth d, so its children are not scanned."""
     tree = b.tree
     v = tree.vertices[vid]
-    backend = tree.fg.vertex_backend(v.vtype)
-    dirs: list[int] = []
-    if not backend.is_finite:
+    directions: tuple[int, ...] = ()
+    if v.depth < b.depth and not tree.fg.vertex_backend(v.vtype).is_finite:
+        dirs: list[int] = []
         fresh_edges = sorted(
             (tree.edges[e] for e in v.children if tree.edges[e].fresh),
             key=lambda e: e.param_sort,
@@ -257,32 +256,19 @@ def limit_set_approx(b: BoundaryApprox, vid: int) -> LimitSetApprox:
             idx = b.index_of_leaf(leaf)
             if idx is not None:
                 dirs.append(idx)
+        directions = tuple(sorted(set(dirs)))
     return LimitSetApprox(
         coset_vid=vid, vtype=v.vtype, coset_depth=v.depth, depth=b.depth,
-        directions=tuple(sorted(set(dirs))),
+        directions=directions,
         name=tree.fg.gog.graph.vertex_names[v.vtype], rep=v.rep,
     )
 
 
 def limit_set_family(b: BoundaryApprox) -> list[LimitSetApprox]:
-    """W = limit-set proxies of every infinite-type coset vertex in the ball.
-
-    A vertex at depth >= d has no descendant at depth d, so its member is
-    built empty, without the child scan of :func:`limit_set_approx`.
-    """
-    tree = b.tree
-    names = tree.fg.gog.graph.vertex_names
-    out = []
-    for v in tree.vertices:
-        if tree.fg.vertex_backend(v.vtype).is_finite:
-            continue
-        if v.depth < b.depth:
-            out.append(limit_set_approx(b, v.vid))
-        else:
-            out.append(LimitSetApprox(
-                coset_vid=v.vid, vtype=v.vtype, coset_depth=v.depth, depth=b.depth,
-                directions=(), name=names[v.vtype], rep=v.rep))
-    return out
+    """W = limit-set proxies of every infinite-type coset vertex in the ball."""
+    fg = b.tree.fg
+    infinite = {t for t in range(fg.gog.graph.n_vertices) if not fg.vertex_backend(t).is_finite}
+    return [limit_set_approx(b, v.vid) for v in b.tree.vertices if v.vtype in infinite]
 
 
 # --- dense-amalgam checker -------------------------------------------------------
@@ -534,7 +520,7 @@ def dist_to_vertex_coset(fg: FundamentalGroup, tree: TreeBall, x: NormalForm,
 
 
 def classify_direction(fg: FundamentalGroup, tree: TreeBall, elements,
-                       r_bound: int = 4, slack: int | None = None) -> ClassifyResult:
+                       r_bound: int = 4) -> ClassifyResult:
     """Classify a diverging sample of group elements as heading to a vertex
     point (bounded distance from one coset) or a branch point (projections
     move monotonically along a ray), else inconclusive."""
@@ -543,8 +529,7 @@ def classify_direction(fg: FundamentalGroup, tree: TreeBall, elements,
         return ClassifyResult(kind="inconclusive",
                               diagnostics={"reason": "need at least 3 samples"})
     g = fg.gog.graph
-    if slack is None:
-        slack = max(1, g.n_edges)
+    slack = max(1, g.n_edges)
 
     candidates: list[int] = []
     seen = set()

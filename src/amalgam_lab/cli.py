@@ -45,12 +45,14 @@ def _require(args, *names):
             raise _UsageError(f"--{name.replace('_', '-')} is required")
 
 
-def _load_gog(spec: str, from_json: bool):
-    if from_json:
-        return gog_from_json(load_artifact(spec, "graph_of_groups"))
-    if spec.startswith("corpus:"):
-        return parse_gog(corpus.text(spec.split(":", 1)[1]))
-    with open(spec) as fh:
+def _load_gog(args):
+    """The input graph of groups: the artifact ``main`` loaded for --from json,
+    a corpus input or a .gog file."""
+    if args.from_json == "json":
+        return gog_from_json(args.artifact)
+    if args.input.startswith("corpus:"):
+        return parse_gog(corpus.text(args.input.split(":", 1)[1]))
+    with open(args.input) as fh:
         return parse_gog(fh.read())
 
 
@@ -93,7 +95,7 @@ def _finish(args, payload: dict, text_lines: list[str], argv, failed: bool) -> i
 
 
 def _fg(args) -> FundamentalGroup:
-    gog = _load_gog(args.input, args.from_json == "json")
+    gog = _load_gog(args)
     return FundamentalGroup(gog, spanning_tree(gog), ball_budget=args.budget)
 
 
@@ -101,7 +103,7 @@ def _fg(args) -> FundamentalGroup:
 
 
 def _cmd_validate(args, argv) -> int:
-    gog = _load_gog(args.input, args.from_json == "json")
+    gog = _load_gog(args)
     verdict = is_non_elementary(gog)
     g = gog.graph
     payload = gog_to_json(gog)
@@ -133,7 +135,7 @@ def _group_desc(backend) -> str:
 
 
 def _cmd_collapse(args, argv) -> int:
-    gog = _load_gog(args.input, args.from_json == "json")
+    gog = _load_gog(args)
     if args.edge is None:
         verdict = is_non_elementary(gog)
         payload = {
@@ -155,7 +157,7 @@ def _cmd_collapse(args, argv) -> int:
 
 
 def _cmd_presentation(args, argv) -> int:
-    gog = _load_gog(args.input, args.from_json == "json")
+    gog = _load_gog(args)
     p = emit_presentation(gog, spanning_tree(gog))
     rank, torsion = abelianization(p)
     payload = {
@@ -369,7 +371,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("collapse", help="elementary collapse / non-elementarity decision")
     _add_common(p)
-    p.add_argument("--edge", default=None, help="edge name to collapse (omit to decide)")
+    p.add_argument("--edge", default=None, help="edge to collapse, NAME or ~NAME for its reverse "
+                   "(omit to decide)")
     p.set_defaults(func=_cmd_collapse)
 
     p = sub.add_parser("presentation", help="emit the defining presentation")
@@ -454,10 +457,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         if args.from_json == "json":
-            data = load_artifact(args.input)
-            kinds = _EMITTED_KINDS.get(args.command, ())
-            if data["kind"] != "graph_of_groups" and data["kind"] in kinds:
-                emit(dumps(data), args.output, argv)
+            args.artifact = load_artifact(args.input)
+            kind = args.artifact["kind"]
+            if kind != "graph_of_groups" and kind in _EMITTED_KINDS.get(args.command, ()):
+                emit(dumps(args.artifact), args.output, argv)
                 return 0
         return args.func(args, argv)
     except _UsageError as exc:

@@ -1,5 +1,8 @@
 """Text DSL for graphs of groups, plus JSON export/import.
 
+JSON import turns an artifact into the same declarations as the DSL and
+assembles them through the same checks; its errors name the JSON entry.
+
 One statement per line, ``#`` starts a comment::
 
     group G2 cyclic 2
@@ -155,15 +158,31 @@ def _parse_map(cur: _Cursor) -> dict[str, str]:
     return mapping
 
 
+def _free_group(kind: str, rank, at: int | str) -> GroupBackend:
+    """F_n or Z^n of a DSL ``group`` line or a JSON group spec; the one place
+    their kind and rank are checked."""
+    if kind not in (FREE, FREE_ABELIAN):
+        raise GogSyntaxError(f"unknown group kind {kind!r}", at)
+    if not isinstance(rank, int) or rank < 1:
+        raise GogSyntaxError(f"{kind} rank must be >= 1", at)
+    return GroupBackend.free(rank) if kind == FREE else GroupBackend.free_abelian(rank)
+
+
 def _extend_generator_map(edge_group: FiniteGroup, target: GroupBackend,
-                          gen_images: dict[str, str], lineno: int):
-    """Extend generator images multiplicatively to a total monomorphism."""
+                          gen_images: dict[str, str], at: int | str, which: str):
+    """Extend generator images multiplicatively to a total monomorphism.
+
+    ``at`` (a DSL line or a JSON entry) and ``which`` (``embed_fwd`` or
+    ``embed_bwd``) locate its errors.
+    """
+    where = f"{at if isinstance(at, str) else f'line {at}'}: {which}"
     if target.kind != FINITE:
-        if gen_images and any(k != "e" for k in gen_images):
+        # Z^n and F_n are torsion-free: only the trivial group embeds, onto e
+        identity = edge_group.label(edge_group.identity_index)
+        if edge_group.order != 1 or any(
+                (key, val) != (identity, "e") for key, val in gen_images.items()):
             raise EmbeddingNotInjective(
-                "only the trivial group embeds into a torsion-free backend "
-                f"(line {lineno})"
-            )
+                f"{where}: only the trivial group embeds into a torsion-free backend, onto e")
         return EdgeEmbedding(edge_group, target, None)
 
     G = target.finite
@@ -172,7 +191,7 @@ def _extend_generator_map(edge_group: FiniteGroup, target: GroupBackend,
         for key, val in gen_images.items():
             images[edge_group.index_of(key)] = G.index_of(val)
     except KeyError as exc:
-        raise GogSyntaxError(f"embed map: {exc.args[0]}", lineno) from None
+        raise GogSyntaxError(f"{which}: {exc.args[0]}", at) from None
     changed = True
     while changed:
         changed = False
@@ -185,25 +204,23 @@ def _extend_generator_map(edge_group: FiniteGroup, target: GroupBackend,
                     images[ab] = fab
                     changed = True
                 elif images[ab] != fab:
-                    raise EmbeddingNotInjective(
-                        f"generator images are inconsistent at line {lineno}"
-                    )
+                    raise EmbeddingNotInjective(f"{where}: generator images are inconsistent")
     if len(images) != edge_group.order:
         raise GogSyntaxError(
-            "embed map images do not determine the embedding "
-            "(named elements do not generate the edge group)", lineno
+            f"{which} images do not determine the embedding "
+            "(named elements do not generate the edge group)", at
         )
     try:
         mono = check_monomorphism(edge_group, G, [images[a] for a in edge_group.elements()])
     except NotInjective as exc:
-        raise EmbeddingNotInjective(str(exc)) from exc
+        raise EmbeddingNotInjective(f"{where}: {exc}") from exc
     return EdgeEmbedding(edge_group, target, mono)
 
 
 def parse_gog(text: str) -> GraphOfGroups:
     """Parse and fully validate a graph of groups from DSL text."""
     groups: dict[str, GroupBackend] = {"trivial": GroupBackend.from_finite(cyclic_group(1))}
-    vertices: list[tuple[str, str, list[str] | None]] = []   # (name, groupref, gens)
+    vertices: list[tuple[str, str, list[str] | None, int]] = []   # (name, groupref, gens, line)
     edges: list[tuple[str, str, str, str, dict, dict, int]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -231,18 +248,9 @@ def parse_gog(text: str) -> GraphOfGroups:
                     cur.next()
                     labels = _parse_name_list(cur)
                 groups[name] = GroupBackend.from_finite(check_group(table, labels))
-            elif kind == "free":
-                n = int(cur.next(expect_kind="num").text)
-                if n < 1:
-                    raise GogSyntaxError("free rank must be >= 1", lineno)
-                groups[name] = GroupBackend.free(n)
-            elif kind == "free_abelian":
-                n = int(cur.next(expect_kind="num").text)
-                if n < 1:
-                    raise GogSyntaxError("free_abelian rank must be >= 1", lineno)
-                groups[name] = GroupBackend.free_abelian(n)
             else:
-                raise GogSyntaxError(f"unknown group kind {kind!r}", lineno)
+                rank = int(cur.next(expect_kind="num").text) if kind in (FREE, FREE_ABELIAN) else 0
+                groups[name] = _free_group(kind, rank, lineno)
             cur.done()
 
         elif head == "vertex":
@@ -273,15 +281,28 @@ def parse_gog(text: str) -> GraphOfGroups:
         else:
             raise GogSyntaxError(f"unknown statement {head!r}", lineno, toks[0].col)
 
-    if not vertices:
-        raise GogSyntaxError("no vertices declared", len(text.splitlines()) or 1)
+    return _assemble(groups, vertices, edges, len(text.splitlines()) or 1)
 
-    vertex_names = [v[0] for v in vertices]
-    if len(set(vertex_names)) != len(vertex_names):
-        raise GogSyntaxError("duplicate vertex name", 1)
+
+def _assemble(groups: dict[str, GroupBackend], vertices: list, edges: list,
+              end: int | str) -> GraphOfGroups:
+    """Check declared vertices and edges and build their graph of groups.
+
+    Vertices are (name, groupref, gens, at), edges (name, left, right,
+    groupref, fwd, bwd, at): ``at`` is a DSL line or a JSON entry, and the
+    maps fwd/bwd send edge-group labels to labels of the right and left
+    vertex groups.  ``end`` locates the error of an input with no vertices.
+    """
+    if not vertices:
+        raise GogSyntaxError("no vertices declared", end)
+
+    vidx: dict[str, int] = {}
     vgroups: list[GroupBackend] = []
     gensets: list[tuple[tuple[str, object], ...]] = []
-    for name, ref, gens, lineno in vertices:
+    for name, ref, gens, at in vertices:
+        if name in vidx:
+            raise GogSyntaxError(f"duplicate vertex name {name!r}", at)
+        vidx[name] = len(vidx)
         if ref not in groups:
             raise UnknownGroupRef(f"vertex {name} references unknown group {ref!r}")
         backend = groups[ref]
@@ -291,42 +312,40 @@ def parse_gog(text: str) -> GraphOfGroups:
             try:
                 genset = tuple((lbl, backend.finite.index_of(lbl)) for lbl in labels)
             except KeyError as exc:
-                raise GogSyntaxError(f"vertex {name}: {exc.args[0]}", lineno) from None
+                raise GogSyntaxError(f"gens: {exc.args[0]}", at) from None
             gen_elems = {e for _, e in genset}
             if backend.finite.subgroup_generated(gen_elems) != frozenset(backend.finite.elements()):
-                raise GogSyntaxError(
-                    f"gens of vertex {name} do not generate its group", lineno)
+                raise GogSyntaxError("gens do not generate the vertex group", at)
         else:
             # backends always use the standard basis for the word metric
             genset = tuple(zip(backend.generator_labels, backend.generators()))
         gensets.append(genset)
 
-    edge_triples = [(e[0], e[1], e[2]) for e in edges]
-    names = [e[0] for e in edge_triples]
-    if len(set(names)) != len(names):
-        raise GogSyntaxError("duplicate edge name", 1)
-    for name, a, b in edge_triples:
-        for v in (a, b):
-            if v not in vertex_names:
-                raise UnknownGroupRef(f"edge {name} references unknown vertex {v!r}")
-    graph = build_graph(vertex_names, edge_triples)
-
+    edge_names: set[str] = set()
     egroups: list[FiniteGroup] = []
     embeddings: list[EdgeEmbedding] = []
-    vidx = {n: i for i, n in enumerate(vertex_names)}
-    for name, left, right, ref, fwd, bwd, lineno in edges:
+    for name, left, right, ref, fwd, bwd, at in edges:
+        if name in edge_names:
+            raise GogSyntaxError(f"duplicate edge name {name!r}", at)
+        edge_names.add(name)
+        for v in (left, right):
+            if v not in vidx:
+                raise UnknownGroupRef(f"edge {name} references unknown vertex {v!r}")
         if ref not in groups:
             raise UnknownGroupRef(f"edge {name} references unknown group {ref!r}")
         backend = groups[ref]
         if backend.kind in (FREE, FREE_ABELIAN):
-            raise EdgeGroupInfinite(f"edge {name} has infinite edge group {ref!r}")
+            raise EdgeGroupInfinite(f"edge {name} has an infinite edge group "
+                                    f"({backend.kind} rank {backend.rank})")
         egroup = backend.finite
         egroups.append(egroup)
-        embeddings.append(_extend_generator_map(egroup, vgroups[vidx[right]], fwd, lineno))
-        embeddings.append(_extend_generator_map(egroup, vgroups[vidx[left]], bwd, lineno))
+        embeddings.append(_extend_generator_map(egroup, vgroups[vidx[right]], fwd, at,
+                                                "embed_fwd"))
+        embeddings.append(_extend_generator_map(egroup, vgroups[vidx[left]], bwd, at,
+                                                "embed_bwd"))
 
     return GraphOfGroups(
-        graph=graph,
+        graph=build_graph(list(vidx), [(e[0], e[1], e[2]) for e in edges]),
         vertex_groups=tuple(vgroups),
         edge_groups=tuple(egroups),
         embeddings=tuple(embeddings),
@@ -385,48 +404,39 @@ def gog_to_json(gog: GraphOfGroups) -> dict:
 
 
 def gog_from_json(data: dict) -> GraphOfGroups:
+    """Rebuild a ``graph_of_groups`` artifact through the DSL's checks.
+
+    Each group spec becomes a group named after its vertex or edge, and each
+    ``images`` list (one image per edge-group element, in index order) a map
+    on the edge group's labels.  Errors name the entry, such as ``edge e1``.
+    """
     if data.get("kind") != "graph_of_groups":
-        raise UnknownGroupRef("JSON payload is not a graph_of_groups artifact")
+        raise UnknownGroupRef(f"expected a graph_of_groups artifact, found {data.get('kind')!r}")
 
-    def backend_of(spec: dict) -> GroupBackend:
-        if spec["kind"] == "finite":
+    def group_of(spec: dict, at: str) -> GroupBackend:
+        if spec.get("kind") == FINITE:
             return GroupBackend.from_finite(check_group(spec["table"], spec["labels"]))
-        if spec["kind"] == FREE:
-            return GroupBackend.free(spec["rank"])
-        return GroupBackend.free_abelian(spec["rank"])
+        return _free_group(spec.get("kind"), spec.get("rank"), at)
 
-    vertex_names = [v["name"] for v in data["vertices"]]
-    vgroups = [backend_of(v["group"]) for v in data["vertices"]]
-    gensets = []
-    for v, backend in zip(data["vertices"], vgroups):
-        if backend.kind == FINITE:
-            gensets.append(tuple((lbl, backend.finite.index_of(lbl)) for lbl in v["gens"]))
-        else:
-            gensets.append(tuple(zip(backend.generator_labels, backend.generators())))
-
-    vidx = {n: i for i, n in enumerate(vertex_names)}
-    triples = [(e["name"], e["left"], e["right"]) for e in data["edges"]]
-    graph = build_graph(vertex_names, triples)
-    egroups = []
-    embeddings = []
+    groups: dict[str, GroupBackend] = {}
+    vertices = []
+    for v in data["vertices"]:
+        at = f"vertex {v['name']}"
+        # a duplicate entry keeps the first one's group; the assembly rejects it
+        groups.setdefault(at, group_of(v["group"], at))
+        vertices.append((v["name"], at, v.get("gens"), at))
+    edges = []
     for e in data["edges"]:
-        eg = backend_of(e["group"]).finite
-        egroups.append(eg)
-        for key, tgt_vertex in (("embed_fwd", e["right"]), ("embed_bwd", e["left"])):
-            target = vgroups[vidx[tgt_vertex]]
+        at = f"edge {e['name']}"
+        group = group_of(e["group"], at)
+        groups.setdefault(at, group)
+        labels = group.finite.labels if group.is_finite else ()
+        maps = []
+        for key in ("embed_fwd", "embed_bwd"):
             images = e[key]["images"]
-            if target.kind == FINITE:
-                mono = check_monomorphism(
-                    eg, target.finite, [target.finite.index_of(lbl) for lbl in images]
-                )
-                embeddings.append(EdgeEmbedding(eg, target, mono))
-            else:
-                embeddings.append(EdgeEmbedding(eg, target, None))
-
-    return GraphOfGroups(
-        graph=graph,
-        vertex_groups=tuple(vgroups),
-        edge_groups=tuple(egroups),
-        embeddings=tuple(embeddings),
-        generating_sets=tuple(gensets),
-    )
+            if group.is_finite and len(images) != len(labels):
+                raise GogSyntaxError(f"{key} names {len(images)} images for "
+                                     f"{len(labels)} edge-group elements", at)
+            maps.append(dict(zip(labels, images)))
+        edges.append((e["name"], e["left"], e["right"], at, *maps, at))
+    return _assemble(groups, vertices, edges, "vertices")

@@ -44,11 +44,15 @@ class NotInjective(AmalgamLabError):
 # --- gog / DSL ------------------------------------------------------------
 
 class GogSyntaxError(AmalgamLabError):
+    """At a DSL line (``at`` an int), or at a named JSON entry such as
+    ``"vertex v1"``, which has no line."""
+
     kind = "SyntaxError"
 
-    def __init__(self, message: str, line: int, column: int = 0):
-        super().__init__(f"line {line}, col {column}: {message}")
-        self.line = line
+    def __init__(self, message: str, at: int | str, column: int = 0):
+        where = at if isinstance(at, str) else f"line {at}, col {column}"
+        super().__init__(f"{where}: {message}")
+        self.line = None if isinstance(at, str) else at
         self.column = column
 
 

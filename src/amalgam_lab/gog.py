@@ -60,19 +60,6 @@ class Graph:
         """Oriented edges y with omega(y) == v, in id order."""
         return [y for y in self.oriented_edges() if self.omega[y] == v]
 
-    def is_connected(self) -> bool:
-        if self.n_vertices == 0:
-            return False
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for y in self.oriented_edges():
-                if self.alpha[y] == v and self.omega[y] not in seen:
-                    seen.add(self.omega[y])
-                    queue.append(self.omega[y])
-        return len(seen) == self.n_vertices
-
 
 def build_graph(vertex_names: list[str], edges: list[tuple[str, str, str]]) -> Graph:
     """edges: (edge_name, left_vertex, right_vertex); orientation 2k runs left->right."""
@@ -215,15 +202,14 @@ class SpanningData:
         return path
 
 
-def spanning_tree(gog: GraphOfGroups, root: int = 0) -> SpanningData:
-    """BFS spanning tree from ``root``, ties broken by edge id order.
+def spanning_tree(gog: GraphOfGroups) -> SpanningData:
+    """BFS spanning tree from vertex 0, ties broken by edge id order.
 
     Orientation A: tree edges point away from the root; for non-tree pairs the
     lesser oriented id (the DSL forward orientation) is chosen.
     """
     g = gog.graph
-    if not g.is_connected():
-        raise GraphDisconnected("underlying graph is not connected")
+    root = 0
     parent_edge = [-1] * g.n_vertices
     seen = {root}
     order = [root]
@@ -239,6 +225,8 @@ def spanning_tree(gog: GraphOfGroups, root: int = 0) -> SpanningData:
                 parent_edge[w] = y
                 tree.add(y // 2)
                 queue.append(w)
+    if len(order) != g.n_vertices:
+        raise GraphDisconnected("underlying graph is not connected")
     orientation: set[int] = set()
     for k in range(g.n_edges):
         if k in tree:
@@ -256,14 +244,19 @@ def spanning_tree(gog: GraphOfGroups, root: int = 0) -> SpanningData:
 
 
 def elementary_collapse(gog: GraphOfGroups, edge_name: str) -> GraphOfGroups:
-    """Contract a non-loop edge whose forward embedding i_y is an isomorphism.
+    """Contract the non-loop oriented edge y named ``e`` or ``~e`` (the
+    reverse orientation), when its embedding i_y is an isomorphism.
 
-    The collapsed vertex keeps the alpha-side group; embeddings formerly
+    The collapsed vertex keeps the alpha(y)-side group; embeddings formerly
     landing in G_{omega(y)} are transported by i_{bar y} o i_y^{-1}.
     """
     g = gog.graph
-    k = g.edge_names.index(edge_name)
-    y = 2 * k
+    base = edge_name.removeprefix("~")
+    if base not in g.edge_names:
+        raise ValueError(f"no edge {edge_name!r}; the edges are "
+                         f"{', '.join(g.edge_names) or 'none'}, and ~NAME their reverses")
+    k = g.edge_names.index(base)
+    y = 2 * k + (base != edge_name)
     if g.is_loop(y):
         raise EdgeIsLoop(f"edge {edge_name} is a loop")
     emb_fwd = gog.embedding(y)
@@ -277,7 +270,7 @@ def elementary_collapse(gog: GraphOfGroups, edge_name: str) -> GraphOfGroups:
     va, vo = g.alpha[y], g.omega[y]
     # transport G_{omega(y)} -> G_{alpha(y)}
     inv_fwd = emb_fwd.mono.inverse_on_image()
-    emb_bwd = gog.embedding(y + 1)
+    emb_bwd = gog.embedding(bar(y))
 
     def transport(elem: int) -> Elem:
         return emb_bwd.apply(inv_fwd[elem])
@@ -373,36 +366,6 @@ def _collapsible_edges(gog: GraphOfGroups) -> list[str]:
     return out
 
 
-def _collapse_oriented(gog: GraphOfGroups, name: str) -> GraphOfGroups:
-    """Collapse along either orientation; ``~name`` collapses the reverse."""
-    if name.startswith("~"):
-        base = name[1:]
-        flipped = _flip_edge(gog, base)
-        return elementary_collapse(flipped, base)
-    return elementary_collapse(gog, name)
-
-
-def _flip_edge(gog: GraphOfGroups, edge_name: str) -> GraphOfGroups:
-    """Rebuild the gog with one edge written in the opposite direction."""
-    g = gog.graph
-    k = g.edge_names.index(edge_name)
-    edges = []
-    for j in range(g.n_edges):
-        a = g.vertex_names[g.alpha[2 * j]]
-        b = g.vertex_names[g.omega[2 * j]]
-        edges.append((g.edge_names[j], b, a) if j == k else (g.edge_names[j], a, b))
-    new_graph = build_graph(list(g.vertex_names), edges)
-    embs = list(gog.embeddings)
-    embs[2 * k], embs[2 * k + 1] = embs[2 * k + 1], embs[2 * k]
-    return GraphOfGroups(
-        graph=new_graph,
-        vertex_groups=gog.vertex_groups,
-        edge_groups=gog.edge_groups,
-        embeddings=tuple(embs),
-        generating_sets=gog.generating_sets,
-    )
-
-
 def is_non_elementary(gog: GraphOfGroups):
     """Decide non-elementarity by exhaustive search over collapse sequences.
 
@@ -415,7 +378,7 @@ def is_non_elementary(gog: GraphOfGroups):
 
     def search(current: GraphOfGroups) -> tuple[int, tuple[str, ...]] | None:
         for name in _collapsible_edges(current):
-            collapsed = _collapse_oriented(current, name)
+            collapsed = elementary_collapse(current, name)
             c = _simply_elementary_case(collapsed)
             if c is not None:
                 return c, (name,)

@@ -65,9 +65,6 @@ class CayleyBall:
             return []
         return list(self.elements[self._starts[k]:self._starts[k + 1]])
 
-    def dist(self, x: NormalForm, y: NormalForm) -> int:
-        return self.group.dist(x, y)
-
     def neighbours(self, R: int) -> array:
         """Row-major |B| x m table of R-steps, m = |ball(R)| - 1.
 
@@ -356,8 +353,7 @@ def coset_elements_in_ball(fg: FundamentalGroup, ball: CayleyBall,
 
 
 def verify_cayley_separation(fg: FundamentalGroup, ball_radius: int,
-                             samples: int, R: int, seed: int = 0,
-                             tree_radius: int | None = None) -> SeparationReport:
+                             samples: int, R: int, seed: int = 0) -> SeparationReport:
     """Empirical suite for the edge-coset separation lemma.
 
     Sample triples (vertex, vertex, geodesic edge) in the Bass-Serre tree and
@@ -367,8 +363,7 @@ def verify_cayley_separation(fg: FundamentalGroup, ball_radius: int,
     from .bass_serre import TreeBall
 
     ball = fg.word_metric_ball(ball_radius)
-    tradius = tree_radius if tree_radius is not None else max(3, ball_radius - 2)
-    tb = TreeBall(fg, tradius)
+    tb = TreeBall(fg, max(3, ball_radius - 2))
     rng = random.Random(seed)
     margin = ball_radius - (R + 1)
     half = math.ceil(R / 2)
@@ -426,8 +421,7 @@ def verify_cayley_separation(fg: FundamentalGroup, ball_radius: int,
 
 def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
                           edges_sampled: int, seed: int = 0,
-                          R_probe: int | None = None,
-                          tree_radius: int | None = None) -> SeparationReport:
+                          R_probe: int | None = None) -> SeparationReport:
     """Build K = I_{diam(P)/2} * L with L the identity star in the Cayley
     graph, and verify that translates of K separate the two coset unions of
     every sampled tree-edge split; report the smallest working exclusion
@@ -436,8 +430,7 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
     from .bass_serre import TreeBall
 
     ball = fg.word_metric_ball(ball_radius)
-    tradius = tree_radius if tree_radius is not None else max(3, ball_radius - 2)
-    tb = TreeBall(fg, tradius)
+    tb = TreeBall(fg, max(3, ball_radius - 2))
     rng = random.Random(seed)
     margin = ball_radius - 2
 

@@ -23,6 +23,36 @@ vertex v2 B gens [a]
 edge e1 v1 -- v2 group E embed_fwd {a:a3} embed_bwd {a:a2}
 """
 
+# Z/2 -(Z/2)- Z/2 with both maps isomorphisms: collapsing e1 leaves Z/2
+SEGMENT = """\
+group A cyclic 2
+group B table [[0,1],[1,0]] labels [e,b]
+group E cyclic 2
+vertex v1 A gens [a]
+vertex v2 B gens [b]
+edge e1 v1 -- v2 group E embed_fwd {a:b} embed_bwd {a:a}
+"""
+
+# Z/2 -(Z/2)- Z/4: only the reverse orientation ~e1 is an isomorphism
+REV = """\
+group A cyclic 2
+group B cyclic 4
+group E cyclic 2
+vertex v1 A gens [a]
+vertex v2 B gens [a]
+edge e1 v1 -- v2 group E embed_fwd {a:a2} embed_bwd {a:a}
+"""
+
+# a trivial edge group whose identity is not labelled e, into F_2 and Z/2
+FREE_ONE = """\
+group T table [[0]] labels [one]
+group F free 2
+group A cyclic 2
+vertex v F
+vertex w A gens [a]
+edge t v -- w group T embed_fwd {} embed_bwd {}
+"""
+
 # finite edge groups beyond Z/2, for the junction product and the coset
 # distances; test inputs only, so the corpus goldens do not grow
 Z6_Z3_Z9 = """\
@@ -62,6 +92,10 @@ edge e2 v2 -- v3 group F embed_fwd {a:a3} embed_bwd {a:a2}
 """
 
 FINITE_EDGED = {"z6z9": Z6_Z3_Z9, "hnn6": HNN_Z6, "chain": CHAIN}
+
+# the corpus and every DSL input above, by name
+GOG_TEXTS = {**{name: text(name) for name in NAMES}, "sl2z": SL2Z, **FINITE_EDGED,
+             "segment": SEGMENT, "rev": REV, "free_one": FREE_ONE}
 
 
 def make_fg(name: str, ball_budget: int = DEFAULT_BALL_BUDGET):

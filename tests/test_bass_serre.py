@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from amalgam_lab.bass_serre import TreeBall, tiling_tree, tree_ball
+from amalgam_lab.bass_serre import TreeBall, tiling_tree
 from amalgam_lab.corpus import NAMES
 from amalgam_lab.errors import NoEdges, NotInBall
 from amalgam_lab.fundgroup import FundamentalGroup, NormalForm
@@ -260,7 +260,7 @@ def test_finite_stars_not_truncated(dinf):
 
 def test_tree_ball_helper(dinf):
     _, _, fg = dinf
-    assert len(tree_ball(fg, 2).vertices) == 5
+    assert len(TreeBall(fg, 2).vertices) == 5
 
 
 AMALGAM_Z4_Z6 = """

@@ -240,7 +240,7 @@ def test_family_builds_boundary_depth_members_empty(name, radius):
     """Members of vertices at depth >= d, built without the child scan, equal
     limit_set_approx's, also when the tree reaches past the boundary depth."""
     _, _, fg = make_fg(name)
-    b = boundary_approx(fg, 4, tree=TreeBall(fg, radius))
+    b = BoundaryApprox(TreeBall(fg, radius), 4)
     family = limit_set_family(b)
     assert family == [limit_set_approx(b, v.vid) for v in b.tree.vertices
                       if not fg.vertex_backend(v.vtype).is_finite]

@@ -6,6 +6,9 @@ import pytest
 
 from amalgam_lab.cli import main
 from amalgam_lab.corpus import path as corpus_path
+from amalgam_lab.dsl import gog_from_json, gog_to_json, parse_gog
+
+from conftest import GOG_TEXTS
 
 
 def run(args, capsys=None):
@@ -33,6 +36,18 @@ def test_validate_round_trip_from_json(tmp_path, capsys):
     assert main(["validate", str(out1), "--from", "json", "--emit", "json"]) == 0
     reloaded = json.loads(capsys.readouterr().out)
     assert reloaded == json.loads(out1.read_text())
+
+
+@pytest.mark.parametrize("name", GOG_TEXTS)
+def test_graph_of_groups_json_round_trip(name, tmp_path):
+    src, out, back = tmp_path / "in.gog", tmp_path / "out.json", tmp_path / "back.json"
+    src.write_text(GOG_TEXTS[name])
+    assert main(["validate", str(src), "--emit", "json", "--output", str(out)]) == 0
+    assert main(["validate", str(out), "--from", "json", "--emit", "json",
+                 "--output", str(back)]) == 0
+    assert back.read_bytes() == out.read_bytes()
+    data = gog_to_json(parse_gog(GOG_TEXTS[name]))
+    assert gog_to_json(gog_from_json(data)) == data
 
 
 def test_presentation_json(capsys):
@@ -150,6 +165,47 @@ def test_parse_error_exit_1(tmp_path):
     bad = tmp_path / "bad.gog"
     bad.write_text("vertex v NOPE\n")
     assert main(["validate", str(bad)]) == 1
+
+
+# how to break the z2z3 graph_of_groups artifact: the path to one value, its
+# replacement (or a function of the old value), and the names the error must carry
+MALFORMED = {
+    "unknown-kind": (("vertices", 0, "group", "kind"), "bogus", ["vertex v1", "bogus"]),
+    "gens-do-not-generate": (("vertices", 0, "gens"), [], ["vertex v1"]),
+    "free-rank-0": (("vertices", 0, "group"), {"kind": "free", "rank": 0}, ["vertex v1"]),
+    "duplicate-edge": (("edges",), lambda edges: edges + edges[:1], ["e1"]),
+    "free-edge-group": (("edges", 0, "group"), {"kind": "free", "rank": 1},
+                        ["EdgeGroupInfinite", "edge e1"]),
+    "duplicate-vertex": (("vertices",), lambda vertices: vertices + vertices[:1], ["v1"]),
+    "unknown-vertex": (("edges", 0, "right"), "nowhere", ["edge e1", "nowhere"]),
+    "identity-not-fixed": (("edges", 0, "embed_fwd", "images"), ["b"], ["edge e1"]),
+    "images-too-short": (("edges", 0, "embed_fwd", "images"), [], ["edge e1"]),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_artifact_exit_1_names_the_entry(case, tmp_path, capsys):
+    good = tmp_path / "good.json"
+    assert main(["validate", "corpus:z2z3", "--emit", "json", "--output", str(good)]) == 0
+    (*keys, last), value, names = MALFORMED[case]
+    data = node = json.loads(good.read_text())
+    for key in keys:
+        node = node[key]
+    node[last] = value(node[last]) if callable(value) else value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["validate", str(bad), "--from", "json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    for name in names:
+        assert name in err
+
+
+def test_collapse_unknown_edge_exit_1_lists_the_edges(capsys):
+    assert main(["collapse", "corpus:dinf", "--edge", "zz"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "zz" in err and "e1" in err
 
 
 @pytest.mark.parametrize("argv", [

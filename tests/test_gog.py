@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -19,10 +20,13 @@ from amalgam_lab.gog import (
     NonElementary,
     ReducesTo,
     SimplyElementary,
+    _collapsible_edges,
     elementary_collapse,
     is_non_elementary,
     spanning_tree,
 )
+
+from conftest import GOG_TEXTS, SEGMENT
 
 DINF = """
 group A cyclic 2
@@ -30,15 +34,6 @@ group B table [[0,1],[1,0]] labels [e,b]
 vertex v1 A gens [a]
 vertex v2 B gens [b]
 edge e1 v1 -- v2 group trivial embed_fwd {} embed_bwd {}
-"""
-
-SEGMENT_Z2_ISO = """
-group A cyclic 2
-group B table [[0,1],[1,0]] labels [e,b]
-group E cyclic 2
-vertex v1 A gens [a]
-vertex v2 B gens [b]
-edge e1 v1 -- v2 group E embed_fwd {a:b} embed_bwd {a:a}
 """
 
 LOOP_Z2_ISO = """
@@ -130,14 +125,14 @@ def test_spanning_tree_deterministic():
 
 
 def test_collapse_segment_iso():
-    gog = parse_gog(SEGMENT_Z2_ISO)
+    gog = parse_gog(SEGMENT)
     collapsed = elementary_collapse(gog, "e1")
     assert collapsed.graph.n_vertices == 1 and collapsed.graph.n_edges == 0
     assert collapsed.vertex_groups[0].finite.order == 2
 
 
 def test_collapse_preserves_abelianization():
-    gog = parse_gog(SEGMENT_Z2_ISO)
+    gog = parse_gog(SEGMENT)
     before = abelianization(emit_presentation(gog, spanning_tree(gog)))
     collapsed = elementary_collapse(gog, "e1")
     after = abelianization(emit_presentation(collapsed, spanning_tree(collapsed)))
@@ -208,7 +203,7 @@ def test_loop_iso_simply_elementary_case3():
 
 
 def test_reduces_to_case1():
-    verdict = is_non_elementary(parse_gog(SEGMENT_Z2_ISO))
+    verdict = is_non_elementary(parse_gog(SEGMENT))
     assert isinstance(verdict, ReducesTo) and verdict.case == 1
     assert len(verdict.sequence) == 1
 
@@ -232,7 +227,7 @@ def test_non_elementarity_invariant_under_renaming():
 
 
 def test_collapsed_presentation_is_exactly_z2():
-    gog = parse_gog(SEGMENT_Z2_ISO)
+    gog = parse_gog(SEGMENT)
     collapsed = elementary_collapse(gog, "e1")
     p = emit_presentation(collapsed, spanning_tree(collapsed))
     assert p.generators == ("a",)
@@ -257,3 +252,68 @@ def test_unknown_embed_label_rejected():
     with pytest.raises(GogSyntaxError) as err:
         parse_gog(text)
     assert err.value.line == 5
+
+
+# ~e1 absorbs v1 into v2: e2 and e3 both have an orientation into v1, so
+# their maps are transported into G_{v2}
+REV_STAR = """\
+group A cyclic 2
+group B cyclic 4
+group C cyclic 6
+group E cyclic 2
+vertex v1 A gens [a]
+vertex v2 B gens [a]
+vertex v3 C gens [a]
+edge e1 v1 -- v2 group E embed_fwd {a:a2} embed_bwd {a:a}
+edge e2 v1 -- v3 group E embed_fwd {a:a3} embed_bwd {a:a}
+edge e3 v3 -- v1 group trivial embed_fwd {} embed_bwd {}
+"""
+
+RETARGET = """\
+group A cyclic 4
+group B cyclic 4
+group E cyclic 4
+group E2 cyclic 2
+vertex v1 A gens [a]
+vertex v2 B gens [a]
+edge e1 v1 -- v2 group E embed_fwd {a:a} embed_bwd {a:a}
+edge e2 v2 -- v2 group E2 embed_fwd {a:a2} embed_bwd {a:a2}
+"""
+
+_EDGE_LINE = re.compile(r"edge (\w+) (\w+) -- (\w+) group (\w+) embed_fwd (\{.*?\}) "
+                        r"embed_bwd (\{.*?\})")
+
+
+def _written_the_other_way(text: str, edge: str) -> str:
+    """The DSL text with ``edge`` reversed: endpoints and maps swapped."""
+    def flip(m):
+        if m.group(1) != edge:
+            return m.group(0)
+        name, left, right, group, fwd, bwd = m.groups()
+        return f"edge {name} {right} -- {left} group {group} embed_fwd {bwd} embed_bwd {fwd}"
+    return _EDGE_LINE.sub(flip, text)
+
+
+COLLAPSE_FIXTURES = {**GOG_TEXTS, "rev_star": REV_STAR, "retarget": RETARGET,
+                     "dinf_table": DINF, "loop": LOOP_Z2_ISO}
+
+
+@pytest.mark.parametrize("name", COLLAPSE_FIXTURES)
+def test_reverse_collapse_equals_collapse_of_the_reversed_text(name):
+    text = COLLAPSE_FIXTURES[name]
+    gog = parse_gog(text)
+    g = gog.graph
+    for y in g.oriented_edges():
+        if y % 2 == 0 or g.is_loop(y) or gog.embedding(y).index_in_target() != 1:
+            continue
+        edge = g.edge_names[y // 2]
+        flipped = parse_gog(_written_the_other_way(text, edge))
+        assert gog_to_json(elementary_collapse(gog, f"~{edge}")) == \
+            gog_to_json(elementary_collapse(flipped, edge))
+
+
+def test_collapse_fixtures_reach_reverse_collapses():
+    """The oracle above is not vacuous: four fixtures collapse along ~e."""
+    reverse = [name for name, text in COLLAPSE_FIXTURES.items()
+               if any(n.startswith("~") for n in _collapsible_edges(parse_gog(text)))]
+    assert sorted(reverse) == ["retarget", "rev", "rev_star", "segment"]

@@ -20,7 +20,7 @@ from pathlib import Path
 from amalgam_lab.cli import main
 from amalgam_lab.corpus import NAMES
 
-from conftest import SL2Z
+from conftest import REV, SEGMENT, SL2Z
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
 
@@ -32,7 +32,8 @@ WORDS = {
 
 
 def _cases() -> dict[str, list[str]]:
-    """Case id -> argv; ``{sl2z}`` and ``{words:NAME}`` are filled in at run time."""
+    """Case id -> argv; ``{sl2z}``, ``{segment}``, ``{rev}`` and ``{words:NAME}``
+    are filled in at run time."""
     cases: dict[str, list[str]] = {}
     inputs = [(name, f"corpus:{name}") for name in NAMES] + [("sl2z", "{sl2z}")]
     for name, spec in inputs:
@@ -72,6 +73,11 @@ def _cases() -> dict[str, list[str]]:
     for name in ("z2z2", "zxz2"):
         cases[f"amalgam-check-{name}-d6"] = ["amalgam-check", f"corpus:{name}", "--depth", "6",
                                              "--seed", "5", "--samples", "60"]
+    for fmt in ("json", "text"):
+        cases[f"collapse-segment-e1-{fmt}"] = ["collapse", "{segment}", "--edge", "e1",
+                                               "--emit", fmt]
+        # only the reverse orientation of REV's edge collapses
+        cases[f"collapse-rev-~e1-{fmt}"] = ["collapse", "{rev}", "--edge", "~e1", "--emit", fmt]
     cases["classify-z2z2"] = ["classify", "corpus:z2z2", "--depth", "3",
                               "--words-json", "{words:z2z2}"]
     cases["classify-sl2z"] = ["classify", "{sl2z}", "--depth", "3",
@@ -81,8 +87,10 @@ def _cases() -> dict[str, list[str]]:
 
 def run_matrix(workdir: Path) -> dict[str, str]:
     """Case id -> "exit-code sha256" of the artifact it writes."""
-    fill = {"{sl2z}": str(workdir / "sl2z.gog")}
-    (workdir / "sl2z.gog").write_text(SL2Z)
+    fill = {}
+    for name, dsl in (("sl2z", SL2Z), ("segment", SEGMENT), ("rev", REV)):
+        (workdir / f"{name}.gog").write_text(dsl)
+        fill[f"{{{name}}}"] = str(workdir / f"{name}.gog")
     for name, words in WORDS.items():
         path = workdir / f"words-{name}.json"
         path.write_text(json.dumps({"words": words}))
