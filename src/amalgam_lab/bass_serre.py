@@ -257,9 +257,14 @@ class TreeBall:
     def find_edge(self, mu: NormalForm, pair: int) -> int | None:
         return self._ekey_to_eid.get(self._edge_coset_key(mu, pair))
 
+    def subtree_interval(self, vid: int) -> tuple[int, int]:
+        """The pre-order numbers [lo, hi) of vid's subtree; lo is vid's own."""
+        return self._pre[vid], self._pre[vid] + self._size[vid]
+
     def in_subtree(self, vid: int, ancestor: int) -> bool:
         """Whether ancestor lies on the path from the root to vid."""
-        return 0 <= self._pre[vid] - self._pre[ancestor] < self._size[ancestor]
+        lo, hi = self.subtree_interval(ancestor)
+        return lo <= self._pre[vid] < hi
 
     def root_path(self, vid: int) -> list[int]:
         """eids from the root down to vid."""
@@ -293,8 +298,7 @@ class TreeBall:
         the first contains the edge's alpha end (the child side)."""
         if eid >= len(self.edges):
             raise NotInBall(f"edge {eid} not in ball")
-        child = self.edges[eid].child
-        lo, hi = self._pre[child], self._pre[child] + self._size[child]
+        lo, hi = self.subtree_interval(self.edges[eid].child)
         return (frozenset(self._order[lo:hi]),
                 frozenset(self._order[:lo] + self._order[hi:]))
 

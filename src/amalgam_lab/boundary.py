@@ -22,61 +22,73 @@ scaling checked by (a2).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .bass_serre import TreeBall, TreeBallConfig
 from .errors import DepthTooSmall
 from .fundgroup import FundamentalGroup, NormalForm
 
 
-@dataclass(frozen=True)
-class Branch:
-    """A depth-d geodesic from the root: vertex ids and edge ids along it."""
-
-    leaf: int
-    vids: tuple[int, ...]     # length d+1, root first
-    eids: tuple[int, ...]     # length d
+def _level(tree: TreeBall, k: int) -> range:
+    """The depth-k vids, consecutive since vids are in BFS order."""
+    depth = attrgetter("depth")
+    return range(bisect_left(tree.vertices, k, key=depth),
+                 bisect_right(tree.vertices, k, key=depth))
 
 
 class BoundaryApprox:
-    """All depth-d branches with the visual ultrametric and clopen basis."""
+    """All depth-d branches with the visual ultrametric and clopen basis, as a
+    view of the tree ball: branch i is the depth-d vertex ``leaves[i]``, and
+    every query reads the tree's parent array and pre-order intervals.
+
+    Invariant: on the depth-d vertices, vid order and pre-order agree.  Vids
+    are in BFS order, children in discovery order, and the pre-order of
+    ``TreeBall._number`` visits children in that same order.  By induction on
+    depth, vertices a < b of one level share a parent, whose children list
+    orders both, or have parents p(a) < p(b), whose disjoint subtree
+    intervals come in that order and hold a and b.  So the depth-d vertices
+    are consecutive vids with increasing pre-order numbers, and those below a
+    vertex u are the consecutive branches numbered inside u's subtree
+    interval.  Deeper vertices only take other numbers: a deeper tree is fine.
+    """
 
     def __init__(self, tree: TreeBall, depth: int):
         self.tree = tree
         self.depth = depth
-        branches = []
-        by_edge: dict[int, list[int]] = {}
-        # root paths by extension of the parent's; vids are in BFS order
-        paths = [((0,), ())]
-        for v in tree.vertices[1:]:
-            if v.depth > depth:
-                break
-            vids, eids = paths[tree.parent[v.vid]]
-            paths.append((vids + (v.vid,), eids + (v.parent_edge,)))
-        for leaf, (vids, eids) in enumerate(paths):
-            if tree.vertices[leaf].depth != depth:
-                continue
-            for e in eids:
-                by_edge.setdefault(e, []).append(len(branches))
-            branches.append(Branch(leaf=leaf, vids=vids, eids=eids))
-        self.branches: tuple[Branch, ...] = tuple(branches)
-        self._by_leaf = {b.leaf: i for i, b in enumerate(self.branches)}
-        self._by_edge = by_edge     # tree edge -> indices of the branches through it
+        self.leaves = _level(tree, depth)
+        self._leaf_pre = [tree.subtree_interval(leaf)[0] for leaf in self.leaves]
 
     def __len__(self) -> int:
-        return len(self.branches)
+        return len(self.leaves)
+
+    def _under(self, vid: int) -> range:
+        """Indices of the branches through vertex vid."""
+        lo, hi = self.tree.subtree_interval(vid)
+        return range(bisect_left(self._leaf_pre, lo), bisect_left(self._leaf_pre, hi))
 
     def index_of_leaf(self, leaf_vid: int) -> int | None:
-        return self._by_leaf.get(leaf_vid)
+        """The branch ending at a depth-d vertex, else None."""
+        return leaf_vid - self.leaves.start if leaf_vid in self.leaves else None
+
+    def ancestor(self, i: int, k: int) -> int:
+        """The depth-k vertex on branch i."""
+        vid = self.leaves[i]
+        for _ in range(self.depth - k):
+            vid = self.tree.parent[vid]
+        return vid
 
     def split(self, i: int, j: int) -> int:
-        """Common prefix length of two branches."""
-        if i == j:
-            return self.depth
-        bi, bj = self.branches[i], self.branches[j]
-        k = 0
-        while k < self.depth and bi.eids[k] == bj.eids[k]:
-            k += 1
+        """Common prefix length of two branches: the depth of their last
+        common vertex."""
+        parent = self.tree.parent
+        u, w = self.leaves[i], self.leaves[j]
+        k = self.depth
+        while u != w:
+            u, w = parent[u], parent[w]
+            k -= 1
         return k
 
     def visual_dist(self, i: int, j: int) -> float:
@@ -86,14 +98,15 @@ class BoundaryApprox:
 
     def basis_members(self, eid: int) -> frozenset[int]:
         """U_e: indices of branches passing through tree edge eid."""
-        return frozenset(self._by_edge.get(eid, ()))
+        if eid < 0:
+            return frozenset()
+        return frozenset(self._under(self.tree.edges[eid].child))
 
     def groups_by_prefix(self, k: int) -> dict[int, list[int]]:
-        """Branch indices grouped by their depth-k ancestor vertex."""
-        out: dict[int, list[int]] = {}
-        for i, b in enumerate(self.branches):
-            out.setdefault(b.vids[k], []).append(i)
-        return out
+        """Branch indices grouped by their depth-k ancestor vertex, in vid
+        order; a vertex with no branch below it is left out."""
+        return {vid: list(under) for vid in _level(self.tree, k)
+                if (under := self._under(vid))}
 
 
 def boundary_approx(fg: FundamentalGroup, depth: int,
@@ -138,7 +151,7 @@ def cantor_check(b: BoundaryApprox, window: int = 3) -> CantorVerdict:
     tree = b.tree
     verdict = CantorVerdict(passed=False, perfect_ok=True, no_dead_ends=True,
                             separation_ok=True)
-    if not b.branches:
+    if not b.leaves:
         verdict.perfect_ok = False
         verdict.witnesses.append({"reason": "no branches at this depth"})
         return verdict
@@ -163,8 +176,8 @@ def cantor_check(b: BoundaryApprox, window: int = 3) -> CantorVerdict:
             first[v.vid] = first[p]
         elif run[v.vid] >= window:
             first[v.vid] = v.depth - window + 1
-    for i, br in enumerate(b.branches):
-        start = first[br.vids[-2]]
+    for i, leaf in enumerate(b.leaves):
+        start = first[tree.parent[leaf]]
         if start >= 0:
             verdict.perfect_ok = False
             verdict.witnesses.append({
@@ -173,22 +186,17 @@ def cantor_check(b: BoundaryApprox, window: int = 3) -> CantorVerdict:
             })
             break
 
-    # distinct edge paths <=> the basis separates every pair (the first
-    # divergence edge contains exactly one); verify the cell property
-    # explicitly on a deterministic sample of pairs
-    if len(set(br.eids for br in b.branches)) != len(b.branches):
-        verdict.separation_ok = False
-        verdict.witnesses.append({"reason": "indistinct branches"})
-    n = len(b.branches)
+    # distinct leaves of a tree have distinct root paths, so the first
+    # divergence edge of two branches holds exactly one of them; verify the
+    # cell property explicitly on a deterministic sample of pairs
+    n = len(b)
     rng = random.Random(0)
     pairs = [(i, j) for i in range(min(n, 25)) for j in range(i + 1, min(n, 25))]
     if n > 25:
         pairs += [tuple(sorted(rng.sample(range(n), 2))) for _ in range(300)]
     for i, j in pairs:
-        if i == j:
-            continue
         s = b.split(i, j)
-        e = b.branches[i].eids[s]
+        e = tree.vertices[b.ancestor(i, s + 1)].parent_edge
         cell = b.basis_members(e)
         if not ((i in cell) ^ (j in cell)):
             verdict.separation_ok = False
@@ -251,11 +259,8 @@ def limit_set_approx(b: BoundaryApprox, vid: int) -> LimitSetApprox:
         )
         for e in fresh_edges:
             leaf = _tame_descent(tree, e.child, b.depth)
-            if leaf is None:
-                continue
-            idx = b.index_of_leaf(leaf)
-            if idx is not None:
-                dirs.append(idx)
+            if leaf is not None:    # a descent that reaches depth d ends at a leaf
+                dirs.append(b.index_of_leaf(leaf))
         directions = tuple(sorted(set(dirs)))
     return LimitSetApprox(
         coset_vid=vid, vtype=v.vtype, coset_depth=v.depth, depth=b.depth,
@@ -362,10 +367,7 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
     witnesses = []
     groups = b.groups_by_prefix(eps_split)
     for m in nonempty:
-        count: dict[int, int] = {}
-        for i in sorted(set(m.directions)):
-            anc = b.branches[i].vids[eps_split]
-            count[anc] = count.get(anc, 0) + 1
+        count = Counter(b.ancestor(i, eps_split) for i in sorted(set(m.directions)))
         for anc, c in count.items():
             if c == len(groups[anc]) and len(witnesses) < 10:
                 witnesses.append({"member": m.label, "prefix_vertex": anc})
@@ -466,14 +468,11 @@ def branch_density_check(b: BoundaryApprox, family: list[LimitSetApprox]) -> Den
     for m in family:
         owned.update(m.directions)
     groups = b.groups_by_prefix(b.depth - 2)
-    by_branch = {}
-    for anc, members in groups.items():
-        for i in members:
-            by_branch[i] = members
     witnesses = []
     for m in family:
         for di in m.directions:
-            if not any(j not in owned for j in by_branch[di]) and len(witnesses) < 10:
+            members = groups[b.ancestor(di, b.depth - 2)]
+            if not any(j not in owned for j in members) and len(witnesses) < 10:
                 witnesses.append({"member": m.label, "branch": di})
     return DensityVerdict(status="pass" if not witnesses else "fail",
                           witnesses=witnesses[:10])

@@ -317,8 +317,8 @@ def _cmd_boundary(args, argv) -> int:
         "branch_count": len(b),
         "degenerate": fg.gog.graph.n_edges == 0,
         "branches": [
-            {"leaf_rep": b.tree.vertices[br.leaf].rep.display(), "edges": list(br.eids)}
-            for br in b.branches
+            {"leaf_rep": b.tree.vertices[leaf].rep.display(), "edges": b.tree.root_path(leaf)}
+            for leaf in b.leaves
         ],
     }
     lines = [f"depth {args.depth}: {len(b)} branches"
@@ -463,13 +463,7 @@ def main(argv: list[str] | None = None) -> int:
                 emit(dumps(args.artifact), args.output, argv)
                 return 0
         return args.func(args, argv)
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except AmalgamLabError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (FileNotFoundError, ValueError, KeyError) as exc:
+    except (_UsageError, AmalgamLabError, FileNotFoundError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

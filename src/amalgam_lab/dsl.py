@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from .backends import FINITE, FREE, FREE_ABELIAN, GroupBackend
 from .errors import (
+    AmalgamLabError,
     EdgeGroupInfinite,
     EmbeddingNotInjective,
     GogSyntaxError,
@@ -318,6 +319,9 @@ def _assemble(groups: dict[str, GroupBackend], vertices: list, edges: list,
                 raise GogSyntaxError("gens do not generate the vertex group", at)
         else:
             # backends always use the standard basis for the word metric
+            if gens is not None and gens != list(backend.generator_labels):
+                raise GogSyntaxError(f"gens of a {backend.kind} group must be its standard "
+                                     f"basis {list(backend.generator_labels)}", at)
             genset = tuple(zip(backend.generator_labels, backend.generators()))
         gensets.append(genset)
 
@@ -403,6 +407,13 @@ def gog_to_json(gog: GraphOfGroups) -> dict:
     }
 
 
+def _field(entry, key: str, kind: type, at: str):
+    """``entry[key]``, checked to be a ``kind``; the error names the entry."""
+    if not isinstance(entry, dict) or not isinstance(entry.get(key), kind):
+        raise GogSyntaxError(f"{key!r} must be a {kind.__name__}", at)
+    return entry[key]
+
+
 def gog_from_json(data: dict) -> GraphOfGroups:
     """Rebuild a ``graph_of_groups`` artifact through the DSL's checks.
 
@@ -413,30 +424,41 @@ def gog_from_json(data: dict) -> GraphOfGroups:
     if data.get("kind") != "graph_of_groups":
         raise UnknownGroupRef(f"expected a graph_of_groups artifact, found {data.get('kind')!r}")
 
-    def group_of(spec: dict, at: str) -> GroupBackend:
-        if spec.get("kind") == FINITE:
-            return GroupBackend.from_finite(check_group(spec["table"], spec["labels"]))
-        return _free_group(spec.get("kind"), spec.get("rank"), at)
+    def group_of(entry: dict, at: str) -> GroupBackend:
+        spec = _field(entry, "group", dict, at)
+        if spec.get("kind") != FINITE:
+            return _free_group(spec.get("kind"), spec.get("rank"), at)
+        table = _field(spec, "table", list, at)
+        labels = _field(spec, "labels", list, at)
+        if _field(spec, "order", int, at) != len(table):
+            raise GogSyntaxError(f"order {spec['order']} but {len(table)} table rows", at)
+        try:
+            return GroupBackend.from_finite(check_group(table, labels))
+        except (AmalgamLabError, TypeError, ValueError) as exc:
+            raise GogSyntaxError(str(exc), at) from None
 
     groups: dict[str, GroupBackend] = {}
     vertices = []
-    for v in data["vertices"]:
-        at = f"vertex {v['name']}"
+    for i, v in enumerate(_field(data, "vertices", list, "artifact")):
+        name = _field(v, "name", str, f"vertices[{i}]")
+        at = f"vertex {name}"
         # a duplicate entry keeps the first one's group; the assembly rejects it
-        groups.setdefault(at, group_of(v["group"], at))
-        vertices.append((v["name"], at, v.get("gens"), at))
+        groups.setdefault(at, group_of(v, at))
+        vertices.append((name, at, _field(v, "gens", list, at), at))
     edges = []
-    for e in data["edges"]:
-        at = f"edge {e['name']}"
-        group = group_of(e["group"], at)
+    for i, e in enumerate(_field(data, "edges", list, "artifact")):
+        name = _field(e, "name", str, f"edges[{i}]")
+        at = f"edge {name}"
+        group = group_of(e, at)
         groups.setdefault(at, group)
         labels = group.finite.labels if group.is_finite else ()
         maps = []
         for key in ("embed_fwd", "embed_bwd"):
-            images = e[key]["images"]
+            images = _field(_field(e, key, dict, at), "images", list, at)
             if group.is_finite and len(images) != len(labels):
                 raise GogSyntaxError(f"{key} names {len(images)} images for "
                                      f"{len(labels)} edge-group elements", at)
             maps.append(dict(zip(labels, images)))
-        edges.append((e["name"], e["left"], e["right"], at, *maps, at))
+        edges.append((name, _field(e, "left", str, at), _field(e, "right", str, at),
+                      at, *maps, at))
     return _assemble(groups, vertices, edges, "vertices")

@@ -465,16 +465,13 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
     # the in-ball, margin-filtered coset points of each tree vertex, by vid
     points = [coset_elements_in_ball(fg, ball, v.rep, v.vtype, margin) for v in tb.vertices]
 
-    def side_elements(side):
-        return sorted({x for vid in side for x in points[vid]}, key=lambda n: n.sort_key())
-
     def split_analysis(eid: int):
         """(R0, labels) for the split at one tree edge."""
         edge = tb.edges[eid]
         gammaK = {fg.multiply(edge.rep, k) for k in K}
         side0, side1 = tb.split_by_edge(eid)
-        M = side_elements(side0)
-        M2 = side_elements(side1)
+        M = {x for vid in side0 for x in points[vid]}
+        M2 = {x for vid in side1 for x in points[vid]}
         if not M or not M2:
             return None
         labels = component_labels(ball, 1, excluded=gammaK)
@@ -489,18 +486,13 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
         max_d_M2 = max(d for _, d, _ in AM2)
         best_per_comp: dict[int, list[float]] = {}
         R0 = 0
-        for x, d, c in AM:
-            if c is None:  # swallowed by gamma''K
-                R0 = max(R0, min(d, max_d_M2))
-            else:
-                best_per_comp.setdefault(c, [0, 0])
-                best_per_comp[c][0] = max(best_per_comp[c][0], d)
-        for x, d, c in AM2:
-            if c is None:
-                R0 = max(R0, min(d, max_d_M))
-            else:
-                best_per_comp.setdefault(c, [0, 0])
-                best_per_comp[c][1] = max(best_per_comp[c][1], d)
+        for side, (A, other_max) in enumerate(((AM, max_d_M2), (AM2, max_d_M))):
+            for x, d, c in A:
+                if c is None:  # swallowed by gamma''K
+                    R0 = max(R0, min(d, other_max))
+                else:
+                    best = best_per_comp.setdefault(c, [0, 0])
+                    best[side] = max(best[side], d)
         for _, (dm, dm2) in best_per_comp.items():
             if dm > 0 and dm2 > 0:
                 R0 = max(R0, min(dm, dm2))

@@ -23,6 +23,18 @@ vertex v2 B gens [a]
 edge e1 v1 -- v2 group E embed_fwd {a:a3} embed_bwd {a:a2}
 """
 
+# Z/2 * Z/2 with a third Z/2 hung on v1 by an isomorphism: every v1 coset
+# has one child edge whose v3 vertex has no children, a dead end
+DEAD_ENDS = """\
+group A cyclic 2
+group E cyclic 2
+vertex v1 A gens [a]
+vertex v2 A gens [a]
+vertex v3 A gens [a]
+edge e1 v1 -- v2 group trivial embed_fwd {} embed_bwd {}
+edge e2 v1 -- v3 group E embed_fwd {a:a} embed_bwd {a:a}
+"""
+
 # Z/2 -(Z/2)- Z/2 with both maps isomorphisms: collapsing e1 leaves Z/2
 SEGMENT = """\
 group A cyclic 2
@@ -93,7 +105,7 @@ edge e2 v2 -- v3 group F embed_fwd {a:a3} embed_bwd {a:a2}
 
 FINITE_EDGED = {"z6z9": Z6_Z3_Z9, "hnn6": HNN_Z6, "chain": CHAIN}
 
-# the corpus and every DSL input above, by name
+# the corpus and every DSL input above but DEAD_ENDS, by name
 GOG_TEXTS = {**{name: text(name) for name in NAMES}, "sl2z": SL2Z, **FINITE_EDGED,
              "segment": SEGMENT, "rev": REV, "free_one": FREE_ONE}
 

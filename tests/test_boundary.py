@@ -20,7 +20,7 @@ from amalgam_lab.corpus import NAMES
 from amalgam_lab.errors import DepthTooSmall
 from amalgam_lab.fundgroup import NormalForm
 
-from conftest import in_subtree_walk, make_fg, phi_random
+from conftest import DEAD_ENDS, SL2Z, in_subtree_walk, make_fg, phi_random
 
 
 # --- boundary approximations -----------------------------------------------
@@ -59,9 +59,9 @@ def test_empty_boundary_for_finite_group(trivial):
 def test_branches_are_immersed_geodesics(z2z3):
     _, _, fg = z2z3
     b = boundary_approx(fg, 5)
-    for br in b.branches:
-        assert len(br.eids) == 5
-        assert len(set(br.vids)) == 6   # no vertex revisited
+    for i, leaf in enumerate(b.leaves):
+        assert len(b.tree.root_path(leaf)) == 5
+        assert len({b.ancestor(i, k) for k in range(6)}) == 6   # no vertex revisited
 
 
 def test_basis_partitions_at_every_depth(z2z3):
@@ -79,26 +79,78 @@ def test_basis_partitions_at_every_depth(z2z3):
         assert union == set(range(len(b)))
 
 
-# Z/2 * Z/2 with a third Z/2 hung on v1 by an isomorphism: every v1 coset
-# has one child edge whose v3 vertex has no children, a dead end
-DEAD_ENDS = """\
-group A cyclic 2
-group E cyclic 2
-vertex v1 A gens [a]
-vertex v2 A gens [a]
-vertex v3 A gens [a]
-edge e1 v1 -- v2 group trivial embed_fwd {} embed_bwd {}
-edge e2 v1 -- v3 group E embed_fwd {a:a} embed_bwd {a:a}
-"""
+def _branch_oracle(tree, depth):
+    """The per-branch construction that BoundaryApprox replaced: root paths
+    (vids, eids) extended from the parent's, kept for the depth-d vertices in
+    vid order, and each edge's branches found by a scan of those paths."""
+    paths = [((0,), ())]
+    for v in tree.vertices[1:]:
+        if v.depth > depth:
+            break
+        vids, eids = paths[tree.edges[v.parent_edge].parent]
+        paths.append((vids + (v.vid,), eids + (v.parent_edge,)))
+    branches = [p for p in paths if len(p[1]) == depth]
+    by_edge = {}
+    for i, (_, eids) in enumerate(branches):
+        for e in eids:
+            by_edge.setdefault(e, []).append(i)
+    return branches, by_edge
+
+
+def _oracle_split(branches, i, j):
+    ei, ej = branches[i][1], branches[j][1]
+    k = 0
+    while k < len(ei) and ei[k] == ej[k]:
+        k += 1
+    return k
+
+
+VIEW_CASES = ([(name, 5, 5) for name in NAMES + ("sl2z", "dead-ends")]
+              + [("z2z3", 6, d) for d in (4, 5, 6)] + [("z2z3", 3, 5)])
+
+
+@pytest.mark.parametrize("name,radius,depth", VIEW_CASES)
+def test_boundary_view_matches_branch_oracle(name, radius, depth):
+    """Every query of the view equals the per-branch tables, also on trees
+    deeper than the boundary depth and on one with no branches."""
+    _, _, fg = make_fg({"sl2z": SL2Z, "dead-ends": DEAD_ENDS}.get(name, name))
+    tree = TreeBall(fg, radius)
+    b = BoundaryApprox(tree, depth)
+    branches, by_edge = _branch_oracle(tree, depth)
+    assert list(b.leaves) == [vids[-1] for vids, _ in branches]
+    assert len(b) == len(branches)
+    for e in [-1] + [e.eid for e in tree.edges]:
+        assert b.basis_members(e) == frozenset(by_edge.get(e, ())), e
+    for k in range(depth + 1):
+        groups = {}
+        for i, (vids, _) in enumerate(branches):
+            groups.setdefault(vids[k], []).append(i)
+        assert list(b.groups_by_prefix(k).items()) == list(groups.items()), k
+        for i, (vids, _) in enumerate(branches):
+            assert b.ancestor(i, k) == vids[k]
+    n = len(branches)
+    if n > 100:
+        rng = random.Random(1)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(500)]
+    else:
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+    for i, j in pairs:
+        assert b.split(i, j) == _oracle_split(branches, i, j), (i, j)
+    index = {vids[-1]: i for i, (vids, _) in enumerate(branches)}
+    for v in tree.vertices:
+        assert b.index_of_leaf(v.vid) == index.get(v.vid)
+    if name == "z2z3" and radius == 3:
+        assert n == 0 and not b.groups_by_prefix(depth)
 
 
 @pytest.mark.parametrize("name", NAMES + ("dead-ends",))
 def test_basis_members_match_branch_scan(name):
     _, _, fg = make_fg(DEAD_ENDS if name == "dead-ends" else name)
     b = boundary_approx(fg, 5)
+    _, by_edge = _branch_oracle(b.tree, 5)
     empty = 0
     for e in b.tree.edges:
-        scan = frozenset(i for i, br in enumerate(b.branches) if e.eid in br.eids)
+        scan = frozenset(by_edge.get(e.eid, ()))
         assert b.basis_members(e.eid) == scan
         empty += not scan
     # the root's parent edge (-1) lies on no branch
@@ -125,7 +177,7 @@ def test_distinct_branches_separated_below_split(f2):
         i, j = rng.sample(range(len(b)), 2)
         assert b.visual_dist(i, j) >= 2.0 ** (-b.depth)
         s = b.split(i, j)
-        e_i = b.branches[i].eids[s]
+        e_i = b.tree.root_path(b.leaves[i])[s]
         cell = b.basis_members(e_i)
         assert i in cell and j not in cell
 
@@ -135,9 +187,9 @@ def test_refinement_projects_onto_lower_depth(z2z3):
     tree = TreeBall(fg, 6)
     b6 = BoundaryApprox(tree, 6)
     b5 = BoundaryApprox(tree, 5)
-    prefixes = {br.vids[5] for br in b6.branches}
-    non_dead = {br.leaf for br in b5.branches
-                if tree.vertices[br.leaf].children}
+    prefixes = {b6.ancestor(i, 5) for i in range(len(b6))}
+    non_dead = {leaf for leaf in b5.leaves
+                if tree.vertices[leaf].children}
     assert prefixes == non_dead
 
 
@@ -157,9 +209,9 @@ def _first_unbranched_window(b, window):
     """The per-branch scan cantor_check replaced: (branch, start) of the
     first window of levels with no vertex of >= 2 children, or None."""
     n_children = {v.vid: len(v.children) for v in b.tree.vertices}
-    for i, br in enumerate(b.branches):
+    for i in range(len(b)):
         for start in range(0, b.depth - window + 1):
-            if not any(n_children[br.vids[k]] >= 2 for k in range(start, start + window)):
+            if not any(n_children[b.ancestor(i, k)] >= 2 for k in range(start, start + window)):
                 return i, start
     return None
 
@@ -227,12 +279,12 @@ def test_limit_set_translate_invariance(z2z2):
     m2 = limit_set_approx(b, tv)
     translated_leaves = set()
     for i in m1.directions:
-        leaf = b.branches[i].leaf
+        leaf = b.leaves[i]
         t = tree.find_vertex(fg.multiply(gamma, tree.vertices[leaf].rep),
                              tree.vertices[leaf].vtype)
         assert t is not None
         translated_leaves.add(t)
-    assert translated_leaves == {b.branches[i].leaf for i in m2.directions}
+    assert translated_leaves == {b.leaves[i] for i in m2.directions}
 
 
 @pytest.mark.parametrize("name,radius", [("z2z2", 4), ("z2z2", 5), ("zxz2", 6)])
@@ -553,8 +605,8 @@ def test_classify_phi_chain_is_branch_point(dinf):
     _, _, fg = dinf
     tb = TreeBall(fg, 10)
     b = BoundaryApprox(tb, 10)
-    br = b.branches[0]
-    phis = [tb.phi(e) for e in br.eids]
+    eids = tb.root_path(b.leaves[0])
+    phis = [tb.phi(e) for e in eids]
     r = classify_direction(fg, tb, phis)
     assert r.kind == "branch_point"
     assert len(r.prefix_eids) >= 5
@@ -564,10 +616,10 @@ def test_classify_phi_variants_agree(dinf):
     _, _, fg = dinf
     tb = TreeBall(fg, 10)
     b = BoundaryApprox(tb, 10)
-    br = b.branches[0]
+    eids = tb.root_path(b.leaves[0])
     rng = random.Random(4)
-    canonical = classify_direction(fg, tb, [tb.phi(e) for e in br.eids])
-    randomized = classify_direction(fg, tb, [phi_random(tb, e, rng) for e in br.eids])
+    canonical = classify_direction(fg, tb, [tb.phi(e) for e in eids])
+    randomized = classify_direction(fg, tb, [phi_random(tb, e, rng) for e in eids])
     assert canonical.kind == randomized.kind == "branch_point"
     overlap = min(len(canonical.prefix_eids), len(randomized.prefix_eids))
     assert canonical.prefix_eids[:overlap - 1] == randomized.prefix_eids[:overlap - 1]
@@ -577,11 +629,11 @@ def test_classify_alternating_rays_inconclusive(dinf):
     _, _, fg = dinf
     tb = TreeBall(fg, 10)
     b = BoundaryApprox(tb, 10)
-    br1, br2 = b.branches
+    eids1, eids2 = (tb.root_path(leaf) for leaf in b.leaves)
     elems = []
     for i in range(2, 9):
-        elems.append(tb.phi(br1.eids[i]))
-        elems.append(tb.phi(br2.eids[i]))
+        elems.append(tb.phi(eids1[i]))
+        elems.append(tb.phi(eids2[i]))
     r = classify_direction(fg, tb, elems)
     assert r.kind == "inconclusive"
 
@@ -607,6 +659,6 @@ def test_limit_sets_refine_monotonically(z2z2):
             continue
         m6 = limit_set_approx(b6, v.vid)
         m5 = limit_set_approx(b5, v.vid)
-        prefixes = {b6.branches[i].vids[5] for i in m6.directions}
-        coarse = {b5.branches[i].leaf for i in m5.directions}
+        prefixes = {b6.ancestor(i, 5) for i in m6.directions}
+        coarse = {b5.leaves[i] for i in m5.directions}
         assert prefixes <= coarse

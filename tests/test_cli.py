@@ -180,6 +180,13 @@ MALFORMED = {
     "unknown-vertex": (("edges", 0, "right"), "nowhere", ["edge e1", "nowhere"]),
     "identity-not-fixed": (("edges", 0, "embed_fwd", "images"), ["b"], ["edge e1"]),
     "images-too-short": (("edges", 0, "embed_fwd", "images"), [], ["edge e1"]),
+    "vertices-not-a-list": (("vertices",), 5, ["vertices"]),
+    "embed-not-an-object": (("edges", 0, "embed_fwd"), ["e"], ["edge e1", "embed_fwd"]),
+    "vertex-without-name": (("vertices", 0), lambda v: {k: x for k, x in v.items() if k != "name"},
+                            ["vertices[0]", "name"]),
+    "order-not-table-size": (("vertices", 0, "group", "order"), 3, ["vertex v1", "order"]),
+    "table-not-latin": (("vertices", 1, "group", "table"), [[0, 1, 2], [0, 1, 2], [2, 0, 1]],
+                        ["vertex v2", "NotLatinSquare"]),
 }
 
 

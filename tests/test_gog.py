@@ -81,6 +81,23 @@ def test_parse_nontrivial_embedding_into_backend_rejected():
         parse_gog(text)
 
 
+@pytest.mark.parametrize("gens", ["[foo, bar]", "[x2, x1]", "[x1]", "[]"])
+def test_backend_gens_must_be_the_standard_basis(gens):
+    """A free or free abelian vertex takes only the standard labels x1..xn,
+    as gog_to_json writes them; other gens are rejected at their line or
+    JSON entry, not replaced."""
+    for kind in ("free", "free_abelian"):
+        with pytest.raises(GogSyntaxError) as err:
+            parse_gog(f"group F {kind} 2\nvertex v F gens {gens}\n")
+        assert err.value.line == 2
+        gog = parse_gog(f"group F {kind} 2\nvertex v F gens [x1, x2]\n")
+        assert [lbl for lbl, _ in gog.generating_sets[0]] == ["x1", "x2"]
+        data = gog_to_json(gog)
+        data["vertices"][0]["gens"] = gens.strip("[]").replace(" ", "").split(",")
+        with pytest.raises(GogSyntaxError, match="vertex v"):
+            gog_from_json(data)
+
+
 def test_parse_disconnected_graph():
     gog = parse_gog("group T trivial\nvertex v1 T\nvertex v2 T\n")
     with pytest.raises(GraphDisconnected):

@@ -20,7 +20,7 @@ from pathlib import Path
 from amalgam_lab.cli import main
 from amalgam_lab.corpus import NAMES
 
-from conftest import REV, SEGMENT, SL2Z
+from conftest import DEAD_ENDS, REV, SEGMENT, SL2Z
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
 
@@ -32,8 +32,8 @@ WORDS = {
 
 
 def _cases() -> dict[str, list[str]]:
-    """Case id -> argv; ``{sl2z}``, ``{segment}``, ``{rev}`` and ``{words:NAME}``
-    are filled in at run time."""
+    """Case id -> argv; ``{sl2z}``, ``{dead-ends}``, ``{segment}``, ``{rev}`` and
+    ``{words:NAME}`` are filled in at run time."""
     cases: dict[str, list[str]] = {}
     inputs = [(name, f"corpus:{name}") for name in NAMES] + [("sl2z", "{sl2z}")]
     for name, spec in inputs:
@@ -47,6 +47,9 @@ def _cases() -> dict[str, list[str]]:
             cases[f"cayley-ball-{name}-{fmt}"] = ["cayley-ball", spec, "--radius", "3",
                                                   "--emit", fmt]
         cases[f"boundary-{name}"] = ["boundary", spec, "--depth", "4"]
+    cases["boundary-z2z2-d6"] = ["boundary", "corpus:z2z2", "--depth", "6"]
+    # depth 5 of DEAD_ENDS has empty cells: edges into v3 cosets lie on no branch
+    cases["boundary-dead-ends"] = ["boundary", "{dead-ends}", "--depth", "5"]
     for name, spec in (("dinf", "corpus:dinf"), ("z2z3", "corpus:z2z3"),
                        ("zxz2", "corpus:zxz2"), ("sl2z", "{sl2z}")):
         cases[f"separate-{name}"] = ["separate", spec, "--radius", "6", "--R", "1",
@@ -69,6 +72,9 @@ def _cases() -> dict[str, list[str]]:
     for name in ("z2z2", "zxz2", "z2z3", "dinf", "f2", "zz"):
         cases[f"amalgam-check-{name}"] = ["amalgam-check", f"corpus:{name}", "--depth", "4",
                                           "--seed", "7", "--samples", "5"]
+    # the Cantor "dead end" witnesses
+    cases["amalgam-check-dead-ends"] = ["amalgam-check", "{dead-ends}", "--depth", "4",
+                                        "--seed", "7", "--samples", "5"]
     # many (a5) samples at a depth where the family has hundreds of members
     for name in ("z2z2", "zxz2"):
         cases[f"amalgam-check-{name}-d6"] = ["amalgam-check", f"corpus:{name}", "--depth", "6",
@@ -88,7 +94,8 @@ def _cases() -> dict[str, list[str]]:
 def run_matrix(workdir: Path) -> dict[str, str]:
     """Case id -> "exit-code sha256" of the artifact it writes."""
     fill = {}
-    for name, dsl in (("sl2z", SL2Z), ("segment", SEGMENT), ("rev", REV)):
+    for name, dsl in (("sl2z", SL2Z), ("dead-ends", DEAD_ENDS), ("segment", SEGMENT),
+                      ("rev", REV)):
         (workdir / f"{name}.gog").write_text(dsl)
         fill[f"{{{name}}}"] = str(workdir / f"{name}.gog")
     for name, words in WORDS.items():
