@@ -1,10 +1,12 @@
-"""Vertex-group backends: finite (table), free abelian Z^n, free F_n.
+"""Infinite vertex-group backends: free abelian Z^n and free F_n.
 
 Elements are plain hashable values:
 
-* finite      -- int index into the table
 * free_abelian -- tuple of n ints (the exponent vector)
 * free         -- tuple of nonzero signed 1-based letters, freely reduced
+
+A finite vertex group is its own backend (:class:`amalgam_lab.groups.FiniteGroup`,
+elements are table indices) and answers the same calls.
 
 Reduction is idempotent by construction and equality is literal equality of
 the canonical value, so the word problem is a comparison.
@@ -14,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import FiniteGroup, bfs
+from .groups import bfs
 
 Elem = object  # int | tuple[int, ...]
 
-FINITE = "finite"
 FREE_ABELIAN = "free_abelian"
 FREE = "free"
 
@@ -37,19 +38,13 @@ def reduce_free_word(letters) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class GroupBackend:
-    """A group the toolkit can do exact arithmetic in."""
+    """Z^n or F_n: an infinite group the toolkit can do exact arithmetic in."""
 
     kind: str
     rank: int = 0
-    finite: FiniteGroup | None = None
     generator_labels: tuple[str, ...] = ()
 
-    @staticmethod
-    def from_finite(group: FiniteGroup) -> GroupBackend:
-        non_identity = tuple(
-            group.label(g) for g in group.elements() if g != group.identity_index
-        )
-        return GroupBackend(kind=FINITE, finite=group, generator_labels=non_identity)
+    is_finite = False
 
     @staticmethod
     def free_abelian(rank: int) -> GroupBackend:
@@ -63,31 +58,17 @@ class GroupBackend:
 
     # --- basic arithmetic ---------------------------------------------------
 
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == FINITE
-
-    @property
-    def order(self) -> int | None:
-        return self.finite.order if self.is_finite else None
-
     def identity(self) -> Elem:
-        if self.kind == FINITE:
-            return self.finite.identity_index
         if self.kind == FREE_ABELIAN:
             return (0,) * self.rank
         return ()
 
     def mul(self, a: Elem, b: Elem) -> Elem:
-        if self.kind == FINITE:
-            return self.finite.mul(a, b)
         if self.kind == FREE_ABELIAN:
             return tuple(x + y for x, y in zip(a, b))
         return reduce_free_word(list(a) + list(b))
 
     def inv(self, a: Elem) -> Elem:
-        if self.kind == FINITE:
-            return self.finite.inv(a)
         if self.kind == FREE_ABELIAN:
             return tuple(-x for x in a)
         return tuple(-l for l in reversed(a))
@@ -96,34 +77,26 @@ class GroupBackend:
         return a == self.identity()
 
     def reduce(self, a: Elem) -> Elem:
-        """Canonicalize a raw word/vector (no-op for finite indices)."""
+        """Canonicalize a raw word/vector."""
         if self.kind == FREE:
             return reduce_free_word(a)
-        if self.kind == FREE_ABELIAN:
-            return tuple(a)
-        return a
+        return tuple(a)
 
     # --- ordering and display ----------------------------------------------
 
     def sort_key(self, a: Elem):
-        """Total order: index order for finite, shortlex for backends."""
-        if self.kind == FINITE:
-            return (a,)
+        """Total order: shortlex."""
         if self.kind == FREE_ABELIAN:
             return (sum(abs(x) for x in a),) + tuple(a)
         return (len(a),) + tuple((abs(l), 0 if l > 0 else 1) for l in a)
 
     def gen_length(self, a: Elem) -> int:
         """Word length over the standard generators and their inverses."""
-        if self.kind == FINITE:
-            raise ValueError("use per-vertex BFS tables for finite groups")
         if self.kind == FREE_ABELIAN:
             return sum(abs(x) for x in a)
         return len(a)
 
     def label(self, a: Elem) -> str:
-        if self.kind == FINITE:
-            return self.finite.label(a)
         if self.kind == FREE_ABELIAN:
             if all(x == 0 for x in a):
                 return "e"
@@ -143,16 +116,12 @@ class GroupBackend:
         return "*".join(parts)
 
     def generators(self) -> list[Elem]:
-        if self.kind == FINITE:
-            return [g for g in self.finite.elements() if g != self.finite.identity_index]
         if self.kind == FREE_ABELIAN:
             return [tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)]
         return [(i + 1,) for i in range(self.rank)]
 
     def ball(self, radius: int, budget: int | None = None) -> list[Elem]:
         """All elements of generator-length <= radius, in shortlex order."""
-        if self.kind == FINITE:
-            raise ValueError("finite backends enumerate via .finite.elements()")
         depth: dict[Elem, int] = {}
         steps = self.generators() + [self.inv(g) for g in self.generators()]
         for _ in bfs(self.identity(), steps, self.mul, depth, radius, budget, "backend ball"):

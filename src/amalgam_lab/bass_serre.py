@@ -95,14 +95,16 @@ class TreeBall:
         self.edges: list[TreeEdge] = []
         self._vkey_to_vid: dict[object, int] = {}
         self._ekey_to_eid: dict[object, int] = {}
+        # finiteness is fixed per vertex type of Y
+        self._finite = tuple(fg.vertex_backend(v).is_finite
+                             for v in range(fg.gog.graph.n_vertices))
         self._build()
         self._number()
 
     # --- construction -------------------------------------------------------
 
     def _vertex_coset_key(self, rep: NormalForm, vtype: int, parent_edge_key):
-        backend = self.fg.vertex_backend(vtype)
-        if backend.is_finite:
+        if self._finite[vtype]:
             elems = (self.fg.multiply(rep, h)
                      for h in self.fg.vertex_subgroup_elements(vtype))
             return ("v", vtype, min(elems, key=NormalForm.sort_key))
@@ -132,7 +134,7 @@ class TreeBall:
         out = []
         for y in fg.gog.graph.incident_into(vtype):
             emb = fg.gog.embedding(y)
-            if backend.is_finite:
+            if self._finite[vtype]:
                 params = [(g, (g,), False) for g in emb.left_coset_reps()]
             else:
                 cfg = self.config
@@ -161,7 +163,7 @@ class TreeBall:
         root_key = self._vertex_coset_key(root_rep, fg.root, ("root",))
         root = TreeVertex(vid=0, vtype=fg.root, rep=root_rep, key=root_key,
                           depth=0, parent_edge=-1,
-                          truncated=not fg.root_group.is_finite)
+                          truncated=not self._finite[fg.root])
         self.vertices.append(root)
         self._vkey_to_vid[root_key] = 0
         frontier = [0]
@@ -198,7 +200,7 @@ class TreeBall:
                         child = TreeVertex(
                             vid=cvid, vtype=child_type, rep=nu, key=vkey,
                             depth=depth + 1, parent_edge=eid,
-                            truncated=not fg.vertex_backend(child_type).is_finite,
+                            truncated=not self._finite[child_type],
                         )
                         self.vertices.append(child)
                         self._vkey_to_vid[vkey] = cvid
@@ -245,8 +247,7 @@ class TreeBall:
     def find_vertex(self, x: NormalForm, vtype: int) -> int | None:
         """Locate the coset x*G_vtype in the ball, or None."""
         fg = self.fg
-        backend = fg.vertex_backend(vtype)
-        if backend.is_finite:
+        if self._finite[vtype]:
             key = self._vertex_coset_key(x, vtype, None)
             return self._vkey_to_vid.get(key)
         for v in self.vertices:

@@ -251,7 +251,7 @@ def limit_set_approx(b: BoundaryApprox, vid: int) -> LimitSetApprox:
     tree = b.tree
     v = tree.vertices[vid]
     directions: tuple[int, ...] = ()
-    if v.depth < b.depth and not tree.fg.vertex_backend(v.vtype).is_finite:
+    if v.depth < b.depth and v.truncated:
         dirs: list[int] = []
         fresh_edges = sorted(
             (tree.edges[e] for e in v.children if tree.edges[e].fresh),
@@ -271,9 +271,7 @@ def limit_set_approx(b: BoundaryApprox, vid: int) -> LimitSetApprox:
 
 def limit_set_family(b: BoundaryApprox) -> list[LimitSetApprox]:
     """W = limit-set proxies of every infinite-type coset vertex in the ball."""
-    fg = b.tree.fg
-    infinite = {t for t in range(fg.gog.graph.n_vertices) if not fg.vertex_backend(t).is_finite}
-    return [limit_set_approx(b, v.vid) for v in b.tree.vertices if v.vtype in infinite]
+    return [limit_set_approx(b, v.vid) for v in b.tree.vertices if v.truncated]
 
 
 # --- dense-amalgam checker -------------------------------------------------------
@@ -467,12 +465,14 @@ def branch_density_check(b: BoundaryApprox, family: list[LimitSetApprox]) -> Den
     owned: set[int] = set()
     for m in family:
         owned.update(m.directions)
-    groups = b.groups_by_prefix(b.depth - 2)
+    # a direction's non-member neighbours within 2^(-d+2) are exactly the
+    # non-owned branches of its depth-(d-2) prefix group
+    dense = {anc: not owned.issuperset(members)
+             for anc, members in b.groups_by_prefix(b.depth - 2).items()}
     witnesses = []
     for m in family:
         for di in m.directions:
-            members = groups[b.ancestor(di, b.depth - 2)]
-            if not any(j not in owned for j in members) and len(witnesses) < 10:
+            if not dense[b.ancestor(di, b.depth - 2)] and len(witnesses) < 10:
                 witnesses.append({"member": m.label, "branch": di})
     return DensityVerdict(status="pass" if not witnesses else "fail",
                           witnesses=witnesses[:10])

@@ -130,7 +130,7 @@ def _cmd_validate(args, argv) -> int:
 
 def _group_desc(backend) -> str:
     if backend.is_finite:
-        return f"finite order {backend.finite.order}"
+        return f"finite order {backend.order}"
     return f"{backend.kind} rank {backend.rank}"
 
 

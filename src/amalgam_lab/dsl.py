@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .backends import FINITE, FREE, FREE_ABELIAN, GroupBackend
+from .backends import FREE, FREE_ABELIAN, GroupBackend
 from .errors import (
     AmalgamLabError,
     EdgeGroupInfinite,
@@ -31,8 +31,8 @@ from .errors import (
     NotInjective,
     UnknownGroupRef,
 )
-from .gog import EdgeEmbedding, GraphOfGroups, build_graph
-from .groups import FiniteGroup, check_group, check_monomorphism, cyclic_group
+from .gog import EdgeEmbedding, GraphOfGroups, TrivialEmbedding, build_graph
+from .groups import TRIVIAL_GROUP, FiniteGroup, check_group, check_monomorphism, cyclic_group
 
 _TOKEN = re.compile(
     r"""(?P<ws>\s+)
@@ -169,7 +169,7 @@ def _free_group(kind: str, rank, at: int | str) -> GroupBackend:
     return GroupBackend.free(rank) if kind == FREE else GroupBackend.free_abelian(rank)
 
 
-def _extend_generator_map(edge_group: FiniteGroup, target: GroupBackend,
+def _extend_generator_map(edge_group: FiniteGroup, target: FiniteGroup | GroupBackend,
                           gen_images: dict[str, str], at: int | str, which: str):
     """Extend generator images multiplicatively to a total monomorphism.
 
@@ -177,16 +177,16 @@ def _extend_generator_map(edge_group: FiniteGroup, target: GroupBackend,
     ``embed_bwd``) locate its errors.
     """
     where = f"{at if isinstance(at, str) else f'line {at}'}: {which}"
-    if target.kind != FINITE:
+    if not target.is_finite:
         # Z^n and F_n are torsion-free: only the trivial group embeds, onto e
         identity = edge_group.label(edge_group.identity_index)
         if edge_group.order != 1 or any(
                 (key, val) != (identity, "e") for key, val in gen_images.items()):
             raise EmbeddingNotInjective(
                 f"{where}: only the trivial group embeds into a torsion-free backend, onto e")
-        return EdgeEmbedding(edge_group, target, None)
+        return TrivialEmbedding(edge_group, target)
 
-    G = target.finite
+    G = target
     images: dict[int, int] = {edge_group.identity_index: G.identity_index}
     try:
         for key, val in gen_images.items():
@@ -215,12 +215,12 @@ def _extend_generator_map(edge_group: FiniteGroup, target: GroupBackend,
         mono = check_monomorphism(edge_group, G, [images[a] for a in edge_group.elements()])
     except NotInjective as exc:
         raise EmbeddingNotInjective(f"{where}: {exc}") from exc
-    return EdgeEmbedding(edge_group, target, mono)
+    return EdgeEmbedding(mono)
 
 
 def parse_gog(text: str) -> GraphOfGroups:
     """Parse and fully validate a graph of groups from DSL text."""
-    groups: dict[str, GroupBackend] = {"trivial": GroupBackend.from_finite(cyclic_group(1))}
+    groups: dict[str, FiniteGroup | GroupBackend] = {"trivial": TRIVIAL_GROUP}
     vertices: list[tuple[str, str, list[str] | None, int]] = []   # (name, groupref, gens, line)
     edges: list[tuple[str, str, str, str, dict, dict, int]] = []
 
@@ -238,9 +238,9 @@ def parse_gog(text: str) -> GraphOfGroups:
             kind = cur.next(expect_kind="ident").text
             if kind == "cyclic":
                 n = int(cur.next(expect_kind="num").text)
-                groups[name] = GroupBackend.from_finite(cyclic_group(n))
+                groups[name] = cyclic_group(n)
             elif kind == "trivial":
-                groups[name] = GroupBackend.from_finite(cyclic_group(1))
+                groups[name] = TRIVIAL_GROUP
             elif kind == "table":
                 table = _parse_int_list_list(cur)
                 labels = None
@@ -248,7 +248,7 @@ def parse_gog(text: str) -> GraphOfGroups:
                 if tok and tok.text == "labels":
                     cur.next()
                     labels = _parse_name_list(cur)
-                groups[name] = GroupBackend.from_finite(check_group(table, labels))
+                groups[name] = check_group(table, labels)
             else:
                 rank = int(cur.next(expect_kind="num").text) if kind in (FREE, FREE_ABELIAN) else 0
                 groups[name] = _free_group(kind, rank, lineno)
@@ -285,7 +285,7 @@ def parse_gog(text: str) -> GraphOfGroups:
     return _assemble(groups, vertices, edges, len(text.splitlines()) or 1)
 
 
-def _assemble(groups: dict[str, GroupBackend], vertices: list, edges: list,
+def _assemble(groups: dict[str, FiniteGroup | GroupBackend], vertices: list, edges: list,
               end: int | str) -> GraphOfGroups:
     """Check declared vertices and edges and build their graph of groups.
 
@@ -298,7 +298,7 @@ def _assemble(groups: dict[str, GroupBackend], vertices: list, edges: list,
         raise GogSyntaxError("no vertices declared", end)
 
     vidx: dict[str, int] = {}
-    vgroups: list[GroupBackend] = []
+    vgroups: list[FiniteGroup | GroupBackend] = []
     gensets: list[tuple[tuple[str, object], ...]] = []
     for name, ref, gens, at in vertices:
         if name in vidx:
@@ -308,14 +308,14 @@ def _assemble(groups: dict[str, GroupBackend], vertices: list, edges: list,
             raise UnknownGroupRef(f"vertex {name} references unknown group {ref!r}")
         backend = groups[ref]
         vgroups.append(backend)
-        if backend.kind == FINITE:
+        if backend.is_finite:
             labels = gens if gens is not None else list(backend.generator_labels)
             try:
-                genset = tuple((lbl, backend.finite.index_of(lbl)) for lbl in labels)
+                genset = tuple((lbl, backend.index_of(lbl)) for lbl in labels)
             except KeyError as exc:
                 raise GogSyntaxError(f"gens: {exc.args[0]}", at) from None
             gen_elems = {e for _, e in genset}
-            if backend.finite.subgroup_generated(gen_elems) != frozenset(backend.finite.elements()):
+            if backend.subgroup_generated(gen_elems) != frozenset(backend.elements()):
                 raise GogSyntaxError("gens do not generate the vertex group", at)
         else:
             # backends always use the standard basis for the word metric
@@ -327,7 +327,7 @@ def _assemble(groups: dict[str, GroupBackend], vertices: list, edges: list,
 
     edge_names: set[str] = set()
     egroups: list[FiniteGroup] = []
-    embeddings: list[EdgeEmbedding] = []
+    embeddings: list[EdgeEmbedding | TrivialEmbedding] = []
     for name, left, right, ref, fwd, bwd, at in edges:
         if name in edge_names:
             raise GogSyntaxError(f"duplicate edge name {name!r}", at)
@@ -337,11 +337,10 @@ def _assemble(groups: dict[str, GroupBackend], vertices: list, edges: list,
                 raise UnknownGroupRef(f"edge {name} references unknown vertex {v!r}")
         if ref not in groups:
             raise UnknownGroupRef(f"edge {name} references unknown group {ref!r}")
-        backend = groups[ref]
-        if backend.kind in (FREE, FREE_ABELIAN):
+        egroup = groups[ref]
+        if not egroup.is_finite:
             raise EdgeGroupInfinite(f"edge {name} has an infinite edge group "
-                                    f"({backend.kind} rank {backend.rank})")
-        egroup = backend.finite
+                                    f"({egroup.kind} rank {egroup.rank})")
         egroups.append(egroup)
         embeddings.append(_extend_generator_map(egroup, vgroups[vidx[right]], fwd, at,
                                                 "embed_fwd"))
@@ -362,13 +361,13 @@ def _assemble(groups: dict[str, GroupBackend], vertices: list, edges: list,
 def gog_to_json(gog: GraphOfGroups) -> dict:
     g = gog.graph
 
-    def group_spec(backend: GroupBackend) -> dict:
-        if backend.kind == FINITE:
+    def group_spec(backend: FiniteGroup | GroupBackend) -> dict:
+        if backend.is_finite:
             return {
                 "kind": "finite",
-                "order": backend.finite.order,
-                "labels": list(backend.finite.labels),
-                "table": [list(r) for r in backend.finite.table],
+                "order": backend.order,
+                "labels": list(backend.labels),
+                "table": [list(r) for r in backend.table],
             }
         return {"kind": backend.kind, "rank": backend.rank}
 
@@ -378,7 +377,7 @@ def gog_to_json(gog: GraphOfGroups) -> dict:
         bwd = gog.embedding(2 * k + 1)
         eg = gog.edge_groups[k]
 
-        def emb_spec(emb: EdgeEmbedding) -> dict:
+        def emb_spec(emb: EdgeEmbedding | TrivialEmbedding) -> dict:
             return {
                 "images": [emb.target.label(emb.apply(h)) for h in eg.elements()],
             }
@@ -387,7 +386,7 @@ def gog_to_json(gog: GraphOfGroups) -> dict:
             "name": g.edge_names[k],
             "left": g.vertex_names[g.alpha[2 * k]],
             "right": g.vertex_names[g.omega[2 * k]],
-            "group": group_spec(GroupBackend.from_finite(eg)),
+            "group": group_spec(eg),
             "embed_fwd": emb_spec(fwd),
             "embed_bwd": emb_spec(bwd),
         })
@@ -424,20 +423,20 @@ def gog_from_json(data: dict) -> GraphOfGroups:
     if data.get("kind") != "graph_of_groups":
         raise UnknownGroupRef(f"expected a graph_of_groups artifact, found {data.get('kind')!r}")
 
-    def group_of(entry: dict, at: str) -> GroupBackend:
+    def group_of(entry: dict, at: str) -> FiniteGroup | GroupBackend:
         spec = _field(entry, "group", dict, at)
-        if spec.get("kind") != FINITE:
+        if spec.get("kind") != "finite":
             return _free_group(spec.get("kind"), spec.get("rank"), at)
         table = _field(spec, "table", list, at)
         labels = _field(spec, "labels", list, at)
         if _field(spec, "order", int, at) != len(table):
             raise GogSyntaxError(f"order {spec['order']} but {len(table)} table rows", at)
         try:
-            return GroupBackend.from_finite(check_group(table, labels))
+            return check_group(table, labels)
         except (AmalgamLabError, TypeError, ValueError) as exc:
             raise GogSyntaxError(str(exc), at) from None
 
-    groups: dict[str, GroupBackend] = {}
+    groups: dict[str, FiniteGroup | GroupBackend] = {}
     vertices = []
     for i, v in enumerate(_field(data, "vertices", list, "artifact")):
         name = _field(v, "name", str, f"vertices[{i}]")
@@ -451,7 +450,7 @@ def gog_from_json(data: dict) -> GraphOfGroups:
         at = f"edge {name}"
         group = group_of(e, at)
         groups.setdefault(at, group)
-        labels = group.finite.labels if group.is_finite else ()
+        labels = group.labels if group.is_finite else ()
         maps = []
         for key in ("embed_fwd", "embed_bwd"):
             images = _field(_field(e, key, dict, at), "images", list, at)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .backends import Elem, GroupBackend, reduce_free_word
 from .errors import BaseMismatch, BudgetExceeded
 from .gog import GraphOfGroups, SpanningData, bar
-from .groups import bfs
+from .groups import FiniteGroup, bfs
 
 DEFAULT_BALL_BUDGET = 2_000_000
 
@@ -133,10 +133,10 @@ class FundamentalGroup:
     # --- vertex group access -------------------------------------------------
 
     @property
-    def root_group(self) -> GroupBackend:
+    def root_group(self) -> FiniteGroup | GroupBackend:
         return self.gog.vertex_group(self.root)
 
-    def vertex_backend(self, v: int) -> GroupBackend:
+    def vertex_backend(self, v: int) -> FiniteGroup | GroupBackend:
         return self.gog.vertex_group(v)
 
     def identity(self) -> NormalForm:
@@ -259,12 +259,12 @@ class FundamentalGroup:
         """
         if x.group is not y.group:
             raise BaseMismatch("operands anchored at different base structures")
+        groups, omega, xt, yt = self.gog.vertex_groups, self.gog.graph.omega, x.tail, y.tail
         if self._fast_metric:
-            omega, xt, yt = self.gog.graph.omega, x.tail, y.tail
             carry, n, k = y.g0, len(xt), 0
             while n:
                 en, gn = xt[n - 1]
-                backend = self.vertex_backend(omega[en])
+                backend = groups[omega[en]]
                 merged = backend.mul(gn, carry)
                 if k == len(yt) or yt[k][0] != bar(en) or not backend.is_identity(merged):
                     return NormalForm(self, x.g0, xt[:n - 1] + ((en, merged),) + yt[k:])
@@ -272,8 +272,7 @@ class FundamentalGroup:
                 n -= 1
                 k += 1
             return NormalForm(self, self.root_group.mul(x.g0, carry), yt[k:])
-        groups, embeddings = self.gog.vertex_groups, self.gog.embeddings
-        omega, xt, yt = self.gog.graph.omega, x.tail, y.tail
+        embeddings = self.gog.embeddings
         carry, n, k = y.g0, len(xt), 0
         while n:
             en, gn = xt[n - 1]
@@ -334,7 +333,7 @@ class FundamentalGroup:
             backend = self.vertex_backend(v)
             assert backend.is_finite
             self._vertex_subgroup_cache[v] = frozenset(
-                self.vertex_element(v, e) for e in backend.finite.elements()
+                self.vertex_element(v, e) for e in backend.elements()
             )
         return self._vertex_subgroup_cache[v]
 
@@ -424,7 +423,7 @@ class FundamentalGroup:
     def _finite_len_table(self, v: int) -> dict[int, int]:
         """BFS word lengths inside a finite vertex group over S_v and inverses."""
         if v not in self._finite_len_tables:
-            G = self.vertex_backend(v).finite
+            G = self.vertex_backend(v)
             steps = {s for _, elem in self.gog.generating_sets[v] for s in (elem, G.inv(elem))}
             table: dict[int, int] = {}
             for _ in bfs(G.identity_index, tuple(steps), G.mul, table):
@@ -573,9 +572,8 @@ def emit_presentation(gog: GraphOfGroups, sd: SpanningData) -> Presentation:
 
     word_maps: dict[int, dict[Elem, tuple[int, ...]]] = {}
     for v in range(g.n_vertices):
-        backend = gog.vertex_group(v)
-        if backend.is_finite:
-            G = backend.finite
+        G = gog.vertex_group(v)
+        if G.is_finite:
             step_ids = [sgid for gi, _ in vgen_range[v] for sgid in (gi, -gi)]
             steps = [s for _, elem in vgen_range[v] for s in (elem, G.inv(elem))]
             words = {G.identity_index: ()}
@@ -606,14 +604,13 @@ def emit_presentation(gog: GraphOfGroups, sd: SpanningData) -> Presentation:
             relators.setdefault(red, None)
 
     for v in range(g.n_vertices):
-        backend = gog.vertex_group(v)
-        if backend.is_finite:
-            G = backend.finite
+        G = gog.vertex_group(v)
+        if G.is_finite:
             for a in G.elements():
                 for gid, selem in vgen_range[v]:
                     b = G.mul(a, selem)
                     add(list(word_maps[v][a]) + [gid] + [-l for l in reversed(word_maps[v][b])])
-        elif backend.kind == "free_abelian":
+        elif G.kind == "free_abelian":
             ids = [gid for gid, _ in vgen_range[v]]
             for i in range(len(ids)):
                 for j in range(i + 1, len(ids)):

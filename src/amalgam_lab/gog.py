@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .backends import FINITE, Elem, GroupBackend
+from .backends import Elem, GroupBackend
 from .errors import (
     EdgeIsLoop,
     EmbeddingNotInjective,
@@ -78,99 +78,99 @@ def build_graph(vertex_names: list[str], edges: list[tuple[str, str, str]]) -> G
 
 
 class EdgeEmbedding:
-    """Monomorphism of a finite edge group into a vertex-group backend.
+    """A validated monomorphism i: H -> G of finite groups, as tables built once.
 
-    For finite targets this wraps a :class:`Monomorphism` and precomputes the
-    right-coset decomposition g = i(h) * rep used by normal forms.  Backends
-    (Z^n, F_n) are torsion-free, so only the trivial edge group embeds there.
+    ``decompose[g] = (h, r)`` writes g = i(h) * r with r the least element of
+    the right coset im*g: the representative normal forms keep.  The least
+    elements of the left cosets g*im, sorted, parametrize the star of a tree
+    vertex.
     """
 
-    def __init__(self, edge_group: FiniteGroup, target: GroupBackend,
-                 mono: Monomorphism | None):
+    def __init__(self, mono: Monomorphism):
+        H, G = mono.source, mono.target
+        self.edge_group = H
+        self.target = G
+        self._image = mono.map
+        self._pre = mono.inverse_on_image()
+        decompose = []
+        for g in G.elements():
+            r = min(G.mul(m, g) for m in mono.map)
+            decompose.append((self._pre[G.mul(g, G.inv(r))], r))
+        self.decompose = tuple(decompose)
+        lreps = {min(G.mul(g, m) for m in mono.map) for g in G.elements()}
+        self._lcoset_reps = tuple(sorted(lreps))
+
+    def apply(self, h: int) -> int:
+        return self._image[h]
+
+    def contains(self, g: int) -> bool:
+        return g in self._pre
+
+    def preimage(self, g: int) -> int:
+        return self._pre[g]
+
+    def index_in_target(self) -> int:
+        """[G : im]."""
+        return self.target.order // self.edge_group.order
+
+    def right_decompose(self, g: int) -> tuple[int, int]:
+        """g = apply(h) * r with r the canonical right-coset representative."""
+        return self.decompose[g]
+
+    def left_coset_reps(self) -> tuple[int, ...]:
+        """Least elements of the cosets g*im, sorted."""
+        return self._lcoset_reps
+
+
+class TrivialEmbedding:
+    """The trivial group embedded into Z^n or F_n, onto the identity.
+
+    Backends are torsion-free, so no other finite group embeds there, and
+    every element is its own right-coset representative.
+    """
+
+    def __init__(self, edge_group: FiniteGroup, target: GroupBackend):
+        if edge_group.order != 1:
+            raise EmbeddingNotInjective(
+                "only the trivial group embeds into a torsion-free backend"
+            )
         self.edge_group = edge_group
         self.target = target
-        self.mono = mono
-        if target.kind == FINITE:
-            assert mono is not None
-            G = target.finite
-            self._image = frozenset(mono.map)
-            self._pre = mono.inverse_on_image()
-            # right cosets im*g: rep = least-index element of the coset
-            rep = [0] * G.order
-            for g in G.elements():
-                rep[g] = min(G.mul(m, g) for m in mono.map)
-            self._rcoset_rep = tuple(rep)
-            # left cosets g*im: canonical reps in index order (for star enumeration)
-            seen: set[int] = set()
-            lreps: list[int] = []
-            for g in G.elements():
-                if g in seen:
-                    continue
-                coset = {G.mul(g, m) for m in mono.map}
-                lreps.append(min(coset))
-                seen.update(coset)
-            self._lcoset_reps = tuple(sorted(lreps))
-        else:
-            if edge_group.order != 1:
-                raise EmbeddingNotInjective(
-                    "only the trivial group embeds into a torsion-free backend"
-                )
+        self._e = edge_group.identity_index
+        self._target_e = target.identity()
 
     def apply(self, h: int) -> Elem:
-        if self.target.kind == FINITE:
-            return self.mono.apply(h)
-        return self.target.identity()
+        return self._target_e
 
     def contains(self, g: Elem) -> bool:
-        if self.target.kind == FINITE:
-            return g in self._image
-        return self.target.is_identity(g)
+        return g == self._target_e
 
     def preimage(self, g: Elem) -> int:
-        if self.target.kind == FINITE:
-            return self._pre[g]
-        return self.edge_group.identity_index
+        return self._e
 
-    def index_in_target(self) -> int | None:
-        """[G_v : im]; None when the target is infinite."""
-        if self.target.kind == FINITE:
-            return self.target.finite.order // self.edge_group.order
+    def index_in_target(self) -> None:
+        """The target is infinite."""
         return None
 
     def right_decompose(self, g: Elem) -> tuple[int, Elem]:
-        """g = apply(h) * r with r the canonical right-coset representative."""
-        if self.target.kind == FINITE:
-            G = self.target.finite
-            r = self._rcoset_rep[g]
-            h = self._pre[G.mul(g, G.inv(r))]
-            return h, r
-        return self.edge_group.identity_index, g
-
-    def is_canonical_rep(self, g: Elem) -> bool:
-        if self.target.kind == FINITE:
-            return self._rcoset_rep[g] == g
-        return True
-
-    def left_coset_reps(self) -> tuple[int, ...]:
-        """Finite targets only: canonical reps of the cosets g*im, sorted."""
-        return self._lcoset_reps
+        return self._e, g
 
 
 @dataclass(frozen=True)
 class GraphOfGroups:
     graph: Graph
-    vertex_groups: tuple[GroupBackend, ...]
+    vertex_groups: tuple[FiniteGroup | GroupBackend, ...]
     edge_groups: tuple[FiniteGroup, ...]          # per unoriented edge
-    embeddings: tuple[EdgeEmbedding, ...]          # per oriented edge, into omega(y)
+    embeddings: tuple[EdgeEmbedding | TrivialEmbedding, ...]  # per oriented edge, into omega(y)
     generating_sets: tuple[tuple[tuple[str, Elem], ...], ...]  # per vertex: (label, elem)
 
-    def vertex_group(self, v: int) -> GroupBackend:
+    def vertex_group(self, v: int) -> FiniteGroup | GroupBackend:
         return self.vertex_groups[v]
 
     def edge_group(self, y: int) -> FiniteGroup:
         return self.edge_groups[y // 2]
 
-    def embedding(self, y: int) -> EdgeEmbedding:
+    def embedding(self, y: int) -> EdgeEmbedding | TrivialEmbedding:
         return self.embeddings[y]
 
     @property
@@ -260,8 +260,7 @@ def elementary_collapse(gog: GraphOfGroups, edge_name: str) -> GraphOfGroups:
     if g.is_loop(y):
         raise EdgeIsLoop(f"edge {edge_name} is a loop")
     emb_fwd = gog.embedding(y)
-    target = gog.vertex_group(g.omega[y])
-    if not (target.kind == FINITE and emb_fwd.edge_group.order == target.finite.order):
+    if emb_fwd.index_in_target() != 1:
         raise NotIsomorphism(
             f"i_{edge_name} is not an isomorphism onto the vertex group of "
             f"{g.vertex_names[g.omega[y]]}"
@@ -269,11 +268,10 @@ def elementary_collapse(gog: GraphOfGroups, edge_name: str) -> GraphOfGroups:
 
     va, vo = g.alpha[y], g.omega[y]
     # transport G_{omega(y)} -> G_{alpha(y)}
-    inv_fwd = emb_fwd.mono.inverse_on_image()
     emb_bwd = gog.embedding(bar(y))
 
     def transport(elem: int) -> Elem:
-        return emb_bwd.apply(inv_fwd[elem])
+        return emb_bwd.apply(emb_fwd.preimage(elem))
 
     keep_vertices = [v for v in range(g.n_vertices) if v != vo]
     new_names = [g.vertex_names[v] for v in keep_vertices]
@@ -293,20 +291,20 @@ def elementary_collapse(gog: GraphOfGroups, edge_name: str) -> GraphOfGroups:
     new_vgroups = tuple(gog.vertex_groups[v] for v in keep_vertices)
     new_egroups = tuple(gog.edge_groups[j] for j in kept_unoriented)
 
-    new_embs: list[EdgeEmbedding] = []
+    new_embs: list[EdgeEmbedding | TrivialEmbedding] = []
     for j in kept_unoriented:
         for orient in (2 * j, 2 * j + 1):
             old = gog.embedding(orient)
             if gog.graph.omega[orient] == vo:
                 # post-compose with the transport into G_{alpha(y)}
                 tgt = gog.vertex_group(va)
-                if tgt.kind == FINITE:
-                    mapped = tuple(transport(old.mono.apply(h))
+                if tgt.is_finite:
+                    mapped = tuple(transport(old.apply(h))
                                    for h in old.edge_group.elements())
-                    mono = check_monomorphism(old.edge_group, tgt.finite, mapped)
-                    new_embs.append(EdgeEmbedding(old.edge_group, tgt, mono))
+                    new_embs.append(EdgeEmbedding(
+                        check_monomorphism(old.edge_group, tgt, mapped)))
                 else:
-                    new_embs.append(EdgeEmbedding(old.edge_group, tgt, None))
+                    new_embs.append(TrivialEmbedding(old.edge_group, tgt))
             else:
                 new_embs.append(old)
 

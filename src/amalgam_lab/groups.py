@@ -1,7 +1,9 @@
 """Finite groups given extensionally by multiplication table, and monomorphisms.
 
 Elements of a :class:`FiniteGroup` are plain integer indices into the table;
-``labels`` is only a naming layer.  All validation happens once, in
+``labels`` is only a naming layer.  A finite vertex group is its own backend:
+it answers the same arithmetic, ordering and display calls as the Z^n and F_n
+backends of :mod:`amalgam_lab.backends`.  All validation happens once, in
 :func:`check_group` / :func:`check_monomorphism`; the resulting objects are
 immutable and safe to share.
 """
@@ -61,11 +63,28 @@ class FiniteGroup:
     identity_index: int
     _inverse: tuple[int, ...] = field(repr=False, compare=False, default=())
 
+    is_finite = True
+
+    @property
+    def generator_labels(self) -> tuple[str, ...]:
+        """The default generating set: every non-identity label, in index order."""
+        return tuple(self.labels[g] for g in self.elements() if g != self.identity_index)
+
+    def identity(self) -> int:
+        return self.identity_index
+
+    def is_identity(self, a: int) -> bool:
+        return a == self.identity_index
+
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
     def inv(self, a: int) -> int:
         return self._inverse[a]
+
+    def sort_key(self, a: int):
+        """Index order."""
+        return (a,)
 
     def elements(self) -> range:
         return range(self.order)

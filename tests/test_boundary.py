@@ -574,6 +574,35 @@ def test_amalgam_depth_too_small(z2z2):
         amalgam_check(b, [], seed=0)
 
 
+def _density_failures(b, family):
+    """Branch density by brute force: every member direction with no branch
+    that no member owns within visual distance 2^(-d+2)."""
+    owned = {di for m in family for di in m.directions}
+    free = [j for j in range(len(b)) if j not in owned]
+    return [{"member": m.label, "branch": di}
+            for m in family for di in m.directions
+            if not any(b.visual_dist(di, j) <= 2.0 ** (2 - b.depth) for j in free)]
+
+
+@pytest.mark.parametrize("depth", [4, 5])
+@pytest.mark.parametrize("drop", [None, "covers-all"])
+def test_branch_density_matches_oracle_on_adversarial_family(z2z2, depth, drop):
+    _, _, fg = z2z2
+    b = boundary_approx(fg, depth)
+    all_but_last = b.groups_by_prefix(depth - 2)[b.ancestor(len(b) // 2, depth - 2)][:-1]
+    family = [m for m in _adversarial_family(b) if m.label != drop]
+    family.append(_fake(b, all_but_last, 0, "all-but-the-last-of-a-group"))
+    failures = _density_failures(b, family)
+    # "covers-all" leaves no free branch; without it the verdict is mixed
+    assert (len(failures) == sum(len(m.directions) for m in family)) == (drop is None)
+    # witnesses stop at 10, so each member also leads the family once
+    for i in range(len(family)):
+        rotated = family[i:] + family[:i]
+        verdict = branch_density_check(b, rotated)
+        assert verdict.status == "fail"
+        assert verdict.witnesses == _density_failures(b, rotated)[:10]
+
+
 def test_branch_density():
     # finite case: vacuous pass
     _, _, fg = make_fg("z2z3")

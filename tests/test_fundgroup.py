@@ -73,7 +73,7 @@ def test_z2z3_vertex_arithmetic(z2z3):
     _, b = fg.generating_set().elements
     b2 = fg.multiply(b, b)
     # b*b is the single vertex-group element b^2, not a longer word
-    assert b2 == fg.vertex_element(1, gog.vertex_groups[1].finite.index_of("b2"))
+    assert b2 == fg.vertex_element(1, gog.vertex_groups[1].index_of("b2"))
     assert fg.multiply(b2, b).is_identity()
 
 
@@ -247,7 +247,7 @@ def expected_abelianization(gog, sd):
     for v in range(gog.graph.n_vertices):
         backend = gog.vertex_groups[v]
         if backend.is_finite:
-            for e in backend.finite.elements():
+            for e in backend.elements():
                 cols[(v, e)] = n_cols
                 n_cols += 1
         else:
@@ -275,7 +275,7 @@ def expected_abelianization(gog, sd):
     for v in range(gog.graph.n_vertices):
         backend = gog.vertex_groups[v]
         if backend.is_finite:
-            G = backend.finite
+            G = backend
             for x in G.elements():
                 for y in G.elements():
                     row = [0] * n_cols
@@ -311,7 +311,7 @@ def test_abelianization_matches_independent_construction(name):
 def test_abelian_invariants_feed_the_oracle(dinf):
     # the finite-group side of the oracle is itself exact
     gog, _, _ = dinf
-    assert abelian_invariants(gog.vertex_groups[0].finite) == (2,)
+    assert abelian_invariants(gog.vertex_groups[0]) == (2,)
 
 
 @pytest.mark.parametrize("name", ["dinf", "z2z3", "f2", "zxz2"])
@@ -351,7 +351,7 @@ def _swept_product(fg, x, y):
 def _vertex_elements(backend):
     """Elements of a vertex group, the identity drawn about a third of the time."""
     if backend.is_finite:
-        others = st.sampled_from(list(backend.finite.elements()))
+        others = st.sampled_from(list(backend.elements()))
     elif backend.kind == "free_abelian":
         others = st.tuples(*[st.integers(-2, 2)] * backend.rank)
     else:

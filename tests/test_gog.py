@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from amalgam_lab.corpus import NAMES
 from amalgam_lab.dsl import gog_from_json, gog_to_json, parse_gog
 from amalgam_lab.errors import (
     EdgeGroupInfinite,
@@ -25,8 +26,9 @@ from amalgam_lab.gog import (
     is_non_elementary,
     spanning_tree,
 )
+from amalgam_lab.groups import cosets
 
-from conftest import GOG_TEXTS, SEGMENT
+from conftest import FINITE_EDGED, GOG_TEXTS, SEGMENT
 
 DINF = """
 group A cyclic 2
@@ -145,7 +147,7 @@ def test_collapse_segment_iso():
     gog = parse_gog(SEGMENT)
     collapsed = elementary_collapse(gog, "e1")
     assert collapsed.graph.n_vertices == 1 and collapsed.graph.n_edges == 0
-    assert collapsed.vertex_groups[0].finite.order == 2
+    assert collapsed.vertex_groups[0].order == 2
 
 
 def test_collapse_preserves_abelianization():
@@ -184,7 +186,7 @@ edge e2 v2 -- v2 group E2 embed_fwd {a:a2} embed_bwd {a:a2}
     assert collapsed.graph.n_vertices == 1 and collapsed.graph.n_edges == 1
     # the loop embeddings now land in the kept Z/4
     emb = collapsed.embedding(0)
-    assert emb.target.finite.order == 4
+    assert emb.target.order == 4
     before = abelianization(emit_presentation(gog, spanning_tree(gog)))
     after = abelianization(emit_presentation(collapsed, spanning_tree(collapsed)))
     assert before == after
@@ -334,3 +336,54 @@ def test_collapse_fixtures_reach_reverse_collapses():
     reverse = [name for name, text in COLLAPSE_FIXTURES.items()
                if any(n.startswith("~") for n in _collapsible_edges(parse_gog(text)))]
     assert sorted(reverse) == ["retarget", "rev", "rev_star", "segment"]
+
+
+# S3 *_{Z/2} Z/4 with Z/2 onto the transposition t of S3, which is not
+# normal: left and right cosets of its image differ
+S3_Z4 = """
+group S3 table [[0,1,2,3,4,5],[1,0,4,5,2,3],[2,3,0,1,5,4],[3,2,5,4,0,1],[4,5,1,0,3,2],[5,4,3,2,1,0]] labels [e,s,t,c,c2,u]
+group A cyclic 4
+group E cyclic 2
+vertex v1 S3 gens [s,t]
+vertex v2 A gens [a]
+edge e1 v1 -- v2 group E embed_fwd {a:a2} embed_bwd {a:t}
+"""
+
+
+def _with_collapses(gog):
+    """gog and every graph of groups a sequence of elementary collapses reaches."""
+    out = [gog]
+    for current in out:
+        out += [elementary_collapse(current, edge) for edge in _collapsible_edges(current)]
+    return out
+
+
+EMBEDDING_FIXTURES = {**COLLAPSE_FIXTURES, "s3z4": S3_Z4}
+
+
+@pytest.mark.parametrize("name", EMBEDDING_FIXTURES)
+def test_embedding_tables_match_coset_oracle(name):
+    """decompose and left_coset_reps against groups.cosets, on every finite
+    embedding of the input and of each of its collapses (the fixtures hold
+    the corpus, SL(2,Z) and the finite-edge-group inputs)."""
+    for gog in _with_collapses(parse_gog(EMBEDDING_FIXTURES[name])):
+        for emb in gog.embeddings:
+            G = emb.target
+            if not G.is_finite:
+                continue
+            image = [emb.apply(h) for h in emb.edge_group.elements()]
+            least_right = {g: c[0] for c in cosets(G, image, "right") for g in c}
+            for g in G.elements():
+                h, r = emb.decompose[g]
+                assert G.mul(emb.apply(h), r) == g
+                assert r == least_right[g]
+                assert emb.right_decompose(g) == (h, r)
+            assert emb.left_coset_reps() == \
+                tuple(sorted(c[0] for c in cosets(G, image, "left")))
+
+
+def test_embedding_oracle_covers_collapsed_and_finite_edged_inputs():
+    assert {*NAMES, "sl2z", *FINITE_EDGED} <= set(COLLAPSE_FIXTURES)
+    collapsed = [name for name, text in COLLAPSE_FIXTURES.items()
+                 if len(_with_collapses(parse_gog(text))) > 1]
+    assert sorted(collapsed) == ["retarget", "rev", "rev_star", "segment"]
