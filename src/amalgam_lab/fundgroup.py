@@ -24,12 +24,13 @@ word; it builds vertex elements and stable letters and is the test oracle.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .backends import Elem, GroupBackend, reduce_free_word
 from .errors import BaseMismatch, BudgetExceeded
 from .gog import GraphOfGroups, SpanningData, bar
-from .groups import FiniteGroup, bfs
+from .groups import UNSET, FiniteGroup, bfs
 
 DEFAULT_BALL_BUDGET = 2_000_000
 
@@ -70,9 +71,10 @@ class NormalForm:
 
     def sort_key(self):
         fg = self.group
+        groups, omega = fg.gog.vertex_groups, fg.gog.graph.omega
         parts = [len(self.tail)]
         for e, g in self.tail:
-            parts.append((e,) + tuple(fg.vertex_backend(fg.gog.graph.omega[e]).sort_key(g)))
+            parts.append((e,) + tuple(groups[omega[e]].sort_key(g)))
         parts.append(tuple(fg.root_group.sort_key(self.g0)))
         return tuple(parts)
 
@@ -127,7 +129,8 @@ class FundamentalGroup:
         self._len_cache: dict[NormalForm, int] = {}
         self._len_walk = None
         self._fast_metric = gog.all_edge_groups_trivial
-        self._finite_len_tables: dict[int, dict[int, int]] = {}
+        self._lengths: tuple[tuple, tuple] | None = None
+        self._bipartite: bool | None = None
         self._ball_cache: dict[int, object] = {}
 
     # --- vertex group access -------------------------------------------------
@@ -154,7 +157,7 @@ class FundamentalGroup:
 
     def _britton_reduce(self, g0: Elem, tail: list) -> tuple[Elem, list]:
         """Remove every pinch t_e i_e(h) t_{bar e} -> i_{bar e}(h), in place."""
-        gog, g = self.gog, self.gog.graph
+        gog, groups, omega = self.gog, self.gog.vertex_groups, self.gog.graph.omega
         i = 0
         while i + 1 < len(tail):
             e1, g1 = tail[i]
@@ -163,12 +166,12 @@ class FundamentalGroup:
             if e2 == bar(e1) and emb.contains(g1):
                 h = emb.preimage(g1)
                 x = gog.embedding(bar(e1)).apply(h)
-                merged = self.vertex_backend(g.omega[e2]).mul(x, g2)
+                merged = groups[omega[e2]].mul(x, g2)
                 if i == 0:
                     g0 = self.root_group.mul(g0, merged)
                 else:
                     ep, gp = tail[i - 1]
-                    tail[i - 1] = (ep, self.vertex_backend(g.omega[ep]).mul(gp, merged))
+                    tail[i - 1] = (ep, groups[omega[ep]].mul(gp, merged))
                 del tail[i:i + 2]
                 i = max(i - 1, 0)
             else:
@@ -179,7 +182,7 @@ class FundamentalGroup:
         """Sweep a reduced word backward: write each syllable as i_e(h)·r with
         r its right-coset representative, keep r, and move i_{bar e}(h) into
         the syllable before it (t_e i_e(h) = i_{bar e}(h) t_e)."""
-        gog, g = self.gog, self.gog.graph
+        gog, groups, omega = self.gog, self.gog.vertex_groups, self.gog.graph.omega
         for i in range(len(tail) - 1, -1, -1):
             e, gi = tail[i]
             emb = gog.embedding(e)
@@ -190,7 +193,7 @@ class FundamentalGroup:
                     g0 = self.root_group.mul(g0, x)
                 else:
                     ep, gp = tail[i - 1]
-                    tail[i - 1] = (ep, self.vertex_backend(g.omega[ep]).mul(gp, x))
+                    tail[i - 1] = (ep, groups[omega[ep]].mul(gp, x))
             tail[i] = (e, r)
         return self._make(g0, tail)
 
@@ -225,22 +228,44 @@ class FundamentalGroup:
 
     # --- group law -------------------------------------------------------------
 
+    def _junction(self, x: NormalForm, y: NormalForm) -> tuple[int, int, Elem]:
+        """Where x·y stops cancelling, when every edge group is trivial.
+
+        Membership of g in an embedded edge group then means g = 1, and every
+        vertex element is its own coset representative.  Both operands are
+        Britton-reduced and canonical, so the only pinch the concatenation can
+        hold is t_e·1·t_{bar e} across the junction, and removing it makes a
+        new junction one letter further in on each side.  So the loop merges
+        x's last syllable with y's next element, drops both letters while the
+        merged element is 1 and y's next edge is bar of x's last, and carries
+        y's following element leftward.  The first junction that does not
+        pinch ends it.  No element ever moves left past it, because there is
+        no edge-group part to move, so every other syllable of x and y stays
+        as it is.  The cost is linear in the number of cancelled letters, not
+        in the length of the word.
+
+        Returns ``(n, k, merged)``: x·y keeps x's first n syllables, the last
+        of them with vertex element ``merged``, then y's syllables from k on;
+        when n = 0, x·y is ``x.g0 * merged`` followed by y's syllables from k.
+        """
+        groups, omega, xt, yt = self.gog.vertex_groups, self.gog.graph.omega, x.tail, y.tail
+        carry, n, k = y.g0, len(xt), 0
+        while n:
+            en, gn = xt[n - 1]
+            backend = groups[omega[en]]
+            merged = backend.mul(gn, carry)
+            if k == len(yt) or yt[k][0] != bar(en) or not backend.is_identity(merged):
+                return n, k, merged
+            carry = yt[k][1]
+            n -= 1
+            k += 1
+        return 0, k, carry
+
     def multiply(self, x: NormalForm, y: NormalForm) -> NormalForm:
         """The canonical form of x·y.
 
         When every edge group is trivial, only the junction of x and y is
-        touched.  Membership of g in an embedded edge group then means g = 1,
-        and every vertex element is its own coset representative.  Both
-        operands are Britton-reduced and canonical, so the only pinch the
-        concatenation can hold is t_e·1·t_{bar e} across the junction, and
-        removing it makes a new junction one letter further in on each side.
-        So the loop merges x's last syllable with y's next element, drops both
-        letters while the merged element is 1 and y's next edge is bar of
-        x's last, and carries y's following element leftward.  The first
-        junction that does not pinch ends it.  No element ever moves left past
-        it, because there is no edge-group part to move, so every other
-        syllable of x and y stays as it is.  The cost is linear in the number
-        of cancelled letters, not in the length of the word.
+        touched (see :meth:`_junction`).
 
         With a non-trivial edge group the junction pinches when x's last edge
         is e, y's next is bar e, and the merged element lies in im(i_e).  Then
@@ -259,19 +284,13 @@ class FundamentalGroup:
         """
         if x.group is not y.group:
             raise BaseMismatch("operands anchored at different base structures")
-        groups, omega, xt, yt = self.gog.vertex_groups, self.gog.graph.omega, x.tail, y.tail
+        xt, yt = x.tail, y.tail
         if self._fast_metric:
-            carry, n, k = y.g0, len(xt), 0
-            while n:
-                en, gn = xt[n - 1]
-                backend = groups[omega[en]]
-                merged = backend.mul(gn, carry)
-                if k == len(yt) or yt[k][0] != bar(en) or not backend.is_identity(merged):
-                    return NormalForm(self, x.g0, xt[:n - 1] + ((en, merged),) + yt[k:])
-                carry = yt[k][1]
-                n -= 1
-                k += 1
-            return NormalForm(self, self.root_group.mul(x.g0, carry), yt[k:])
+            n, k, merged = self._junction(x, y)
+            if n:
+                return NormalForm(self, x.g0, xt[:n - 1] + ((xt[n - 1][0], merged),) + yt[k:])
+            return NormalForm(self, self.root_group.mul(x.g0, merged), yt[k:])
+        groups, omega = self.gog.vertex_groups, self.gog.graph.omega
         embeddings = self.gog.embeddings
         carry, n, k = y.g0, len(xt), 0
         while n:
@@ -314,15 +333,14 @@ class FundamentalGroup:
         """
         if not x.tail:
             return self._make(self.root_group.inv(x.g0), ())
-        g = self.gog.graph
+        groups, omega = self.gog.vertex_groups, self.gog.graph.omega
         elems = [x.g0] + [gi for _, gi in x.tail]
         edges = [e for e, _ in x.tail]
-        new_g0 = self.vertex_backend(self.root).inv(elems[-1])
+        new_g0 = self.root_group.inv(elems[-1])
         tail = []
         for i in range(len(edges) - 1, -1, -1):
             e = bar(edges[i])
-            prev = elems[i]
-            tail.append((e, self.vertex_backend(g.omega[e]).inv(prev)))
+            tail.append((e, groups[omega[e]].inv(elems[i])))
         return self._canonicalize(new_g0, tail)
 
     # --- subgroup membership ----------------------------------------------------
@@ -420,30 +438,62 @@ class FundamentalGroup:
         )
         return self._genset
 
-    def _finite_len_table(self, v: int) -> dict[int, int]:
-        """BFS word lengths inside a finite vertex group over S_v and inverses."""
-        if v not in self._finite_len_tables:
-            G = self.vertex_backend(v)
-            steps = {s for _, elem in self.gog.generating_sets[v] for s in (elem, G.inv(elem))}
-            table: dict[int, int] = {}
-            for _ in bfs(G.identity_index, tuple(steps), G.mul, table):
-                pass
-            self._finite_len_tables[v] = table
-        return self._finite_len_tables[v]
+    def _length_tables(self) -> tuple[tuple, tuple]:
+        """Per vertex v, the map g -> |g| over S_v (a BFS table inside a finite
+        G_v, the generator length otherwise); per oriented edge e, the pair
+        (1 if t_e is a stable letter else 0, the map of omega(e)).  Built on
+        first use."""
+        if self._lengths is None:
+            vertex = []
+            for v, G in enumerate(self.gog.vertex_groups):
+                if G.is_finite:
+                    steps = {s for _, elem in self.gog.generating_sets[v]
+                             for s in (elem, G.inv(elem))}
+                    lengths: dict[int, int] = {}
+                    for _ in bfs(G.identity_index, tuple(steps), G.mul, lengths):
+                        pass
+                    vertex.append(lengths.__getitem__)
+                else:
+                    vertex.append(G.gen_length)
+            omega = self.gog.graph.omega
+            syllable = tuple((0 if self.sd.in_tree(e) else 1, vertex[omega[e]])
+                             for e in range(len(omega)))
+            self._lengths = (tuple(vertex), syllable)
+        return self._lengths
 
     def _syllable_length_sum(self, x: NormalForm) -> int:
-        g = self.gog.graph
-        total = 0
-        backend = self.root_group
-        total += (self._finite_len_table(self.root)[x.g0] if backend.is_finite
-                  else backend.gen_length(x.g0))
-        for e, gi in x.tail:
-            if not self.sd.in_tree(e):
-                total += 1
-            v = g.omega[e]
-            b = self.vertex_backend(v)
-            total += self._finite_len_table(v)[gi] if b.is_finite else b.gen_length(gi)
+        """Each stable letter counts 1 and each vertex element its length over
+        its own S_v."""
+        vertex, syllable = self._length_tables()
+        total = vertex[self.root](x.g0)
+        for e, g in x.tail:
+            letter, length = syllable[e]
+            total += letter + length(g)
         return total
+
+    def _length_change(self, x: NormalForm, y: NormalForm) -> int:
+        """|x·y| - |x| when every edge group is trivial, without forming x·y.
+
+        The syllable sum is the word length then, and :meth:`_junction`
+        changes only x's cancelled syllables, the merged one and y's kept
+        syllables, so only those are read.
+        """
+        n, k, merged = self._junction(x, y)
+        vertex, syllable = self._length_tables()
+        xt = x.tail
+        if n:
+            letter, length = syllable[xt[n - 1][0]]
+            change, gone = letter + length(merged), xt[n - 1:]
+        else:
+            root = vertex[self.root]
+            change, gone = root(self.root_group.mul(x.g0, merged)) - root(x.g0), xt
+        for e, g in gone:
+            letter, length = syllable[e]
+            change -= letter + length(g)
+        for e, g in y.tail[k:]:
+            letter, length = syllable[e]
+            change += letter + length(g)
+        return change
 
     def wordlen(self, x: NormalForm) -> int:
         """Exact d_S(1, x).
@@ -476,7 +526,14 @@ class FundamentalGroup:
         """Exact radius-n ball around the identity, as an indexed graph.
 
         Returns a :class:`amalgam_lab.separation.CayleyBall` whose elements
-        are in BFS discovery order, layer by layer.
+        are in BFS discovery order, layer by layer, together with its R = 1
+        step table.  The walk fills that table as it goes (see
+        :func:`amalgam_lab.groups.bfs`), so every product of a ball element by
+        a step is formed at most once, and none twice in inverse pairs.  The
+        walk does not step out of the outer sphere, so its rows are finished
+        here: all at once in a bipartite Cayley graph, else entry by entry by
+        :meth:`_ball_step`, which with trivial edge groups forms no product
+        that leaves the ball.
         """
         from .separation import CayleyBall
 
@@ -487,21 +544,59 @@ class FundamentalGroup:
         gs = self.generating_set()
         order = sorted(range(len(gs.steps)), key=lambda i: gs.step_labels[i])
         steps = [gs.steps[i] for i in order]
-        depth: dict[NormalForm, int] = {}
-        for _ in bfs(self._identity, steps, self.multiply, depth, radius, budget, "Cayley ball"):
-            pass
-        layers = [0] * (radius + 1)
-        for r in depth.values():
-            layers[r] += 1
-        # the walk discovers the ball layer by layer, so the depths now follow
-        # from layer_sizes and the walk's own dict becomes the position index
-        for i, x in enumerate(depth):
-            depth[x] = i
-        ball = CayleyBall(group=self, radius=radius, elements=tuple(depth),
-                          index=depth, layer_sizes=tuple(layers))
+        column = {s: j for j, s in enumerate(steps)}
+        inverse = [column[self.invert(s)] for s in steps]
+        index: dict[NormalForm, int] = {}
+        table = array("i")
+        starts = [0]
+        for b, a, _ in bfs(self._identity, steps, self.multiply, index, radius, budget,
+                           "Cayley ball", table, inverse):
+            if index[a] >= starts[-1]:  # a lies in the newest layer, so b opens the next
+                starts.append(index[b])
+        starts.append(len(index))
+        layers = [hi - lo for lo, hi in zip(starts, starts[1:])]
+        layers += [0] * (radius + 1 - len(layers))
+        elements, m = tuple(index), len(steps)
+        outer = len(elements) - layers[radius]
+        if self._bipartite_cayley_graph():
+            # no step joins two elements of the outer sphere, and the walk set
+            # every step into the ball: what is left unset leaves it
+            table[outer * m:] = array("i", [-1 if q == UNSET else q for q in table[outer * m:]])
+        else:
+            for p in range(outer, len(elements)):
+                x = elements[p]
+                for j in range(m):
+                    if table[p * m + j] == UNSET:
+                        q = table[p * m + j] = self._ball_step(x, steps[j], 0, index)
+                        if q >= 0:
+                            table[q * m + inverse[j]] = p
+        ball = CayleyBall(group=self, radius=radius, elements=elements, index=index,
+                          layer_sizes=tuple(layers), step_table=table)
         if use_default_budget:
             self._ball_cache[radius] = ball
         return ball
+
+    def _bipartite_cayley_graph(self) -> bool:
+        """True when every defining relator over S has even length.
+
+        Then x -> |x| mod 2 is a homomorphism onto Z/2 that sends every step
+        to 1, so each step moves an element to the sphere just inside or just
+        outside its own, never along it.  Odd relators, such as b^3 in
+        Z/2 * Z/3, close the odd cycles that join two elements of one sphere.
+        """
+        if self._bipartite is None:
+            relators = emit_presentation(self.gog, self.sd).relators
+            self._bipartite = all(len(r) % 2 == 0 for r in relators)
+        return self._bipartite
+
+    def _ball_step(self, x: NormalForm, y: NormalForm, reach: int, index: dict) -> int:
+        """The position of x·y in the ``index`` of a word-metric ball, or -1
+        if x·y lies outside it; ``reach`` is the ball's radius minus |x|.  With
+        trivial edge groups a product longer than that is never formed: its
+        length follows from the junction (:meth:`_length_change`)."""
+        if self._fast_metric and self._length_change(x, y) > reach:
+            return -1
+        return index.get(self.multiply(x, y), -1)
 
     def evaluate_word(self, labels) -> NormalForm:
         """Multiply out a word given as generator labels (with ^-1 suffixes)."""

@@ -11,6 +11,7 @@ immutable and safe to share.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -24,31 +25,61 @@ from .errors import (
 )
 
 
-def bfs(start, steps, mul, depth: dict, radius: int | None = None,
-        budget: int | None = None, walk: str = "breadth-first walk"):
+UNSET = -2  # a step-table entry that no product has filled yet
+
+
+def bfs(start, steps, mul, seen: dict, radius: int | None = None,
+        budget: int | None = None, walk: str = "breadth-first walk",
+        table: array | None = None, inverse=None):
     """Walk the Cayley graph of ``steps`` breadth-first from ``start``.
 
-    Writes each element's distance from ``start`` into the caller's ``depth``
+    Writes each element's distance from ``start`` into the caller's ``seen``
     dict, which is the only visited set, and yields ``(b, a, i)`` the first
     time it reaches ``b = mul(a, steps[i])``: in frontier order, then step
     order.  Stops after layer ``radius`` (never, if None) or when a layer is
-    empty; raises :class:`BudgetExceeded`, naming ``walk``, once ``depth``
+    empty; raises :class:`BudgetExceeded`, naming ``walk``, once ``seen``
     holds more than ``budget`` elements.
+
+    Given a ``table`` (an empty ``array("i")``), ``seen`` gets each element's
+    position in discovery order (``start`` is 0) instead of its distance, and
+    the walk records every product it forms, new or not.  Row p holds
+    ``len(steps)`` entries; entry i is the position of the p-th element times
+    ``steps[i]``, or :data:`UNSET`.  ``steps[inverse[i]]`` is the inverse of
+    ``steps[i]``, so a product ``a * steps[i] = b`` also fills b's entry for
+    ``steps[inverse[i]]`` with a, and a filled entry is never multiplied.
+    Every row of an element walked from is then complete; the rows of the
+    last layer hold only the entries filled from the layer before.
     """
-    depth[start] = 0
+    m = len(steps)
+    blank = array("i", [UNSET]) * m
+    seen[start] = 0
+    if table is not None:
+        table.extend(blank)
     frontier = [start]
     r = 0
     while frontier and (radius is None or r < radius):
         r += 1
         nxt = []
         for a in frontier:
+            p = seen[a]  # a's position, when there is a table
+            row = p * m
             for i, s in enumerate(steps):
+                if table is not None and table[row + i] != UNSET:
+                    continue
                 b = mul(a, s)
-                if b not in depth:
-                    depth[b] = r
-                    if budget is not None and len(depth) > budget:
+                new = b not in seen
+                if new:
+                    seen[b] = r if table is None else len(seen)
+                    if budget is not None and len(seen) > budget:
                         raise BudgetExceeded(budget, walk)
                     nxt.append(b)
+                    if table is not None:
+                        table.extend(blank)
+                if table is not None:
+                    q = seen[b]
+                    table[row + i] = q
+                    table[q * m + inverse[i]] = p
+                if new:
                     yield b, a, i
         frontier = nxt
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from .errors import Inconclusive, PreconditionUnmet
 from .fundgroup import FundamentalGroup, NormalForm
+from .groups import UNSET
 
 
 @dataclass(frozen=True)
@@ -30,8 +31,9 @@ class CayleyBall:
     slice whose offset follows from ``layer_sizes``; ``index`` maps each
     element to its position.  Distances between ball elements are computed
     in the group (never truncated to the ball), via ``group.dist``.
-    Neighbour tables are derived on first use and cached per R; they never
-    change the elements or the layers.
+    ``step_table`` is the R = 1 neighbour table, filled by the walk that
+    found the elements.  Tables for R > 1 are composed from it on first use
+    and cached per R; they never change the elements or the layers.
     """
 
     group: FundamentalGroup
@@ -39,6 +41,7 @@ class CayleyBall:
     elements: tuple[NormalForm, ...]
     index: dict[NormalForm, int]
     layer_sizes: tuple[int, ...]
+    step_table: array = field(repr=False, compare=False)
     _starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _tables: dict[int, array] = field(init=False, repr=False, compare=False,
                                       default_factory=dict)
@@ -71,25 +74,58 @@ class CayleyBall:
         Entry (i, j) is the position of ``elements[i] * shift_j``, or -1 if
         that product lies outside the ball; the shifts are the non-identity
         elements of ``group.word_metric_ball(R)`` in its order (for R = 1,
-        the steps sorted by label).  Built once per R from exact group
-        products: R-hop paths inside the ball would miss steps whose
-        geodesics leave it.
+        the steps sorted by label).  Entries come from exact group products,
+        never from R-hop paths inside the ball, which would miss steps whose
+        geodesics leave it.  R = 1 is ``step_table``.  For R > 1, each shift
+        is pi·s with s a step and pi an earlier shift of ball(R), so
+        x·(pi·s) = (x·pi)·s is a lookup in the R = 1 table whenever x·pi lies
+        in the ball, and a -1 found there is exact.  Only an x·pi outside the
+        ball falls back to :meth:`FundamentalGroup._ball_step`.
         """
+        if R == 1:
+            return self.step_table
         if R not in self._tables:
-            self._tables[R] = _neighbour_table(self.elements, self.index, R)
+            self._tables[R] = self._composed_table(R)
         return self._tables[R]
+
+    def _composed_table(self, R: int) -> array:
+        fg, one, n = self.group, self.step_table, len(self)
+        shifts = fg.word_metric_ball(R)
+        m1 = len(shifts.step_table) // len(shifts)
+        # each shift as pi·s with pi an earlier shift, read off ball(R)'s own
+        # step table, so pi's column is filled before the shift's
+        parent: list = [None] * len(shifts)
+        for q in range(len(shifts)):
+            for c, p in enumerate(shifts.step_table[q * m1:(q + 1) * m1]):
+                if p > q and parent[p] is None:
+                    parent[p] = (q, c)
+        m = len(shifts) - 1
+        table = array("i", [UNSET]) * (n * m)
+        for p in range(1, len(shifts)):
+            q, c = parent[p]
+            via = table[q - 1::m] if q else range(n)  # the positions of x·pi
+            shift = shifts.elements[p]
+            table[p - 1::m] = array("i", [
+                one[k * m1 + c] if k >= 0 else fg._ball_step(
+                    self.elements[i], shift, self.radius - self._layer(i), self.index)
+                for i, k in enumerate(via)])
+        return table
+
+    def _layer(self, i: int) -> int:
+        """The word length of ``elements[i]``, read off the layer offsets."""
+        return bisect.bisect_right(self._starts, i) - 1
 
     def neighbors(self, x: NormalForm) -> list[tuple[str, NormalForm]]:
         """In-ball Cayley edges at x: (generator label, x * s), in
         ``step_labels`` order; read off the R = 1 table."""
         gs = self.group.generating_set()
-        # table column j is position j + 1 of ball(1): its steps in BFS order
-        columns = self.group.word_metric_ball(1).index
         row = self.index[x] * len(gs.steps)
-        table = self.neighbours(1)
+        if not self.radius:  # every step leaves a radius-0 ball
+            return []
         out = []
         for lbl, s in zip(gs.step_labels, gs.steps):
-            k = table[row + columns[s] - 1]
+            # the first layer is the steps in table column order: column j is position j + 1
+            k = self.step_table[row + self.index[s] - 1]
             if k >= 0:
                 out.append((lbl, self.elements[k]))
         return out
@@ -103,16 +139,13 @@ class _Depths(Mapping):
         self._ball = ball
 
     def __getitem__(self, x: NormalForm) -> int:
-        return bisect.bisect_right(self._ball._starts, self._ball.index[x]) - 1
+        return self._ball._layer(self._ball.index[x])
 
     def __iter__(self):
         return iter(self._ball.index)
 
     def __len__(self) -> int:
         return len(self._ball.index)
-
-
-_UNSET = -2
 
 
 def _neighbour_table(elements, index: dict, R: int) -> array:
@@ -129,12 +162,12 @@ def _neighbour_table(elements, index: dict, R: int) -> array:
     column = {s: j for j, s in enumerate(shifts)}
     inverse = [column[fg.invert(s)] for s in shifts]
     m = len(shifts)
-    table = array("i", [_UNSET]) * (len(elements) * m)
+    table = array("i", [UNSET]) * (len(elements) * m)
     mul, get = fg.multiply, index.get
     for i, x in enumerate(elements):
         row = i * m
         for j, s in enumerate(shifts):
-            if table[row + j] == _UNSET:
+            if table[row + j] == UNSET:
                 k = get(mul(x, s), -1)
                 table[row + j] = k
                 if k >= 0:
@@ -341,7 +374,7 @@ def coset_elements_in_ball(fg: FundamentalGroup, ball: CayleyBall,
     """
     if maxlen > ball.radius:
         raise ValueError(f"maxlen {maxlen} exceeds the ball radius {ball.radius}")
-    backend = fg.vertex_backend(vtype)
+    backend = fg.gog.vertex_groups[vtype]
     if backend.is_finite:
         members = sorted(fg.vertex_subgroup_elements(vtype), key=lambda n: n.sort_key())
     else:

@@ -105,6 +105,18 @@ edge e2 v2 -- v3 group F embed_fwd {a:a3} embed_bwd {a:a2}
 
 FINITE_EDGED = {"z6z9": Z6_Z3_Z9, "hnn6": HNN_Z6, "chain": CHAIN}
 
+# S3 *_{Z/2} Z/4 with Z/2 onto the transposition t of S3, which is not
+# normal: left and right cosets of its image differ, and the non-abelian
+# vertex group makes the order of every product inside it matter
+S3_Z4 = """
+group S3 table [[0,1,2,3,4,5],[1,0,4,5,2,3],[2,3,0,1,5,4],[3,2,5,4,0,1],[4,5,1,0,3,2],[5,4,3,2,1,0]] labels [e,s,t,c,c2,u]
+group A cyclic 4
+group E cyclic 2
+vertex v1 S3 gens [s,t]
+vertex v2 A gens [a]
+edge e1 v1 -- v2 group E embed_fwd {a:a2} embed_bwd {a:t}
+"""
+
 # the corpus and every DSL input above but DEAD_ENDS, by name
 GOG_TEXTS = {**{name: text(name) for name in NAMES}, "sl2z": SL2Z, **FINITE_EDGED,
              "segment": SEGMENT, "rev": REV, "free_one": FREE_ONE}

@@ -1,6 +1,6 @@
 """The Cayley ball as an indexed graph: neighbour tables against exact
-products, R-components against the all-pairs word-metric oracle, and the
-tables being built once per ball and R."""
+products and the plain-sequence table, R-components against the all-pairs
+word-metric oracle, and the tables being built once per ball and R."""
 
 from __future__ import annotations
 
@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 from amalgam_lab.corpus import NAMES
 from amalgam_lab.fundgroup import FundamentalGroup
-from amalgam_lab.separation import r_components
+from amalgam_lab.separation import _neighbour_table, r_components
 
-from conftest import SL2Z, make_fg
+from conftest import FINITE_EDGED, SL2Z, make_fg
 
 INPUTS = [*NAMES, "sl2z"]
+SOURCES = {"sl2z": SL2Z, **FINITE_EDGED}
 # the all-pairs oracle is quadratic: z2z2's radius-3 ball has 337 elements
 RADIUS = {"z2z2": 2}
 
@@ -24,23 +25,47 @@ RADIUS = {"z2z2": 2}
 @functools.cache
 def _ball(name: str):
     """(group, ball, memoised fg.dist, elements just outside the ball)."""
-    _, _, fg = make_fg(SL2Z if name == "sl2z" else name)
+    _, _, fg = make_fg(SOURCES.get(name, name))
     radius = RADIUS.get(name, 3)
     ball = fg.word_metric_ball(radius)
     outside = fg.word_metric_ball(radius + 1).sphere(radius + 1)
     return fg, ball, functools.cache(fg.dist), outside
 
 
-@pytest.mark.parametrize("R", [1, 2])
-@pytest.mark.parametrize("name", INPUTS)
+@pytest.mark.parametrize("R", [1, 2, 3])
+@pytest.mark.parametrize("name", [*INPUTS, *FINITE_EDGED])
 def test_neighbour_table_entries_are_exact_products(name, R):
-    fg, ball, _, _ = _ball(name)
+    """The walk's R = 1 table and the R > 1 tables composed from it, on the
+    cached ball and on an uncached one built with an explicit budget, against
+    one product per entry and against the plain-sequence table.  z2z3 has
+    steps along a sphere (the odd cycles of b^3); sl2z and the finite-edged
+    inputs form every outer-sphere product."""
+    fg, cached, _, _ = _ball(name)
+    uncached = fg.word_metric_ball(cached.radius, budget=len(cached))
+    assert uncached is not cached
     shifts = fg.word_metric_ball(R).elements[1:]
-    table = ball.neighbours(R)
-    assert len(table) == len(ball) * len(shifts)
-    for i, x in enumerate(ball.elements):
-        for j, s in enumerate(shifts):
-            assert table[i * len(shifts) + j] == ball.index.get(fg.multiply(x, s), -1)
+    for ball in (cached, uncached):
+        table = ball.neighbours(R)
+        assert len(table) == len(ball) * len(shifts)
+        for i, x in enumerate(ball.elements):
+            for j, s in enumerate(shifts):
+                assert table[i * len(shifts) + j] == ball.index.get(fg.multiply(x, s), -1)
+        assert table == _neighbour_table(ball.elements, ball.index, R)
+
+
+@pytest.mark.parametrize("name", [*INPUTS, *FINITE_EDGED])
+def test_steps_join_one_sphere_exactly_when_a_relator_is_odd(name):
+    """With every relator even, no step joins two elements of one sphere, so
+    the walk marks the outer sphere's unset entries -1 without a product.
+    Each odd input here closes an odd cycle inside its ball, and z2z3 also
+    joins elements of the outer sphere, which are formed and looked up."""
+    fg, ball, _, _ = _ball(name)
+    table, m = ball.neighbours(1), len(fg.generating_set().steps)
+    along = [i for i, k in enumerate(table) if k >= 0 and ball.depth[ball.elements[k]]
+             == ball.depth[ball.elements[i // m]]]
+    assert (not along) == fg._bipartite_cayley_graph()
+    if name == "z2z3":
+        assert any(i // m >= len(ball) - ball.layer_sizes[-1] for i in along)
 
 
 @pytest.mark.parametrize("R", [1, 2])
@@ -73,16 +98,18 @@ def test_tables_are_built_once_and_leave_the_ball_unchanged(monkeypatch):
 
     monkeypatch.setattr(FundamentalGroup, "multiply", counted)
     excluded = {fg.identity()}
+    # the walk that built the ball also built its R = 1 table
     first = r_components(ball, 1, excluded)
-    assert calls > 0
-    calls = 0
+    assert calls == 0
     assert r_components(ball, 1, excluded) == first
     for x in ball.elements:
         ball.neighbors(x)
     spheres = [ball.sphere(k) for k in range(ball.radius + 1)]
     assert calls == 0
-    r_components(ball, 2, excluded)
-    assert calls > 0
+    second = r_components(ball, 2, excluded)
+    calls = 0
+    assert r_components(ball, 2, excluded) == second
+    assert calls == 0
     assert ball.elements is elements and ball.layer_sizes == layer_sizes
     assert len(ball) == size
     assert [len(s) for s in spheres] == list(layer_sizes)

@@ -13,7 +13,7 @@ from amalgam_lab.fundgroup import FundamentalGroup, abelianization, emit_present
 from amalgam_lab.gog import bar, spanning_tree
 from amalgam_lab.groups import abelian_invariants
 
-from conftest import FINITE_EDGED, ORACLES, SL2Z, make_fg
+from conftest import FINITE_EDGED, ORACLES, S3_Z4, SL2Z, make_fg
 
 
 # --- presentations ---------------------------------------------------------
@@ -335,7 +335,7 @@ def test_normal_form_uniqueness_random_words_length_12(name):
 # --- the junction product against the full normalize sweep ---------------------
 
 EDGED = {**{name: name for name in ("dinf", "f2", "z2z2", "z2z3", "zxz2")},
-         "sl2z": SL2Z, **FINITE_EDGED}
+         "sl2z": SL2Z, **FINITE_EDGED, "s3z4": S3_Z4}
 FG = {name: make_fg(source)[2] for name, source in EDGED.items()}
 
 
@@ -385,6 +385,19 @@ def test_multiply_equals_full_normalize(name, data):
     for a, b in ((x, z), (z, x), (x, y), (y, x), (x, fg.invert(x))):
         assert fg.multiply(a, b) == _swept_product(fg, a, b)
     assert fg.multiply(x, y) == z
+
+
+@pytest.mark.parametrize("name", ["dinf", "f2", "z2z2", "z2z3", "zxz2"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_length_change_equals_wordlen_difference(name, data):
+    """With trivial edge groups, |x·y| - |x| is read off the junction alone,
+    without forming x·y."""
+    fg = FG[name]
+    x, z = data.draw(canonical_words(fg)), data.draw(canonical_words(fg))
+    y = _swept_product(fg, fg.invert(x), z)
+    for a, b in ((x, z), (z, x), (x, y), (y, x), (x, fg.invert(x))):
+        assert fg._length_change(a, b) == fg.wordlen(fg.multiply(a, b)) - fg.wordlen(a)
 
 
 @pytest.mark.parametrize("name", ["f2", SL2Z], ids=["f2", "sl2z"])

@@ -28,7 +28,7 @@ from amalgam_lab.gog import (
 )
 from amalgam_lab.groups import cosets
 
-from conftest import FINITE_EDGED, GOG_TEXTS, SEGMENT
+from conftest import FINITE_EDGED, GOG_TEXTS, S3_Z4, SEGMENT
 
 DINF = """
 group A cyclic 2
@@ -336,18 +336,6 @@ def test_collapse_fixtures_reach_reverse_collapses():
     reverse = [name for name, text in COLLAPSE_FIXTURES.items()
                if any(n.startswith("~") for n in _collapsible_edges(parse_gog(text)))]
     assert sorted(reverse) == ["retarget", "rev", "rev_star", "segment"]
-
-
-# S3 *_{Z/2} Z/4 with Z/2 onto the transposition t of S3, which is not
-# normal: left and right cosets of its image differ
-S3_Z4 = """
-group S3 table [[0,1,2,3,4,5],[1,0,4,5,2,3],[2,3,0,1,5,4],[3,2,5,4,0,1],[4,5,1,0,3,2],[5,4,3,2,1,0]] labels [e,s,t,c,c2,u]
-group A cyclic 4
-group E cyclic 2
-vertex v1 S3 gens [s,t]
-vertex v2 A gens [a]
-edge e1 v1 -- v2 group E embed_fwd {a:a2} embed_bwd {a:t}
-"""
 
 
 def _with_collapses(gog):

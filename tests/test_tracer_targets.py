@@ -1,18 +1,23 @@
 """The benchmark's layer tracer (``perfbench/tracer.py``) patches named
 functions of ``amalgam_lab``; a renamed or removed target fails a traced
 benchmark run.  This installs the tracer once over the loaded package, so
-such a rename fails here instead."""
+such a rename fails here instead, and runs one workload traced, so a broken
+per-layer prediction fails here too."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import sys
+import time
 from pathlib import Path
 
 import amalgam_lab  # noqa: F401  (loads every module the tracer patches)
 import amalgam_lab.cli  # noqa: F401
 import amalgam_lab.jsonio  # noqa: F401
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _load_tracer():
@@ -31,3 +36,36 @@ def test_every_tracer_target_exists():
         tracer.uninstall()
     from amalgam_lab.backends import GroupBackend
     assert not hasattr(GroupBackend.mul, "__wrapped__")
+
+
+def test_traced_ends_f2_keeps_the_benchmark_predictions(tmp_path, monkeypatch):
+    """The ends-f2 workload argv, run once under the tracer, with its metrics
+    from the benchmark's own ``per_layer``.  A Cayley walk that stopped calling
+    ``FundamentalGroup.multiply`` through the class would read 0
+    ``word_metric_ball.elements`` and break a prediction."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))   # run.py imports its siblings by name
+    added = ("child", "run", "tracer", "workloads")
+    try:
+        run = importlib.import_module("run")
+        tracer_mod = importlib.import_module("tracer")
+        workloads = importlib.import_module("workloads")
+        workload = workloads.WORKLOADS["ends-f2"]
+        artifact = tmp_path / "artifact.json"
+        tracer = tracer_mod.Tracer()
+        tracer.install()
+        try:
+            start = time.perf_counter()
+            rc = amalgam_lab.cli.main([*workload.argv, "--seed", "0", "--emit", "json",
+                                       "--output", str(artifact)])
+            wall = time.perf_counter() - start
+        finally:
+            tracer.uninstall()
+        assert rc == 0
+        assert workloads.check_artifact(workload, json.loads(artifact.read_text())) == []
+        metrics = run.per_layer({"stats": tracer.stats, "counts": tracer.counts}, wall, wall)
+        assert workloads.check_predictions(workload, metrics) == []
+        # the walk forms each product once: about one new element per multiply
+        assert metrics["fundgroup.word_metric_ball.new_per_multiply"]["value"] > 0.75
+    finally:
+        for name in added:
+            sys.modules.pop(name, None)
