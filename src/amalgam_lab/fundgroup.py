@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .backends import Elem, GroupBackend, reduce_free_word
 from .errors import BaseMismatch, BudgetExceeded
 from .gog import GraphOfGroups, SpanningData, bar
-from .groups import UNSET, FiniteGroup, bfs
+from .groups import UNSET, FiniteGroup, bfs, fill_table
 
 DEFAULT_BALL_BUDGET = 2_000_000
 
@@ -228,44 +228,22 @@ class FundamentalGroup:
 
     # --- group law -------------------------------------------------------------
 
-    def _junction(self, x: NormalForm, y: NormalForm) -> tuple[int, int, Elem]:
-        """Where x·y stops cancelling, when every edge group is trivial.
-
-        Membership of g in an embedded edge group then means g = 1, and every
-        vertex element is its own coset representative.  Both operands are
-        Britton-reduced and canonical, so the only pinch the concatenation can
-        hold is t_e·1·t_{bar e} across the junction, and removing it makes a
-        new junction one letter further in on each side.  So the loop merges
-        x's last syllable with y's next element, drops both letters while the
-        merged element is 1 and y's next edge is bar of x's last, and carries
-        y's following element leftward.  The first junction that does not
-        pinch ends it.  No element ever moves left past it, because there is
-        no edge-group part to move, so every other syllable of x and y stays
-        as it is.  The cost is linear in the number of cancelled letters, not
-        in the length of the word.
-
-        Returns ``(n, k, merged)``: x·y keeps x's first n syllables, the last
-        of them with vertex element ``merged``, then y's syllables from k on;
-        when n = 0, x·y is ``x.g0 * merged`` followed by y's syllables from k.
-        """
-        groups, omega, xt, yt = self.gog.vertex_groups, self.gog.graph.omega, x.tail, y.tail
-        carry, n, k = y.g0, len(xt), 0
-        while n:
-            en, gn = xt[n - 1]
-            backend = groups[omega[en]]
-            merged = backend.mul(gn, carry)
-            if k == len(yt) or yt[k][0] != bar(en) or not backend.is_identity(merged):
-                return n, k, merged
-            carry = yt[k][1]
-            n -= 1
-            k += 1
-        return 0, k, carry
-
     def multiply(self, x: NormalForm, y: NormalForm) -> NormalForm:
         """The canonical form of x·y.
 
         When every edge group is trivial, only the junction of x and y is
-        touched (see :meth:`_junction`).
+        touched.  Membership of g in an embedded edge group then means g = 1,
+        and every vertex element is its own coset representative.  Both
+        operands are Britton-reduced and canonical, so the only pinch the
+        concatenation can hold is t_e·1·t_{bar e} across the junction, and
+        removing it makes a new junction one letter further in on each side.
+        So the loop merges x's last syllable with y's next element, drops both
+        letters while the merged element is 1 and y's next edge is bar of
+        x's last, and carries y's following element leftward.  The first
+        junction that does not pinch ends it.  No element ever moves left past
+        it, because there is no edge-group part to move, so every other
+        syllable of x and y stays as it is.  The cost is linear in the number
+        of cancelled letters, not in the length of the word.
 
         With a non-trivial edge group the junction pinches when x's last edge
         is e, y's next is bar e, and the merged element lies in im(i_e).  Then
@@ -284,13 +262,19 @@ class FundamentalGroup:
         """
         if x.group is not y.group:
             raise BaseMismatch("operands anchored at different base structures")
-        xt, yt = x.tail, y.tail
+        groups, omega, xt, yt = self.gog.vertex_groups, self.gog.graph.omega, x.tail, y.tail
         if self._fast_metric:
-            n, k, merged = self._junction(x, y)
-            if n:
-                return NormalForm(self, x.g0, xt[:n - 1] + ((xt[n - 1][0], merged),) + yt[k:])
-            return NormalForm(self, self.root_group.mul(x.g0, merged), yt[k:])
-        groups, omega = self.gog.vertex_groups, self.gog.graph.omega
+            carry, n, k = y.g0, len(xt), 0
+            while n:
+                en, gn = xt[n - 1]
+                backend = groups[omega[en]]
+                merged = backend.mul(gn, carry)
+                if k == len(yt) or yt[k][0] != bar(en) or not backend.is_identity(merged):
+                    return NormalForm(self, x.g0, xt[:n - 1] + ((en, merged),) + yt[k:])
+                carry = yt[k][1]
+                n -= 1
+                k += 1
+            return NormalForm(self, self.root_group.mul(x.g0, carry), yt[k:])
         embeddings = self.gog.embeddings
         carry, n, k = y.g0, len(xt), 0
         while n:
@@ -471,30 +455,6 @@ class FundamentalGroup:
             total += letter + length(g)
         return total
 
-    def _length_change(self, x: NormalForm, y: NormalForm) -> int:
-        """|x·y| - |x| when every edge group is trivial, without forming x·y.
-
-        The syllable sum is the word length then, and :meth:`_junction`
-        changes only x's cancelled syllables, the merged one and y's kept
-        syllables, so only those are read.
-        """
-        n, k, merged = self._junction(x, y)
-        vertex, syllable = self._length_tables()
-        xt = x.tail
-        if n:
-            letter, length = syllable[xt[n - 1][0]]
-            change, gone = letter + length(merged), xt[n - 1:]
-        else:
-            root = vertex[self.root]
-            change, gone = root(self.root_group.mul(x.g0, merged)) - root(x.g0), xt
-        for e, g in gone:
-            letter, length = syllable[e]
-            change -= letter + length(g)
-        for e, g in y.tail[k:]:
-            letter, length = syllable[e]
-            change += letter + length(g)
-        return change
-
     def wordlen(self, x: NormalForm) -> int:
         """Exact d_S(1, x).
 
@@ -531,12 +491,14 @@ class FundamentalGroup:
         :func:`amalgam_lab.groups.bfs`), so every product of a ball element by
         a step is formed at most once, and none twice in inverse pairs.  The
         walk does not step out of the outer sphere, so its rows are finished
-        here: all at once in a bipartite Cayley graph, else entry by entry by
-        :meth:`_ball_step`, which with trivial edge groups forms no product
-        that leaves the ball.
+        here: all at once in a bipartite Cayley graph, else by
+        :func:`amalgam_lab.groups.fill_table`, one exact product per entry
+        still unset.
         """
         from .separation import CayleyBall
 
+        if radius < 0:
+            raise ValueError(f"ball radius must be >= 0, got {radius}")
         if budget is None and radius in self._ball_cache:
             return self._ball_cache[radius]
         use_default_budget = budget is None
@@ -563,13 +525,7 @@ class FundamentalGroup:
             # every step into the ball: what is left unset leaves it
             table[outer * m:] = array("i", [-1 if q == UNSET else q for q in table[outer * m:]])
         else:
-            for p in range(outer, len(elements)):
-                x = elements[p]
-                for j in range(m):
-                    if table[p * m + j] == UNSET:
-                        q = table[p * m + j] = self._ball_step(x, steps[j], 0, index)
-                        if q >= 0:
-                            table[q * m + inverse[j]] = p
+            fill_table(elements, steps, self.multiply, index, table, inverse, outer)
         ball = CayleyBall(group=self, radius=radius, elements=elements, index=index,
                           layer_sizes=tuple(layers), step_table=table)
         if use_default_budget:
@@ -588,15 +544,6 @@ class FundamentalGroup:
             relators = emit_presentation(self.gog, self.sd).relators
             self._bipartite = all(len(r) % 2 == 0 for r in relators)
         return self._bipartite
-
-    def _ball_step(self, x: NormalForm, y: NormalForm, reach: int, index: dict) -> int:
-        """The position of x·y in the ``index`` of a word-metric ball, or -1
-        if x·y lies outside it; ``reach`` is the ball's radius minus |x|.  With
-        trivial edge groups a product longer than that is never formed: its
-        length follows from the junction (:meth:`_length_change`)."""
-        if self._fast_metric and self._length_change(x, y) > reach:
-            return -1
-        return index.get(self.multiply(x, y), -1)
 
     def evaluate_word(self, labels) -> NormalForm:
         """Multiply out a word given as generator labels (with ^-1 suffixes)."""

@@ -84,6 +84,25 @@ def bfs(start, steps, mul, seen: dict, radius: int | None = None,
         frontier = nxt
 
 
+def fill_table(elements, steps, mul, index: dict, table: array, inverse, start: int = 0):
+    """Fill each :data:`UNSET` entry of rows ``start`` on of a step table in
+    the format of :func:`bfs` by one exact product.
+
+    Entry (p, i) becomes the position of ``elements[p] * steps[i]`` in
+    ``index``, or -1 when the product is not there.  A product found at
+    position q also fills q's entry for ``steps[inverse[i]]`` with p, so no
+    inverse pair is multiplied twice.
+    """
+    m, get = len(steps), index.get
+    for p in range(start, len(elements)):
+        x, row = elements[p], p * m
+        for i, s in enumerate(steps):
+            if table[row + i] == UNSET:
+                q = table[row + i] = get(mul(x, s), -1)
+                if q >= 0:
+                    table[q * m + inverse[i]] = p
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
     """A validated finite group: order, element labels, Cayley table."""

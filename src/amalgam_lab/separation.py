@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .errors import Inconclusive, PreconditionUnmet
 from .fundgroup import FundamentalGroup, NormalForm
-from .groups import UNSET
+from .groups import UNSET, fill_table
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class CayleyBall:
         is pi·s with s a step and pi an earlier shift of ball(R), so
         x·(pi·s) = (x·pi)·s is a lookup in the R = 1 table whenever x·pi lies
         in the ball, and a -1 found there is exact.  Only an x·pi outside the
-        ball falls back to :meth:`FundamentalGroup._ball_step`.
+        ball falls back to the product x·(pi·s).
         """
         if R == 1:
             return self.step_table
@@ -106,9 +106,8 @@ class CayleyBall:
             via = table[q - 1::m] if q else range(n)  # the positions of x·pi
             shift = shifts.elements[p]
             table[p - 1::m] = array("i", [
-                one[k * m1 + c] if k >= 0 else fg._ball_step(
-                    self.elements[i], shift, self.radius - self._layer(i), self.index)
-                for i, k in enumerate(via)])
+                one[k * m1 + c] if k >= 0 else self.index.get(fg.multiply(x, shift), -1)
+                for x, k in zip(self.elements, via)])
         return table
 
     def _layer(self, i: int) -> int:
@@ -161,17 +160,8 @@ def _neighbour_table(elements, index: dict, R: int) -> array:
     shifts = fg.word_metric_ball(R).elements[1:]
     column = {s: j for j, s in enumerate(shifts)}
     inverse = [column[fg.invert(s)] for s in shifts]
-    m = len(shifts)
-    table = array("i", [UNSET]) * (len(elements) * m)
-    mul, get = fg.multiply, index.get
-    for i, x in enumerate(elements):
-        row = i * m
-        for j, s in enumerate(shifts):
-            if table[row + j] == UNSET:
-                k = get(mul(x, s), -1)
-                table[row + j] = k
-                if k >= 0:
-                    table[k * m + inverse[j]] = i
+    table = array("i", [UNSET]) * (len(elements) * len(shifts))
+    fill_table(elements, shifts, fg.multiply, index, table, inverse)
     return table
 
 
@@ -395,6 +385,8 @@ def verify_cayley_separation(fg: FundamentalGroup, ball_radius: int,
     """
     from .bass_serre import TreeBall
 
+    if R < 1 or samples < 0:
+        raise ValueError(f"need R >= 1 and samples >= 0, got R = {R}, samples = {samples}")
     ball = fg.word_metric_ball(ball_radius)
     tb = TreeBall(fg, max(3, ball_radius - 2))
     rng = random.Random(seed)
@@ -462,6 +454,8 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
     """
     from .bass_serre import TreeBall
 
+    if edges_sampled < 0:
+        raise ValueError(f"edges must be >= 0, got {edges_sampled}")
     ball = fg.word_metric_ball(ball_radius)
     tb = TreeBall(fg, max(3, ball_radius - 2))
     rng = random.Random(seed)
@@ -611,6 +605,8 @@ def ends_estimate(fg: FundamentalGroup, radii, margin: int = 3) -> EndsReport:
     radii = tuple(sorted(radii))
     if not radii:
         raise ValueError("radii must be nonempty")
+    if radii[0] < 0 or margin < 0:
+        raise ValueError(f"need radii and margin >= 0, got radii {list(radii)}, margin {margin}")
     n_max = radii[-1] + margin
     ball = fg.word_metric_ball(n_max)
     exhausted = ball.layer_sizes[-1] == 0

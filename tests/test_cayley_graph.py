@@ -1,6 +1,12 @@
 """The Cayley ball as an indexed graph: neighbour tables against exact
 products and the plain-sequence table, R-components against the all-pairs
-word-metric oracle, and the tables being built once per ball and R."""
+word-metric oracle, and the tables being built once per ball and R.
+
+``_neighbour_table`` fills its entries with ``groups.fill_table``, the loop
+that also finishes the walk's table, so it is no independent check of that
+loop.  The independent oracle is the per-entry line
+``ball.index.get(fg.multiply(x, s), -1)`` in
+``test_neighbour_table_entries_are_exact_products``."""
 
 from __future__ import annotations
 
@@ -66,6 +72,29 @@ def test_steps_join_one_sphere_exactly_when_a_relator_is_odd(name):
     assert (not along) == fg._bipartite_cayley_graph()
     if name == "z2z3":
         assert any(i // m >= len(ball) - ball.layer_sizes[-1] for i in along)
+
+
+@pytest.mark.parametrize("name", [*INPUTS, *FINITE_EDGED])
+def test_ball_forms_each_step_product_once(name, monkeypatch):
+    """A product x·s = y fills two entries of the R = 1 table, x's for s and
+    y's for s^-1, and a product that leaves the ball fills one -1.  In a
+    bipartite Cayley graph the -1 entries take no product at all."""
+    _, _, fg = make_fg(SOURCES.get(name, name))
+    fg.generating_set()
+    bipartite = fg._bipartite_cayley_graph()
+    calls = 0
+    multiply = FundamentalGroup.multiply
+
+    def counted(self, x, y):
+        nonlocal calls
+        calls += 1
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(FundamentalGroup, "multiply", counted)
+    table = fg.word_metric_ball(RADIUS.get(name, 3)).step_table
+    inside = sum(1 for k in table if k >= 0)
+    assert inside % 2 == 0
+    assert calls == inside // 2 + (0 if bipartite else table.count(-1))
 
 
 @pytest.mark.parametrize("R", [1, 2])

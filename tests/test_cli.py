@@ -157,6 +157,35 @@ def test_flags_a_subcommand_does_not_use_are_rejected(argv):
     assert main(argv) == 1
 
 
+# a number out of its range, and the words its error must carry
+OUT_OF_RANGE = {
+    "cayley-ball-radius": (["cayley-ball", "corpus:f2", "--radius", "-1"], ["radius", "-1"]),
+    "separate-radius": (["separate", "corpus:z2z3", "--radius", "-1"], ["radius", "-1"]),
+    "separate-R-0": (["separate", "corpus:z2z3", "--radius", "4", "--R", "0"], ["R", "0"]),
+    "separate-R-negative": (["separate", "corpus:z2z3", "--radius", "4", "--R", "-1"],
+                            ["R", "-1"]),
+    "separate-samples": (["separate", "corpus:z2z3", "--radius", "4", "--samples", "-1"],
+                         ["samples", "-1"]),
+    "verify-k-radius": (["verify-k", "corpus:dinf", "--radius", "-2"], ["radius", "-2"]),
+    "verify-k-edges": (["verify-k", "corpus:dinf", "--radius", "4", "--edges", "-1"],
+                       ["edges", "-1"]),
+    "ends-radii": (["ends", "corpus:f2", "--radii=-1,2"], ["radii", "-1"]),
+    "ends-margin": (["ends", "corpus:f2", "--radii", "2", "--margin", "-5"], ["margin", "-5"]),
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+def test_out_of_range_number_exit_1_names_the_value(case, capsys):
+    """A number outside its range is bad input, not an empty report, a
+    counterexample or a crash."""
+    argv, words = OUT_OF_RANGE[case]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    for word in words:
+        assert word in err
+
+
 def test_missing_file_exit_1():
     assert main(["validate", "/nonexistent/x.gog"]) == 1
 

@@ -387,19 +387,6 @@ def test_multiply_equals_full_normalize(name, data):
     assert fg.multiply(x, y) == z
 
 
-@pytest.mark.parametrize("name", ["dinf", "f2", "z2z2", "z2z3", "zxz2"])
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_length_change_equals_wordlen_difference(name, data):
-    """With trivial edge groups, |x·y| - |x| is read off the junction alone,
-    without forming x·y."""
-    fg = FG[name]
-    x, z = data.draw(canonical_words(fg)), data.draw(canonical_words(fg))
-    y = _swept_product(fg, fg.invert(x), z)
-    for a, b in ((x, z), (z, x), (x, y), (y, x), (x, fg.invert(x))):
-        assert fg._length_change(a, b) == fg.wordlen(fg.multiply(a, b)) - fg.wordlen(a)
-
-
 @pytest.mark.parametrize("name", ["f2", SL2Z], ids=["f2", "sl2z"])
 def test_word_metric_ball_never_normalizes(name, monkeypatch):
     """The junction product never sweeps a whole word, with or without
