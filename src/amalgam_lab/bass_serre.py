@@ -88,6 +88,8 @@ class TreeBall:
 
     def __init__(self, fg: FundamentalGroup, radius: int,
                  config: TreeBallConfig | None = None):
+        if radius < 0:
+            raise ValueError(f"tree ball radius must be >= 0, got {radius}")
         self.fg = fg
         self.radius = radius
         self.config = config or TreeBallConfig()

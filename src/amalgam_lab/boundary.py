@@ -312,6 +312,8 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
     """
     if b.depth < 4:
         raise DepthTooSmall(f"depth {b.depth} < 4")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     tree = b.tree
     d = b.depth
     eps_split = d - 2  # dist <= 2^(-d+2)  <=>  split >= d-2

@@ -27,10 +27,11 @@ from .groups import UNSET, fill_table
 class CayleyBall:
     """Exact radius-n ball in (Gamma, d_S), as an indexed graph.
 
-    ``elements`` is in BFS discovery order, layer by layer, so layer k is a
-    slice whose offset follows from ``layer_sizes``; ``index`` maps each
-    element to its position.  Distances between ball elements are computed
-    in the group (never truncated to the ball), via ``group.dist``.
+    ``elements`` is in BFS discovery order, layer by layer, so layer k is
+    the slice ``layer_starts[k]:layer_starts[k + 1]``, offsets summed from
+    ``layer_sizes``; ``index`` maps each element to its position.
+    Distances between ball elements are computed in the group (never
+    truncated to the ball), via ``group.dist``.
     ``step_table`` is the R = 1 neighbour table, filled by the walk that
     found the elements.  Tables for R > 1 are composed from it on first use
     and cached per R; they never change the elements or the layers.
@@ -42,12 +43,12 @@ class CayleyBall:
     index: dict[NormalForm, int]
     layer_sizes: tuple[int, ...]
     step_table: array = field(repr=False, compare=False)
-    _starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    layer_starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _tables: dict[int, array] = field(init=False, repr=False, compare=False,
                                       default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "_starts", (0, *itertools.accumulate(self.layer_sizes)))
+        object.__setattr__(self, "layer_starts", (0, *itertools.accumulate(self.layer_sizes)))
 
     def __contains__(self, x: NormalForm) -> bool:
         return x in self.index
@@ -66,7 +67,7 @@ class CayleyBall:
     def sphere(self, k: int) -> list[NormalForm]:
         if not 0 <= k <= self.radius:
             return []
-        return list(self.elements[self._starts[k]:self._starts[k + 1]])
+        return list(self.elements[self.layer_starts[k]:self.layer_starts[k + 1]])
 
     def neighbours(self, R: int) -> array:
         """Row-major |B| x m table of R-steps, m = |ball(R)| - 1.
@@ -112,7 +113,7 @@ class CayleyBall:
 
     def _layer(self, i: int) -> int:
         """The word length of ``elements[i]``, read off the layer offsets."""
-        return bisect.bisect_right(self._starts, i) - 1
+        return bisect.bisect_right(self.layer_starts, i) - 1
 
     def neighbors(self, x: NormalForm) -> list[tuple[str, NormalForm]]:
         """In-ball Cayley edges at x: (generator label, x * s), in
@@ -165,20 +166,7 @@ def _neighbour_table(elements, index: dict, R: int) -> array:
     return table
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
+_FREE, _OUT = -1, -2  # the label of a live point not yet reached, of an excluded one
 
 
 def r_components(points, R: int, excluded=(), dist=None) -> list[list]:
@@ -188,8 +176,15 @@ def r_components(points, R: int, excluded=(), dist=None) -> list[list]:
     and excluded elements outside the ball are ignored) or a sequence of
     distinct points.  A sequence of group elements gets an uncached table of
     exact word-metric steps; other point types need an explicit ``dist``
-    function (then all pairs are inspected).  Components are ordered by
-    first appearance and keep the input order.
+    function (then each reached point is measured against every point not
+    yet reached).  Components are ordered by first appearance and keep the
+    input order.
+
+    One flood fill labels the live points: it starts from each unreached
+    live point in input order, so labels come out in order of first member,
+    and a stack carries it across R-steps.  The members are then bucketed by
+    label in input order.  Only the neighbours of a point differ between the
+    two branches: a table row, or a scan with ``dist``.
     """
     if dist is None:
         if isinstance(points, CayleyBall):
@@ -200,33 +195,42 @@ def r_components(points, R: int, excluded=(), dist=None) -> list[list]:
                 raise ValueError("non-group points require a dist function")
             index = {p: i for i, p in enumerate(elements)}
             table = _neighbour_table(elements, index, R)
-        masked = bytearray(len(elements))
+        # one slot past the end, so a table's -1 (outside the ball) reads _OUT
+        label = [_FREE] * len(elements) + [_OUT]
         for p in excluded:
             i = index.get(p)
             if i is not None:
-                masked[i] = 1
-        live = [i for i in range(len(elements)) if not masked[i]]
-        uf = _UnionFind(len(elements))
+                label[i] = _OUT
         m = len(table) // len(elements) if elements else 0
-        for i in live:
-            # the steps are closed under inversion: each edge is seen from both ends
-            for j in table[i * m:(i + 1) * m]:
-                if j > i and not masked[j]:
-                    uf.union(i, j)
+
+        def neighbours(i):
+            return table[i * m:(i + 1) * m]
     else:
         elements = list(points)
         excluded = set(excluded)
-        live = [i for i, p in enumerate(elements) if p not in excluded]
-        uf = _UnionFind(len(elements))
-        for a, i in enumerate(live):
-            for j in live[a + 1:]:
-                if dist(elements[i], elements[j]) <= R:
-                    uf.union(i, j)
-    # union keeps the smaller root, so roots appear in order of first member
-    comps: dict[int, list] = {}
-    for i in live:
-        comps.setdefault(uf.find(i), []).append(elements[i])
-    return list(comps.values())
+        label = [_OUT if p in excluded else _FREE for p in elements]
+
+        def neighbours(i):
+            x = elements[i]
+            return [j for j, y in enumerate(elements)
+                    if label[j] == _FREE and dist(x, y) <= R]
+    n_comps = 0
+    for start in range(len(elements)):
+        if label[start] != _FREE:
+            continue
+        label[start] = n_comps
+        stack = [start]
+        while stack:
+            for j in neighbours(stack.pop()):
+                if label[j] == _FREE:
+                    label[j] = n_comps
+                    stack.append(j)
+        n_comps += 1
+    comps: list[list] = [[] for _ in range(n_comps)]
+    for x, c in zip(elements, label):
+        if c >= 0:
+            comps[c].append(x)
+    return comps
 
 
 def component_labels(points, R: int, excluded=(), dist=None) -> dict:
@@ -599,8 +603,15 @@ def ends_estimate(fg: FundamentalGroup, radii, margin: int = 3) -> EndsReport:
     """Count unbounded-looking complementary components of growing balls.
 
     For each n, the components of ball(n_max) minus ball(n) that touch the
-    outer sphere and are at least n elements large; the verdict follows the
-    stabilization pattern (0, 1, 2, or growing).
+    outer sphere and are at least n_max - n elements large; the verdict
+    follows the stabilization pattern (0, 1, 2, or growing).
+
+    The annuli are nested: going from the largest n down only adds the
+    layers between two radii, and adding points can only merge components,
+    never split them.  So the smallest annulus is labelled once by
+    :func:`r_components`, and each inner layer is then added position by
+    position, outermost first, through a union-find over component ids whose
+    roots carry their size and their largest ball position.
     """
     radii = tuple(sorted(radii))
     if not radii:
@@ -611,21 +622,51 @@ def ends_estimate(fg: FundamentalGroup, radii, margin: int = 3) -> EndsReport:
     ball = fg.word_metric_ball(n_max)
     exhausted = ball.layer_sizes[-1] == 0
 
-    counts = []
-    sizes = {}
-    outer = len(ball) - ball.layer_sizes[-1]  # position of the first outer-sphere element
-    for n in radii:
-        # the annulus is the ball minus its prefix ball(n)
-        comps = r_components(ball, 1, excluded=ball.elements[:sum(ball.layer_sizes[:n + 1])])
-        # noise floor: an unbounded component must span the annulus radially,
-        # so anything smaller than the radial width is a transient crumb;
-        # a component lists its elements in ball order, so its last one is outermost
-        floor = max(1, n_max - n)
-        kept = [c for c in comps if ball.index[c[-1]] >= outer and len(c) >= floor]
-        counts.append(len(kept))
-        sizes[n] = sorted((len(c) for c in kept), reverse=True)
+    # the annulus of n is the ball minus its prefix ball(n): positions >= starts[n + 1]
+    starts, table = ball.layer_starts, ball.step_table
+    m = len(table) // len(ball)
+    outer = starts[-2]  # position of the first outer-sphere element
+    low = starts[radii[-1] + 1]
+    comps = r_components(ball, 1, excluded=ball.elements[:low])
+    node = [0] * len(ball)  # ball position -> its union-find node
+    for a, c in enumerate(comps):
+        for x in c:
+            node[ball.index[x]] = a
+    parent = list(range(len(comps)))
+    size = [len(c) for c in comps]
+    top = [ball.index[c[-1]] for c in comps]  # a component lists its elements in ball order
 
-    counts_t = tuple(counts)
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    sizes = {}
+    for n in reversed(radii):
+        for p in range(low - 1, starts[n + 1] - 1, -1):
+            # every position above p is in the annulus already, and only those
+            a = node[p] = len(parent)
+            parent.append(a)
+            size.append(1)
+            top.append(p)
+            for j in table[p * m:(p + 1) * m]:
+                if j > p:
+                    b = find(node[j])
+                    if b != a:
+                        parent[b] = a
+                        size[a] += size[b]
+                        top[a] = max(top[a], top[b])
+        low = starts[n + 1]
+        # noise floor: an unbounded component must span the annulus radially,
+        # so anything smaller than the radial width is a transient crumb
+        floor = max(1, n_max - n)
+        sizes[n] = sorted((size[a] for a in range(len(parent))
+                           if parent[a] == a and top[a] >= outer and size[a] >= floor),
+                          reverse=True)
+    sizes = {n: sizes[n] for n in radii}
+
+    counts_t = tuple(len(sizes[n]) for n in radii)
     if exhausted and all(c == 0 for c in counts_t):
         verdict = "0"
     elif all(c == 1 for c in counts_t):

@@ -1,6 +1,6 @@
 """The Cayley ball as an indexed graph: neighbour tables against exact
-products and the plain-sequence table, R-components against the all-pairs
-word-metric oracle, and the tables being built once per ball and R.
+products and the plain-sequence table, R-components against an all-pairs
+union-find oracle, and the tables being built once per ball and R.
 
 ``_neighbour_table`` fills its entries with ``groups.fill_table``, the loop
 that also finishes the walk's table, so it is no independent check of that
@@ -97,6 +97,40 @@ def test_ball_forms_each_step_product_once(name, monkeypatch):
     assert calls == inside // 2 + (0 if bipartite else table.count(-1))
 
 
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        while self.parent[i] != i:
+            self.parent[i] = self.parent[self.parent[i]]
+            i = self.parent[i]
+        return i
+
+    def union(self, i: int, j: int):
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[max(ri, rj)] = min(ri, rj)
+
+
+def _all_pairs_components(points, R, excluded, dist):
+    """Oracle for ``r_components``: a union-find over every pair of live
+    points at distance <= R, which shares no loop with the flood fill."""
+    elements = list(points)
+    excluded = set(excluded)
+    live = [i for i, p in enumerate(elements) if p not in excluded]
+    uf = _UnionFind(len(elements))
+    for a, i in enumerate(live):
+        for j in live[a + 1:]:
+            if dist(elements[i], elements[j]) <= R:
+                uf.union(i, j)
+    # union keeps the smaller root, so roots appear in order of first member
+    comps: dict[int, list] = {}
+    for i in live:
+        comps.setdefault(uf.find(i), []).append(elements[i])
+    return list(comps.values())
+
+
 @pytest.mark.parametrize("R", [1, 2])
 @pytest.mark.parametrize("name", INPUTS)
 @given(data=st.data())
@@ -107,10 +141,27 @@ def test_r_components_match_all_pairs_oracle(name, R, data):
     if outside:
         # excluded elements outside the ball are ignored
         excluded |= data.draw(st.sets(st.sampled_from(outside), max_size=3), label="outside")
-    oracle = r_components(list(ball.elements), R, excluded, dist=dist)
+    oracle = _all_pairs_components(ball.elements, R, excluded, dist)
+    assert r_components(list(ball.elements), R, excluded, dist=dist) == oracle
     assert r_components(ball, R, excluded) == oracle
     assert r_components(ball, R, excluded, dist=dist) == oracle
     assert r_components(list(ball.elements), R, excluded) == oracle
+
+
+@pytest.mark.parametrize("points, excluded, comps", [
+    ([5, 0, 6, 1, 7], (), [[5, 6, 7], [0, 1]]),
+    # the fill reaches 6 before 7, but members keep the input order
+    ([5, 0, 7, 1, 6], (), [[5, 7, 6], [0, 1]]),
+    ([5, 0, 7, 1, 6], {6}, [[5], [0, 1], [7]]),
+    ([3, 9, 1, 2, 8, 0], {1, 4}, [[3, 2], [9, 8], [0]]),
+    ([], (), []),
+])
+def test_r_components_on_integers(points, excluded, comps):
+    """The dist branch on plain integers at R = 1, where components
+    interleave in the input."""
+    dist = lambda a, b: abs(a - b)  # noqa: E731
+    assert r_components(points, 1, excluded, dist=dist) == comps
+    assert _all_pairs_components(points, 1, excluded, dist) == comps
 
 
 def test_tables_are_built_once_and_leave_the_ball_unchanged(monkeypatch):

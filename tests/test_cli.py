@@ -171,6 +171,9 @@ OUT_OF_RANGE = {
                        ["edges", "-1"]),
     "ends-radii": (["ends", "corpus:f2", "--radii=-1,2"], ["radii", "-1"]),
     "ends-margin": (["ends", "corpus:f2", "--radii", "2", "--margin", "-5"], ["margin", "-5"]),
+    "amalgam-check-samples": (["amalgam-check", "corpus:z2z2", "--depth", "4", "--samples", "-1"],
+                              ["samples", "-1"]),
+    "tree-ball-radius": (["tree-ball", "corpus:dinf", "--radius", "-1"], ["radius", "-1"]),
 }
 
 

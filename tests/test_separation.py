@@ -22,7 +22,7 @@ from amalgam_lab.separation import (
     verify_thickening_lemma,
 )
 
-from conftest import FINITE_EDGED, SL2Z, make_fg
+from conftest import FINITE_EDGED, SEGMENT, SL2Z, make_fg
 
 
 def test_r_components_whole_ball_one_component(dinf):
@@ -247,6 +247,57 @@ def test_ends_inconclusive_without_margin(zz):
     _, _, fg = zz
     with pytest.raises(Inconclusive):
         ends_estimate(fg, [2], margin=0)
+
+
+def _ends_per_radius(fg, radii, margin):
+    """Oracle for ``ends_estimate``: one ``r_components`` labelling of each
+    annulus ball(n_max) minus ball(n), kept by the same rule."""
+    radii = sorted(radii)
+    n_max = radii[-1] + margin
+    ball = fg.word_metric_ball(n_max)
+    outer = len(ball) - ball.layer_sizes[-1]
+    counts, sizes = [], {}
+    for n in radii:
+        comps = r_components(ball, 1, excluded=ball.elements[:sum(ball.layer_sizes[:n + 1])])
+        floor = max(1, n_max - n)
+        kept = [c for c in comps if ball.index[c[-1]] >= outer and len(c) >= floor]
+        counts.append(len(kept))
+        sizes[n] = sorted((len(c) for c in kept), reverse=True)
+    return tuple(counts), sizes
+
+
+# duplicate radii, a radius of 0, margin 0; n_max <= 5 keeps z2z2's ball at 11,481
+ENDS_CASES = [((3, 3, 5), 0), ((0, 2, 4), 1), ((1, 2, 3), 0), ((2, 4), 1), ((0,), 0),
+              ((3, 3), 2)]
+
+
+@pytest.mark.parametrize("name", ["trivial", "dinf", "zz", "f2", "z2z3", "z2z2", "sl2z",
+                                  "segment"])
+def test_ends_inward_merge_matches_per_radius_labelling(name, monkeypatch):
+    """Counts and component sizes of the one-labelling inward merge equal a
+    fresh labelling per radius, from one ``r_components`` call.  trivial and
+    segment (Z/2 over an isomorphism) exhaust their balls."""
+    from amalgam_lab import separation
+
+    _, _, fg = make_fg({"sl2z": SL2Z, "segment": SEGMENT}.get(name, name))
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return r_components(*args, **kwargs)
+    monkeypatch.setattr(separation, "r_components", counted)
+    for radii, margin in ENDS_CASES:
+        counts, sizes = _ends_per_radius(fg, radii, margin)
+        calls = 0
+        try:
+            report = ends_estimate(fg, radii, margin=margin)
+        except Inconclusive as exc:
+            assert f"counts {counts} did" in str(exc), (radii, margin)
+        else:
+            assert report.counts == counts, (radii, margin)
+            assert list(report.component_sizes.items()) == list(sizes.items()), (radii, margin)
+        assert calls == 1, (radii, margin)
 
 
 def test_coset_elements_in_ball_backend(z2z2):
