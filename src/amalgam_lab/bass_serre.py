@@ -98,8 +98,7 @@ class TreeBall:
         self._vkey_to_vid: dict[object, int] = {}
         self._ekey_to_eid: dict[object, int] = {}
         # finiteness is fixed per vertex type of Y
-        self._finite = tuple(fg.vertex_backend(v).is_finite
-                             for v in range(fg.gog.graph.n_vertices))
+        self._finite = tuple(G.is_finite for G in fg.gog.vertex_groups)
         self._build()
         self._number()
 
@@ -132,7 +131,7 @@ class TreeBall:
         ve is g when the edge coset is represented by u.rep·g instead (a
         crossing against the orientation A), else None."""
         fg = self.fg
-        backend = fg.vertex_backend(vtype)
+        backend = fg.gog.vertex_groups[vtype]
         out = []
         for y in fg.gog.graph.incident_into(vtype):
             emb = fg.gog.embedding(y)

@@ -111,6 +111,8 @@ class BoundaryApprox:
 
 def boundary_approx(fg: FundamentalGroup, depth: int,
                     config: TreeBallConfig | None = None) -> BoundaryApprox:
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     return BoundaryApprox(TreeBall(fg, depth, config), depth)
 
 
@@ -507,7 +509,7 @@ def dist_to_vertex_coset(fg: FundamentalGroup, tree: TreeBall, x: NormalForm,
     """Exact d_S(x, rep*G_v); backend cosets are searched out to the radius
     where candidates can no longer beat the identity translate."""
     v = tree.vertices[vid]
-    backend = fg.vertex_backend(v.vtype)
+    backend = fg.gog.vertex_groups[v.vtype]
     if backend.is_finite:
         return min(fg.dist(x, fg.multiply(v.rep, h))
                    for h in fg.vertex_subgroup_elements(v.vtype))

@@ -7,6 +7,7 @@ failed (the report is still written), 1 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from . import corpus
@@ -347,12 +348,12 @@ def _cmd_amalgam_check(args, argv) -> int:
 
 
 def _cmd_classify(args, argv) -> int:
-    import json as _json
-
+    if args.depth < 0:
+        raise ValueError(f"depth must be >= 0, got {args.depth}")
     fg = _fg(args)
     tb = TreeBall(fg, args.depth, _tree_config(args))
     with open(args.words_json) as fh:
-        data = _json.load(fh)
+        data = json.load(fh)
     elements = [fg.evaluate_word(w) for w in data["words"]]
     result = classify_direction(fg, tb, elements, r_bound=args.r_bound)
     lines = [f"classification: {result.kind}"

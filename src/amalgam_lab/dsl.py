@@ -28,11 +28,13 @@ from .errors import (
     EdgeGroupInfinite,
     EmbeddingNotInjective,
     GogSyntaxError,
+    NotHomomorphism,
     NotInjective,
     UnknownGroupRef,
 )
 from .gog import EdgeEmbedding, GraphOfGroups, TrivialEmbedding, build_graph
-from .groups import TRIVIAL_GROUP, FiniteGroup, check_group, check_monomorphism, cyclic_group
+from .groups import (TRIVIAL_GROUP, FiniteGroup, bfs, check_group, check_monomorphism,
+                     cyclic_group)
 
 _TOKEN = re.compile(
     r"""(?P<ws>\s+)
@@ -187,25 +189,17 @@ def _extend_generator_map(edge_group: FiniteGroup, target: FiniteGroup | GroupBa
         return TrivialEmbedding(edge_group, target)
 
     G = target
-    images: dict[int, int] = {edge_group.identity_index: G.identity_index}
     try:
-        for key, val in gen_images.items():
-            images[edge_group.index_of(key)] = G.index_of(val)
+        named = {edge_group.index_of(key): G.index_of(val) for key, val in gen_images.items()}
     except KeyError as exc:
         raise GogSyntaxError(f"{which}: {exc.args[0]}", at) from None
-    changed = True
-    while changed:
-        changed = False
-        known = list(images.items())
-        for (a, fa) in known:
-            for (b, fb) in known:
-                ab = edge_group.mul(a, b)
-                fab = G.mul(fa, fb)
-                if ab not in images:
-                    images[ab] = fab
-                    changed = True
-                elif images[ab] != fab:
-                    raise EmbeddingNotInjective(f"{where}: generator images are inconsistent")
+    # each element's image is the product of the images along its first word
+    gens = tuple(named)
+    images = {edge_group.identity_index: G.identity_index}
+    for b, a, i in bfs(edge_group.identity_index, gens, edge_group.mul, {}):
+        images[b] = G.mul(images[a], named[gens[i]])
+    if any(images[a] != fa for a, fa in named.items()):
+        raise EmbeddingNotInjective(f"{where}: generator images are inconsistent")
     if len(images) != edge_group.order:
         raise GogSyntaxError(
             f"{which} images do not determine the embedding "
@@ -215,6 +209,8 @@ def _extend_generator_map(edge_group: FiniteGroup, target: FiniteGroup | GroupBa
         mono = check_monomorphism(edge_group, G, [images[a] for a in edge_group.elements()])
     except NotInjective as exc:
         raise EmbeddingNotInjective(f"{where}: {exc}") from exc
+    except NotHomomorphism as exc:
+        raise NotHomomorphism(f"{where}: {exc.args[0]}") from exc
     return EdgeEmbedding(mono)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
-from .backends import Elem, GroupBackend, reduce_free_word
+from .backends import FREE_ABELIAN, Elem, GroupBackend, reduce_free_word
 from .errors import BaseMismatch, BudgetExceeded
 from .gog import GraphOfGroups, SpanningData, bar
 from .groups import UNSET, FiniteGroup, bfs, fill_table
@@ -85,7 +85,7 @@ class NormalForm:
         if not fg.root_group.is_identity(self.g0) or not self.tail:
             parts.append(fg.root_group.label(self.g0))
         for e, elem in self.tail:
-            backend = fg.vertex_backend(g.omega[e])
+            backend = fg.gog.vertex_groups[g.omega[e]]
             piece = f"[{g.oriented_name(e)}]"
             if not backend.is_identity(elem):
                 piece += backend.label(elem)
@@ -115,10 +115,11 @@ class FundamentalGroup:
         self.gog = gog
         self.sd = sd
         self.root = sd.root
+        self.root_group: FiniteGroup | GroupBackend = gog.vertex_groups[sd.root]
         self.ball_budget = ball_budget
         g = gog.graph
 
-        self._identity = NormalForm(self, self.vertex_backend(self.root).identity(), ())
+        self._identity = NormalForm(self, self.root_group.identity(), ())
         self._letter_cache: dict[int, NormalForm] = {}
         self._vertex_subgroup_cache: dict[int, frozenset[NormalForm]] = {}
         self._edge_subgroup_cache: dict[int, tuple[NormalForm, ...]] = {}
@@ -132,15 +133,6 @@ class FundamentalGroup:
         self._lengths: tuple[tuple, tuple] | None = None
         self._bipartite: bool | None = None
         self._ball_cache: dict[int, object] = {}
-
-    # --- vertex group access -------------------------------------------------
-
-    @property
-    def root_group(self) -> FiniteGroup | GroupBackend:
-        return self.gog.vertex_group(self.root)
-
-    def vertex_backend(self, v: int) -> FiniteGroup | GroupBackend:
-        return self.gog.vertex_group(v)
 
     def identity(self) -> NormalForm:
         return self._identity
@@ -197,18 +189,19 @@ class FundamentalGroup:
             tail[i] = (e, r)
         return self._make(g0, tail)
 
+    def _trivial_syllables(self, edges) -> list:
+        """The syllable (e, 1) for each oriented edge e of ``edges``."""
+        groups, omega = self.gog.vertex_groups, self.gog.graph.omega
+        return [(e, groups[omega[e]].identity()) for e in edges]
+
     def vertex_element(self, v: int, elem: Elem) -> NormalForm:
         """The element of G_v < Gamma, written as a loop word at the root."""
-        backend = self.vertex_backend(v)
         if v == self.root:
             return self._make(elem, ())
-        g = self.gog.graph
         path = self._tree_paths[v]
-        tail = [(e, self.vertex_backend(g.omega[e]).identity()) for e in path]
-        tail[-1] = (path[-1], elem)
-        back = [(bar(e), self.vertex_backend(g.omega[bar(e)]).identity())
-                for e in reversed(path)]
-        return self.normalize(self.root_group.identity(), tail + back)
+        tail = self._trivial_syllables([*path, *map(bar, reversed(path))])
+        tail[len(path) - 1] = (path[-1], elem)
+        return self.normalize(self.root_group.identity(), tail)
 
     def letter(self, y: int) -> NormalForm:
         """The stable-letter element t_y for a non-tree oriented edge y."""
@@ -217,12 +210,9 @@ class FundamentalGroup:
         if self.sd.in_tree(y):
             raise ValueError(f"edge {self.gog.graph.oriented_name(y)} is a tree edge")
         g = self.gog.graph
-        out = [(e, self.vertex_backend(g.omega[e]).identity())
-               for e in self._tree_paths[g.alpha[y]]]
-        mid = [(y, self.vertex_backend(g.omega[y]).identity())]
-        back = [(bar(e), self.vertex_backend(g.omega[bar(e)]).identity())
-                for e in reversed(self._tree_paths[g.omega[y]])]
-        nf = self.normalize(self.root_group.identity(), out + mid + back)
+        back = map(bar, reversed(self._tree_paths[g.omega[y]]))
+        tail = self._trivial_syllables([*self._tree_paths[g.alpha[y]], y, *back])
+        nf = self.normalize(self.root_group.identity(), tail)
         self._letter_cache[y] = nf
         return nf
 
@@ -332,19 +322,18 @@ class FundamentalGroup:
     def vertex_subgroup_elements(self, v: int) -> frozenset[NormalForm]:
         """Canonical forms of all of G_v (finite vertex groups only)."""
         if v not in self._vertex_subgroup_cache:
-            backend = self.vertex_backend(v)
-            assert backend.is_finite
+            G = self.gog.vertex_groups[v]
+            assert G.is_finite
             self._vertex_subgroup_cache[v] = frozenset(
-                self.vertex_element(v, e) for e in backend.elements()
+                self.vertex_element(v, e) for e in G.elements()
             )
         return self._vertex_subgroup_cache[v]
 
     def in_vertex_subgroup(self, x: NormalForm, v: int) -> bool:
         """Decide x in G_v, where G_v < Gamma sits at the spanning-tree anchor."""
-        backend = self.vertex_backend(v)
         if v == self.root:
             return not x.tail
-        if backend.is_finite:
+        if self.gog.vertex_groups[v].is_finite:
             return x in self.vertex_subgroup_elements(v)
         if x.is_identity():
             return True
@@ -385,25 +374,8 @@ class FundamentalGroup:
     def generating_set(self) -> GeneratingSet:
         if self._genset is not None:
             return self._genset
-        g = self.gog.graph
-        labels: list[str] = []
-        elements: list[NormalForm] = []
-        raw: list[tuple[str, NormalForm]] = []
-        seen_labels: set[str] = set()
-        for v in range(g.n_vertices):
-            for lbl, elem in self.gog.generating_sets[v]:
-                name = lbl if lbl not in seen_labels else f"{g.vertex_names[v]}.{lbl}"
-                seen_labels.add(name)
-                raw.append((name, self.vertex_element(v, elem)))
-        for k in range(g.n_edges):
-            if k in self.sd.tree_edges:
-                continue
-            y = 2 * k if 2 * k in self.sd.orientation else 2 * k + 1
-            name = f"s_{g.edge_names[k]}"
-            raw.append((name, self.letter(y)))
-        for name, nf in raw:
-            labels.append(name)
-            elements.append(nf)
+        raw = [(name, self.letter(2 * x) if v is None else self.vertex_element(v, x))
+               for name, v, x in _generators(self.gog, self.sd)]
         # close under formal inversion for the metric
         step_map: dict[NormalForm, str] = {}
         for name, nf in raw:
@@ -415,8 +387,8 @@ class FundamentalGroup:
                 step_map[inv] = f"{name}^-1"
         steps = tuple(step_map.keys())
         self._genset = GeneratingSet(
-            labels=tuple(labels),
-            elements=tuple(elements),
+            labels=tuple(name for name, _ in raw),
+            elements=tuple(nf for _, nf in raw),
             step_labels=tuple(step_map.values()),
             steps=steps,
         )
@@ -429,14 +401,10 @@ class FundamentalGroup:
         first use."""
         if self._lengths is None:
             vertex = []
-            for v, G in enumerate(self.gog.vertex_groups):
+            for G, genset in zip(self.gog.vertex_groups, self.gog.generating_sets):
                 if G.is_finite:
-                    steps = {s for _, elem in self.gog.generating_sets[v]
-                             for s in (elem, G.inv(elem))}
-                    lengths: dict[int, int] = {}
-                    for _ in bfs(G.identity_index, tuple(steps), G.mul, lengths):
-                        pass
-                    vertex.append(lengths.__getitem__)
+                    words = _finite_words(G, [elem for _, elem in genset])
+                    vertex.append(tuple(len(words[g]) for g in G.elements()).__getitem__)
                 else:
                     vertex.append(G.gen_length)
             omega = self.gog.graph.omega
@@ -585,6 +553,36 @@ class Presentation:
         return out
 
 
+def _generators(gog: GraphOfGroups, sd: SpanningData):
+    """S in presentation order: ``(name, v, elem)`` for each generator of each
+    S_v, vertex by vertex, then ``(name, None, k)`` for each non-tree edge pair
+    k, whose letter is t_{2k}.  A vertex generator keeps its label unless an
+    earlier generator took it; then it is prefixed with its vertex name
+    (``v2.a``).  The stable letter of edge NAME is ``s_NAME``."""
+    g = gog.graph
+    seen: set[str] = set()
+    for v, genset in enumerate(gog.generating_sets):
+        for lbl, elem in genset:
+            name = lbl if lbl not in seen else f"{g.vertex_names[v]}.{lbl}"
+            seen.add(name)
+            yield name, v, elem
+    for k, name in enumerate(g.edge_names):
+        if k not in sd.tree_edges:
+            yield f"s_{name}", None, k
+
+
+def _finite_words(G: FiniteGroup, gens) -> dict[int, tuple[int, ...]]:
+    """A geodesic word for each element of G over ``gens`` and their
+    inverses, as signed 1-based indices into ``gens``: one breadth-first walk
+    from the identity."""
+    letters = [l for j in range(1, len(gens) + 1) for l in (j, -j)]
+    steps = [s for x in gens for s in (x, G.inv(x))]
+    words = {G.identity_index: ()}
+    for b, a, i in bfs(G.identity_index, steps, G.mul, {}):
+        words[b] = words[a] + (letters[i],)
+    return words
+
+
 def emit_presentation(gog: GraphOfGroups, sd: SpanningData) -> Presentation:
     """Instantiate the defining presentation over the generating set S.
 
@@ -594,49 +592,29 @@ def emit_presentation(gog: GraphOfGroups, sd: SpanningData) -> Presentation:
     """
     g = gog.graph
     gens: list[str] = []
-    seen: set[str] = set()
-    vgen_index: dict[tuple[int, Elem], int] = {}
-    vgen_range: dict[int, list[tuple[int, Elem]]] = {}
-    for v in range(g.n_vertices):
-        vgen_range[v] = []
-        for lbl, elem in gog.generating_sets[v]:
-            name = lbl if lbl not in seen else f"{g.vertex_names[v]}.{lbl}"
-            seen.add(name)
-            gens.append(name)
-            vgen_index[(v, elem)] = len(gens)
-            vgen_range[v].append((len(gens), elem))
+    vgen_range: list[list[int]] = [[] for _ in range(g.n_vertices)]
     stable_index: dict[int, int] = {}
-    for k in range(g.n_edges):
-        if k in sd.tree_edges:
-            continue
-        gens.append(f"s_{g.edge_names[k]}")
-        stable_index[k] = len(gens)
+    for name, v, x in _generators(gog, sd):
+        gens.append(name)
+        if v is None:
+            stable_index[x] = len(gens)
+        else:
+            vgen_range[v].append(len(gens))
 
-    word_maps: dict[int, dict[Elem, tuple[int, ...]]] = {}
-    for v in range(g.n_vertices):
-        G = gog.vertex_group(v)
-        if G.is_finite:
-            step_ids = [sgid for gi, _ in vgen_range[v] for sgid in (gi, -gi)]
-            steps = [s for _, elem in vgen_range[v] for s in (elem, G.inv(elem))]
-            words = {G.identity_index: ()}
-            for b, a, i in bfs(G.identity_index, steps, G.mul, {}):
-                words[b] = words[a] + (step_ids[i],)
-            word_maps[v] = words
+    words = {v: _finite_words(G, [elem for _, elem in gog.generating_sets[v]])
+             for v, G in enumerate(gog.vertex_groups) if G.is_finite}
 
     def vertex_word(v: int, elem: Elem) -> tuple[int, ...]:
-        backend = gog.vertex_group(v)
-        if backend.is_finite:
-            return word_maps[v][elem]
-        word: list[int] = []
-        if backend.kind == "free_abelian":
-            for i, c in enumerate(elem):
-                gid = vgen_range[v][i][0]
-                word.extend([gid if c > 0 else -gid] * abs(c))
+        """``elem`` over S_v, its local letters mapped to generator ids."""
+        G = gog.vertex_groups[v]
+        if G.is_finite:
+            local = words[v][elem]
+        elif G.kind == FREE_ABELIAN:
+            local = [i if c > 0 else -i for i, c in enumerate(elem, 1) for _ in range(abs(c))]
         else:
-            for l in elem:
-                gid = vgen_range[v][abs(l) - 1][0]
-                word.append(gid if l > 0 else -gid)
-        return tuple(word)
+            local = elem
+        ids = vgen_range[v]
+        return tuple(ids[l - 1] if l > 0 else -ids[-l - 1] for l in local)
 
     relators: dict[tuple[int, ...], None] = {}
 
@@ -645,15 +623,14 @@ def emit_presentation(gog: GraphOfGroups, sd: SpanningData) -> Presentation:
         if red:
             relators.setdefault(red, None)
 
-    for v in range(g.n_vertices):
-        G = gog.vertex_group(v)
+    for v, G in enumerate(gog.vertex_groups):
         if G.is_finite:
             for a in G.elements():
-                for gid, selem in vgen_range[v]:
+                for gid, (_, selem) in zip(vgen_range[v], gog.generating_sets[v]):
                     b = G.mul(a, selem)
-                    add(list(word_maps[v][a]) + [gid] + [-l for l in reversed(word_maps[v][b])])
-        elif G.kind == "free_abelian":
-            ids = [gid for gid, _ in vgen_range[v]]
+                    add([*vertex_word(v, a), gid, *(-l for l in reversed(vertex_word(v, b)))])
+        elif G.kind == FREE_ABELIAN:
+            ids = vgen_range[v]
             for i in range(len(ids)):
                 for j in range(i + 1, len(ids)):
                     add([ids[i], ids[j], -ids[i], -ids[j]])

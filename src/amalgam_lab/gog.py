@@ -164,9 +164,6 @@ class GraphOfGroups:
     embeddings: tuple[EdgeEmbedding | TrivialEmbedding, ...]  # per oriented edge, into omega(y)
     generating_sets: tuple[tuple[tuple[str, Elem], ...], ...]  # per vertex: (label, elem)
 
-    def vertex_group(self, v: int) -> FiniteGroup | GroupBackend:
-        return self.vertex_groups[v]
-
     def edge_group(self, y: int) -> FiniteGroup:
         return self.edge_groups[y // 2]
 
@@ -297,7 +294,7 @@ def elementary_collapse(gog: GraphOfGroups, edge_name: str) -> GraphOfGroups:
             old = gog.embedding(orient)
             if gog.graph.omega[orient] == vo:
                 # post-compose with the transport into G_{alpha(y)}
-                tgt = gog.vertex_group(va)
+                tgt = gog.vertex_groups[va]
                 if tgt.is_finite:
                     mapped = tuple(transport(old.apply(h))
                                    for h in old.edge_group.elements())

@@ -156,17 +156,11 @@ class FiniteGroup:
         return n
 
     def subgroup_generated(self, gens: set[int] | list[int]) -> frozenset[int]:
-        closure = {self.identity_index}
-        frontier = list(gens)
-        while frontier:
-            x = frontier.pop()
-            if x in closure:
-                continue
-            closure.add(x)
-            for y in list(closure):
-                for z in (self.mul(x, y), self.mul(y, x), self.inv(x)):
-                    if z not in closure:
-                        frontier.append(z)
+        """One walk from the identity over ``gens``: in a finite group the
+        positive words already reach every inverse."""
+        closure: dict[int, int] = {}
+        for _ in bfs(self.identity_index, tuple(gens), self.mul, closure):
+            pass
         return frozenset(closure)
 
     def is_subgroup(self, elems: frozenset[int]) -> bool:

@@ -18,6 +18,7 @@ from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
+from .bass_serre import TreeBall
 from .errors import Inconclusive, PreconditionUnmet
 from .fundgroup import FundamentalGroup, NormalForm
 from .groups import UNSET, fill_table
@@ -387,8 +388,6 @@ def verify_cayley_separation(fg: FundamentalGroup, ball_radius: int,
     check that N_{ceil(R/2)}(edge coset) R-separates the in-ball, margin-
     filtered members of the two vertex cosets.
     """
-    from .bass_serre import TreeBall
-
     if R < 1 or samples < 0:
         raise ValueError(f"need R >= 1 and samples >= 0, got R = {R}, samples = {samples}")
     ball = fg.word_metric_ball(ball_radius)
@@ -456,10 +455,10 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
     every sampled tree-edge split; report the smallest working exclusion
     radius R0 and compare it with diam(I_{3 diam(P)/2}).
     """
-    from .bass_serre import TreeBall
-
     if edges_sampled < 0:
         raise ValueError(f"edges must be >= 0, got {edges_sampled}")
+    if R_probe is not None and R_probe < 0:
+        raise ValueError(f"R-probe must be >= 0, got {R_probe}")
     ball = fg.word_metric_ball(ball_radius)
     tb = TreeBall(fg, max(3, ball_radius - 2))
     rng = random.Random(seed)

@@ -120,6 +120,8 @@ edge e1 v1 -- v2 group E embed_fwd {a:a2} embed_bwd {a:t}
 # the corpus and every DSL input above but DEAD_ENDS, by name
 GOG_TEXTS = {**{name: text(name) for name in NAMES}, "sl2z": SL2Z, **FINITE_EDGED,
              "segment": SEGMENT, "rev": REV, "free_one": FREE_ONE}
+# GOG_TEXTS with the non-abelian vertex group and the dead ends
+ALL_TEXTS = {**GOG_TEXTS, "s3z4": S3_Z4, "dead_ends": DEAD_ENDS}
 
 
 def make_fg(name: str, ball_budget: int = DEFAULT_BALL_BUDGET):

@@ -295,7 +295,7 @@ def test_family_builds_boundary_depth_members_empty(name, radius):
     b = BoundaryApprox(TreeBall(fg, radius), 4)
     family = limit_set_family(b)
     assert family == [limit_set_approx(b, v.vid) for v in b.tree.vertices
-                      if not fg.vertex_backend(v.vtype).is_finite]
+                      if not fg.gog.vertex_groups[v.vtype].is_finite]
     assert any(m.coset_depth >= b.depth for m in family)
     assert any(m.directions for m in family)
 
@@ -684,7 +684,7 @@ def test_limit_sets_refine_monotonically(z2z2):
     b6 = BoundaryApprox(tree, 6)
     b5 = BoundaryApprox(tree, 5)
     for v in tree.vertices:
-        if fg.vertex_backend(v.vtype).is_finite or v.depth > 4:
+        if fg.gog.vertex_groups[v.vtype].is_finite or v.depth > 4:
             continue
         m6 = limit_set_approx(b6, v.vid)
         m5 = limit_set_approx(b5, v.vid)

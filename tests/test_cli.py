@@ -174,19 +174,40 @@ OUT_OF_RANGE = {
     "amalgam-check-samples": (["amalgam-check", "corpus:z2z2", "--depth", "4", "--samples", "-1"],
                               ["samples", "-1"]),
     "tree-ball-radius": (["tree-ball", "corpus:dinf", "--radius", "-1"], ["radius", "-1"]),
+    "boundary-depth": (["boundary", "corpus:dinf", "--depth", "-1"], ["depth", "-1"]),
+    "amalgam-check-depth": (["amalgam-check", "corpus:dinf", "--depth", "-1"], ["depth", "-1"]),
+    "classify-depth": (["classify", "corpus:z2z2", "--depth", "-1", "--words-json", "{words}"],
+                       ["depth", "-1"]),
+    # a negative bound admits edges at the sampled vertices: no counterexample
+    "verify-k-R-probe": (["verify-k", "corpus:dinf", "--radius", "4", "--R-probe", "-1"],
+                         ["R-probe", "-1"]),
 }
 
 
 @pytest.mark.parametrize("case", OUT_OF_RANGE)
-def test_out_of_range_number_exit_1_names_the_value(case, capsys):
+def test_out_of_range_number_exit_1_names_the_value(case, tmp_path, capsys):
     """A number outside its range is bad input, not an empty report, a
-    counterexample or a crash."""
+    counterexample or a crash.  ``{words}`` is a valid classify words file."""
     argv, words = OUT_OF_RANGE[case]
-    assert main(argv) == 1
+    words_json = tmp_path / "words.json"
+    words_json.write_text(json.dumps({"words": [["x1"]]}))
+    assert main([str(words_json) if a == "{words}" else a for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     for word in words:
         assert word in err
+
+
+def test_embedding_not_a_homomorphism_exit_1_names_the_line(tmp_path, capsys):
+    """Named images that generate but do not respect the edge group's law: a
+    of order 2 sent to a of order 6."""
+    bad = tmp_path / "bad.gog"
+    bad.write_text("group A cyclic 2\ngroup B cyclic 6\nvertex v1 A gens [a]\n"
+                   "vertex v2 B gens [a]\n"
+                   "edge e1 v1 -- v2 group A embed_fwd {a:a} embed_bwd {a:a}\n")
+    assert main(["validate", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "line 5: embed_fwd" in err and "Traceback" not in err
 
 
 def test_missing_file_exit_1():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,16 @@ from hypothesis import strategies as st
 
 from amalgam_lab.dsl import parse_gog
 from amalgam_lab.errors import BaseMismatch
-from amalgam_lab.fundgroup import FundamentalGroup, abelianization, emit_presentation
+from amalgam_lab.fundgroup import (
+    FundamentalGroup,
+    _finite_words,
+    abelianization,
+    emit_presentation,
+)
 from amalgam_lab.gog import bar, spanning_tree
 from amalgam_lab.groups import abelian_invariants
 
-from conftest import FINITE_EDGED, ORACLES, S3_Z4, SL2Z, make_fg
+from conftest import ALL_TEXTS, FINITE_EDGED, ORACLES, S3_Z4, SL2Z, make_fg
 
 
 # --- presentations ---------------------------------------------------------
@@ -344,7 +350,7 @@ def _swept_product(fg, x, y):
     if not x.tail:
         return fg.normalize(fg.root_group.mul(x.g0, y.g0), y.tail)
     en, gn = x.tail[-1]
-    merged = fg.vertex_backend(fg.gog.graph.omega[en]).mul(gn, y.g0)
+    merged = fg.gog.vertex_groups[fg.gog.graph.omega[en]].mul(gn, y.g0)
     return fg.normalize(x.g0, x.tail[:-1] + ((en, merged),) + y.tail)
 
 
@@ -368,9 +374,9 @@ def canonical_words(draw, fg):
     for _ in range(draw(st.integers(0, 10))):
         e = draw(st.sampled_from([e for e in range(2 * g.n_edges) if g.alpha[e] == v]))
         v = g.omega[e]
-        tail.append((e, draw(_vertex_elements(fg.vertex_backend(v)))))
+        tail.append((e, draw(_vertex_elements(fg.gog.vertex_groups[v]))))
     for e in reversed(fg._tree_paths[v]):
-        tail.append((bar(e), draw(_vertex_elements(fg.vertex_backend(g.omega[bar(e)])))))
+        tail.append((bar(e), draw(_vertex_elements(fg.gog.vertex_groups[g.omega[bar(e)]]))))
     return fg.normalize(draw(_vertex_elements(fg.root_group)), tail)
 
 
@@ -414,8 +420,64 @@ def test_invert_equals_normalize_of_reversed_word(name, data):
     x = data.draw(canonical_words(fg))
     omega = fg.gog.graph.omega
     elems = [x.g0] + [g for _, g in x.tail]
-    reversed_tail = [(bar(e), fg.vertex_backend(omega[bar(e)]).inv(elems[i]))
+    reversed_tail = [(bar(e), fg.gog.vertex_groups[omega[bar(e)]].inv(elems[i]))
                      for i, (e, _) in reversed(list(enumerate(x.tail)))]
     expected = fg.normalize(fg.root_group.inv(elems[-1]), reversed_tail)
     assert fg.invert(x) == expected
     assert fg.multiply(x, expected).is_identity()
+
+
+# --- one generating set S, one word table per finite vertex group ---------------
+
+# the inputs where a vertex generator's label was taken and gets its vertex prefix
+PREFIXED = {"z2z2", "sl2z", "z6z9", "hnn6", "chain", "rev", "dead_ends"}
+
+
+@pytest.mark.parametrize("name", ALL_TEXTS)
+def test_generating_set_names_the_presentation_generators(name):
+    gog, sd, fg = make_fg(ALL_TEXTS[name])
+    labels = fg.generating_set().labels
+    assert labels == emit_presentation(gog, sd).generators
+    assert len(set(labels)) == len(labels)
+    assert any("." in label for label in labels) == (name in PREFIXED)
+
+
+@pytest.mark.parametrize("name", ALL_TEXTS)
+def test_presentation_relators_hold_in_the_group(name):
+    """Every relator, multiplied out over S, is the identity of Gamma."""
+    gog, sd, fg = make_fg(ALL_TEXTS[name])
+    p = emit_presentation(gog, sd)
+    for rel in p.relators:
+        word = [p.generators[abs(l) - 1] + ("" if l > 0 else "^-1") for l in rel]
+        assert fg.evaluate_word(word).is_identity(), word
+
+
+def _distances(G, gens) -> dict[int, int]:
+    """Plain breadth-first distances from the identity over gens and inverses."""
+    dist, queue = {G.identity_index: 0}, deque([G.identity_index])
+    while queue:
+        a = queue.popleft()
+        for s in gens:
+            for b in (G.mul(a, s), G.mul(a, G.inv(s))):
+                if b not in dist:
+                    dist[b] = dist[a] + 1
+                    queue.append(b)
+    return dist
+
+
+@pytest.mark.parametrize("name", ALL_TEXTS)
+def test_finite_words_spell_each_element_geodesically(name):
+    gog, _, fg = make_fg(ALL_TEXTS[name])
+    lengths, _ = fg._length_tables()
+    for v, (G, genset) in enumerate(zip(gog.vertex_groups, gog.generating_sets)):
+        if not G.is_finite:
+            continue
+        gens = [elem for _, elem in genset]
+        words, dist = _finite_words(G, gens), _distances(G, gens)
+        assert sorted(words) == list(G.elements())
+        for g, word in words.items():
+            x = G.identity_index
+            for l in word:
+                x = G.mul(x, gens[l - 1] if l > 0 else G.inv(gens[-l - 1]))
+            assert x == g
+            assert len(word) == dist[g] == lengths[v](g)

@@ -20,6 +20,8 @@ from amalgam_lab.groups import (
     cyclic_group,
 )
 
+from conftest import ALL_TEXTS, make_fg
+
 
 def test_trivial_group():
     g = check_group([[0]])
@@ -153,3 +155,27 @@ def test_abelian_invariants_s3():
     table = [[perms.index(compose(p, q)) for q in perms] for p in perms]
     g = check_group(table)
     assert abelian_invariants(g) == (2,)
+
+
+def _product_closure(G, gens) -> frozenset[int]:
+    """Every product of two members and every inverse, until nothing is new."""
+    closure = {G.identity_index, *gens}
+    while True:
+        new = {G.mul(a, b) for a in closure for b in closure} | {G.inv(a) for a in closure}
+        if new <= closure:
+            return frozenset(closure)
+        closure |= new
+
+
+@pytest.mark.parametrize("name", ALL_TEXTS)
+def test_subgroup_generated_is_the_product_closure(name):
+    """On every finite vertex and edge group: for each single element, and
+    for the vertex generators S_v."""
+    gog, _, _ = make_fg(ALL_TEXTS[name])
+    finite = [(G, [e for _, e in gens])
+              for G, gens in zip(gog.vertex_groups, gog.generating_sets) if G.is_finite]
+    for G, S_v in finite + [(H, None) for H in gog.edge_groups]:
+        for g in G.elements():
+            assert G.subgroup_generated({g}) == _product_closure(G, [g])
+        if S_v is not None:
+            assert G.subgroup_generated(S_v) == _product_closure(G, S_v) == frozenset(G.elements())

@@ -311,7 +311,7 @@ def test_coset_elements_in_ball_backend(z2z2):
 
 def _coset_elements_by_wordlen(fg, rep, vtype, maxlen):
     """Oracle: the coset enumeration filtered by ``fg.wordlen``, not by a ball."""
-    backend = fg.vertex_backend(vtype)
+    backend = fg.gog.vertex_groups[vtype]
     if backend.is_finite:
         members = sorted(fg.vertex_subgroup_elements(vtype), key=lambda n: n.sort_key())
     else:
