@@ -79,7 +79,8 @@ def _add_common(p: argparse.ArgumentParser, emit_choices=("text", "json"),
     p.add_argument("--seed", type=int, default=0)
     if budget:
         p.add_argument("--budget", type=int, default=2_000_000,
-                       help="element budget of Cayley balls, backend balls and the wordlen walk")
+                       help="element budget of Cayley balls, backend balls and the wordlen walk; "
+                            "it also caps the pairs that verify-k measures for diam(I_3/2)")
     if tree:
         p.add_argument("--star-radius", type=int, default=2)
         p.add_argument("--star-small", type=int, default=3)
@@ -236,10 +237,7 @@ def _cmd_cayley_ball(args, argv) -> int:
     fg = _fg(args)
     ball = fg.word_metric_ball(args.radius)
     gs = fg.generating_set()
-    adjacency = [
-        [[lbl, ball.index[y]] for lbl, y in ball.neighbors(x)]
-        for x in ball.elements
-    ]
+    adjacency = [ball.neighbors(i) for i in range(len(ball))]
     payload = {
         "schema_version": 1,
         "kind": "cayley_ball",

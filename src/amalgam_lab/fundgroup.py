@@ -557,18 +557,18 @@ def _generators(gog: GraphOfGroups, sd: SpanningData):
     """S in presentation order: ``(name, v, elem)`` for each generator of each
     S_v, vertex by vertex, then ``(name, None, k)`` for each non-tree edge pair
     k, whose letter is t_{2k}.  A vertex generator keeps its label unless an
-    earlier generator took it; then it is prefixed with its vertex name
-    (``v2.a``).  The stable letter of edge NAME is ``s_NAME``."""
+    earlier generator or a stable letter took it; then it is prefixed with its
+    vertex name (``v2.a``).  The stable letter of edge NAME is ``s_NAME``."""
     g = gog.graph
-    seen: set[str] = set()
+    stable = [(f"s_{name}", k) for k, name in enumerate(g.edge_names) if k not in sd.tree_edges]
+    seen = {name for name, _ in stable}
     for v, genset in enumerate(gog.generating_sets):
         for lbl, elem in genset:
             name = lbl if lbl not in seen else f"{g.vertex_names[v]}.{lbl}"
             seen.add(name)
             yield name, v, elem
-    for k, name in enumerate(g.edge_names):
-        if k not in sd.tree_edges:
-            yield f"s_{name}", None, k
+    for name, k in stable:
+        yield name, None, k
 
 
 def _finite_words(G: FiniteGroup, gens) -> dict[int, tuple[int, ...]]:

@@ -10,18 +10,16 @@ on vertices outside the ball are excluded by a margin from the sphere.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import random
 from array import array
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .bass_serre import TreeBall
-from .errors import Inconclusive, PreconditionUnmet
+from .errors import BudgetExceeded, Inconclusive, PreconditionUnmet
 from .fundgroup import FundamentalGroup, NormalForm
-from .groups import UNSET, fill_table
+from .groups import UNSET
 
 
 @dataclass(frozen=True)
@@ -30,7 +28,8 @@ class CayleyBall:
 
     ``elements`` is in BFS discovery order, layer by layer, so layer k is
     the slice ``layer_starts[k]:layer_starts[k + 1]``, offsets summed from
-    ``layer_sizes``; ``index`` maps each element to its position.
+    ``layer_sizes``; ``index`` maps each element to its position.  So x has
+    word length <= k exactly when ``index[x] < layer_starts[k + 1]``.
     Distances between ball elements are computed in the group (never
     truncated to the ball), via ``group.dist``.
     ``step_table`` is the R = 1 neighbour table, filled by the walk that
@@ -51,19 +50,8 @@ class CayleyBall:
     def __post_init__(self):
         object.__setattr__(self, "layer_starts", (0, *itertools.accumulate(self.layer_sizes)))
 
-    def __contains__(self, x: NormalForm) -> bool:
-        return x in self.index
-
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    @property
-    def depth(self) -> Mapping[NormalForm, int]:
-        """Read-only element -> word length, looked up on the layer offsets."""
-        return _Depths(self)
 
     def sphere(self, k: int) -> list[NormalForm]:
         if not 0 <= k <= self.radius:
@@ -112,15 +100,12 @@ class CayleyBall:
                 for x, k in zip(self.elements, via)])
         return table
 
-    def _layer(self, i: int) -> int:
-        """The word length of ``elements[i]``, read off the layer offsets."""
-        return bisect.bisect_right(self.layer_starts, i) - 1
-
-    def neighbors(self, x: NormalForm) -> list[tuple[str, NormalForm]]:
-        """In-ball Cayley edges at x: (generator label, x * s), in
-        ``step_labels`` order; read off the R = 1 table."""
+    def neighbors(self, i: int) -> list[list]:
+        """In-ball Cayley edges at position i: [generator label, position of
+        ``elements[i] * s``], in ``step_labels`` order; read off the R = 1
+        table."""
         gs = self.group.generating_set()
-        row = self.index[x] * len(gs.steps)
+        row = i * len(gs.steps)
         if not self.radius:  # every step leaves a radius-0 ball
             return []
         out = []
@@ -128,118 +113,47 @@ class CayleyBall:
             # the first layer is the steps in table column order: column j is position j + 1
             k = self.step_table[row + self.index[s] - 1]
             if k >= 0:
-                out.append((lbl, self.elements[k]))
+                out.append([lbl, k])
         return out
 
 
-class _Depths(Mapping):
-    """``CayleyBall.depth``: the layer of each element, by bisecting its
-    position against the layer offsets; holds no dict of its own."""
-
-    def __init__(self, ball: CayleyBall):
-        self._ball = ball
-
-    def __getitem__(self, x: NormalForm) -> int:
-        return self._ball._layer(self._ball.index[x])
-
-    def __iter__(self):
-        return iter(self._ball.index)
-
-    def __len__(self) -> int:
-        return len(self._ball.index)
+_FREE, _OUT = -2, -1  # the label of a live point not yet reached, of an excluded one
 
 
-def _neighbour_table(elements, index: dict, R: int) -> array:
-    """The table of :meth:`CayleyBall.neighbours` for distinct group
-    elements with position ``index``, in one pass of exact products.
+def r_components(ball: CayleyBall, R: int, excluded=()) -> list[int]:
+    """Label the R-path components of ``ball`` minus ``excluded``.
 
-    The shifts are closed under inversion, so a product x * s = y found in
-    the set also fills y's entry for s^-1 (which is x) without a multiply.
-    """
-    if not elements:
-        return array("i")
-    fg = elements[0].group
-    shifts = fg.word_metric_ball(R).elements[1:]
-    column = {s: j for j, s in enumerate(shifts)}
-    inverse = [column[fg.invert(s)] for s in shifts]
-    table = array("i", [UNSET]) * (len(elements) * len(shifts))
-    fill_table(elements, shifts, fg.multiply, index, table, inverse)
-    return table
-
-
-_FREE, _OUT = -1, -2  # the label of a live point not yet reached, of an excluded one
-
-
-def r_components(points, R: int, excluded=(), dist=None) -> list[list]:
-    """Partition points minus ``excluded`` into maximal R-path components.
-
-    ``points`` is a :class:`CayleyBall` (its cached R-step table is used,
-    and excluded elements outside the ball are ignored) or a sequence of
-    distinct points.  A sequence of group elements gets an uncached table of
-    exact word-metric steps; other point types need an explicit ``dist``
-    function (then each reached point is measured against every point not
-    yet reached).  Components are ordered by first appearance and keep the
-    input order.
+    Entry i is the component of ``ball.elements[i]``, or -1 if that element
+    is excluded; excluded elements outside the ball are ignored.  The
+    neighbours of a point are a row of the ball's cached R-step table.
 
     One flood fill labels the live points: it starts from each unreached
-    live point in input order, so labels come out in order of first member,
-    and a stack carries it across R-steps.  The members are then bucketed by
-    label in input order.  Only the neighbours of a point differ between the
-    two branches: a table row, or a scan with ``dist``.
+    live point in ball order, so components are numbered in order of their
+    first position, and a stack carries it across R-steps.
     """
-    if dist is None:
-        if isinstance(points, CayleyBall):
-            elements, index, table = points.elements, points.index, points.neighbours(R)
-        else:
-            elements = list(points)
-            if elements and not isinstance(elements[0], NormalForm):
-                raise ValueError("non-group points require a dist function")
-            index = {p: i for i, p in enumerate(elements)}
-            table = _neighbour_table(elements, index, R)
-        # one slot past the end, so a table's -1 (outside the ball) reads _OUT
-        label = [_FREE] * len(elements) + [_OUT]
-        for p in excluded:
-            i = index.get(p)
-            if i is not None:
-                label[i] = _OUT
-        m = len(table) // len(elements) if elements else 0
-
-        def neighbours(i):
-            return table[i * m:(i + 1) * m]
-    else:
-        elements = list(points)
-        excluded = set(excluded)
-        label = [_OUT if p in excluded else _FREE for p in elements]
-
-        def neighbours(i):
-            x = elements[i]
-            return [j for j, y in enumerate(elements)
-                    if label[j] == _FREE and dist(x, y) <= R]
+    table, index, n = ball.neighbours(R), ball.index, len(ball)
+    # one slot past the end, so a table's -1 (outside the ball) reads _OUT
+    label = [_FREE] * n + [_OUT]
+    for p in excluded:
+        i = index.get(p)
+        if i is not None:
+            label[i] = _OUT
+    m = len(table) // n
     n_comps = 0
-    for start in range(len(elements)):
+    for start in range(n):
         if label[start] != _FREE:
             continue
         label[start] = n_comps
         stack = [start]
         while stack:
-            for j in neighbours(stack.pop()):
+            i = stack.pop()
+            for j in table[i * m:(i + 1) * m]:
                 if label[j] == _FREE:
                     label[j] = n_comps
                     stack.append(j)
         n_comps += 1
-    comps: list[list] = [[] for _ in range(n_comps)]
-    for x, c in zip(elements, label):
-        if c >= 0:
-            comps[c].append(x)
-    return comps
-
-
-def component_labels(points, R: int, excluded=(), dist=None) -> dict:
-    labels = {}
-    for ci, comp in enumerate(r_components(points, R, excluded, dist)):
-        for p in comp:
-            labels[p] = ci
-    return labels
+    label.pop()
+    return label
 
 
 def set_distance(x, elems, dist) -> float:
@@ -271,17 +185,23 @@ def diameter(fg: FundamentalGroup, points) -> int:
                default=0)
 
 
-def r_separates(space, I, x0, x1, R: int, dist=None) -> bool:
+def _apart(c0: int, c1: int) -> bool:
+    """Whether component labels c0 and c1 name two components; -1 names none."""
+    return min(c0, c1) >= 0 and c0 != c1
+
+
+def _points_apart(ball: CayleyBall, label: list[int], x0: NormalForm, x1: NormalForm) -> bool:
+    """``_apart`` for two points; a point outside the ball is in no component."""
+    return _apart(*(label[ball.index[x]] if x in ball.index else -1 for x in (x0, x1)))
+
+
+def r_separates(ball: CayleyBall, I, x0: NormalForm, x1: NormalForm, R: int) -> bool:
     """Definition check: d(x0,I) >= R, d(x1,I) >= R, and no R-path in
-    space minus I joins x0 to x1."""
-    if dist is None:
-        dist = lambda a, b: a.group.dist(a, b)  # noqa: E731
+    ball minus I joins x0 to x1."""
+    dist = ball.group.dist
     if set_distance(x0, I, dist) < R or set_distance(x1, I, dist) < R:
         return False
-    labels = component_labels(space, R, excluded=set(I), dist=None if isinstance(x0, NormalForm) else dist)
-    if x0 not in labels or x1 not in labels:
-        return False
-    return labels[x0] != labels[x1]
+    return _points_apart(ball, r_components(ball, R, excluded=set(I)), x0, x1)
 
 
 @dataclass
@@ -317,15 +237,16 @@ class SeparationReport:
         }
 
 
-def thicken(fg: FundamentalGroup, core, r: int, universe=None) -> set[NormalForm]:
-    """N_r(core) as a set of group elements; intersected with universe if given."""
+def thicken(fg: FundamentalGroup, core, r: int,
+            ball: CayleyBall | None = None) -> set[NormalForm]:
+    """N_r(core) as a set of group elements; intersected with ``ball`` if given."""
     if r == 0:
         out = set(core)
     else:
         shifts = fg.word_metric_ball(r).elements
         out = {fg.multiply(c, s) for c in core for s in shifts}
-    if universe is not None:
-        out &= set(universe)
+    if ball is not None:
+        out &= ball.index.keys()
     return out
 
 
@@ -345,10 +266,9 @@ def verify_thickening_lemma(ball: CayleyBall, I, x0: NormalForm, x1: NormalForm,
         raise PreconditionUnmet(f"d(x0, I) = {d0} < {need}", x0.display())
     if d1 < need:
         raise PreconditionUnmet(f"d(x1, I) = {d1} < {need}", x1.display())
-    labels = component_labels(ball, 1, excluded=I)
-    if x0 not in labels or x1 not in labels or labels[x0] == labels[x1]:
+    if not _points_apart(ball, r_components(ball, 1, excluded=I), x0, x1):
         raise PreconditionUnmet("I does not separate x0 from x1 in the graph")
-    J = thicken(fg, I, math.ceil(R / 2), universe=ball.elements)
+    J = thicken(fg, I, math.ceil(R / 2), ball=ball)
     report = SeparationReport(instance="thickening-lemma", R=R,
                               separating_set_size=len(J))
     report.witness_pairs_tested = 1
@@ -365,19 +285,22 @@ def coset_elements_in_ball(fg: FundamentalGroup, ball: CayleyBall,
     """All elements of rep*G_vtype with word length <= maxlen.
 
     ``ball`` is the exact word-metric ball of ``fg``, so a member's word
-    length is at most maxlen exactly when the ball holds it at depth <= maxlen.
+    length is at most maxlen exactly when its ball position is below
+    ``ball.layer_starts[maxlen + 1]``.
     """
     if maxlen > ball.radius:
         raise ValueError(f"maxlen {maxlen} exceeds the ball radius {ball.radius}")
+    if maxlen < 0:
+        return []
     backend = fg.gog.vertex_groups[vtype]
     if backend.is_finite:
         members = sorted(fg.vertex_subgroup_elements(vtype), key=lambda n: n.sort_key())
     else:
         reach = maxlen + fg.wordlen(rep)
         members = [fg.vertex_element(vtype, g) for g in backend.ball(reach, fg.ball_budget)]
-    depth = ball.depth
+    index, bound = ball.index, ball.layer_starts[maxlen + 1]
     coset = (fg.multiply(rep, h) for h in members)
-    return [x for x in coset if depth.get(x, maxlen + 1) <= maxlen]
+    return [x for x in coset if index.get(x, bound) < bound]
 
 
 def verify_cayley_separation(fg: FundamentalGroup, ball_radius: int,
@@ -426,23 +349,22 @@ def verify_cayley_separation(fg: FundamentalGroup, ball_radius: int,
         if not eligible_u or not eligible_w:
             report.not_applicable += 1
             continue
-        I = thicken(fg, coset, half, universe=ball.elements)
+        I = thicken(fg, coset, half, ball=ball)
         report.separating_set_size = max(report.separating_set_size, len(I))
-        labels = component_labels(ball, R, excluded=I)
+        label = r_components(ball, R, excluded=I)
         d_u = [set_distance(x, I, fg.dist) for x in eligible_u]
         d_w = [set_distance(x2, I, fg.dist) for x2 in eligible_w]
         for x, dxI in zip(eligible_u, d_u):
+            c = label[ball.index[x]]
             for x2, dx2I in zip(eligible_w, d_w):
+                c2 = label[ball.index[x2]]
                 report.witness_pairs_tested += 1
-                ok = (dxI >= R and dx2I >= R
-                      and x in labels and x2 in labels and labels[x] != labels[x2])
-                if not ok:
+                if not (dxI >= R and dx2I >= R and _apart(c, c2)):
                     report.failures.append({
                         "edge": edge.rep.display(),
                         "delta": x.display(), "delta2": x2.display(),
                         "d_delta_I": dxI, "d_delta2_I": dx2I,
-                        "same_component": bool(
-                            x in labels and x2 in labels and labels[x] == labels[x2]),
+                        "same_component": c >= 0 and c == c2,
                     })
     return report
 
@@ -473,6 +395,11 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
     I_half = thicken(fg, base, math.ceil(diam_P / 2))
     K = {fg.multiply(i, l) for i in I_half for l in L}
     I_sesq = thicken(fg, base, math.ceil(3 * diam_P / 2))
+    pairs = len(I_sesq) * (len(I_sesq) - 1) // 2
+    if pairs > fg.ball_budget:
+        raise BudgetExceeded(fg.ball_budget, "diam(I_3/2)",
+                             f"diam(I_3/2): {pairs} pairs exceed the element budget "
+                             f"{fg.ball_budget}")
     diam_I_sesq = diameter(fg, I_sesq)
 
     report = SeparationReport(instance="K-construction", R=diam_P,
@@ -496,7 +423,8 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
     points = [coset_elements_in_ball(fg, ball, v.rep, v.vtype, margin) for v in tb.vertices]
 
     def split_analysis(eid: int):
-        """(R0, labels) for the split at one tree edge."""
+        """(R0, label) for the split at one tree edge; every coset point
+        lies in the ball, so each has a label."""
         edge = tb.edges[eid]
         gammaK = {fg.multiply(edge.rep, k) for k in K}
         side0, side1 = tb.split_by_edge(eid)
@@ -504,11 +432,12 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
         M2 = {x for vid in side1 for x in points[vid]}
         if not M or not M2:
             return None
-        labels = component_labels(ball, 1, excluded=gammaK)
+        label = r_components(ball, 1, excluded=gammaK)
         gamma_inv = fg.invert(edge.rep)
         subgroup = fg.edge_subgroup_elements(edge.pair)
-        AM = [(x, edge_coset_distance(fg, x, gamma_inv, subgroup), labels.get(x)) for x in M]
-        AM2 = [(x, edge_coset_distance(fg, x, gamma_inv, subgroup), labels.get(x))
+        AM = [(x, edge_coset_distance(fg, x, gamma_inv, subgroup), label[ball.index[x]])
+              for x in M]
+        AM2 = [(x, edge_coset_distance(fg, x, gamma_inv, subgroup), label[ball.index[x]])
                for x in M2]
         report.witness_pairs_tested += len(AM) * len(AM2)
         # minimal exclusion radius R0 killing all offending pairs
@@ -518,7 +447,7 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
         R0 = 0
         for side, (A, other_max) in enumerate(((AM, max_d_M2), (AM2, max_d_M))):
             for x, d, c in A:
-                if c is None:  # swallowed by gamma''K
+                if c < 0:  # swallowed by gamma''K
                     R0 = max(R0, min(d, other_max))
                 else:
                     best = best_per_comp.setdefault(c, [0, 0])
@@ -526,7 +455,7 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
         for _, (dm, dm2) in best_per_comp.items():
             if dm > 0 and dm2 > 0:
                 R0 = max(R0, min(dm, dm2))
-        return R0, labels
+        return R0, label
 
     for _ in range(edges_sampled):
         eid = rng.randrange(n_edges)
@@ -562,12 +491,13 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
         result = split_analysis(eid)
         if result is None:
             continue
-        _, labels = result
+        _, label = result
         report.details["probe_edges"] += 1
         for x in points[u]:
+            cx = label[ball.index[x]]
             for x2 in points[w]:
-                cx, cx2 = labels.get(x), labels.get(x2)
-                if cx is None or cx2 is None or cx == cx2:
+                cx2 = label[ball.index[x2]]
+                if not _apart(cx, cx2):
                     report.failures.append({
                         "edge": tb.edges[eid].rep.display(),
                         "reason": "probe pair not separated",
@@ -626,14 +556,14 @@ def ends_estimate(fg: FundamentalGroup, radii, margin: int = 3) -> EndsReport:
     m = len(table) // len(ball)
     outer = starts[-2]  # position of the first outer-sphere element
     low = starts[radii[-1] + 1]
-    comps = r_components(ball, 1, excluded=ball.elements[:low])
-    node = [0] * len(ball)  # ball position -> its union-find node
-    for a, c in enumerate(comps):
-        for x in c:
-            node[ball.index[x]] = a
-    parent = list(range(len(comps)))
-    size = [len(c) for c in comps]
-    top = [ball.index[c[-1]] for c in comps]  # a component lists its elements in ball order
+    # ball position -> its union-find node: at first the component of the
+    # smallest annulus; each inner position added later gets a node of its own
+    node = r_components(ball, 1, excluded=ball.elements[:low])
+    parent = list(range(max(node) + 1))
+    size, top = [0] * len(parent), [0] * len(parent)
+    for p in range(low, len(ball)):
+        size[node[p]] += 1
+        top[node[p]] = p  # positions ascend, so the last one is the largest
 
     def find(a: int) -> int:
         while parent[a] != a:

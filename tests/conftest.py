@@ -117,11 +117,29 @@ vertex v2 A gens [a]
 edge e1 v1 -- v2 group E embed_fwd {a:a2} embed_bwd {a:t}
 """
 
-# the corpus and every DSL input above but DEAD_ENDS, by name
+# Z/2 * Z with the Z/2 generator labelled like the stable letter s_e2 of the
+# loop e2, so that generator takes its vertex prefix
+STABLE_CLASH = """\
+group A table [[0,1],[1,0]] labels [e,s_e2]
+vertex v1 A gens [s_e2]
+edge e2 v1 -- v1 group trivial embed_fwd {} embed_bwd {}
+"""
+
+# the corpus and every DSL input above but DEAD_ENDS and STABLE_CLASH, by name
 GOG_TEXTS = {**{name: text(name) for name in NAMES}, "sl2z": SL2Z, **FINITE_EDGED,
              "segment": SEGMENT, "rev": REV, "free_one": FREE_ONE}
-# GOG_TEXTS with the non-abelian vertex group and the dead ends
-ALL_TEXTS = {**GOG_TEXTS, "s3z4": S3_Z4, "dead_ends": DEAD_ENDS}
+# GOG_TEXTS with the non-abelian vertex group, the dead ends and the label clash
+ALL_TEXTS = {**GOG_TEXTS, "s3z4": S3_Z4, "dead_ends": DEAD_ENDS, "stable_clash": STABLE_CLASH}
+
+
+def components(ball, label) -> list[list[NormalForm]]:
+    """The members of each component of an ``r_components`` labelling, in
+    ball order; excluded elements (label -1) are in none."""
+    comps: list[list[NormalForm]] = [[] for _ in range(max(label, default=-1) + 1)]
+    for x, c in zip(ball.elements, label):
+        if c >= 0:
+            comps[c].append(x)
+    return comps
 
 
 def make_fg(name: str, ball_budget: int = DEFAULT_BALL_BUDGET):

@@ -1,10 +1,8 @@
 """The Cayley ball as an indexed graph: neighbour tables against exact
-products and the plain-sequence table, R-components against an all-pairs
-union-find oracle, and the tables being built once per ball and R.
+products, R-component labellings against an all-pairs union-find oracle, and
+the tables being built once per ball and R.
 
-``_neighbour_table`` fills its entries with ``groups.fill_table``, the loop
-that also finishes the walk's table, so it is no independent check of that
-loop.  The independent oracle is the per-entry line
+The oracle of the tables is the per-entry line
 ``ball.index.get(fg.multiply(x, s), -1)`` in
 ``test_neighbour_table_entries_are_exact_products``."""
 
@@ -18,9 +16,9 @@ from hypothesis import strategies as st
 
 from amalgam_lab.corpus import NAMES
 from amalgam_lab.fundgroup import FundamentalGroup
-from amalgam_lab.separation import _neighbour_table, r_components
+from amalgam_lab.separation import r_components
 
-from conftest import FINITE_EDGED, SL2Z, make_fg
+from conftest import FINITE_EDGED, SL2Z, components, make_fg
 
 INPUTS = [*NAMES, "sl2z"]
 SOURCES = {"sl2z": SL2Z, **FINITE_EDGED}
@@ -43,9 +41,8 @@ def _ball(name: str):
 def test_neighbour_table_entries_are_exact_products(name, R):
     """The walk's R = 1 table and the R > 1 tables composed from it, on the
     cached ball and on an uncached one built with an explicit budget, against
-    one product per entry and against the plain-sequence table.  z2z3 has
-    steps along a sphere (the odd cycles of b^3); sl2z and the finite-edged
-    inputs form every outer-sphere product."""
+    one product per entry.  z2z3 has steps along a sphere (the odd cycles of
+    b^3); sl2z and the finite-edged inputs form every outer-sphere product."""
     fg, cached, _, _ = _ball(name)
     uncached = fg.word_metric_ball(cached.radius, budget=len(cached))
     assert uncached is not cached
@@ -56,7 +53,6 @@ def test_neighbour_table_entries_are_exact_products(name, R):
         for i, x in enumerate(ball.elements):
             for j, s in enumerate(shifts):
                 assert table[i * len(shifts) + j] == ball.index.get(fg.multiply(x, s), -1)
-        assert table == _neighbour_table(ball.elements, ball.index, R)
 
 
 @pytest.mark.parametrize("name", [*INPUTS, *FINITE_EDGED])
@@ -67,8 +63,8 @@ def test_steps_join_one_sphere_exactly_when_a_relator_is_odd(name):
     joins elements of the outer sphere, which are formed and looked up."""
     fg, ball, _, _ = _ball(name)
     table, m = ball.neighbours(1), len(fg.generating_set().steps)
-    along = [i for i, k in enumerate(table) if k >= 0 and ball.depth[ball.elements[k]]
-             == ball.depth[ball.elements[i // m]]]
+    layer = [k for k in range(ball.radius + 1) for _ in ball.sphere(k)]  # by position
+    along = [i for i, k in enumerate(table) if k >= 0 and layer[k] == layer[i // m]]
     assert (not along) == fg._bipartite_cayley_graph()
     if name == "z2z3":
         assert any(i // m >= len(ball) - ball.layer_sizes[-1] for i in along)
@@ -142,26 +138,11 @@ def test_r_components_match_all_pairs_oracle(name, R, data):
         # excluded elements outside the ball are ignored
         excluded |= data.draw(st.sets(st.sampled_from(outside), max_size=3), label="outside")
     oracle = _all_pairs_components(ball.elements, R, excluded, dist)
-    assert r_components(list(ball.elements), R, excluded, dist=dist) == oracle
-    assert r_components(ball, R, excluded) == oracle
-    assert r_components(ball, R, excluded, dist=dist) == oracle
-    assert r_components(list(ball.elements), R, excluded) == oracle
-
-
-@pytest.mark.parametrize("points, excluded, comps", [
-    ([5, 0, 6, 1, 7], (), [[5, 6, 7], [0, 1]]),
-    # the fill reaches 6 before 7, but members keep the input order
-    ([5, 0, 7, 1, 6], (), [[5, 7, 6], [0, 1]]),
-    ([5, 0, 7, 1, 6], {6}, [[5], [0, 1], [7]]),
-    ([3, 9, 1, 2, 8, 0], {1, 4}, [[3, 2], [9, 8], [0]]),
-    ([], (), []),
-])
-def test_r_components_on_integers(points, excluded, comps):
-    """The dist branch on plain integers at R = 1, where components
-    interleave in the input."""
-    dist = lambda a, b: abs(a - b)  # noqa: E731
-    assert r_components(points, 1, excluded, dist=dist) == comps
-    assert _all_pairs_components(points, 1, excluded, dist) == comps
+    label = r_components(ball, R, excluded)
+    assert len(label) == len(ball)
+    assert [x for x, c in zip(ball.elements, label) if c < 0] == \
+        [x for x in ball.elements if x in excluded]
+    assert components(ball, label) == oracle
 
 
 def test_tables_are_built_once_and_leave_the_ball_unchanged(monkeypatch):
@@ -182,8 +163,8 @@ def test_tables_are_built_once_and_leave_the_ball_unchanged(monkeypatch):
     first = r_components(ball, 1, excluded)
     assert calls == 0
     assert r_components(ball, 1, excluded) == first
-    for x in ball.elements:
-        ball.neighbors(x)
+    for i in range(len(ball)):
+        ball.neighbors(i)
     spheres = [ball.sphere(k) for k in range(ball.radius + 1)]
     assert calls == 0
     second = r_components(ball, 2, excluded)
@@ -194,4 +175,3 @@ def test_tables_are_built_once_and_leave_the_ball_unchanged(monkeypatch):
     assert len(ball) == size
     assert [len(s) for s in spheres] == list(layer_sizes)
     assert [x for s in spheres for x in s] == list(elements)
-    assert all(ball.depth[x] == k for k, s in enumerate(spheres) for x in s)

@@ -145,6 +145,15 @@ def test_budget_bounds_the_verifiers(argv, capsys):
     assert "Cayley ball: element budget 10" in capsys.readouterr().err
 
 
+def test_verify_k_budget_caps_the_diameter_pairs(capsys):
+    """z2z2's I_3/2 has about 2.2e9 pairs and trivial edge groups, so no
+    wordlen budget would stop the diameter; the element budget stops it
+    before the first pair is measured, and names the phase."""
+    assert main(["verify-k", "corpus:z2z2", "--radius", "6", "--edges", "4"]) == 1
+    assert "diam(I_3/2): 2239176660 pairs exceed the element budget 2000000" \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", "corpus:dinf", "--tree-budget", "1"],
     ["collapse", "corpus:dinf", "--budget", "10"],

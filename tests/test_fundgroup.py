@@ -169,8 +169,9 @@ def test_normal_forms_biject_with_oracle(name):
 def test_wordlen_agrees_with_bfs_depth(name, radius):
     _, _, fg = make_fg(name)
     ball = fg.word_metric_ball(radius)
-    for x in ball.elements:
-        assert fg.wordlen(x) == ball.depth[x]
+    for k in range(radius + 1):
+        for x in ball.sphere(k):
+            assert fg.wordlen(x) == k
 
 
 def test_left_invariance(z2z3):
@@ -197,8 +198,9 @@ edge e1 v1 -- v2 group E embed_fwd {a:a2} embed_bwd {a:a2}
     fg = FundamentalGroup(gog, sd)
     assert not fg._fast_metric
     ball = fg.word_metric_ball(5)
-    for x in ball.elements:
-        assert fg.wordlen(x) == ball.depth[x]
+    for k in range(6):
+        for x in ball.sphere(k):
+            assert fg.wordlen(x) == k
 
 
 # --- coset membership ------------------------------------------------------------
@@ -430,16 +432,19 @@ def test_invert_equals_normalize_of_reversed_word(name, data):
 # --- one generating set S, one word table per finite vertex group ---------------
 
 # the inputs where a vertex generator's label was taken and gets its vertex prefix
-PREFIXED = {"z2z2", "sl2z", "z6z9", "hnn6", "chain", "rev", "dead_ends"}
+PREFIXED = {"z2z2", "sl2z", "z6z9", "hnn6", "chain", "rev", "dead_ends", "stable_clash"}
 
 
 @pytest.mark.parametrize("name", ALL_TEXTS)
 def test_generating_set_names_the_presentation_generators(name):
+    """The names of S are distinct, and each one evaluates to its own
+    generator, also where a vertex label equals a stable letter's name."""
     gog, sd, fg = make_fg(ALL_TEXTS[name])
-    labels = fg.generating_set().labels
-    assert labels == emit_presentation(gog, sd).generators
-    assert len(set(labels)) == len(labels)
-    assert any("." in label for label in labels) == (name in PREFIXED)
+    gs = fg.generating_set()
+    assert gs.labels == emit_presentation(gog, sd).generators
+    assert len(set(gs.labels)) == len(gs.labels)
+    assert any("." in label for label in gs.labels) == (name in PREFIXED)
+    assert [fg.evaluate_word([label]) for label in gs.labels] == list(gs.elements)
 
 
 @pytest.mark.parametrize("name", ALL_TEXTS)

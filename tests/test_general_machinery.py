@@ -49,14 +49,15 @@ def test_presentation_and_abelianization():
 def test_canonical_invariants_and_group_law():
     gog, _, fg = build()
     ball = fg.word_metric_ball(4)
-    for x in ball.elements:
-        assert fg.wordlen(x) == ball.depth[x]
-        assert fg.multiply(x, fg.invert(x)).is_identity()
-        for i, (e, g) in enumerate(x.tail):
-            emb = gog.embedding(e)
-            assert emb.right_decompose(g)[1] == g
-            if i + 1 < len(x.tail) and x.tail[i + 1][0] == bar(e):
-                assert not emb.contains(g)
+    for k in range(5):
+        for x in ball.sphere(k):
+            assert fg.wordlen(x) == k
+            assert fg.multiply(x, fg.invert(x)).is_identity()
+            for i, (e, g) in enumerate(x.tail):
+                emb = gog.embedding(e)
+                assert emb.right_decompose(g)[1] == g
+                if i + 1 < len(x.tail) and x.tail[i + 1][0] == bar(e):
+                    assert not emb.contains(g)
     rng = random.Random(7)
     elems = ball.elements
     for _ in range(300):

@@ -8,7 +8,6 @@ from amalgam_lab.bass_serre import TreeBall
 from amalgam_lab.corpus import NAMES
 from amalgam_lab.errors import Inconclusive, PreconditionUnmet
 from amalgam_lab.separation import (
-    component_labels,
     coset_elements_in_ball,
     diameter,
     edge_coset_distance,
@@ -22,48 +21,35 @@ from amalgam_lab.separation import (
     verify_thickening_lemma,
 )
 
-from conftest import FINITE_EDGED, SEGMENT, SL2Z, make_fg
+from conftest import FINITE_EDGED, SEGMENT, SL2Z, components, make_fg
 
 
 def test_r_components_whole_ball_one_component(dinf):
     _, _, fg = dinf
     ball = fg.word_metric_ball(4)
-    comps = r_components(ball.elements, R=2 * 4)
-    assert len(comps) == 1
+    assert r_components(ball, R=2 * 4) == [0] * len(ball)
 
 
 def test_r_components_dinf_split_at_identity(dinf):
     _, _, fg = dinf
     ball = fg.word_metric_ball(6)
-    comps = r_components(ball.elements, R=1, excluded={fg.identity()})
-    assert len(comps) == 2
-    sizes = sorted(len(c) for c in comps)
-    assert sizes == [6, 6]
+    label = r_components(ball, R=1, excluded={fg.identity()})
+    assert label[ball.index[fg.identity()]] == -1
+    assert sorted(len(c) for c in components(ball, label)) == [6, 6]
 
 
 def test_r_components_z2_plane_stays_connected(zz):
     _, _, fg = zz
     ball = fg.word_metric_ball(6)
-    comps = r_components(ball.elements, R=1, excluded={fg.identity()})
-    assert len(comps) == 1
-
-
-def test_r_components_matches_naive_union_find(z2z3):
-    _, _, fg = z2z3
-    ball = fg.word_metric_ball(5)
-    excluded = set(ball.sphere(2))
-    fast = r_components(ball.elements, R=2, excluded=excluded)
-    naive = r_components(list(ball.elements), R=2, excluded=excluded,
-                         dist=lambda a, b: fg.dist(a, b))
-    assert sorted(sorted(x.display() for x in c) for c in fast) == \
-           sorted(sorted(x.display() for x in c) for c in naive)
+    label = r_components(ball, R=1, excluded={fg.identity()})
+    assert len(components(ball, label)) == 1
 
 
 def test_r_separates_empty_set_is_false(dinf):
     _, _, fg = dinf
     ball = fg.word_metric_ball(5)
     a, b = fg.generating_set().elements
-    assert not r_separates(ball.elements, [], a, b, R=1)
+    assert not r_separates(ball, [], a, b, R=1)
 
 
 def test_r_separates_dinf_examples(dinf):
@@ -73,9 +59,24 @@ def test_r_separates_dinf_examples(dinf):
     x0 = fg.evaluate_word(["b", "a", "b"])
     x1 = fg.evaluate_word(["a", "b", "a", "b"])
     I = [fg.identity(), a]
-    assert r_separates(ball.elements, I, x0, x1, R=1)
+    assert r_separates(ball, I, x0, x1, R=1)
     # with R = 3 the two sides get within jumping range around I
-    assert not r_separates(ball.elements, I, x0, x1, R=3)
+    assert not r_separates(ball, I, x0, x1, R=3)
+
+
+def test_point_outside_the_ball_is_separated_from_nothing(dinf):
+    """A point past the ball lies in no component: r_separates is False and
+    the thickening lemma's precondition is unmet, not a lookup error."""
+    _, _, fg = dinf
+    ball = fg.word_metric_ball(10)
+    far = fg.evaluate_word(["b", "a"] * 6)
+    near = fg.evaluate_word(["a", "b"] * 3)
+    assert far not in ball.index and near in ball.index
+    assert r_separates(ball, [fg.identity()], near, fg.evaluate_word(["b", "a"] * 3), R=1)
+    assert not r_separates(ball, [fg.identity()], far, near, R=1)
+    assert not r_separates(ball, [fg.identity()], near, far, R=1)
+    with pytest.raises(PreconditionUnmet):
+        verify_thickening_lemma(ball, [fg.identity()], far, near, R=2)
 
 
 def test_thickening_lemma_dinf(dinf):
@@ -109,28 +110,33 @@ def test_thickening_lemma_f2(f2):
 
 
 def test_restriction_lemma_random_subspaces(dinf):
-    """K R-separating in X implies K cap X' R-separates in X' (spot check)."""
+    """K R-separating in X implies K cap X' R-separates in X' (spot check).
+
+    X is the ball and X' the ball minus some dropped points, so an R-path in
+    X' minus K is one in the ball minus K and the dropped points."""
     _, _, fg = dinf
     ball = fg.word_metric_ball(9)
     rng = random.Random(23)
-    elems = list(ball.elements)
+    elems = ball.elements
     hits = 0
     for _ in range(200):
         R = rng.choice([1, 2])
         center = elems[rng.randrange(len(elems))]
-        K = sorted(thicken(fg, [center], rng.choice([0, 1]), universe=elems),
+        K = sorted(thicken(fg, [center], rng.choice([0, 1]), ball=ball),
                    key=lambda n: n.sort_key())
         x0 = elems[rng.randrange(len(elems))]
         x1 = elems[rng.randrange(len(elems))]
         if x0 in K or x1 in K:
             continue
-        if not r_separates(elems, K, x0, x1, R):
+        if not r_separates(ball, K, x0, x1, R):
             continue
         hits += 1
         keep = {x0, x1}
-        sub = [x for x in elems if x in keep or rng.random() < 0.7]
-        K_sub = [k for k in K if k in set(sub)]
-        assert r_separates(sub, K_sub, x0, x1, R)
+        dropped = {x for x in elems if x not in keep and rng.random() >= 0.7}
+        K_sub = [k for k in K if k not in dropped]
+        assert set_distance(x0, K_sub, fg.dist) >= R and set_distance(x1, K_sub, fg.dist) >= R
+        label = r_components(ball, R, excluded=dropped.union(K_sub))
+        assert label[ball.index[x0]] != label[ball.index[x1]]
     assert hits >= 20
 
 
@@ -138,15 +144,15 @@ def test_enlarging_lemma_random_supersets(dinf):
     _, _, fg = dinf
     ball = fg.word_metric_ball(9)
     rng = random.Random(29)
-    elems = list(ball.elements)
+    elems = ball.elements
     hits = 0
     for _ in range(200):
         R = rng.choice([1, 2])
         center = elems[rng.randrange(len(elems))]
-        K = sorted(thicken(fg, [center], 0, universe=elems), key=lambda n: n.sort_key())
+        K = sorted(thicken(fg, [center], 0, ball=ball), key=lambda n: n.sort_key())
         x0 = elems[rng.randrange(len(elems))]
         x1 = elems[rng.randrange(len(elems))]
-        if not r_separates(elems, K, x0, x1, R):
+        if not r_separates(ball, K, x0, x1, R):
             continue
         extra = [x for x in elems
                  if fg.dist(x, x0) >= R and fg.dist(x, x1) >= R and rng.random() < 0.3]
@@ -154,7 +160,7 @@ def test_enlarging_lemma_random_supersets(dinf):
         if set_distance(x0, K2, fg.dist) < R or set_distance(x1, K2, fg.dist) < R:
             continue
         hits += 1
-        assert r_separates(elems, K2, x0, x1, R)
+        assert r_separates(ball, K2, x0, x1, R)
     assert hits >= 20
 
 
@@ -208,11 +214,11 @@ def test_cayley_separation_measures_each_point_once(monkeypatch):
         return orig_distance(*args, **kwargs)
 
     orig_edge_coset = TreeBall.edge_coset_elements
-    orig_labels = separation.component_labels
+    orig_labels = separation.r_components
     orig_coset_distance = separation.edge_coset_distance
     orig_distance = separation.set_distance
     monkeypatch.setattr(TreeBall, "edge_coset_elements", edge_coset)
-    monkeypatch.setattr(separation, "component_labels", labels)
+    monkeypatch.setattr(separation, "r_components", labels)
     monkeypatch.setattr(separation, "edge_coset_distance", coset_distance)
     monkeypatch.setattr(separation, "set_distance", distance)
     report = verify_cayley_separation(fg, ball_radius=10, samples=30, R=1, seed=7)
@@ -258,7 +264,8 @@ def _ends_per_radius(fg, radii, margin):
     outer = len(ball) - ball.layer_sizes[-1]
     counts, sizes = [], {}
     for n in radii:
-        comps = r_components(ball, 1, excluded=ball.elements[:sum(ball.layer_sizes[:n + 1])])
+        label = r_components(ball, 1, excluded=ball.elements[:sum(ball.layer_sizes[:n + 1])])
+        comps = components(ball, label)
         floor = max(1, n_max - n)
         kept = [c for c in comps if ball.index[c[-1]] >= outer and len(c) >= floor]
         counts.append(len(kept))
@@ -326,20 +333,11 @@ def test_coset_elements_in_ball_matches_wordlen_filter(name):
     _, _, fg = make_fg(name)
     ball = fg.word_metric_ball(5)
     for v in TreeBall(fg, 3).vertices:
-        for maxlen in range(-1, 6):
+        for maxlen in range(-3, 6):
             assert (coset_elements_in_ball(fg, ball, v.rep, v.vtype, maxlen)
                     == _coset_elements_by_wordlen(fg, v.rep, v.vtype, maxlen)), (v.vid, maxlen)
     with pytest.raises(ValueError, match="exceeds the ball radius"):
         coset_elements_in_ball(fg, ball, fg.identity(), fg.root, 6)
-
-
-def test_component_labels_consistency(dinf):
-    _, _, fg = dinf
-    ball = fg.word_metric_ball(5)
-    labels = component_labels(ball.elements, 1, excluded={fg.identity()})
-    comps = r_components(ball.elements, 1, excluded={fg.identity()})
-    for ci, comp in enumerate(comps):
-        assert all(labels[x] == ci for x in comp)
 
 
 def test_ball_metric_axioms_spot_check(z2z3):
