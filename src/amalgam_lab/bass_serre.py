@@ -11,13 +11,16 @@ g·t_{bar y} (g alone on a tree edge) is formed once per vertex type, so a
 child of u costs one product u.rep·step; a crossing against the orientation
 A also forms u.rep·g, the edge coset's representative.
 
-Cosets are keyed exactly.  Canonical forms are unique, so an element is its
-own key.  A finite coset is keyed by its least member under
-``NormalForm.sort_key``, which is injective on canonical forms: two cosets
-share the key iff they share that member, iff they are equal.  With a trivial
-edge group the edge coset mu*G_y is {mu}, so its key is mu and costs no
-product.  A backend (infinite) vertex coset other than the root is keyed by
-its parent edge, which is unique in a tree.
+A vertex's children depend only on its cone type (Cannon): its vertex type
+and ``back``, the type of its parent edge seen from it (None at the root).
+The cone of (v, back) is the star of v without the candidate of type back
+whose g lies in im(i_back).  That candidate is the parent: if c.rep =
+u.rep·g·t_{bar y} and g' = i_{bar y}(h), then c.rep·g'·t_y = u.rep·g·i_y(h),
+since t_{bar y}·i_{bar y}(h)·t_y = i_y(h), and this lies in u's coset; by
+normal forms, no g' outside im(i_{bar y}) does.  A backend star holds the
+identity (``star_small >= 1``), its one member of the trivial image.  A tree
+has no cycles (Serre, *Trees*, I.4), so every other candidate is a new vertex
+and a new edge, and no coset needs a key.
 
 After the build the vertices are numbered in pre-order, children in
 discovery order, with subtree sizes.  A subtree is then an interval of that
@@ -59,7 +62,6 @@ class TreeVertex:
     vid: int
     vtype: int                 # vertex id of Y
     rep: NormalForm            # BFS-least coset representative
-    key: object
     depth: int
     parent_edge: int           # eid, -1 for the root
     truncated: bool            # star truncated (infinite true degree)
@@ -72,7 +74,6 @@ class TreeEdge:
     eid: int
     ytype: int                 # oriented edge of Y, pointing INTO the parent
     rep: NormalForm            # discovery representative mu (a coset member)
-    key: object
     parent: int                # vid on the omega side
     child: int                 # vid on the alpha side
     param_sort: tuple          # deterministic sibling order
@@ -95,120 +96,82 @@ class TreeBall:
         self.config = config or TreeBallConfig()
         self.vertices: list[TreeVertex] = []
         self.edges: list[TreeEdge] = []
-        self._vkey_to_vid: dict[object, int] = {}
-        self._ekey_to_eid: dict[object, int] = {}
-        # finiteness is fixed per vertex type of Y
-        self._finite = tuple(G.is_finite for G in fg.gog.vertex_groups)
         self._build()
         self._number()
 
     # --- construction -------------------------------------------------------
-
-    def _vertex_coset_key(self, rep: NormalForm, vtype: int, parent_edge_key):
-        if self._finite[vtype]:
-            elems = (self.fg.multiply(rep, h)
-                     for h in self.fg.vertex_subgroup_elements(vtype))
-            return ("v", vtype, min(elems, key=NormalForm.sort_key))
-        # backend cosets are identified through their (unique) parent edge
-        return ("bv", vtype, parent_edge_key)
 
     def edge_coset_elements(self, eid: int) -> list[NormalForm]:
         e = self.edges[eid]
         subgroup = self.fg.edge_subgroup_elements(e.pair)
         return [self.fg.multiply(e.rep, h) for h in subgroup]
 
-    def _edge_coset_key(self, mu: NormalForm, pair: int):
-        subgroup = self.fg.edge_subgroup_elements(pair)
-        if len(subgroup) == 1:
-            return ("e", pair, mu)
-        return ("e", pair, min((self.fg.multiply(mu, h) for h in subgroup),
-                               key=NormalForm.sort_key))
-
-    def _star(self, vtype: int):
-        """Per incident oriented type y: the child type and the ordered
-        (ve, step, param_sort, fresh) tuples of its star parameters g.  The
-        child of u is u.rep·step, with step = g·t_{bar y} (g on a tree edge).
-        ve is g when the edge coset is represented by u.rep·g instead (a
-        crossing against the orientation A), else None."""
+    def _cones(self) -> dict[tuple[int, int | None], list[tuple]]:
+        """Per cone type (vtype, back): the ordered (y, child_type, ve, step,
+        param_sort, fresh) tuples of the star parameters g that lead to
+        children.  The child of u is u.rep·step, with step = g·t_{bar y} (g
+        on a tree edge).  ve is g when the edge coset is represented by
+        u.rep·g instead (a crossing against the orientation A), else None.
+        (vtype, None) is the whole star; (vtype, back) drops the parent."""
         fg = self.fg
-        backend = fg.gog.vertex_groups[vtype]
-        out = []
-        for y in fg.gog.graph.incident_into(vtype):
-            emb = fg.gog.embedding(y)
-            if self._finite[vtype]:
-                params = [(g, (g,), False) for g in emb.left_coset_reps()]
-            else:
-                cfg = self.config
-                ball = backend.ball(cfg.star_radius, fg.ball_budget)
-                small = ball[:cfg.star_small]
-                full = [g for g in ball if backend.gen_length(g) == cfg.star_radius]
-                fresh = full[-cfg.star_fresh:] if cfg.star_fresh > 0 else []
-                params = [(g, tuple(backend.sort_key(g)), False) for g in small]
-                chosen = {g for g, _, _ in params}
-                params += [(g, tuple(backend.sort_key(g)), True)
-                           for g in fresh if g not in chosen]
-            crossing = None if fg.sd.in_tree(y) else fg.letter(bar(y))
-            at_child = crossing is None or y in fg.sd.orientation
-            steps = []
-            for g, psort, fresh in params:
-                ve = fg.vertex_element(vtype, g)
-                step = ve if crossing is None else fg.multiply(ve, crossing)
-                steps.append((None if at_child else ve, step, (y,) + psort, fresh))
-            out.append((y, fg.gog.graph.alpha[y], steps))
-        return out
+        cones = {}
+        for vtype, backend in enumerate(fg.gog.vertex_groups):
+            star, parent_at = [], {}
+            for y in fg.gog.graph.incident_into(vtype):
+                emb = fg.gog.embedding(y)
+                if backend.is_finite:
+                    params = [(g, (g,), False) for g in emb.left_coset_reps()]
+                else:
+                    cfg = self.config
+                    ball = backend.ball(cfg.star_radius, fg.ball_budget)
+                    small = ball[:cfg.star_small]
+                    full = [g for g in ball if backend.gen_length(g) == cfg.star_radius]
+                    fresh = full[-cfg.star_fresh:] if cfg.star_fresh > 0 else []
+                    params = [(g, tuple(backend.sort_key(g)), False) for g in small]
+                    chosen = {g for g, _, _ in params}
+                    params += [(g, tuple(backend.sort_key(g)), True)
+                               for g in fresh if g not in chosen]
+                crossing = None if fg.sd.in_tree(y) else fg.letter(bar(y))
+                at_child = crossing is None or y in fg.sd.orientation
+                for g, psort, fresh in params:
+                    if emb.contains(g):
+                        parent_at[y] = len(star)
+                    ve = fg.vertex_element(vtype, g)
+                    step = ve if crossing is None else fg.multiply(ve, crossing)
+                    star.append((y, fg.gog.graph.alpha[y], None if at_child else ve,
+                                 step, (y,) + psort, fresh))
+            cones[vtype, None] = star
+            for back, i in parent_at.items():
+                cones[vtype, back] = star[:i] + star[i + 1:]
+        return cones
 
     def _build(self):
         fg = self.fg
-        g = fg.gog.graph
-        root_rep = fg.identity()
-        root_key = self._vertex_coset_key(root_rep, fg.root, ("root",))
-        root = TreeVertex(vid=0, vtype=fg.root, rep=root_rep, key=root_key,
-                          depth=0, parent_edge=-1,
-                          truncated=not self._finite[fg.root])
-        self.vertices.append(root)
-        self._vkey_to_vid[root_key] = 0
+        truncated = [not G.is_finite for G in fg.gog.vertex_groups]
+        cones = self._cones()
+        self.vertices.append(TreeVertex(vid=0, vtype=fg.root, rep=fg.identity(),
+                                        depth=0, parent_edge=-1,
+                                        truncated=truncated[fg.root]))
         frontier = [0]
-        stars = [self._star(v) for v in range(g.n_vertices)]
-
         for depth in range(self.radius):
             nxt: list[int] = []
             for vid in frontier:
                 u = self.vertices[vid]
                 u.expanded = True
-                parent_key = None
-                if u.parent_edge >= 0:
-                    parent_key = self.edges[u.parent_edge].key
-                for y, child_type, steps in stars[u.vtype]:
-                    for ve, step, psort, fresh in steps:
-                        nu = fg.multiply(u.rep, step)
-                        mu = nu if ve is None else fg.multiply(u.rep, ve)
-                        ekey = self._edge_coset_key(mu, y // 2)
-                        if ekey == parent_key:
-                            continue
-                        if ekey in self._ekey_to_eid:
-                            # cannot happen in a tree; guard against misuse
-                            raise AssertionError("duplicate tree edge discovered")
-                        eid = len(self.edges)
-                        vkey = self._vertex_coset_key(nu, child_type, ekey)
-                        if vkey in self._vkey_to_vid:
-                            raise AssertionError("duplicate tree vertex discovered")
-                        cvid = len(self.vertices)
-                        edge = TreeEdge(eid=eid, ytype=y, rep=mu, key=ekey,
-                                        parent=vid, child=cvid,
-                                        param_sort=psort, fresh=fresh)
-                        self.edges.append(edge)
-                        self._ekey_to_eid[ekey] = eid
-                        child = TreeVertex(
-                            vid=cvid, vtype=child_type, rep=nu, key=vkey,
-                            depth=depth + 1, parent_edge=eid,
-                            truncated=not self._finite[child_type],
-                        )
-                        self.vertices.append(child)
-                        self._vkey_to_vid[vkey] = cvid
-                        u.children.append(eid)
-                        nxt.append(cvid)
-                        if len(self.vertices) > self.config.budget:
-                            raise BudgetExceeded(self.config.budget, "tree ball")
+                back = None if u.parent_edge < 0 else bar(self.edges[u.parent_edge].ytype)
+                for y, child_type, ve, step, psort, fresh in cones[u.vtype, back]:
+                    nu = fg.multiply(u.rep, step)
+                    eid, cvid = len(self.edges), len(self.vertices)
+                    self.edges.append(TreeEdge(
+                        eid=eid, ytype=y, rep=nu if ve is None else fg.multiply(u.rep, ve),
+                        parent=vid, child=cvid, param_sort=psort, fresh=fresh))
+                    self.vertices.append(TreeVertex(
+                        vid=cvid, vtype=child_type, rep=nu, depth=depth + 1,
+                        parent_edge=eid, truncated=truncated[child_type]))
+                    u.children.append(eid)
+                    nxt.append(cvid)
+                    if len(self.vertices) > self.config.budget:
+                        raise BudgetExceeded(self.config.budget, "tree ball")
             frontier = nxt
 
     def _number(self):
@@ -247,17 +210,18 @@ class TreeBall:
 
     def find_vertex(self, x: NormalForm, vtype: int) -> int | None:
         """Locate the coset x*G_vtype in the ball, or None."""
-        fg = self.fg
-        if self._finite[vtype]:
-            key = self._vertex_coset_key(x, vtype, None)
-            return self._vkey_to_vid.get(key)
         for v in self.vertices:
-            if v.vtype == vtype and fg.coset_membership(x, vtype, v.rep):
+            if v.vtype == vtype and self.fg.coset_membership(x, vtype, v.rep):
                 return v.vid
         return None
 
     def find_edge(self, mu: NormalForm, pair: int) -> int | None:
-        return self._ekey_to_eid.get(self._edge_coset_key(mu, pair))
+        """The first edge of the pair whose coset holds mu, or None.  Edges
+        are in BFS order, so cosets near the root are found first."""
+        for e in self.edges:
+            if e.pair == pair and mu in self.edge_coset_elements(e.eid):
+                return e.eid
+        return None
 
     def subtree_interval(self, vid: int) -> tuple[int, int]:
         """The pre-order numbers [lo, hi) of vid's subtree; lo is vid's own."""
@@ -314,8 +278,8 @@ class TreeBall:
     # --- phi ---------------------------------------------------------------------
 
     def phi(self, eid: int) -> NormalForm:
-        """Canonical member of the edge coset, the sort-key least one its key holds."""
-        return self.edges[eid].key[2]
+        """Canonical member of the edge coset: its sort-key least element."""
+        return min(self.edge_coset_elements(eid), key=NormalForm.sort_key)
 
 
 @dataclass(frozen=True)

@@ -522,6 +522,13 @@ def dist_to_vertex_coset(fg: FundamentalGroup, tree: TreeBall, x: NormalForm,
     return best
 
 
+def _common_prefix_length(p: list[int], q: list[int]) -> int:
+    n = 0
+    while n < len(p) and n < len(q) and p[n] == q[n]:
+        n += 1
+    return n
+
+
 def classify_direction(fg: FundamentalGroup, tree: TreeBall, elements,
                        r_bound: int = 4) -> ClassifyResult:
     """Classify a diverging sample of group elements as heading to a vertex
@@ -562,21 +569,11 @@ def classify_direction(fg: FundamentalGroup, tree: TreeBall, elements,
     depths = [len(p) for p in projections]
     monotone = all(b >= a for a, b in zip(depths, depths[1:]))
     moving = depths[-1] - depths[0] >= 2
-    along_ray = True
-    for p, q in zip(projections, projections[1:]):
-        lcp = 0
-        while lcp < len(p) and lcp < len(q) and p[lcp] == q[lcp]:
-            lcp += 1
-        if lcp < len(p) - slack:
-            along_ray = False
-            break
+    lcps = [_common_prefix_length(p, q) for p, q in zip(projections, projections[1:])]
+    along_ray = all(lcp >= len(p) - slack for lcp, p in zip(lcps, projections))
     if monotone and moving and along_ray:
-        p, q = projections[-2], projections[-1]
-        lcp = 0
-        while lcp < len(p) and lcp < len(q) and p[lcp] == q[lcp]:
-            lcp += 1
         return ClassifyResult(
-            kind="branch_point", prefix_eids=tuple(q[:lcp]),
+            kind="branch_point", prefix_eids=tuple(projections[-1][:lcps[-1]]),
             diagnostics={"depths": depths, "slack": slack},
         )
     return ClassifyResult(

@@ -66,6 +66,20 @@ def _tree_config(args) -> TreeBallConfig:
     )
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(r) for r in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 def _add_common(p: argparse.ArgumentParser, emit_choices=("text", "json"),
                 budget: bool = False, tree: bool = False):
     """Flags every subcommand takes; ``budget`` and ``tree`` add the element
@@ -78,14 +92,14 @@ def _add_common(p: argparse.ArgumentParser, emit_choices=("text", "json"),
     p.add_argument("--output", default=None, help="write the artifact here")
     p.add_argument("--seed", type=int, default=0)
     if budget:
-        p.add_argument("--budget", type=int, default=2_000_000,
+        p.add_argument("--budget", type=_positive_int, default=2_000_000,
                        help="element budget of Cayley balls, backend balls and the wordlen walk; "
                             "it also caps the pairs that verify-k measures for diam(I_3/2)")
     if tree:
         p.add_argument("--star-radius", type=int, default=2)
         p.add_argument("--star-small", type=int, default=3)
         p.add_argument("--star-fresh", type=int, default=2)
-        p.add_argument("--tree-budget", type=int, default=200_000)
+        p.add_argument("--tree-budget", type=_positive_int, default=200_000)
 
 
 def _finish(args, payload: dict, text_lines: list[str], argv, failed: bool) -> int:
@@ -293,9 +307,8 @@ def _cmd_verify_k(args, argv) -> int:
 def _cmd_ends(args, argv) -> int:
     _require(args, "radii")
     fg = _fg(args)
-    radii = [int(r) for r in args.radii.split(",")]
     try:
-        report = ends_estimate(fg, radii, margin=args.margin)
+        report = ends_estimate(fg, args.radii, margin=args.margin)
         payload = report.to_json()
         lines = [f"ends: {report.verdict} (counts {list(report.counts)} at radii {list(report.radii)})"]
         return _finish(args, payload, lines, argv, failed=False)
@@ -404,7 +417,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ends", help="ends-count estimator")
     _add_common(p, emit_choices=("json", "text"), budget=True)
-    p.add_argument("--radii", default=None, help="comma-separated radii, e.g. 4,6,8")
+    p.add_argument("--radii", type=_int_list, default=None,
+                   help="comma-separated radii, e.g. 4,6,8")
     p.add_argument("--margin", type=int, default=3)
     p.set_defaults(func=_cmd_ends)
 

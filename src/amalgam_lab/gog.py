@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .backends import Elem, GroupBackend
 from .errors import (
+    BudgetExceeded,
     EdgeIsLoop,
     EmbeddingNotInjective,
     GraphDisconnected,
@@ -317,6 +318,10 @@ def elementary_collapse(gog: GraphOfGroups, edge_name: str) -> GraphOfGroups:
 
 # --- non-elementarity -------------------------------------------------------
 
+# graphs of groups the collapse search may find irreducible before it stops
+COLLAPSE_BUDGET = 20_000
+
+
 @dataclass(frozen=True)
 class NonElementary:
     verdict: str = "NonElementary"
@@ -362,17 +367,28 @@ def _collapsible_edges(gog: GraphOfGroups) -> list[str]:
 
 
 def is_non_elementary(gog: GraphOfGroups):
-    """Decide non-elementarity by exhaustive search over collapse sequences.
+    """Decide non-elementarity by a depth-first search over collapse sequences.
 
     Each collapse removes an edge, so the search tree has depth <= |edges|.
+    A collapse contracts an edge along an isomorphism, so the graph of groups
+    it leaves depends, up to isomorphism, only on which edges remain: the
+    merged vertices are the components of the collapsed edges.  A set of
+    remaining edges that failed to reduce is skipped when another order
+    reaches it, so k collapsible edges cost at most 2^k states instead of k!
+    orders, and the first sequence found is the one the unmemoised search
+    finds.  More than COLLAPSE_BUDGET failed states raise BudgetExceeded.
     Returns NonElementary, SimplyElementary(case), or ReducesTo(case, sequence).
     """
     case = _simply_elementary_case(gog)
     if case is not None:
         return SimplyElementary(case)
+    failed: set[frozenset[str]] = set()
 
     def search(current: GraphOfGroups) -> tuple[int, tuple[str, ...]] | None:
         for name in _collapsible_edges(current):
+            remaining = frozenset(current.graph.edge_names) - {name.removeprefix("~")}
+            if remaining in failed:
+                continue
             collapsed = elementary_collapse(current, name)
             c = _simply_elementary_case(collapsed)
             if c is not None:
@@ -381,6 +397,11 @@ def is_non_elementary(gog: GraphOfGroups):
             if deeper is not None:
                 c2, seq = deeper
                 return c2, (name,) + seq
+            failed.add(remaining)
+            if len(failed) > COLLAPSE_BUDGET:
+                raise BudgetExceeded(COLLAPSE_BUDGET, "collapse search",
+                                     f"collapse search: more than {COLLAPSE_BUDGET} "
+                                     f"states fail to reduce")
         return None
 
     found = search(gog)

@@ -10,6 +10,7 @@ from amalgam_lab.errors import NoEdges, NotInBall
 from amalgam_lab.fundgroup import FundamentalGroup, NormalForm
 
 from conftest import (
+    ALL_TEXTS,
     FINITE_EDGED,
     SL2Z,
     in_subtree_walk,
@@ -339,18 +340,23 @@ def test_amalgam_abelianization_is_z12():
     assert abelianization(emit_presentation(gog, sd)) == (0, (12,))
 
 
-def test_backend_tree_vertices_pairwise_distinct_cosets(z2z2):
-    """Backend coset vertices are deduplicated through their parent edges;
-    verify directly that no two ball vertices carry the same coset."""
-    _, _, fg = z2z2
-    tb = TreeBall(fg, 3)
+@pytest.mark.parametrize("spec", [*ALL_TEXTS.values()], ids=[*ALL_TEXTS])
+def test_tree_vertices_and_edges_are_pairwise_distinct_cosets(spec):
+    """The build keys no coset: it relies on the tree having no cycles.
+    Verify directly that no two ball vertices carry the same vertex coset
+    and no two ball edges the same edge coset, finite types included."""
+    _, _, fg = make_fg(spec)
+    tb = TreeBall(fg, 4)
     vs = tb.vertices
     for i in range(len(vs)):
         for j in range(i + 1, len(vs)):
-            if vs[i].vtype != vs[j].vtype:
-                continue
-            assert not fg.coset_membership(vs[i].rep, vs[i].vtype, vs[j].rep), \
-                (vs[i].rep.display(), vs[j].rep.display())
+            if vs[i].vtype == vs[j].vtype:
+                assert not fg.coset_membership(vs[i].rep, vs[i].vtype, vs[j].rep), \
+                    (vs[i].rep.display(), vs[j].rep.display())
+    cosets: dict[tuple[int, NormalForm], int] = {}
+    for e in tb.edges:
+        for m in tb.edge_coset_elements(e.eid):
+            assert cosets.setdefault((e.pair, m), e.eid) == e.eid, m.display()
 
 
 # --- the indexed tree against the walks it replaced ---------------------------
@@ -449,19 +455,19 @@ def _count_calls(monkeypatch, targets):
 
 
 def test_tree_build_forms_one_product_per_star_candidate(monkeypatch):
-    """Trivial edge group: the edge key is the child's own form, so a star
-    candidate costs one product, no sort_key, and star elements are formed
-    once per vertex type, not once per child."""
+    """Trivial edge group: a candidate of a vertex's cone type costs one
+    product, no sort_key, and star elements are formed once per vertex type,
+    not once per child."""
     _, _, fg = make_fg("z2z2")
     calls = _count_calls(monkeypatch, [(NormalForm, "sort_key"),
                                        (FundamentalGroup, "multiply"),
                                        (FundamentalGroup, "vertex_element")])
     tb = TreeBall(fg, 5)
     monkeypatch.undo()
-    expanded_below_root = sum(1 for v in tb.vertices[1:] if v.expanded)
     assert calls["sort_key"] == 0
-    # every candidate but the skipped parent edge becomes a tree edge
-    assert calls["multiply"] == len(tb.edges) + expanded_below_root
+    # every cone candidate becomes a tree edge; the one leading back to the
+    # parent is not in the cone, so it forms no product
+    assert calls["multiply"] == len(tb.edges)
     # a tree vertex meets each of its star parameters once, so an expanded
     # vertex's degree counts its type's parameters; the edge subgroups are
     # formed once as well
@@ -473,17 +479,37 @@ def test_tree_build_forms_one_product_per_star_candidate(monkeypatch):
     assert calls["vertex_element"] < len(tb.edges)
 
 
-def test_tree_build_keys_finite_edge_cosets_by_products(monkeypatch):
-    """Z/2 edge group: the edge key is the least of the candidate's |G_e|
-    right translates, and a finite vertex key the least of |G_v|."""
-    _, _, fg = make_fg(SL2Z)
+@pytest.mark.parametrize("spec", [SL2Z, FINITE_EDGED["hnn6"], "f2"], ids=["sl2z", "hnn6", "f2"])
+def test_tree_build_with_stable_letters_and_finite_edge_groups_forms_no_keys(spec, monkeypatch):
+    """Finite vertex groups, with a Z/2 edge group (sl2z), a Z/3 one on a
+    loop (hnn6) or only loops (f2): one product per tree edge, a second one
+    for an edge that crosses against the orientation A, one per star step
+    of a stable letter, and no sort_key."""
+    _, sd, fg = make_fg(spec)
     calls = _count_calls(monkeypatch, [(NormalForm, "sort_key"),
                                        (FundamentalGroup, "multiply")])
     tb = TreeBall(fg, 5)
     monkeypatch.undo()
-    candidates = len(tb.edges) + sum(1 for v in tb.vertices[1:] if v.expanded)
-    edge_order = len(fg.edge_subgroup_elements(0))
-    assert edge_order == 2
-    vertex_keys = sum(len(fg.vertex_subgroup_elements(v.vtype)) for v in tb.vertices)
-    assert calls["multiply"] == candidates * (1 + edge_order) + vertex_keys
-    assert calls["sort_key"] == candidates * edge_order + vertex_keys
+    against_a = sum(1 for e in tb.edges
+                    if not sd.in_tree(e.ytype) and e.ytype not in sd.orientation)
+    steps = sum(fg.gog.embedding(y).index_in_target()
+                for y in range(2 * fg.gog.graph.n_edges) if not sd.in_tree(y))
+    assert (against_a > 0) == (spec != SL2Z)
+    assert calls["multiply"] == len(tb.edges) + against_a + steps
+    assert calls["sort_key"] == 0
+
+
+@pytest.mark.parametrize("spec", [*ALL_TEXTS.values()], ids=[*ALL_TEXTS])
+def test_vertices_of_one_cone_type_have_the_same_child_list(spec):
+    """A cone type is a vertex type plus the type of its parent edge seen
+    from it; above the last layer its ordered child list is fixed."""
+    _, _, fg = make_fg(spec)
+    tb = TreeBall(fg, 4)
+    lists = {}
+    for v in tb.vertices:
+        if not v.expanded:
+            continue
+        back = None if v.parent_edge < 0 else tb.edges[v.parent_edge].ytype ^ 1
+        children = [(tb.edges[eid].param_sort, tb.edges[eid].fresh) for eid in v.children]
+        assert lists.setdefault((v.vtype, back), children) == children
+    assert lists

@@ -207,6 +207,18 @@ def test_out_of_range_number_exit_1_names_the_value(case, tmp_path, capsys):
         assert word in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["ends", "corpus:f2", "--radii", "3,,5"], "--radii"),
+    (["ends", "corpus:f2", "--radii", ""], "--radii"),
+    (["ends", "corpus:f2", "--radii", "2", "--budget", "-1"], "--budget"),
+    (["amalgam-check", "corpus:z2z2", "--depth", "4", "--tree-budget", "0"], "--tree-budget"),
+], ids=["radii-empty-entry", "radii-empty", "budget-negative", "tree-budget-zero"])
+def test_malformed_flag_exit_1_names_the_flag(argv, flag, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: " in err and "Traceback" not in err
+
+
 def test_embedding_not_a_homomorphism_exit_1_names_the_line(tmp_path, capsys):
     """Named images that generate but do not respect the edge group's law: a
     of order 2 sent to a of order 6."""

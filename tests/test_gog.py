@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from amalgam_lab.cli import main
 from amalgam_lab.corpus import NAMES
 from amalgam_lab.dsl import gog_from_json, gog_to_json, parse_gog
 from amalgam_lab.errors import (
@@ -22,13 +23,14 @@ from amalgam_lab.gog import (
     ReducesTo,
     SimplyElementary,
     _collapsible_edges,
+    _simply_elementary_case,
     elementary_collapse,
     is_non_elementary,
     spanning_tree,
 )
 from amalgam_lab.groups import cosets
 
-from conftest import FINITE_EDGED, GOG_TEXTS, S3_Z4, SEGMENT
+from conftest import DEAD_ENDS, FINITE_EDGED, GOG_TEXTS, S3_Z4, SEGMENT
 
 DINF = """
 group A cyclic 2
@@ -44,6 +46,10 @@ group E cyclic 2
 vertex v A gens [a]
 edge e1 v -- v group E embed_fwd {a:a} embed_bwd {a:a}
 """
+
+
+Z2Z3 = DINF.replace("table [[0,1],[1,0]] labels [e,b]",
+                    "table [[0,1,2],[1,2,0],[2,0,1]] labels [e,b,b2]")
 
 
 def test_parse_single_vertex():
@@ -198,9 +204,7 @@ def test_non_elementary_dinf_is_simply_elementary_case2():
 
 
 def test_non_elementary_z2z3():
-    text = DINF.replace("table [[0,1],[1,0]] labels [e,b]",
-                        "table [[0,1,2],[1,2,0],[2,0,1]] labels [e,b,b2]")
-    verdict = is_non_elementary(parse_gog(text))
+    verdict = is_non_elementary(parse_gog(Z2Z3))
     assert isinstance(verdict, NonElementary)
 
 
@@ -336,6 +340,63 @@ def test_collapse_fixtures_reach_reverse_collapses():
     reverse = [name for name, text in COLLAPSE_FIXTURES.items()
                if any(n.startswith("~") for n in _collapsible_edges(parse_gog(text)))]
     assert sorted(reverse) == ["retarget", "rev", "rev_star", "segment"]
+
+
+def _exhaustive_collapse_search(gog):
+    """The oracle for ``is_non_elementary``: every order of collapses, with
+    no memo and no budget."""
+    case = _simply_elementary_case(gog)
+    if case is not None:
+        return SimplyElementary(case)
+
+    def search(current):
+        for name in _collapsible_edges(current):
+            collapsed = elementary_collapse(current, name)
+            c = _simply_elementary_case(collapsed)
+            if c is not None:
+                return c, (name,)
+            deeper = search(collapsed)
+            if deeper is not None:
+                return deeper[0], (name,) + deeper[1]
+        return None
+
+    found = search(gog)
+    return NonElementary() if found is None else ReducesTo(found[0], found[1])
+
+
+def _with_pendants(text, k):
+    """text with k trivial vertices hung on its first vertex v1 by trivial edges."""
+    lines = [text.rstrip("\n"), "group T_pendant trivial"]
+    for i in range(k):
+        lines += [f"vertex p{i} T_pendant",
+                  f"edge q{i} v1 -- p{i} group trivial embed_fwd {{}} embed_bwd {{}}"]
+    return "\n".join(lines) + "\n"
+
+
+SEARCH_FIXTURES = {**COLLAPSE_FIXTURES, "s3z4": S3_Z4, "dead_ends": DEAD_ENDS,
+                   **{f"z2z3+{k}": _with_pendants(Z2Z3, k) for k in range(8)},
+                   **{f"dinf+{k}": _with_pendants(DINF, k) for k in (1, 3, 5)},
+                   **{f"segment+{k}": _with_pendants(SEGMENT, k) for k in (1, 4)}}
+
+
+@pytest.mark.parametrize("name", SEARCH_FIXTURES)
+def test_memoised_collapse_search_matches_every_order(name):
+    """Verdict, case and first sequence equal the unmemoised search's."""
+    gog = parse_gog(SEARCH_FIXTURES[name])
+    assert is_non_elementary(gog) == _exhaustive_collapse_search(gog)
+
+
+def test_collapse_search_decides_12_pendants():
+    assert is_non_elementary(parse_gog(_with_pendants(Z2Z3, 12))) == NonElementary()
+
+
+def test_collapse_search_budget_names_the_phase(tmp_path, capsys):
+    """2^20 edge sets: the search stops on its state budget, and exits 1."""
+    path = tmp_path / "pendants.gog"
+    path.write_text(_with_pendants(Z2Z3, 20))
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "BudgetExceeded: collapse search" in err and "Traceback" not in err
 
 
 def _with_collapses(gog):
