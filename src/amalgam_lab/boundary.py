@@ -30,6 +30,7 @@ from operator import attrgetter
 from .bass_serre import TreeBall, TreeBallConfig
 from .errors import DepthTooSmall
 from .fundgroup import FundamentalGroup, NormalForm
+from .jsonio import artifact
 
 
 def _level(tree: TreeBall, k: int) -> range:
@@ -122,21 +123,13 @@ def boundary_approx(fg: FundamentalGroup, depth: int,
 @dataclass
 class CantorVerdict:
     passed: bool
-    perfect_ok: bool
+    perfect_at_depth: bool
     no_dead_ends: bool
-    separation_ok: bool
+    basis_separates: bool
     witnesses: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "kind": "cantor_verdict",
-            "passed": self.passed,
-            "perfect_at_depth": self.perfect_ok,
-            "no_dead_ends": self.no_dead_ends,
-            "basis_separates": self.separation_ok,
-            "witnesses": self.witnesses,
-        }
+        return artifact("cantor_verdict", vars(self))
 
 
 def cantor_check(b: BoundaryApprox, window: int = 3) -> CantorVerdict:
@@ -151,10 +144,10 @@ def cantor_check(b: BoundaryApprox, window: int = 3) -> CantorVerdict:
     if window < 1:
         raise ValueError(f"window {window} < 1")
     tree = b.tree
-    verdict = CantorVerdict(passed=False, perfect_ok=True, no_dead_ends=True,
-                            separation_ok=True)
+    verdict = CantorVerdict(passed=False, perfect_at_depth=True, no_dead_ends=True,
+                            basis_separates=True)
     if not b.leaves:
-        verdict.perfect_ok = False
+        verdict.perfect_at_depth = False
         verdict.witnesses.append({"reason": "no branches at this depth"})
         return verdict
 
@@ -181,7 +174,7 @@ def cantor_check(b: BoundaryApprox, window: int = 3) -> CantorVerdict:
     for i, leaf in enumerate(b.leaves):
         start = first[tree.parent[leaf]]
         if start >= 0:
-            verdict.perfect_ok = False
+            verdict.perfect_at_depth = False
             verdict.witnesses.append({
                 "reason": "no branching in window",
                 "branch": i, "window_start": start,
@@ -201,9 +194,9 @@ def cantor_check(b: BoundaryApprox, window: int = 3) -> CantorVerdict:
         e = tree.vertices[b.ancestor(i, s + 1)].parent_edge
         cell = b.basis_members(e)
         if not ((i in cell) ^ (j in cell)):
-            verdict.separation_ok = False
+            verdict.basis_separates = False
             verdict.witnesses.append({"reason": "basis fails to separate", "pair": [i, j]})
-    verdict.passed = verdict.perfect_ok and verdict.no_dead_ends and verdict.separation_ok
+    verdict.passed = verdict.perfect_at_depth and verdict.no_dead_ends and verdict.basis_separates
     return verdict
 
 
@@ -291,15 +284,7 @@ class AmalgamCertificate:
         return all(c["passed"] for c in self.conditions.values())
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "kind": "amalgam_certificate",
-            "depth": self.depth,
-            "passed": self.passed,
-            "family_size": self.family_size,
-            "nonempty_members": self.nonempty_members,
-            "conditions": self.conditions,
-        }
+        return artifact("amalgam_certificate", {**vars(self), "passed": self.passed})
 
 
 def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
@@ -450,12 +435,7 @@ class DensityVerdict:
     witnesses: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "kind": "branch_density",
-            "status": self.status,
-            "witnesses": self.witnesses,
-        }
+        return artifact("branch_density", vars(self))
 
 
 def branch_density_check(b: BoundaryApprox, family: list[LimitSetApprox]) -> DensityVerdict:
@@ -494,32 +474,33 @@ class ClassifyResult:
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "kind": "classification",
+        return artifact("classification", {
             "result": self.kind,
             "coset": self.coset_label,
             "prefix_length": len(self.prefix_eids),
             "diagnostics": self.diagnostics,
-        }
+        })
 
 
 def dist_to_vertex_coset(fg: FundamentalGroup, tree: TreeBall, x: NormalForm,
                          vid: int) -> int:
-    """Exact d_S(x, rep*G_v); backend cosets are searched out to the radius
-    where candidates can no longer beat the identity translate."""
+    """Exact d_S(x, rep*G_v).
+
+    d(x, rep*h) = |h^-1*z| with z = rep^-1*x formed once, and h -> h^-1
+    permutes G_v, so the distance is the least |h*z| over h in G_v, as in
+    ``edge_coset_distance``.  A backend G_v is searched over its ball of
+    radius 2|z|, which is symmetric and holds the identity, out to where
+    candidates can no longer beat the identity translate.
+    """
     v = tree.vertices[vid]
     backend = fg.gog.vertex_groups[v.vtype]
-    if backend.is_finite:
-        return min(fg.dist(x, fg.multiply(v.rep, h))
-                   for h in fg.vertex_subgroup_elements(v.vtype))
     z = fg.multiply(fg.invert(v.rep), x)
-    bound = fg.wordlen(z)
-    best = bound
-    for g in backend.ball(2 * bound, fg.ball_budget):
-        cand = fg.dist(fg.vertex_element(v.vtype, g), z)
-        best = min(best, cand)
-    return best
+    if backend.is_finite:
+        members = fg.vertex_subgroup_elements(v.vtype)
+    else:
+        members = (fg.vertex_element(v.vtype, g)
+                   for g in backend.ball(2 * fg.wordlen(z), fg.ball_budget))
+    return min(fg.wordlen(fg.multiply(h, z)) for h in members)
 
 
 def _common_prefix_length(p: list[int], q: list[int]) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import corpus
 from .bass_serre import TreeBall, TreeBallConfig, tiling_tree
@@ -24,7 +25,7 @@ from .dsl import gog_from_json, gog_to_json, parse_gog
 from .errors import AmalgamLabError, Inconclusive
 from .fundgroup import FundamentalGroup, abelianization, emit_presentation
 from .gog import is_non_elementary, elementary_collapse, spanning_tree
-from .jsonio import dumps, emit, load_artifact
+from .jsonio import artifact, dumps, emit, load_artifact
 from .separation import ends_estimate, verify_cayley_separation, verify_K_construction
 
 
@@ -123,11 +124,7 @@ def _cmd_validate(args, argv) -> int:
     verdict = is_non_elementary(gog)
     g = gog.graph
     payload = gog_to_json(gog)
-    payload["classification"] = {
-        "verdict": verdict.verdict,
-        "case": getattr(verdict, "case", None),
-        "sequence": list(getattr(verdict, "sequence", ())),
-    }
+    payload["classification"] = asdict(verdict)
     lines = [
         f"vertices: {g.n_vertices} ({', '.join(g.vertex_names)})",
         f"edges:    {g.n_edges} ({', '.join(g.edge_names) if g.n_edges else '-'})",
@@ -138,8 +135,8 @@ def _cmd_validate(args, argv) -> int:
             f"{g.edge_names[k]}=order {gog.edge_groups[k].order}"
             for k in range(g.n_edges)) if g.n_edges else "-"),
         f"classification: {verdict.verdict}"
-        + (f" (case {verdict.case})" if hasattr(verdict, "case") else "")
-        + (f" via {list(verdict.sequence)}" if hasattr(verdict, "sequence") else ""),
+        + (f" (case {verdict.case})" if verdict.case is not None else "")
+        + (f" via {list(verdict.sequence)}" if verdict.sequence else ""),
     ]
     return _finish(args, payload, lines, argv, failed=False)
 
@@ -154,16 +151,10 @@ def _cmd_collapse(args, argv) -> int:
     gog = _load_gog(args)
     if args.edge is None:
         verdict = is_non_elementary(gog)
-        payload = {
-            "schema_version": 1,
-            "kind": "collapse_decision",
-            "verdict": verdict.verdict,
-            "case": getattr(verdict, "case", None),
-            "sequence": list(getattr(verdict, "sequence", ())),
-        }
+        payload = artifact("collapse_decision", asdict(verdict))
         lines = [f"{verdict.verdict}"
-                 + (f" case {verdict.case}" if hasattr(verdict, "case") else "")
-                 + (f" sequence {list(verdict.sequence)}" if hasattr(verdict, "sequence") else "")]
+                 + (f" case {verdict.case}" if verdict.case is not None else "")
+                 + (f" sequence {list(verdict.sequence)}" if verdict.sequence else "")]
         return _finish(args, payload, lines, argv, failed=False)
     collapsed = elementary_collapse(gog, args.edge)
     payload = gog_to_json(collapsed)
@@ -176,14 +167,12 @@ def _cmd_presentation(args, argv) -> int:
     gog = _load_gog(args)
     p = emit_presentation(gog, spanning_tree(gog))
     rank, torsion = abelianization(p)
-    payload = {
-        "schema_version": 1,
-        "kind": "presentation",
+    payload = artifact("presentation", {
         "generators": list(p.generators),
         "relators": [list(r) for r in p.relators],
         "relator_words": p.relator_strings(),
         "abelianization": {"free_rank": rank, "torsion": list(torsion)},
-    }
+    })
     if args.emit == "gap":
         lines = [
             "F := FreeGroup(" + ", ".join(f'"{g}"' for g in p.generators) + ");",
@@ -204,9 +193,7 @@ def _cmd_tree_ball(args, argv) -> int:
     fg = _fg(args)
     tb = TreeBall(fg, args.radius, _tree_config(args))
     g = fg.gog.graph
-    payload = {
-        "schema_version": 1,
-        "kind": "tree_ball",
+    payload = artifact("tree_ball", {
         "radius": args.radius,
         "n_vertices": len(tb.vertices),
         "n_edges": len(tb.edges),
@@ -225,7 +212,7 @@ def _cmd_tree_ball(args, argv) -> int:
             }
             for e in tb.edges
         ],
-    }
+    })
     if g.n_edges > 0:
         tt = tiling_tree(tb)
         payload["tiling_tree"] = {
@@ -252,16 +239,14 @@ def _cmd_cayley_ball(args, argv) -> int:
     ball = fg.word_metric_ball(args.radius)
     gs = fg.generating_set()
     adjacency = [ball.neighbors(i) for i in range(len(ball))]
-    payload = {
-        "schema_version": 1,
-        "kind": "cayley_ball",
+    payload = artifact("cayley_ball", {
         "radius": args.radius,
         "size": len(ball),
         "layer_sizes": list(ball.layer_sizes),
         "generators": list(gs.step_labels),
         "elements": [x.display() for x in ball.elements],
         "adjacency": adjacency,
-    }
+    })
     if args.emit == "dot":
         lines = ["graph cayley_ball {"]
         for i, x in enumerate(ball.elements):
@@ -313,8 +298,7 @@ def _cmd_ends(args, argv) -> int:
         lines = [f"ends: {report.verdict} (counts {list(report.counts)} at radii {list(report.radii)})"]
         return _finish(args, payload, lines, argv, failed=False)
     except Inconclusive as exc:
-        payload = {"schema_version": 1, "kind": "ends_report",
-                   "verdict": "inconclusive", "error": str(exc)}
+        payload = artifact("ends_report", {"verdict": "inconclusive", "error": str(exc)})
         return _finish(args, payload, [f"ends: inconclusive ({exc})"], argv, failed=True)
 
 
@@ -322,9 +306,7 @@ def _cmd_boundary(args, argv) -> int:
     _require(args, "depth")
     fg = _fg(args)
     b = boundary_approx(fg, args.depth, _tree_config(args))
-    payload = {
-        "schema_version": 1,
-        "kind": "boundary_approx",
+    payload = artifact("boundary_approx", {
         "depth": args.depth,
         "branch_count": len(b),
         "degenerate": fg.gog.graph.n_edges == 0,
@@ -332,7 +314,7 @@ def _cmd_boundary(args, argv) -> int:
             {"leaf_rep": b.tree.vertices[leaf].rep.display(), "edges": b.tree.root_path(leaf)}
             for leaf in b.leaves
         ],
-    }
+    })
     lines = [f"depth {args.depth}: {len(b)} branches"
              + (" (degenerate: no tree edges)" if fg.gog.graph.n_edges == 0 else "")]
     return _finish(args, payload, lines, argv, failed=False)
@@ -359,6 +341,7 @@ def _cmd_amalgam_check(args, argv) -> int:
 
 
 def _cmd_classify(args, argv) -> int:
+    _require(args, "words_json")
     if args.depth < 0:
         raise ValueError(f"depth must be >= 0, got {args.depth}")
     fg = _fg(args)
@@ -436,7 +419,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("classify", help="classify a direction sample")
     _add_common(p, emit_choices=("json", "text"), budget=True, tree=True)
     p.add_argument("--depth", type=int, default=6, help="tree ball radius")
-    p.add_argument("--words-json", required=True,
+    p.add_argument("--words-json", default=None,
                    help='JSON file {"words": [["a","b"], ...]}')
     p.add_argument("--r-bound", type=int, default=4)
     p.set_defaults(func=_cmd_classify)

@@ -35,6 +35,7 @@ from .errors import (
 from .gog import EdgeEmbedding, GraphOfGroups, TrivialEmbedding, build_graph
 from .groups import (TRIVIAL_GROUP, FiniteGroup, bfs, check_group, check_monomorphism,
                      cyclic_group)
+from .jsonio import artifact
 
 _TOKEN = re.compile(
     r"""(?P<ws>\s+)
@@ -387,9 +388,7 @@ def gog_to_json(gog: GraphOfGroups) -> dict:
             "embed_bwd": emb_spec(bwd),
         })
 
-    return {
-        "schema_version": 1,
-        "kind": "graph_of_groups",
+    return artifact("graph_of_groups", {
         "vertices": [
             {
                 "name": g.vertex_names[v],
@@ -399,7 +398,7 @@ def gog_to_json(gog: GraphOfGroups) -> dict:
             for v in range(g.n_vertices)
         ],
         "edges": edges,
-    }
+    })
 
 
 def _field(entry, key: str, kind: type, at: str):

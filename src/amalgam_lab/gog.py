@@ -184,7 +184,6 @@ class SpanningData:
     tree_edges: frozenset[int]        # unoriented ids
     orientation: frozenset[int]       # oriented ids, one per unoriented pair
     parent_edge: tuple[int, ...]      # per vertex: oriented tree edge into it (root: -1)
-    bfs_vertices: tuple[int, ...]
 
     def in_tree(self, y: int) -> bool:
         return (y // 2) in self.tree_edges
@@ -210,7 +209,6 @@ def spanning_tree(gog: GraphOfGroups) -> SpanningData:
     root = 0
     parent_edge = [-1] * g.n_vertices
     seen = {root}
-    order = [root]
     queue = deque([root])
     tree: set[int] = set()
     while queue:
@@ -219,11 +217,10 @@ def spanning_tree(gog: GraphOfGroups) -> SpanningData:
             if g.alpha[y] == v and g.omega[y] not in seen:
                 w = g.omega[y]
                 seen.add(w)
-                order.append(w)
                 parent_edge[w] = y
                 tree.add(y // 2)
                 queue.append(w)
-    if len(order) != g.n_vertices:
+    if len(seen) != g.n_vertices:
         raise GraphDisconnected("underlying graph is not connected")
     orientation: set[int] = set()
     for k in range(g.n_edges):
@@ -237,7 +234,6 @@ def spanning_tree(gog: GraphOfGroups) -> SpanningData:
         tree_edges=frozenset(tree),
         orientation=frozenset(orientation),
         parent_edge=tuple(parent_edge),
-        bfs_vertices=tuple(order),
     )
 
 
@@ -323,21 +319,13 @@ COLLAPSE_BUDGET = 20_000
 
 
 @dataclass(frozen=True)
-class NonElementary:
-    verdict: str = "NonElementary"
+class Elementarity:
+    """The non-elementarity decision: ``NonElementary``, ``SimplyElementary``
+    in its ``case``, or ``ReducesTo`` that case by the collapse ``sequence``."""
 
-
-@dataclass(frozen=True)
-class SimplyElementary:
-    case: int
-    verdict: str = "SimplyElementary"
-
-
-@dataclass(frozen=True)
-class ReducesTo:
-    case: int
-    sequence: tuple[str, ...]
-    verdict: str = "ReducesTo"
+    verdict: str
+    case: int | None = None
+    sequence: tuple[str, ...] = ()
 
 
 def _simply_elementary_case(gog: GraphOfGroups) -> int | None:
@@ -366,7 +354,7 @@ def _collapsible_edges(gog: GraphOfGroups) -> list[str]:
     return out
 
 
-def is_non_elementary(gog: GraphOfGroups):
+def is_non_elementary(gog: GraphOfGroups) -> Elementarity:
     """Decide non-elementarity by a depth-first search over collapse sequences.
 
     Each collapse removes an edge, so the search tree has depth <= |edges|.
@@ -377,11 +365,12 @@ def is_non_elementary(gog: GraphOfGroups):
     reaches it, so k collapsible edges cost at most 2^k states instead of k!
     orders, and the first sequence found is the one the unmemoised search
     finds.  More than COLLAPSE_BUDGET failed states raise BudgetExceeded.
-    Returns NonElementary, SimplyElementary(case), or ReducesTo(case, sequence).
+    The verdict is NonElementary, SimplyElementary (with its case), or
+    ReducesTo (with its case and collapse sequence).
     """
     case = _simply_elementary_case(gog)
     if case is not None:
-        return SimplyElementary(case)
+        return Elementarity("SimplyElementary", case)
     failed: set[frozenset[str]] = set()
 
     def search(current: GraphOfGroups) -> tuple[int, tuple[str, ...]] | None:
@@ -406,6 +395,5 @@ def is_non_elementary(gog: GraphOfGroups):
 
     found = search(gog)
     if found is None:
-        return NonElementary()
-    case2, seq = found
-    return ReducesTo(case2, seq)
+        return Elementarity("NonElementary")
+    return Elementarity("ReducesTo", *found)

@@ -1,6 +1,7 @@
 """Stable JSON emission and re-loading of CLI artifacts.
 
-Payloads carry ``schema_version`` and ``kind``; serialization sorts keys and
+Every payload is built by :func:`artifact`, the one place that writes the
+envelope ``schema_version`` and ``kind``; serialization sorts keys and
 contains no timestamps, so identical runs are byte-identical.  Run metadata
 (timestamp, argv) goes to a sidecar ``<output>.log`` only.
 """
@@ -13,6 +14,11 @@ import time
 from pathlib import Path
 
 SCHEMA_VERSION = 1
+
+
+def artifact(kind: str, fields: dict) -> dict:
+    """The payload of a ``kind`` artifact: the envelope, then ``fields``."""
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, **fields}
 
 
 def dumps(payload: dict) -> str:
@@ -32,13 +38,11 @@ def emit(text: str, output: str | None, argv: list[str] | None = None):
             log.write(f"{stamp} {' '.join(argv)}\n")
 
 
-def load_artifact(path: str, expected_kind: str | None = None) -> dict:
+def load_artifact(path: str) -> dict:
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError(f"{path} is not an amalgam-lab artifact")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(
             f"unsupported schema_version {data.get('schema_version')!r} in {path}")
-    if expected_kind is not None and data["kind"] != expected_kind:
-        raise ValueError(f"expected a {expected_kind} artifact, found {data['kind']}")
     return data

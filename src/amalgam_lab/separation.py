@@ -20,6 +20,7 @@ from .bass_serre import TreeBall
 from .errors import BudgetExceeded, Inconclusive, PreconditionUnmet
 from .fundgroup import FundamentalGroup, NormalForm
 from .groups import UNSET
+from .jsonio import artifact
 
 
 @dataclass(frozen=True)
@@ -222,19 +223,8 @@ class SeparationReport:
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "kind": "separation_report",
-            "instance": self.instance,
-            "R": self.R,
-            "verdict": "holds" if self.holds else "fails",
-            "separating_set_size": self.separating_set_size,
-            "witness_pairs_tested": self.witness_pairs_tested,
-            "failures": self.failures,
-            "not_applicable": self.not_applicable,
-            "samples": self.samples,
-            "details": self.details,
-        }
+        return artifact("separation_report",
+                        {**vars(self), "verdict": "holds" if self.holds else "fails"})
 
 
 def thicken(fg: FundamentalGroup, core, r: int,
@@ -516,16 +506,9 @@ class EndsReport:
     component_sizes: dict
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "kind": "ends_report",
-            "radii": list(self.radii),
-            "counts": list(self.counts),
-            "n_max": self.n_max,
-            "exhausted": self.exhausted,
-            "verdict": self.verdict,
-            "component_sizes": {str(k): v for k, v in self.component_sizes.items()},
-        }
+        # str keys: the artifacts order radii as text ("10" < "2") under sort_keys
+        sizes = {str(k): v for k, v in self.component_sizes.items()}
+        return artifact("ends_report", {**vars(self), "component_sizes": sizes})
 
 
 def ends_estimate(fg: FundamentalGroup, radii, margin: int = 3) -> EndsReport:

@@ -206,7 +206,7 @@ def test_criterion_8_cantor_corollary():
             verdict = cantor_check(boundary_approx(fg, d))
             assert verdict.passed is expect, (name, d)
             if not expect:
-                assert not verdict.perfect_ok
+                assert not verdict.perfect_at_depth
     elapsed = time.perf_counter() - t0
     _report(8, f"Cantor surrogate passes on Z/2*Z/3 and F2 at depths 5-7, "
                f"fails perfectness on D_inf in {elapsed:.1f}s")

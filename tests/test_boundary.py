@@ -13,6 +13,7 @@ from amalgam_lab.boundary import (
     branch_density_check,
     cantor_check,
     classify_direction,
+    dist_to_vertex_coset,
     limit_set_approx,
     limit_set_family,
 )
@@ -202,7 +203,7 @@ def test_cantor_verdicts():
         v = cantor_check(boundary_approx(fg, d))
         assert v.passed is expect, name
         if name == "dinf":
-            assert not v.perfect_ok     # fails perfectness, two isolated branches
+            assert not v.perfect_at_depth     # fails perfectness, two isolated branches
 
 
 def _first_unbranched_window(b, window):
@@ -234,7 +235,7 @@ def test_cantor_windows_match_branch_scan_on_pruned_trees(name):
                      if w["reason"] == "no branching in window"]
             expected = _first_unbranched_window(b, window)
             assert found == ([expected] if expected else []), (trial, window)
-            assert verdict.perfect_ok is (expected is None)
+            assert verdict.perfect_at_depth is (expected is None)
 
 
 def test_cantor_depth_too_small(dinf):
@@ -619,6 +620,27 @@ def test_branch_density():
 
 
 # --- classification ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, ball_radius", [("sl2z", 3), ("z2z3", 3), ("z2z2", 1)])
+def test_dist_to_vertex_coset_matches_brute_force(name, ball_radius):
+    """d(x, rep*G_v) against the least d(x, rep*h): over all of a finite G_v,
+    and over a backend ball two steps wider than the searched one.  On z2z2
+    the x range over ball(1) only: each backend call walks a fresh Z^2 ball."""
+    _, _, fg = make_fg(SL2Z if name == "sl2z" else name)
+    tb = TreeBall(fg, 2)
+    xs = fg.word_metric_ball(ball_radius).elements
+    for v in tb.vertices:
+        backend = fg.gog.vertex_groups[v.vtype]
+        for x in xs:
+            if backend.is_finite:
+                members = fg.vertex_subgroup_elements(v.vtype)
+            else:
+                z = fg.multiply(fg.invert(v.rep), x)
+                members = [fg.vertex_element(v.vtype, g)
+                           for g in backend.ball(2 * fg.wordlen(z) + 2)]
+            expected = min(fg.dist(x, fg.multiply(v.rep, h)) for h in members)
+            assert dist_to_vertex_coset(fg, tb, x, v.vid) == expected, (v.vid, x.display())
 
 
 def test_classify_backend_coset_enumeration(z2z2):

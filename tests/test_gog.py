@@ -19,9 +19,7 @@ from amalgam_lab.errors import (
 )
 from amalgam_lab.fundgroup import abelianization, emit_presentation
 from amalgam_lab.gog import (
-    NonElementary,
-    ReducesTo,
-    SimplyElementary,
+    Elementarity,
     _collapsible_edges,
     _simply_elementary_case,
     elementary_collapse,
@@ -200,34 +198,33 @@ edge e2 v2 -- v2 group E2 embed_fwd {a:a2} embed_bwd {a:a2}
 
 def test_non_elementary_dinf_is_simply_elementary_case2():
     verdict = is_non_elementary(parse_gog(DINF))
-    assert isinstance(verdict, SimplyElementary) and verdict.case == 2
+    assert verdict == Elementarity("SimplyElementary", 2)
 
 
 def test_non_elementary_z2z3():
-    verdict = is_non_elementary(parse_gog(Z2Z3))
-    assert isinstance(verdict, NonElementary)
+    assert is_non_elementary(parse_gog(Z2Z3)) == Elementarity("NonElementary")
 
 
 def test_non_elementary_two_loops():
     text = ("group T trivial\nvertex v T\n"
             "edge a1 v -- v group trivial embed_fwd {} embed_bwd {}\n"
             "edge a2 v -- v group trivial embed_fwd {} embed_bwd {}\n")
-    assert isinstance(is_non_elementary(parse_gog(text)), NonElementary)
+    assert is_non_elementary(parse_gog(text)) == Elementarity("NonElementary")
 
 
 def test_single_vertex_simply_elementary_case1():
     verdict = is_non_elementary(parse_gog("group T trivial\nvertex v T\n"))
-    assert isinstance(verdict, SimplyElementary) and verdict.case == 1
+    assert verdict == Elementarity("SimplyElementary", 1)
 
 
 def test_loop_iso_simply_elementary_case3():
     verdict = is_non_elementary(parse_gog(LOOP_Z2_ISO))
-    assert isinstance(verdict, SimplyElementary) and verdict.case == 3
+    assert verdict == Elementarity("SimplyElementary", 3)
 
 
 def test_reduces_to_case1():
     verdict = is_non_elementary(parse_gog(SEGMENT))
-    assert isinstance(verdict, ReducesTo) and verdict.case == 1
+    assert verdict.verdict == "ReducesTo" and verdict.case == 1
     assert len(verdict.sequence) == 1
 
 
@@ -347,7 +344,7 @@ def _exhaustive_collapse_search(gog):
     no memo and no budget."""
     case = _simply_elementary_case(gog)
     if case is not None:
-        return SimplyElementary(case)
+        return Elementarity("SimplyElementary", case)
 
     def search(current):
         for name in _collapsible_edges(current):
@@ -361,7 +358,8 @@ def _exhaustive_collapse_search(gog):
         return None
 
     found = search(gog)
-    return NonElementary() if found is None else ReducesTo(found[0], found[1])
+    return (Elementarity("NonElementary") if found is None
+            else Elementarity("ReducesTo", *found))
 
 
 def _with_pendants(text, k):
@@ -387,7 +385,7 @@ def test_memoised_collapse_search_matches_every_order(name):
 
 
 def test_collapse_search_decides_12_pendants():
-    assert is_non_elementary(parse_gog(_with_pendants(Z2Z3, 12))) == NonElementary()
+    assert is_non_elementary(parse_gog(_with_pendants(Z2Z3, 12))) == Elementarity("NonElementary")
 
 
 def test_collapse_search_budget_names_the_phase(tmp_path, capsys):
