@@ -36,15 +36,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _require(args, *names):
     """Flags that computation needs but --from json re-emission does not."""
     for name in names:
         if getattr(args, name) is None:
-            raise _UsageError(f"--{name.replace('_', '-')} is required")
+            raise ValueError(f"--{name.replace('_', '-')} is required")
 
 
 def _load_gog(args):
@@ -59,18 +55,17 @@ def _load_gog(args):
 
 
 def _tree_config(args) -> TreeBallConfig:
-    return TreeBallConfig(
-        star_radius=args.star_radius,
-        star_small=args.star_small,
-        star_fresh=args.star_fresh,
-        budget=args.tree_budget,
-    )
+    return TreeBallConfig(star_radius=args.star_radius, star_small=args.star_small,
+                          star_fresh=args.star_fresh, budget=args.tree_budget)
 
 
-def _positive_int(text: str) -> int:
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
+def _int_at_least(low: int):
+    """An argparse type: a decimal integer >= ``low`` (``low`` >= 0)."""
+    def parse(text: str) -> int:
+        if not text.strip().isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _int_list(text: str) -> list[int]:
@@ -81,10 +76,13 @@ def _int_list(text: str) -> list[int]:
             f"expected comma-separated integers, got {text!r}") from None
 
 
-def _add_common(p: argparse.ArgumentParser, emit_choices=("text", "json"),
-                budget: bool = False, tree: bool = False):
-    """Flags every subcommand takes; ``budget`` and ``tree`` add the element
-    budget and the tree truncation flags for subcommands that use them."""
+def _add_command(sub, name: str, func, help: str, emit_choices=("text", "json"),
+                 budget: bool = False, tree: bool = False) -> argparse.ArgumentParser:
+    """Subcommand ``name``, whose artifact ``func`` computes, with the flags
+    every subcommand takes; ``budget`` and ``tree`` add the element budget and
+    the tree truncation flags for subcommands that use them."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func)
     p.add_argument("input", help="path to a .gog file, or corpus:NAME")
     p.add_argument("--from", dest="from_json", default=None, metavar="FORMAT",
                    choices=["json"],
@@ -93,22 +91,15 @@ def _add_common(p: argparse.ArgumentParser, emit_choices=("text", "json"),
     p.add_argument("--output", default=None, help="write the artifact here")
     p.add_argument("--seed", type=int, default=0)
     if budget:
-        p.add_argument("--budget", type=_positive_int, default=2_000_000,
+        p.add_argument("--budget", type=_int_at_least(1), default=2_000_000,
                        help="element budget of Cayley balls, backend balls and the wordlen walk; "
                             "it also caps the pairs that verify-k measures for diam(I_3/2)")
     if tree:
-        p.add_argument("--star-radius", type=int, default=2)
-        p.add_argument("--star-small", type=int, default=3)
-        p.add_argument("--star-fresh", type=int, default=2)
-        p.add_argument("--tree-budget", type=_positive_int, default=200_000)
-
-
-def _finish(args, payload: dict, text_lines: list[str], argv, failed: bool) -> int:
-    if args.emit == "json":
-        emit(dumps(payload), args.output, argv)
-    else:
-        emit("\n".join(text_lines) + "\n", args.output, argv)
-    return 2 if failed else 0
+        p.add_argument("--star-radius", type=_int_at_least(1), default=2)
+        p.add_argument("--star-small", type=_int_at_least(1), default=3)
+        p.add_argument("--star-fresh", type=_int_at_least(0), default=2)
+        p.add_argument("--tree-budget", type=_int_at_least(1), default=200_000)
+    return p
 
 
 def _fg(args) -> FundamentalGroup:
@@ -116,79 +107,34 @@ def _fg(args) -> FundamentalGroup:
     return FundamentalGroup(gog, spanning_tree(gog), ball_budget=args.budget)
 
 
-# --- subcommand handlers ----------------------------------------------------
+# --- subcommand handlers: each returns its artifact -------------------------
 
 
-def _cmd_validate(args, argv) -> int:
+def _cmd_validate(args) -> dict:
     gog = _load_gog(args)
-    verdict = is_non_elementary(gog)
-    g = gog.graph
-    payload = gog_to_json(gog)
-    payload["classification"] = asdict(verdict)
-    lines = [
-        f"vertices: {g.n_vertices} ({', '.join(g.vertex_names)})",
-        f"edges:    {g.n_edges} ({', '.join(g.edge_names) if g.n_edges else '-'})",
-        "vertex groups: " + ", ".join(
-            f"{g.vertex_names[v]}={_group_desc(gog.vertex_groups[v])}"
-            for v in range(g.n_vertices)),
-        "edge groups:   " + (", ".join(
-            f"{g.edge_names[k]}=order {gog.edge_groups[k].order}"
-            for k in range(g.n_edges)) if g.n_edges else "-"),
-        f"classification: {verdict.verdict}"
-        + (f" (case {verdict.case})" if verdict.case is not None else "")
-        + (f" via {list(verdict.sequence)}" if verdict.sequence else ""),
-    ]
-    return _finish(args, payload, lines, argv, failed=False)
+    return {**gog_to_json(gog), "classification": asdict(is_non_elementary(gog))}
 
 
-def _group_desc(backend) -> str:
-    if backend.is_finite:
-        return f"finite order {backend.order}"
-    return f"{backend.kind} rank {backend.rank}"
-
-
-def _cmd_collapse(args, argv) -> int:
+def _cmd_collapse(args) -> dict:
     gog = _load_gog(args)
     if args.edge is None:
-        verdict = is_non_elementary(gog)
-        payload = artifact("collapse_decision", asdict(verdict))
-        lines = [f"{verdict.verdict}"
-                 + (f" case {verdict.case}" if verdict.case is not None else "")
-                 + (f" sequence {list(verdict.sequence)}" if verdict.sequence else "")]
-        return _finish(args, payload, lines, argv, failed=False)
-    collapsed = elementary_collapse(gog, args.edge)
-    payload = gog_to_json(collapsed)
-    g = collapsed.graph
-    lines = [f"collapsed {args.edge}: now {g.n_vertices} vertices, {g.n_edges} edges"]
-    return _finish(args, payload, lines, argv, failed=False)
+        return artifact("collapse_decision", asdict(is_non_elementary(gog)))
+    return gog_to_json(elementary_collapse(gog, args.edge))
 
 
-def _cmd_presentation(args, argv) -> int:
+def _cmd_presentation(args) -> dict:
     gog = _load_gog(args)
     p = emit_presentation(gog, spanning_tree(gog))
     rank, torsion = abelianization(p)
-    payload = artifact("presentation", {
+    return artifact("presentation", {
         "generators": list(p.generators),
         "relators": [list(r) for r in p.relators],
         "relator_words": p.relator_strings(),
         "abelianization": {"free_rank": rank, "torsion": list(torsion)},
     })
-    if args.emit == "gap":
-        lines = [
-            "F := FreeGroup(" + ", ".join(f'"{g}"' for g in p.generators) + ");",
-        ]
-        for i, g in enumerate(p.generators):
-            lines.append(f"{g} := F.{i + 1};;")
-        lines.append("rels := [" + ", ".join(p.relator_strings()) + "];")
-        lines.append("G := F / rels;")
-    else:
-        lines = ["generators: " + ", ".join(p.generators),
-                 "relators:   " + (", ".join(p.relator_strings()) or "(none)"),
-                 f"abelianization: free rank {rank}, torsion {list(torsion)}"]
-    return _finish(args, payload, lines, argv, failed=False)
 
 
-def _cmd_tree_ball(args, argv) -> int:
+def _cmd_tree_ball(args) -> dict:
     _require(args, "radius")
     fg = _fg(args)
     tb = TreeBall(fg, args.radius, _tree_config(args))
@@ -220,93 +166,48 @@ def _cmd_tree_ball(args, argv) -> int:
             "edges": list(tt.edge_ids),
             "connected": tt.connected,
         }
-    if args.emit == "dot":
-        lines = ["graph tree_ball {"]
-        for v in tb.vertices:
-            lines.append(f'  v{v.vid} [label="{g.vertex_names[v.vtype]}:{v.rep.display()}"];')
-        for e in tb.edges:
-            lines.append(f'  v{e.parent} -- v{e.child} [label="{g.edge_names[e.pair]}"];')
-        lines.append("}")
-    else:
-        lines = [f"radius {args.radius}: {len(tb.vertices)} vertices, {len(tb.edges)} edges",
-                 "|V| - |E| = " + str(len(tb.vertices) - len(tb.edges))]
-    return _finish(args, payload, lines, argv, failed=False)
+    return payload
 
 
-def _cmd_cayley_ball(args, argv) -> int:
+def _cmd_cayley_ball(args) -> dict:
     _require(args, "radius")
     fg = _fg(args)
     ball = fg.word_metric_ball(args.radius)
-    gs = fg.generating_set()
-    adjacency = [ball.neighbors(i) for i in range(len(ball))]
-    payload = artifact("cayley_ball", {
+    return artifact("cayley_ball", {
         "radius": args.radius,
         "size": len(ball),
         "layer_sizes": list(ball.layer_sizes),
-        "generators": list(gs.step_labels),
+        "generators": list(fg.generating_set().step_labels),
         "elements": [x.display() for x in ball.elements],
-        "adjacency": adjacency,
+        "adjacency": [ball.neighbors(i) for i in range(len(ball))],
     })
-    if args.emit == "dot":
-        lines = ["graph cayley_ball {"]
-        for i, x in enumerate(ball.elements):
-            lines.append(f'  n{i} [label="{x.display()}"];')
-        seen = set()
-        for i, row in enumerate(adjacency):
-            for lbl, j in row:
-                if (j, i) not in seen:
-                    seen.add((i, j))
-                    lines.append(f'  n{i} -- n{j} [label="{lbl}"];')
-        lines.append("}")
-    else:
-        lines = [f"radius {args.radius}: {len(ball)} elements, layers {list(ball.layer_sizes)}"]
-    return _finish(args, payload, lines, argv, failed=False)
 
 
-def _cmd_separate(args, argv) -> int:
+def _cmd_separate(args) -> dict:
     _require(args, "radius")
-    report = verify_cayley_separation(_fg(args), ball_radius=args.radius,
-                                      samples=args.samples, R=args.R, seed=args.seed)
-    lines = [
-        f"cayley-separation R={args.R}: {'holds' if report.holds else 'FAILS'}",
-        f"pairs tested: {report.witness_pairs_tested}, not applicable: {report.not_applicable}",
-    ]
-    if report.failures:
-        lines.append(f"failures: {len(report.failures)} (first: {report.failures[0]})")
-    return _finish(args, report.to_json(), lines, argv, failed=not report.holds)
+    return verify_cayley_separation(_fg(args), ball_radius=args.radius, samples=args.samples,
+                                    R=args.R, seed=args.seed).to_json()
 
 
-def _cmd_verify_k(args, argv) -> int:
+def _cmd_verify_k(args) -> dict:
     _require(args, "radius")
-    report = verify_K_construction(_fg(args), ball_radius=args.radius,
-                                   edges_sampled=args.edges, seed=args.seed,
-                                   R_probe=args.R_probe)
-    lines = [
-        f"K-construction: {'holds' if report.holds else 'FAILS'}",
-        f"diam(P)={report.details['diam_P']}, worst R0={report.details['worst_R0']}, "
-        f"bound={report.details['diam_I_3/2']}, probe edges={report.details['probe_edges']}",
-    ]
-    return _finish(args, report.to_json(), lines, argv, failed=not report.holds)
+    return verify_K_construction(_fg(args), ball_radius=args.radius, edges_sampled=args.edges,
+                                 seed=args.seed, R_probe=args.R_probe).to_json()
 
 
-def _cmd_ends(args, argv) -> int:
+def _cmd_ends(args) -> dict:
     _require(args, "radii")
-    fg = _fg(args)
     try:
-        report = ends_estimate(fg, args.radii, margin=args.margin)
-        payload = report.to_json()
-        lines = [f"ends: {report.verdict} (counts {list(report.counts)} at radii {list(report.radii)})"]
-        return _finish(args, payload, lines, argv, failed=False)
+        return ends_estimate(_fg(args), args.radii, margin=args.margin).to_json()
     except Inconclusive as exc:
-        payload = artifact("ends_report", {"verdict": "inconclusive", "error": str(exc)})
-        return _finish(args, payload, [f"ends: inconclusive ({exc})"], argv, failed=True)
+        return artifact("ends_report", {"verdict": "inconclusive", "error": str(exc)})
 
 
-def _cmd_boundary(args, argv) -> int:
+def _cmd_boundary(args) -> dict:
     _require(args, "depth")
     fg = _fg(args)
     b = boundary_approx(fg, args.depth, _tree_config(args))
-    payload = artifact("boundary_approx", {
+    return artifact("boundary_approx", {
         "depth": args.depth,
         "branch_count": len(b),
         "degenerate": fg.gog.graph.n_edges == 0,
@@ -315,44 +216,147 @@ def _cmd_boundary(args, argv) -> int:
             for leaf in b.leaves
         ],
     })
-    lines = [f"depth {args.depth}: {len(b)} branches"
-             + (" (degenerate: no tree edges)" if fg.gog.graph.n_edges == 0 else "")]
-    return _finish(args, payload, lines, argv, failed=False)
 
 
-def _cmd_amalgam_check(args, argv) -> int:
+def _cmd_amalgam_check(args) -> dict:
     _require(args, "depth")
-    fg = _fg(args)
-    b = boundary_approx(fg, args.depth, _tree_config(args))
+    b = boundary_approx(_fg(args), args.depth, _tree_config(args))
     family = limit_set_family(b)
-    cert = amalgam_check(b, family, seed=args.seed, samples=args.samples)
-    density = branch_density_check(b, family)
-    cantor = cantor_check(b)
-    payload = cert.to_json()
-    payload["branch_density"] = density.to_json()
-    payload["cantor"] = cantor.to_json()
-    failed = not cert.passed or density.status == "fail"
-    lines = [f"amalgam-check depth {args.depth}: {'PASS' if not failed else 'FAIL'}"]
-    for name, cond in cert.conditions.items():
-        lines.append(f"  {name}: {'pass' if cond['passed'] else 'fail'}")
-    lines.append(f"  branch_density: {density.status}")
-    lines.append(f"  cantor_surrogate: {'pass' if cantor.passed else 'fail'}")
-    return _finish(args, payload, lines, argv, failed=failed)
+    payload = amalgam_check(b, family, seed=args.seed, samples=args.samples).to_json()
+    payload["branch_density"] = branch_density_check(b, family).to_json()
+    payload["cantor"] = cantor_check(b).to_json()
+    return payload
 
 
-def _cmd_classify(args, argv) -> int:
+def _cmd_classify(args) -> dict:
     _require(args, "words_json")
     if args.depth < 0:
         raise ValueError(f"depth must be >= 0, got {args.depth}")
-    fg = _fg(args)
-    tb = TreeBall(fg, args.depth, _tree_config(args))
     with open(args.words_json) as fh:
         data = json.load(fh)
-    elements = [fg.evaluate_word(w) for w in data["words"]]
-    result = classify_direction(fg, tb, elements, r_bound=args.r_bound)
-    lines = [f"classification: {result.kind}"
-             + (f" at {result.coset_label}" if result.coset_label else "")]
-    return _finish(args, result.to_json(), lines, argv, failed=False)
+    words = data.get("words") if isinstance(data, dict) else None
+    if not isinstance(words, list):
+        raise ValueError(f"{args.words_json}: words must be a list of words, got {words!r}")
+    for i, w in enumerate(words):
+        if not isinstance(w, list) or not all(isinstance(lbl, str) for lbl in w):
+            raise ValueError(f"{args.words_json}: words[{i}] must be a list of labels, got {w!r}")
+    fg = _fg(args)
+    tb = TreeBall(fg, args.depth, _tree_config(args))
+    elements = [fg.evaluate_word(w) for w in words]
+    return classify_direction(fg, tb, elements, r_bound=args.r_bound).to_json()
+
+
+def _failed(a: dict) -> bool:
+    """Whether an artifact records a failed property: exit code 2, FAIL in its text."""
+    if a["kind"] == "amalgam_certificate":
+        return not a["passed"] or a["branch_density"]["status"] == "fail"
+    return (a["kind"], a.get("verdict")) in {("separation_report", "fails"),
+                                               ("ends_report", "inconclusive")}
+
+
+def _group_desc(spec: dict) -> str:
+    if spec["kind"] == "finite":
+        return f"finite order {spec['order']}"
+    return f"{spec['kind']} rank {spec['rank']}"
+
+
+def _text(a: dict, args) -> list[str]:
+    kind = a["kind"]
+    if kind == "graph_of_groups" and args.command == "collapse":
+        return [f"collapsed {args.edge}: now {len(a['vertices'])} vertices, {len(a['edges'])} edges"]
+    if kind == "graph_of_groups":
+        vs, es, c = a["vertices"], a["edges"], a["classification"]
+        return [f"vertices: {len(vs)} ({', '.join(v['name'] for v in vs)})",
+                f"edges:    {len(es)} ({', '.join(e['name'] for e in es) or '-'})",
+                "vertex groups: " + ", ".join(f"{v['name']}={_group_desc(v['group'])}"
+                                              for v in vs),
+                "edge groups:   " + (", ".join(
+                    f"{e['name']}=order {e['group']['order']}" for e in es) or "-"),
+                f"classification: {c['verdict']}"
+                + (f" (case {c['case']})" if c["case"] is not None else "")
+                + (f" via {list(c['sequence'])}" if c["sequence"] else "")]
+    if kind == "collapse_decision":
+        return [f"{a['verdict']}"
+                + (f" case {a['case']}" if a["case"] is not None else "")
+                + (f" sequence {list(a['sequence'])}" if a["sequence"] else "")]
+    if kind == "presentation":
+        ab = a["abelianization"]
+        return ["generators: " + ", ".join(a["generators"]),
+                "relators:   " + (", ".join(a["relator_words"]) or "(none)"),
+                f"abelianization: free rank {ab['free_rank']}, torsion {list(ab['torsion'])}"]
+    if kind == "tree_ball":
+        return [f"radius {a['radius']}: {a['n_vertices']} vertices, {a['n_edges']} edges",
+                f"|V| - |E| = {a['n_vertices'] - a['n_edges']}"]
+    if kind == "cayley_ball":
+        return [f"radius {a['radius']}: {a['size']} elements, layers {list(a['layer_sizes'])}"]
+    if kind == "separation_report":
+        holds, d = "FAILS" if _failed(a) else "holds", a["details"]
+        if a["instance"] == "K-construction":
+            return [f"K-construction: {holds}",
+                    f"diam(P)={d['diam_P']}, worst R0={d['worst_R0']}, "
+                    f"bound={d['diam_I_3/2']}, probe edges={d['probe_edges']}"]
+        lines = [f"{a['instance']} R={a['R']}: {holds}",
+                 f"pairs tested: {a['witness_pairs_tested']}, "
+                 f"not applicable: {a['not_applicable']}"]
+        if a["failures"]:
+            first = json.dumps(a["failures"][0], sort_keys=True)
+            lines.append(f"failures: {len(a['failures'])} (first: {first})")
+        return lines
+    if kind == "ends_report":
+        return [f"ends: inconclusive ({a['error']})" if a["verdict"] == "inconclusive" else
+                f"ends: {a['verdict']} (counts {list(a['counts'])} at radii {list(a['radii'])})"]
+    if kind == "boundary_approx":
+        return [f"depth {a['depth']}: {a['branch_count']} branches"
+                + (" (degenerate: no tree edges)" if a["degenerate"] else "")]
+    if kind == "amalgam_certificate":
+        return [f"amalgam-check depth {a['depth']}: {'FAIL' if _failed(a) else 'PASS'}",
+                *(f"  {name}: {'pass' if cond['passed'] else 'fail'}"
+                  for name, cond in sorted(a["conditions"].items())),
+                f"  branch_density: {a['branch_density']['status']}",
+                f"  cantor_surrogate: {'pass' if a['cantor']['passed'] else 'fail'}"]
+    return [f"classification: {a['result']}" + (f" at {a['coset']}" if a["coset"] else "")]
+
+
+def _dot(a: dict) -> list[str]:
+    if a["kind"] == "tree_ball":
+        return ["graph tree_ball {",
+                *(f'  v{v["id"]} [label="{v["type"]}:{v["rep"]}"];' for v in a["vertices"]),
+                *(f'  v{e["parent"]} -- v{e["child"]} [label="{e["pair"]}"];'
+                  for e in a["edges"]),
+                "}"]
+    lines = ["graph cayley_ball {",
+             *(f'  n{i} [label="{x}"];' for i, x in enumerate(a["elements"]))]
+    seen = set()
+    for i, row in enumerate(a["adjacency"]):
+        for lbl, j in row:
+            if (j, i) not in seen:
+                seen.add((i, j))
+                lines.append(f'  n{i} -- n{j} [label="{lbl}"];')
+    return lines + ["}"]
+
+
+def _gap(a: dict) -> list[str]:
+    gens = a["generators"]
+    return ["F := FreeGroup(" + ", ".join(f'"{g}"' for g in gens) + ");",
+            *(f"{g} := F.{i + 1};;" for i, g in enumerate(gens)),
+            "rels := [" + ", ".join(a["relator_words"]) + "];",
+            "G := F / rels;"]
+
+
+def _render(a: dict, args) -> str:
+    """The ``--emit`` form of an artifact, computed or passed through."""
+    if args.emit == "json":
+        return dumps(a)
+    lines = _dot(a) if args.emit == "dot" else _gap(a) if args.emit == "gap" else _text(a, args)
+    return "\n".join(lines) + "\n"
+
+
+class _Fields(dict):
+    """A passed-through artifact that remembers the last field a renderer read."""
+    last = None
+    def __getitem__(self, key):
+        self.last = key
+        return super().__getitem__(key)
 
 
 def build_parser() -> _Parser:
@@ -360,75 +364,63 @@ def build_parser() -> _Parser:
                    description="Bass-Serre theory toolkit at desk scale")
     sub = root.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="parse and validate a graph of groups")
-    _add_common(p)
-    p.set_defaults(func=_cmd_validate)
+    _add_command(sub, "validate", _cmd_validate, "parse and validate a graph of groups")
 
-    p = sub.add_parser("collapse", help="elementary collapse / non-elementarity decision")
-    _add_common(p)
+    p = _add_command(sub, "collapse", _cmd_collapse,
+                     "elementary collapse / non-elementarity decision")
     p.add_argument("--edge", default=None, help="edge to collapse, NAME or ~NAME for its reverse "
                    "(omit to decide)")
-    p.set_defaults(func=_cmd_collapse)
 
-    p = sub.add_parser("presentation", help="emit the defining presentation")
-    _add_common(p, emit_choices=("text", "json", "gap"))
-    p.set_defaults(func=_cmd_presentation)
+    _add_command(sub, "presentation", _cmd_presentation, "emit the defining presentation",
+                 emit_choices=("text", "json", "gap"))
 
-    p = sub.add_parser("tree-ball", help="finite portion of the Bass-Serre tree")
-    _add_common(p, emit_choices=("text", "json", "dot"), budget=True, tree=True)
+    p = _add_command(sub, "tree-ball", _cmd_tree_ball, "finite portion of the Bass-Serre tree",
+                     emit_choices=("text", "json", "dot"), budget=True, tree=True)
     p.add_argument("--radius", type=int, default=None)
-    p.set_defaults(func=_cmd_tree_ball)
 
-    p = sub.add_parser("cayley-ball", help="exact word-metric ball")
-    _add_common(p, emit_choices=("text", "json", "dot"), budget=True)
+    p = _add_command(sub, "cayley-ball", _cmd_cayley_ball, "exact word-metric ball",
+                     emit_choices=("text", "json", "dot"), budget=True)
     p.add_argument("--radius", type=int, default=None)
-    p.set_defaults(func=_cmd_cayley_ball)
 
-    p = sub.add_parser("separate", help="edge-coset separation suite")
-    _add_common(p, emit_choices=("json", "text"), budget=True)
+    p = _add_command(sub, "separate", _cmd_separate, "edge-coset separation suite",
+                     emit_choices=("json", "text"), budget=True)
     p.add_argument("--radius", type=int, default=None)
     p.add_argument("--R", type=int, default=1)
     p.add_argument("--samples", type=int, default=50)
-    p.set_defaults(func=_cmd_separate)
 
-    p = sub.add_parser("verify-k", help="K-construction separation suite")
-    _add_common(p, emit_choices=("json", "text"), budget=True)
+    p = _add_command(sub, "verify-k", _cmd_verify_k, "K-construction separation suite",
+                     emit_choices=("json", "text"), budget=True)
     p.add_argument("--radius", type=int, default=None)
     p.add_argument("--edges", type=int, default=20)
     p.add_argument("--R-probe", type=int, default=None, dest="R_probe")
-    p.set_defaults(func=_cmd_verify_k)
 
-    p = sub.add_parser("ends", help="ends-count estimator")
-    _add_common(p, emit_choices=("json", "text"), budget=True)
+    p = _add_command(sub, "ends", _cmd_ends, "ends-count estimator",
+                     emit_choices=("json", "text"), budget=True)
     p.add_argument("--radii", type=_int_list, default=None,
                    help="comma-separated radii, e.g. 4,6,8")
     p.add_argument("--margin", type=int, default=3)
-    p.set_defaults(func=_cmd_ends)
 
-    p = sub.add_parser("boundary", help="depth-d boundary approximation")
-    _add_common(p, emit_choices=("json", "text"), budget=True, tree=True)
+    p = _add_command(sub, "boundary", _cmd_boundary, "depth-d boundary approximation",
+                     emit_choices=("json", "text"), budget=True, tree=True)
     p.add_argument("--depth", type=int, default=None)
-    p.set_defaults(func=_cmd_boundary)
 
-    p = sub.add_parser("amalgam-check", help="dense-amalgam certificate")
-    _add_common(p, emit_choices=("json", "text"), budget=True, tree=True)
+    p = _add_command(sub, "amalgam-check", _cmd_amalgam_check, "dense-amalgam certificate",
+                     emit_choices=("json", "text"), budget=True, tree=True)
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--samples", type=int, default=20)
-    p.set_defaults(func=_cmd_amalgam_check)
 
-    p = sub.add_parser("classify", help="classify a direction sample")
-    _add_common(p, emit_choices=("json", "text"), budget=True, tree=True)
+    p = _add_command(sub, "classify", _cmd_classify, "classify a direction sample",
+                     emit_choices=("json", "text"), budget=True, tree=True)
     p.add_argument("--depth", type=int, default=6, help="tree ball radius")
     p.add_argument("--words-json", default=None,
                    help='JSON file {"words": [["a","b"], ...]}')
     p.add_argument("--r-bound", type=int, default=4)
-    p.set_defaults(func=_cmd_classify)
 
     return root
 
 
 # artifact kinds each subcommand emits; a --from json input of such a kind is
-# passed through and re-emitted verbatim, checking only kind and schema_version
+# passed through to the --emit form, checking kind, schema_version and the fields it reads
 _EMITTED_KINDS = {
     "validate": ("graph_of_groups",),
     "collapse": ("graph_of_groups", "collapse_decision"),
@@ -456,10 +448,18 @@ def main(argv: list[str] | None = None) -> int:
             args.artifact = load_artifact(args.input)
             kind = args.artifact["kind"]
             if kind != "graph_of_groups" and kind in _EMITTED_KINDS.get(args.command, ()):
-                emit(dumps(args.artifact), args.output, argv)
+                fields = _Fields(args.artifact)
+                try:
+                    text = _render(fields, args)
+                except (KeyError, TypeError, AttributeError, IndexError, ValueError) as exc:
+                    raise ValueError(f"{args.input}: {kind} field {fields.last!r} is missing "
+                                     f"or malformed ({type(exc).__name__}: {exc})") from None
+                emit(text, args.output, argv)
                 return 0
-        return args.func(args, argv)
-    except (_UsageError, AmalgamLabError, FileNotFoundError, ValueError, KeyError) as exc:
+        payload = args.func(args)
+        emit(_render(payload, args), args.output, argv)
+        return 2 if _failed(payload) else 0
+    except (AmalgamLabError, OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

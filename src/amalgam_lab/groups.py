@@ -148,13 +148,6 @@ class FiniteGroup:
         except ValueError:
             raise KeyError(f"no element labelled {label!r}") from None
 
-    def element_order(self, a: int) -> int:
-        n, x = 1, a
-        while x != self.identity_index:
-            x = self.mul(x, a)
-            n += 1
-        return n
-
     def subgroup_generated(self, gens: set[int] | list[int]) -> frozenset[int]:
         """One walk from the identity over ``gens``: in a finite group the
         positive words already reach every inverse."""
@@ -307,53 +300,3 @@ def check_monomorphism(source: FiniteGroup, target: FiniteGroup, mapping) -> Mon
             if a != b and m[a] == m[b]:
                 raise NotInjective(f"elements {a} and {b} share the image {m[a]}")
     return Monomorphism(source, target, m)
-
-
-# --- independent abelianization oracle -------------------------------------
-
-def commutator_subgroup(group: FiniteGroup) -> frozenset[int]:
-    comms = {
-        group.mul(group.mul(a, b), group.mul(group.inv(a), group.inv(b)))
-        for a in group.elements()
-        for b in group.elements()
-    }
-    return group.subgroup_generated(comms)
-
-
-def abelian_invariants(group: FiniteGroup) -> tuple[int, ...]:
-    """Invariant factors (d1 | d2 | ...) of G/[G,G], computed from the table.
-
-    Independent of any presentation machinery: quotient by the commutator
-    subgroup, then peel off maximal-order cyclic factors.
-    """
-    comm = commutator_subgroup(group)
-    classes = cosets(group, comm, side="left")
-    rep_of: dict[int, int] = {}
-    for idx, c in enumerate(classes):
-        for g in c:
-            rep_of[g] = idx
-    size = len(classes)
-    mul = [[0] * size for _ in range(size)]
-    for i, c in enumerate(classes):
-        for j, d in enumerate(classes):
-            mul[i][j] = rep_of[group.mul(c[0], d[0])]
-    quotient = check_group(mul)
-
-    # peel: repeatedly take an element of maximal order in the remaining quotient
-    factors: list[int] = []
-    current = quotient
-    while current.order > 1:
-        best = max(current.elements(), key=current.element_order)
-        d = current.element_order(best)
-        factors.append(d)
-        sub = current.subgroup_generated({best})
-        classes2 = cosets(current, sub, side="left")
-        rep2: dict[int, int] = {}
-        for idx, c in enumerate(classes2):
-            for g in c:
-                rep2[g] = idx
-        size2 = len(classes2)
-        mul2 = [[rep2[current.mul(c[0], d2[0])] for d2 in classes2] for c in classes2]
-        current = check_group(mul2)
-    # invariant factor convention: d1 | d2 | ... | dk, largest last
-    return tuple(sorted(factors))

@@ -227,7 +227,11 @@ def test_out_of_range_number_exit_1_names_the_value(case, tmp_path, capsys):
     (["ends", "corpus:f2", "--radii", ""], "--radii"),
     (["ends", "corpus:f2", "--radii", "2", "--budget", "-1"], "--budget"),
     (["amalgam-check", "corpus:z2z2", "--depth", "4", "--tree-budget", "0"], "--tree-budget"),
-], ids=["radii-empty-entry", "radii-empty", "budget-negative", "tree-budget-zero"])
+    (["tree-ball", "corpus:z2z2", "--radius", "2", "--star-radius", "0"], "--star-radius"),
+    (["tree-ball", "corpus:z2z2", "--radius", "2", "--star-small", "0"], "--star-small"),
+    (["tree-ball", "corpus:z2z2", "--radius", "2", "--star-fresh", "-1"], "--star-fresh"),
+], ids=["radii-empty-entry", "radii-empty", "budget-negative", "tree-budget-zero",
+        "star-radius-zero", "star-small-zero", "star-fresh-negative"])
 def test_malformed_flag_exit_1_names_the_flag(argv, flag, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -248,6 +252,31 @@ def test_embedding_not_a_homomorphism_exit_1_names_the_line(tmp_path, capsys):
 
 def test_missing_file_exit_1():
     assert main(["validate", "/nonexistent/x.gog"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{dir}"],
+    ["validate", "{dir}", "--from", "json"],
+    ["classify", "corpus:z2z2", "--depth", "2", "--words-json", "{dir}"],
+], ids=["input", "input-from-json", "words-json"])
+def test_unreadable_path_exit_1_names_it(argv, tmp_path, capsys):
+    """A directory is a path that exists but cannot be read as a file."""
+    assert main([str(tmp_path) if a == "{dir}" else a for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("content, entry", [
+    ({"words": 5}, "words must"),
+    ([1], "words must"),
+    ({"words": [["x1"], ["x1", 5]]}, "words[1]"),
+], ids=["words-not-a-list", "top-level-list", "label-not-a-string"])
+def test_classify_words_json_shape_exit_1_names_the_entry(content, entry, tmp_path, capsys):
+    sample = tmp_path / "sample.json"
+    sample.write_text(json.dumps(content))
+    assert main(["classify", "corpus:z2z2", "--depth", "2", "--words-json", str(sample)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {sample}: {entry}") and "Traceback" not in err
 
 
 def test_parse_error_exit_1(tmp_path):
@@ -352,22 +381,91 @@ def _envelopes(node) -> list[dict]:
     return ([node] if "kind" in node else []) + inner
 
 
-@pytest.mark.parametrize("case", ROUND_TRIPS)
-def test_report_artifacts_round_trip(case, tmp_path):
-    """Each kind is re-emitted byte for byte through --from json, and every
-    envelope, nested ones included, carries the schema version."""
+# the --emit choices of each subcommand that offers more than text and json
+EMITS = {"presentation": ("gap",), "tree-ball": ("dot",), "cayley-ball": ("dot",)}
+
+
+def _round_trip_argv(case, tmp_path) -> list[str]:
     words = tmp_path / "words.json"
     words.write_text(json.dumps({"words": [["x1"], ["x1", "x1"], ["x1", "x1", "x1"]]}))
-    argv = [str(words) if a == "{words}" else a for a in ROUND_TRIPS[case]]
-    out, back = tmp_path / "out.json", tmp_path / "back.json"
+    return [str(words) if a == "{words}" else a for a in ROUND_TRIPS[case]]
+
+
+@pytest.mark.parametrize("case, fmt", [
+    pytest.param(case, fmt, id=case if fmt == "json" else f"{case}-{fmt}")
+    for case, argv in ROUND_TRIPS.items()
+    for fmt in ("json", "text", *EMITS.get(argv[0], ()))
+])
+def test_report_artifacts_round_trip(case, fmt, tmp_path):
+    """Each kind is re-emitted through --from json in every --emit form, byte
+    for byte as the direct run prints it and with exit code 0, rendered from
+    the loaded artifact (lists for tuples, sorted keys); and every envelope,
+    nested ones included, carries the schema version."""
+    argv = _round_trip_argv(case, tmp_path)
+    out, direct, back = tmp_path / "out.json", tmp_path / "direct.out", tmp_path / "back.out"
     assert main(argv + ["--emit", "json", "--output", str(out)]) in (0, 2)
-    assert main([argv[0], str(out), "--from", "json", "--emit", "json",
+    assert main(argv + ["--emit", fmt, "--output", str(direct)]) in (0, 2)
+    assert main([argv[0], str(out), "--from", "json", "--emit", fmt,
                  "--output", str(back)]) == 0
-    assert back.read_bytes() == out.read_bytes()
+    assert back.read_bytes() == direct.read_bytes()
     envelopes = _envelopes(json.loads(out.read_text()))
     assert envelopes[0]["kind"] == case.split("-")[0]
     assert len(envelopes) == (3 if case == "amalgam_certificate" else 1)
     assert all(e["schema_version"] == SCHEMA_VERSION for e in envelopes)
+
+
+# how to break a passed-through artifact: its ROUND_TRIPS case, the field, and
+# the field's new value (None deletes it)
+BROKEN_FIELDS = {
+    "missing": ("ends_report", "counts", None),
+    "not-a-list": ("cayley_ball", "layer_sizes", 5),
+    "not-an-object": ("amalgam_certificate", "conditions", [1]),
+    "nested-not-an-object": ("amalgam_certificate", "branch_density", "pass"),
+}
+
+
+@pytest.mark.parametrize("broken", BROKEN_FIELDS)
+def test_malformed_pass_through_exit_1_names_the_field(broken, tmp_path, capsys):
+    case, field, value = BROKEN_FIELDS[broken]
+    argv = _round_trip_argv(case, tmp_path)
+    out = tmp_path / "out.json"
+    assert main(argv + ["--emit", "json", "--output", str(out)]) == 0
+    data = json.loads(out.read_text())
+    if value is None:
+        del data[field]
+    else:
+        data[field] = value
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main([argv[0], str(out), "--from", "json", "--emit", "text"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: ") and repr(field) in err and "Traceback" not in err
+
+
+def test_separation_failure_witness_ignores_key_order(tmp_path, capsys):
+    """A witness is printed the same whatever the key order of the loaded file."""
+    out = tmp_path / "report.json"
+    assert main(ROUND_TRIPS["separation_report-separate"] + ["--output", str(out)]) == 0
+    report = dict(json.loads(out.read_text()), verdict="fails")
+    texts = []
+    for witness in ({"x0": "a", "reason": "r"}, {"reason": "r", "x0": "a"}):
+        out.write_text(json.dumps(dict(report, failures=[witness])))
+        assert main(["separate", str(out), "--from", "json", "--emit", "text"]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert 'FAILS' in texts[0] and 'failures: 1 (first: {"reason": "r", "x0": "a"})' in texts[0]
+
+
+def test_amalgam_check_text_reads_fail_on_branch_density(tmp_path, capsys):
+    """PASS needs (a1)-(a5) and branch density: a failed density check reads FAIL."""
+    out = tmp_path / "cert.json"
+    assert main(ROUND_TRIPS["amalgam_certificate"] + ["--output", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    cert["branch_density"]["status"] = "fail"
+    out.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["amalgam-check", str(out), "--from", "json", "--emit", "text"]) == 0
+    assert capsys.readouterr().out.startswith("amalgam-check depth 4: FAIL\n")
 
 
 def test_collapse_edge_emits_reloadable_gog(tmp_path, capsys):

@@ -17,8 +17,8 @@ from amalgam_lab.fundgroup import (
     emit_presentation,
 )
 from amalgam_lab.gog import bar, spanning_tree
-from amalgam_lab.groups import abelian_invariants
 
+from abelianization_oracle import abelian_invariants
 from conftest import ALL_TEXTS, FINITE_EDGED, ORACLES, S3_Z4, SL2Z, make_fg
 
 

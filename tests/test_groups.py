@@ -13,13 +13,13 @@ from amalgam_lab.errors import (
     NotLatinSquare,
 )
 from amalgam_lab.groups import (
-    abelian_invariants,
     check_group,
     check_monomorphism,
     cosets,
     cyclic_group,
 )
 
+from abelianization_oracle import abelian_invariants
 from conftest import ALL_TEXTS, make_fg
 
 
