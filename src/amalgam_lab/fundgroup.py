@@ -127,7 +127,8 @@ class FundamentalGroup:
 
         # word metric support
         self._genset: GeneratingSet | None = None
-        self._len_cache: dict[NormalForm, int] = {}
+        self._len_index: dict[NormalForm, int] = {}  # walk position of each element met
+        self._len_depth = array("i")  # word length, by walk position
         self._len_walk = None
         self._fast_metric = gog.all_edge_groups_trivial
         self._lengths: tuple[tuple, tuple] | None = None
@@ -428,24 +429,30 @@ class FundamentalGroup:
 
         With trivial edge groups (free products, free factors), the syllable
         sum over canonical forms is the exact word length; otherwise fall back
-        to a lazily extended global BFS.
+        to a lazily extended global BFS.  The walk runs in the step-table mode
+        of :func:`amalgam_lab.groups.bfs`, so no inverse pair of products is
+        formed twice, and each element's length is its parent's plus one.
         """
         if self._fast_metric:
             return self._syllable_length_sum(x)
         if self._len_walk is None:
-            self._len_cache = {}
-            self._len_walk = bfs(self._identity, self.generating_set().steps, self.multiply,
-                                 self._len_cache, budget=self.ball_budget, walk="wordlen")
-        while x not in self._len_cache:
+            steps = self.generating_set().steps
+            self._len_index, self._len_depth = {}, array("i", [0])
+            self._len_walk = bfs(self._identity, steps, self.multiply, self._len_index,
+                                 budget=self.ball_budget, walk="wordlen",
+                                 table=array("i"), inverse=self._inverse_columns(steps))
+        index, depth = self._len_index, self._len_depth
+        while x not in index:
             try:
-                next(self._len_walk)
+                _, a, _ = next(self._len_walk)
             except StopIteration:
                 raise BudgetExceeded(self.ball_budget, "wordlen",
                                      "element unreachable: S does not generate?") from None
             except BudgetExceeded:
                 self._len_walk = None  # a generator that raised is closed: restart next call
                 raise
-        return self._len_cache[x]
+            depth.append(depth[index[a]] + 1)
+        return depth[index[x]]
 
     def dist(self, x: NormalForm, y: NormalForm) -> int:
         return self.wordlen(self.multiply(self.invert(x), y))
@@ -474,8 +481,7 @@ class FundamentalGroup:
         gs = self.generating_set()
         order = sorted(range(len(gs.steps)), key=lambda i: gs.step_labels[i])
         steps = [gs.steps[i] for i in order]
-        column = {s: j for j, s in enumerate(steps)}
-        inverse = [column[self.invert(s)] for s in steps]
+        inverse = self._inverse_columns(steps)
         index: dict[NormalForm, int] = {}
         table = array("i")
         starts = [0]
@@ -499,6 +505,11 @@ class FundamentalGroup:
         if use_default_budget:
             self._ball_cache[radius] = ball
         return ball
+
+    def _inverse_columns(self, steps) -> list[int]:
+        """Column i maps to the column of ``steps[i]``'s inverse."""
+        column = {s: j for j, s in enumerate(steps)}
+        return [column[self.invert(s)] for s in steps]
 
     def _bipartite_cayley_graph(self) -> bool:
         """True when every defining relator over S has even length.

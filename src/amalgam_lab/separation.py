@@ -10,6 +10,7 @@ on vertices outside the ball are excluded by a margin from the sphere.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -169,10 +170,12 @@ def edge_coset_distance(fg: FundamentalGroup, x: NormalForm, gamma_inv: NormalFo
 
     d(x, gamma·h) = |h^-1·gamma^-1·x| and h -> h^-1 permutes H, so the
     distance is the least |h·y| over h in H with y = gamma^-1·x: one product
-    per member, and no inverse per member.
+    per member, and no inverse per member.  H holds the identity, whose
+    member is |y| itself and costs no product.
     """
     y = fg.multiply(gamma_inv, x)
-    return min(fg.wordlen(fg.multiply(h, y)) for h in subgroup)
+    return min([fg.wordlen(y), *(fg.wordlen(fg.multiply(h, y))
+                                 for h in subgroup if not h.is_identity())])
 
 
 def diameter(fg: FundamentalGroup, points) -> int:
@@ -366,6 +369,10 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
     graph, and verify that translates of K separate the two coset unions of
     every sampled tree-edge split; report the smallest working exclusion
     radius R0 and compare it with diam(I_{3 diam(P)/2}).
+
+    An edge drawn again, by the samples or the probe, reuses its one
+    analysis (R0 and the labelling of the ball minus gamma·K); its witness
+    pairs and any failure are still counted once per draw.
     """
     if edges_sampled < 0:
         raise ValueError(f"edges must be >= 0, got {edges_sampled}")
@@ -412,9 +419,11 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
     # the in-ball, margin-filtered coset points of each tree vertex, by vid
     points = [coset_elements_in_ball(fg, ball, v.rep, v.vtype, margin) for v in tb.vertices]
 
-    def split_analysis(eid: int):
-        """(R0, label) for the split at one tree edge; every coset point
-        lies in the ball, so each has a label."""
+    @functools.cache
+    def analyse(eid: int):
+        """(R0, label, witness pairs) for the split at one tree edge, or None
+        when one side has no coset point; every coset point lies in the ball,
+        so each has a label.  Cached: each distinct edge is analysed once."""
         edge = tb.edges[eid]
         gammaK = {fg.multiply(edge.rep, k) for k in K}
         side0, side1 = tb.split_by_edge(eid)
@@ -429,7 +438,6 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
               for x in M]
         AM2 = [(x, edge_coset_distance(fg, x, gamma_inv, subgroup), label[ball.index[x]])
                for x in M2]
-        report.witness_pairs_tested += len(AM) * len(AM2)
         # minimal exclusion radius R0 killing all offending pairs
         max_d_M = max(d for _, d, _ in AM)
         max_d_M2 = max(d for _, d, _ in AM2)
@@ -445,6 +453,16 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
         for _, (dm, dm2) in best_per_comp.items():
             if dm > 0 and dm2 > 0:
                 R0 = max(R0, min(dm, dm2))
+        return R0, label, len(AM) * len(AM2)
+
+    def split_analysis(eid: int):
+        """(R0, label) for the split at one tree edge, or None; its witness
+        pairs count again on every call."""
+        result = analyse(eid)
+        if result is None:
+            return None
+        R0, label, pairs = result
+        report.witness_pairs_tested += pairs
         return R0, label
 
     for _ in range(edges_sampled):

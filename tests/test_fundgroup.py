@@ -13,6 +13,7 @@ from amalgam_lab.errors import BaseMismatch
 from amalgam_lab.fundgroup import (
     FundamentalGroup,
     _finite_words,
+    _generators,
     abelianization,
     emit_presentation,
 )
@@ -201,6 +202,92 @@ edge e1 v1 -- v2 group E embed_fwd {a:a2} embed_bwd {a:a2}
     for k in range(6):
         for x in ball.sphere(k):
             assert fg.wordlen(x) == k
+
+
+def _plain_bfs_lengths(fg, radius: int) -> dict:
+    """Oracle: |x| for every x of the radius ball, from a dict-and-list
+    breadth-first walk over the steps written here, not from ``groups.bfs``,
+    which ``wordlen`` itself runs on."""
+    steps = fg.generating_set().steps
+    lengths, frontier = {fg.identity(): 0}, [fg.identity()]
+    for r in range(1, radius + 1):
+        nxt = []
+        for a in frontier:
+            for s in steps:
+                b = fg.multiply(a, s)
+                if b not in lengths:
+                    lengths[b] = r
+                    nxt.append(b)
+        frontier = nxt
+    return lengths
+
+
+@pytest.mark.parametrize("name,radius", [("sl2z", 10), ("z6z9", 10), ("hnn6", 6), ("chain", 6)])
+def test_wordlen_fallback_agrees_with_a_plain_bfs(name, radius):
+    """The global-walk ``wordlen`` of a finite edge group, asked from the
+    outer sphere inward, so that the walk first grows to the whole ball."""
+    _, _, fg = make_fg(SL2Z if name == "sl2z" else FINITE_EDGED[name])
+    assert not fg._fast_metric
+    lengths = _plain_bfs_lengths(fg, radius)
+    for x in sorted(lengths, key=lengths.get, reverse=True):
+        assert fg.wordlen(x) == lengths[x], x.display()
+
+
+def test_wordlen_walk_forms_no_inverse_pair_twice(monkeypatch):
+    """Once x·s = y is formed, the walk knows y·s^-1 = x and never forms it,
+    and no product is formed twice."""
+    _, _, fg = make_fg(SL2Z)
+    steps = fg.generating_set().steps
+    inverse = {s: fg.invert(s) for s in steps}
+    far = fg.evaluate_word(["a", "v2.a"] * 5)
+    formed, multiply = [], fg.multiply
+
+    def recording(x, y):
+        formed.append((x, y))
+        return multiply(x, y)
+    monkeypatch.setattr(fg, "multiply", recording)
+    assert fg.wordlen(far) == 10
+    assert formed and {s for _, s in formed} <= set(steps)
+    assert len(set(formed)) == len(formed)
+    products = set(formed)
+    for x, s in formed:
+        assert (multiply(x, s), inverse[s]) not in products, (x.display(), s.display())
+
+
+# --- Britton reduction ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ALL_TEXTS)
+def test_vertex_element_removes_every_pinch(name, monkeypatch):
+    """``vertex_element`` spells g in G_v as the tree path to v, g, and the
+    path back.  chain is the one input with a tree path of two edges, and
+    there a pinch can cascade: a^6 in Z/12 lies in the Z/4 edge group and
+    comes back into Z/8 as a^4, which lies in the Z/2 edge group and comes
+    back into Z/4 as a^2, so the word loses two pinches.  A one-pinch
+    shortcut would leave it unreduced.  Every element equals its S_v
+    spelling multiplied out."""
+    gog, sd, fg = make_fg(ALL_TEXTS[name])
+    fg.generating_set()  # built first: its generators are vertex elements too
+    pinches = []
+    reduce = FundamentalGroup._britton_reduce
+
+    def counted(self, g0, tail):
+        before = len(tail)
+        g0, tail = reduce(self, g0, tail)
+        pinches.append((before - len(tail)) // 2)
+        return g0, tail
+    monkeypatch.setattr(FundamentalGroup, "_britton_reduce", counted)
+    for v, G in enumerate(gog.vertex_groups):
+        if not G.is_finite:
+            continue
+        names = [label for label, u, _ in _generators(gog, sd) if u == v]
+        for g, word in _finite_words(G, [h for _, h in gog.generating_sets[v]]).items():
+            labels = [names[l - 1] if l > 0 else f"{names[-l - 1]}^-1" for l in word]
+            assert fg.vertex_element(v, g) == fg.evaluate_word(labels), (v, g, labels)
+    if name == "chain":
+        assert max(pinches) == 2
+    else:
+        assert max(pinches, default=0) <= 1
 
 
 # --- coset membership ------------------------------------------------------------

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -234,6 +236,47 @@ def test_K_construction_suite(name, radius):
                                    edges_sampled=20, seed=3)
     assert report.holds, report.failures[:3]
     assert report.details["worst_R0"] <= report.details["diam_I_3/2"]
+
+
+def test_K_construction_analyses_each_distinct_edge_once(monkeypatch):
+    """verify-k draws the same tree edge more than once here, from its
+    samples and from its probe (R-probe 0, so the probe reports failures).
+    The labelling runs once per distinct edge, and the report equals the
+    one of the same run with the per-edge cache switched off, where every
+    draw is analysed afresh."""
+    from amalgam_lab import separation
+
+    def run(cache):
+        labelled = []   # the edge of each r_components call
+        drawn = []
+        orig_split, orig_labels = TreeBall.split_by_edge, separation.r_components
+
+        def split(tb, eid):
+            drawn.append(eid)
+            return orig_split(tb, eid)
+
+        def labels(*args, **kwargs):
+            labelled.append(drawn[-1])
+            return orig_labels(*args, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(TreeBall, "split_by_edge", split)
+            m.setattr(separation, "r_components", labels)
+            m.setattr(separation, "functools", SimpleNamespace(cache=cache))
+            _, _, fg = make_fg(SL2Z)
+            report = verify_K_construction(fg, ball_radius=8, edges_sampled=16, seed=1,
+                                           R_probe=0)
+        return report, labelled
+
+    report, labelled = run(functools.cache)
+    plain, plain_labelled = run(lambda f: f)
+    assert len(plain_labelled) > len(set(plain_labelled))   # an edge repeats
+    assert sorted(labelled) == sorted(set(plain_labelled))
+    assert report.failures
+    for key in ("worst_R0", "probe_edges"):
+        assert report.details[key] == plain.details[key]
+    assert report.witness_pairs_tested == plain.witness_pairs_tested > 0
+    assert report.failures == plain.failures
+    assert report.to_json() == plain.to_json()
 
 
 def test_ends_verdicts():
