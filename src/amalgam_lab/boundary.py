@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .bass_serre import TreeBall, TreeBallConfig
+from .bass_serre import TreeBall, TreeBallConfig, TreeVertex
 from .errors import DepthTooSmall
 from .fundgroup import FundamentalGroup, NormalForm
 from .jsonio import artifact
@@ -151,8 +151,9 @@ def cantor_check(b: BoundaryApprox, window: int = 3) -> CantorVerdict:
         verdict.witnesses.append({"reason": "no branches at this depth"})
         return verdict
 
-    for v in tree.vertices:
-        if v.depth == b.depth - 1 and not v.children:
+    for vid in _level(tree, b.depth - 1):
+        v = tree.vertices[vid]
+        if not v.children:
             verdict.no_dead_ends = False
             verdict.witnesses.append({"reason": "dead end", "vertex": v.rep.display()})
 
@@ -203,13 +204,14 @@ def cantor_check(b: BoundaryApprox, window: int = 3) -> CantorVerdict:
 # --- limit-set proxies ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LimitSetApprox:
     """Finite-depth proxy of the limit set of one infinite vertex-group coset.
 
     Its witness label ``name:rep`` is formed only when read: a family has one
     member per coset vertex, but only the witnesses of a failed condition
-    print a label.  A member built without ``rep`` is labelled ``name``.
+    print a label, and only they form the coset vertex's rep.  A member built
+    without ``vertex`` is labelled ``name``.
     """
 
     coset_vid: int
@@ -218,11 +220,15 @@ class LimitSetApprox:
     depth: int
     directions: tuple[int, ...]      # branch indices in the BoundaryApprox
     name: str = ""
-    rep: NormalForm | None = None
+    vertex: TreeVertex | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def rep(self) -> NormalForm | None:
+        return None if self.vertex is None else self.vertex.rep
 
     @property
     def label(self) -> str:
-        return self.name if self.rep is None else f"{self.name}:{self.rep.display()}"
+        return self.name if self.vertex is None else f"{self.name}:{self.rep.display()}"
 
 
 def _tame_descent(tree: TreeBall, vid: int, target_depth: int) -> int | None:
@@ -257,11 +263,10 @@ def limit_set_approx(b: BoundaryApprox, vid: int) -> LimitSetApprox:
             if leaf is not None:    # a descent that reaches depth d ends at a leaf
                 dirs.append(b.index_of_leaf(leaf))
         directions = tuple(sorted(set(dirs)))
-    return LimitSetApprox(
-        coset_vid=vid, vtype=v.vtype, coset_depth=v.depth, depth=b.depth,
-        directions=directions,
-        name=tree.fg.gog.graph.vertex_names[v.vtype], rep=v.rep,
-    )
+    # positional, in field order (coset_vid, vtype, coset_depth, depth,
+    # directions, name, vertex): one member per coset vertex
+    return LimitSetApprox(vid, v.vtype, v.depth, b.depth, directions,
+                          tree.fg.gog.graph.vertex_names[v.vtype], v)
 
 
 def limit_set_family(b: BoundaryApprox) -> list[LimitSetApprox]:

@@ -272,6 +272,16 @@ def in_subtree_walk(tree: TreeBall, vid: int, ancestor: int) -> bool:
         v = tree.vertices[tree.edges[v.parent_edge].parent]
 
 
+def eager_rep(ball: TreeBall, vid: int, multiply=FundamentalGroup.multiply) -> NormalForm:
+    """A vertex's rep as the eager build formed it: the star steps along its
+    root path, multiplied in from the identity.  ``multiply`` defaults to the
+    unpatched product, so a test that counts products can still call this."""
+    rep = ball.fg.identity()
+    for eid in ball.root_path(vid):
+        rep = multiply(ball.fg, rep, ball.vertices[ball.edges[eid].child].step)
+    return rep
+
+
 def translate_vertex(ball: TreeBall, gamma: NormalForm, vid: int) -> int | None:
     """Image of a ball vertex under left translation, if still in the ball."""
     v = ball.vertices[vid]

@@ -13,6 +13,7 @@ from conftest import (
     ALL_TEXTS,
     FINITE_EDGED,
     SL2Z,
+    eager_rep,
     in_subtree_walk,
     make_fg,
     phi_random,
@@ -454,20 +455,31 @@ def _count_calls(monkeypatch, targets):
     return calls
 
 
+def _read_every_rep(tb) -> None:
+    for v in tb.vertices:
+        v.rep
+    for e in tb.edges:
+        e.rep
+
+
 def test_tree_build_forms_one_product_per_star_candidate(monkeypatch):
-    """Trivial edge group: a candidate of a vertex's cone type costs one
-    product, no sort_key, and star elements are formed once per vertex type,
-    not once per child."""
+    """Trivial edge group: the build forms no product and no sort_key, and
+    star elements are formed once per vertex type, not once per child.  A
+    cone candidate's rep costs one product when first read, and none after."""
     _, _, fg = make_fg("z2z2")
     calls = _count_calls(monkeypatch, [(NormalForm, "sort_key"),
                                        (FundamentalGroup, "multiply"),
                                        (FundamentalGroup, "vertex_element")])
     tb = TreeBall(fg, 5)
-    monkeypatch.undo()
-    assert calls["sort_key"] == 0
+    assert calls["multiply"] == 0
     # every cone candidate becomes a tree edge; the one leading back to the
     # parent is not in the cone, so it forms no product
+    _read_every_rep(tb)
+    assert calls["multiply"] == len(tb.edges) == 1705
+    _read_every_rep(tb)
     assert calls["multiply"] == len(tb.edges)
+    monkeypatch.undo()
+    assert calls["sort_key"] == 0
     # a tree vertex meets each of its star parameters once, so an expanded
     # vertex's degree counts its type's parameters; the edge subgroups are
     # formed once as well
@@ -479,24 +491,55 @@ def test_tree_build_forms_one_product_per_star_candidate(monkeypatch):
     assert calls["vertex_element"] < len(tb.edges)
 
 
-@pytest.mark.parametrize("spec", [SL2Z, FINITE_EDGED["hnn6"], "f2"], ids=["sl2z", "hnn6", "f2"])
-def test_tree_build_with_stable_letters_and_finite_edge_groups_forms_no_keys(spec, monkeypatch):
+@pytest.mark.parametrize("spec,steps,reads", [(SL2Z, 0, 26), (FINITE_EDGED["hnn6"], 4, 2610),
+                                              ("f2", 4, 726)], ids=["sl2z", "hnn6", "f2"])
+def test_tree_build_with_stable_letters_and_finite_edge_groups_forms_no_keys(
+        spec, steps, reads, monkeypatch):
     """Finite vertex groups, with a Z/2 edge group (sl2z), a Z/3 one on a
-    loop (hnn6) or only loops (f2): one product per tree edge, a second one
-    for an edge that crosses against the orientation A, one per star step
-    of a stable letter, and no sort_key."""
+    loop (hnn6) or only loops (f2): the build forms one product per star
+    step of a stable letter and nothing else, and no sort_key.  Reading
+    every rep then forms one product per tree edge and a second one for an
+    edge that crosses against the orientation A; reading again forms none."""
     _, sd, fg = make_fg(spec)
     calls = _count_calls(monkeypatch, [(NormalForm, "sort_key"),
                                        (FundamentalGroup, "multiply")])
     tb = TreeBall(fg, 5)
-    monkeypatch.undo()
     against_a = sum(1 for e in tb.edges
                     if not sd.in_tree(e.ytype) and e.ytype not in sd.orientation)
-    steps = sum(fg.gog.embedding(y).index_in_target()
-                for y in range(2 * fg.gog.graph.n_edges) if not sd.in_tree(y))
+    assert steps == sum(fg.gog.embedding(y).index_in_target()
+                        for y in range(2 * fg.gog.graph.n_edges) if not sd.in_tree(y))
+    assert calls["multiply"] == steps
     assert (against_a > 0) == (spec != SL2Z)
-    assert calls["multiply"] == len(tb.edges) + against_a + steps
+    _read_every_rep(tb)
+    assert calls["multiply"] - steps == len(tb.edges) + against_a == reads
+    _read_every_rep(tb)
+    assert calls["multiply"] - steps == reads
+    monkeypatch.undo()
     assert calls["sort_key"] == 0
+
+
+@pytest.mark.parametrize("spec", [*ALL_TEXTS.values()], ids=[*ALL_TEXTS])
+def test_reps_do_not_depend_on_the_order_of_reads(spec):
+    """A rep is formed on first read from the nearest formed ancestor, so
+    reading deepest-first forms the same reps as reading in vid order."""
+    _, _, fg = make_fg(spec)
+    deep, flat = TreeBall(fg, 4), TreeBall(fg, 4)
+    vertex_reps = [v.rep for v in reversed(deep.vertices)][::-1]
+    edge_reps = [e.rep for e in reversed(deep.edges)][::-1]
+    assert vertex_reps == [v.rep for v in flat.vertices]
+    assert edge_reps == [e.rep for e in flat.edges]
+
+
+def test_deepest_rep_read_first_forms_no_recursion(dinf):
+    """The path Z/2 * Z/2 at radius 1,500: the last vertex's rep, read
+    first, walks its 1,500 unformed ancestors without recursing."""
+    _, _, fg = dinf
+    tb = TreeBall(fg, 1500)
+    last = tb.vertices[-1]
+    assert last.depth == 1500
+    rep = last.rep
+    assert rep.syllable_length == 1500
+    assert rep == eager_rep(tb, last.vid)
 
 
 @pytest.mark.parametrize("spec", [*ALL_TEXTS.values()], ids=[*ALL_TEXTS])

@@ -19,9 +19,9 @@ from amalgam_lab.boundary import (
 )
 from amalgam_lab.corpus import NAMES
 from amalgam_lab.errors import DepthTooSmall
-from amalgam_lab.fundgroup import NormalForm
+from amalgam_lab.fundgroup import FundamentalGroup, NormalForm
 
-from conftest import DEAD_ENDS, SL2Z, in_subtree_walk, make_fg, phi_random
+from conftest import DEAD_ENDS, SL2Z, eager_rep, in_subtree_walk, make_fg, phi_random
 
 
 # --- boundary approximations -----------------------------------------------
@@ -547,15 +547,26 @@ def _witness_labels(cert, density) -> int:
 
 def test_limit_set_labels_are_formed_only_for_witnesses(z2z2, monkeypatch):
     _, _, fg = z2z2
-    b = boundary_approx(fg, 5)
-    calls = []
-    display = NormalForm.display
+    calls, products = [], []
+    display, multiply = NormalForm.display, FundamentalGroup.multiply
 
     def counted(self):
         calls.append(self)
         return display(self)
+
+    def counted_multiply(self, x, y):
+        products.append((x, y))
+        return multiply(self, x, y)
     monkeypatch.setattr(NormalForm, "display", counted)
+    monkeypatch.setattr(FundamentalGroup, "multiply", counted_multiply)
+    # a passing certificate reads the tree only as a combinatorial tree, so
+    # neither the build nor any check forms a coset rep
+    b = boundary_approx(fg, 5)
     family = limit_set_family(b)
+    cert = amalgam_check(b, family, seed=7)
+    density = branch_density_check(b, family)
+    assert cert.passed and density.status == "pass" and cantor_check(b).passed
+    assert products == [] and calls == []
     nonempty = [m for m in family if m.directions]
     # members listed twice fail (a1) more often than the ten witnesses kept
     for fam in (family, family + nonempty[:30]):
@@ -565,7 +576,7 @@ def test_limit_set_labels_are_formed_only_for_witnesses(z2z2, monkeypatch):
         assert len(calls) <= _witness_labels(cert, density)
     assert len(calls) == _witness_labels(cert, density) > 0
     assert cert.conditions["a1_disjoint"]["witnesses"][0]["members"][0] == (
-        f"{nonempty[0].name}:{display(nonempty[0].rep)}")
+        f"{nonempty[0].name}:{display(eager_rep(b.tree, nonempty[0].coset_vid))}")
 
 
 def test_amalgam_depth_too_small(z2z2):
