@@ -32,7 +32,7 @@ from .gog import (
     is_non_elementary,
     spanning_tree,
 )
-from .groups import FiniteGroup, Monomorphism, check_group, check_monomorphism, cosets
+from .groups import EdgeEmbedding, FiniteGroup, check_group, check_monomorphism, cosets
 from .separation import (
     CayleyBall,
     SeparationReport,
@@ -56,7 +56,7 @@ __all__ = [
     "abelianization", "emit_presentation",
     "GraphOfGroups", "SpanningData", "elementary_collapse",
     "is_non_elementary", "spanning_tree",
-    "FiniteGroup", "Monomorphism", "check_group", "check_monomorphism", "cosets",
+    "EdgeEmbedding", "FiniteGroup", "check_group", "check_monomorphism", "cosets",
     "CayleyBall", "SeparationReport", "ends_estimate", "r_components",
     "r_separates", "verify_K_construction", "verify_cayley_separation",
     "verify_thickening_lemma",

@@ -68,7 +68,6 @@ class TreeVertex:
     truncated: bool            # star truncated (infinite true degree)
     up: TreeVertex | None = field(repr=False)   # the parent, None at the root
     step: NormalForm | None = field(repr=False)  # rep = up.rep·step
-    expanded: bool = False
     children: list[int] = field(default_factory=list)   # eids in discovery order
     _rep: NormalForm | None = field(default=None, init=False, repr=False)
 
@@ -94,7 +93,6 @@ class TreeEdge:
     ytype: int                 # oriented edge of Y, pointing INTO the parent
     parent: int                # vid on the omega side
     child: int                 # vid on the alpha side
-    param_sort: tuple          # deterministic sibling order
     fresh: bool                # top-band backend star parameter
     down: TreeVertex = field(repr=False)                      # the child vertex
     ve: NormalForm | None = field(default=None, repr=False)   # against A only
@@ -139,9 +137,10 @@ class TreeBall:
         return [self.fg.multiply(e.rep, h) for h in subgroup]
 
     def _cones(self) -> dict[tuple[int, int | None], list[tuple]]:
-        """Per cone type (vtype, back): the ordered (y, child_type, ve, step,
-        param_sort, fresh) tuples of the star parameters g that lead to
-        children.  The child of u has rep u.rep·step, with step = g·t_{bar y}
+        """Per cone type (vtype, back): the (y, child_type, ve, step, fresh)
+        tuples of the star parameters g that lead to children, in sibling
+        order: by y, then by g (the fresh band after the small one).  The
+        child of u has rep u.rep·step, with step = g·t_{bar y}
         (g on a tree edge).  ve is g when the edge coset is represented by
         u.rep·g instead (a crossing against the orientation A), else None.
         (vtype, None) is the whole star; (vtype, back) drops the parent."""
@@ -152,26 +151,26 @@ class TreeBall:
             for y in fg.gog.graph.incident_into(vtype):
                 emb = fg.gog.embedding(y)
                 if backend.is_finite:
-                    params = [(g, (g,), False) for g in emb.left_coset_reps()]
+                    params = [(g, False) for g in emb.left_coset_reps()]
                 else:
                     cfg = self.config
                     ball = backend.ball(cfg.star_radius, fg.ball_budget)
                     small = ball[:cfg.star_small]
                     full = [g for g in ball if backend.gen_length(g) == cfg.star_radius]
                     fresh = full[-cfg.star_fresh:] if cfg.star_fresh > 0 else []
-                    params = [(g, tuple(backend.sort_key(g)), False) for g in small]
-                    chosen = {g for g, _, _ in params}
-                    params += [(g, tuple(backend.sort_key(g)), True)
-                               for g in fresh if g not in chosen]
+                    # small is a prefix of the shortlex ball, so the fresh
+                    # parameters it does not hold sort after it
+                    params = [(g, False) for g in small]
+                    params += [(g, True) for g in fresh if g not in small]
                 crossing = None if fg.sd.in_tree(y) else fg.letter(bar(y))
                 at_child = crossing is None or y in fg.sd.orientation
-                for g, psort, fresh in params:
+                for g, fresh in params:
                     if emb.contains(g):
                         parent_at[y] = len(star)
                     ve = fg.vertex_element(vtype, g)
                     step = ve if crossing is None else fg.multiply(ve, crossing)
                     star.append((y, fg.gog.graph.alpha[y], None if at_child else ve,
-                                 step, (y,) + psort, fresh))
+                                 step, fresh))
             cones[vtype, None] = star
             for back, i in parent_at.items():
                 cones[vtype, back] = star[:i] + star[i + 1:]
@@ -189,15 +188,14 @@ class TreeBall:
         for depth in range(self.radius):
             nxt: list[TreeVertex] = []
             for u in frontier:
-                u.expanded = True
                 back = None if u.parent_edge < 0 else bar(self.edges[u.parent_edge].ytype)
-                for y, child_type, ve, step, psort, fresh in cones[u.vtype, back]:
+                for y, child_type, ve, step, fresh in cones[u.vtype, back]:
                     eid, cvid = len(self.edges), len(self.vertices)
                     # positional, in field order: keywords cost about 0.6 µs
                     # a record, a tenth of an amalgam-check at depth 7
                     child = TreeVertex(cvid, child_type, depth + 1, eid,
                                        truncated[child_type], u, step)
-                    self.edges.append(TreeEdge(eid, y, u.vid, cvid, psort, fresh, child, ve))
+                    self.edges.append(TreeEdge(eid, y, u.vid, cvid, fresh, child, ve))
                     self.vertices.append(child)
                     u.children.append(eid)
                     nxt.append(child)
@@ -233,13 +231,13 @@ class TreeBall:
         v = self.vertices[vid]
         return len(v.children) + (1 if v.parent_edge >= 0 else 0)
 
-    def full_star_degree(self, vtype: int) -> int:
-        """Sum over incident types of [G_v : i_y(G_y)] (finite types only)."""
-        fg = self.fg
-        total = 0
-        for y in fg.gog.graph.incident_into(vtype):
-            total += fg.gog.embedding(y).index_in_target()
-        return total
+    def full_star_degree(self, vtype: int) -> int | None:
+        """Sum over incident types of [G_v : i_y(G_y)]; None for an infinite
+        vertex group, whose star is infinite."""
+        gog = self.fg.gog
+        if not gog.vertex_groups[vtype].is_finite:
+            return None
+        return sum(gog.embedding(y).index_in_target() for y in gog.graph.incident_into(vtype))
 
     def find_vertex(self, x: NormalForm, vtype: int) -> int | None:
         """Locate the coset x*G_vtype in the ball, or None."""

@@ -232,14 +232,14 @@ class LimitSetApprox:
 
 
 def _tame_descent(tree: TreeBall, vid: int, target_depth: int) -> int | None:
-    """Follow smallest non-escaping children down to target depth; leaf vid."""
+    """Follow the first non-escaping child (the first child, if all escape)
+    down to target depth; leaf vid.  Children are in sibling order."""
     v = tree.vertices[vid]
     while v.depth < target_depth:
         options = [tree.edges[e] for e in v.children]
         if not options:
             return None
-        tame = [e for e in options if not e.fresh]
-        chosen = min(tame or options, key=lambda e: e.param_sort)
+        chosen = next((e for e in options if not e.fresh), options[0])
         v = tree.vertices[chosen.child]
     return v.vid
 
@@ -254,12 +254,8 @@ def limit_set_approx(b: BoundaryApprox, vid: int) -> LimitSetApprox:
     directions: tuple[int, ...] = ()
     if v.depth < b.depth and v.truncated:
         dirs: list[int] = []
-        fresh_edges = sorted(
-            (tree.edges[e] for e in v.children if tree.edges[e].fresh),
-            key=lambda e: e.param_sort,
-        )
-        for e in fresh_edges:
-            leaf = _tame_descent(tree, e.child, b.depth)
+        for e in (tree.edges[eid] for eid in v.children):
+            leaf = _tame_descent(tree, e.child, b.depth) if e.fresh else None
             if leaf is not None:    # a descent that reaches depth d ends at a leaf
                 dirs.append(b.index_of_leaf(leaf))
         directions = tuple(sorted(set(dirs)))

@@ -32,9 +32,9 @@ from .errors import (
     NotInjective,
     UnknownGroupRef,
 )
-from .gog import EdgeEmbedding, GraphOfGroups, TrivialEmbedding, build_graph
-from .groups import (TRIVIAL_GROUP, FiniteGroup, bfs, check_group, check_monomorphism,
-                     cyclic_group)
+from .gog import GraphOfGroups, TrivialEmbedding, build_graph
+from .groups import (TRIVIAL_GROUP, EdgeEmbedding, FiniteGroup, bfs, check_group,
+                     check_monomorphism, cyclic_group)
 from .jsonio import artifact
 
 _TOKEN = re.compile(
@@ -79,20 +79,27 @@ class _Cursor:
     def peek(self) -> _Tok | None:
         return self.toks[self.i] if self.i < len(self.toks) else None
 
-    def next(self, expect_kind: str | None = None, expect_text: str | None = None) -> _Tok:
+    def next(self, *kinds: str, text: str | None = None, what: str | None = None) -> _Tok:
+        """The next token, checked to be of one of ``kinds`` (if any) and to
+        read ``text`` (if given); ``what`` names the expected token in errors."""
+        what = what or (repr(text) if text else " or ".join(kinds))
         tok = self.peek()
         if tok is None:
-            raise GogSyntaxError(
-                f"unexpected end of line (expected {expect_text or expect_kind})",
-                self.lineno,
-                len(" ".join(t.text for t in self.toks)) + 1,
-            )
-        if expect_kind and tok.kind != expect_kind:
-            raise GogSyntaxError(f"expected {expect_kind}, got {tok.text!r}", self.lineno, tok.col)
-        if expect_text and tok.text != expect_text:
-            raise GogSyntaxError(f"expected {expect_text!r}, got {tok.text!r}", self.lineno, tok.col)
+            last = self.toks[-1]
+            raise GogSyntaxError(f"unexpected end of line (expected {what})",
+                                 self.lineno, last.col + len(last.text))
+        if (kinds and tok.kind not in kinds) or (text and tok.text != text):
+            raise GogSyntaxError(f"expected {what}, got {tok.text!r}", self.lineno, tok.col)
         self.i += 1
         return tok
+
+    def accept(self, text: str) -> bool:
+        """Consume the next token if it reads ``text``."""
+        tok = self.peek()
+        if tok is None or tok.text != text:
+            return False
+        self.i += 1
+        return True
 
     def done(self):
         tok = self.peek()
@@ -100,76 +107,68 @@ class _Cursor:
             raise GogSyntaxError(f"trailing input {tok.text!r}", self.lineno, tok.col)
 
 
-def _parse_int_list_list(cur: _Cursor) -> list[list[int]]:
-    cur.next(expect_text="[")
-    rows: list[list[int]] = []
+def _parse_seq(cur: _Cursor, brackets: str, item) -> list:
+    """The list ``opening item, item, ... closing`` between the two
+    ``brackets``, each item read by ``item(cur)``.  Commas between items are
+    optional and a trailing comma is allowed; a line that ends inside the list
+    lacks its closing bracket."""
+    opening, closing = brackets
+    cur.next(text=opening)
+    items = []
     while True:
         tok = cur.peek()
-        if tok and tok.text == "]":
-            cur.next()
-            break
-        cur.next(expect_text="[")
-        row: list[int] = []
-        while True:
-            tok = cur.next()
-            if tok.text == "]":
-                break
-            if tok.kind != "num":
-                raise GogSyntaxError(f"expected integer, got {tok.text!r}", cur.lineno, tok.col)
-            row.append(int(tok.text))
-            tok = cur.peek()
-            if tok and tok.text == ",":
-                cur.next()
-        rows.append(row)
-        tok = cur.peek()
-        if tok and tok.text == ",":
-            cur.next()
-    return rows
+        if tok is None or tok.text == closing:
+            cur.next(text=closing)
+            return items
+        items.append(item(cur))
+        cur.accept(",")
 
 
-def _parse_name_list(cur: _Cursor) -> list[str]:
-    cur.next(expect_text="[")
-    names: list[str] = []
-    while True:
-        tok = cur.next()
-        if tok.text == "]":
-            break
-        if tok.kind not in ("ident", "num"):
-            raise GogSyntaxError(f"expected name, got {tok.text!r}", cur.lineno, tok.col)
-        names.append(tok.text)
-        tok = cur.peek()
-        if tok and tok.text == ",":
-            cur.next()
-    return names
+def _integer(cur: _Cursor) -> int:
+    return int(cur.next("num", what="integer").text)
+
+
+def _name(cur: _Cursor) -> str:
+    return cur.next("ident", "num", what="name").text
+
+
+def _map_entry(cur: _Cursor) -> tuple[_Tok, str]:
+    key = cur.next("ident", what="element name")
+    cur.next(text=":")
+    return key, cur.next("ident", what="element name").text
 
 
 def _parse_map(cur: _Cursor) -> dict[str, str]:
-    cur.next(expect_text="{")
+    """``{key: image, ...}``; a key named twice is an error at its second entry."""
     mapping: dict[str, str] = {}
-    while True:
-        tok = cur.next()
-        if tok.text == "}":
-            break
-        if tok.kind != "ident":
-            raise GogSyntaxError(f"expected element name, got {tok.text!r}", cur.lineno, tok.col)
-        key = tok.text
-        cur.next(expect_text=":")
-        val = cur.next(expect_kind="ident").text
-        mapping[key] = val
-        tok = cur.peek()
-        if tok and tok.text == ",":
-            cur.next()
+    for key, image in _parse_seq(cur, "{}", _map_entry):
+        if key.text in mapping:
+            raise GogSyntaxError(f"repeated key {key.text!r}", cur.lineno, key.col)
+        mapping[key.text] = image
     return mapping
 
 
-def _free_group(kind: str, rank, at: int | str) -> GroupBackend:
-    """F_n or Z^n of a DSL ``group`` line or a JSON group spec; the one place
-    their kind and rank are checked."""
-    if kind not in (FREE, FREE_ABELIAN):
-        raise GogSyntaxError(f"unknown group kind {kind!r}", at)
-    if not isinstance(rank, int) or rank < 1:
-        raise GogSyntaxError(f"{kind} rank must be >= 1", at)
-    return GroupBackend.free(rank) if kind == FREE else GroupBackend.free_abelian(rank)
+# the group kinds of a DSL ``group`` line and of a JSON group spec, each with
+# the function that builds and checks its group from the declared values; a
+# sized kind takes one integer >= 1
+_SIZED = {"cyclic": cyclic_group, FREE: GroupBackend.free, FREE_ABELIAN: GroupBackend.free_abelian}
+_DSL_KINDS = {"trivial": lambda: TRIVIAL_GROUP, "table": check_group, **_SIZED}
+_JSON_KINDS = {"finite": check_group, FREE: _SIZED[FREE], FREE_ABELIAN: _SIZED[FREE_ABELIAN]}
+
+
+def _declared_group(kinds: dict, kind, values: tuple, at: int | str,
+                    column: int = 0) -> FiniteGroup | GroupBackend:
+    """The checked group ``kinds[kind](*values)`` of a DSL ``group`` line or a
+    JSON group spec.  Every error names ``at``: a DSL line, with ``column``
+    that of the kind, or a JSON entry."""
+    try:
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ValueError(f"unknown group kind {kind!r}")
+        if kind in _SIZED and not (isinstance(values[0], int) and values[0] >= 1):
+            raise ValueError(f"{kind} {'order' if kind == 'cyclic' else 'rank'} must be >= 1")
+        return kinds[kind](*values)
+    except (AmalgamLabError, TypeError, ValueError) as exc:
+        raise GogSyntaxError(str(exc), at, column) from None
 
 
 def _extend_generator_map(edge_group: FiniteGroup, target: FiniteGroup | GroupBackend,
@@ -207,12 +206,11 @@ def _extend_generator_map(edge_group: FiniteGroup, target: FiniteGroup | GroupBa
             "(named elements do not generate the edge group)", at
         )
     try:
-        mono = check_monomorphism(edge_group, G, [images[a] for a in edge_group.elements()])
+        return check_monomorphism(edge_group, G, [images[a] for a in edge_group.elements()])
     except NotInjective as exc:
         raise EmbeddingNotInjective(f"{where}: {exc}") from exc
     except NotHomomorphism as exc:
         raise NotHomomorphism(f"{where}: {exc.args[0]}") from exc
-    return EdgeEmbedding(mono)
 
 
 def parse_gog(text: str) -> GraphOfGroups:
@@ -226,52 +224,39 @@ def parse_gog(text: str) -> GraphOfGroups:
         if not toks:
             continue
         cur = _Cursor(toks, lineno)
-        head = cur.next(expect_kind="ident").text
+        head = cur.next("ident").text
 
         if head == "group":
-            name = cur.next(expect_kind="ident").text
-            if name in groups:
-                raise GogSyntaxError(f"duplicate group name {name!r}", lineno)
-            kind = cur.next(expect_kind="ident").text
-            if kind == "cyclic":
-                n = int(cur.next(expect_kind="num").text)
-                groups[name] = cyclic_group(n)
-            elif kind == "trivial":
-                groups[name] = TRIVIAL_GROUP
-            elif kind == "table":
-                table = _parse_int_list_list(cur)
-                labels = None
-                tok = cur.peek()
-                if tok and tok.text == "labels":
-                    cur.next()
-                    labels = _parse_name_list(cur)
-                groups[name] = check_group(table, labels)
-            else:
-                rank = int(cur.next(expect_kind="num").text) if kind in (FREE, FREE_ABELIAN) else 0
-                groups[name] = _free_group(kind, rank, lineno)
+            name = cur.next("ident")
+            if name.text in groups:
+                raise GogSyntaxError(f"duplicate group name {name.text!r}", lineno, name.col)
+            kind = cur.next("ident")
+            values = ()
+            if kind.text == "table":
+                table = _parse_seq(cur, "[]", lambda row: _parse_seq(row, "[]", _integer))
+                values = (table, _parse_seq(cur, "[]", _name) if cur.accept("labels") else None)
+            elif kind.text in _SIZED:
+                values = (_integer(cur),)
+            groups[name.text] = _declared_group(_DSL_KINDS, kind.text, values, lineno, kind.col)
             cur.done()
 
         elif head == "vertex":
-            name = cur.next(expect_kind="ident").text
-            ref = cur.next(expect_kind="ident").text
-            gens = None
-            tok = cur.peek()
-            if tok and tok.text == "gens":
-                cur.next()
-                gens = _parse_name_list(cur)
+            name = cur.next("ident").text
+            ref = cur.next("ident").text
+            gens = _parse_seq(cur, "[]", _name) if cur.accept("gens") else None
             cur.done()
             vertices.append((name, ref, gens, lineno))
 
         elif head == "edge":
-            name = cur.next(expect_kind="ident").text
-            left = cur.next(expect_kind="ident").text
-            cur.next(expect_kind="arrow")
-            right = cur.next(expect_kind="ident").text
-            cur.next(expect_text="group")
-            ref = cur.next(expect_kind="ident").text
-            cur.next(expect_text="embed_fwd")
+            name = cur.next("ident").text
+            left = cur.next("ident").text
+            cur.next("arrow")
+            right = cur.next("ident").text
+            cur.next(text="group")
+            ref = cur.next("ident").text
+            cur.next(text="embed_fwd")
             fwd = _parse_map(cur)
-            cur.next(expect_text="embed_bwd")
+            cur.next(text="embed_bwd")
             bwd = _parse_map(cur)
             cur.done()
             edges.append((name, left, right, ref, fwd, bwd, lineno))
@@ -420,16 +405,13 @@ def gog_from_json(data: dict) -> GraphOfGroups:
 
     def group_of(entry: dict, at: str) -> FiniteGroup | GroupBackend:
         spec = _field(entry, "group", dict, at)
-        if spec.get("kind") != "finite":
-            return _free_group(spec.get("kind"), spec.get("rank"), at)
-        table = _field(spec, "table", list, at)
-        labels = _field(spec, "labels", list, at)
-        if _field(spec, "order", int, at) != len(table):
-            raise GogSyntaxError(f"order {spec['order']} but {len(table)} table rows", at)
-        try:
-            return check_group(table, labels)
-        except (AmalgamLabError, TypeError, ValueError) as exc:
-            raise GogSyntaxError(str(exc), at) from None
+        kind, values = spec.get("kind"), (spec.get("rank"),)
+        if kind == "finite":
+            table = _field(spec, "table", list, at)
+            values = (table, _field(spec, "labels", list, at))
+            if _field(spec, "order", int, at) != len(table):
+                raise GogSyntaxError(f"order {spec['order']} but {len(table)} table rows", at)
+        return _declared_group(_JSON_KINDS, kind, values, at)
 
     groups: dict[str, FiniteGroup | GroupBackend] = {}
     vertices = []

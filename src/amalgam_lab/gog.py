@@ -20,7 +20,7 @@ from .errors import (
     GraphDisconnected,
     NotIsomorphism,
 )
-from .groups import FiniteGroup, Monomorphism, check_monomorphism
+from .groups import EdgeEmbedding, FiniteGroup, check_monomorphism
 
 
 def bar(y: int) -> int:
@@ -46,9 +46,6 @@ class Graph:
 
     def oriented_edges(self) -> range:
         return range(2 * self.n_edges)
-
-    def unoriented(self, y: int) -> int:
-        return y // 2
 
     def is_loop(self, y: int) -> bool:
         return self.alpha[y] == self.omega[y]
@@ -76,51 +73,6 @@ def build_graph(vertex_names: list[str], edges: list[tuple[str, str, str]]) -> G
         alpha=tuple(alpha),
         omega=tuple(omega),
     )
-
-
-class EdgeEmbedding:
-    """A validated monomorphism i: H -> G of finite groups, as tables built once.
-
-    ``decompose[g] = (h, r)`` writes g = i(h) * r with r the least element of
-    the right coset im*g: the representative normal forms keep.  The least
-    elements of the left cosets g*im, sorted, parametrize the star of a tree
-    vertex.
-    """
-
-    def __init__(self, mono: Monomorphism):
-        H, G = mono.source, mono.target
-        self.edge_group = H
-        self.target = G
-        self._image = mono.map
-        self._pre = mono.inverse_on_image()
-        decompose = []
-        for g in G.elements():
-            r = min(G.mul(m, g) for m in mono.map)
-            decompose.append((self._pre[G.mul(g, G.inv(r))], r))
-        self.decompose = tuple(decompose)
-        lreps = {min(G.mul(g, m) for m in mono.map) for g in G.elements()}
-        self._lcoset_reps = tuple(sorted(lreps))
-
-    def apply(self, h: int) -> int:
-        return self._image[h]
-
-    def contains(self, g: int) -> bool:
-        return g in self._pre
-
-    def preimage(self, g: int) -> int:
-        return self._pre[g]
-
-    def index_in_target(self) -> int:
-        """[G : im]."""
-        return self.target.order // self.edge_group.order
-
-    def right_decompose(self, g: int) -> tuple[int, int]:
-        """g = apply(h) * r with r the canonical right-coset representative."""
-        return self.decompose[g]
-
-    def left_coset_reps(self) -> tuple[int, ...]:
-        """Least elements of the cosets g*im, sorted."""
-        return self._lcoset_reps
 
 
 class TrivialEmbedding:
@@ -295,8 +247,7 @@ def elementary_collapse(gog: GraphOfGroups, edge_name: str) -> GraphOfGroups:
                 if tgt.is_finite:
                     mapped = tuple(transport(old.apply(h))
                                    for h in old.edge_group.elements())
-                    new_embs.append(EdgeEmbedding(
-                        check_monomorphism(old.edge_group, tgt, mapped)))
+                    new_embs.append(check_monomorphism(old.edge_group, tgt, mapped))
                 else:
                     new_embs.append(TrivialEmbedding(old.edge_group, tgt))
             else:

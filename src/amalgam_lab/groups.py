@@ -1,10 +1,11 @@
-"""Finite groups given extensionally by multiplication table, and monomorphisms.
+"""Finite groups given extensionally by multiplication table, and their embeddings.
 
 Elements of a :class:`FiniteGroup` are plain integer indices into the table;
 ``labels`` is only a naming layer.  A finite vertex group is its own backend:
 it answers the same arithmetic, ordering and display calls as the Z^n and F_n
 backends of :mod:`amalgam_lab.backends`.  All validation happens once, in
-:func:`check_group` / :func:`check_monomorphism`; the resulting objects are
+:func:`check_group` / :func:`check_monomorphism`, which returns the
+embedding's tables as an :class:`EdgeEmbedding`; the resulting objects are
 immutable and safe to share.
 """
 
@@ -260,29 +261,54 @@ def cosets(group: FiniteGroup, subgroup_elements, side: str = "left") -> list[tu
     return out + rest
 
 
-@dataclass(frozen=True)
-class Monomorphism:
-    """A validated injective homomorphism between finite groups."""
+class EdgeEmbedding:
+    """A validated monomorphism i: H -> G of finite groups, as tables built once.
 
-    source: FiniteGroup
-    target: FiniteGroup
-    map: tuple[int, ...]
+    ``decompose[g] = (h, r)`` writes g = i(h) * r with r the least element of
+    the right coset im*g: the representative normal forms keep.  The least
+    elements of the left cosets g*im, sorted, parametrize the star of a tree
+    vertex.  Built only by :func:`check_monomorphism`.
+    """
 
-    def apply(self, a: int) -> int:
-        return self.map[a]
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, image: tuple[int, ...]):
+        G = target
+        self.edge_group = source
+        self.target = target
+        self._image = image
+        self._pre = {b: a for a, b in enumerate(image)}
+        decompose = []
+        for g in G.elements():
+            r = min(G.mul(m, g) for m in image)
+            decompose.append((self._pre[G.mul(g, G.inv(r))], r))
+        self.decompose = tuple(decompose)
+        lreps = {min(G.mul(g, m) for m in image) for g in G.elements()}
+        self._lcoset_reps = tuple(sorted(lreps))
 
-    def image(self) -> frozenset[int]:
-        return frozenset(self.map)
+    def apply(self, h: int) -> int:
+        return self._image[h]
 
-    def preimage(self, b: int) -> int:
-        return self.map.index(b)
+    def contains(self, g: int) -> bool:
+        return g in self._pre
 
-    def inverse_on_image(self) -> dict[int, int]:
-        return {b: a for a, b in enumerate(self.map)}
+    def preimage(self, g: int) -> int:
+        return self._pre[g]
+
+    def index_in_target(self) -> int:
+        """[G : im]."""
+        return self.target.order // self.edge_group.order
+
+    def right_decompose(self, g: int) -> tuple[int, int]:
+        """g = apply(h) * r with r the canonical right-coset representative."""
+        return self.decompose[g]
+
+    def left_coset_reps(self) -> tuple[int, ...]:
+        """Least elements of the cosets g*im, sorted."""
+        return self._lcoset_reps
 
 
-def check_monomorphism(source: FiniteGroup, target: FiniteGroup, mapping) -> Monomorphism:
-    """Validate ``mapping`` (list of target indices, one per source element)."""
+def check_monomorphism(source: FiniteGroup, target: FiniteGroup, mapping) -> EdgeEmbedding:
+    """Validate ``mapping`` (list of target indices, one per source element)
+    and return its embedding tables."""
     m = tuple(mapping)
     if len(m) != source.order:
         raise NotHomomorphism(f"map has {len(m)} entries, source order is {source.order}")
@@ -299,4 +325,4 @@ def check_monomorphism(source: FiniteGroup, target: FiniteGroup, mapping) -> Mon
         for b in source.elements():
             if a != b and m[a] == m[b]:
                 raise NotInjective(f"elements {a} and {b} share the image {m[a]}")
-    return Monomorphism(source, target, m)
+    return EdgeEmbedding(source, target, m)

@@ -81,7 +81,7 @@ def test_criterion_3_bass_serre_structure():
     gog, _, fg = make_fg("z2z3")
     tb = TreeBall(fg, 5)
     for v in tb.vertices:
-        if v.expanded:
+        if v.depth < tb.radius:
             assert tb.degree(v.vid) == (2 if v.vtype == 0 else 3)
     for name in FULL_CORPUS:
         _, _, fg = make_fg(name)

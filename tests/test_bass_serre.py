@@ -34,11 +34,24 @@ def test_dinf_is_path_small_radii(dinf):
         assert all(tb.degree(v.vid) <= 2 for v in tb.vertices)
 
 
+def test_full_star_degree_of_an_infinite_vertex_group_is_none(zxz2):
+    """Z * Z/2: the Z vertex has an infinite star, the Z/2 vertex one edge
+    coset per element of Z/2."""
+    gog, _, fg = zxz2
+    tb = TreeBall(fg, 2)
+    degrees = [tb.full_star_degree(v) for v in range(gog.graph.n_vertices)]
+    assert [d is None for d in degrees] == [not G.is_finite for G in gog.vertex_groups]
+    assert [d for d in degrees if d is not None] == [2]
+    for v in tb.vertices:
+        if v.depth < tb.radius and not v.truncated:
+            assert tb.degree(v.vid) == tb.full_star_degree(v.vtype)
+
+
 def test_z2z3_degrees_by_type(z2z3):
     gog, _, fg = z2z3
     tb = TreeBall(fg, 4)
     for v in tb.vertices:
-        if v.expanded:
+        if v.depth < tb.radius:
             want = 2 if gog.graph.vertex_names[v.vtype] == "v1" else 3
             assert tb.degree(v.vid) == want == tb.full_star_degree(v.vtype)
 
@@ -251,7 +264,7 @@ def test_truncated_stars_marked(z2z2):
     _, _, fg = z2z2
     tb = TreeBall(fg, 2)
     assert all(v.truncated for v in tb.vertices)
-    assert tb.vertices[0].expanded
+    assert tb.vertices[0].children
 
 
 def test_finite_stars_not_truncated(dinf):
@@ -292,7 +305,7 @@ def test_amalgam_tree_structure_nontrivial_edge_group():
     tb = TreeBall(fg, 5)
     assert len(tb.vertices) == len(tb.edges) + 1
     for v in tb.vertices:
-        if v.expanded:
+        if v.depth < tb.radius:
             assert tb.degree(v.vid) == (2 if v.vtype == 0 else 3)
 
 
@@ -480,10 +493,10 @@ def test_tree_build_forms_one_product_per_star_candidate(monkeypatch):
     assert calls["multiply"] == len(tb.edges)
     monkeypatch.undo()
     assert calls["sort_key"] == 0
-    # a tree vertex meets each of its star parameters once, so an expanded
-    # vertex's degree counts its type's parameters; the edge subgroups are
-    # formed once as well
-    params = {v.vtype: tb.degree(v.vid) for v in tb.vertices if v.expanded}
+    # a tree vertex meets each of its star parameters once, so the degree of
+    # a vertex above the last layer counts its type's parameters; the edge
+    # subgroups are formed once as well
+    params = {v.vtype: tb.degree(v.vid) for v in tb.vertices if v.depth < tb.radius}
     assert len(params) == fg.gog.graph.n_vertices
     edge_subgroups = sum(len(fg.edge_subgroup_elements(k))
                          for k in range(fg.gog.graph.n_edges))
@@ -550,9 +563,10 @@ def test_vertices_of_one_cone_type_have_the_same_child_list(spec):
     tb = TreeBall(fg, 4)
     lists = {}
     for v in tb.vertices:
-        if not v.expanded:
+        if v.depth == tb.radius:
             continue
         back = None if v.parent_edge < 0 else tb.edges[v.parent_edge].ytype ^ 1
-        children = [(tb.edges[eid].param_sort, tb.edges[eid].fresh) for eid in v.children]
+        edges = [tb.edges[eid] for eid in v.children]
+        children = [(e.ytype, e.fresh, e.down.step) for e in edges]
         assert lists.setdefault((v.vtype, back), children) == children
     assert lists

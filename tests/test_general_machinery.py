@@ -82,7 +82,7 @@ def test_tree_and_tiling():
     tb = TreeBall(fg, 4)
     assert len(tb.vertices) == len(tb.edges) + 1
     for v in tb.vertices:
-        if v.expanded:
+        if v.depth < tb.radius:
             # each vertex meets both edge pairs: 2+2 and 3+3
             assert tb.degree(v.vid) == (4 if v.vtype == 0 else 6)
     tt = tiling_tree(tb)

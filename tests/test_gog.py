@@ -83,8 +83,57 @@ def test_parse_unknown_group():
 def test_parse_nontrivial_embedding_into_backend_rejected():
     text = "group P free_abelian 2\ngroup E cyclic 2\nvertex v1 P\nvertex v2 P\n" \
            "edge e1 v1 -- v2 group E embed_fwd {a:x1} embed_bwd {a:x1}\n"
-    with pytest.raises((EmbeddingNotInjective, KeyError)):
+    with pytest.raises(EmbeddingNotInjective):
         parse_gog(text)
+
+
+LOCATED = ["group A cyclic 2", "group E cyclic 2", "vertex v1 A gens [a]", "vertex v2 A gens [a]",
+           "edge e1 v1 -- v2 group E embed_fwd {a:a} embed_bwd {a:a}"]
+
+# a line of LOCATED replaced, and the column and message of its error; an
+# unterminated list is an error just past the end of its line
+LOCATED_ERRORS = {
+    "table-unterminated": (2, "group E table [[0,1],[1,0]", 27, "unexpected end of line (expected ']')"),
+    "row-unterminated": (2, "group E table [[0,1],[1,0", 26, "unexpected end of line (expected ']')"),
+    "table-entry": (2, "group E table [[0,x],[1,0]]", 19, "expected integer, got 'x'"),
+    "table-row": (2, "group E table [[0,1],1]", 22, "expected '[', got '1'"),
+    "labels-unterminated": (2, "group E table [[0,1],[1,0]] labels [e, a", 41,
+                            "unexpected end of line (expected ']')"),
+    "labels-item": (2, "group E table [[0,1],[1,0]] labels [e, :]", 40, "expected name, got ':'"),
+    "gens-unterminated": (4, "vertex v2 A gens [a,", 21, "unexpected end of line (expected ']')"),
+    "gens-item": (4, "vertex v2 A gens [a [a]]", 21, "expected name, got '['"),
+    "map-unterminated": (5, "edge e1 v1 -- v2 group E embed_fwd {a:a} embed_bwd {a:a", 56,
+                         "unexpected end of line (expected '}')"),
+    "map-key": (5, "edge e1 v1 -- v2 group E embed_fwd {1:a} embed_bwd {a:a}", 37,
+                "expected element name, got '1'"),
+    "map-entry-without-colon": (5, "edge e1 v1 -- v2 group E embed_fwd {a a} embed_bwd {a:a}", 39,
+                                "expected ':', got 'a'"),
+    "map-repeated-key": (5, "edge e1 v1 -- v2 group E embed_fwd {a:a2, a:a} embed_bwd {a:a}", 43,
+                         "repeated key 'a'"),
+    "not-latin": (2, "group E table [[0,1],[0,1]]", 9, "NotLatinSquare: column 0 is not a permutation"),
+    "labels-count": (2, "group E table [[0,1],[1,0]] labels [e]", 9,
+                     "labels must be distinct and match the order"),
+    "cyclic-0": (2, "group E cyclic 0", 9, "cyclic order must be >= 1"),
+    "free-0": (1, "group A free 0", 9, "free rank must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", LOCATED_ERRORS)
+def test_declaration_errors_name_their_line_and_column(case, tmp_path, capsys):
+    """Every malformed declaration is a SyntaxError at its line and column,
+    and `validate` exits 1 with that one error line."""
+    line, replacement, column, message = LOCATED_ERRORS[case]
+    text = "\n".join(replacement if i == line else old
+                     for i, old in enumerate(LOCATED, start=1)) + "\n"
+    with pytest.raises(GogSyntaxError) as err:
+        parse_gog(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"SyntaxError: line {line}, col {column}: {message}"
+    path = tmp_path / "bad.gog"
+    path.write_text(text)
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {err.value}\n"
 
 
 @pytest.mark.parametrize("gens", ["[foo, bar]", "[x2, x1]", "[x1]", "[]"])

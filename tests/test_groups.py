@@ -105,7 +105,8 @@ def test_monomorphism_trivial_into_z2():
 
 def test_monomorphism_z2_into_z4():
     m = check_monomorphism(cyclic_group(2), cyclic_group(4), [0, 2])
-    assert m.image() == {0, 2}
+    assert [g for g in range(4) if m.contains(g)] == [0, 2]
+    assert m.index_in_target() == 2 and m.left_coset_reps() == (0, 1)
 
 
 def test_monomorphism_order_mismatch():
