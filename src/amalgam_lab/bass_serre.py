@@ -184,6 +184,7 @@ class TreeBall:
                           truncated=truncated[fg.root], up=None, step=None)
         root._rep = fg.identity()
         self.vertices.append(root)
+        self._starts = [0, 1]   # the depth-k vids are _starts[k] up to _starts[k + 1]
         frontier = [root]
         for depth in range(self.radius):
             nxt: list[TreeVertex] = []
@@ -202,6 +203,7 @@ class TreeBall:
                     if len(self.vertices) > self.config.budget:
                         raise BudgetExceeded(self.config.budget, "tree ball")
             frontier = nxt
+            self._starts.append(len(self.vertices))
 
     def _number(self):
         """Parent vids, subtree sizes and the pre-order numbering.  Vids are
@@ -226,6 +228,11 @@ class TreeBall:
         self._size, self._pre, self._order = size, pre, order
 
     # --- queries -----------------------------------------------------------------
+
+    def level(self, k: int) -> range:
+        """The depth-k vids, consecutive since vids are in BFS order."""
+        n = len(self.vertices)
+        return range(self._starts[k], self._starts[k + 1]) if k <= self.radius else range(n, n)
 
     def degree(self, vid: int) -> int:
         v = self.vertices[vid]

@@ -22,22 +22,14 @@ scaling checked by (a2).
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from .bass_serre import TreeBall, TreeBallConfig, TreeVertex
 from .errors import DepthTooSmall
 from .fundgroup import FundamentalGroup, NormalForm
 from .jsonio import artifact
-
-
-def _level(tree: TreeBall, k: int) -> range:
-    """The depth-k vids, consecutive since vids are in BFS order."""
-    depth = attrgetter("depth")
-    return range(bisect_left(tree.vertices, k, key=depth),
-                 bisect_right(tree.vertices, k, key=depth))
 
 
 class BoundaryApprox:
@@ -59,7 +51,7 @@ class BoundaryApprox:
     def __init__(self, tree: TreeBall, depth: int):
         self.tree = tree
         self.depth = depth
-        self.leaves = _level(tree, depth)
+        self.leaves = tree.level(depth)
         self._leaf_pre = [tree.subtree_interval(leaf)[0] for leaf in self.leaves]
 
     def __len__(self) -> int:
@@ -106,7 +98,7 @@ class BoundaryApprox:
     def groups_by_prefix(self, k: int) -> dict[int, list[int]]:
         """Branch indices grouped by their depth-k ancestor vertex, in vid
         order; a vertex with no branch below it is left out."""
-        return {vid: list(under) for vid in _level(self.tree, k)
+        return {vid: list(under) for vid in self.tree.level(k)
                 if (under := self._under(vid))}
 
 
@@ -151,7 +143,7 @@ def cantor_check(b: BoundaryApprox, window: int = 3) -> CantorVerdict:
         verdict.witnesses.append({"reason": "no branches at this depth"})
         return verdict
 
-    for vid in _level(tree, b.depth - 1):
+    for vid in tree.level(b.depth - 1):
         v = tree.vertices[vid]
         if not v.children:
             verdict.no_dead_ends = False
@@ -163,9 +155,7 @@ def cantor_check(b: BoundaryApprox, window: int = 3) -> CantorVerdict:
     # is the start of the first window without branching on that path, or -1
     run = [0] * len(tree.vertices)
     first = [-1] * len(tree.vertices)
-    for v in tree.vertices:
-        if v.depth >= b.depth:
-            break
+    for v in tree.vertices[:b.leaves.start]:
         p = tree.parent[v.vid]
         run[v.vid] = 0 if len(v.children) >= 2 else (run[p] + 1 if p >= 0 else 1)
         if p >= 0 and first[p] >= 0:
@@ -206,29 +196,21 @@ def cantor_check(b: BoundaryApprox, window: int = 3) -> CantorVerdict:
 
 @dataclass(frozen=True, slots=True)
 class LimitSetApprox:
-    """Finite-depth proxy of the limit set of one infinite vertex-group coset.
+    """Finite-depth proxy of the limit set of one infinite vertex-group coset:
+    its coset vertex and its directions.
 
-    Its witness label ``name:rep`` is formed only when read: a family has one
-    member per coset vertex, but only the witnesses of a failed condition
-    print a label, and only they form the coset vertex's rep.  A member built
-    without ``vertex`` is labelled ``name``.
+    Its witness label ``name:rep`` is formed only when read: only the
+    witnesses of a failed condition print a label, and only they form the
+    coset vertex's rep.
     """
 
-    coset_vid: int
-    vtype: int
-    coset_depth: int
-    depth: int
+    vertex: TreeVertex
     directions: tuple[int, ...]      # branch indices in the BoundaryApprox
-    name: str = ""
-    vertex: TreeVertex | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def rep(self) -> NormalForm | None:
-        return None if self.vertex is None else self.vertex.rep
 
     @property
     def label(self) -> str:
-        return self.name if self.vertex is None else f"{self.name}:{self.rep.display()}"
+        rep = self.vertex.rep
+        return f"{rep.group.gog.graph.vertex_names[self.vertex.vtype]}:{rep.display()}"
 
 
 def _tame_descent(tree: TreeBall, vid: int, target_depth: int) -> int | None:
@@ -251,23 +233,21 @@ def limit_set_approx(b: BoundaryApprox, vid: int) -> LimitSetApprox:
     no descendant at depth d, so its children are not scanned."""
     tree = b.tree
     v = tree.vertices[vid]
-    directions: tuple[int, ...] = ()
+    dirs: set[int] = set()
     if v.depth < b.depth and v.truncated:
-        dirs: list[int] = []
         for e in (tree.edges[eid] for eid in v.children):
             leaf = _tame_descent(tree, e.child, b.depth) if e.fresh else None
             if leaf is not None:    # a descent that reaches depth d ends at a leaf
-                dirs.append(b.index_of_leaf(leaf))
-        directions = tuple(sorted(set(dirs)))
-    # positional, in field order (coset_vid, vtype, coset_depth, depth,
-    # directions, name, vertex): one member per coset vertex
-    return LimitSetApprox(vid, v.vtype, v.depth, b.depth, directions,
-                          tree.fg.gog.graph.vertex_names[v.vtype], v)
+                dirs.add(b.index_of_leaf(leaf))
+    return LimitSetApprox(v, tuple(sorted(dirs)))
 
 
 def limit_set_family(b: BoundaryApprox) -> list[LimitSetApprox]:
-    """W = limit-set proxies of every infinite-type coset vertex in the ball."""
-    return [limit_set_approx(b, v.vid) for v in b.tree.vertices if v.truncated]
+    """W: the limit-set proxies of the infinite-type coset vertices that have
+    directions, in vid order.  Only vertices above depth d can have any."""
+    members = (limit_set_approx(b, v.vid) for v in b.tree.vertices[:b.leaves.start]
+               if v.truncated)
+    return [m for m in members if m.directions]
 
 
 # --- dense-amalgam checker -------------------------------------------------------
@@ -290,13 +270,16 @@ class AmalgamCertificate:
 
 def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
                   seed: int = 0, samples: int = 20) -> AmalgamCertificate:
-    """Check the five dense-amalgam conditions at finite depth.
+    """Check the five dense-amalgam conditions at finite depth on a family of
+    members, such as ``limit_set_family`` gives; a member with no directions
+    holds no point and is skipped.
 
     (a1) pairwise disjointness; (a2) nullness with diameter bound 2^(-k+1)
     per coset tree-distance k; (a3) each member's complement is eps-dense;
     (a4) each per-type union is eps-dense; (a5) sampled cross-member pairs
     are separated by an explicit saturated clopen built from an edge split.
-    eps = 2^(-depth+2).
+    eps = 2^(-depth+2).  ``family_size`` counts the infinite-type coset
+    vertices of the ball, and (a4) ranges over their types.
     """
     if b.depth < 4:
         raise DepthTooSmall(f"depth {b.depth} < 4")
@@ -306,7 +289,7 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
     d = b.depth
     eps_split = d - 2  # dist <= 2^(-d+2)  <=>  split >= d-2
     conditions: dict[str, dict] = {}
-    nonempty = [m for m in family if m.directions]
+    family = [m for m in family if m.directions]
 
     # (a1) pairwise disjoint; owners[di] lists every member holding di
     witnesses = []
@@ -327,10 +310,10 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
     # first direction against the others.
     witnesses = []
     diams = []
-    for m in nonempty:
+    for m in family:
         first, *rest = set(m.directions)
         diam = 2.0 ** -min(b.split(first, j) for j in rest) if rest else 0.0
-        diams.append((m.coset_depth, diam))
+        diams.append((m.vertex.depth, diam))
     max_diam_per_k = {}
     for k in range(0, d + 1):
         max_diam_per_k[k] = max((diam for cd, diam in diams if cd >= k), default=0.0)
@@ -354,7 +337,7 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
     # least branch, which is where groups_by_prefix orders it.
     witnesses = []
     groups = b.groups_by_prefix(eps_split)
-    for m in nonempty:
+    for m in family:
         count = Counter(b.ancestor(i, eps_split) for i in sorted(set(m.directions)))
         for anc, c in count.items():
             if c == len(groups[anc]) and len(witnesses) < 10:
@@ -363,11 +346,11 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
 
     # (a4) each per-type union is eps-dense
     witnesses = []
-    types = sorted({m.vtype for m in family})
-    for vtype in types:
+    truncated = [v.vtype for v in tree.vertices if v.truncated]
+    for vtype in sorted(set(truncated)):
         union = set()
         for m in family:
-            if m.vtype == vtype:
+            if m.vertex.vtype == vtype:
                 union.update(m.directions)
         for anc, members in groups.items():
             if not (set(members) & union):
@@ -383,13 +366,12 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
     witnesses = []
     checked = 0
     rng = random.Random(seed)
-    if len(nonempty) >= 2:
+    if len(family) >= 2:
         for _ in range(samples):
-            m1, m2 = rng.sample(range(len(nonempty)), 2)
-            W1, W2 = nonempty[m1], nonempty[m2]
+            W1, W2 = (family[mi] for mi in rng.sample(range(len(family)), 2))
             z1 = W1.directions[rng.randrange(len(W1.directions))]
             z2 = W2.directions[rng.randrange(len(W2.directions))]
-            C1, C2 = W1.coset_vid, W2.coset_vid
+            C1, C2 = W1.vertex.vid, W2.vertex.vid
             if C2 != 0 and not tree.in_subtree(C1, C2):
                 side_in, z_in, z_out = C2, z2, z1
             else:
@@ -400,7 +382,7 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
             removed = 0
             H = set(cell)
             for m in meeting:
-                if not tree.in_subtree(m.coset_vid, side_in):
+                if not tree.in_subtree(m.vertex.vid, side_in):
                     H.difference_update(m.directions)
                     removed += 1
             checked += 1
@@ -411,7 +393,7 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
             ok = saturated and (z_in in H) and (z_out not in H)
             if not ok and len(witnesses) < 10:
                 witnesses.append({
-                    "pair": [nonempty[m1].label, nonempty[m2].label],
+                    "pair": [W1.label, W2.label],
                     "edge": e,
                     "saturated": saturated,
                     "z_in_ok": z_in in H,
@@ -426,7 +408,7 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
 
     return AmalgamCertificate(
         depth=d, conditions=conditions,
-        family_size=len(family), nonempty_members=len(nonempty),
+        family_size=len(truncated), nonempty_members=len(family),
     )
 
 

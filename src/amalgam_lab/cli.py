@@ -25,7 +25,7 @@ from .dsl import gog_from_json, gog_to_json, parse_gog
 from .errors import AmalgamLabError, Inconclusive
 from .fundgroup import FundamentalGroup, abelianization, emit_presentation
 from .gog import is_non_elementary, elementary_collapse, spanning_tree
-from .jsonio import artifact, dumps, emit, load_artifact
+from .jsonio import artifact, dumps, emit, load_artifact, read_json
 from .separation import ends_estimate, verify_cayley_separation, verify_K_construction
 
 
@@ -232,8 +232,7 @@ def _cmd_classify(args) -> dict:
     _require(args, "words_json")
     if args.depth < 0:
         raise ValueError(f"depth must be >= 0, got {args.depth}")
-    with open(args.words_json) as fh:
-        data = json.load(fh)
+    data = read_json(args.words_json)
     words = data.get("words") if isinstance(data, dict) else None
     if not isinstance(words, list):
         raise ValueError(f"{args.words_json}: words must be a list of words, got {words!r}")

@@ -93,13 +93,13 @@ class _Cursor:
         self.i += 1
         return tok
 
-    def accept(self, text: str) -> bool:
-        """Consume the next token if it reads ``text``."""
+    def accept(self, text: str) -> _Tok | None:
+        """Consume and return the next token if it reads ``text``."""
         tok = self.peek()
         if tok is None or tok.text != text:
-            return False
+            return None
         self.i += 1
-        return True
+        return tok
 
     def done(self):
         tok = self.peek()
@@ -171,53 +171,61 @@ def _declared_group(kinds: dict, kind, values: tuple, at: int | str,
         raise GogSyntaxError(str(exc), at, column) from None
 
 
+def _fault(error: type[AmalgamLabError], message: str, at: int | str,
+           column: int) -> GogSyntaxError:
+    """An ``error`` found on a declared value, located at the value's DSL line
+    and column, or at its JSON entry."""
+    return GogSyntaxError(str(error(message)), at, column)
+
+
 def _extend_generator_map(edge_group: FiniteGroup, target: FiniteGroup | GroupBackend,
-                          gen_images: dict[str, str], at: int | str, which: str):
+                          gen_images: dict[str, str], at: int | str, which: str, column: int):
     """Extend generator images multiplicatively to a total monomorphism.
 
-    ``at`` (a DSL line or a JSON entry) and ``which`` (``embed_fwd`` or
-    ``embed_bwd``) locate its errors.
+    ``at`` (a DSL line or a JSON entry), ``which`` (``embed_fwd`` or
+    ``embed_bwd``) and ``column`` (that of ``which`` on a DSL line) locate
+    its errors.
     """
-    where = f"{at if isinstance(at, str) else f'line {at}'}: {which}"
     if not target.is_finite:
         # Z^n and F_n are torsion-free: only the trivial group embeds, onto e
         identity = edge_group.label(edge_group.identity_index)
         if edge_group.order != 1 or any(
                 (key, val) != (identity, "e") for key, val in gen_images.items()):
-            raise EmbeddingNotInjective(
-                f"{where}: only the trivial group embeds into a torsion-free backend, onto e")
+            raise _fault(EmbeddingNotInjective, f"{which}: only the trivial group embeds "
+                         "into a torsion-free backend, onto e", at, column)
         return TrivialEmbedding(edge_group, target)
 
     G = target
     try:
         named = {edge_group.index_of(key): G.index_of(val) for key, val in gen_images.items()}
     except KeyError as exc:
-        raise GogSyntaxError(f"{which}: {exc.args[0]}", at) from None
+        raise GogSyntaxError(f"{which}: {exc.args[0]}", at, column) from None
     # each element's image is the product of the images along its first word
     gens = tuple(named)
     images = {edge_group.identity_index: G.identity_index}
     for b, a, i in bfs(edge_group.identity_index, gens, edge_group.mul, {}):
         images[b] = G.mul(images[a], named[gens[i]])
     if any(images[a] != fa for a, fa in named.items()):
-        raise EmbeddingNotInjective(f"{where}: generator images are inconsistent")
+        raise _fault(EmbeddingNotInjective, f"{which}: generator images are inconsistent",
+                     at, column)
     if len(images) != edge_group.order:
         raise GogSyntaxError(
             f"{which} images do not determine the embedding "
-            "(named elements do not generate the edge group)", at
+            "(named elements do not generate the edge group)", at, column
         )
     try:
         return check_monomorphism(edge_group, G, [images[a] for a in edge_group.elements()])
     except NotInjective as exc:
-        raise EmbeddingNotInjective(f"{where}: {exc}") from exc
+        raise _fault(EmbeddingNotInjective, f"{which}: {exc}", at, column) from None
     except NotHomomorphism as exc:
-        raise NotHomomorphism(f"{where}: {exc.args[0]}") from exc
+        raise _fault(NotHomomorphism, f"{which}: {exc.args[0]}", at, column) from None
 
 
 def parse_gog(text: str) -> GraphOfGroups:
     """Parse and fully validate a graph of groups from DSL text."""
     groups: dict[str, FiniteGroup | GroupBackend] = {"trivial": TRIVIAL_GROUP}
-    vertices: list[tuple[str, str, list[str] | None, int]] = []   # (name, groupref, gens, line)
-    edges: list[tuple[str, str, str, str, dict, dict, int]] = []
+    vertices: list[tuple] = []   # as _assemble takes them
+    edges: list[tuple] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         toks = _tokenize(raw, lineno)
@@ -241,25 +249,27 @@ def parse_gog(text: str) -> GraphOfGroups:
             cur.done()
 
         elif head == "vertex":
-            name = cur.next("ident").text
-            ref = cur.next("ident").text
-            gens = _parse_seq(cur, "[]", _name) if cur.accept("gens") else None
+            name, ref = cur.next("ident"), cur.next("ident")
+            keyword = cur.accept("gens")
+            gens = _parse_seq(cur, "[]", _name) if keyword else None
             cur.done()
-            vertices.append((name, ref, gens, lineno))
+            vertices.append((name.text, ref.text, gens, lineno,
+                             (name.col, ref.col, keyword.col if keyword else 0)))
 
         elif head == "edge":
-            name = cur.next("ident").text
-            left = cur.next("ident").text
+            name, left = cur.next("ident"), cur.next("ident")
             cur.next("arrow")
-            right = cur.next("ident").text
+            right = cur.next("ident")
             cur.next(text="group")
-            ref = cur.next("ident").text
-            cur.next(text="embed_fwd")
+            ref = cur.next("ident")
+            fwd_at = cur.next(text="embed_fwd")
             fwd = _parse_map(cur)
-            cur.next(text="embed_bwd")
+            bwd_at = cur.next(text="embed_bwd")
             bwd = _parse_map(cur)
             cur.done()
-            edges.append((name, left, right, ref, fwd, bwd, lineno))
+            toks = (name, left, right, ref, fwd_at, bwd_at)
+            edges.append((name.text, left.text, right.text, ref.text, fwd, bwd, lineno,
+                           tuple(tok.col for tok in toks)))
 
         else:
             raise GogSyntaxError(f"unknown statement {head!r}", lineno, toks[0].col)
@@ -271,10 +281,13 @@ def _assemble(groups: dict[str, FiniteGroup | GroupBackend], vertices: list, edg
               end: int | str) -> GraphOfGroups:
     """Check declared vertices and edges and build their graph of groups.
 
-    Vertices are (name, groupref, gens, at), edges (name, left, right,
-    groupref, fwd, bwd, at): ``at`` is a DSL line or a JSON entry, and the
-    maps fwd/bwd send edge-group labels to labels of the right and left
-    vertex groups.  ``end`` locates the error of an input with no vertices.
+    Vertices are (name, groupref, gens, at, cols), edges (name, left, right,
+    groupref, fwd, bwd, at, cols): ``at`` is a DSL line or a JSON entry, and
+    the maps fwd/bwd send edge-group labels to labels of the right and left
+    vertex groups.  ``cols`` holds the DSL column of each value's token (of
+    the keyword before gens, fwd and bwd; 0 for JSON), and each error is
+    located at the value at fault.  ``end`` locates the error of an input
+    with no vertices.
     """
     if not vertices:
         raise GogSyntaxError("no vertices declared", end)
@@ -282,12 +295,12 @@ def _assemble(groups: dict[str, FiniteGroup | GroupBackend], vertices: list, edg
     vidx: dict[str, int] = {}
     vgroups: list[FiniteGroup | GroupBackend] = []
     gensets: list[tuple[tuple[str, object], ...]] = []
-    for name, ref, gens, at in vertices:
+    for name, ref, gens, at, (name_col, ref_col, gens_col) in vertices:
         if name in vidx:
-            raise GogSyntaxError(f"duplicate vertex name {name!r}", at)
+            raise GogSyntaxError(f"duplicate vertex name {name!r}", at, name_col)
         vidx[name] = len(vidx)
         if ref not in groups:
-            raise UnknownGroupRef(f"vertex {name} references unknown group {ref!r}")
+            raise _fault(UnknownGroupRef, f"unknown group {ref!r}", at, ref_col)
         backend = groups[ref]
         vgroups.append(backend)
         if backend.is_finite:
@@ -295,39 +308,40 @@ def _assemble(groups: dict[str, FiniteGroup | GroupBackend], vertices: list, edg
             try:
                 genset = tuple((lbl, backend.index_of(lbl)) for lbl in labels)
             except KeyError as exc:
-                raise GogSyntaxError(f"gens: {exc.args[0]}", at) from None
+                raise GogSyntaxError(f"gens: {exc.args[0]}", at, gens_col) from None
             gen_elems = {e for _, e in genset}
             if backend.subgroup_generated(gen_elems) != frozenset(backend.elements()):
-                raise GogSyntaxError("gens do not generate the vertex group", at)
+                raise GogSyntaxError("gens do not generate the vertex group", at, gens_col)
         else:
             # backends always use the standard basis for the word metric
             if gens is not None and gens != list(backend.generator_labels):
                 raise GogSyntaxError(f"gens of a {backend.kind} group must be its standard "
-                                     f"basis {list(backend.generator_labels)}", at)
+                                     f"basis {list(backend.generator_labels)}", at, gens_col)
             genset = tuple(zip(backend.generator_labels, backend.generators()))
         gensets.append(genset)
 
     edge_names: set[str] = set()
     egroups: list[FiniteGroup] = []
     embeddings: list[EdgeEmbedding | TrivialEmbedding] = []
-    for name, left, right, ref, fwd, bwd, at in edges:
+    for name, left, right, ref, fwd, bwd, at, cols in edges:
+        name_col, left_col, right_col, ref_col, fwd_col, bwd_col = cols
         if name in edge_names:
-            raise GogSyntaxError(f"duplicate edge name {name!r}", at)
+            raise GogSyntaxError(f"duplicate edge name {name!r}", at, name_col)
         edge_names.add(name)
-        for v in (left, right):
+        for v, col in ((left, left_col), (right, right_col)):
             if v not in vidx:
-                raise UnknownGroupRef(f"edge {name} references unknown vertex {v!r}")
+                raise _fault(UnknownGroupRef, f"unknown vertex {v!r}", at, col)
         if ref not in groups:
-            raise UnknownGroupRef(f"edge {name} references unknown group {ref!r}")
+            raise _fault(UnknownGroupRef, f"unknown group {ref!r}", at, ref_col)
         egroup = groups[ref]
         if not egroup.is_finite:
-            raise EdgeGroupInfinite(f"edge {name} has an infinite edge group "
-                                    f"({egroup.kind} rank {egroup.rank})")
+            raise _fault(EdgeGroupInfinite, f"infinite edge group ({egroup.kind} rank "
+                         f"{egroup.rank})", at, ref_col)
         egroups.append(egroup)
         embeddings.append(_extend_generator_map(egroup, vgroups[vidx[right]], fwd, at,
-                                                "embed_fwd"))
+                                                "embed_fwd", fwd_col))
         embeddings.append(_extend_generator_map(egroup, vgroups[vidx[left]], bwd, at,
-                                                "embed_bwd"))
+                                                "embed_bwd", bwd_col))
 
     return GraphOfGroups(
         graph=build_graph(list(vidx), [(e[0], e[1], e[2]) for e in edges]),
@@ -420,7 +434,7 @@ def gog_from_json(data: dict) -> GraphOfGroups:
         at = f"vertex {name}"
         # a duplicate entry keeps the first one's group; the assembly rejects it
         groups.setdefault(at, group_of(v, at))
-        vertices.append((name, at, _field(v, "gens", list, at), at))
+        vertices.append((name, at, _field(v, "gens", list, at), at, (0, 0, 0)))
     edges = []
     for i, e in enumerate(_field(data, "edges", list, "artifact")):
         name = _field(e, "name", str, f"edges[{i}]")
@@ -436,5 +450,5 @@ def gog_from_json(data: dict) -> GraphOfGroups:
                                      f"{len(labels)} edge-group elements", at)
             maps.append(dict(zip(labels, images)))
         edges.append((name, _field(e, "left", str, at), _field(e, "right", str, at),
-                      at, *maps, at))
+                      at, *maps, at, (0,) * 6))
     return _assemble(groups, vertices, edges, "vertices")

@@ -457,8 +457,9 @@ class FundamentalGroup:
     def dist(self, x: NormalForm, y: NormalForm) -> int:
         return self.wordlen(self.multiply(self.invert(x), y))
 
-    def word_metric_ball(self, radius: int, budget: int | None = None):
-        """Exact radius-n ball around the identity, as an indexed graph.
+    def word_metric_ball(self, radius: int):
+        """Exact radius-n ball around the identity, as an indexed graph,
+        within the group's ``ball_budget`` and cached per radius.
 
         Returns a :class:`amalgam_lab.separation.CayleyBall` whose elements
         are in BFS discovery order, layer by layer, together with its R = 1
@@ -474,10 +475,8 @@ class FundamentalGroup:
 
         if radius < 0:
             raise ValueError(f"ball radius must be >= 0, got {radius}")
-        if budget is None and radius in self._ball_cache:
+        if radius in self._ball_cache:
             return self._ball_cache[radius]
-        use_default_budget = budget is None
-        budget = budget if budget is not None else self.ball_budget
         gs = self.generating_set()
         order = sorted(range(len(gs.steps)), key=lambda i: gs.step_labels[i])
         steps = [gs.steps[i] for i in order]
@@ -485,8 +484,8 @@ class FundamentalGroup:
         index: dict[NormalForm, int] = {}
         table = array("i")
         starts = [0]
-        for b, a, _ in bfs(self._identity, steps, self.multiply, index, radius, budget,
-                           "Cayley ball", table, inverse):
+        for b, a, _ in bfs(self._identity, steps, self.multiply, index, radius,
+                           self.ball_budget, "Cayley ball", table, inverse):
             if index[a] >= starts[-1]:  # a lies in the newest layer, so b opens the next
                 starts.append(index[b])
         starts.append(len(index))
@@ -502,8 +501,7 @@ class FundamentalGroup:
             fill_table(elements, steps, self.multiply, index, table, inverse, outer)
         ball = CayleyBall(group=self, radius=radius, elements=elements, index=index,
                           layer_sizes=tuple(layers), step_table=table)
-        if use_default_budget:
-            self._ball_cache[radius] = ball
+        self._ball_cache[radius] = ball
         return ball
 
     def _inverse_columns(self, steps) -> list[int]:

@@ -11,7 +11,6 @@ immutable and safe to share.
 
 from __future__ import annotations
 
-import itertools
 from array import array
 from dataclasses import dataclass, field
 
@@ -168,7 +167,7 @@ class FiniteGroup:
 def check_group(table: list[list[int]], labels: list[str] | None = None) -> FiniteGroup:
     """Validate a multiplication table (Latin square, identity, associativity).
 
-    Errors name the first violating cell or triple.
+    Errors name the first violating cell, or a violating triple.
     """
     n = len(table)
     if n == 0:
@@ -195,9 +194,22 @@ def check_group(table: list[list[int]], labels: list[str] | None = None) -> Fini
     if identity is None:
         raise NoIdentity("no two-sided identity element")
 
-    for a, b, c in itertools.product(range(n), repeat=3):
-        if table[table[a][b]][c] != table[a][table[b][c]]:
-            raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
+    # Light's test: the c with (a*b)*c == a*(b*c) for all a, b are closed
+    # under products, so it is enough to test the c of a set whose products
+    # from the identity reach every element, chosen greedily
+    gens: list[int] = []
+    reached = {identity: 0}
+    while len(reached) < n:
+        gens.append(next(g for g in range(n) if g not in reached))
+        reached = {}
+        for _ in bfs(identity, gens, lambda a, b: table[a][b], reached):
+            pass
+    for c in gens:
+        col = [row[c] for row in table]
+        for a, row in enumerate(table):
+            if [row[x] for x in col] != [col[x] for x in row]:
+                b = next(b for b in range(n) if row[col[b]] != col[row[b]])
+                raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
 
     if labels is None:
         labels = [f"g{i}" for i in range(n)]

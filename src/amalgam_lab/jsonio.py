@@ -38,8 +38,16 @@ def emit(text: str, output: str | None, argv: list[str] | None = None):
             log.write(f"{stamp} {' '.join(argv)}\n")
 
 
+def read_json(path: str):
+    """The JSON value in a file; a parse error names the path, line and column."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+
+
 def load_artifact(path: str) -> dict:
-    data = json.loads(Path(path).read_text())
+    data = read_json(path)
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError(f"{path} is not an amalgam-lab artifact")
     if data.get("schema_version") != SCHEMA_VERSION:

@@ -224,12 +224,8 @@ def test_criterion_9_theorem_A_property_suite():
     assert branch_density_check(b, family).status == "pass"
 
     nonempty = [m for m in family if m.directions]
-    fake = LimitSetApprox(
-        coset_vid=nonempty[1].coset_vid, vtype=nonempty[1].vtype,
-        coset_depth=nonempty[1].coset_depth, depth=b.depth,
-        directions=(nonempty[0].directions[0],) + nonempty[1].directions,
-        name="adversarial",
-    )
+    fake = LimitSetApprox(nonempty[1].vertex,
+                          (nonempty[0].directions[0],) + nonempty[1].directions)
     bad = amalgam_check(b, [nonempty[0], fake], seed=7)
     assert not bad.conditions["a1_disjoint"]["passed"]
     assert bad.conditions["a1_disjoint"]["witnesses"]

@@ -290,15 +290,21 @@ def test_limit_set_translate_invariance(z2z2):
 
 @pytest.mark.parametrize("name,radius", [("z2z2", 4), ("z2z2", 5), ("zxz2", 6)])
 def test_family_builds_boundary_depth_members_empty(name, radius):
-    """Members of vertices at depth >= d, built without the child scan, equal
-    limit_set_approx's, also when the tree reaches past the boundary depth."""
+    """The family is the non-empty limit_set_approx members in vid order, also
+    when the tree reaches past the boundary depth, where every member is
+    empty; family_size counts every infinite-type coset vertex of the ball,
+    and the empty members would not change the certificate."""
     _, _, fg = make_fg(name)
     b = BoundaryApprox(TreeBall(fg, radius), 4)
     family = limit_set_family(b)
-    assert family == [limit_set_approx(b, v.vid) for v in b.tree.vertices
-                      if not fg.gog.vertex_groups[v.vtype].is_finite]
-    assert any(m.coset_depth >= b.depth for m in family)
-    assert any(m.directions for m in family)
+    truncated = [v for v in b.tree.vertices if not fg.gog.vertex_groups[v.vtype].is_finite]
+    members = [limit_set_approx(b, v.vid) for v in truncated]
+    assert family == [m for m in members if m.directions]
+    assert family and any(v.depth >= b.depth for v in truncated)
+    assert not any(m.directions for m in members if m.vertex.depth >= b.depth)
+    cert = amalgam_check(b, family, seed=3)
+    assert cert.family_size == len(truncated) and cert.nonempty_members == len(family)
+    assert amalgam_check(b, members, seed=3).to_json() == cert.to_json()
 
 
 def test_members_have_packet_diameter(z2z2):
@@ -308,7 +314,7 @@ def test_members_have_packet_diameter(z2z2):
         if len(m.directions) >= 2:
             diam = max(b.visual_dist(i, j)
                        for i in m.directions for j in m.directions)
-            assert diam == 2.0 ** (-m.coset_depth)
+            assert diam == 2.0 ** (-m.vertex.depth)
 
 
 # --- amalgam certificate -----------------------------------------------------------
@@ -340,12 +346,8 @@ def test_amalgam_adversarial_overlap_fails_a1(z2z2):
     b = boundary_approx(fg, 5)
     family = limit_set_family(b)
     nonempty = [m for m in family if m.directions]
-    fake = LimitSetApprox(
-        coset_vid=nonempty[1].coset_vid, vtype=nonempty[1].vtype,
-        coset_depth=nonempty[1].coset_depth, depth=b.depth,
-        directions=(nonempty[0].directions[0],) + nonempty[1].directions,
-        name="adversarial",
-    )
+    fake = LimitSetApprox(nonempty[1].vertex,
+                          (nonempty[0].directions[0],) + nonempty[1].directions)
     cert = amalgam_check(b, [nonempty[0], fake], seed=7)
     assert not cert.conditions["a1_disjoint"]["passed"]
     assert cert.conditions["a1_disjoint"]["witnesses"]
@@ -361,7 +363,7 @@ def _a2_a3_oracle(b, family):
         diams = [
             max((b.visual_dist(i, j) for i in m.directions for j in m.directions),
                 default=0.0)
-            for m in nonempty if m.coset_depth >= k
+            for m in nonempty if m.vertex.depth >= k
         ]
         max_diam_per_k[k] = max(diams, default=0.0)
         if max_diam_per_k[k] > 2.0 ** (-k + 1):
@@ -384,26 +386,27 @@ def _a2_a3_oracle(b, family):
     return a2, a3
 
 
-def _fake(b, directions, coset_depth, label):
-    return LimitSetApprox(coset_vid=0, vtype=0, coset_depth=coset_depth,
-                          depth=b.depth, directions=tuple(directions), name=label)
+def _on_vertex(b, directions, depth, i=0):
+    """A member with the given directions on the i-th tree vertex of a depth."""
+    return LimitSetApprox(b.tree.vertices[b.tree.level(depth)[i]], tuple(directions))
 
 
 def _adversarial_family(b):
     """Members that cover whole prefix groups (in an order other than the
-    groups'), nearly cover one, repeat directions, and break the (a2) bound."""
+    groups'), nearly cover one, repeat directions, and break the (a2) bound,
+    each on its own vertex, by name."""
     groups = list(b.groups_by_prefix(b.depth - 2).values())
     assert len(groups) > 12
     picked = [i for g in (groups[8], groups[1], groups[3]) for i in reversed(g)]
-    return [
-        _fake(b, picked, 0, "covers-8-1-3"),
-        _fake(b, groups[2][1:] + groups[2][1:2], 0, "almost-2-with-repeats"),
-        _fake(b, groups[5] + groups[5], 0, "covers-5-twice"),
-        _fake(b, range(len(b)), 1, "covers-all"),
-        _fake(b, (0, 1, len(b) - 1), b.depth - 1, "wide-and-deep"),
-        _fake(b, (4, 4), b.depth, "one-direction-twice"),
-        _fake(b, (9,), 2, "single"),
-    ]
+    return {
+        "covers-8-1-3": _on_vertex(b, picked, 0),
+        "almost-2-with-repeats": _on_vertex(b, groups[2][1:] + groups[2][1:2], 1),
+        "covers-5-twice": _on_vertex(b, groups[5] + groups[5], 1, 1),
+        "covers-all": _on_vertex(b, range(len(b)), 1, 2),
+        "wide-and-deep": _on_vertex(b, (0, 1, len(b) - 1), b.depth - 1),
+        "one-direction-twice": _on_vertex(b, (4, 4), b.depth),
+        "single": _on_vertex(b, (9,), 2),
+    }
 
 
 @pytest.mark.parametrize("name,depth", [(n, d) for n in ("z2z2", "zxz2", "z2z3")
@@ -421,15 +424,17 @@ def test_a2_a3_match_oracle_on_real_families(name, depth):
 def test_a2_a3_match_oracle_on_adversarial_family(z2z2, depth):
     _, _, fg = z2z2
     b = boundary_approx(fg, depth)
-    family = _adversarial_family(b)
+    members = _adversarial_family(b)
+    family = list(members.values())
+    assert len({m.label for m in family}) == len(family)
     cert = amalgam_check(b, family, seed=7, samples=3)
     a2, a3 = _a2_a3_oracle(b, family)
     assert cert.conditions["a2_null"] == a2
     assert cert.conditions["a3_boundary"] == a3
     assert not a2["passed"] and not a3["passed"]
     assert len(a3["witnesses"]) == 10      # the cut falls inside "covers-all"
-    assert [w["member"] for w in a3["witnesses"][:5]] == \
-        ["covers-8-1-3"] * 3 + ["covers-5-twice", "covers-all"]
+    assert [w["member"] for w in a3["witnesses"][:5]] == [members[name].label for name in (
+        "covers-8-1-3", "covers-8-1-3", "covers-8-1-3", "covers-5-twice", "covers-all")]
 
 
 def _a5_oracle(b, family, seed, samples):
@@ -446,7 +451,7 @@ def _a5_oracle(b, family, seed, samples):
             W1, W2 = nonempty[m1], nonempty[m2]
             z1 = W1.directions[rng.randrange(len(W1.directions))]
             z2 = W2.directions[rng.randrange(len(W2.directions))]
-            C1, C2 = W1.coset_vid, W2.coset_vid
+            C1, C2 = W1.vertex.vid, W2.vertex.vid
             if C2 != 0 and not in_subtree_walk(tree, C1, C2):
                 side_in, z_in, z_out = C2, z2, z1
             else:
@@ -458,7 +463,7 @@ def _a5_oracle(b, family, seed, samples):
             for m in family:
                 if not m.directions:
                     continue
-                if not in_subtree_walk(tree, m.coset_vid, side_in):
+                if not in_subtree_walk(tree, m.vertex.vid, side_in):
                     if set(m.directions) & cell:
                         H -= set(m.directions)
                         removed += 1
@@ -486,14 +491,10 @@ def _shared_direction_family(b):
     third member: a copy anchored at the root, which lies outside every
     cell's subtree but the root's, so it must be removed from H wherever it
     meets the cell.  Two straddling members join directions of neighbours."""
-    real = [m for m in limit_set_family(b) if m.directions]
-    copies = [LimitSetApprox(coset_vid=0, vtype=m.vtype, coset_depth=m.coset_depth,
-                             depth=b.depth, directions=m.directions, name=f"copy-{i}")
-              for i, m in enumerate(real) if i % 3 == 0]
-    straddle = [LimitSetApprox(coset_vid=real[i + 1].coset_vid, vtype=real[i + 1].vtype,
-                               coset_depth=real[i + 1].coset_depth, depth=b.depth,
-                               directions=real[i].directions[:1] + real[i + 1].directions,
-                               name=f"straddle-{i}")
+    real = limit_set_family(b)
+    root = b.tree.vertices[0]
+    copies = [LimitSetApprox(root, m.directions) for i, m in enumerate(real) if i % 3 == 0]
+    straddle = [LimitSetApprox(real[i + 1].vertex, real[i].directions[:1] + real[i + 1].directions)
                 for i in (1, len(real) // 2)]
     return real + copies + straddle
 
@@ -567,16 +568,16 @@ def test_limit_set_labels_are_formed_only_for_witnesses(z2z2, monkeypatch):
     density = branch_density_check(b, family)
     assert cert.passed and density.status == "pass" and cantor_check(b).passed
     assert products == [] and calls == []
-    nonempty = [m for m in family if m.directions]
     # members listed twice fail (a1) more often than the ten witnesses kept
-    for fam in (family, family + nonempty[:30]):
+    for fam in (family, family + family[:30]):
         calls.clear()
         cert = amalgam_check(b, fam, seed=7)
         density = branch_density_check(b, fam)
         assert len(calls) <= _witness_labels(cert, density)
     assert len(calls) == _witness_labels(cert, density) > 0
+    first = family[0].vertex
     assert cert.conditions["a1_disjoint"]["witnesses"][0]["members"][0] == (
-        f"{nonempty[0].name}:{display(eager_rep(b.tree, nonempty[0].coset_vid))}")
+        f"{fg.gog.graph.vertex_names[first.vtype]}:{display(eager_rep(b.tree, first.vid))}")
 
 
 def test_amalgam_depth_too_small(z2z2):
@@ -602,8 +603,8 @@ def test_branch_density_matches_oracle_on_adversarial_family(z2z2, depth, drop):
     _, _, fg = z2z2
     b = boundary_approx(fg, depth)
     all_but_last = b.groups_by_prefix(depth - 2)[b.ancestor(len(b) // 2, depth - 2)][:-1]
-    family = [m for m in _adversarial_family(b) if m.label != drop]
-    family.append(_fake(b, all_but_last, 0, "all-but-the-last-of-a-group"))
+    family = [m for name, m in _adversarial_family(b).items() if name != drop]
+    family.append(_on_vertex(b, all_but_last, 2, 1))    # all but the last of a group
     failures = _density_failures(b, family)
     # "covers-all" leaves no free branch; without it the verdict is mixed
     assert (len(failures) == sum(len(m.directions) for m in family)) == (drop is None)

@@ -40,19 +40,19 @@ def _ball(name: str):
 @pytest.mark.parametrize("name", [*INPUTS, *FINITE_EDGED])
 def test_neighbour_table_entries_are_exact_products(name, R):
     """The walk's R = 1 table and the R > 1 tables composed from it, on the
-    cached ball and on an uncached one built with an explicit budget, against
+    cached ball and on one built by a second group on the same input, against
     one product per entry.  z2z3 has steps along a sphere (the odd cycles of
     b^3); sl2z and the finite-edged inputs form every outer-sphere product."""
     fg, cached, _, _ = _ball(name)
-    uncached = fg.word_metric_ball(cached.radius, budget=len(cached))
-    assert uncached is not cached
-    shifts = fg.word_metric_ball(R).elements[1:]
+    uncached = FundamentalGroup(fg.gog, fg.sd).word_metric_ball(cached.radius)
     for ball in (cached, uncached):
+        group = ball.group
+        shifts = group.word_metric_ball(R).elements[1:]
         table = ball.neighbours(R)
         assert len(table) == len(ball) * len(shifts)
         for i, x in enumerate(ball.elements):
             for j, s in enumerate(shifts):
-                assert table[i * len(shifts) + j] == ball.index.get(fg.multiply(x, s), -1)
+                assert table[i * len(shifts) + j] == ball.index.get(group.multiply(x, s), -1)
 
 
 @pytest.mark.parametrize("name", [*INPUTS, *FINITE_EDGED])

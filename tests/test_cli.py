@@ -247,7 +247,7 @@ def test_embedding_not_a_homomorphism_exit_1_names_the_line(tmp_path, capsys):
                    "edge e1 v1 -- v2 group A embed_fwd {a:a} embed_bwd {a:a}\n")
     assert main(["validate", str(bad)]) == 1
     err = capsys.readouterr().err
-    assert "line 5: embed_fwd" in err and "Traceback" not in err
+    assert "line 5, col 26: NotHomomorphism: embed_fwd: " in err and "Traceback" not in err
 
 
 def test_missing_file_exit_1():
@@ -270,10 +270,12 @@ def test_unreadable_path_exit_1_names_it(argv, tmp_path, capsys):
     ({"words": 5}, "words must"),
     ([1], "words must"),
     ({"words": [["x1"], ["x1", 5]]}, "words[1]"),
-], ids=["words-not-a-list", "top-level-list", "label-not-a-string"])
+    ("not json", "line 1, column 1"),
+], ids=["words-not-a-list", "top-level-list", "label-not-a-string", "not-json"])
 def test_classify_words_json_shape_exit_1_names_the_entry(content, entry, tmp_path, capsys):
+    """A str is the file's whole text."""
     sample = tmp_path / "sample.json"
-    sample.write_text(json.dumps(content))
+    sample.write_text(content if isinstance(content, str) else json.dumps(content))
     assert main(["classify", "corpus:z2z2", "--depth", "2", "--words-json", str(sample)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {sample}: {entry}") and "Traceback" not in err
@@ -286,8 +288,10 @@ def test_parse_error_exit_1(tmp_path):
 
 
 # how to break the z2z3 graph_of_groups artifact: the path to one value, its
-# replacement (or a function of the old value), and the names the error must carry
+# replacement (or a function of the old value), and the names the error must
+# carry; an empty path replaces the file's whole text
 MALFORMED = {
+    "not-json": ((), "not json", ["bad.json: line 1, column 1"]),
     "unknown-kind": (("vertices", 0, "group", "kind"), "bogus", ["vertex v1", "bogus"]),
     "gens-do-not-generate": (("vertices", 0, "gens"), [], ["vertex v1"]),
     "free-rank-0": (("vertices", 0, "group"), {"kind": "free", "rank": 0}, ["vertex v1"]),
@@ -312,13 +316,17 @@ MALFORMED = {
 def test_malformed_artifact_exit_1_names_the_entry(case, tmp_path, capsys):
     good = tmp_path / "good.json"
     assert main(["validate", "corpus:z2z3", "--emit", "json", "--output", str(good)]) == 0
-    (*keys, last), value, names = MALFORMED[case]
-    data = node = json.loads(good.read_text())
-    for key in keys:
-        node = node[key]
-    node[last] = value(node[last]) if callable(value) else value
+    path, value, names = MALFORMED[case]
+    text = value
+    if path:
+        *keys, last = path
+        data = node = json.loads(good.read_text())
+        for key in keys:
+            node = node[key]
+        node[last] = value(node[last]) if callable(value) else value
+        text = json.dumps(data)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
+    bad.write_text(text)
     capsys.readouterr()
     assert main(["validate", str(bad), "--from", "json"]) == 1
     err = capsys.readouterr().err

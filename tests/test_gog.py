@@ -65,8 +65,9 @@ def test_parse_dinf_valid():
 def test_parse_infinite_edge_group():
     text = "group F free 1\nvertex v1 F\nvertex v2 F\n" \
            "edge e1 v1 -- v2 group F embed_fwd {} embed_bwd {}\n"
-    with pytest.raises(EdgeGroupInfinite):
+    with pytest.raises(GogSyntaxError, match=EdgeGroupInfinite.kind) as err:
         parse_gog(text)
+    assert (err.value.line, err.value.column) == (4, 24)
 
 
 def test_parse_syntax_error_carries_position():
@@ -76,19 +77,21 @@ def test_parse_syntax_error_carries_position():
 
 
 def test_parse_unknown_group():
-    with pytest.raises(UnknownGroupRef):
+    with pytest.raises(GogSyntaxError, match=UnknownGroupRef.kind) as err:
         parse_gog("group A cyclic 2\nvertex v1 NOPE\n")
+    assert (err.value.line, err.value.column) == (2, 11)
 
 
 def test_parse_nontrivial_embedding_into_backend_rejected():
     text = "group P free_abelian 2\ngroup E cyclic 2\nvertex v1 P\nvertex v2 P\n" \
            "edge e1 v1 -- v2 group E embed_fwd {a:x1} embed_bwd {a:x1}\n"
-    with pytest.raises(EmbeddingNotInjective):
+    with pytest.raises(GogSyntaxError, match=EmbeddingNotInjective.kind) as err:
         parse_gog(text)
+    assert (err.value.line, err.value.column) == (5, 26)
 
 
 LOCATED = ["group A cyclic 2", "group E cyclic 2", "vertex v1 A gens [a]", "vertex v2 A gens [a]",
-           "edge e1 v1 -- v2 group E embed_fwd {a:a} embed_bwd {a:a}"]
+           "edge e1 v1 -- v2 group E embed_fwd {a:a} embed_bwd {a:a}", "group F free 1"]
 
 # a line of LOCATED replaced, and the column and message of its error; an
 # unterminated list is an error just past the end of its line
@@ -115,6 +118,22 @@ LOCATED_ERRORS = {
                      "labels must be distinct and match the order"),
     "cyclic-0": (2, "group E cyclic 0", 9, "cyclic order must be >= 1"),
     "free-0": (1, "group A free 0", 9, "free rank must be >= 1"),
+    # faults found when the declarations are joined: the token of the value at fault
+    "vertex-duplicate": (4, "vertex v1 A gens [a]", 8, "duplicate vertex name 'v1'"),
+    "vertex-unknown-group": (3, "vertex v1 NOPE gens [a]", 11, "UnknownGroupRef: unknown group 'NOPE'"),
+    "gens-unknown-label": (3, "vertex v1 A gens [zz]", 13, "gens: no element labelled 'zz'"),
+    "gens-do-not-generate": (3, "vertex v1 A gens [e]", 13, "gens do not generate the vertex group"),
+    "edge-unknown-vertex": (5, "edge e1 v1 -- v9 group E embed_fwd {a:a} embed_bwd {a:a}", 15,
+                            "UnknownGroupRef: unknown vertex 'v9'"),
+    "edge-unknown-group": (5, "edge e1 v1 -- v2 group NOPE embed_fwd {a:a} embed_bwd {a:a}", 24,
+                           "UnknownGroupRef: unknown group 'NOPE'"),
+    "edge-group-infinite": (5, "edge e1 v1 -- v2 group F embed_fwd {} embed_bwd {}", 24,
+                            "EdgeGroupInfinite: infinite edge group (free rank 1)"),
+    "embed-unknown-label": (5, "edge e1 v1 -- v2 group E embed_fwd {a:zzz} embed_bwd {a:a}", 26,
+                            "embed_fwd: no element labelled 'zzz'"),
+    "embed-not-injective": (5, "edge e1 v1 -- v2 group E embed_fwd {a:a} embed_bwd {a:e}", 42,
+                            "EmbeddingNotInjective: embed_bwd: NotInjective: elements 0 and 1 "
+                            "share the image 0"),
 }
 
 

@@ -13,6 +13,7 @@ and states the reason in its change notes.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ from amalgam_lab.corpus import NAMES
 from conftest import DEAD_ENDS, REV, SEGMENT, SL2Z
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 WORDS = {
     "z2z2": [["x1"], ["x1", "x1"], ["x1", "x1", "x1"]],
@@ -88,7 +90,18 @@ def _cases() -> dict[str, list[str]]:
                               "--words-json", "{words:z2z2}"]
     cases["classify-sl2z"] = ["classify", "{sl2z}", "--depth", "3",
                               "--words-json", "{words:sl2z}"]
+    # the benchmark's workloads, each on its own input file
+    for name, workload in _bench_workloads().items():
+        cases[f"bench-{name}"] = [*workload.argv, "--seed", "1", "--emit", "json"]
     return cases
+
+
+def _bench_workloads() -> dict:
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
 
 
 def run_matrix(workdir: Path) -> dict[str, str]:

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
+import time
 
 import pytest
 
 from amalgam_lab.backends import GroupBackend
 from amalgam_lab.errors import (
     NotASubgroup,
+    NotAssociative,
     NotHomomorphism,
     NotInjective,
     NotLatinSquare,
@@ -53,6 +56,73 @@ def test_associativity_exhaustive():
         assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
     for a in g.elements():
         assert g.mul(a, g.inv(a)) == g.identity_index
+
+
+def _reduced_latin_squares(n: int):
+    """Every n x n Latin square whose first row and column are 0..n-1: the
+    loops on 0..n-1 with identity 0."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+
+    def fill(cell):
+        if cell == n * n:
+            yield [row[:] for row in rows]
+            return
+        i, j = divmod(cell, n)
+        if rows[i][j] is not None:
+            yield from fill(cell + 1)
+            return
+        for v in set(range(n)) - set(rows[i]) - {rows[k][j] for k in range(n)}:
+            rows[i][j] = v
+            yield from fill(cell + 1)
+        rows[i][j] = None
+
+    return fill(0)
+
+
+def _violates(table, message) -> bool:
+    a, b, c = map(int, re.fullmatch(r"NotAssociative: \((\d+)\*(\d+)\)\*(\d+) != .*",
+                                    message).groups())
+    return table[table[a][b]][c] != table[a][table[b][c]]
+
+
+def test_associativity_matches_all_triples_on_every_loop_of_order_5():
+    """Light's test against all n^3 triples, on each of the 56 loops of order 5,
+    and the named triple is a real violation."""
+    loops = list(_reduced_latin_squares(5))
+    assert len(loops) == 56
+    groups = 0
+    for table in loops:
+        associative = all(table[table[a][b]][c] == table[a][table[b][c]]
+                          for a, b, c in itertools.product(range(5), repeat=3))
+        try:
+            check_group(table)
+        except NotAssociative as exc:
+            assert not associative and _violates(table, str(exc))
+        else:
+            assert associative
+            groups += 1
+    assert groups == 6      # Z/5 in its 4!/|Aut(Z/5)| labellings that fix 0
+
+
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
+# Z/2 x LOOP5 with (x, m) at 2m + x: the element 1 = (1, e) associates with
+# every pair, so only a test set that reaches every element finds a violation
+LOOP10 = [[2 * LOOP5[m][k] + (x + y) % 2 for k in range(5) for y in range(2)]
+          for m in range(5) for x in range(2)]
+
+
+@pytest.mark.parametrize("table", [LOOP5, LOOP10], ids=["loop5", "z2-x-loop5"])
+def test_non_associative_loop_rejected(table):
+    with pytest.raises(NotAssociative) as err:
+        check_group(table)
+    assert _violates(table, str(err.value))
+
+
+def test_large_cyclic_group_validates_fast():
+    t0 = time.perf_counter()
+    g = cyclic_group(360)
+    assert time.perf_counter() - t0 < 0.5
+    assert g.order == 360 and g.mul(359, 2) == 1
 
 
 def test_cosets_trivial_subgroup():
