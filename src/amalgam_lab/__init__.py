@@ -19,6 +19,7 @@ from .boundary import (
 )
 from .dsl import gog_from_json, gog_to_json, parse_gog
 from .fundgroup import (
+    CayleyBall,
     FundamentalGroup,
     NormalForm,
     Presentation,
@@ -34,7 +35,6 @@ from .gog import (
 )
 from .groups import EdgeEmbedding, FiniteGroup, check_group, check_monomorphism, cosets
 from .separation import (
-    CayleyBall,
     SeparationReport,
     ends_estimate,
     r_components,

@@ -3,15 +3,19 @@ balls, geodesics, edge splits, the tiling tree, and the edge-to-element
 function phi.
 
 A tree vertex is the coset rep*G_v; a tree edge the coset mu*G_y (edge
-subgroups are finite, so edge cosets are enumerated exactly).  The star of a
-vertex of type v is parametrized by pairs (y, g) with omega(y) = v and g
-ranging over coset representatives of im(i_y) in G_v; crossing the edge
-multiplies by the stable letter of bar(y) for non-tree types.  The step
-g·t_{bar y} (g alone on a tree edge) is formed once per vertex type, and the
-build forms no other product: a child of u records u and its step, and its
-rep u.rep·step is formed on first read.  A crossing against the orientation
-A also records g, and the edge coset's representative u.rep·g is likewise
-formed on first read.
+subgroups are finite, so edge cosets are enumerated exactly).  Each non-root
+vertex has one parent edge, so the ball keeps one record per vertex: an edge
+is named by its child's vid, and the child holds the edge's type, star band
+and coset representative.  Artifacts print the edge into c as edge c - 1.
+
+The star of a vertex of type v is parametrized by pairs (y, g) with
+omega(y) = v and g ranging over coset representatives of im(i_y) in G_v;
+crossing the edge multiplies by the stable letter of bar(y) for non-tree
+types.  The step g·t_{bar y} (g alone on a tree edge) is formed once per
+vertex type, and the build forms no other product: a child of u records u
+and its step, and its rep u.rep·step is formed on first read.  A crossing
+against the orientation A also records g, and the edge coset's
+representative u.rep·g is likewise formed on first read.
 
 A vertex's children depend only on its cone type (Cannon): its vertex type
 and ``back``, the type of its parent edge seen from it (None at the root).
@@ -22,7 +26,7 @@ since t_{bar y}·i_{bar y}(h)·t_y = i_y(h), and this lies in u's coset; by
 normal forms, no g' outside im(i_{bar y}) does.  A backend star holds the
 identity (``star_small >= 1``), its one member of the trivial image.  A tree
 has no cycles (Serre, *Trees*, I.4), so every other candidate is a new vertex
-and a new edge, and no coset needs a key.
+with a new parent edge, and no coset needs a key.
 
 After the build the vertices are numbered in pre-order, children in
 discovery order, with subtree sizes.  A subtree is then an interval of that
@@ -61,15 +65,24 @@ class TreeBallConfig:
 
 @dataclass(slots=True, eq=False)
 class TreeVertex:
+    """A coset vertex and, below the root, its parent edge."""
+
     vid: int
     vtype: int                 # vertex id of Y
     depth: int
-    parent_edge: int           # eid, -1 for the root
     truncated: bool            # star truncated (infinite true degree)
     up: TreeVertex | None = field(repr=False)   # the parent, None at the root
     step: NormalForm | None = field(repr=False)  # rep = up.rep·step
-    children: list[int] = field(default_factory=list)   # eids in discovery order
+    ytype: int = -1            # parent edge: oriented edge of Y pointing INTO the parent
+    fresh: bool = False        # parent edge: top-band backend star parameter
+    ve: NormalForm | None = field(default=None, repr=False)   # against A only
+    children: list[int] = field(default_factory=list)   # vids in discovery order
     _rep: NormalForm | None = field(default=None, init=False, repr=False)
+    _edge_rep: NormalForm | None = field(default=None, init=False, repr=False)
+
+    @property
+    def pair(self) -> int:
+        return self.ytype // 2
 
     @property
     def rep(self) -> NormalForm:
@@ -86,32 +99,16 @@ class TreeVertex:
                 v = w
         return self._rep
 
-
-@dataclass(slots=True, eq=False)
-class TreeEdge:
-    eid: int
-    ytype: int                 # oriented edge of Y, pointing INTO the parent
-    parent: int                # vid on the omega side
-    child: int                 # vid on the alpha side
-    fresh: bool                # top-band backend star parameter
-    down: TreeVertex = field(repr=False)                      # the child vertex
-    ve: NormalForm | None = field(default=None, repr=False)   # against A only
-    _rep: NormalForm | None = field(default=None, init=False, repr=False)
-
     @property
-    def pair(self) -> int:
-        return self.ytype // 2
-
-    @property
-    def rep(self) -> NormalForm:
-        """Discovery representative mu (a coset member): the child's rep, or
-        the parent's rep·ve for a crossing against the orientation A, formed
-        on first read."""
+    def edge_rep(self) -> NormalForm:
+        """The parent edge's discovery representative mu (a coset member):
+        this vertex's rep, or up.rep·ve for a crossing against the
+        orientation A, formed on first read."""
         if self.ve is None:
-            return self.down.rep
-        if self._rep is None:
-            self._rep = self.ve.group.multiply(self.down.up.rep, self.ve)
-        return self._rep
+            return self.rep
+        if self._edge_rep is None:
+            self._edge_rep = self.ve.group.multiply(self.up.rep, self.ve)
+        return self._edge_rep
 
 
 class TreeBall:
@@ -125,16 +122,21 @@ class TreeBall:
         self.radius = radius
         self.config = config or TreeBallConfig()
         self.vertices: list[TreeVertex] = []
-        self.edges: list[TreeEdge] = []
         self._build()
         self._number()
 
     # --- construction -------------------------------------------------------
 
-    def edge_coset_elements(self, eid: int) -> list[NormalForm]:
-        e = self.edges[eid]
-        subgroup = self.fg.edge_subgroup_elements(e.pair)
-        return [self.fg.multiply(e.rep, h) for h in subgroup]
+    def _edge(self, child: int) -> TreeVertex:
+        """Vertex child, which holds the edge into it; the root holds none."""
+        if not 0 < child < len(self.vertices):
+            raise NotInBall(f"no edge into vertex {child} in the ball")
+        return self.vertices[child]
+
+    def edge_coset_elements(self, child: int) -> list[NormalForm]:
+        """The coset of the edge into vertex child."""
+        c = self._edge(child)
+        return [self.fg.multiply(c.edge_rep, h) for h in self.fg.edge_subgroup_elements(c.pair)]
 
     def _cones(self) -> dict[tuple[int, int | None], list[tuple]]:
         """Per cone type (vtype, back): the (y, child_type, ve, step, fresh)
@@ -180,8 +182,8 @@ class TreeBall:
         fg = self.fg
         truncated = [not G.is_finite for G in fg.gog.vertex_groups]
         cones = self._cones()
-        root = TreeVertex(vid=0, vtype=fg.root, depth=0, parent_edge=-1,
-                          truncated=truncated[fg.root], up=None, step=None)
+        root = TreeVertex(vid=0, vtype=fg.root, depth=0, truncated=truncated[fg.root],
+                          up=None, step=None)
         root._rep = fg.identity()
         self.vertices.append(root)
         self._starts = [0, 1]   # the depth-k vids are _starts[k] up to _starts[k + 1]
@@ -189,16 +191,15 @@ class TreeBall:
         for depth in range(self.radius):
             nxt: list[TreeVertex] = []
             for u in frontier:
-                back = None if u.parent_edge < 0 else bar(self.edges[u.parent_edge].ytype)
+                back = None if u.up is None else bar(u.ytype)
                 for y, child_type, ve, step, fresh in cones[u.vtype, back]:
-                    eid, cvid = len(self.edges), len(self.vertices)
+                    cvid = len(self.vertices)
                     # positional, in field order: keywords cost about 0.6 µs
                     # a record, a tenth of an amalgam-check at depth 7
-                    child = TreeVertex(cvid, child_type, depth + 1, eid,
-                                       truncated[child_type], u, step)
-                    self.edges.append(TreeEdge(eid, y, u.vid, cvid, fresh, child, ve))
+                    child = TreeVertex(cvid, child_type, depth + 1, truncated[child_type],
+                                       u, step, y, fresh, ve)
                     self.vertices.append(child)
-                    u.children.append(eid)
+                    u.children.append(cvid)
                     nxt.append(child)
                     if len(self.vertices) > self.config.budget:
                         raise BudgetExceeded(self.config.budget, "tree ball")
@@ -209,17 +210,14 @@ class TreeBall:
         """Parent vids, subtree sizes and the pre-order numbering.  Vids are
         in BFS order, so every parent precedes its children."""
         n = len(self.vertices)
-        self.parent: list[int] = [-1] * n
-        for e in self.edges:
-            self.parent[e.child] = e.parent
+        self.parent: list[int] = [-1] + [v.up.vid for v in self.vertices[1:]]
         size = [1] * n
         for vid in range(n - 1, 0, -1):
             size[self.parent[vid]] += size[vid]
         pre = [0] * n
         for v in self.vertices:
             nxt = pre[v.vid] + 1
-            for eid in v.children:
-                child = self.edges[eid].child
+            for child in v.children:
                 pre[child] = nxt
                 nxt += size[child]
         order = [0] * n
@@ -235,8 +233,7 @@ class TreeBall:
         return range(self._starts[k], self._starts[k + 1]) if k <= self.radius else range(n, n)
 
     def degree(self, vid: int) -> int:
-        v = self.vertices[vid]
-        return len(v.children) + (1 if v.parent_edge >= 0 else 0)
+        return len(self.vertices[vid].children) + (vid > 0)
 
     def full_star_degree(self, vtype: int) -> int | None:
         """Sum over incident types of [G_v : i_y(G_y)]; None for an infinite
@@ -254,11 +251,11 @@ class TreeBall:
         return None
 
     def find_edge(self, mu: NormalForm, pair: int) -> int | None:
-        """The first edge of the pair whose coset holds mu, or None.  Edges
-        are in BFS order, so cosets near the root are found first."""
-        for e in self.edges:
-            if e.pair == pair and mu in self.edge_coset_elements(e.eid):
-                return e.eid
+        """The child vid of the first edge of the pair whose coset holds mu,
+        or None; BFS order finds the cosets near the root first."""
+        for c in self.vertices[1:]:
+            if c.pair == pair and mu in self.edge_coset_elements(c.vid):
+                return c.vid
         return None
 
     def subtree_interval(self, vid: int) -> tuple[int, int]:
@@ -271,53 +268,50 @@ class TreeBall:
         return lo <= self._pre[vid] < hi
 
     def root_path(self, vid: int) -> list[int]:
-        """eids from the root down to vid."""
+        """The edges from the root down to vid, as child vids."""
         out = []
         while vid:
-            out.append(self.vertices[vid].parent_edge)
+            out.append(vid)
             vid = self.parent[vid]
         out.reverse()
         return out
 
     def geodesic(self, u: int, w: int) -> list[int]:
-        """The unique simple edge path between two ball vertices (eids)."""
+        """The unique simple edge path between two ball vertices, as child vids."""
         if u >= len(self.vertices) or w >= len(self.vertices):
             raise NotInBall(f"vertex {max(u, w)} not in ball")
         vs, parent = self.vertices, self.parent
         up, down = [], []
         while vs[u].depth > vs[w].depth:
-            up.append(vs[u].parent_edge)
+            up.append(u)
             u = parent[u]
         while vs[w].depth > vs[u].depth:
-            down.append(vs[w].parent_edge)
+            down.append(w)
             w = parent[w]
         while u != w:
-            up.append(vs[u].parent_edge)
-            down.append(vs[w].parent_edge)
+            up.append(u)
+            down.append(w)
             u, w = parent[u], parent[w]
         return up + down[::-1]
 
-    def split_by_edge(self, eid: int) -> tuple[frozenset[int], frozenset[int]]:
-        """Vertex sets of the two components of ball minus the open edge;
-        the first contains the edge's alpha end (the child side)."""
-        if eid >= len(self.edges):
-            raise NotInBall(f"edge {eid} not in ball")
-        lo, hi = self.subtree_interval(self.edges[eid].child)
+    def split_by_edge(self, child: int) -> tuple[frozenset[int], frozenset[int]]:
+        """Vertex sets of the two components of ball minus the open edge
+        into vertex child; the first contains child (the alpha end)."""
+        lo, hi = self.subtree_interval(self._edge(child).vid)
         return (frozenset(self._order[lo:hi]),
                 frozenset(self._order[:lo] + self._order[hi:]))
 
-    def edge_tree_distance(self, eid: int, vid: int) -> int:
-        """Distance from an edge to a vertex: 0 if incident."""
-        e = self.edges[eid]
-        if self.in_subtree(vid, e.child):
-            return self.vertices[vid].depth - self.vertices[e.child].depth
-        return len(self.geodesic(e.parent, vid))
+    def edge_tree_distance(self, child: int, vid: int) -> int:
+        """Distance from the edge into vertex child to a vertex: 0 if incident."""
+        if self.in_subtree(vid, self._edge(child).vid):
+            return self.vertices[vid].depth - self.vertices[child].depth
+        return len(self.geodesic(self.parent[child], vid))
 
     # --- phi ---------------------------------------------------------------------
 
-    def phi(self, eid: int) -> NormalForm:
+    def phi(self, child: int) -> NormalForm:
         """Canonical member of the edge coset: its sort-key least element."""
-        return min(self.edge_coset_elements(eid), key=NormalForm.sort_key)
+        return min(self.edge_coset_elements(child), key=NormalForm.sort_key)
 
 
 @dataclass(frozen=True)
@@ -325,7 +319,7 @@ class TilingTree:
     """The subtree spanned by the identity edge cosets G_y, one per pair."""
 
     vertex_ids: tuple[int, ...]
-    edge_ids: tuple[int, ...]
+    edge_ids: tuple[int, ...]     # child vids
     connected: bool
 
 
@@ -334,16 +328,15 @@ def tiling_tree(ball: TreeBall) -> TilingTree:
     g = fg.gog.graph
     if g.n_edges == 0:
         raise NoEdges("the underlying graph has no edges")
-    eids = []
+    edges = []
     vids: set[int] = set()
     for k in range(g.n_edges):
-        eid = ball.find_edge(fg.identity(), k)
-        if eid is None:
+        c = ball.find_edge(fg.identity(), k)
+        if c is None:
             raise NotInBall(f"identity edge coset of pair {k} outside the ball; "
                             f"increase the radius")
-        eids.append(eid)
-        vids.add(ball.edges[eid].parent)
-        vids.add(ball.edges[eid].child)
+        edges.append(c)
+        vids.update((ball.parent[c], c))
     # distinct edges of a tree span a forest with |V| - |E| components
-    return TilingTree(tuple(sorted(vids)), tuple(eids), len(vids) == len(eids) + 1)
+    return TilingTree(tuple(sorted(vids)), tuple(edges), len(vids) == len(edges) + 1)
 

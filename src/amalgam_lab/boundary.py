@@ -89,11 +89,10 @@ class BoundaryApprox:
             return 0.0
         return 2.0 ** (-self.split(i, j))
 
-    def basis_members(self, eid: int) -> frozenset[int]:
-        """U_e: indices of branches passing through tree edge eid."""
-        if eid < 0:
-            return frozenset()
-        return frozenset(self._under(self.tree.edges[eid].child))
+    def basis_members(self, child: int) -> frozenset[int]:
+        """U_e: indices of branches passing through the tree edge e into
+        vertex child; empty for the root, which has no parent edge."""
+        return frozenset(self._under(child)) if child > 0 else frozenset()
 
     def groups_by_prefix(self, k: int) -> dict[int, list[int]]:
         """Branch indices grouped by their depth-k ancestor vertex, in vid
@@ -182,8 +181,7 @@ def cantor_check(b: BoundaryApprox, window: int = 3) -> CantorVerdict:
         pairs += [tuple(sorted(rng.sample(range(n), 2))) for _ in range(300)]
     for i, j in pairs:
         s = b.split(i, j)
-        e = tree.vertices[b.ancestor(i, s + 1)].parent_edge
-        cell = b.basis_members(e)
+        cell = b.basis_members(b.ancestor(i, s + 1))
         if not ((i in cell) ^ (j in cell)):
             verdict.basis_separates = False
             verdict.witnesses.append({"reason": "basis fails to separate", "pair": [i, j]})
@@ -218,11 +216,10 @@ def _tame_descent(tree: TreeBall, vid: int, target_depth: int) -> int | None:
     down to target depth; leaf vid.  Children are in sibling order."""
     v = tree.vertices[vid]
     while v.depth < target_depth:
-        options = [tree.edges[e] for e in v.children]
+        options = [tree.vertices[c] for c in v.children]
         if not options:
             return None
-        chosen = next((e for e in options if not e.fresh), options[0])
-        v = tree.vertices[chosen.child]
+        v = next((c for c in options if not c.fresh), options[0])
     return v.vid
 
 
@@ -235,8 +232,8 @@ def limit_set_approx(b: BoundaryApprox, vid: int) -> LimitSetApprox:
     v = tree.vertices[vid]
     dirs: set[int] = set()
     if v.depth < b.depth and v.truncated:
-        for e in (tree.edges[eid] for eid in v.children):
-            leaf = _tame_descent(tree, e.child, b.depth) if e.fresh else None
+        for c in v.children:
+            leaf = _tame_descent(tree, c, b.depth) if tree.vertices[c].fresh else None
             if leaf is not None:    # a descent that reaches depth d ends at a leaf
                 dirs.add(b.index_of_leaf(leaf))
     return LimitSetApprox(v, tuple(sorted(dirs)))
@@ -376,8 +373,7 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
                 side_in, z_in, z_out = C2, z2, z1
             else:
                 side_in, z_in, z_out = C1, z1, z2
-            e = tree.vertices[side_in].parent_edge
-            cell = b.basis_members(e)
+            cell = b.basis_members(side_in)
             meeting = [family[mi] for mi in {mi for di in cell for mi in owners.get(di, ())}]
             removed = 0
             H = set(cell)
@@ -394,7 +390,7 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
             if not ok and len(witnesses) < 10:
                 witnesses.append({
                     "pair": [W1.label, W2.label],
-                    "edge": e,
+                    "edge": side_in - 1,    # printed edge ids are child vid - 1
                     "saturated": saturated,
                     "z_in_ok": z_in in H,
                     "z_out_ok": z_out not in H,
@@ -453,14 +449,14 @@ class ClassifyResult:
     kind: str                     # "vertex_point" | "branch_point" | "inconclusive"
     coset_label: str | None = None
     coset_vid: int | None = None
-    prefix_eids: tuple[int, ...] = ()
+    prefix: tuple[int, ...] = ()  # the common root-path edges, as child vids
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return artifact("classification", {
             "result": self.kind,
             "coset": self.coset_label,
-            "prefix_length": len(self.prefix_eids),
+            "prefix_length": len(self.prefix),
             "diagnostics": self.diagnostics,
         })
 
@@ -537,7 +533,7 @@ def classify_direction(fg: FundamentalGroup, tree: TreeBall, elements,
     along_ray = all(lcp >= len(p) - slack for lcp, p in zip(lcps, projections))
     if monotone and moving and along_ray:
         return ClassifyResult(
-            kind="branch_point", prefix_eids=tuple(projections[-1][:lcps[-1]]),
+            kind="branch_point", prefix=tuple(projections[-1][:lcps[-1]]),
             diagnostics={"depths": depths, "slack": slack},
         )
     return ClassifyResult(

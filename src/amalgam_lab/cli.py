@@ -142,28 +142,28 @@ def _cmd_tree_ball(args) -> dict:
     payload = artifact("tree_ball", {
         "radius": args.radius,
         "n_vertices": len(tb.vertices),
-        "n_edges": len(tb.edges),
+        "n_edges": len(tb.vertices) - 1,
         "vertices": [
             {
                 "id": v.vid, "type": g.vertex_names[v.vtype], "rep": v.rep.display(),
                 "depth": v.depth, "truncated_star": v.truncated,
-                "parent_edge": v.parent_edge,
+                "parent_edge": v.vid - 1,   # edge ids are child vid - 1; the root's is -1
             }
             for v in tb.vertices
         ],
         "edges": [
             {
-                "id": e.eid, "pair": g.edge_names[e.pair], "rep": e.rep.display(),
-                "parent": e.parent, "child": e.child,
+                "id": v.vid - 1, "pair": g.edge_names[v.pair], "rep": v.edge_rep.display(),
+                "parent": v.up.vid, "child": v.vid,
             }
-            for e in tb.edges
+            for v in tb.vertices[1:]
         ],
     })
     if g.n_edges > 0:
         tt = tiling_tree(tb)
         payload["tiling_tree"] = {
             "vertices": list(tt.vertex_ids),
-            "edges": list(tt.edge_ids),
+            "edges": [c - 1 for c in tt.edge_ids],
             "connected": tt.connected,
         }
     return payload
@@ -212,7 +212,8 @@ def _cmd_boundary(args) -> dict:
         "branch_count": len(b),
         "degenerate": fg.gog.graph.n_edges == 0,
         "branches": [
-            {"leaf_rep": b.tree.vertices[leaf].rep.display(), "edges": b.tree.root_path(leaf)}
+            {"leaf_rep": b.tree.vertices[leaf].rep.display(),
+             "edges": [c - 1 for c in b.tree.root_path(leaf)]}
             for leaf in b.leaves
         ],
     })

@@ -52,7 +52,7 @@ _TOKEN = re.compile(
 class _Tok:
     kind: str
     text: str
-    col: int
+    col: int = 0    # a JSON label has no column
 
 
 def _tokenize(line: str, lineno: int) -> list[_Tok]:
@@ -128,24 +128,31 @@ def _integer(cur: _Cursor) -> int:
     return int(cur.next("num", what="integer").text)
 
 
-def _name(cur: _Cursor) -> str:
-    return cur.next("ident", "num", what="name").text
+def _name(cur: _Cursor) -> _Tok:
+    return cur.next("ident", "num", what="name")
 
 
-def _map_entry(cur: _Cursor) -> tuple[_Tok, str]:
+def _map_entry(cur: _Cursor) -> tuple[_Tok, _Tok]:
     key = cur.next("ident", what="element name")
     cur.next(text=":")
-    return key, cur.next("ident", what="element name").text
+    return key, cur.next("ident", what="element name")
 
 
-def _parse_map(cur: _Cursor) -> dict[str, str]:
-    """``{key: image, ...}``; a key named twice is an error at its second entry."""
-    mapping: dict[str, str] = {}
-    for key, image in _parse_seq(cur, "{}", _map_entry):
-        if key.text in mapping:
+def _parse_map(cur: _Cursor) -> list[tuple[_Tok, _Tok]]:
+    """``{key: image, ...}`` as token pairs; a key named twice fails at its second entry."""
+    entries = _parse_seq(cur, "{}", _map_entry)
+    for i, (key, _) in enumerate(entries):
+        if any(k.text == key.text for k, _ in entries[:i]):
             raise GogSyntaxError(f"repeated key {key.text!r}", cur.lineno, key.col)
-        mapping[key.text] = image
-    return mapping
+    return entries
+
+
+def _index(group: FiniteGroup, label: _Tok, at: int | str, which: str) -> int:
+    """The element a label names; an unknown label is an error at the label."""
+    try:
+        return group.index_of(label.text)
+    except KeyError as exc:
+        raise GogSyntaxError(f"{which}: {exc.args[0]}", at, label.col) from None
 
 
 # the group kinds of a DSL ``group`` line and of a JSON group spec, each with
@@ -179,27 +186,26 @@ def _fault(error: type[AmalgamLabError], message: str, at: int | str,
 
 
 def _extend_generator_map(edge_group: FiniteGroup, target: FiniteGroup | GroupBackend,
-                          gen_images: dict[str, str], at: int | str, which: str, column: int):
-    """Extend generator images multiplicatively to a total monomorphism.
+                          gen_images: list, at: int | str, which: str, column: int):
+    """Extend generator images, (key, image) label tokens, multiplicatively
+    to a total monomorphism.
 
     ``at`` (a DSL line or a JSON entry), ``which`` (``embed_fwd`` or
     ``embed_bwd``) and ``column`` (that of ``which`` on a DSL line) locate
-    its errors.
+    its errors; an unknown label is located at its own column.
     """
     if not target.is_finite:
         # Z^n and F_n are torsion-free: only the trivial group embeds, onto e
         identity = edge_group.label(edge_group.identity_index)
         if edge_group.order != 1 or any(
-                (key, val) != (identity, "e") for key, val in gen_images.items()):
+                (key.text, val.text) != (identity, "e") for key, val in gen_images):
             raise _fault(EmbeddingNotInjective, f"{which}: only the trivial group embeds "
                          "into a torsion-free backend, onto e", at, column)
         return TrivialEmbedding(edge_group, target)
 
     G = target
-    try:
-        named = {edge_group.index_of(key): G.index_of(val) for key, val in gen_images.items()}
-    except KeyError as exc:
-        raise GogSyntaxError(f"{which}: {exc.args[0]}", at, column) from None
+    named = {_index(edge_group, key, at, which): _index(G, val, at, which)
+             for key, val in gen_images}
     # each element's image is the product of the images along its first word
     gens = tuple(named)
     images = {edge_group.identity_index: G.identity_index}
@@ -242,7 +248,8 @@ def parse_gog(text: str) -> GraphOfGroups:
             values = ()
             if kind.text == "table":
                 table = _parse_seq(cur, "[]", lambda row: _parse_seq(row, "[]", _integer))
-                values = (table, _parse_seq(cur, "[]", _name) if cur.accept("labels") else None)
+                values = (table, [tok.text for tok in _parse_seq(cur, "[]", _name)]
+                          if cur.accept("labels") else None)
             elif kind.text in _SIZED:
                 values = (_integer(cur),)
             groups[name.text] = _declared_group(_DSL_KINDS, kind.text, values, lineno, kind.col)
@@ -282,12 +289,13 @@ def _assemble(groups: dict[str, FiniteGroup | GroupBackend], vertices: list, edg
     """Check declared vertices and edges and build their graph of groups.
 
     Vertices are (name, groupref, gens, at, cols), edges (name, left, right,
-    groupref, fwd, bwd, at, cols): ``at`` is a DSL line or a JSON entry, and
-    the maps fwd/bwd send edge-group labels to labels of the right and left
-    vertex groups.  ``cols`` holds the DSL column of each value's token (of
-    the keyword before gens, fwd and bwd; 0 for JSON), and each error is
-    located at the value at fault.  ``end`` locates the error of an input
-    with no vertices.
+    groupref, fwd, bwd, at, cols): ``at`` is a DSL line or a JSON entry,
+    gens a list of label tokens, and fwd/bwd lists of (key, image) label
+    tokens, from edge-group labels to labels of the right and left vertex
+    groups.  ``cols`` holds the DSL column of each value's token (of the
+    keyword before gens, fwd and bwd; 0 for JSON), a label token its own,
+    and each error is located at the value at fault.  ``end`` locates the
+    error of an input with no vertices.
     """
     if not vertices:
         raise GogSyntaxError("no vertices declared", end)
@@ -304,17 +312,15 @@ def _assemble(groups: dict[str, FiniteGroup | GroupBackend], vertices: list, edg
         backend = groups[ref]
         vgroups.append(backend)
         if backend.is_finite:
-            labels = gens if gens is not None else list(backend.generator_labels)
-            try:
-                genset = tuple((lbl, backend.index_of(lbl)) for lbl in labels)
-            except KeyError as exc:
-                raise GogSyntaxError(f"gens: {exc.args[0]}", at, gens_col) from None
+            labels = gens if gens is not None else [_Tok("ident", lbl)
+                                                    for lbl in backend.generator_labels]
+            genset = tuple((lbl.text, _index(backend, lbl, at, "gens")) for lbl in labels)
             gen_elems = {e for _, e in genset}
             if backend.subgroup_generated(gen_elems) != frozenset(backend.elements()):
                 raise GogSyntaxError("gens do not generate the vertex group", at, gens_col)
         else:
             # backends always use the standard basis for the word metric
-            if gens is not None and gens != list(backend.generator_labels):
+            if gens is not None and [lbl.text for lbl in gens] != list(backend.generator_labels):
                 raise GogSyntaxError(f"gens of a {backend.kind} group must be its standard "
                                      f"basis {list(backend.generator_labels)}", at, gens_col)
             genset = tuple(zip(backend.generator_labels, backend.generators()))
@@ -434,7 +440,8 @@ def gog_from_json(data: dict) -> GraphOfGroups:
         at = f"vertex {name}"
         # a duplicate entry keeps the first one's group; the assembly rejects it
         groups.setdefault(at, group_of(v, at))
-        vertices.append((name, at, _field(v, "gens", list, at), at, (0, 0, 0)))
+        gens = [_Tok("ident", lbl) for lbl in _field(v, "gens", list, at)]
+        vertices.append((name, at, gens, at, (0, 0, 0)))
     edges = []
     for i, e in enumerate(_field(data, "edges", list, "artifact")):
         name = _field(e, "name", str, f"edges[{i}]")
@@ -448,7 +455,7 @@ def gog_from_json(data: dict) -> GraphOfGroups:
             if group.is_finite and len(images) != len(labels):
                 raise GogSyntaxError(f"{key} names {len(images)} images for "
                                      f"{len(labels)} edge-group elements", at)
-            maps.append(dict(zip(labels, images)))
+            maps.append([(_Tok("ident", k), _Tok("ident", v)) for k, v in zip(labels, images)])
         edges.append((name, _field(e, "left", str, at), _field(e, "right", str, at),
                       at, *maps, at, (0,) * 6))
     return _assemble(groups, vertices, edges, "vertices")

@@ -1,6 +1,6 @@
-"""Coarse separation: Cayley balls as exact metric spaces, R-path components,
-R-separation, the thickening lemma checker, the Cayley-separation and
-K-construction verifiers, and the ends estimator.
+"""Coarse separation on Cayley balls: R-path components, R-separation, the
+thickening lemma checker, the Cayley-separation and K-construction
+verifiers, and the ends estimator.
 
 Separation verdicts are desk-scale: a failure found inside a ball is a real
 counterexample (distances are exact in the group, not truncated), while a
@@ -11,112 +11,14 @@ on vertices outside the ball are excluded by a margin from the sphere.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
-from array import array
 from dataclasses import dataclass, field
 
 from .bass_serre import TreeBall
 from .errors import BudgetExceeded, Inconclusive, PreconditionUnmet
-from .fundgroup import FundamentalGroup, NormalForm
-from .groups import UNSET
+from .fundgroup import CayleyBall, FundamentalGroup, NormalForm
 from .jsonio import artifact
-
-
-@dataclass(frozen=True)
-class CayleyBall:
-    """Exact radius-n ball in (Gamma, d_S), as an indexed graph.
-
-    ``elements`` is in BFS discovery order, layer by layer, so layer k is
-    the slice ``layer_starts[k]:layer_starts[k + 1]``, offsets summed from
-    ``layer_sizes``; ``index`` maps each element to its position.  So x has
-    word length <= k exactly when ``index[x] < layer_starts[k + 1]``.
-    Distances between ball elements are computed in the group (never
-    truncated to the ball), via ``group.dist``.
-    ``step_table`` is the R = 1 neighbour table, filled by the walk that
-    found the elements.  Tables for R > 1 are composed from it on first use
-    and cached per R; they never change the elements or the layers.
-    """
-
-    group: FundamentalGroup
-    radius: int
-    elements: tuple[NormalForm, ...]
-    index: dict[NormalForm, int]
-    layer_sizes: tuple[int, ...]
-    step_table: array = field(repr=False, compare=False)
-    layer_starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _tables: dict[int, array] = field(init=False, repr=False, compare=False,
-                                      default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "layer_starts", (0, *itertools.accumulate(self.layer_sizes)))
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def sphere(self, k: int) -> list[NormalForm]:
-        if not 0 <= k <= self.radius:
-            return []
-        return list(self.elements[self.layer_starts[k]:self.layer_starts[k + 1]])
-
-    def neighbours(self, R: int) -> array:
-        """Row-major |B| x m table of R-steps, m = |ball(R)| - 1.
-
-        Entry (i, j) is the position of ``elements[i] * shift_j``, or -1 if
-        that product lies outside the ball; the shifts are the non-identity
-        elements of ``group.word_metric_ball(R)`` in its order (for R = 1,
-        the steps sorted by label).  Entries come from exact group products,
-        never from R-hop paths inside the ball, which would miss steps whose
-        geodesics leave it.  R = 1 is ``step_table``.  For R > 1, each shift
-        is pi·s with s a step and pi an earlier shift of ball(R), so
-        x·(pi·s) = (x·pi)·s is a lookup in the R = 1 table whenever x·pi lies
-        in the ball, and a -1 found there is exact.  Only an x·pi outside the
-        ball falls back to the product x·(pi·s).
-        """
-        if R == 1:
-            return self.step_table
-        if R not in self._tables:
-            self._tables[R] = self._composed_table(R)
-        return self._tables[R]
-
-    def _composed_table(self, R: int) -> array:
-        fg, one, n = self.group, self.step_table, len(self)
-        shifts = fg.word_metric_ball(R)
-        m1 = len(shifts.step_table) // len(shifts)
-        # each shift as pi·s with pi an earlier shift, read off ball(R)'s own
-        # step table, so pi's column is filled before the shift's
-        parent: list = [None] * len(shifts)
-        for q in range(len(shifts)):
-            for c, p in enumerate(shifts.step_table[q * m1:(q + 1) * m1]):
-                if p > q and parent[p] is None:
-                    parent[p] = (q, c)
-        m = len(shifts) - 1
-        table = array("i", [UNSET]) * (n * m)
-        for p in range(1, len(shifts)):
-            q, c = parent[p]
-            via = table[q - 1::m] if q else range(n)  # the positions of x·pi
-            shift = shifts.elements[p]
-            table[p - 1::m] = array("i", [
-                one[k * m1 + c] if k >= 0 else self.index.get(fg.multiply(x, shift), -1)
-                for x, k in zip(self.elements, via)])
-        return table
-
-    def neighbors(self, i: int) -> list[list]:
-        """In-ball Cayley edges at position i: [generator label, position of
-        ``elements[i] * s``], in ``step_labels`` order; read off the R = 1
-        table."""
-        gs = self.group.generating_set()
-        row = i * len(gs.steps)
-        if not self.radius:  # every step leaves a radius-0 ball
-            return []
-        out = []
-        for lbl, s in zip(gs.step_labels, gs.steps):
-            # the first layer is the steps in table column order: column j is position j + 1
-            k = self.step_table[row + self.index[s] - 1]
-            if k >= 0:
-                out.append([lbl, k])
-        return out
 
 
 _FREE, _OUT = -2, -1  # the label of a live point not yet reached, of an excluded one
@@ -302,10 +204,13 @@ def verify_cayley_separation(fg: FundamentalGroup, ball_radius: int,
 
     Sample triples (vertex, vertex, geodesic edge) in the Bass-Serre tree and
     check that N_{ceil(R/2)}(edge coset) R-separates the in-ball, margin-
-    filtered members of the two vertex cosets.
+    filtered members of the two vertex cosets.  A radius below R + 1 leaves
+    no coset point inside the margin, so it is an error, not a vacuous pass.
     """
     if R < 1 or samples < 0:
         raise ValueError(f"need R >= 1 and samples >= 0, got R = {R}, samples = {samples}")
+    if ball_radius < R + 1:
+        raise ValueError(f"radius must be >= R + 1 = {R + 1}, got {ball_radius}")
     ball = fg.word_metric_ball(ball_radius)
     tb = TreeBall(fg, max(3, ball_radius - 2))
     rng = random.Random(seed)
@@ -330,15 +235,13 @@ def verify_cayley_separation(fg: FundamentalGroup, ball_radius: int,
             report.not_applicable += 1
             continue
         path = tb.geodesic(u, w)
-        eid = path[len(path) // 2]
-        coset = tb.edge_coset_elements(eid)
-        edge = tb.edges[eid]
-        gamma_inv = fg.invert(edge.rep)
+        edge = tb.vertices[path[len(path) // 2]]
+        coset = tb.edge_coset_elements(edge.vid)
+        gamma_inv = fg.invert(edge.edge_rep)
         subgroup = fg.edge_subgroup_elements(edge.pair)
-        eligible_u = [x for x in coset_points(u)
-                      if edge_coset_distance(fg, x, gamma_inv, subgroup) >= sesq]
-        eligible_w = [x for x in coset_points(w)
-                      if edge_coset_distance(fg, x, gamma_inv, subgroup) >= sesq]
+        eligible_u, eligible_w = ([x for x in coset_points(v)
+                                   if edge_coset_distance(fg, x, gamma_inv, subgroup) >= sesq]
+                                  for v in (u, w))
         if not eligible_u or not eligible_w:
             report.not_applicable += 1
             continue
@@ -354,7 +257,7 @@ def verify_cayley_separation(fg: FundamentalGroup, ball_radius: int,
                 report.witness_pairs_tested += 1
                 if not (dxI >= R and dx2I >= R and _apart(c, c2)):
                     report.failures.append({
-                        "edge": edge.rep.display(),
+                        "edge": edge.edge_rep.display(),
                         "delta": x.display(), "delta2": x2.display(),
                         "d_delta_I": dxI, "d_delta2_I": dx2I,
                         "same_component": c >= 0 and c == c2,
@@ -372,8 +275,11 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
 
     An edge drawn again, by the samples or the probe, reuses its one
     analysis (R0 and the labelling of the ball minus gamma·K); its witness
-    pairs and any failure are still counted once per draw.
+    pairs and any failure are still counted once per draw.  A radius below 2
+    leaves no coset point inside the margin, so it is an error.
     """
+    if ball_radius < 2:
+        raise ValueError(f"radius must be >= 2, got {ball_radius}")
     if edges_sampled < 0:
         raise ValueError(f"edges must be >= 0, got {edges_sampled}")
     if R_probe is not None and R_probe < 0:
@@ -411,7 +317,7 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
         "probe_edges": 0,
     })
 
-    n_edges = len(tb.edges)
+    n_edges = len(tb.vertices) - 1
     if n_edges == 0:
         report.not_applicable = edges_sampled
         return report
@@ -420,24 +326,21 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
     points = [coset_elements_in_ball(fg, ball, v.rep, v.vtype, margin) for v in tb.vertices]
 
     @functools.cache
-    def analyse(eid: int):
-        """(R0, label, witness pairs) for the split at one tree edge, or None
-        when one side has no coset point; every coset point lies in the ball,
-        so each has a label.  Cached: each distinct edge is analysed once."""
-        edge = tb.edges[eid]
-        gammaK = {fg.multiply(edge.rep, k) for k in K}
-        side0, side1 = tb.split_by_edge(eid)
-        M = {x for vid in side0 for x in points[vid]}
-        M2 = {x for vid in side1 for x in points[vid]}
+    def analyse(child: int):
+        """(R0, label, witness pairs) for the split at the tree edge into
+        vertex child, or None when one side has no coset point; every coset
+        point lies in the ball, so each has a label.  Cached: each distinct
+        edge is analysed once."""
+        edge = tb.vertices[child]
+        gammaK = {fg.multiply(edge.edge_rep, k) for k in K}
+        M, M2 = ({x for vid in side for x in points[vid]} for side in tb.split_by_edge(child))
         if not M or not M2:
             return None
         label = r_components(ball, 1, excluded=gammaK)
-        gamma_inv = fg.invert(edge.rep)
+        gamma_inv = fg.invert(edge.edge_rep)
         subgroup = fg.edge_subgroup_elements(edge.pair)
-        AM = [(x, edge_coset_distance(fg, x, gamma_inv, subgroup), label[ball.index[x]])
-              for x in M]
-        AM2 = [(x, edge_coset_distance(fg, x, gamma_inv, subgroup), label[ball.index[x]])
-               for x in M2]
+        AM, AM2 = ([(x, edge_coset_distance(fg, x, gamma_inv, subgroup), label[ball.index[x]])
+                    for x in side] for side in (M, M2))
         # minimal exclusion radius R0 killing all offending pairs
         max_d_M = max(d for _, d, _ in AM)
         max_d_M2 = max(d for _, d, _ in AM2)
@@ -455,10 +358,10 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
                 R0 = max(R0, min(dm, dm2))
         return R0, label, len(AM) * len(AM2)
 
-    def split_analysis(eid: int):
-        """(R0, label) for the split at one tree edge, or None; its witness
-        pairs count again on every call."""
-        result = analyse(eid)
+    def split_analysis(child: int):
+        """(R0, label) for the split at the tree edge into vertex child, or
+        None; its witness pairs count again on every call."""
+        result = analyse(child)
         if result is None:
             return None
         R0, label, pairs = result
@@ -466,8 +369,8 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
         return R0, label
 
     for _ in range(edges_sampled):
-        eid = rng.randrange(n_edges)
-        result = split_analysis(eid)
+        child = rng.randrange(n_edges) + 1    # the edges are the non-root vertices
+        result = split_analysis(child)
         if result is None:
             report.not_applicable += 1
             continue
@@ -475,7 +378,7 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
         report.details["worst_R0"] = max(report.details["worst_R0"], R0)
         if R0 > diam_I_sesq:
             report.failures.append({
-                "edge": tb.edges[eid].rep.display(),
+                "edge": tb.vertices[child].edge_rep.display(),
                 "reason": f"required R0 = {R0} exceeds diam(I_3/2) = {diam_I_sesq}",
             })
 
@@ -490,13 +393,13 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
         if u == w:
             continue
         path = tb.geodesic(u, w)
-        far = [eid for eid in path
-               if tb.edge_tree_distance(eid, u) > probe_bound
-               and tb.edge_tree_distance(eid, w) > probe_bound]
+        far = [c for c in path
+               if tb.edge_tree_distance(c, u) > probe_bound
+               and tb.edge_tree_distance(c, w) > probe_bound]
         if not far:
             continue
-        eid = far[len(far) // 2]
-        result = split_analysis(eid)
+        child = far[len(far) // 2]
+        result = split_analysis(child)
         if result is None:
             continue
         _, label = result
@@ -507,7 +410,7 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
                 cx2 = label[ball.index[x2]]
                 if not _apart(cx, cx2):
                     report.failures.append({
-                        "edge": tb.edges[eid].rep.display(),
+                        "edge": tb.vertices[child].edge_rep.display(),
                         "reason": "probe pair not separated",
                         "delta": x.display(), "delta2": x2.display(),
                     })

@@ -267,9 +267,9 @@ def in_subtree_walk(tree: TreeBall, vid: int, ancestor: int) -> bool:
     while True:
         if v.vid == ancestor:
             return True
-        if v.parent_edge < 0:
+        if v.up is None:
             return False
-        v = tree.vertices[tree.edges[v.parent_edge].parent]
+        v = v.up
 
 
 def eager_rep(ball: TreeBall, vid: int, multiply=FundamentalGroup.multiply) -> NormalForm:
@@ -277,8 +277,8 @@ def eager_rep(ball: TreeBall, vid: int, multiply=FundamentalGroup.multiply) -> N
     root path, multiplied in from the identity.  ``multiply`` defaults to the
     unpatched product, so a test that counts products can still call this."""
     rep = ball.fg.identity()
-    for eid in ball.root_path(vid):
-        rep = multiply(ball.fg, rep, ball.vertices[ball.edges[eid].child].step)
+    for c in ball.root_path(vid):
+        rep = multiply(ball.fg, rep, ball.vertices[c].step)
     return rep
 
 
@@ -288,14 +288,16 @@ def translate_vertex(ball: TreeBall, gamma: NormalForm, vid: int) -> int | None:
     return ball.find_vertex(ball.fg.multiply(gamma, v.rep), v.vtype)
 
 
-def translate_edge(ball: TreeBall, gamma: NormalForm, eid: int) -> int | None:
-    e = ball.edges[eid]
-    return ball.find_edge(ball.fg.multiply(gamma, e.rep), e.pair)
+def translate_edge(ball: TreeBall, gamma: NormalForm, child: int) -> int | None:
+    """Image of the ball edge into vertex child under left translation, as
+    its child vid, if still in the ball."""
+    c = ball.vertices[child]
+    return ball.find_edge(ball.fg.multiply(gamma, c.edge_rep), c.pair)
 
 
-def phi_random(ball: TreeBall, eid: int, rng: random.Random) -> NormalForm:
+def phi_random(ball: TreeBall, child: int, rng: random.Random) -> NormalForm:
     """A uniformly random member of the edge coset: another choice of phi."""
-    elems = ball.edge_coset_elements(eid)
+    elems = ball.edge_coset_elements(child)
     return elems[rng.randrange(len(elems))]
 
 

@@ -75,7 +75,7 @@ def test_criterion_3_bass_serre_structure():
     for r in range(0, 13):
         tb = TreeBall(fg, r)
         assert len(tb.vertices) == 2 * r + 1
-        assert len(tb.edges) == len(tb.vertices) - 1
+        assert sum(len(v.children) for v in tb.vertices) == len(tb.vertices) - 1
         assert all(tb.degree(v.vid) <= 2 for v in tb.vertices)
 
     gog, _, fg = make_fg("z2z3")
@@ -87,7 +87,7 @@ def test_criterion_3_bass_serre_structure():
         _, _, fg = make_fg(name)
         for r in (2, 4):
             tb = TreeBall(fg, r)
-            assert len(tb.vertices) == len(tb.edges) + 1, name
+            assert len(tb.vertices) == sum(len(v.children) for v in tb.vertices) + 1, name
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     _report(3, f"D_inf path at radii <= 12, (2,3)-degrees, |V| = |E|+1 "
@@ -110,8 +110,8 @@ def test_criterion_4_tiling_tree_facts():
                 for vid in tt.vertex_ids
             ), f"{name}: sT misses T"
         bound = gog.graph.n_edges
-        for e in tb.edges:
-            mu = e.rep
+        for e in tb.vertices[1:]:
+            mu = e.edge_rep
             for vtype in range(gog.graph.n_vertices):
                 found = _edge_vertex_distance(fg, tb, e, mu, vtype, bound)
                 assert found is not None and found <= bound, name
@@ -121,7 +121,7 @@ def test_criterion_4_tiling_tree_facts():
 
 
 def _edge_vertex_distance(fg, tb, e, mu, vtype, bound):
-    frontier = {e.parent, e.child}
+    frontier = {e.up.vid, e.vid}
     seen = set(frontier)
     for dist in range(0, bound + 1):
         for vid in sorted(frontier):
@@ -131,10 +131,9 @@ def _edge_vertex_distance(fg, tb, e, mu, vtype, bound):
         nxt = set()
         for vid in frontier:
             v = tb.vertices[vid]
-            if v.parent_edge >= 0:
-                nxt.add(tb.edges[v.parent_edge].parent)
-            for ce in v.children:
-                nxt.add(tb.edges[ce].child)
+            if v.up is not None:
+                nxt.add(v.up.vid)
+            nxt.update(v.children)
         frontier = nxt - seen
         seen |= frontier
     return None

@@ -30,7 +30,7 @@ def test_dinf_is_path_small_radii(dinf):
     for r in range(0, 7):
         tb = TreeBall(fg, r)
         assert len(tb.vertices) == 2 * r + 1
-        assert len(tb.edges) == len(tb.vertices) - 1
+        assert sum(len(v.children) for v in tb.vertices) == len(tb.vertices) - 1
         assert all(tb.degree(v.vid) <= 2 for v in tb.vertices)
 
 
@@ -61,13 +61,16 @@ def test_ball_is_tree(name):
     _, _, fg = make_fg(name)
     for r in (1, 2, 3, 4):
         tb = TreeBall(fg, r)
-        assert len(tb.vertices) == len(tb.edges) + 1
+        # every vertex but the root is the child of exactly one vertex
+        children = sorted(c for v in tb.vertices for c in v.children)
+        assert children == list(range(1, len(tb.vertices)))
+        assert all(tb.vertices[c].up is v for v in tb.vertices for c in v.children)
 
 
 def test_single_vertex_no_edges(trivial):
     _, _, fg = trivial
     tb = TreeBall(fg, 5)
-    assert len(tb.vertices) == 1 and len(tb.edges) == 0
+    assert len(tb.vertices) == 1 and not tb.vertices[0].children
 
 
 def test_geodesic_trivial_and_endpoints(dinf):
@@ -86,7 +89,7 @@ def test_geodesic_through_root(z2z3):
     by_branch = {}
     for leaf in leaves:
         top = tb.root_path(leaf)[0]
-        by_branch.setdefault(tb.edges[top].child, []).append(leaf)
+        by_branch.setdefault(top, []).append(leaf)
     b1, b2 = list(by_branch.values())[:2]
     assert len(tb.geodesic(b1[0], b2[0])) == 4
 
@@ -102,9 +105,9 @@ def test_split_by_edge_dinf_middle(dinf):
     _, _, fg = dinf
     tb = TreeBall(fg, 3)
     # the first edge at the root splits 7 vertices into child side and rest
-    side0, side1 = tb.split_by_edge(0)
+    side0, side1 = tb.split_by_edge(1)
     assert {len(side0), len(side1)} == {4, 3}
-    assert tb.edges[0].child in side0
+    assert 1 in side0
     assert side0 | side1 == frozenset(range(7))
 
 
@@ -112,14 +115,26 @@ def test_split_by_leaf_edge(dinf):
     _, _, fg = dinf
     tb = TreeBall(fg, 3)
     leaf = next(v for v in tb.vertices if v.depth == 3)
-    side0, _ = tb.split_by_edge(leaf.parent_edge)
+    side0, _ = tb.split_by_edge(leaf.vid)
     assert side0 == frozenset({leaf.vid})
+
+
+def test_the_root_has_no_parent_edge(dinf):
+    """An edge is named by its child vid, so 0 (the root) and vids past the
+    ball name no edge: the edge queries refuse them."""
+    _, _, fg = dinf
+    tb = TreeBall(fg, 3)
+    for child in (0, len(tb.vertices)):
+        for query in (tb.split_by_edge, tb.edge_coset_elements, tb.phi,
+                      lambda c: tb.edge_tree_distance(c, 1)):
+            with pytest.raises(NotInBall):
+                query(child)
 
 
 def test_split_z2z3_root_edge_mixes_types(z2z3):
     _, _, fg = z2z3
     tb = TreeBall(fg, 3)
-    side0, side1 = tb.split_by_edge(0)
+    side0, side1 = tb.split_by_edge(1)
     for side in (side0, side1):
         types = {tb.vertices[v].vtype for v in side}
         assert types == {0, 1}
@@ -130,8 +145,8 @@ def test_tiling_tree_dinf(dinf):
     tb = TreeBall(fg, 2)
     tt = tiling_tree(tb)
     assert len(tt.edge_ids) == 1 and len(tt.vertex_ids) == 2 and tt.connected
-    e = tb.edges[tt.edge_ids[0]]
-    assert {tb.vertices[e.parent].vtype, tb.vertices[e.child].vtype} == {0, 1}
+    e = tb.vertices[tt.edge_ids[0]]
+    assert {e.up.vtype, e.vtype} == {0, 1}
 
 
 def test_tiling_tree_f2_star(f2):
@@ -172,12 +187,12 @@ def test_fact_edge_to_vertex_distance(name):
     gog, _, fg = make_fg(name)
     tb = TreeBall(fg, 5)
     bound = gog.graph.n_edges
-    for e in tb.edges:
-        mu = e.rep
+    for e in tb.vertices[1:]:
+        mu = e.edge_rep
         for vtype in range(gog.graph.n_vertices):
             # search the tree neighborhood of the edge out to the bound
             found = None
-            frontier = {e.parent, e.child}
+            frontier = {e.up.vid, e.vid}
             seen = set(frontier)
             for dist in range(0, bound + 1):
                 for vid in sorted(frontier):
@@ -190,14 +205,13 @@ def test_fact_edge_to_vertex_distance(name):
                 nxt = set()
                 for vid in frontier:
                     v = tb.vertices[vid]
-                    if v.parent_edge >= 0:
-                        nxt.add(tb.edges[v.parent_edge].parent)
-                    for ce in v.children:
-                        nxt.add(tb.edges[ce].child)
+                    if v.up is not None:
+                        nxt.add(v.up.vid)
+                    nxt.update(v.children)
                 frontier = nxt - seen
                 seen |= frontier
             assert found is not None and found <= bound, (
-                f"{name}: no mu*G_{vtype} within {bound} of edge {e.eid}")
+                f"{name}: no mu*G_{vtype} within {bound} of the edge into {e.vid}")
 
 
 def test_gamma_action_preserves_adjacency(z2z3):
@@ -207,22 +221,21 @@ def test_gamma_action_preserves_adjacency(z2z3):
     rng = random.Random(3)
     gammas = [ball.elements[rng.randrange(len(ball.elements))] for _ in range(100)]
     for gamma in gammas:
-        for e in tb.edges[:20]:
-            pi = translate_vertex(tb, gamma, e.parent)
-            ci = translate_vertex(tb, gamma, e.child)
-            te = translate_edge(tb, gamma, e.eid)
+        for e in tb.vertices[1:21]:
+            pi = translate_vertex(tb, gamma, e.up.vid)
+            ci = translate_vertex(tb, gamma, e.vid)
+            te = translate_edge(tb, gamma, e.vid)
             if pi is not None and ci is not None and te is not None:
-                t = tb.edges[te]
-                assert {t.parent, t.child} == {pi, ci}
+                assert {tb.parent[te], te} == {pi, ci}
 
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_remark_edge_coset_in_endpoint_union(name):
     _, _, fg = make_fg(name)
     tb = TreeBall(fg, 3)
-    for e in tb.edges:
-        p, c = tb.vertices[e.parent], tb.vertices[e.child]
-        for x in tb.edge_coset_elements(e.eid):
+    for c in tb.vertices[1:]:
+        p = c.up
+        for x in tb.edge_coset_elements(c.vid):
             assert (fg.coset_membership(x, p.vtype, p.rep)
                     or fg.coset_membership(x, c.vtype, c.rep))
 
@@ -231,9 +244,9 @@ def test_phi_identity_edge(dinf):
     _, _, fg = dinf
     tb = TreeBall(fg, 2)
     tt = tiling_tree(tb)
-    eid = tt.edge_ids[0]
-    val = tb.phi(eid)
-    assert val in tb.edge_coset_elements(eid)
+    child = tt.edge_ids[0]
+    val = tb.phi(child)
+    assert val in tb.edge_coset_elements(child)
     assert val.is_identity()   # the trivial edge group's identity coset
 
 
@@ -242,10 +255,10 @@ def test_phi_variants_within_spread_bound(z2z3):
     tb = TreeBall(fg, 6)
     D = phi_spread_bound(fg)
     rng = random.Random(17)
-    edges = list(range(len(tb.edges)))
-    for eid in (edges if len(edges) <= 500 else edges[:500]):
-        canonical = tb.phi(eid)
-        rand = phi_random(tb, eid, rng)
+    edges = list(range(1, len(tb.vertices)))
+    for child in (edges if len(edges) <= 500 else edges[:500]):
+        canonical = tb.phi(child)
+        rand = phi_random(tb, child, rng)
         assert fg.dist(canonical, rand) <= D
 
 
@@ -254,9 +267,9 @@ def test_phi_uniformly_finite_to_one(z2z3):
     tb = TreeBall(fg, 4)
     bound = max(g.order for g in gog.edge_groups)
     counts = {}
-    for eid in range(len(tb.edges)):
-        counts.setdefault(tb.phi(eid), 0)
-        counts[tb.phi(eid)] += 1
+    for child in range(1, len(tb.vertices)):
+        counts.setdefault(tb.phi(child), 0)
+        counts[tb.phi(child)] += 1
     assert max(counts.values()) <= bound
 
 
@@ -303,7 +316,7 @@ def test_amalgam_tree_structure_nontrivial_edge_group():
     gog, _, fg = make_amalgam()
     assert not gog.all_edge_groups_trivial
     tb = TreeBall(fg, 5)
-    assert len(tb.vertices) == len(tb.edges) + 1
+    assert sum(len(v.children) for v in tb.vertices) == len(tb.vertices) - 1
     for v in tb.vertices:
         if v.depth < tb.radius:
             assert tb.degree(v.vid) == (2 if v.vtype == 0 else 3)
@@ -312,13 +325,13 @@ def test_amalgam_tree_structure_nontrivial_edge_group():
 def test_phi_variants_500_edges_nontrivial_subgroup():
     _, _, fg = make_amalgam()
     tb = TreeBall(fg, 13)
-    assert len(tb.edges) >= 500
+    assert len(tb.vertices) > 500
     D = phi_spread_bound(fg)
     assert D >= 1    # the embedded Z/2 is not a point
     rng = random.Random(31)
-    for eid in range(500):
-        canonical = tb.phi(eid)
-        rand = phi_random(tb, eid, rng)
+    for child in range(1, 501):
+        canonical = tb.phi(child)
+        rand = phi_random(tb, child, rng)
         assert fg.dist(canonical, rand) <= D
 
 
@@ -368,9 +381,9 @@ def test_tree_vertices_and_edges_are_pairwise_distinct_cosets(spec):
                 assert not fg.coset_membership(vs[i].rep, vs[i].vtype, vs[j].rep), \
                     (vs[i].rep.display(), vs[j].rep.display())
     cosets: dict[tuple[int, NormalForm], int] = {}
-    for e in tb.edges:
-        for m in tb.edge_coset_elements(e.eid):
-            assert cosets.setdefault((e.pair, m), e.eid) == e.eid, m.display()
+    for e in tb.vertices[1:]:
+        for m in tb.edge_coset_elements(e.vid):
+            assert cosets.setdefault((e.pair, m), e.vid) == e.vid, m.display()
 
 
 # --- the indexed tree against the walks it replaced ---------------------------
@@ -379,9 +392,9 @@ def test_tree_vertices_and_edges_are_pairwise_distinct_cosets(spec):
 def _root_path_walk(tb, vid):
     out = []
     v = tb.vertices[vid]
-    while v.parent_edge >= 0:
-        out.append(v.parent_edge)
-        v = tb.vertices[tb.edges[v.parent_edge].parent]
+    while v.up is not None:
+        out.append(v.vid)
+        v = v.up
     out.reverse()
     return out
 
@@ -394,20 +407,19 @@ def _geodesic_walk(tb, u, w):
     return pu[i:][::-1] + pw[i:]
 
 
-def _split_walk(tb, eid):
+def _split_walk(tb, child):
     side0 = set()
-    stack = [tb.edges[eid].child]
+    stack = [child]
     while stack:
         vid = stack.pop()
         side0.add(vid)
-        stack.extend(tb.edges[ce].child for ce in tb.vertices[vid].children)
+        stack.extend(tb.vertices[vid].children)
     return frozenset(side0), frozenset(range(len(tb.vertices))) - side0
 
 
-def _edge_tree_distance_walk(tb, eid, vid):
-    e = tb.edges[eid]
-    return min(len(_geodesic_walk(tb, e.parent, vid)),
-               len(_geodesic_walk(tb, e.child, vid)))
+def _edge_tree_distance_walk(tb, child, vid):
+    return min(len(_geodesic_walk(tb, tb.vertices[child].up.vid, vid)),
+               len(_geodesic_walk(tb, child, vid)))
 
 
 ORACLE_INPUTS = [*NAMES, SL2Z]
@@ -423,16 +435,16 @@ def test_indexed_tree_matches_walks(spec):
         for other in range(n):
             assert tb.in_subtree(vid, other) == in_subtree_walk(tb, vid, other)
             assert tb.geodesic(vid, other) == _geodesic_walk(tb, vid, other)
-    for e in tb.edges:
-        sides = tb.split_by_edge(e.eid)
-        assert sides == _split_walk(tb, e.eid)
+    for e in tb.vertices[1:]:
+        sides = tb.split_by_edge(e.vid)
+        assert sides == _split_walk(tb, e.vid)
         assert all(type(side) is frozenset for side in sides)
         for vid in range(n):
-            assert tb.edge_tree_distance(e.eid, vid) == _edge_tree_distance_walk(tb, e.eid, vid)
-        coset = tb.edge_coset_elements(e.eid)
-        assert tb.phi(e.eid) == min(coset, key=NormalForm.sort_key)
+            assert tb.edge_tree_distance(e.vid, vid) == _edge_tree_distance_walk(tb, e.vid, vid)
+        coset = tb.edge_coset_elements(e.vid)
+        assert tb.phi(e.vid) == min(coset, key=NormalForm.sort_key)
         for m in coset:
-            assert tb.find_edge(m, e.pair) == e.eid
+            assert tb.find_edge(m, e.pair) == e.vid
 
 
 @pytest.mark.parametrize("spec", ORACLE_INPUTS, ids=[*NAMES, "sl2z"])
@@ -443,10 +455,10 @@ def test_tiling_tree_connectivity_matches_search(spec):
         return
     tt = tiling_tree(tb)
     adj = {v: set() for v in tt.vertex_ids}
-    for eid in tt.edge_ids:
-        e = tb.edges[eid]
-        adj[e.parent].add(e.child)
-        adj[e.child].add(e.parent)
+    for child in tt.edge_ids:
+        parent = tb.vertices[child].up.vid
+        adj[parent].add(child)
+        adj[child].add(parent)
     seen, stack = set(), [tt.vertex_ids[0]]
     while stack:
         v = stack.pop()
@@ -471,8 +483,8 @@ def _count_calls(monkeypatch, targets):
 def _read_every_rep(tb) -> None:
     for v in tb.vertices:
         v.rep
-    for e in tb.edges:
-        e.rep
+    for v in tb.vertices[1:]:
+        v.edge_rep
 
 
 def test_tree_build_forms_one_product_per_star_candidate(monkeypatch):
@@ -488,9 +500,9 @@ def test_tree_build_forms_one_product_per_star_candidate(monkeypatch):
     # every cone candidate becomes a tree edge; the one leading back to the
     # parent is not in the cone, so it forms no product
     _read_every_rep(tb)
-    assert calls["multiply"] == len(tb.edges) == 1705
+    assert calls["multiply"] == len(tb.vertices) - 1 == 1705
     _read_every_rep(tb)
-    assert calls["multiply"] == len(tb.edges)
+    assert calls["multiply"] == len(tb.vertices) - 1
     monkeypatch.undo()
     assert calls["sort_key"] == 0
     # a tree vertex meets each of its star parameters once, so the degree of
@@ -501,7 +513,7 @@ def test_tree_build_forms_one_product_per_star_candidate(monkeypatch):
     edge_subgroups = sum(len(fg.edge_subgroup_elements(k))
                          for k in range(fg.gog.graph.n_edges))
     assert calls["vertex_element"] <= sum(params.values()) + edge_subgroups
-    assert calls["vertex_element"] < len(tb.edges)
+    assert calls["vertex_element"] < len(tb.vertices) - 1
 
 
 @pytest.mark.parametrize("spec,steps,reads", [(SL2Z, 0, 26), (FINITE_EDGED["hnn6"], 4, 2610),
@@ -517,14 +529,14 @@ def test_tree_build_with_stable_letters_and_finite_edge_groups_forms_no_keys(
     calls = _count_calls(monkeypatch, [(NormalForm, "sort_key"),
                                        (FundamentalGroup, "multiply")])
     tb = TreeBall(fg, 5)
-    against_a = sum(1 for e in tb.edges
+    against_a = sum(1 for e in tb.vertices[1:]
                     if not sd.in_tree(e.ytype) and e.ytype not in sd.orientation)
     assert steps == sum(fg.gog.embedding(y).index_in_target()
                         for y in range(2 * fg.gog.graph.n_edges) if not sd.in_tree(y))
     assert calls["multiply"] == steps
     assert (against_a > 0) == (spec != SL2Z)
     _read_every_rep(tb)
-    assert calls["multiply"] - steps == len(tb.edges) + against_a == reads
+    assert calls["multiply"] - steps == len(tb.vertices) - 1 + against_a == reads
     _read_every_rep(tb)
     assert calls["multiply"] - steps == reads
     monkeypatch.undo()
@@ -538,9 +550,9 @@ def test_reps_do_not_depend_on_the_order_of_reads(spec):
     _, _, fg = make_fg(spec)
     deep, flat = TreeBall(fg, 4), TreeBall(fg, 4)
     vertex_reps = [v.rep for v in reversed(deep.vertices)][::-1]
-    edge_reps = [e.rep for e in reversed(deep.edges)][::-1]
+    edge_reps = [v.edge_rep for v in reversed(deep.vertices[1:])][::-1]
     assert vertex_reps == [v.rep for v in flat.vertices]
-    assert edge_reps == [e.rep for e in flat.edges]
+    assert edge_reps == [v.edge_rep for v in flat.vertices[1:]]
 
 
 def test_deepest_rep_read_first_forms_no_recursion(dinf):
@@ -565,8 +577,7 @@ def test_vertices_of_one_cone_type_have_the_same_child_list(spec):
     for v in tb.vertices:
         if v.depth == tb.radius:
             continue
-        back = None if v.parent_edge < 0 else tb.edges[v.parent_edge].ytype ^ 1
-        edges = [tb.edges[eid] for eid in v.children]
-        children = [(e.ytype, e.fresh, e.down.step) for e in edges]
+        back = None if v.up is None else v.ytype ^ 1
+        children = [(c.ytype, c.fresh, c.step) for c in (tb.vertices[x] for x in v.children)]
         assert lists.setdefault((v.vtype, back), children) == children
     assert lists

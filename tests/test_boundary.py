@@ -46,7 +46,7 @@ def test_z2z3_branch_count_matches_dfs_oracle(z2z3):
         if depth == d:
             return 1
         v = tree.vertices[vid]
-        return sum(count(tree.edges[e].child, depth + 1) for e in v.children)
+        return sum(count(c, depth + 1) for c in v.children)
 
     assert len(b) == count(0, 0) > 0
 
@@ -70,8 +70,7 @@ def test_basis_partitions_at_every_depth(z2z3):
     b = boundary_approx(fg, 5)
     tree = b.tree
     for k in range(1, 6):
-        level_edges = [e.eid for e in tree.edges
-                       if tree.vertices[e.child].depth == k]
+        level_edges = tree.level(k)
         cells = [b.basis_members(e) for e in level_edges]
         union = set()
         for c in cells:
@@ -82,18 +81,19 @@ def test_basis_partitions_at_every_depth(z2z3):
 
 def _branch_oracle(tree, depth):
     """The per-branch construction that BoundaryApprox replaced: root paths
-    (vids, eids) extended from the parent's, kept for the depth-d vertices in
-    vid order, and each edge's branches found by a scan of those paths."""
+    (vids, edges as child vids) extended from the parent's, kept for the
+    depth-d vertices in vid order, and each edge's branches found by a scan of
+    those paths."""
     paths = [((0,), ())]
     for v in tree.vertices[1:]:
         if v.depth > depth:
             break
-        vids, eids = paths[tree.edges[v.parent_edge].parent]
-        paths.append((vids + (v.vid,), eids + (v.parent_edge,)))
+        vids, edges = paths[v.up.vid]
+        paths.append((vids + (v.vid,), edges + (v.vid,)))
     branches = [p for p in paths if len(p[1]) == depth]
     by_edge = {}
-    for i, (_, eids) in enumerate(branches):
-        for e in eids:
+    for i, (_, edges) in enumerate(branches):
+        for e in edges:
             by_edge.setdefault(e, []).append(i)
     return branches, by_edge
 
@@ -120,7 +120,7 @@ def test_boundary_view_matches_branch_oracle(name, radius, depth):
     branches, by_edge = _branch_oracle(tree, depth)
     assert list(b.leaves) == [vids[-1] for vids, _ in branches]
     assert len(b) == len(branches)
-    for e in [-1] + [e.eid for e in tree.edges]:
+    for e in range(len(tree.vertices)):     # the root (0) has no parent edge
         assert b.basis_members(e) == frozenset(by_edge.get(e, ())), e
     for k in range(depth + 1):
         groups = {}
@@ -150,12 +150,12 @@ def test_basis_members_match_branch_scan(name):
     b = boundary_approx(fg, 5)
     _, by_edge = _branch_oracle(b.tree, 5)
     empty = 0
-    for e in b.tree.edges:
-        scan = frozenset(by_edge.get(e.eid, ()))
-        assert b.basis_members(e.eid) == scan
+    for e in range(1, len(b.tree.vertices)):
+        scan = frozenset(by_edge.get(e, ()))
+        assert b.basis_members(e) == scan
         empty += not scan
-    # the root's parent edge (-1) lies on no branch
-    assert b.basis_members(b.tree.vertices[0].parent_edge) == frozenset()
+    # the root has no parent edge, so no branch passes through one
+    assert b.basis_members(0) == frozenset()
     if name == "dead-ends":
         assert empty and len(b)
 
@@ -261,10 +261,9 @@ def test_root_limit_set_avoids_other_factor_side(z2z2):
     tree = b.tree
     # edges separating the root from the orbit of the other factor's coset:
     # the small-parameter child subtrees hold that orbit
-    for eid in tree.vertices[0].children:
-        e = tree.edges[eid]
-        if not e.fresh:
-            assert not (set(m.directions) & b.basis_members(eid))
+    for c in tree.vertices[0].children:
+        if not tree.vertices[c].fresh:
+            assert not (set(m.directions) & b.basis_members(c))
 
 
 def test_limit_set_translate_invariance(z2z2):
@@ -272,7 +271,7 @@ def test_limit_set_translate_invariance(z2z2):
     b = boundary_approx(fg, 4)
     tree = b.tree
     gamma = fg.vertex_element(0, (1, 0))
-    child = tree.edges[tree.vertices[0].children[1]].child
+    child = tree.vertices[0].children[1]
     m1 = limit_set_approx(b, child)
     tv = tree.find_vertex(fg.multiply(gamma, tree.vertices[child].rep),
                           tree.vertices[child].vtype)
@@ -456,8 +455,7 @@ def _a5_oracle(b, family, seed, samples):
                 side_in, z_in, z_out = C2, z2, z1
             else:
                 side_in, z_in, z_out = C1, z1, z2
-            e = tree.vertices[side_in].parent_edge
-            cell = set(b.basis_members(e))
+            cell = set(b.basis_members(side_in))
             removed = 0
             H = set(cell)
             for m in family:
@@ -476,7 +474,7 @@ def _a5_oracle(b, family, seed, samples):
             if not ok and len(witnesses) < 10:
                 witnesses.append({
                     "pair": [W1.label, W2.label],
-                    "edge": e,
+                    "edge": side_in - 1,
                     "saturated": saturated,
                     "z_in_ok": z_in in H,
                     "z_out_ok": z_out not in H,
@@ -668,35 +666,35 @@ def test_classify_phi_chain_is_branch_point(dinf):
     _, _, fg = dinf
     tb = TreeBall(fg, 10)
     b = BoundaryApprox(tb, 10)
-    eids = tb.root_path(b.leaves[0])
-    phis = [tb.phi(e) for e in eids]
+    edges = tb.root_path(b.leaves[0])
+    phis = [tb.phi(e) for e in edges]
     r = classify_direction(fg, tb, phis)
     assert r.kind == "branch_point"
-    assert len(r.prefix_eids) >= 5
+    assert len(r.prefix) >= 5
 
 
 def test_classify_phi_variants_agree(dinf):
     _, _, fg = dinf
     tb = TreeBall(fg, 10)
     b = BoundaryApprox(tb, 10)
-    eids = tb.root_path(b.leaves[0])
+    edges = tb.root_path(b.leaves[0])
     rng = random.Random(4)
-    canonical = classify_direction(fg, tb, [tb.phi(e) for e in eids])
-    randomized = classify_direction(fg, tb, [phi_random(tb, e, rng) for e in eids])
+    canonical = classify_direction(fg, tb, [tb.phi(e) for e in edges])
+    randomized = classify_direction(fg, tb, [phi_random(tb, e, rng) for e in edges])
     assert canonical.kind == randomized.kind == "branch_point"
-    overlap = min(len(canonical.prefix_eids), len(randomized.prefix_eids))
-    assert canonical.prefix_eids[:overlap - 1] == randomized.prefix_eids[:overlap - 1]
+    overlap = min(len(canonical.prefix), len(randomized.prefix))
+    assert canonical.prefix[:overlap - 1] == randomized.prefix[:overlap - 1]
 
 
 def test_classify_alternating_rays_inconclusive(dinf):
     _, _, fg = dinf
     tb = TreeBall(fg, 10)
     b = BoundaryApprox(tb, 10)
-    eids1, eids2 = (tb.root_path(leaf) for leaf in b.leaves)
+    edges1, edges2 = (tb.root_path(leaf) for leaf in b.leaves)
     elems = []
     for i in range(2, 9):
-        elems.append(tb.phi(eids1[i]))
-        elems.append(tb.phi(eids2[i]))
+        elems.append(tb.phi(edges1[i]))
+        elems.append(tb.phi(edges2[i]))
     r = classify_direction(fg, tb, elems)
     assert r.kind == "inconclusive"
 
@@ -709,7 +707,7 @@ def test_classify_never_returns_both_kinds(z2z2):
     r = classify_direction(fg, tb, elems)
     assert r.kind in ("vertex_point", "branch_point", "inconclusive")
     assert (r.kind == "vertex_point") == (r.coset_vid is not None)
-    assert (r.kind == "branch_point") == bool(r.prefix_eids)
+    assert (r.kind == "branch_point") == bool(r.prefix)
 
 
 def test_limit_sets_refine_monotonically(z2z2):

@@ -178,6 +178,11 @@ OUT_OF_RANGE = {
     "separate-samples": (["separate", "corpus:z2z3", "--radius", "4", "--samples", "-1"],
                          ["samples", "-1"]),
     "verify-k-radius": (["verify-k", "corpus:dinf", "--radius", "-2"], ["radius", "-2"]),
+    # a radius that leaves no margin for coset points would pass having tested nothing
+    "separate-radius-no-margin": (["separate", "corpus:z2z3", "--radius", "2", "--R", "3",
+                                   "--samples", "5"], ["radius", "2"]),
+    "verify-k-radius-no-margin": (["verify-k", "corpus:z2z3", "--radius", "1", "--edges", "3"],
+                                  ["radius", "1"]),
     "verify-k-edges": (["verify-k", "corpus:dinf", "--radius", "4", "--edges", "-1"],
                        ["edges", "-1"]),
     "ends-radii": (["ends", "corpus:f2", "--radii=-1,2"], ["radii", "-1"]),

@@ -120,6 +120,20 @@ def test_trivial_ball(trivial):
     assert len(fg.word_metric_ball(5)) == 1
 
 
+def test_cayley_ball_lives_beside_its_constructor():
+    """CayleyBall is defined in the group module, next to word_metric_ball,
+    so that module imports nothing from separation; the package and
+    separation still export it."""
+    import inspect
+
+    import amalgam_lab
+    from amalgam_lab import fundgroup, separation
+
+    assert "from .separation" not in inspect.getsource(fundgroup)
+    assert amalgam_lab.CayleyBall is separation.CayleyBall is fundgroup.CayleyBall
+    assert fundgroup.CayleyBall.__module__ == "amalgam_lab.fundgroup"
+
+
 def test_f2_ball2_is_17(f2):
     _, _, fg = f2
     ball = fg.word_metric_ball(2)

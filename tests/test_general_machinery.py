@@ -80,7 +80,7 @@ def test_stable_letter_conjugates_edge_subgroup():
 def test_tree_and_tiling():
     _, _, fg = build()
     tb = TreeBall(fg, 4)
-    assert len(tb.vertices) == len(tb.edges) + 1
+    assert sum(len(v.children) for v in tb.vertices) == len(tb.vertices) - 1
     for v in tb.vertices:
         if v.depth < tb.radius:
             # each vertex meets both edge pairs: 2+2 and 3+3

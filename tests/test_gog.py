@@ -121,7 +121,7 @@ LOCATED_ERRORS = {
     # faults found when the declarations are joined: the token of the value at fault
     "vertex-duplicate": (4, "vertex v1 A gens [a]", 8, "duplicate vertex name 'v1'"),
     "vertex-unknown-group": (3, "vertex v1 NOPE gens [a]", 11, "UnknownGroupRef: unknown group 'NOPE'"),
-    "gens-unknown-label": (3, "vertex v1 A gens [zz]", 13, "gens: no element labelled 'zz'"),
+    "gens-unknown-label": (3, "vertex v1 A gens [zz]", 19, "gens: no element labelled 'zz'"),
     "gens-do-not-generate": (3, "vertex v1 A gens [e]", 13, "gens do not generate the vertex group"),
     "edge-unknown-vertex": (5, "edge e1 v1 -- v9 group E embed_fwd {a:a} embed_bwd {a:a}", 15,
                             "UnknownGroupRef: unknown vertex 'v9'"),
@@ -129,8 +129,10 @@ LOCATED_ERRORS = {
                            "UnknownGroupRef: unknown group 'NOPE'"),
     "edge-group-infinite": (5, "edge e1 v1 -- v2 group F embed_fwd {} embed_bwd {}", 24,
                             "EdgeGroupInfinite: infinite edge group (free rank 1)"),
-    "embed-unknown-label": (5, "edge e1 v1 -- v2 group E embed_fwd {a:zzz} embed_bwd {a:a}", 26,
+    "embed-unknown-label": (5, "edge e1 v1 -- v2 group E embed_fwd {a:zzz} embed_bwd {a:a}", 39,
                             "embed_fwd: no element labelled 'zzz'"),
+    "embed-unknown-key": (5, "edge e1 v1 -- v2 group E embed_fwd {q:a} embed_bwd {a:a}", 37,
+                          "embed_fwd: no element labelled 'q'"),
     "embed-not-injective": (5, "edge e1 v1 -- v2 group E embed_fwd {a:a} embed_bwd {a:e}", 42,
                             "EmbeddingNotInjective: embed_bwd: NotInjective: elements 0 and 1 "
                             "share the image 0"),

@@ -251,9 +251,9 @@ def test_K_construction_analyses_each_distinct_edge_once(monkeypatch):
         drawn = []
         orig_split, orig_labels = TreeBall.split_by_edge, separation.r_components
 
-        def split(tb, eid):
-            drawn.append(eid)
-            return orig_split(tb, eid)
+        def split(tb, child):
+            drawn.append(child)
+            return orig_split(tb, child)
 
         def labels(*args, **kwargs):
             labelled.append(drawn[-1])
@@ -426,13 +426,13 @@ def test_edge_coset_distance_equals_set_distance(name):
     points = {x for v in tb.vertices
               for x in coset_elements_in_ball(fg, ball, v.rep, v.vtype, 3)}
     assert points
-    for e in tb.edges:
-        gamma_inv = fg.invert(e.rep)
+    for e in tb.vertices[1:]:
+        gamma_inv = fg.invert(e.edge_rep)
         subgroup = fg.edge_subgroup_elements(e.pair)
-        coset = tb.edge_coset_elements(e.eid)
+        coset = tb.edge_coset_elements(e.vid)
         for x in points:
             assert (edge_coset_distance(fg, x, gamma_inv, subgroup)
-                    == set_distance(x, coset, fg.dist)), (e.eid, x.display())
+                    == set_distance(x, coset, fg.dist)), (e.vid, x.display())
 
 
 @pytest.mark.parametrize("name", ["sl2z", "dinf", "z2z3"])
