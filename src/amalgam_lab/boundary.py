@@ -467,18 +467,18 @@ def dist_to_vertex_coset(fg: FundamentalGroup, tree: TreeBall, x: NormalForm,
 
     d(x, rep*h) = |h^-1*z| with z = rep^-1*x formed once, and h -> h^-1
     permutes G_v, so the distance is the least |h*z| over h in G_v, as in
-    ``edge_coset_distance``.  A backend G_v is searched over its ball of
-    radius 2|z|, which is symmetric and holds the identity, out to where
-    candidates can no longer beat the identity translate.
+    ``edge_coset_distance``.  A finite G_v is measured by
+    :meth:`FundamentalGroup.coset_length`.  A backend G_v is searched over
+    its ball of radius 2|z|, which is symmetric and holds the identity, out
+    to where candidates can no longer beat the identity translate.
     """
     v = tree.vertices[vid]
     backend = fg.gog.vertex_groups[v.vtype]
     z = fg.multiply(fg.invert(v.rep), x)
     if backend.is_finite:
-        members = fg.vertex_subgroup_elements(v.vtype)
-    else:
-        members = (fg.vertex_element(v.vtype, g)
-                   for g in backend.ball(2 * fg.wordlen(z), fg.ball_budget))
+        return fg.coset_length(z, fg.vertex_subgroup_elements(v.vtype))
+    members = (fg.vertex_element(v.vtype, g)
+               for g in backend.ball(2 * fg.wordlen(z), fg.ball_budget))
     return min(fg.wordlen(fg.multiply(h, z)) for h in members)
 
 

@@ -1,0 +1,155 @@
+"""Exact distances to finite cosets in pi_1(G, Y, T), with no walk.
+
+:meth:`amalgam_lab.fundgroup.FundamentalGroup.coset_length` computes
+min |h·y| over a finite subgroup H by a min-plus dynamic programme over the
+normal form of y; its docstring proves the programme exact.  This module
+holds the two parts that programme needs: the length in Gamma of each vertex
+group element (:func:`vertex_lengths`), and the programme itself, run as a
+finite automaton (:class:`CosetAutomaton`).  Both are built on the first
+call, so the package imports this module only then.
+"""
+
+from __future__ import annotations
+
+from .backends import Elem
+from .fundgroup import FundamentalGroup, NormalForm, _finite_words
+from .gog import GraphOfGroups, SpanningData, bar
+
+
+def vertex_lengths(gog: GraphOfGroups, sd: SpanningData) -> list:
+    """Per vertex v, the map g -> L_v(g) = |g| in Gamma for g in G_v.
+
+    The length over S_v is only an upper bound: in SL(2,Z) = Z/4 *_{Z/2} Z/6,
+    b^3 has length 3 over S_v = {b} but equals a^2, of length 2.  So the
+    S_v-lengths of the finite vertex groups are lowered to the least
+    function closed under the two moves of a Britton reduction: a product
+    g·g' at one vertex costs at most L(g) + L(g'), and i_{bar e}(c) costs at
+    most L(i_e(c)) plus 2 on a stable letter, 0 on a tree edge.  That least
+    function is the length in Gamma (see ``coset_length``).  An infinite
+    G_v carries only trivial edge groups, so nothing moves into it and it
+    keeps its generator length.
+    """
+    g = gog.graph
+    lengths: list = []
+    for G, genset in zip(gog.vertex_groups, gog.generating_sets):
+        if G.is_finite:
+            words = _finite_words(G, [elem for _, elem in genset])
+            lengths.append([len(words[a]) for a in G.elements()])
+        else:
+            lengths.append(None)
+    changed = True
+    while changed:
+        changed = False
+        for e, emb in enumerate(gog.embeddings):
+            src, dst = lengths[g.omega[e]], lengths[g.alpha[e]]
+            if src is None or dst is None:
+                continue
+            cost = 0 if sd.in_tree(e) else 2
+            back = gog.embedding(bar(e))
+            for c in emb.edge_group.elements():
+                a, b = emb.apply(c), back.apply(c)
+                if src[a] + cost < dst[b]:
+                    dst[b] = src[a] + cost
+                    changed = True
+        for G, L in zip(gog.vertex_groups, lengths):
+            if L is None:
+                continue
+            for a in G.elements():
+                for b in G.elements():
+                    ab = G.table[a][b]
+                    if L[a] + L[b] < L[ab]:
+                        L[ab] = L[a] + L[b]
+                        changed = True
+    return [G.gen_length if L is None else tuple(L).__getitem__
+            for G, L in zip(gog.vertex_groups, lengths)]
+
+
+class CosetAutomaton:
+    """The min-plus programme of ``coset_length`` as a finite automaton.
+
+    A carrier is a tuple of elements of one vertex group: for an oriented
+    edge x, the images i_x(c) in G_omega(x) in edge-group order; for a start
+    set, the members of H < G_root.  A piece enters carrying one cost per
+    element of its in-carrier and leaves carrying one cost per element of
+    its out-carrier.  A cost vector less its minimum is a state.  Each entry
+    of a state is at most the largest L_v, so only finitely many occur.
+    Hence the step (state, in-carrier, syllable, out-carrier) ->
+    (next state, added cost) of a finite vertex group is kept in a table
+    filled on first use.  A step in an infinite G_v is not kept: its edge
+    groups are trivial, so it keeps the state (0,) and adds the syllable's
+    generator length.
+    """
+
+    def __init__(self, fg: FundamentalGroup):
+        gog, g = fg.gog, fg.gog.graph
+        self.fg = fg
+        self.groups = gog.vertex_groups
+        self.lengths = vertex_lengths(gog, fg.sd)
+        self.stable = tuple(0 if fg.sd.in_tree(e) else 1 for e in g.oriented_edges())
+        # carrier key -> (its vertex, its elements); keys past the edges are start sets
+        self.carriers = [(g.omega[x], tuple(emb.apply(c) for c in emb.edge_group.elements()))
+                         for x, emb in enumerate(gog.embeddings)]
+        self.starts: dict = {}    # H -> (carrier key, zero state), or None off the root group
+        self.states: dict[tuple, int] = {}
+        self.vectors: list[tuple] = []
+        self.table: dict = {}
+
+    def length(self, y: NormalForm, H) -> int:
+        """min |h·y| over h in H, a tuple or frozenset of normal forms."""
+        start = self.start(H)
+        if start is None:
+            one = self.start((self.fg.identity(),))
+            return min(self.run(one, self.fg.multiply(h, y)) for h in H)
+        return self.run(start, y)
+
+    def start(self, H):
+        """The start of the run for H, or None when some member of H lies
+        outside the root group."""
+        if H not in self.starts:
+            start = None
+            if all(not h.tail for h in H):
+                members = tuple(h.g0 for h in H)
+                self.carriers.append((self.fg.root, members))
+                start = (len(self.carriers) - 1, self.state((0,) * len(members)))
+            self.starts[H] = start
+        return self.starts[H]
+
+    def state(self, costs: tuple) -> int:
+        if costs not in self.states:
+            self.states[costs] = len(self.vectors)
+            self.vectors.append(costs)
+        return self.states[costs]
+
+    def run(self, start, y: NormalForm) -> int:
+        """The least cost of a spelling of h·y over h in the start set."""
+        table, step = self.table, self.step
+        key, state = start
+        total, g = 0, y.g0
+        for e, nxt in y.tail:
+            out = e ^ 1  # the piece before t_e carries i_{bar e}(c)
+            hit = table.get((state, key, g, out))
+            if hit is None:
+                hit = step(state, key, g, out)
+            state, added = hit
+            total += added
+            key, g = e, nxt
+        hit = table.get((state, key, g, None))
+        if hit is None:
+            hit = step(state, key, g, None)
+        return total + hit[1]
+
+    def step(self, state: int, key: int, g: Elem, out: int | None) -> tuple[int, int]:
+        """One piece k^-1·g·k' at the vertex of carrier ``key``: the next state
+        and the cost it adds, with the stable letter after the piece."""
+        v, ins = self.carriers[key]
+        G, length = self.groups[v], self.lengths[v]
+        letter = self.stable[out] if out is not None else 0
+        if not G.is_finite:  # trivial edge groups: the state stays (0,)
+            return state, length(g) + letter
+        outs = self.carriers[out][1] if out is not None else (G.identity(),)
+        row = [(d, G.mul(G.inv(k), g)) for d, k in zip(self.vectors[state], ins)]
+        costs = [min(d + length(G.mul(a, k)) for d, a in row) for k in outs]
+        low = min(costs)
+        hit = (self.state(tuple(c - low for c in costs)), low + letter)
+        self.table[state, key, g, out] = hit
+        return hit

@@ -134,6 +134,7 @@ class FundamentalGroup:
         self._len_walk = None
         self._fast_metric = gog.all_edge_groups_trivial
         self._lengths: tuple[tuple, tuple] | None = None
+        self._cosets = None  # the automaton behind coset_length, built on first call
         self._bipartite: bool | None = None
         self._ball_cache: dict[int, CayleyBall] = {}
 
@@ -463,6 +464,42 @@ class FundamentalGroup:
 
     def dist(self, x: NormalForm, y: NormalForm) -> int:
         return self.wordlen(self.multiply(self.invert(x), y))
+
+    def coset_length(self, y: NormalForm, H) -> int:
+        """Exact min |h·y| over the members h of a finite subgroup H < Gamma,
+        so d(x, gamma·H) with y = gamma^-1·x; no walk, no ``wordlen``.
+
+        Write y = g0 t_{e1} g1 ... t_{en} gn in normal form.  By the normal
+        form theorem (Serre, *Trees*, I.1; Lyndon-Schupp IV.2) the reduced
+        spellings of y are exactly its edge-group insertions
+        t_e = i_{bar e}(c) t_e i_e(c)^-1.  So each one splits into pieces,
+        each in one vertex group, with the n letters t_e between them: the
+        first piece is h·g0·i_{bar e1}(c1), and the i-th is
+        i_{ei}(ci)^-1·gi·i_{bar e(i+1)}(c(i+1)).  Let L_v(g) = |g| in Gamma
+        for g in G_v (see :func:`amalgam_lab.coset_metric.vertex_lengths`).
+        A spelling costs the sum of L_v over its pieces plus one per stable
+        letter, and it is a word of that length for h·y.  Conversely, read a
+        geodesic word for h·y over S as a word in the graph of groups and
+        Britton-reduce it (Britton's lemma; Lyndon-Schupp IV.2).  Merging two
+        syllables costs at most the sum of their L_v.  A pinch
+        t_e i_e(c) t_{bar e} -> i_{bar e}(c) gives up two stable letters, or
+        none on a tree edge, and L_v is closed under both moves.  So the
+        reduced word the reduction leaves is one of the spellings, and it
+        costs at most |h·y|.  Hence |h·y| is the least cost of a spelling: a
+        min-plus programme along the syllables of y that carries one cost
+        per edge-group element across each letter.
+
+        The programme runs as a finite automaton
+        (:class:`amalgam_lab.coset_metric.CosetAutomaton`), so a syllable of
+        a finite vertex group costs one table lookup.  When every member of
+        H lies in the root group, h is carried in the first piece and the
+        call forms no product.  Otherwise each h costs one product h·y and
+        one run from the trivial start.
+        """
+        if self._cosets is None:
+            from .coset_metric import CosetAutomaton  # loaded on first use, not at import
+            self._cosets = CosetAutomaton(self)
+        return self._cosets.length(y, H)
 
     def word_metric_ball(self, radius: int) -> CayleyBall:
         """Exact radius-n ball around the identity, as an indexed graph,

@@ -71,13 +71,10 @@ def edge_coset_distance(fg: FundamentalGroup, x: NormalForm, gamma_inv: NormalFo
     """d(x, gamma·H) for a finite edge subgroup H, given gamma^-1.
 
     d(x, gamma·h) = |h^-1·gamma^-1·x| and h -> h^-1 permutes H, so the
-    distance is the least |h·y| over h in H with y = gamma^-1·x: one product
-    per member, and no inverse per member.  H holds the identity, whose
-    member is |y| itself and costs no product.
+    distance is the least |h·y| over h in H with y = gamma^-1·x: one
+    product, then :meth:`FundamentalGroup.coset_length`.
     """
-    y = fg.multiply(gamma_inv, x)
-    return min([fg.wordlen(y), *(fg.wordlen(fg.multiply(h, y))
-                                 for h in subgroup if not h.is_identity())])
+    return fg.coset_length(fg.multiply(gamma_inv, x), subgroup)
 
 
 def diameter(fg: FundamentalGroup, points) -> int:

@@ -21,7 +21,16 @@ from amalgam_lab.corpus import NAMES
 from amalgam_lab.errors import DepthTooSmall
 from amalgam_lab.fundgroup import FundamentalGroup, NormalForm
 
-from conftest import DEAD_ENDS, SL2Z, eager_rep, in_subtree_walk, make_fg, phi_random
+from conftest import (
+    CHAIN,
+    DEAD_ENDS,
+    S3_Z4,
+    SL2Z,
+    eager_rep,
+    in_subtree_walk,
+    make_fg,
+    phi_random,
+)
 
 
 # --- boundary approximations -----------------------------------------------
@@ -632,12 +641,15 @@ def test_branch_density():
 # --- classification ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name, ball_radius", [("sl2z", 3), ("z2z3", 3), ("z2z2", 1)])
+@pytest.mark.parametrize("name, ball_radius", [("sl2z", 3), ("z2z3", 3), ("z2z2", 1),
+                                               ("s3z4", 3), ("chain", 3)])
 def test_dist_to_vertex_coset_matches_brute_force(name, ball_radius):
     """d(x, rep*G_v) against the least d(x, rep*h): over all of a finite G_v,
     and over a backend ball two steps wider than the searched one.  On z2z2
-    the x range over ball(1) only: each backend call walks a fresh Z^2 ball."""
-    _, _, fg = make_fg(SL2Z if name == "sl2z" else name)
+    the x range over ball(1) only: each backend call walks a fresh Z^2 ball.
+    s3z4 has a non-abelian vertex group, and chain a finite G_v whose
+    members are written with a tail, off the root group."""
+    _, _, fg = make_fg({"sl2z": SL2Z, "s3z4": S3_Z4, "chain": CHAIN}.get(name, name))
     tb = TreeBall(fg, 2)
     xs = fg.word_metric_ball(ball_radius).elements
     for v in tb.vertices:

@@ -3,11 +3,13 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amalgam_lab.coset_metric import vertex_lengths
 from amalgam_lab.dsl import parse_gog
 from amalgam_lab.errors import BaseMismatch
 from amalgam_lab.fundgroup import (
@@ -21,6 +23,8 @@ from amalgam_lab.gog import bar, spanning_tree
 
 from abelianization_oracle import abelian_invariants
 from conftest import ALL_TEXTS, FINITE_EDGED, ORACLES, S3_Z4, SL2Z, make_fg
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 # --- presentations ---------------------------------------------------------
@@ -266,6 +270,42 @@ def test_wordlen_walk_forms_no_inverse_pair_twice(monkeypatch):
     products = set(formed)
     for x, s in formed:
         assert (multiply(x, s), inverse[s]) not in products, (x.display(), s.display())
+
+
+# --- coset lengths -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ALL_TEXTS)
+def test_vertex_lengths_are_lengths_in_the_group(name):
+    """L_v(g) equals the walk's |vertex_element(v, g)| on every finite vertex."""
+    gog, sd, fg = make_fg(ALL_TEXTS[name])
+    lengths = vertex_lengths(gog, sd)
+    for v, G in enumerate(gog.vertex_groups):
+        if G.is_finite:
+            for g in G.elements():
+                assert lengths[v](g) == fg.wordlen(fg.vertex_element(v, g)), (v, g)
+
+
+def test_vertex_lengths_see_through_the_edge_group():
+    """On the benchmark's SL(2,Z), b^3 has length 3 over S_v = {b} but equals
+    a^2 in Gamma, of length 2."""
+    gog = parse_gog((PERFBENCH / "sl2z.gog").read_text())
+    sd = spanning_tree(gog)
+    B = gog.vertex_groups[1]
+    b3 = B.index_of("b3")
+    assert FundamentalGroup(gog, sd)._length_tables()[0][1](b3) == 3
+    assert vertex_lengths(gog, sd)[1](b3) == 2
+
+
+@pytest.mark.parametrize("name,radius", [("sl2z", 10), ("z6z9", 10), ("s3z4", 10),
+                                         ("hnn6", 6), ("chain", 6)])
+def test_coset_length_from_the_trivial_start_is_wordlen(name, radius):
+    """With H = {1} the min-plus programme is the word length: on every
+    element of the ball, against the walk."""
+    _, _, fg = make_fg(ALL_TEXTS[name])
+    one = (fg.identity(),)
+    for x in fg.word_metric_ball(radius).elements:
+        assert fg.coset_length(x, one) == fg.wordlen(x), x.display()
 
 
 # --- Britton reduction ------------------------------------------------------------

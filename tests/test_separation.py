@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -23,7 +24,9 @@ from amalgam_lab.separation import (
     verify_thickening_lemma,
 )
 
-from conftest import FINITE_EDGED, SEGMENT, SL2Z, components, make_fg
+from conftest import FINITE_EDGED, S3_Z4, SEGMENT, SL2Z, components, make_fg
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_r_components_whole_ball_one_component(dinf):
@@ -415,16 +418,24 @@ def test_verifiers_on_nontrivial_edge_group():
     assert ends_estimate(fg, [4, 6, 8], margin=3).verdict == "infinity-growing"
 
 
-@pytest.mark.parametrize("name", ["sl2z", *FINITE_EDGED])
+# name -> (input, ball radius, tree-ball depth); s3z4's vertex group is
+# non-abelian and its edge image is not normal, so the order of the factors
+# of a piece matters there
+COSET_DISTANCE_CASES = {"sl2z": (SL2Z, 5, 2), **{n: (t, 5, 2) for n, t in FINITE_EDGED.items()},
+                        "s3z4": (S3_Z4, 5, 2), "sl2z-deep": (SL2Z, 12, 5)}
+
+
+@pytest.mark.parametrize("name", COSET_DISTANCE_CASES)
 def test_edge_coset_distance_equals_set_distance(name):
-    """d(x, gamma·H) from one product per member of H equals the minimum of
+    """d(x, gamma·H) from the coset-length automaton equals the minimum of
     d(x, c) over the enumerated edge coset, for every tree edge and every
     in-ball coset point."""
-    _, _, fg = make_fg(SL2Z if name == "sl2z" else FINITE_EDGED[name])
-    ball = fg.word_metric_ball(5)
-    tb = TreeBall(fg, 2)
+    text, radius, depth = COSET_DISTANCE_CASES[name]
+    _, _, fg = make_fg(text)
+    ball = fg.word_metric_ball(radius)
+    tb = TreeBall(fg, depth)
     points = {x for v in tb.vertices
-              for x in coset_elements_in_ball(fg, ball, v.rep, v.vtype, 3)}
+              for x in coset_elements_in_ball(fg, ball, v.rep, v.vtype, radius - 2)}
     assert points
     for e in tb.vertices[1:]:
         gamma_inv = fg.invert(e.edge_rep)
@@ -433,6 +444,35 @@ def test_edge_coset_distance_equals_set_distance(name):
         for x in points:
             assert (edge_coset_distance(fg, x, gamma_inv, subgroup)
                     == set_distance(x, coset, fg.dist)), (e.vid, x.display())
+
+
+def test_K_construction_coset_distances_need_no_walk(monkeypatch):
+    """On the benchmark's verify-k run, the wordlen walk stops at B(12), the
+    884 elements that the diameters need, and each coset distance forms one
+    product, gamma^-1·x: every SL(2,Z) edge group lies in the root group.
+    The automaton stays small because its states are normalised."""
+    from amalgam_lab import separation
+    from amalgam_lab.fundgroup import FundamentalGroup
+
+    _, _, fg = make_fg((PERFBENCH / "sl2z.gog").read_text())
+    products, per_call = [0], []
+    multiply, coset_distance = FundamentalGroup.multiply, separation.edge_coset_distance
+
+    def counted_multiply(self, x, y):
+        products[0] += 1
+        return multiply(self, x, y)
+
+    def counted_distance(*args):
+        before = products[0]
+        d = coset_distance(*args)
+        per_call.append(products[0] - before)
+        return d
+    monkeypatch.setattr(FundamentalGroup, "multiply", counted_multiply)
+    monkeypatch.setattr(separation, "edge_coset_distance", counted_distance)
+    assert verify_K_construction(fg, 12, 32, seed=1).holds
+    assert len(per_call) == 15_330 and set(per_call) == {1}
+    assert len(fg._len_index) == len(fg.word_metric_ball(12)) == 884
+    assert len(fg._cosets.table) < 20
 
 
 @pytest.mark.parametrize("name", ["sl2z", "dinf", "z2z3"])
