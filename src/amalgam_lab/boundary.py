@@ -465,18 +465,18 @@ def dist_to_vertex_coset(fg: FundamentalGroup, tree: TreeBall, x: NormalForm,
                          vid: int) -> int:
     """Exact d_S(x, rep*G_v).
 
-    d(x, rep*h) = |h^-1*z| with z = rep^-1*x formed once, and h -> h^-1
-    permutes G_v, so the distance is the least |h*z| over h in G_v, as in
-    ``edge_coset_distance``.  A finite G_v is measured by
-    :meth:`FundamentalGroup.coset_length`.  A backend G_v is searched over
-    its ball of radius 2|z|, which is symmetric and holds the identity, out
-    to where candidates can no longer beat the identity translate.
+    d(x, rep*h) = |h^-1*rep^-1*x| and h -> h^-1 permutes G_v, so the distance
+    is the least |h*rep^-1*x| over h in G_v.  A finite G_v is measured by
+    :meth:`FundamentalGroup.coset_distances`, with no rep^-1*x product.  A
+    backend G_v is searched over its ball of radius 2|z|, z = rep^-1*x, which
+    is symmetric and holds the identity, out to where candidates can no
+    longer beat the identity translate.
     """
     v = tree.vertices[vid]
     backend = fg.gog.vertex_groups[v.vtype]
-    z = fg.multiply(fg.invert(v.rep), x)
     if backend.is_finite:
-        return fg.coset_length(z, fg.vertex_subgroup_elements(v.vtype))
+        return fg.coset_distances(fg.invert(v.rep), fg.vertex_subgroup_elements(v.vtype))(x)
+    z = fg.multiply(fg.invert(v.rep), x)
     members = (fg.vertex_element(v.vtype, g)
                for g in backend.ball(2 * fg.wordlen(z), fg.ball_budget))
     return min(fg.wordlen(fg.multiply(h, z)) for h in members)

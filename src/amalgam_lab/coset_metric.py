@@ -1,8 +1,10 @@
 """Exact distances to finite cosets in pi_1(G, Y, T), with no walk.
 
 :meth:`amalgam_lab.fundgroup.FundamentalGroup.coset_length` computes
-min |h·y| over a finite subgroup H by a min-plus dynamic programme over the
-normal form of y; its docstring proves the programme exact.  This module
+min |h·y| over a finite subgroup H by a min-plus dynamic programme over a
+reduced spelling of y; its docstring proves the programme exact.
+``coset_distances`` gives the map y -> min |h·left·y| for one left factor,
+which reads y across the junction with left and forms no product.  This module
 holds the two parts that programme needs: the length in Gamma of each vertex
 group element (:func:`vertex_lengths`), and the programme itself, run as a
 finite automaton (:class:`CosetAutomaton`).  Both are built on the first
@@ -75,9 +77,9 @@ class CosetAutomaton:
     of a state is at most the largest L_v, so only finitely many occur.
     Hence the step (state, in-carrier, syllable, out-carrier) ->
     (next state, added cost) of a finite vertex group is kept in a table
-    filled on first use.  A step in an infinite G_v is not kept: its edge
-    groups are trivial, so it keeps the state (0,) and adds the syllable's
-    generator length.
+    filled on first use.  An infinite G_v has only trivial edge groups, so a
+    piece there keeps the state (0,) and adds its generator length: the run
+    adds it directly, with no table and no step.
     """
 
     def __init__(self, fg: FundamentalGroup):
@@ -89,18 +91,61 @@ class CosetAutomaton:
         # carrier key -> (its vertex, its elements); keys past the edges are start sets
         self.carriers = [(g.omega[x], tuple(emb.apply(c) for c in emb.edge_group.elements()))
                          for x, emb in enumerate(gog.embeddings)]
+        # vertex -> its length map if G_v is infinite, else None; carrier key -> that of its vertex
+        self.free = [None if G.is_finite else L for G, L in zip(self.groups, self.lengths)]
+        self.direct = [self.free[v] for v, _ in self.carriers]
         self.starts: dict = {}    # H -> (carrier key, zero state), or None off the root group
         self.states: dict[tuple, int] = {}
         self.vectors: list[tuple] = []
         self.table: dict = {}
 
-    def length(self, y: NormalForm, H) -> int:
-        """min |h·y| over h in H, a tuple or frozenset of normal forms."""
+    def distances(self, left: NormalForm, H):
+        """The map y -> min |h·left·y| over h in H, a tuple or frozenset of
+        normal forms.  When H lies in the root group, the map forms no
+        product (see :meth:`junction`); otherwise it forms h·left once per
+        member h here, and takes the least of their maps."""
         start = self.start(H)
         if start is None:
             one = self.start((self.fg.identity(),))
-            return min(self.run(one, self.fg.multiply(h, y)) for h in H)
-        return self.run(start, y)
+            parts = [self.junction(one, self.fg.multiply(h, left)) for h in H]
+            return lambda y: min(part(y) for part in parts)
+        return self.junction(start, left)
+
+    def junction(self, start, left: NormalForm):
+        """y -> the least cost of a spelling of h·left·y over h in the start set.
+
+        The run over left's spelling is made once, and the state and cost
+        before each of its pieces are kept.  Per y, only the junction loop
+        of ``FundamentalGroup.multiply`` runs: it cancels the pinches across
+        the junction until the first that does not pinch, at left's n-th
+        letter, where left's n-th syllable merges with what y carries in.
+        g0 t_e1 g1 ... t_en (merged) followed by y's uncancelled letters is a
+        reduced spelling of left·y.  It is not canonical, and it need not
+        be: every reduced spelling is an edge-group insertion of every other,
+        and the programme ranges over all of them.  So the run resumes from
+        the kept state before piece n and reads only y's side.
+        """
+        key0, state0 = start
+        trace: list = []
+        self.run(state0, key0, 0, left.g0, left.tail, trace)
+        run, lt, g0, root = self.run, left.tail, left.g0, self.fg.root_group
+        groups, omega, embeddings = self.groups, self.fg.gog.graph.omega, self.fg.gog.embeddings
+
+        def distance(y: NormalForm) -> int:
+            yt, carry, n, k = y.tail, y.g0, len(lt), 0
+            while n:
+                en, gn = lt[n - 1]
+                merged = groups[omega[en]].mul(gn, carry)
+                emb = embeddings[en]
+                if k == len(yt) or yt[k][0] != en ^ 1 or not emb.contains(merged):
+                    state, total = trace[n]
+                    return run(state, en, total, merged, yt[k:])
+                f, yk = yt[k]
+                carry = groups[omega[f]].mul(embeddings[f].apply(emb.preimage(merged)), yk)
+                n -= 1
+                k += 1
+            return run(state0, key0, 0, root.mul(g0, carry), yt[k:])
+        return distance
 
     def start(self, H):
         """The start of the run for H, or None when some member of H lies
@@ -110,6 +155,7 @@ class CosetAutomaton:
             if all(not h.tail for h in H):
                 members = tuple(h.g0 for h in H)
                 self.carriers.append((self.fg.root, members))
+                self.direct.append(self.free[self.fg.root])
                 start = (len(self.carriers) - 1, self.state((0,) * len(members)))
             self.starts[H] = start
         return self.starts[H]
@@ -120,32 +166,42 @@ class CosetAutomaton:
             self.vectors.append(costs)
         return self.states[costs]
 
-    def run(self, start, y: NormalForm) -> int:
-        """The least cost of a spelling of h·y over h in the start set."""
-        table, step = self.table, self.step
-        key, state = start
-        total, g = 0, y.g0
-        for e, nxt in y.tail:
+    def run(self, state: int, key: int, total: int, g: Elem, tail, trace=None) -> int:
+        """The least cost of the spelling g t_e1 g1 ... over its edge-group
+        insertions, entering in ``state`` at carrier ``key`` with ``total``
+        spent.  A ``trace`` list gets (state, total) before each piece."""
+        table, step, direct, stable = self.table, self.step, self.direct, self.stable
+        for e, nxt in tail:
+            if trace is not None:
+                trace.append((state, total))
             out = e ^ 1  # the piece before t_e carries i_{bar e}(c)
-            hit = table.get((state, key, g, out))
-            if hit is None:
-                hit = step(state, key, g, out)
-            state, added = hit
-            total += added
+            length = direct[key]
+            if length is None:
+                hit = table.get((state, key, g, out))
+                if hit is None:
+                    hit = step(state, key, g, out)
+                state, added = hit
+                total += added
+            else:
+                total += length(g) + stable[out]
             key, g = e, nxt
+        if trace is not None:
+            trace.append((state, total))
+        length = direct[key]
+        if length is not None:
+            return total + length(g)
         hit = table.get((state, key, g, None))
         if hit is None:
             hit = step(state, key, g, None)
         return total + hit[1]
 
     def step(self, state: int, key: int, g: Elem, out: int | None) -> tuple[int, int]:
-        """One piece k^-1·g·k' at the vertex of carrier ``key``: the next state
-        and the cost it adds, with the stable letter after the piece."""
+        """One piece k^-1·g·k' in the finite vertex group of carrier ``key``:
+        the next state and the cost it adds, with the stable letter after
+        the piece."""
         v, ins = self.carriers[key]
         G, length = self.groups[v], self.lengths[v]
         letter = self.stable[out] if out is not None else 0
-        if not G.is_finite:  # trivial edge groups: the state stays (0,)
-            return state, length(g) + letter
         outs = self.carriers[out][1] if out is not None else (G.identity(),)
         row = [(d, G.mul(G.inv(k), g)) for d, k in zip(self.vectors[state], ins)]
         costs = [min(d + length(G.mul(a, k)) for d, a in row) for k in outs]

@@ -134,7 +134,7 @@ class FundamentalGroup:
         self._len_walk = None
         self._fast_metric = gog.all_edge_groups_trivial
         self._lengths: tuple[tuple, tuple] | None = None
-        self._cosets = None  # the automaton behind coset_length, built on first call
+        self._cosets = None  # the automaton behind coset_distances, built on first call
         self._bipartite: bool | None = None
         self._ball_cache: dict[int, CayleyBall] = {}
 
@@ -469,14 +469,14 @@ class FundamentalGroup:
         """Exact min |h·y| over the members h of a finite subgroup H < Gamma,
         so d(x, gamma·H) with y = gamma^-1·x; no walk, no ``wordlen``.
 
-        Write y = g0 t_{e1} g1 ... t_{en} gn in normal form.  By the normal
-        form theorem (Serre, *Trees*, I.1; Lyndon-Schupp IV.2) the reduced
-        spellings of y are exactly its edge-group insertions
-        t_e = i_{bar e}(c) t_e i_e(c)^-1.  So each one splits into pieces,
-        each in one vertex group, with the n letters t_e between them: the
-        first piece is h·g0·i_{bar e1}(c1), and the i-th is
-        i_{ei}(ci)^-1·gi·i_{bar e(i+1)}(c(i+1)).  Let L_v(g) = |g| in Gamma
-        for g in G_v (see :func:`amalgam_lab.coset_metric.vertex_lengths`).
+        Write y = g0 t_{e1} g1 ... t_{en} gn as any reduced spelling, canonical
+        or not.  By the normal form theorem (Serre, *Trees*, I.1;
+        Lyndon-Schupp IV.2) the reduced spellings of y are exactly the
+        edge-group insertions t_e = i_{bar e}(c) t_e i_e(c)^-1 into that one.
+        So each splits into pieces, each in one vertex group, with the n
+        letters t_e between them: the first piece is h·g0·i_{bar e1}(c1), and
+        the i-th is i_{ei}(ci)^-1·gi·i_{bar e(i+1)}(c(i+1)).  Let L_v(g) = |g|
+        in Gamma for g in G_v (see :func:`amalgam_lab.coset_metric.vertex_lengths`).
         A spelling costs the sum of L_v over its pieces plus one per stable
         letter, and it is a word of that length for h·y.  Conversely, read a
         geodesic word for h·y over S as a word in the graph of groups and
@@ -486,20 +486,20 @@ class FundamentalGroup:
         none on a tree edge, and L_v is closed under both moves.  So the
         reduced word the reduction leaves is one of the spellings, and it
         costs at most |h·y|.  Hence |h·y| is the least cost of a spelling: a
-        min-plus programme along the syllables of y that carries one cost
-        per edge-group element across each letter.
-
-        The programme runs as a finite automaton
-        (:class:`amalgam_lab.coset_metric.CosetAutomaton`), so a syllable of
-        a finite vertex group costs one table lookup.  When every member of
-        H lies in the root group, h is carried in the first piece and the
-        call forms no product.  Otherwise each h costs one product h·y and
-        one run from the trivial start.
+        min-plus programme along the syllables of any reduced spelling of y
+        that carries one cost per edge-group element across each letter.
+        :class:`amalgam_lab.coset_metric.CosetAutomaton` runs it as a finite
+        automaton; this is ``coset_distances`` with left = 1.
         """
+        return self.coset_distances(self._identity, H)(y)
+
+    def coset_distances(self, left: NormalForm, H):
+        """y -> min |h·left·y| over h in H, with no product per point: h -> h^-1
+        permutes H, so d(x, gamma·H) is ``coset_distances(gamma^-1, H)(x)``."""
         if self._cosets is None:
             from .coset_metric import CosetAutomaton  # loaded on first use, not at import
             self._cosets = CosetAutomaton(self)
-        return self._cosets.length(y, H)
+        return self._cosets.distances(left, H)
 
     def word_metric_ball(self, radius: int) -> CayleyBall:
         """Exact radius-n ball around the identity, as an indexed graph,

@@ -66,17 +66,6 @@ def set_distance(x, elems, dist) -> float:
     return min(dist(x, c) for c in elems)
 
 
-def edge_coset_distance(fg: FundamentalGroup, x: NormalForm, gamma_inv: NormalForm,
-                        subgroup) -> int:
-    """d(x, gamma·H) for a finite edge subgroup H, given gamma^-1.
-
-    d(x, gamma·h) = |h^-1·gamma^-1·x| and h -> h^-1 permutes H, so the
-    distance is the least |h·y| over h in H with y = gamma^-1·x: one
-    product, then :meth:`FundamentalGroup.coset_length`.
-    """
-    return fg.coset_length(fg.multiply(gamma_inv, x), subgroup)
-
-
 def diameter(fg: FundamentalGroup, points) -> int:
     """The d_S-diameter of a finite set of group elements.
 
@@ -174,7 +163,8 @@ def verify_thickening_lemma(ball: CayleyBall, I, x0: NormalForm, x1: NormalForm,
 
 def coset_elements_in_ball(fg: FundamentalGroup, ball: CayleyBall,
                            rep: NormalForm, vtype: int, maxlen: int) -> list[NormalForm]:
-    """All elements of rep*G_vtype with word length <= maxlen.
+    """All elements of rep*G_vtype with word length <= maxlen, as the
+    ball's own objects.
 
     ``ball`` is the exact word-metric ball of ``fg``, so a member's word
     length is at most maxlen exactly when its ball position is below
@@ -191,8 +181,8 @@ def coset_elements_in_ball(fg: FundamentalGroup, ball: CayleyBall,
         reach = maxlen + fg.wordlen(rep)
         members = [fg.vertex_element(vtype, g) for g in backend.ball(reach, fg.ball_budget)]
     index, bound = ball.index, ball.layer_starts[maxlen + 1]
-    coset = (fg.multiply(rep, h) for h in members)
-    return [x for x in coset if index.get(x, bound) < bound]
+    positions = (index.get(fg.multiply(rep, h), bound) for h in members)
+    return [ball.elements[i] for i in positions if i < bound]
 
 
 def verify_cayley_separation(fg: FundamentalGroup, ball_radius: int,
@@ -234,10 +224,9 @@ def verify_cayley_separation(fg: FundamentalGroup, ball_radius: int,
         path = tb.geodesic(u, w)
         edge = tb.vertices[path[len(path) // 2]]
         coset = tb.edge_coset_elements(edge.vid)
-        gamma_inv = fg.invert(edge.edge_rep)
-        subgroup = fg.edge_subgroup_elements(edge.pair)
-        eligible_u, eligible_w = ([x for x in coset_points(v)
-                                   if edge_coset_distance(fg, x, gamma_inv, subgroup) >= sesq]
+        H = fg.edge_subgroup_elements(edge.pair)
+        distance = fg.coset_distances(fg.invert(edge.edge_rep), H)  # x -> d(x, gamma·H)
+        eligible_u, eligible_w = ([x for x in coset_points(v) if distance(x) >= sesq]
                                   for v in (u, w))
         if not eligible_u or not eligible_w:
             report.not_applicable += 1
@@ -334,10 +323,9 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
         if not M or not M2:
             return None
         label = r_components(ball, 1, excluded=gammaK)
-        gamma_inv = fg.invert(edge.edge_rep)
-        subgroup = fg.edge_subgroup_elements(edge.pair)
-        AM, AM2 = ([(x, edge_coset_distance(fg, x, gamma_inv, subgroup), label[ball.index[x]])
-                    for x in side] for side in (M, M2))
+        H = fg.edge_subgroup_elements(edge.pair)
+        distance = fg.coset_distances(fg.invert(edge.edge_rep), H)  # x -> d(x, gamma·H)
+        AM, AM2 = ([(x, distance(x), label[ball.index[x]]) for x in side] for side in (M, M2))
         # minimal exclusion radius R0 killing all offending pairs
         max_d_M = max(d for _, d, _ in AM)
         max_d_M2 = max(d for _, d, _ in AM2)

@@ -553,3 +553,23 @@ def test_determinism_across_processes_with_different_hash_seeds(tmp_path):
         assert subprocess.run(cmd, env=env, capture_output=True).returncode == 0
         outs.append(out.read_bytes())
     assert outs[2] == outs[3]
+
+
+def test_import_leaves_the_coset_automaton_unloaded():
+    """Importing the package and its CLI does not load ``coset_metric``: it
+    is imported on the first coset distance, so a run that measures none
+    does not compile it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import amalgam_lab
+
+    src = str(Path(amalgam_lab.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = ("import sys, amalgam_lab, amalgam_lab.cli; "
+            "print('amalgam_lab.coset_metric' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=pythonpath), check=True)
+    assert out.stdout.strip() == "False"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amalgam_lab.coset_metric import vertex_lengths
+from amalgam_lab.coset_metric import CosetAutomaton, vertex_lengths
 from amalgam_lab.dsl import parse_gog
 from amalgam_lab.errors import BaseMismatch
 from amalgam_lab.fundgroup import (
@@ -306,6 +306,56 @@ def test_coset_length_from_the_trivial_start_is_wordlen(name, radius):
     one = (fg.identity(),)
     for x in fg.word_metric_ball(radius).elements:
         assert fg.coset_length(x, one) == fg.wordlen(x), x.display()
+
+
+@pytest.mark.parametrize("name", ["zxz2", "z2z2"])
+def test_coset_length_reads_infinite_vertex_groups_without_a_step(name, monkeypatch):
+    """A piece in an infinite vertex group adds its generator length in the
+    run itself.  With H = {1} the programme is the word length on every
+    element of the radius-6 ball, and once the first pass has filled the
+    table of the finite vertex groups, a second pass calls ``step`` never."""
+    _, _, fg = make_fg(name)
+    one = (fg.identity(),)
+    ball = fg.word_metric_ball(6)
+    for x in ball.elements:
+        assert fg.coset_length(x, one) == fg.wordlen(x), x.display()
+    steps = []
+    step = CosetAutomaton.step
+
+    def counted(self, *args):
+        steps.append(args)
+        return step(self, *args)
+    monkeypatch.setattr(CosetAutomaton, "step", counted)
+    for x in ball.elements:
+        fg.coset_length(x, one)
+    assert steps == []
+
+
+@pytest.mark.parametrize("name", ALL_TEXTS)
+def test_coset_distances_equal_coset_length_of_the_product(name):
+    """The map of ``coset_distances(left, H)`` reads y across the junction of
+    left and y; it equals ``coset_length(left·y, H)`` on the product formed,
+    and the least length of h·left·y over the members h, each from {1}.
+    H ranges over {1}, every edge subgroup and every finite vertex subgroup,
+    some of them off the root group; left and y come from the radius-4
+    ball, and y = left^-1 cancels all of left."""
+    gog, _, fg = make_fg(ALL_TEXTS[name])
+    elements = fg.word_metric_ball(4).elements
+    rng = random.Random(name)
+    lefts = [fg.identity(), *rng.sample(elements, min(5, len(elements)))]
+    ys = rng.sample(elements, min(150, len(elements)))
+    subgroups = [(fg.identity(),),
+                 *(fg.edge_subgroup_elements(k) for k in range(gog.graph.n_edges)),
+                 *(fg.vertex_subgroup_elements(v)
+                   for v, G in enumerate(gog.vertex_groups) if G.is_finite)]
+    one = subgroups[0]
+    for H in subgroups:
+        for left in lefts:
+            distance = fg.coset_distances(left, H)
+            for y in [*ys, fg.invert(left)]:
+                xy = fg.multiply(left, y)
+                d = min(fg.coset_length(fg.multiply(h, xy), one) for h in H)
+                assert distance(y) == fg.coset_length(xy, H) == d, (left.display(), y.display())
 
 
 # --- Britton reduction ------------------------------------------------------------

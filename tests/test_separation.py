@@ -10,10 +10,10 @@ import pytest
 from amalgam_lab.bass_serre import TreeBall
 from amalgam_lab.corpus import NAMES
 from amalgam_lab.errors import Inconclusive, PreconditionUnmet
+from amalgam_lab.fundgroup import FundamentalGroup
 from amalgam_lab.separation import (
     coset_elements_in_ball,
     diameter,
-    edge_coset_distance,
     ends_estimate,
     r_components,
     r_separates,
@@ -206,12 +206,16 @@ def test_cayley_separation_measures_each_point_once(monkeypatch):
         state["after_labels"] = True
         return orig_labels(*args, **kwargs)
 
-    def coset_distance(*args, **kwargs):
+    def coset_distances(*args, **kwargs):
         # the eligibility filters measure d(x, edge coset) before the labelling
-        d = orig_coset_distance(*args, **kwargs)
-        if not state["after_labels"] and d >= sesq:
-            blocks[-1][0] += 1
-        return d
+        distance = orig_coset_distances(*args, **kwargs)
+
+        def counted(x):
+            d = distance(x)
+            if not state["after_labels"] and d >= sesq:
+                blocks[-1][0] += 1
+            return d
+        return counted
 
     def distance(*args, **kwargs):
         if state["after_labels"]:
@@ -220,11 +224,11 @@ def test_cayley_separation_measures_each_point_once(monkeypatch):
 
     orig_edge_coset = TreeBall.edge_coset_elements
     orig_labels = separation.r_components
-    orig_coset_distance = separation.edge_coset_distance
+    orig_coset_distances = FundamentalGroup.coset_distances
     orig_distance = separation.set_distance
     monkeypatch.setattr(TreeBall, "edge_coset_elements", edge_coset)
     monkeypatch.setattr(separation, "r_components", labels)
-    monkeypatch.setattr(separation, "edge_coset_distance", coset_distance)
+    monkeypatch.setattr(FundamentalGroup, "coset_distances", coset_distances)
     monkeypatch.setattr(separation, "set_distance", distance)
     report = verify_cayley_separation(fg, ball_radius=10, samples=30, R=1, seed=7)
     assert all(calls <= eligible for eligible, calls in blocks)
@@ -386,6 +390,17 @@ def test_coset_elements_in_ball_matches_wordlen_filter(name):
         coset_elements_in_ball(fg, ball, fg.identity(), fg.root, 6)
 
 
+@pytest.mark.parametrize("name", [*NAMES, SL2Z], ids=[*NAMES, "sl2z"])
+def test_coset_points_are_the_ball_own_objects(name):
+    """Each coset point is the ball's own element, not an equal copy, so
+    later ``ball.index`` lookups and set unions match it by identity."""
+    _, _, fg = make_fg(name)
+    ball = fg.word_metric_ball(5)
+    for v in TreeBall(fg, 3).vertices:
+        for x in coset_elements_in_ball(fg, ball, v.rep, v.vtype, 5):
+            assert x is ball.elements[ball.index[x]], (v.vid, x.display())
+
+
 def test_ball_metric_axioms_spot_check(z2z3):
     _, _, fg = z2z3
     ball = fg.word_metric_ball(5)
@@ -438,39 +453,40 @@ def test_edge_coset_distance_equals_set_distance(name):
               for x in coset_elements_in_ball(fg, ball, v.rep, v.vtype, radius - 2)}
     assert points
     for e in tb.vertices[1:]:
-        gamma_inv = fg.invert(e.edge_rep)
-        subgroup = fg.edge_subgroup_elements(e.pair)
+        distance = fg.coset_distances(fg.invert(e.edge_rep), fg.edge_subgroup_elements(e.pair))
         coset = tb.edge_coset_elements(e.vid)
         for x in points:
-            assert (edge_coset_distance(fg, x, gamma_inv, subgroup)
-                    == set_distance(x, coset, fg.dist)), (e.vid, x.display())
+            assert distance(x) == set_distance(x, coset, fg.dist), (e.vid, x.display())
 
 
 def test_K_construction_coset_distances_need_no_walk(monkeypatch):
     """On the benchmark's verify-k run, the wordlen walk stops at B(12), the
-    884 elements that the diameters need, and each coset distance forms one
-    product, gamma^-1·x: every SL(2,Z) edge group lies in the root group.
-    The automaton stays small because its states are normalised."""
-    from amalgam_lab import separation
-    from amalgam_lab.fundgroup import FundamentalGroup
-
+    884 elements that the diameters need, and no coset distance forms a
+    product: every SL(2,Z) edge group lies in the root group, so each
+    edge's map reads gamma^-1·x across the junction.  The automaton stays
+    small because its states are normalised."""
     _, _, fg = make_fg((PERFBENCH / "sl2z.gog").read_text())
     products, per_call = [0], []
-    multiply, coset_distance = FundamentalGroup.multiply, separation.edge_coset_distance
+    multiply, coset_distances = FundamentalGroup.multiply, FundamentalGroup.coset_distances
 
     def counted_multiply(self, x, y):
         products[0] += 1
         return multiply(self, x, y)
 
-    def counted_distance(*args):
-        before = products[0]
-        d = coset_distance(*args)
-        per_call.append(products[0] - before)
-        return d
+    def counted_distances(*args):
+        distance = coset_distances(*args)
+
+        def counted(x):
+            before = products[0]
+            d = distance(x)
+            per_call.append(products[0] - before)
+            return d
+        return counted
     monkeypatch.setattr(FundamentalGroup, "multiply", counted_multiply)
-    monkeypatch.setattr(separation, "edge_coset_distance", counted_distance)
+    monkeypatch.setattr(FundamentalGroup, "coset_distances", counted_distances)
     assert verify_K_construction(fg, 12, 32, seed=1).holds
-    assert len(per_call) == 15_330 and set(per_call) == {1}
+    assert len(per_call) == 15_330 and set(per_call) == {0}
+    assert products[0] == 11_184
     assert len(fg._len_index) == len(fg.word_metric_ball(12)) == 884
     assert len(fg._cosets.table) < 20
 
