@@ -179,7 +179,7 @@ def _cmd_cayley_ball(args) -> dict:
         "layer_sizes": list(ball.layer_sizes),
         "generators": list(fg.generating_set().step_labels),
         "elements": [x.display() for x in ball.elements],
-        "adjacency": [ball.neighbors(i) for i in range(len(ball))],
+        "adjacency": [ball.adjacency(i) for i in range(len(ball))],
     })
 
 

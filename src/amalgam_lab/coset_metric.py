@@ -1,14 +1,14 @@
 """Exact distances to finite cosets in pi_1(G, Y, T), with no walk.
 
-:meth:`amalgam_lab.fundgroup.FundamentalGroup.coset_length` computes
-min |h·y| over a finite subgroup H by a min-plus dynamic programme over a
-reduced spelling of y; its docstring proves the programme exact.
-``coset_distances`` gives the map y -> min |h·left·y| for one left factor,
-which reads y across the junction with left and forms no product.  This module
+:meth:`amalgam_lab.fundgroup.FundamentalGroup.coset_distances` gives the map
+y -> min |h·left·y| over a finite subgroup H by a min-plus dynamic programme
+over a reduced spelling of left·y, read across the junction of left and y with
+no product formed; its docstring proves the programme exact.  This module
 holds the two parts that programme needs: the length in Gamma of each vertex
-group element (:func:`vertex_lengths`), and the programme itself, run as a
-finite automaton (:class:`CosetAutomaton`).  Both are built on the first
-call, so the package imports this module only then.
+group element (:func:`vertex_lengths`, also the table of ``wordlen``'s
+syllable sum), and the programme itself, run as a finite automaton
+(:class:`CosetAutomaton`).  Both are built on the first call, so the package
+imports this module only then.
 """
 
 from __future__ import annotations
@@ -27,9 +27,12 @@ def vertex_lengths(gog: GraphOfGroups, sd: SpanningData) -> list:
     function closed under the two moves of a Britton reduction: a product
     g·g' at one vertex costs at most L(g) + L(g'), and i_{bar e}(c) costs at
     most L(i_e(c)) plus 2 on a stable letter, 0 on a tree edge.  That least
-    function is the length in Gamma (see ``coset_length``).  An infinite
+    function is the length in Gamma (see ``coset_distances``).  An infinite
     G_v carries only trivial edge groups, so nothing moves into it and it
-    keeps its generator length.
+    keeps its generator length.  Breadth-first lengths are already closed
+    under products, so products are closed again only after an edge move has
+    lowered an entry: with trivial edge groups the table is one breadth-first
+    pass per vertex group.
     """
     g = gog.graph
     lengths: list = []
@@ -39,9 +42,8 @@ def vertex_lengths(gog: GraphOfGroups, sd: SpanningData) -> list:
             lengths.append([len(words[a]) for a in G.elements()])
         else:
             lengths.append(None)
-    changed = True
-    while changed:
-        changed = False
+    changed = False  # an entry lowered since the last product pass
+    while True:
         for e, emb in enumerate(gog.embeddings):
             src, dst = lengths[g.omega[e]], lengths[g.alpha[e]]
             if src is None or dst is None:
@@ -53,6 +55,10 @@ def vertex_lengths(gog: GraphOfGroups, sd: SpanningData) -> list:
                 if src[a] + cost < dst[b]:
                     dst[b] = src[a] + cost
                     changed = True
+        if not changed:
+            return [G.gen_length if L is None else tuple(L).__getitem__
+                    for G, L in zip(gog.vertex_groups, lengths)]
+        changed = False
         for G, L in zip(gog.vertex_groups, lengths):
             if L is None:
                 continue
@@ -62,12 +68,10 @@ def vertex_lengths(gog: GraphOfGroups, sd: SpanningData) -> list:
                     if L[a] + L[b] < L[ab]:
                         L[ab] = L[a] + L[b]
                         changed = True
-    return [G.gen_length if L is None else tuple(L).__getitem__
-            for G, L in zip(gog.vertex_groups, lengths)]
 
 
 class CosetAutomaton:
-    """The min-plus programme of ``coset_length`` as a finite automaton.
+    """The min-plus programme of ``coset_distances`` as a finite automaton.
 
     A carrier is a tuple of elements of one vertex group: for an oriented
     edge x, the images i_x(c) in G_omega(x) in edge-group order; for a start
@@ -76,10 +80,11 @@ class CosetAutomaton:
     its out-carrier.  A cost vector less its minimum is a state.  Each entry
     of a state is at most the largest L_v, so only finitely many occur.
     Hence the step (state, in-carrier, syllable, out-carrier) ->
-    (next state, added cost) of a finite vertex group is kept in a table
-    filled on first use.  An infinite G_v has only trivial edge groups, so a
-    piece there keeps the state (0,) and adds its generator length: the run
-    adds it directly, with no table and no step.
+    (next state, added cost) is kept in a table filled on first use.  At a
+    vertex whose edge groups are all trivial, as at every infinite G_v, each
+    carrier has one element: a piece keeps the state (0,) and adds L_v(g)
+    plus its letter, and the run adds that directly, with no table and no
+    step.  A start set is direct only when H = {1}.
     """
 
     def __init__(self, fg: FundamentalGroup):
@@ -91,8 +96,10 @@ class CosetAutomaton:
         # carrier key -> (its vertex, its elements); keys past the edges are start sets
         self.carriers = [(g.omega[x], tuple(emb.apply(c) for c in emb.edge_group.elements()))
                          for x, emb in enumerate(gog.embeddings)]
-        # vertex -> its length map if G_v is infinite, else None; carrier key -> that of its vertex
-        self.free = [None if G.is_finite else L for G, L in zip(self.groups, self.lengths)]
+        # vertex -> L_v if its edge groups are all trivial, else None; carrier key -> that
+        # of its vertex
+        edged = {v for v, members in self.carriers if len(members) > 1}
+        self.free = [None if v in edged else L for v, L in enumerate(self.lengths)]
         self.direct = [self.free[v] for v, _ in self.carriers]
         self.starts: dict = {}    # H -> (carrier key, zero state), or None off the root group
         self.states: dict[tuple, int] = {}
@@ -155,7 +162,7 @@ class CosetAutomaton:
             if all(not h.tail for h in H):
                 members = tuple(h.g0 for h in H)
                 self.carriers.append((self.fg.root, members))
-                self.direct.append(self.free[self.fg.root])
+                self.direct.append(self.free[self.fg.root] if len(members) == 1 else None)
                 start = (len(self.carriers) - 1, self.state((0,) * len(members)))
             self.starts[H] = start
         return self.starts[H]

@@ -133,7 +133,6 @@ class FundamentalGroup:
         self._len_depth = array("i")  # word length, by walk position
         self._len_walk = None
         self._fast_metric = gog.all_edge_groups_trivial
-        self._lengths: tuple[tuple, tuple] | None = None
         self._cosets = None  # the automaton behind coset_distances, built on first call
         self._bipartite: bool | None = None
         self._ball_cache: dict[int, CayleyBall] = {}
@@ -403,33 +402,15 @@ class FundamentalGroup:
         )
         return self._genset
 
-    def _length_tables(self) -> tuple[tuple, tuple]:
-        """Per vertex v, the map g -> |g| over S_v (a BFS table inside a finite
-        G_v, the generator length otherwise); per oriented edge e, the pair
-        (1 if t_e is a stable letter else 0, the map of omega(e)).  Built on
-        first use."""
-        if self._lengths is None:
-            vertex = []
-            for G, genset in zip(self.gog.vertex_groups, self.gog.generating_sets):
-                if G.is_finite:
-                    words = _finite_words(G, [elem for _, elem in genset])
-                    vertex.append(tuple(len(words[g]) for g in G.elements()).__getitem__)
-                else:
-                    vertex.append(G.gen_length)
-            omega = self.gog.graph.omega
-            syllable = tuple((0 if self.sd.in_tree(e) else 1, vertex[omega[e]])
-                             for e in range(len(omega)))
-            self._lengths = (tuple(vertex), syllable)
-        return self._lengths
-
     def _syllable_length_sum(self, x: NormalForm) -> int:
-        """Each stable letter counts 1 and each vertex element its length over
-        its own S_v."""
-        vertex, syllable = self._length_tables()
-        total = vertex[self.root](x.g0)
+        """Each stable letter counts 1 and each vertex element its L_v: the
+        coset automaton's run with H = {1} on a word whose every carrier is
+        trivial, unrolled for speed."""
+        cosets = self._coset_automaton()
+        direct, stable = cosets.direct, cosets.stable
+        total = cosets.lengths[self.root](x.g0)
         for e, g in x.tail:
-            letter, length = syllable[e]
-            total += letter + length(g)
+            total += stable[e] + direct[e](g)
         return total
 
     def wordlen(self, x: NormalForm) -> int:
@@ -465,9 +446,11 @@ class FundamentalGroup:
     def dist(self, x: NormalForm, y: NormalForm) -> int:
         return self.wordlen(self.multiply(self.invert(x), y))
 
-    def coset_length(self, y: NormalForm, H) -> int:
-        """Exact min |h·y| over the members h of a finite subgroup H < Gamma,
-        so d(x, gamma·H) with y = gamma^-1·x; no walk, no ``wordlen``.
+    def coset_distances(self, left: NormalForm, H):
+        """y -> min |h·left·y| over the members h of a finite subgroup H < Gamma,
+        with no walk, no ``wordlen`` and no product per point: h -> h^-1
+        permutes H, so d(x, gamma·H) is ``coset_distances(gamma^-1, H)(x)``.
+        With H = {1} and left = 1 the map is the word length.
 
         Write y = g0 t_{e1} g1 ... t_{en} gn as any reduced spelling, canonical
         or not.  By the normal form theorem (Serre, *Trees*, I.1;
@@ -489,17 +472,15 @@ class FundamentalGroup:
         min-plus programme along the syllables of any reduced spelling of y
         that carries one cost per edge-group element across each letter.
         :class:`amalgam_lab.coset_metric.CosetAutomaton` runs it as a finite
-        automaton; this is ``coset_distances`` with left = 1.
+        automaton, over left·y read across their junction.
         """
-        return self.coset_distances(self._identity, H)(y)
+        return self._coset_automaton().distances(left, H)
 
-    def coset_distances(self, left: NormalForm, H):
-        """y -> min |h·left·y| over h in H, with no product per point: h -> h^-1
-        permutes H, so d(x, gamma·H) is ``coset_distances(gamma^-1, H)(x)``."""
+    def _coset_automaton(self):
         if self._cosets is None:
             from .coset_metric import CosetAutomaton  # loaded on first use, not at import
             self._cosets = CosetAutomaton(self)
-        return self._cosets.distances(left, H)
+        return self._cosets
 
     def word_metric_ball(self, radius: int) -> CayleyBall:
         """Exact radius-n ball around the identity, as an indexed graph,
@@ -659,7 +640,7 @@ class CayleyBall:
                 for x, k in zip(self.elements, via)])
         return table
 
-    def neighbors(self, i: int) -> list[list]:
+    def adjacency(self, i: int) -> list[list]:
         """In-ball Cayley edges at position i: [generator label, position of
         ``elements[i] * s``], in ``step_labels`` order; read off the R = 1
         table."""

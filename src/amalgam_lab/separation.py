@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 
 from .bass_serre import TreeBall
-from .errors import BudgetExceeded, Inconclusive, PreconditionUnmet
+from .errors import BudgetExceeded, Inconclusive, NoEdges, PreconditionUnmet
 from .fundgroup import CayleyBall, FundamentalGroup, NormalForm
 from .jsonio import artifact
 
@@ -192,12 +192,15 @@ def verify_cayley_separation(fg: FundamentalGroup, ball_radius: int,
     Sample triples (vertex, vertex, geodesic edge) in the Bass-Serre tree and
     check that N_{ceil(R/2)}(edge coset) R-separates the in-ball, margin-
     filtered members of the two vertex cosets.  A radius below R + 1 leaves
-    no coset point inside the margin, so it is an error, not a vacuous pass.
+    no coset point inside the margin, so it is an error, not a vacuous pass,
+    and so is a graph with no edges, which has no edge coset.
     """
     if R < 1 or samples < 0:
         raise ValueError(f"need R >= 1 and samples >= 0, got R = {R}, samples = {samples}")
     if ball_radius < R + 1:
         raise ValueError(f"radius must be >= R + 1 = {R + 1}, got {ball_radius}")
+    if not fg.gog.graph.n_edges:
+        raise NoEdges("the underlying graph has no edges, so there is no edge coset to test")
     ball = fg.word_metric_ball(ball_radius)
     tb = TreeBall(fg, max(3, ball_radius - 2))
     rng = random.Random(seed)
@@ -262,7 +265,8 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
     An edge drawn again, by the samples or the probe, reuses its one
     analysis (R0 and the labelling of the ball minus gamma·K); its witness
     pairs and any failure are still counted once per draw.  A radius below 2
-    leaves no coset point inside the margin, so it is an error.
+    leaves no coset point inside the margin, so it is an error, and so is a
+    graph with no edges, which has no tree edge to split at.
     """
     if ball_radius < 2:
         raise ValueError(f"radius must be >= 2, got {ball_radius}")
@@ -270,6 +274,8 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
         raise ValueError(f"edges must be >= 0, got {edges_sampled}")
     if R_probe is not None and R_probe < 0:
         raise ValueError(f"R-probe must be >= 0, got {R_probe}")
+    if not fg.gog.graph.n_edges:
+        raise NoEdges("the underlying graph has no edges, so there is no tree edge to split at")
     ball = fg.word_metric_ball(ball_radius)
     tb = TreeBall(fg, max(3, ball_radius - 2))
     rng = random.Random(seed)
@@ -304,10 +310,6 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
     })
 
     n_edges = len(tb.vertices) - 1
-    if n_edges == 0:
-        report.not_applicable = edges_sampled
-        return report
-
     # the in-ball, margin-filtered coset points of each tree vertex, by vid
     points = [coset_elements_in_ball(fg, ball, v.rep, v.vtype, margin) for v in tb.vertices]
 
@@ -422,7 +424,9 @@ def ends_estimate(fg: FundamentalGroup, radii, margin: int = 3) -> EndsReport:
 
     For each n, the components of ball(n_max) minus ball(n) that touch the
     outer sphere and are at least n_max - n elements large; the verdict
-    follows the stabilization pattern (0, 1, 2, or growing).
+    follows the stabilization pattern (0, 1, 2, or growing), which needs at
+    least two distinct radii; an exhausted ball is the whole finite group and
+    reads 0 at any radius.
 
     The annuli are nested: going from the largest n down only adds the
     layers between two radii, and adding points can only merge components,
@@ -487,6 +491,9 @@ def ends_estimate(fg: FundamentalGroup, radii, margin: int = 3) -> EndsReport:
     counts_t = tuple(len(sizes[n]) for n in radii)
     if exhausted and all(c == 0 for c in counts_t):
         verdict = "0"
+    elif len(set(radii)) < 2:
+        raise Inconclusive(f"component counts {counts_t} did not stabilize: "
+                           f"a pattern needs two distinct radii, got {list(radii)}")
     elif all(c == 1 for c in counts_t):
         verdict = "1"
     elif all(c == 2 for c in counts_t):

@@ -164,7 +164,7 @@ def test_tables_are_built_once_and_leave_the_ball_unchanged(monkeypatch):
     assert calls == 0
     assert r_components(ball, 1, excluded) == first
     for i in range(len(ball)):
-        ball.neighbors(i)
+        ball.adjacency(i)
     spheres = [ball.sphere(k) for k in range(ball.radius + 1)]
     assert calls == 0
     second = r_components(ball, 2, excluded)

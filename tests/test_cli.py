@@ -106,6 +106,37 @@ def test_ends_inconclusive_exit_2(capsys):
     assert data["verdict"] == "inconclusive"
 
 
+@pytest.mark.parametrize("argv", [
+    ["ends", "corpus:f2", "--radii", "3", "--margin", "2"],
+    ["ends", "corpus:dinf", "--radii", "3,3", "--margin", "2"],
+], ids=["one-radius", "one-distinct-radius"])
+def test_ends_needs_two_distinct_radii(argv, capsys):
+    """A stabilization pattern needs two radii: f2 at radius 3 alone has 108
+    components and dinf 2, and neither is a verdict."""
+    assert main(argv) == 2
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] == "inconclusive"
+    assert "did not stabilize: a pattern needs two distinct radii" in data["error"]
+
+
+def test_ends_reads_0_from_one_exhausted_ball(capsys):
+    assert main(["ends", "corpus:trivial", "--radii", "3", "--margin", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "0"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-k", "corpus:trivial", "--radius", "3", "--edges", "2"],
+    ["separate", "corpus:zz", "--radius", "3", "--samples", "2"],
+], ids=["verify-k", "separate"])
+def test_verifiers_refuse_a_graph_with_no_edges(argv, capsys):
+    """With no edge there is no edge coset to test, so a run would hold
+    having tested nothing."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "NoEdges: the underlying graph has no edges" in captured.err
+
+
 def test_boundary_json(capsys):
     assert main(["boundary", "corpus:dinf", "--depth", "4", "--emit", "json"]) == 0
     data = json.loads(capsys.readouterr().out)

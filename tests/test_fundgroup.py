@@ -293,8 +293,22 @@ def test_vertex_lengths_see_through_the_edge_group():
     sd = spanning_tree(gog)
     B = gog.vertex_groups[1]
     b3 = B.index_of("b3")
-    assert FundamentalGroup(gog, sd)._length_tables()[0][1](b3) == 3
+    assert len(_finite_words(B, [elem for _, elem in gog.generating_sets[1]])[b3]) == 3
     assert vertex_lengths(gog, sd)[1](b3) == 2
+
+
+@pytest.mark.parametrize("name", [name for name in ALL_TEXTS
+                                  if parse_gog(ALL_TEXTS[name]).all_edge_groups_trivial])
+def test_vertex_lengths_are_the_generator_lengths_without_edge_groups(name):
+    """With trivial edge groups no edge move lowers an entry, so L_v is the
+    length over S_v, the table ``wordlen``'s syllable sum reads."""
+    gog, sd, _ = make_fg(ALL_TEXTS[name])
+    lengths = vertex_lengths(gog, sd)
+    for v, (G, genset) in enumerate(zip(gog.vertex_groups, gog.generating_sets)):
+        if G.is_finite:
+            words = _finite_words(G, [elem for _, elem in genset])
+            assert [lengths[v](g) for g in G.elements()] == \
+                [len(words[g]) for g in G.elements()], v
 
 
 @pytest.mark.parametrize("name,radius", [("sl2z", 10), ("z6z9", 10), ("s3z4", 10),
@@ -303,22 +317,18 @@ def test_coset_length_from_the_trivial_start_is_wordlen(name, radius):
     """With H = {1} the min-plus programme is the word length: on every
     element of the ball, against the walk."""
     _, _, fg = make_fg(ALL_TEXTS[name])
-    one = (fg.identity(),)
+    length = fg.coset_distances(fg.identity(), (fg.identity(),))
     for x in fg.word_metric_ball(radius).elements:
-        assert fg.coset_length(x, one) == fg.wordlen(x), x.display()
+        assert length(x) == fg.wordlen(x), x.display()
 
 
-@pytest.mark.parametrize("name", ["zxz2", "z2z2"])
+@pytest.mark.parametrize("name", ["zxz2", "z2z2", "z2z3", "dinf"])
 def test_coset_length_reads_infinite_vertex_groups_without_a_step(name, monkeypatch):
-    """A piece in an infinite vertex group adds its generator length in the
-    run itself.  With H = {1} the programme is the word length on every
-    element of the radius-6 ball, and once the first pass has filled the
-    table of the finite vertex groups, a second pass calls ``step`` never."""
+    """A piece at a vertex whose edge groups are all trivial, finite or
+    infinite, adds L_v(g) plus its letter in the run itself.  With H = {1}
+    the programme is the word length on every element of the radius-6 ball,
+    and neither the first pass nor a second calls ``step``."""
     _, _, fg = make_fg(name)
-    one = (fg.identity(),)
-    ball = fg.word_metric_ball(6)
-    for x in ball.elements:
-        assert fg.coset_length(x, one) == fg.wordlen(x), x.display()
     steps = []
     step = CosetAutomaton.step
 
@@ -326,15 +336,19 @@ def test_coset_length_reads_infinite_vertex_groups_without_a_step(name, monkeypa
         steps.append(args)
         return step(self, *args)
     monkeypatch.setattr(CosetAutomaton, "step", counted)
+    length = fg.coset_distances(fg.identity(), (fg.identity(),))
+    ball = fg.word_metric_ball(6)
     for x in ball.elements:
-        fg.coset_length(x, one)
+        assert length(x) == fg.wordlen(x), x.display()
+    for x in ball.elements:
+        fg.coset_distances(fg.identity(), (fg.identity(),))(x)
     assert steps == []
 
 
 @pytest.mark.parametrize("name", ALL_TEXTS)
 def test_coset_distances_equal_coset_length_of_the_product(name):
     """The map of ``coset_distances(left, H)`` reads y across the junction of
-    left and y; it equals ``coset_length(left·y, H)`` on the product formed,
+    left and y; it equals ``coset_distances(1, H)`` of the product formed,
     and the least length of h·left·y over the members h, each from {1}.
     H ranges over {1}, every edge subgroup and every finite vertex subgroup,
     some of them off the root group; left and y come from the radius-4
@@ -348,14 +362,15 @@ def test_coset_distances_equal_coset_length_of_the_product(name):
                  *(fg.edge_subgroup_elements(k) for k in range(gog.graph.n_edges)),
                  *(fg.vertex_subgroup_elements(v)
                    for v, G in enumerate(gog.vertex_groups) if G.is_finite)]
-    one = subgroups[0]
+    length = fg.coset_distances(fg.identity(), subgroups[0])
     for H in subgroups:
+        whole = fg.coset_distances(fg.identity(), H)
         for left in lefts:
             distance = fg.coset_distances(left, H)
             for y in [*ys, fg.invert(left)]:
                 xy = fg.multiply(left, y)
-                d = min(fg.coset_length(fg.multiply(h, xy), one) for h in H)
-                assert distance(y) == fg.coset_length(xy, H) == d, (left.display(), y.display())
+                d = min(length(fg.multiply(h, xy)) for h in H)
+                assert distance(y) == whole(xy) == d, (left.display(), y.display())
 
 
 # --- Britton reduction ------------------------------------------------------------
@@ -663,8 +678,7 @@ def _distances(G, gens) -> dict[int, int]:
 
 @pytest.mark.parametrize("name", ALL_TEXTS)
 def test_finite_words_spell_each_element_geodesically(name):
-    gog, _, fg = make_fg(ALL_TEXTS[name])
-    lengths, _ = fg._length_tables()
+    gog, _, _ = make_fg(ALL_TEXTS[name])
     for v, (G, genset) in enumerate(zip(gog.vertex_groups, gog.generating_sets)):
         if not G.is_finite:
             continue
@@ -676,4 +690,4 @@ def test_finite_words_spell_each_element_geodesically(name):
             for l in word:
                 x = G.mul(x, gens[l - 1] if l > 0 else G.inv(gens[-l - 1]))
             assert x == g
-            assert len(word) == dist[g] == lengths[v](g)
+            assert len(word) == dist[g]
