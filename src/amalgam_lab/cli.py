@@ -185,14 +185,15 @@ def _cmd_cayley_ball(args) -> dict:
 
 def _cmd_separate(args) -> dict:
     _require(args, "radius")
-    return verify_cayley_separation(_fg(args), ball_radius=args.radius, samples=args.samples,
-                                    R=args.R, seed=args.seed).to_json()
+    return verify_cayley_separation(_fg(args), ball_radius=args.radius, R=args.R).to_json()
 
 
 def _cmd_verify_k(args) -> dict:
     _require(args, "radius")
-    return verify_K_construction(_fg(args), ball_radius=args.radius, edges_sampled=args.edges,
-                                 seed=args.seed, R_probe=args.R_probe).to_json()
+    if args.edges is not None and args.edges < 0:   # --edges is otherwise ignored
+        raise ValueError(f"edges must be >= 0, got {args.edges}")
+    return verify_K_construction(_fg(args), ball_radius=args.radius,
+                                 R_probe=args.R_probe).to_json()
 
 
 def _cmd_ends(args) -> dict:
@@ -386,12 +387,14 @@ def build_parser() -> _Parser:
                      emit_choices=("json", "text"), budget=True)
     p.add_argument("--radius", type=int, default=None)
     p.add_argument("--R", type=int, default=1)
-    p.add_argument("--samples", type=int, default=50)
 
     p = _add_command(sub, "verify-k", _cmd_verify_k, "K-construction separation suite",
                      emit_choices=("json", "text"), budget=True)
     p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--edges", type=int, default=20)
+    p.add_argument("--edges", type=int, default=None,
+                   help="ignored: each edge orbit is analysed once, at its identity edge; "
+                        "accepted only because the benchmark's verifyk-sl2z argv passes it, "
+                        "until the next change to the benchmark retires it")
     p.add_argument("--R-probe", type=int, default=None, dest="R_probe")
 
     p = _add_command(sub, "ends", _cmd_ends, "ends-count estimator",

@@ -6,17 +6,23 @@ Separation verdicts are desk-scale: a failure found inside a ball is a real
 counterexample (distances are exact in the group, not truncated), while a
 "holds" verdict is relative to the ball.  Witnesses whose status could depend
 on vertices outside the ball are excluded by a margin from the sphere.
+
+Both verifiers analyse each edge pair of Y once.  Γ acts on its Bass-Serre
+tree with one edge orbit per edge pair (Serre, *Trees*, I.4), and d_S is
+left-invariant, so γ·e splits γ·X exactly as e splits X: every edge of one
+orbit separates the same way.  The edge analysed is the orbit's identity
+edge, the one whose coset holds 1.  It is the least truncated view: the
+ball B(r) is centred at 1, and a translate γ·e farther out in the tree sits
+nearer the sphere, with fewer of its coset points inside the margin.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import random
 from dataclasses import dataclass, field
 
-from .bass_serre import TreeBall
-from .errors import BudgetExceeded, Inconclusive, NoEdges, PreconditionUnmet
+from .bass_serre import TreeBall, tiling_tree
+from .errors import BudgetExceeded, Inconclusive, PreconditionUnmet
 from .fundgroup import CayleyBall, FundamentalGroup, NormalForm
 from .jsonio import artifact
 
@@ -77,14 +83,11 @@ def diameter(fg: FundamentalGroup, points) -> int:
                default=0)
 
 
-def _apart(c0: int, c1: int) -> bool:
-    """Whether component labels c0 and c1 name two components; -1 names none."""
-    return min(c0, c1) >= 0 and c0 != c1
-
-
 def _points_apart(ball: CayleyBall, label: list[int], x0: NormalForm, x1: NormalForm) -> bool:
-    """``_apart`` for two points; a point outside the ball is in no component."""
-    return _apart(*(label[ball.index[x]] if x in ball.index else -1 for x in (x0, x1)))
+    """Whether x0 and x1 lie in two components of ``label``; an excluded
+    point (-1) or one outside the ball is in no component."""
+    c0, c1 = (label[ball.index[x]] if x in ball.index else -1 for x in (x0, x1))
+    return min(c0, c1) >= 0 and c0 != c1
 
 
 def r_separates(ball: CayleyBall, I, x0: NormalForm, x1: NormalForm, R: int) -> bool:
@@ -106,7 +109,6 @@ class SeparationReport:
     witness_pairs_tested: int = 0
     failures: list = field(default_factory=list)
     not_applicable: int = 0
-    samples: int = 0
     details: dict = field(default_factory=dict)
 
     @property
@@ -185,100 +187,101 @@ def coset_elements_in_ball(fg: FundamentalGroup, ball: CayleyBall,
     return [ball.elements[i] for i in positions if i < bound]
 
 
+def _coset_points(points: list[list[NormalForm]], vids) -> list[NormalForm]:
+    """The coset points of the tree vertices ``vids``, by vid, each once: a
+    point lies in the cosets of every vertex along an edge coset it is in."""
+    return list(dict.fromkeys(x for vid in sorted(vids) for x in points[vid]))
+
+
+def _joined_pairs(label: list[int], index: dict, sides) -> list[tuple]:
+    """Witness pairs (x, x2), x from ``sides[0]`` and x2 from ``sides[1]``,
+    that are not apart under ``label``: one per component holding points of
+    both sides, and one for the points in no component (label -1), if any.
+    Empty when a side is.  Each point is read once, so the cost is linear
+    in the points, not in the pairs."""
+    firsts: tuple[dict, dict] = ({}, {})   # per side: label -> its first point
+    for first, side in zip(firsts, sides):
+        for x in side:
+            first.setdefault(label[index[x]], x)
+    a, b = firsts
+    if not a or not b:
+        return []
+    a0, b0 = next(iter(a.values())), next(iter(b.values()))
+    return [(a.get(c, a0), b.get(c, b0)) for c in sorted(a.keys() | b.keys())
+            if c < 0 or (c in a and c in b)]
+
+
 def verify_cayley_separation(fg: FundamentalGroup, ball_radius: int,
-                             samples: int, R: int, seed: int = 0) -> SeparationReport:
+                             R: int) -> SeparationReport:
     """Empirical suite for the edge-coset separation lemma.
 
-    Sample triples (vertex, vertex, geodesic edge) in the Bass-Serre tree and
-    check that N_{ceil(R/2)}(edge coset) R-separates the in-ball, margin-
-    filtered members of the two vertex cosets.  A radius below R + 1 leaves
-    no coset point inside the margin, so it is an error, not a vacuous pass,
-    and so is a graph with no edges, which has no edge coset.
+    For the identity edge of each edge pair of Y, check that
+    N_{ceil(R/2)}(edge coset) R-separates the in-ball, margin-filtered
+    members of the vertex cosets on one side of it from those on the other.
+    A radius below R + 1 leaves no coset point inside the margin, so it is
+    an error, not a vacuous pass; so is a radius at which no edge has
+    eligible points on both sides, and a graph with no edges.
     """
-    if R < 1 or samples < 0:
-        raise ValueError(f"need R >= 1 and samples >= 0, got R = {R}, samples = {samples}")
+    if R < 1:
+        raise ValueError(f"need R >= 1, got R = {R}")
     if ball_radius < R + 1:
         raise ValueError(f"radius must be >= R + 1 = {R + 1}, got {ball_radius}")
-    if not fg.gog.graph.n_edges:
-        raise NoEdges("the underlying graph has no edges, so there is no edge coset to test")
-    ball = fg.word_metric_ball(ball_radius)
     tb = TreeBall(fg, max(3, ball_radius - 2))
-    rng = random.Random(seed)
+    edges = tiling_tree(tb).edge_ids   # NoEdges: no edge coset to test
+    ball = fg.word_metric_ball(ball_radius)
     margin = ball_radius - (R + 1)
     half = math.ceil(R / 2)
     sesq = math.ceil(3 * R / 2)
 
-    report = SeparationReport(instance="cayley-separation", R=R, samples=samples)
-    n_vert = len(tb.vertices)
-    points: dict[int, list[NormalForm]] = {}  # vid -> coset members in the ball
-
-    def coset_points(vid: int) -> list[NormalForm]:
-        if vid not in points:
-            v = tb.vertices[vid]
-            points[vid] = coset_elements_in_ball(fg, ball, v.rep, v.vtype, margin)
-        return points[vid]
-
-    for _ in range(samples):
-        u = rng.randrange(n_vert)
-        w = rng.randrange(n_vert)
-        if u == w:
-            report.not_applicable += 1
-            continue
-        path = tb.geodesic(u, w)
-        edge = tb.vertices[path[len(path) // 2]]
-        coset = tb.edge_coset_elements(edge.vid)
+    report = SeparationReport(instance="cayley-separation", R=R)
+    points = [coset_elements_in_ball(fg, ball, v.rep, v.vtype, margin) for v in tb.vertices]
+    for child in edges:
+        edge = tb.vertices[child]
         H = fg.edge_subgroup_elements(edge.pair)
         distance = fg.coset_distances(fg.invert(edge.edge_rep), H)  # x -> d(x, gamma·H)
-        eligible_u, eligible_w = ([x for x in coset_points(v) if distance(x) >= sesq]
-                                  for v in (u, w))
-        if not eligible_u or not eligible_w:
+        eligible = [[x for x in _coset_points(points, side) if distance(x) >= sesq]
+                    for side in tb.split_by_edge(child)]
+        if not all(eligible):
             report.not_applicable += 1
             continue
-        I = thicken(fg, coset, half, ball=ball)
+        I = thicken(fg, tb.edge_coset_elements(child), half, ball=ball)
         report.separating_set_size = max(report.separating_set_size, len(I))
         label = r_components(ball, R, excluded=I)
-        d_u = [set_distance(x, I, fg.dist) for x in eligible_u]
-        d_w = [set_distance(x2, I, fg.dist) for x2 in eligible_w]
-        for x, dxI in zip(eligible_u, d_u):
-            c = label[ball.index[x]]
-            for x2, dx2I in zip(eligible_w, d_w):
-                c2 = label[ball.index[x2]]
-                report.witness_pairs_tested += 1
-                if not (dxI >= R and dx2I >= R and _apart(c, c2)):
-                    report.failures.append({
-                        "edge": edge.edge_rep.display(),
-                        "delta": x.display(), "delta2": x2.display(),
-                        "d_delta_I": dxI, "d_delta2_I": dx2I,
-                        "same_component": c >= 0 and c == c2,
-                    })
+        report.witness_pairs_tested += len(eligible[0]) * len(eligible[1])
+        name = fg.gog.graph.edge_names[edge.pair]
+        for x in (x for side in eligible for x in side):
+            d = set_distance(x, I, fg.dist)
+            if d < R:
+                report.failures.append({"edge": name, "delta": x.display(), "d_delta_I": d,
+                                        "reason": "closer than R to the thickened coset"})
+        for x, x2 in _joined_pairs(label, ball.index, eligible):
+            report.failures.append({"edge": name, "delta": x.display(), "delta2": x2.display(),
+                                    "reason": "pair not R-separated"})
+    if not report.witness_pairs_tested:
+        raise PreconditionUnmet(f"radius {ball_radius}: no edge has eligible coset points "
+                                f"on both sides; increase the radius")
     return report
 
 
 def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
-                          edges_sampled: int, seed: int = 0,
                           R_probe: int | None = None) -> SeparationReport:
     """Build K = I_{diam(P)/2} * L with L the identity star in the Cayley
-    graph, and verify that translates of K separate the two coset unions of
-    every sampled tree-edge split; report the smallest working exclusion
-    radius R0 and compare it with diam(I_{3 diam(P)/2}).
+    graph, and verify that gamma·K separates the two coset unions of the
+    split at the identity edge gamma·G_y of each edge pair of Y; report
+    the smallest working exclusion radius R0 of each pair and compare the
+    largest with diam(I_{3 diam(P)/2}).
 
-    An edge drawn again, by the samples or the probe, reuses its one
-    analysis (R0 and the labelling of the ball minus gamma·K); its witness
-    pairs and any failure are still counted once per draw.  A radius below 2
-    leaves no coset point inside the margin, so it is an error, and so is a
-    graph with no edges, which has no tree edge to split at.
+    A radius below 2 leaves no coset point inside the margin, so it is an
+    error; so is a radius at which no edge has coset points on both sides,
+    and a graph with no edges, which has no tree edge to split at.
     """
     if ball_radius < 2:
         raise ValueError(f"radius must be >= 2, got {ball_radius}")
-    if edges_sampled < 0:
-        raise ValueError(f"edges must be >= 0, got {edges_sampled}")
     if R_probe is not None and R_probe < 0:
         raise ValueError(f"R-probe must be >= 0, got {R_probe}")
-    if not fg.gog.graph.n_edges:
-        raise NoEdges("the underlying graph has no edges, so there is no tree edge to split at")
-    ball = fg.word_metric_ball(ball_radius)
     tb = TreeBall(fg, max(3, ball_radius - 2))
-    rng = random.Random(seed)
+    edges = tiling_tree(tb).edge_ids   # NoEdges: no tree edge to split at
+    ball = fg.word_metric_ball(ball_radius)
     margin = ball_radius - 2
 
     # L = closed star of the identity vertex, as a vertex set
@@ -298,109 +301,79 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
     diam_I_sesq = diameter(fg, I_sesq)
 
     report = SeparationReport(instance="K-construction", R=diam_P,
-                              samples=edges_sampled,
                               separating_set_size=len(K))
+    R0s: dict[str, int] = {}   # edge name -> R0 at its identity edge
     report.details.update({
         "diam_P": diam_P,
         "diam_I_3/2": diam_I_sesq,
         "L_size": len(L),
         "K_size": len(K),
-        "worst_R0": 0,
+        "R0": R0s,
         "probe_edges": 0,
+        "probe_pairs": 0,
     })
 
-    n_edges = len(tb.vertices) - 1
     # the in-ball, margin-filtered coset points of each tree vertex, by vid
     points = [coset_elements_in_ball(fg, ball, v.rep, v.vtype, margin) for v in tb.vertices]
-
-    @functools.cache
-    def analyse(child: int):
-        """(R0, label, witness pairs) for the split at the tree edge into
-        vertex child, or None when one side has no coset point; every coset
-        point lies in the ball, so each has a label.  Cached: each distinct
-        edge is analysed once."""
+    analysed = []   # (name, child, its two sides as vids, labelling of ball minus gamma·K)
+    for child in edges:
         edge = tb.vertices[child]
-        gammaK = {fg.multiply(edge.edge_rep, k) for k in K}
-        M, M2 = ({x for vid in side for x in points[vid]} for side in tb.split_by_edge(child))
-        if not M or not M2:
-            return None
-        label = r_components(ball, 1, excluded=gammaK)
+        name = fg.gog.graph.edge_names[edge.pair]
+        sides = tb.split_by_edge(child)
         H = fg.edge_subgroup_elements(edge.pair)
         distance = fg.coset_distances(fg.invert(edge.edge_rep), H)  # x -> d(x, gamma·H)
-        AM, AM2 = ([(x, distance(x), label[ball.index[x]]) for x in side] for side in (M, M2))
+        AM, AM2 = ([(x, distance(x)) for x in _coset_points(points, side)] for side in sides)
+        max_d = [max((d for _, d in A), default=0) for A in (AM, AM2)]
+        if not all(max_d):   # a side with no coset point off the edge coset
+            report.not_applicable += 1
+            continue
+        gammaK = {fg.multiply(edge.edge_rep, k) for k in K}
+        label = r_components(ball, 1, excluded=gammaK)
         # minimal exclusion radius R0 killing all offending pairs
-        max_d_M = max(d for _, d, _ in AM)
-        max_d_M2 = max(d for _, d, _ in AM2)
         best_per_comp: dict[int, list[float]] = {}
         R0 = 0
-        for side, (A, other_max) in enumerate(((AM, max_d_M2), (AM2, max_d_M))):
-            for x, d, c in A:
-                if c < 0:  # swallowed by gamma''K
-                    R0 = max(R0, min(d, other_max))
+        for side, A in enumerate((AM, AM2)):
+            for x, d in A:
+                c = label[ball.index[x]]
+                if c < 0:  # swallowed by gamma K
+                    R0 = max(R0, min(d, max_d[1 - side]))
                 else:
                     best = best_per_comp.setdefault(c, [0, 0])
                     best[side] = max(best[side], d)
-        for _, (dm, dm2) in best_per_comp.items():
+        for dm, dm2 in best_per_comp.values():
             if dm > 0 and dm2 > 0:
                 R0 = max(R0, min(dm, dm2))
-        return R0, label, len(AM) * len(AM2)
-
-    def split_analysis(child: int):
-        """(R0, label) for the split at the tree edge into vertex child, or
-        None; its witness pairs count again on every call."""
-        result = analyse(child)
-        if result is None:
-            return None
-        R0, label, pairs = result
-        report.witness_pairs_tested += pairs
-        return R0, label
-
-    for _ in range(edges_sampled):
-        child = rng.randrange(n_edges) + 1    # the edges are the non-root vertices
-        result = split_analysis(child)
-        if result is None:
-            report.not_applicable += 1
-            continue
-        R0, _ = result
-        report.details["worst_R0"] = max(report.details["worst_R0"], R0)
+        report.witness_pairs_tested += len(AM) * len(AM2)
+        R0s[name] = R0
+        analysed.append((name, child, sides, label))
         if R0 > diam_I_sesq:
             report.failures.append({
-                "edge": tb.vertices[child].edge_rep.display(),
+                "edge": name,
                 "reason": f"required R0 = {R0} exceeds diam(I_3/2) = {diam_I_sesq}",
             })
+    if not analysed:
+        raise PreconditionUnmet(f"radius {ball_radius}: no edge has coset points off its "
+                                f"coset on both sides; increase the radius")
+    report.details["worst_R0"] = max(R0s.values())
 
-    # probe: an edge on a sampled geodesic, far from both endpoints, must
-    # separate every margin-filtered in-ball coset point with no exceptions
+    # probe: the identity edge must separate, with no exclusions, every pair
+    # of coset points of tree vertices on its two sides farther than the bound
     probe_bound = R_probe if R_probe is not None else report.details["worst_R0"] + 2
     report.details["R_probe"] = probe_bound
-    n_vert = len(tb.vertices)
-    for _ in range(edges_sampled):
-        u = rng.randrange(n_vert)
-        w = rng.randrange(n_vert)
-        if u == w:
+    for name, child, sides, label in analysed:
+        far = [_coset_points(points, [vid for vid in side
+                                      if tb.edge_tree_distance(child, vid) > probe_bound])
+               for side in sides]
+        if not all(far):
             continue
-        path = tb.geodesic(u, w)
-        far = [c for c in path
-               if tb.edge_tree_distance(c, u) > probe_bound
-               and tb.edge_tree_distance(c, w) > probe_bound]
-        if not far:
-            continue
-        child = far[len(far) // 2]
-        result = split_analysis(child)
-        if result is None:
-            continue
-        _, label = result
         report.details["probe_edges"] += 1
-        for x in points[u]:
-            cx = label[ball.index[x]]
-            for x2 in points[w]:
-                cx2 = label[ball.index[x2]]
-                if not _apart(cx, cx2):
-                    report.failures.append({
-                        "edge": tb.vertices[child].edge_rep.display(),
-                        "reason": "probe pair not separated",
-                        "delta": x.display(), "delta2": x2.display(),
-                    })
+        report.details["probe_pairs"] += len(far[0]) * len(far[1])
+        for x, x2 in _joined_pairs(label, ball.index, far):
+            report.failures.append({
+                "edge": name,
+                "reason": "probe pair not separated",
+                "delta": x.display(), "delta2": x2.display(),
+            })
     return report
 
 

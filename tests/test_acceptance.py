@@ -145,8 +145,7 @@ def test_criterion_5_cayley_separation_suite():
     for name, radius in (("dinf", 10), ("z2z3", 8)):
         _, _, fg = make_fg(name)
         for R in (1, 2):
-            report = verify_cayley_separation(fg, ball_radius=radius,
-                                              samples=50, R=R, seed=7)
+            report = verify_cayley_separation(fg, ball_radius=radius, R=R)
             assert report.holds, (name, R, report.failures[:3])
             tested += report.witness_pairs_tested
     elapsed = time.perf_counter() - t0
@@ -159,8 +158,7 @@ def test_criterion_6_K_construction_suite():
     t0 = time.perf_counter()
     for name, radius in (("dinf", 12), ("z2z3", 10)):
         _, _, fg = make_fg(name)
-        report = verify_K_construction(fg, ball_radius=radius,
-                                       edges_sampled=20, seed=3)
+        report = verify_K_construction(fg, ball_radius=radius)
         assert report.holds, (name, report.failures[:3])
         assert report.details["worst_R0"] <= report.details["diam_I_3/2"], name
     elapsed = time.perf_counter() - t0
@@ -237,9 +235,8 @@ def test_criterion_9_theorem_A_property_suite():
 
 @pytest.mark.parametrize("argv", [
     ["validate", "corpus:z2z3", "--emit", "json"],
-    ["separate", "corpus:dinf", "--radius", "8", "--R", "1",
-     "--samples", "20", "--seed", "11"],
-    ["verify-k", "corpus:z2z3", "--radius", "8", "--edges", "8", "--seed", "11"],
+    ["separate", "corpus:dinf", "--radius", "8", "--R", "1", "--seed", "11"],
+    ["verify-k", "corpus:z2z3", "--radius", "8", "--seed", "11"],
     ["ends", "corpus:f2", "--radii", "3,5", "--margin", "2"],
     ["amalgam-check", "corpus:z2z2", "--depth", "5", "--seed", "11"],
 ])

@@ -80,15 +80,13 @@ def test_cayley_ball_json(capsys):
 
 
 def test_separate_passes(capsys):
-    assert main(["separate", "corpus:dinf", "--radius", "8", "--R", "1",
-                 "--samples", "10", "--seed", "5"]) == 0
+    assert main(["separate", "corpus:dinf", "--radius", "8", "--R", "1"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["verdict"] == "holds"
 
 
 def test_verify_k_passes(capsys):
-    assert main(["verify-k", "corpus:dinf", "--radius", "10",
-                 "--edges", "5", "--seed", "5"]) == 0
+    assert main(["verify-k", "corpus:dinf", "--radius", "10"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["verdict"] == "holds"
     assert data["details"]["worst_R0"] <= data["details"]["diam_I_3/2"]
@@ -125,8 +123,8 @@ def test_ends_reads_0_from_one_exhausted_ball(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify-k", "corpus:trivial", "--radius", "3", "--edges", "2"],
-    ["separate", "corpus:zz", "--radius", "3", "--samples", "2"],
+    ["verify-k", "corpus:trivial", "--radius", "3"],
+    ["separate", "corpus:zz", "--radius", "3"],
 ], ids=["verify-k", "separate"])
 def test_verifiers_refuse_a_graph_with_no_edges(argv, capsys):
     """With no edge there is no edge coset to test, so a run would hold
@@ -135,6 +133,20 @@ def test_verifiers_refuse_a_graph_with_no_edges(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "NoEdges: the underlying graph has no edges" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["separate", "corpus:dinf", "--radius", "2", "--R", "1"],
+    ["separate", "corpus:z2z3", "--radius", "3", "--R", "2"],
+    ["verify-k", "corpus:dinf", "--radius", "2"],
+], ids=["separate-R1", "separate-R2", "verify-k"])
+def test_verifiers_refuse_a_radius_with_no_witnesses(argv, capsys):
+    """A radius at which no identity edge has witness points on both sides
+    would hold having tested nothing: it exits 1 and names the radius."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: PreconditionUnmet: radius {argv[3]}: no edge has")
 
 
 def test_boundary_json(capsys):
@@ -169,8 +181,8 @@ def test_usage_error_exit_1():
 
 
 @pytest.mark.parametrize("argv", [
-    ["separate", "corpus:z2z3", "--radius", "6", "--samples", "2"],
-    ["verify-k", "corpus:z2z3", "--radius", "6", "--edges", "2"],
+    ["separate", "corpus:z2z3", "--radius", "6"],
+    ["verify-k", "corpus:z2z3", "--radius", "6"],
     ["ends", "corpus:z2z3", "--radii", "2,3", "--margin", "2"],
 ], ids=["separate", "verify-k", "ends"])
 def test_budget_bounds_the_verifiers(argv, capsys):
@@ -182,7 +194,7 @@ def test_verify_k_budget_caps_the_diameter_pairs(capsys):
     """z2z2's I_3/2 has about 2.2e9 pairs and trivial edge groups, so no
     wordlen budget would stop the diameter; the element budget stops it
     before the first pair is measured, and names the phase."""
-    assert main(["verify-k", "corpus:z2z2", "--radius", "6", "--edges", "4"]) == 1
+    assert main(["verify-k", "corpus:z2z2", "--radius", "6"]) == 1
     assert "diam(I_3/2): 2239176660 pairs exceed the element budget 2000000" \
         in capsys.readouterr().err
 
@@ -206,14 +218,11 @@ OUT_OF_RANGE = {
     "separate-R-0": (["separate", "corpus:z2z3", "--radius", "4", "--R", "0"], ["R", "0"]),
     "separate-R-negative": (["separate", "corpus:z2z3", "--radius", "4", "--R", "-1"],
                             ["R", "-1"]),
-    "separate-samples": (["separate", "corpus:z2z3", "--radius", "4", "--samples", "-1"],
-                         ["samples", "-1"]),
     "verify-k-radius": (["verify-k", "corpus:dinf", "--radius", "-2"], ["radius", "-2"]),
     # a radius that leaves no margin for coset points would pass having tested nothing
-    "separate-radius-no-margin": (["separate", "corpus:z2z3", "--radius", "2", "--R", "3",
-                                   "--samples", "5"], ["radius", "2"]),
-    "verify-k-radius-no-margin": (["verify-k", "corpus:z2z3", "--radius", "1", "--edges", "3"],
-                                  ["radius", "1"]),
+    "separate-radius-no-margin": (["separate", "corpus:z2z3", "--radius", "2", "--R", "3"],
+                                  ["radius", "2"]),
+    "verify-k-radius-no-margin": (["verify-k", "corpus:z2z3", "--radius", "1"], ["radius", "1"]),
     "verify-k-edges": (["verify-k", "corpus:dinf", "--radius", "4", "--edges", "-1"],
                        ["edges", "-1"]),
     "ends-radii": (["ends", "corpus:f2", "--radii=-1,2"], ["radii", "-1"]),
@@ -225,10 +234,37 @@ OUT_OF_RANGE = {
     "amalgam-check-depth": (["amalgam-check", "corpus:dinf", "--depth", "-1"], ["depth", "-1"]),
     "classify-depth": (["classify", "corpus:z2z2", "--depth", "-1", "--words-json", "{words}"],
                        ["depth", "-1"]),
-    # a negative bound admits edges at the sampled vertices: no counterexample
+    # a negative bound admits the vertices at the edge: no counterexample
     "verify-k-R-probe": (["verify-k", "corpus:dinf", "--radius", "4", "--R-probe", "-1"],
                          ["R-probe", "-1"]),
 }
+
+
+def test_separate_rejects_the_removed_samples_flag(capsys):
+    """separate analyses each edge orbit once, so it takes no sample count."""
+    assert main(["separate", "corpus:z2z3", "--radius", "4", "--samples", "5"]) == 1
+    assert "unrecognized arguments: --samples 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["separate", "corpus:z2z3", "--radius", "6", "--R", "1"],
+    ["separate", "corpus:f2", "--radius", "6", "--R", "2"],
+    ["verify-k", "corpus:dinf", "--radius", "6", "--R-probe", "1"],
+    ["verify-k", "corpus:z2z3", "--radius", "6"],
+], ids=["separate-z2z3", "separate-f2-R2", "verify-k-dinf-probe", "verify-k-z2z3"])
+def test_verifier_artifacts_ignore_seed_and_edges(argv, tmp_path):
+    """The verifiers sample nothing: their artifacts are byte-identical for
+    every --seed, and verify-k's for every --edges, which it accepts and
+    ignores."""
+    runs = [["--seed", s] for s in ("0", "1", "3")]
+    if argv[0] == "verify-k":
+        runs += [["--edges", e] for e in ("0", "4", "32")]
+    outs = []
+    for i, extra in enumerate(runs):
+        out = tmp_path / f"{i}.json"
+        assert main(argv + extra + ["--output", str(out)]) in (0, 2)
+        outs.append(out.read_bytes())
+    assert all(out == outs[0] for out in outs)
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -382,9 +418,8 @@ def test_collapse_unknown_edge_exit_1_lists_the_edges(capsys):
     ["presentation", "corpus:z2z3", "--emit", "json"],
     ["tree-ball", "corpus:z2z3", "--radius", "3", "--emit", "json"],
     ["cayley-ball", "corpus:f2", "--radius", "3", "--emit", "json"],
-    ["separate", "corpus:dinf", "--radius", "8", "--R", "1", "--samples", "10",
-     "--seed", "3"],
-    ["verify-k", "corpus:dinf", "--radius", "10", "--edges", "5", "--seed", "3"],
+    ["separate", "corpus:dinf", "--radius", "8", "--R", "1"],
+    ["verify-k", "corpus:dinf", "--radius", "10"],
     ["ends", "corpus:dinf", "--radii", "4,6", "--margin", "2"],
     ["boundary", "corpus:z2z3", "--depth", "4", "--emit", "json"],
     ["amalgam-check", "corpus:z2z2", "--depth", "5", "--seed", "7"],
@@ -402,10 +437,8 @@ ROUND_TRIPS = {
     "presentation": ["presentation", "corpus:dinf"],
     "tree_ball": ["tree-ball", "corpus:z2z3", "--radius", "3"],
     "cayley_ball": ["cayley-ball", "corpus:f2", "--radius", "2"],
-    "separation_report-separate": ["separate", "corpus:dinf", "--radius", "8", "--R", "1",
-                                   "--samples", "10", "--seed", "5"],
-    "separation_report-verify-k": ["verify-k", "corpus:dinf", "--radius", "8", "--edges", "4",
-                                   "--seed", "3"],
+    "separation_report-separate": ["separate", "corpus:dinf", "--radius", "8", "--R", "1"],
+    "separation_report-verify-k": ["verify-k", "corpus:dinf", "--radius", "8"],
     "ends_report": ["ends", "corpus:dinf", "--radii", "2,3", "--margin", "2"],
     "ends_report-inconclusive": ["ends", "corpus:zz", "--radii", "2", "--margin", "0"],
     "boundary_approx": ["boundary", "corpus:z2z3", "--depth", "4"],
@@ -579,8 +612,8 @@ def test_determinism_across_processes_with_different_hash_seeds(tmp_path):
         out = tmp_path / f"s{i}.json"
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
         cmd = [sys.executable, "-m", "amalgam_lab.cli", "separate",
-               "corpus:z2z3", "--radius", "7", "--R", "1", "--samples", "15",
-               "--seed", "9", "--output", str(out)]
+               "corpus:z2z3", "--radius", "7", "--R", "1", "--seed", "9",
+               "--output", str(out)]
         assert subprocess.run(cmd, env=env, capture_output=True).returncode == 0
         outs.append(out.read_bytes())
     assert outs[2] == outs[3]

@@ -3,7 +3,7 @@
 ``test_fixed_seed_byte_identical`` only compares two runs of the same code
 with each other; this test compares the bytes against digests frozen in
 ``tests/golden/digests.json``, so a change to the normal-form convention,
-to the BFS discovery order or to a sampled witness set is caught.
+to the BFS discovery order or to a witness set is caught.
 
 A refactor must keep every digest.  A change that alters artifacts on
 purpose regenerates them with ``PYTHONPATH=src python tests/test_golden.py``
@@ -54,17 +54,16 @@ def _cases() -> dict[str, list[str]]:
     cases["boundary-dead-ends"] = ["boundary", "{dead-ends}", "--depth", "5"]
     for name, spec in (("dinf", "corpus:dinf"), ("z2z3", "corpus:z2z3"),
                        ("zxz2", "corpus:zxz2"), ("sl2z", "{sl2z}")):
-        cases[f"separate-{name}"] = ["separate", spec, "--radius", "6", "--R", "1",
-                                     "--samples", "8", "--seed", "3"]
-        cases[f"verify-k-{name}"] = ["verify-k", spec, "--radius", "6", "--edges", "4",
-                                     "--seed", "3"]
-        # a probe bound of 1 leaves far edges, so the probe loop runs
-        cases[f"verify-k-{name}-probe"] = ["verify-k", spec, "--radius", "6", "--edges", "4",
-                                           "--seed", "3", "--R-probe", "1"]
+        cases[f"separate-{name}"] = ["separate", spec, "--radius", "6", "--R", "1"]
+        cases[f"verify-k-{name}"] = ["verify-k", spec, "--radius", "6"]
+        # a probe bound of 1 leaves far vertices, so the probe loop runs
+        cases[f"verify-k-{name}-probe"] = ["verify-k", spec, "--radius", "6", "--R-probe", "1"]
+    # f2 has two edge pairs, so two identity edges
+    cases["separate-f2"] = ["separate", "corpus:f2", "--radius", "6", "--R", "1"]
     # R > 1 takes the labelling's ball(R) shifts, not the generators
-    for name, spec in (("dinf", "corpus:dinf"), ("z2z3", "corpus:z2z3"), ("sl2z", "{sl2z}")):
-        cases[f"separate-{name}-R2"] = ["separate", spec, "--radius", "6", "--R", "2",
-                                        "--samples", "8", "--seed", "3"]
+    for name, spec in (("dinf", "corpus:dinf"), ("z2z3", "corpus:z2z3"), ("sl2z", "{sl2z}"),
+                       ("f2", "corpus:f2")):
+        cases[f"separate-{name}-R2"] = ["separate", spec, "--radius", "6", "--R", "2"]
     for name in ("dinf", "z2z3", "f2", "zxz2", "zz"):
         cases[f"ends-{name}"] = ["ends", f"corpus:{name}", "--radii", "2,3",
                                  "--margin", "2"]

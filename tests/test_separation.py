@@ -1,13 +1,12 @@
 from __future__ import annotations
 
-import functools
+import math
 import random
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
-from amalgam_lab.bass_serre import TreeBall
+from amalgam_lab.bass_serre import TreeBall, tiling_tree
 from amalgam_lab.corpus import NAMES
 from amalgam_lab.errors import Inconclusive, PreconditionUnmet
 from amalgam_lab.fundgroup import FundamentalGroup
@@ -24,7 +23,7 @@ from amalgam_lab.separation import (
     verify_thickening_lemma,
 )
 
-from conftest import FINITE_EDGED, S3_Z4, SEGMENT, SL2Z, components, make_fg
+from conftest import DEAD_ENDS, FINITE_EDGED, S3_Z4, SEGMENT, SL2Z, components, make_fg
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -174,36 +173,35 @@ def test_enlarging_lemma_random_supersets(dinf):
 ])
 def test_cayley_separation_suite(name, radius, R):
     _, _, fg = make_fg(name)
-    report = verify_cayley_separation(fg, ball_radius=radius, samples=50,
-                                      R=R, seed=7)
+    report = verify_cayley_separation(fg, ball_radius=radius, R=R)
     assert report.holds, report.failures[:3]
     assert report.witness_pairs_tested > 0
 
 
-def test_cayley_separation_reports_not_applicable(dinf):
-    _, _, fg = dinf
-    report = verify_cayley_separation(fg, ball_radius=6, samples=30, R=1, seed=1)
-    assert report.not_applicable > 0   # coincident vertex samples are skipped
+def test_cayley_separation_reports_not_applicable():
+    """DEAD_ENDS's e2 has a dead end: the v3 vertex below its identity edge
+    holds only the edge coset, so that side has no eligible point.  Its
+    orbit is not applicable, and e1's orbit is still tested."""
+    _, _, fg = make_fg(DEAD_ENDS)
+    report = verify_cayley_separation(fg, ball_radius=6, R=1)
+    assert report.not_applicable == 1
+    assert report.holds and report.witness_pairs_tested > 0
 
 
 def test_cayley_separation_measures_each_point_once(monkeypatch):
-    """Per sample, d(x, I) is computed once per eligible point, not per pair."""
+    """Per edge pair, one labelling, and d(x, I) once per eligible point of
+    either side: the pairs across the edge are tested by component, not
+    one by one."""
     from amalgam_lab import separation
 
-    _, _, fg = make_fg(SL2Z)
+    _, _, fg = make_fg("f2")
     sesq = 2    # ceil(3R/2) for R = 1
-    blocks = []     # per sample: [eligible points, set_distance calls against I]
-    state = {"after_labels": False}
-
-    def edge_coset(*args, **kwargs):
-        # the sampled edge's coset opens every sample with u != w; the vertex
-        # cosets are memoised by vid, so they no longer mark the samples
-        blocks.append([0, 0])
-        state["after_labels"] = False
-        return orig_edge_coset(*args, **kwargs)
+    blocks = []     # per labelling: [eligible points, set_distance calls against I]
+    eligible = [0]
 
     def labels(*args, **kwargs):
-        state["after_labels"] = True
+        blocks.append([eligible[0], 0])
+        eligible[0] = 0
         return orig_labels(*args, **kwargs)
 
     def coset_distances(*args, **kwargs):
@@ -212,78 +210,166 @@ def test_cayley_separation_measures_each_point_once(monkeypatch):
 
         def counted(x):
             d = distance(x)
-            if not state["after_labels"] and d >= sesq:
-                blocks[-1][0] += 1
+            eligible[0] += d >= sesq
             return d
         return counted
 
     def distance(*args, **kwargs):
-        if state["after_labels"]:
-            blocks[-1][1] += 1
+        blocks[-1][1] += 1
         return orig_distance(*args, **kwargs)
 
-    orig_edge_coset = TreeBall.edge_coset_elements
     orig_labels = separation.r_components
     orig_coset_distances = FundamentalGroup.coset_distances
     orig_distance = separation.set_distance
-    monkeypatch.setattr(TreeBall, "edge_coset_elements", edge_coset)
     monkeypatch.setattr(separation, "r_components", labels)
     monkeypatch.setattr(FundamentalGroup, "coset_distances", coset_distances)
     monkeypatch.setattr(separation, "set_distance", distance)
-    report = verify_cayley_separation(fg, ball_radius=10, samples=30, R=1, seed=7)
-    assert all(calls <= eligible for eligible, calls in blocks)
-    # per-pair distances would need two calls for each pair tested
-    assert sum(calls for _, calls in blocks) < 2 * report.witness_pairs_tested
+    report = verify_cayley_separation(fg, ball_radius=6, R=1)
+    assert len(blocks) == fg.gog.graph.n_edges == 2
+    assert all(0 < calls == points for points, calls in blocks)
+    assert sum(calls for _, calls in blocks) < report.witness_pairs_tested
+
+
+def test_joined_pairs_match_the_pairwise_check():
+    """The linear witness search against the pair-by-pair check: it finds a
+    witness exactly when some cross pair is not apart, each witness is such
+    a pair, and there is one per shared component and one for the excluded
+    points (label -1)."""
+    from amalgam_lab.separation import _joined_pairs
+
+    rng = random.Random(5)
+    for _ in range(500):
+        n = rng.randrange(1, 12)
+        label = [rng.randrange(-1, 4) for _ in range(n)]
+        index = {i: i for i in range(n)}
+        sides = [rng.sample(range(n), rng.randrange(n + 1)) for _ in range(2)]
+        bad = {(x, x2) for x in sides[0] for x2 in sides[1]
+               if min(label[x], label[x2]) < 0 or label[x] == label[x2]}
+        pairs = _joined_pairs(label, index, sides)
+        assert bool(pairs) == bool(bad) and set(pairs) <= bad
+        shared = {label[x] for x in sides[0]} & {label[x] for x in sides[1]} - {-1}
+        excluded = any(label[x] < 0 for side in sides for x in side)
+        assert len(pairs) == (len(shared) + excluded if all(sides) else 0)
 
 
 @pytest.mark.parametrize("name,radius", [("dinf", 12), ("z2z3", 10)])
 def test_K_construction_suite(name, radius):
     _, _, fg = make_fg(name)
-    report = verify_K_construction(fg, ball_radius=radius,
-                                   edges_sampled=20, seed=3)
+    report = verify_K_construction(fg, ball_radius=radius)
     assert report.holds, report.failures[:3]
     assert report.details["worst_R0"] <= report.details["diam_I_3/2"]
 
 
+@pytest.mark.parametrize("name", ["dinf", "z2z3", "zxz2", "sl2z"])
+def test_K_construction_reads_R0_3_at_radius_6(name):
+    """Every identity edge gives R0 = 3 at radius 6.  A sampled run read
+    3, 2, 1 and 2 on these inputs at seed 3, because the edges it drew
+    lay nearer the sphere."""
+    _, _, fg = make_fg(SL2Z if name == "sl2z" else name)
+    report = verify_K_construction(fg, ball_radius=6)
+    assert report.details["R0"] == {"e1": 3} and report.details["worst_R0"] == 3
+
+
+# Z/2 * Z/2 * Z/2 as a path of trivial edges: two edge pairs, and an I_3/2
+# small enough for its diameter to be measured quickly
+Z2_PATH = """\
+group A cyclic 2
+vertex v1 A gens [a]
+vertex v2 A gens [a]
+vertex v3 A gens [a]
+edge e1 v1 -- v2 group trivial embed_fwd {} embed_bwd {}
+edge e2 v2 -- v3 group trivial embed_fwd {} embed_bwd {}
+"""
+
+
 def test_K_construction_analyses_each_distinct_edge_once(monkeypatch):
-    """verify-k draws the same tree edge more than once here, from its
-    samples and from its probe (R-probe 0, so the probe reports failures).
-    The labelling runs once per distinct edge, and the report equals the
-    one of the same run with the per-edge cache switched off, where every
-    draw is analysed afresh."""
+    """verify-k labels the ball minus gamma·K once per edge pair, at its
+    identity edge, and reads R0 by edge name; with R-probe 0 the probe
+    reuses those labellings and adds none."""
     from amalgam_lab import separation
 
-    def run(cache):
-        labelled = []   # the edge of each r_components call
-        drawn = []
-        orig_split, orig_labels = TreeBall.split_by_edge, separation.r_components
+    labelled = [0]
+    orig_labels = separation.r_components
 
-        def split(tb, child):
-            drawn.append(child)
-            return orig_split(tb, child)
+    def labels(*args, **kwargs):
+        labelled[0] += 1
+        return orig_labels(*args, **kwargs)
+    monkeypatch.setattr(separation, "r_components", labels)
+    _, _, fg = make_fg(Z2_PATH)
+    report = verify_K_construction(fg, ball_radius=7, R_probe=0)
+    assert labelled[0] == fg.gog.graph.n_edges == 2
+    assert sorted(report.details["R0"]) == ["e1", "e2"]
+    assert report.details["worst_R0"] == max(report.details["R0"].values())
+    assert report.details["probe_edges"] == 2 and report.details["probe_pairs"] > 0
+    assert report.witness_pairs_tested > 0 and report.not_applicable == 0
 
-        def labels(*args, **kwargs):
-            labelled.append(drawn[-1])
-            return orig_labels(*args, **kwargs)
-        with monkeypatch.context() as m:
-            m.setattr(TreeBall, "split_by_edge", split)
-            m.setattr(separation, "r_components", labels)
-            m.setattr(separation, "functools", SimpleNamespace(cache=cache))
-            _, _, fg = make_fg(SL2Z)
-            report = verify_K_construction(fg, ball_radius=8, edges_sampled=16, seed=1,
-                                           R_probe=0)
-        return report, labelled
 
-    report, labelled = run(functools.cache)
-    plain, plain_labelled = run(lambda f: f)
-    assert len(plain_labelled) > len(set(plain_labelled))   # an edge repeats
-    assert sorted(labelled) == sorted(set(plain_labelled))
-    assert report.failures
-    for key in ("worst_R0", "probe_edges"):
-        assert report.details[key] == plain.details[key]
-    assert report.witness_pairs_tested == plain.witness_pairs_tested > 0
-    assert report.failures == plain.failures
-    assert report.to_json() == plain.to_json()
+def _K(fg):
+    """K = I_{diam(P)/2}·L, built as ``verify_K_construction`` builds it."""
+    L = [fg.identity(), *fg.generating_set().steps]
+    P = {fg.multiply(a, fg.invert(b)) for a in L for b in L}
+    base = {h for k in range(fg.gog.graph.n_edges) for h in fg.edge_subgroup_elements(k)}
+    I_half = thicken(fg, base, math.ceil(diameter(fg, P) / 2))
+    return {fg.multiply(i, l) for i in I_half for l in L}
+
+
+def _split_R0(fg, ball, tb, points, K, child):
+    """Oracle: the per-edge analysis the sampled verifier ran on any tree
+    edge.  R0 of the split at the edge into vertex child, or None when a
+    side has no coset point."""
+    edge = tb.vertices[child]
+    gammaK = {fg.multiply(edge.edge_rep, k) for k in K}
+    M, M2 = ({x for vid in side for x in points[vid]} for side in tb.split_by_edge(child))
+    if not M or not M2:
+        return None
+    label = r_components(ball, 1, excluded=gammaK)
+    H = fg.edge_subgroup_elements(edge.pair)
+    distance = fg.coset_distances(fg.invert(edge.edge_rep), H)
+    AM, AM2 = ([(x, distance(x), label[ball.index[x]]) for x in side] for side in (M, M2))
+    max_d_M = max(d for _, d, _ in AM)
+    max_d_M2 = max(d for _, d, _ in AM2)
+    best_per_comp: dict[int, list[float]] = {}
+    R0 = 0
+    for side, (A, other_max) in enumerate(((AM, max_d_M2), (AM2, max_d_M))):
+        for x, d, c in A:
+            if c < 0:
+                R0 = max(R0, min(d, other_max))
+            else:
+                best = best_per_comp.setdefault(c, [0, 0])
+                best[side] = max(best[side], d)
+    for dm, dm2 in best_per_comp.values():
+        if dm > 0 and dm2 > 0:
+            R0 = max(R0, min(dm, dm2))
+    return R0
+
+
+# f2's diam(I_3/2) takes about 10 s, and hnn6's and chain's exceed the
+# element budget, so their per-orbit R0 is the oracle's at the identity edge
+ORBIT_INPUTS = {"sl2z": SL2Z, "z6z9": FINITE_EDGED["z6z9"], "z2z3": "z2z3", "dinf": "dinf",
+                "zxz2": "zxz2", "f2": "f2", "chain": FINITE_EDGED["chain"],
+                "hnn6": FINITE_EDGED["hnn6"]}
+
+
+@pytest.mark.parametrize("name", ORBIT_INPUTS)
+def test_identity_edge_R0_bounds_its_orbit(name):
+    """Every edge of the depth-3 tree ball (ball radius 5) has an R0, by the
+    sampled verifier's analysis, at most the per-orbit R0 of its edge pair:
+    the identity edge is the least truncated view of its orbit."""
+    _, _, fg = make_fg(ORBIT_INPUTS[name])
+    radius = 5
+    ball = fg.word_metric_ball(radius)
+    tb = TreeBall(fg, radius - 2)
+    points = [coset_elements_in_ball(fg, ball, v.rep, v.vtype, radius - 2) for v in tb.vertices]
+    K = _K(fg)
+    names = fg.gog.graph.edge_names
+    per_orbit = {names[tb.vertices[c].pair]: _split_R0(fg, ball, tb, points, K, c)
+                 for c in tiling_tree(tb).edge_ids}
+    if name in ("sl2z", "z6z9", "z2z3", "dinf", "zxz2"):
+        assert verify_K_construction(fg, radius).details["R0"] == per_orbit
+    for child in range(1, len(tb.vertices)):
+        R0 = _split_R0(fg, ball, tb, points, K, child)
+        if R0 is not None:
+            assert R0 <= per_orbit[names[tb.vertices[child].pair]], child
 
 
 def test_ends_verdicts():
@@ -425,9 +511,9 @@ edge e1 v1 -- v2 group E embed_fwd {a:b3} embed_bwd {a:a2}
 
 def test_verifiers_on_nontrivial_edge_group():
     _, _, fg = make_fg(AMALGAM_Z4_Z6)
-    rep = verify_cayley_separation(fg, ball_radius=8, samples=25, R=1, seed=2)
+    rep = verify_cayley_separation(fg, ball_radius=8, R=1)
     assert rep.holds and rep.witness_pairs_tested > 0
-    rep = verify_K_construction(fg, ball_radius=9, edges_sampled=10, seed=2)
+    rep = verify_K_construction(fg, ball_radius=9)
     assert rep.holds
     assert rep.details["worst_R0"] <= rep.details["diam_I_3/2"]
     assert ends_estimate(fg, [4, 6, 8], margin=3).verdict == "infinity-growing"
@@ -484,9 +570,9 @@ def test_K_construction_coset_distances_need_no_walk(monkeypatch):
         return counted
     monkeypatch.setattr(FundamentalGroup, "multiply", counted_multiply)
     monkeypatch.setattr(FundamentalGroup, "coset_distances", counted_distances)
-    assert verify_K_construction(fg, 12, 32, seed=1).holds
-    assert len(per_call) == 15_330 and set(per_call) == {0}
-    assert products[0] == 11_184
+    assert verify_K_construction(fg, 12).holds
+    assert len(per_call) == 438 and set(per_call) == {0}
+    assert products[0] == 10_234
     assert len(fg._len_index) == len(fg.word_metric_ball(12)) == 884
     assert len(fg._cosets.table) < 20
 
@@ -517,5 +603,6 @@ def test_cayley_separation_enumerates_each_vertex_coset_once(monkeypatch):
         cosets.append((rep, vtype))
         return orig(fg, ball, rep, vtype, maxlen)
     monkeypatch.setattr(separation, "coset_elements_in_ball", counted)
-    verify_cayley_separation(fg, ball_radius=10, samples=30, R=1, seed=7)
-    assert cosets and len(cosets) == len(set(cosets))
+    verify_cayley_separation(fg, ball_radius=10, R=1)
+    # one enumeration per vertex of the verifier's depth-8 tree ball
+    assert len(cosets) == len(set(cosets)) == len(TreeBall(fg, 8).vertices)
