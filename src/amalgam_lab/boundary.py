@@ -22,8 +22,7 @@ scaling checked by (a2).
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
-from collections import Counter
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .bass_serre import TreeBall, TreeBallConfig, TreeVertex
@@ -303,14 +302,14 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
     conditions["a1_disjoint"] = {"passed": not witnesses, "witnesses": witnesses[:10]}
 
     # (a2) nullness.  In the ultrametric a member's diameter is 2^(-s), with s
-    # the common prefix length of all its directions: the least split of its
-    # first direction against the others.
+    # the common prefix length of all its directions.  Branches are numbered
+    # in pre-order, so the last common vertex of a set of branches is that of
+    # its least and greatest.
     witnesses = []
     diams = []
     for m in family:
-        first, *rest = set(m.directions)
-        diam = 2.0 ** -min(b.split(first, j) for j in rest) if rest else 0.0
-        diams.append((m.vertex.depth, diam))
+        lo, hi = min(m.directions), max(m.directions)
+        diams.append((m.vertex.depth, 2.0 ** -b.split(lo, hi) if lo != hi else 0.0))
     max_diam_per_k = {}
     for k in range(0, d + 1):
         max_diam_per_k[k] = max((diam for cd, diam in diams if cd >= k), default=0.0)
@@ -327,18 +326,24 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
         "max_diam_per_tree_distance": {str(k): v for k, v in max_diam_per_k.items()},
     }
 
-    # (a3) boundary subsets: complement of each member is eps-dense.  A member
-    # covers a prefix group iff it holds as many of its directions as the
-    # group has branches; groups it does not touch are non-empty, so never
-    # covered.  Counting in branch order meets a covered group first at its
-    # least branch, which is where groups_by_prefix orders it.
+    # (a3) boundary subsets: complement of each member is eps-dense.  Each
+    # prefix group is a consecutive range of branches, in the order of
+    # groups_by_prefix, so one pass over a member's sorted directions meets
+    # the groups it touches in that order and counts its directions in each
+    # by bisection; it covers a group iff it holds all of them.
     witnesses = []
     groups = b.groups_by_prefix(eps_split)
+    prefixes = list(groups)
+    starts = [members[0] for members in groups.values()]
     for m in family:
-        count = Counter(b.ancestor(i, eps_split) for i in sorted(set(m.directions)))
-        for anc, c in count.items():
-            if c == len(groups[anc]) and len(witnesses) < 10:
+        dirs = sorted(set(m.directions))
+        i = 0
+        while i < len(dirs):
+            anc = prefixes[bisect_right(starts, dirs[i]) - 1]
+            j = bisect_left(dirs, groups[anc][-1] + 1, i)
+            if j - i == len(groups[anc]) and len(witnesses) < 10:
                 witnesses.append({"member": m.label, "prefix_vertex": anc})
+            i = j
     conditions["a3_boundary"] = {"passed": not witnesses, "witnesses": witnesses[:10]}
 
     # (a4) each per-type union is eps-dense

@@ -13,7 +13,8 @@ left-invariant, so γ·e splits γ·X exactly as e splits X: every edge of one
 orbit separates the same way.  The edge analysed is the orbit's identity
 edge, the one whose coset holds 1.  It is the least truncated view: the
 ball B(r) is centred at 1, and a translate γ·e farther out in the tree sits
-nearer the sphere, with fewer of its coset points inside the margin.
+nearer the sphere, with fewer of its coset points inside the margin.  Its
+coset is G_y itself, so every set is built at γ = 1.
 """
 
 from __future__ import annotations
@@ -153,9 +154,9 @@ def verify_thickening_lemma(ball: CayleyBall, I, x0: NormalForm, x1: NormalForm,
         raise PreconditionUnmet("I does not separate x0 from x1 in the graph")
     J = thicken(fg, I, math.ceil(R / 2), ball=ball)
     report = SeparationReport(instance="thickening-lemma", R=R,
-                              separating_set_size=len(J))
-    report.witness_pairs_tested = 1
-    if not r_separates(ball, J, x0, x1, R):
+                              separating_set_size=len(J), witness_pairs_tested=1)
+    # J lies within ceil(R/2) of I, so d(x_i, J) >= ceil(3R/2) - ceil(R/2) = R
+    if not _points_apart(ball, r_components(ball, R, excluded=J), x0, x1):
         report.failures.append({
             "x0": x0.display(), "x1": x1.display(),
             "reason": "thickened set fails to R-separate",
@@ -193,6 +194,27 @@ def _coset_points(points: list[list[NormalForm]], vids) -> list[NormalForm]:
     return list(dict.fromkeys(x for vid in sorted(vids) for x in points[vid]))
 
 
+def _identity_edges(fg: FundamentalGroup, ball_radius: int, margin: int):
+    """The setup both verifiers share: the tree ball of depth
+    max(3, radius - 2), B(radius), each tree vertex's in-ball coset points
+    within ``margin``, by vid, and per edge pair y, at its identity edge:
+    (name, G_y, child vid, the two sides as vids, each side's points x with
+    d(x, G_y), read off one ``coset_distances(1, G_y)`` map)."""
+    tb = TreeBall(fg, max(3, ball_radius - 2))
+    children = tiling_tree(tb).edge_ids   # NoEdges: no edge coset to test
+    ball = fg.word_metric_ball(ball_radius)
+    points = [coset_elements_in_ball(fg, ball, v.rep, v.vtype, margin) for v in tb.vertices]
+    edges = []
+    for child in children:
+        pair = tb.vertices[child].pair
+        H = fg.edge_subgroup_elements(pair)
+        distance = fg.coset_distances(fg.identity(), H)   # x -> d(x, G_y)
+        sides = tb.split_by_edge(child)
+        edges.append((fg.gog.graph.edge_names[pair], H, child, sides,
+                      [[(x, distance(x)) for x in _coset_points(points, side)] for side in sides]))
+    return tb, ball, points, edges
+
+
 def _joined_pairs(label: list[int], index: dict, sides) -> list[tuple]:
     """Witness pairs (x, x2), x from ``sides[0]`` and x2 from ``sides[1]``,
     that are not apart under ``label``: one per component holding points of
@@ -215,45 +237,34 @@ def verify_cayley_separation(fg: FundamentalGroup, ball_radius: int,
                              R: int) -> SeparationReport:
     """Empirical suite for the edge-coset separation lemma.
 
-    For the identity edge of each edge pair of Y, check that
-    N_{ceil(R/2)}(edge coset) R-separates the in-ball, margin-filtered
-    members of the vertex cosets on one side of it from those on the other.
+    For the identity edge of each edge pair y of Y, check that
+    I = N_{ceil(R/2)}(G_y) R-separates the in-ball, margin-filtered members
+    of the vertex cosets on one side of it from those on the other.
     A radius below R + 1 leaves no coset point inside the margin, so it is
     an error, not a vacuous pass; so is a radius at which no edge has
     eligible points on both sides, and a graph with no edges.
+
+    Only the R-components are tested: an eligible x has d(x, G_y) >=
+    ceil(3R/2) and I lies within ceil(R/2) of G_y, so by the triangle
+    inequality d(x, I) >= ceil(3R/2) - ceil(R/2) = R for every integer R.
     """
     if R < 1:
         raise ValueError(f"need R >= 1, got R = {R}")
     if ball_radius < R + 1:
         raise ValueError(f"radius must be >= R + 1 = {R + 1}, got {ball_radius}")
-    tb = TreeBall(fg, max(3, ball_radius - 2))
-    edges = tiling_tree(tb).edge_ids   # NoEdges: no edge coset to test
-    ball = fg.word_metric_ball(ball_radius)
-    margin = ball_radius - (R + 1)
-    half = math.ceil(R / 2)
+    _, ball, _, edges = _identity_edges(fg, ball_radius, ball_radius - (R + 1))
     sesq = math.ceil(3 * R / 2)
 
     report = SeparationReport(instance="cayley-separation", R=R)
-    points = [coset_elements_in_ball(fg, ball, v.rep, v.vtype, margin) for v in tb.vertices]
-    for child in edges:
-        edge = tb.vertices[child]
-        H = fg.edge_subgroup_elements(edge.pair)
-        distance = fg.coset_distances(fg.invert(edge.edge_rep), H)  # x -> d(x, gamma·H)
-        eligible = [[x for x in _coset_points(points, side) if distance(x) >= sesq]
-                    for side in tb.split_by_edge(child)]
+    for name, H, _, _, measured in edges:
+        eligible = [[x for x, d in side if d >= sesq] for side in measured]
         if not all(eligible):
             report.not_applicable += 1
             continue
-        I = thicken(fg, tb.edge_coset_elements(child), half, ball=ball)
+        I = thicken(fg, H, math.ceil(R / 2), ball=ball)
         report.separating_set_size = max(report.separating_set_size, len(I))
         label = r_components(ball, R, excluded=I)
         report.witness_pairs_tested += len(eligible[0]) * len(eligible[1])
-        name = fg.gog.graph.edge_names[edge.pair]
-        for x in (x for side in eligible for x in side):
-            d = set_distance(x, I, fg.dist)
-            if d < R:
-                report.failures.append({"edge": name, "delta": x.display(), "d_delta_I": d,
-                                        "reason": "closer than R to the thickened coset"})
         for x, x2 in _joined_pairs(label, ball.index, eligible):
             report.failures.append({"edge": name, "delta": x.display(), "delta2": x2.display(),
                                     "reason": "pair not R-separated"})
@@ -266,10 +277,15 @@ def verify_cayley_separation(fg: FundamentalGroup, ball_radius: int,
 def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
                           R_probe: int | None = None) -> SeparationReport:
     """Build K = I_{diam(P)/2} * L with L the identity star in the Cayley
-    graph, and verify that gamma·K separates the two coset unions of the
-    split at the identity edge gamma·G_y of each edge pair of Y; report
-    the smallest working exclusion radius R0 of each pair and compare the
-    largest with diam(I_{3 diam(P)/2}).
+    graph, and verify that K separates the two coset unions of the split at
+    the identity edge G_y of each edge pair of Y; report the smallest
+    working exclusion radius R0 of each pair and compare the largest with
+    diam(I_{3 diam(P)/2}).
+
+    Every set is read off a ball: L = B(1), P = L·L^-1 = B(2) as S = S^-1,
+    and K = N_{ceil(diam(P)/2)+1}(U), U the union of the edge groups.  Each
+    identity edge's coset holds 1, so one labelling of the ball minus K
+    serves every edge pair and the probe.
 
     A radius below 2 leaves no coset point inside the margin, so it is an
     error; so is a radius at which no edge has coset points on both sides,
@@ -279,19 +295,12 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
         raise ValueError(f"radius must be >= 2, got {ball_radius}")
     if R_probe is not None and R_probe < 0:
         raise ValueError(f"R-probe must be >= 0, got {R_probe}")
-    tb = TreeBall(fg, max(3, ball_radius - 2))
-    edges = tiling_tree(tb).edge_ids   # NoEdges: no tree edge to split at
-    ball = fg.word_metric_ball(ball_radius)
-    margin = ball_radius - 2
-
-    # L = closed star of the identity vertex, as a vertex set
-    L = [fg.identity()] + [s for s in fg.generating_set().steps]
-    # P = {gamma : gamma L meets L} = L * L^{-1}
-    P = {fg.multiply(a, fg.invert(b)) for a in L for b in L}
+    tb, ball, points, edges = _identity_edges(fg, ball_radius, ball_radius - 2)
+    L = ball.elements[:ball.layer_starts[2]]
+    P = ball.elements[:ball.layer_starts[3]]
     diam_P = diameter(fg, P)
     base = {e for k in range(fg.gog.graph.n_edges) for e in fg.edge_subgroup_elements(k)}
-    I_half = thicken(fg, base, math.ceil(diam_P / 2))
-    K = {fg.multiply(i, l) for i in I_half for l in L}
+    K = thicken(fg, base, math.ceil(diam_P / 2) + 1)
     I_sesq = thicken(fg, base, math.ceil(3 * diam_P / 2))
     pairs = len(I_sesq) * (len(I_sesq) - 1) // 2
     if pairs > fg.ball_budget:
@@ -313,39 +322,28 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
         "probe_pairs": 0,
     })
 
-    # the in-ball, margin-filtered coset points of each tree vertex, by vid
-    points = [coset_elements_in_ball(fg, ball, v.rep, v.vtype, margin) for v in tb.vertices]
-    analysed = []   # (name, child, its two sides as vids, labelling of ball minus gamma·K)
-    for child in edges:
-        edge = tb.vertices[child]
-        name = fg.gog.graph.edge_names[edge.pair]
-        sides = tb.split_by_edge(child)
-        H = fg.edge_subgroup_elements(edge.pair)
-        distance = fg.coset_distances(fg.invert(edge.edge_rep), H)  # x -> d(x, gamma·H)
-        AM, AM2 = ([(x, distance(x)) for x in _coset_points(points, side)] for side in sides)
+    label = r_components(ball, 1, excluded=K)
+    analysed = []   # the edges with coset points off their coset on both sides
+    for name, _, child, sides, (AM, AM2) in edges:
         max_d = [max((d for _, d in A), default=0) for A in (AM, AM2)]
         if not all(max_d):   # a side with no coset point off the edge coset
             report.not_applicable += 1
             continue
-        gammaK = {fg.multiply(edge.edge_rep, k) for k in K}
-        label = r_components(ball, 1, excluded=gammaK)
         # minimal exclusion radius R0 killing all offending pairs
         best_per_comp: dict[int, list[float]] = {}
         R0 = 0
         for side, A in enumerate((AM, AM2)):
             for x, d in A:
                 c = label[ball.index[x]]
-                if c < 0:  # swallowed by gamma K
+                if c < 0:  # swallowed by K
                     R0 = max(R0, min(d, max_d[1 - side]))
                 else:
                     best = best_per_comp.setdefault(c, [0, 0])
                     best[side] = max(best[side], d)
-        for dm, dm2 in best_per_comp.values():
-            if dm > 0 and dm2 > 0:
-                R0 = max(R0, min(dm, dm2))
+        R0 = max([R0, *(min(best) for best in best_per_comp.values())])
         report.witness_pairs_tested += len(AM) * len(AM2)
         R0s[name] = R0
-        analysed.append((name, child, sides, label))
+        analysed.append((name, child, sides))
         if R0 > diam_I_sesq:
             report.failures.append({
                 "edge": name,
@@ -360,7 +358,7 @@ def verify_K_construction(fg: FundamentalGroup, ball_radius: int,
     # of coset points of tree vertices on its two sides farther than the bound
     probe_bound = R_probe if R_probe is not None else report.details["worst_R0"] + 2
     report.details["R_probe"] = probe_bound
-    for name, child, sides, label in analysed:
+    for name, child, sides in analysed:
         far = [_coset_points(points, [vid for vid in side
                                       if tb.edge_tree_distance(child, vid) > probe_bound])
                for side in sides]

@@ -125,7 +125,18 @@ vertex v1 A gens [s_e2]
 edge e2 v1 -- v1 group trivial embed_fwd {} embed_bwd {}
 """
 
-# the corpus and every DSL input above but DEAD_ENDS and STABLE_CLASH, by name
+# Z/2 * Z/2 * Z/2 as a path of trivial edges: two edge pairs, and an I_3/2
+# small enough for its diameter to be measured quickly
+Z2_PATH = """\
+group A cyclic 2
+vertex v1 A gens [a]
+vertex v2 A gens [a]
+vertex v3 A gens [a]
+edge e1 v1 -- v2 group trivial embed_fwd {} embed_bwd {}
+edge e2 v2 -- v3 group trivial embed_fwd {} embed_bwd {}
+"""
+
+# the corpus and every DSL input above but DEAD_ENDS, STABLE_CLASH and Z2_PATH, by name
 GOG_TEXTS = {**{name: text(name) for name in NAMES}, "sl2z": SL2Z, **FINITE_EDGED,
              "segment": SEGMENT, "rev": REV, "free_one": FREE_ONE}
 # GOG_TEXTS with the non-abelian vertex group, the dead ends and the label clash

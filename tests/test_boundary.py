@@ -445,6 +445,19 @@ def test_a2_a3_match_oracle_on_adversarial_family(z2z2, depth):
         "covers-8-1-3", "covers-8-1-3", "covers-8-1-3", "covers-5-twice", "covers-all")]
 
 
+def test_a2_diameter_spans_the_least_and_greatest_direction(z2z2):
+    """A member's (a2) diameter is read at its least and greatest
+    directions, whatever the order and the repeats of its tuple: here its
+    first and last direction coincide, but it spans a whole prefix group."""
+    _, _, fg = z2z2
+    b = boundary_approx(fg, 5)
+    group = list(b.groups_by_prefix(b.depth - 2).values())[2]
+    family = [_on_vertex(b, (group[1], group[-1], group[0], group[1]), b.depth - 1)]
+    a2 = amalgam_check(b, family, seed=7, samples=0).conditions["a2_null"]
+    assert a2 == _a2_a3_oracle(b, family)[0]
+    assert a2["max_diam_per_tree_distance"]["4"] == 2.0 ** -(b.depth - 2)
+
+
 def _a5_oracle(b, family, seed, samples):
     """(a5) by the full-family loop: every member is tested for removal and
     for saturation on every sample, with ancestry by walking to the root."""

@@ -21,7 +21,7 @@ from pathlib import Path
 from amalgam_lab.cli import main
 from amalgam_lab.corpus import NAMES
 
-from conftest import DEAD_ENDS, REV, SEGMENT, SL2Z
+from conftest import DEAD_ENDS, REV, SEGMENT, SL2Z, Z2_PATH
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -34,8 +34,8 @@ WORDS = {
 
 
 def _cases() -> dict[str, list[str]]:
-    """Case id -> argv; ``{sl2z}``, ``{dead-ends}``, ``{segment}``, ``{rev}`` and
-    ``{words:NAME}`` are filled in at run time."""
+    """Case id -> argv; ``{sl2z}``, ``{dead-ends}``, ``{segment}``, ``{rev}``,
+    ``{z2-path}`` and ``{words:NAME}`` are filled in at run time."""
     cases: dict[str, list[str]] = {}
     inputs = [(name, f"corpus:{name}") for name in NAMES] + [("sl2z", "{sl2z}")]
     for name, spec in inputs:
@@ -60,6 +60,14 @@ def _cases() -> dict[str, list[str]]:
         cases[f"verify-k-{name}-probe"] = ["verify-k", spec, "--radius", "6", "--R-probe", "1"]
     # f2 has two edge pairs, so two identity edges
     cases["separate-f2"] = ["separate", "corpus:f2", "--radius", "6", "--R", "1"]
+    # two edge pairs each: both of Z2_PATH's apply, and DEAD_ENDS's e2 has a
+    # side with no eligible point
+    for name in ("z2-path", "dead-ends"):
+        spec = f"{{{name}}}"
+        cases[f"verify-k-{name}"] = ["verify-k", spec, "--radius", "6"]
+        cases[f"verify-k-{name}-probe"] = ["verify-k", spec, "--radius", "6", "--R-probe", "1"]
+        cases[f"separate-{name}"] = ["separate", spec, "--radius", "6", "--R", "1"]
+        cases[f"separate-{name}-R2"] = ["separate", spec, "--radius", "6", "--R", "2"]
     # R > 1 takes the labelling's ball(R) shifts, not the generators
     for name, spec in (("dinf", "corpus:dinf"), ("z2z3", "corpus:z2z3"), ("sl2z", "{sl2z}"),
                        ("f2", "corpus:f2")):
@@ -107,7 +115,7 @@ def run_matrix(workdir: Path) -> dict[str, str]:
     """Case id -> "exit-code sha256" of the artifact it writes."""
     fill = {}
     for name, dsl in (("sl2z", SL2Z), ("dead-ends", DEAD_ENDS), ("segment", SEGMENT),
-                      ("rev", REV)):
+                      ("rev", REV), ("z2-path", Z2_PATH)):
         (workdir / f"{name}.gog").write_text(dsl)
         fill[f"{{{name}}}"] = str(workdir / f"{name}.gog")
     for name, words in WORDS.items():

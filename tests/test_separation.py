@@ -8,6 +8,7 @@ import pytest
 
 from amalgam_lab.bass_serre import TreeBall, tiling_tree
 from amalgam_lab.corpus import NAMES
+from amalgam_lab.dsl import parse_gog
 from amalgam_lab.errors import Inconclusive, PreconditionUnmet
 from amalgam_lab.fundgroup import FundamentalGroup
 from amalgam_lab.separation import (
@@ -23,9 +24,12 @@ from amalgam_lab.separation import (
     verify_thickening_lemma,
 )
 
-from conftest import DEAD_ENDS, FINITE_EDGED, S3_Z4, SEGMENT, SL2Z, components, make_fg
+from conftest import (ALL_TEXTS, DEAD_ENDS, FINITE_EDGED, S3_Z4, SEGMENT, SL2Z, Z2_PATH,
+                      components, make_fg)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# the inputs with an edge, so with an identity edge to test
+EDGED = [name for name, text in ALL_TEXTS.items() if parse_gog(text).graph.n_edges]
 
 
 def test_r_components_whole_ball_one_component(dinf):
@@ -189,45 +193,77 @@ def test_cayley_separation_reports_not_applicable():
 
 
 def test_cayley_separation_measures_each_point_once(monkeypatch):
-    """Per edge pair, one labelling, and d(x, I) once per eligible point of
-    either side: the pairs across the edge are tested by component, not
-    one by one."""
+    """Per edge pair, one labelling and one d(x, G_y) map, read once per
+    coset point of either side; no point is measured against I, and the
+    pairs across the edge are tested by component, not one by one."""
     from amalgam_lab import separation
 
     _, _, fg = make_fg("f2")
-    sesq = 2    # ceil(3R/2) for R = 1
-    blocks = []     # per labelling: [eligible points, set_distance calls against I]
-    eligible = [0]
+    labels, reads, measured = [0], [], [0]
 
-    def labels(*args, **kwargs):
-        blocks.append([eligible[0], 0])
-        eligible[0] = 0
+    def counted_labels(*args, **kwargs):
+        labels[0] += 1
         return orig_labels(*args, **kwargs)
 
     def coset_distances(*args, **kwargs):
-        # the eligibility filters measure d(x, edge coset) before the labelling
         distance = orig_coset_distances(*args, **kwargs)
+        read = []
+        reads.append(read)
 
         def counted(x):
-            d = distance(x)
-            eligible[0] += d >= sesq
-            return d
+            read.append(x)
+            return distance(x)
         return counted
 
     def distance(*args, **kwargs):
-        blocks[-1][1] += 1
+        measured[0] += 1
         return orig_distance(*args, **kwargs)
 
     orig_labels = separation.r_components
     orig_coset_distances = FundamentalGroup.coset_distances
     orig_distance = separation.set_distance
-    monkeypatch.setattr(separation, "r_components", labels)
+    monkeypatch.setattr(separation, "r_components", counted_labels)
     monkeypatch.setattr(FundamentalGroup, "coset_distances", coset_distances)
     monkeypatch.setattr(separation, "set_distance", distance)
     report = verify_cayley_separation(fg, ball_radius=6, R=1)
-    assert len(blocks) == fg.gog.graph.n_edges == 2
-    assert all(0 < calls == points for points, calls in blocks)
-    assert sum(calls for _, calls in blocks) < report.witness_pairs_tested
+    assert labels[0] == len(reads) == fg.gog.graph.n_edges == 2
+    assert measured[0] == 0
+    assert all(0 < len(read) == len(set(read)) for read in reads)
+    assert sum(len(read) for read in reads) < report.witness_pairs_tested
+
+
+@pytest.mark.parametrize("name", EDGED)
+def test_eligible_points_lie_R_from_the_thickened_coset(name):
+    """The oracle for the d(x, I) >= R check that ``verify_cayley_separation``
+    leaves to the triangle inequality: at radius 6 and R = 1, 2, every
+    eligible point of an edge with eligible points on both sides lies at
+    least R from I = N_{ceil(R/2)}(G_y), by ``set_distance``.  The points
+    are enumerated once, at R = 1's margin; R = 2's margin keeps those of
+    word length <= 3.  An R at which no edge applies, so that the verifier
+    raises PreconditionUnmet, is named in a skip."""
+    from amalgam_lab.separation import _identity_edges
+
+    _, _, fg = make_fg(ALL_TEXTS[name])
+    radius, unmet = 6, []
+    _, ball, _, edges = _identity_edges(fg, radius, radius - 2)
+    for R in (1, 2):
+        inside = ball.layer_starts[radius - R]   # word length <= radius - (R + 1)
+        applies = False
+        for _, H, _, _, measured in edges:
+            eligible = [[x for x, d in side if d >= math.ceil(3 * R / 2) and ball.index[x] < inside]
+                        for side in measured]
+            if not all(eligible):
+                continue
+            applies = True
+            I = thicken(fg, H, math.ceil(R / 2), ball=ball)
+            for x in eligible[0] + eligible[1]:
+                assert set_distance(x, I, fg.dist) >= R, (R, x.display())
+        if not applies:
+            with pytest.raises(PreconditionUnmet):
+                verify_cayley_separation(fg, radius, R)
+            unmet.append(R)
+    if unmet:
+        pytest.skip(f"{name}: separate raises PreconditionUnmet at radius {radius}, R in {unmet}")
 
 
 def test_joined_pairs_match_the_pairwise_check():
@@ -270,22 +306,10 @@ def test_K_construction_reads_R0_3_at_radius_6(name):
     assert report.details["R0"] == {"e1": 3} and report.details["worst_R0"] == 3
 
 
-# Z/2 * Z/2 * Z/2 as a path of trivial edges: two edge pairs, and an I_3/2
-# small enough for its diameter to be measured quickly
-Z2_PATH = """\
-group A cyclic 2
-vertex v1 A gens [a]
-vertex v2 A gens [a]
-vertex v3 A gens [a]
-edge e1 v1 -- v2 group trivial embed_fwd {} embed_bwd {}
-edge e2 v2 -- v3 group trivial embed_fwd {} embed_bwd {}
-"""
-
-
 def test_K_construction_analyses_each_distinct_edge_once(monkeypatch):
-    """verify-k labels the ball minus gamma·K once per edge pair, at its
-    identity edge, and reads R0 by edge name; with R-probe 0 the probe
-    reuses those labellings and adds none."""
+    """verify-k labels the ball minus K once in all, since every identity
+    edge's coset holds 1, and reads R0 by edge name; with R-probe 0 the
+    probe reuses that labelling and adds none."""
     from amalgam_lab import separation
 
     labelled = [0]
@@ -297,7 +321,7 @@ def test_K_construction_analyses_each_distinct_edge_once(monkeypatch):
     monkeypatch.setattr(separation, "r_components", labels)
     _, _, fg = make_fg(Z2_PATH)
     report = verify_K_construction(fg, ball_radius=7, R_probe=0)
-    assert labelled[0] == fg.gog.graph.n_edges == 2
+    assert labelled[0] == 1
     assert sorted(report.details["R0"]) == ["e1", "e2"]
     assert report.details["worst_R0"] == max(report.details["R0"].values())
     assert report.details["probe_edges"] == 2 and report.details["probe_pairs"] > 0
@@ -311,6 +335,44 @@ def _K(fg):
     base = {h for k in range(fg.gog.graph.n_edges) for h in fg.edge_subgroup_elements(k)}
     I_half = thicken(fg, base, math.ceil(diameter(fg, P) / 2))
     return {fg.multiply(i, l) for i in I_half for l in L}
+
+
+@pytest.mark.parametrize("name", EDGED)
+def test_K_and_P_are_read_off_balls(name):
+    """With L = B(1), L·L^-1 = B(2), since S is closed under inversion, and
+    the old K = I_{diam(P)/2}·L equals N_{ceil(diam(P)/2)+1}(edge groups),
+    the one ``thicken`` that verify-k forms."""
+    _, _, fg = make_fg(ALL_TEXTS[name])
+    ball = fg.word_metric_ball(2)
+    L, P = ball.elements[:ball.layer_starts[2]], set(ball.elements)
+    assert {fg.multiply(a, fg.invert(b)) for a in L for b in L} == P
+    base = {h for k in range(fg.gog.graph.n_edges) for h in fg.edge_subgroup_elements(k)}
+    assert _K(fg) == thicken(fg, base, math.ceil(diameter(fg, P) / 2) + 1)
+
+
+# f2's diam(I_3/2) takes about 10 s, and z2z2, free_one, hnn6 and chain
+# exceed a budget before the labelling
+@pytest.mark.parametrize("name", ["dinf", "z2z3", "zxz2", "sl2z", "z6z9", "s3z4", "dead_ends",
+                                  "stable_clash", "segment", "rev"])
+def test_K_construction_excludes_the_old_K(name, monkeypatch):
+    """The one labelling of verify-k excludes exactly the old K.  segment
+    and rev have no coset point off an edge coset at radius 4, so there the
+    verifier raises PreconditionUnmet after the labelling."""
+    from amalgam_lab import separation
+
+    excluded_sets = []
+    orig_labels = separation.r_components
+
+    def labels(ball, R, excluded=()):
+        excluded_sets.append(set(excluded))
+        return orig_labels(ball, R, excluded=excluded)
+    monkeypatch.setattr(separation, "r_components", labels)
+    _, _, fg = make_fg(ALL_TEXTS[name])
+    try:
+        verify_K_construction(fg, 4)
+    except PreconditionUnmet:
+        assert name in ("segment", "rev")
+    assert excluded_sets == [_K(fg)]
 
 
 def _split_R0(fg, ball, tb, points, K, child):
@@ -548,9 +610,9 @@ def test_edge_coset_distance_equals_set_distance(name):
 def test_K_construction_coset_distances_need_no_walk(monkeypatch):
     """On the benchmark's verify-k run, the wordlen walk stops at B(12), the
     884 elements that the diameters need, and no coset distance forms a
-    product: every SL(2,Z) edge group lies in the root group, so each
-    edge's map reads gamma^-1·x across the junction.  The automaton stays
-    small because its states are normalised."""
+    product: the identity edge's map d(x, G_y) reads x itself.  L and P
+    are read off the ball and K is one thicken, so 10,153 products in all.
+    The automaton stays small because its states are normalised."""
     _, _, fg = make_fg((PERFBENCH / "sl2z.gog").read_text())
     products, per_call = [0], []
     multiply, coset_distances = FundamentalGroup.multiply, FundamentalGroup.coset_distances
@@ -572,7 +634,7 @@ def test_K_construction_coset_distances_need_no_walk(monkeypatch):
     monkeypatch.setattr(FundamentalGroup, "coset_distances", counted_distances)
     assert verify_K_construction(fg, 12).holds
     assert len(per_call) == 438 and set(per_call) == {0}
-    assert products[0] == 10_234
+    assert products[0] == 10_153
     assert len(fg._len_index) == len(fg.word_metric_ball(12)) == 884
     assert len(fg._cosets.table) < 20
 
