@@ -22,7 +22,7 @@ from .boundary import (
     limit_set_family,
 )
 from .dsl import gog_from_json, gog_to_json, parse_gog
-from .errors import AmalgamLabError, Inconclusive
+from .errors import AmalgamLabError, Inconclusive, NoEdges, NotInBall
 from .fundgroup import FundamentalGroup, abelianization, emit_presentation
 from .gog import is_non_elementary, elementary_collapse, spanning_tree
 from .jsonio import artifact, dumps, emit, load_artifact, read_json
@@ -159,13 +159,15 @@ def _cmd_tree_ball(args) -> dict:
             for v in tb.vertices[1:]
         ],
     })
-    if g.n_edges > 0:
+    try:
         tt = tiling_tree(tb)
-        payload["tiling_tree"] = {
-            "vertices": list(tt.vertex_ids),
-            "edges": [c - 1 for c in tt.edge_ids],
-            "connected": tt.connected,
-        }
+    except (NoEdges, NotInBall):    # no edges, or an identity edge deeper than the radius
+        return payload
+    payload["tiling_tree"] = {
+        "vertices": list(tt.vertex_ids),
+        "edges": [c - 1 for c in tt.edge_ids],
+        "connected": tt.connected,
+    }
     return payload
 
 
@@ -417,7 +419,7 @@ def build_parser() -> _Parser:
     p.add_argument("--depth", type=int, default=6, help="tree ball radius")
     p.add_argument("--words-json", default=None,
                    help='JSON file {"words": [["a","b"], ...]}')
-    p.add_argument("--r-bound", type=int, default=4)
+    p.add_argument("--r-bound", type=_int_at_least(0), default=4)
 
     return root
 

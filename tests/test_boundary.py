@@ -179,16 +179,25 @@ def test_visual_metric_is_ultrametric(f2):
         assert b.visual_dist(i, k) <= max(b.visual_dist(i, j), b.visual_dist(j, k)) + 1e-12
 
 
-def test_distinct_branches_separated_below_split(f2):
-    _, _, fg = f2
+@pytest.mark.parametrize("name", NAMES + ("sl2z", "dead-ends"))
+def test_distinct_branches_separated_below_split(name):
+    """Total disconnectedness, which cantor_check takes from the tree: two
+    distinct branches part where their root paths do, and the cell of the
+    first one's edge there holds it and not the other.  Every ordered pair
+    where there are few branches, else a seeded sample."""
+    _, _, fg = make_fg({"sl2z": SL2Z, "dead-ends": DEAD_ENDS}.get(name, name))
     b = boundary_approx(fg, 5)
-    rng = random.Random(5)
-    for _ in range(200):
-        i, j = rng.sample(range(len(b)), 2)
+    n = len(b)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    if len(pairs) > 1000:
+        rng = random.Random(5)
+        pairs = [rng.sample(range(n), 2) for _ in range(1000)]
+    for i, j in pairs:
+        p_i, p_j = (b.tree.root_path(b.leaves[k]) for k in (i, j))
+        s = next(k for k, (u, w) in enumerate(zip(p_i, p_j)) if u != w)
+        assert b.split(i, j) == s
         assert b.visual_dist(i, j) >= 2.0 ** (-b.depth)
-        s = b.split(i, j)
-        e_i = b.tree.root_path(b.leaves[i])[s]
-        cell = b.basis_members(e_i)
+        cell = b.basis_members(p_i[s])
         assert i in cell and j not in cell
 
 
@@ -245,6 +254,24 @@ def test_cantor_windows_match_branch_scan_on_pruned_trees(name):
             expected = _first_unbranched_window(b, window)
             assert found == ([expected] if expected else []), (trial, window)
             assert verdict.perfect_at_depth is (expected is None)
+
+
+def test_cantor_check_forms_no_cell_and_walks_no_branch(z2z2, monkeypatch):
+    """The tree decides total disconnectedness, so the surrogate forms no
+    basis cell and makes no split or ancestor walk."""
+    _, _, fg = z2z2
+    b = boundary_approx(fg, 6)
+    calls = dict.fromkeys(("basis_members", "split", "ancestor"), 0)
+    for name in calls:
+        orig = getattr(BoundaryApprox, name)
+
+        def counted(self, *args, orig=orig, name=name):
+            calls[name] += 1
+            return orig(self, *args)
+        monkeypatch.setattr(BoundaryApprox, name, counted)
+    verdict = cantor_check(b)
+    assert verdict.passed and verdict.basis_separates
+    assert calls == {"basis_members": 0, "split": 0, "ancestor": 0}
 
 
 def test_cantor_depth_too_small(dinf):
@@ -443,6 +470,18 @@ def test_a2_a3_match_oracle_on_adversarial_family(z2z2, depth):
     assert len(a3["witnesses"]) == 10      # the cut falls inside "covers-all"
     assert [w["member"] for w in a3["witnesses"][:5]] == [members[name].label for name in (
         "covers-8-1-3", "covers-8-1-3", "covers-8-1-3", "covers-5-twice", "covers-all")]
+
+
+def test_a2_counts_a_member_deeper_than_the_depth_at_every_k(z2z2):
+    """On a tree deeper than the boundary's depth d, a member on a vertex
+    below depth d has tree distance >= k for every k <= d."""
+    _, _, fg = z2z2
+    b = BoundaryApprox(TreeBall(fg, 5), 4)
+    group = list(b.groups_by_prefix(b.depth - 2).values())[1]
+    family = [_on_vertex(b, (group[0], group[-1]), 5)]
+    a2 = amalgam_check(b, family, seed=7, samples=0).conditions["a2_null"]
+    assert a2 == _a2_a3_oracle(b, family)[0]
+    assert a2["max_diam_per_tree_distance"]["4"] == 2.0 ** -(b.depth - 2)
 
 
 def test_a2_diameter_spans_the_least_and_greatest_direction(z2z2):

@@ -1,16 +1,17 @@
 from __future__ import annotations
 
+import argparse
 import json
 import re
 
 import pytest
 
-from amalgam_lab.cli import main
+from amalgam_lab.cli import build_parser, main
 from amalgam_lab.corpus import path as corpus_path
 from amalgam_lab.dsl import gog_from_json, gog_to_json, parse_gog
 from amalgam_lab.jsonio import SCHEMA_VERSION
 
-from conftest import GOG_TEXTS
+from conftest import ALL_TEXTS, GOG_TEXTS
 
 
 def run(args, capsys=None):
@@ -63,6 +64,21 @@ def test_collapse_decide(capsys):
     assert main(["collapse", "corpus:z2z3", "--emit", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["verdict"] == "NonElementary"
+
+
+@pytest.mark.parametrize("name, radius", [(name, 0) for name in ALL_TEXTS] + [("chain", 1)])
+def test_tree_ball_short_of_an_identity_edge_leaves_out_the_tiling_tree(
+        name, radius, tmp_path, capsys):
+    """At radius 0 the ball is the root alone, and chain's identity edges
+    lie deeper than 1: the artifact leaves the tiling tree out, as it does
+    for a graph with no edges."""
+    src = tmp_path / f"{name}.gog"
+    src.write_text(ALL_TEXTS[name])
+    assert main(["tree-ball", str(src), "--radius", str(radius), "--emit", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert "tiling_tree" not in data
+    if radius == 0:
+        assert data["n_vertices"] == 1
 
 
 def test_tree_ball_dot(capsys):
@@ -238,6 +254,47 @@ OUT_OF_RANGE = {
     "verify-k-R-probe": (["verify-k", "corpus:dinf", "--radius", "4", "--R-probe", "-1"],
                          ["R-probe", "-1"]),
 }
+
+
+# input and flags with which each subcommand computes, so that a range check
+# made after parsing runs; {words} is a valid classify words file
+COMPUTING = {
+    "tree-ball": ["corpus:dinf", "--radius", "2"],
+    "cayley-ball": ["corpus:dinf", "--radius", "2"],
+    "separate": ["corpus:dinf", "--radius", "6"],
+    "verify-k": ["corpus:dinf", "--radius", "6"],
+    "ends": ["corpus:dinf", "--radii", "2,3"],
+    "boundary": ["corpus:dinf", "--depth", "4"],
+    "amalgam-check": ["corpus:dinf", "--depth", "4"],
+    "classify": ["corpus:z2z2", "--words-json", "{words}"],
+}
+
+
+def _integer_options() -> list[tuple[str, str]]:
+    """(subcommand, flag) of every option whose value parses to an integer,
+    but --seed, which takes any integer."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    found = []
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if (action.option_strings and action.type is not None
+                    and "--seed" not in action.option_strings
+                    and isinstance(action.type("7"), int)):
+                found.append((command, action.option_strings[0]))
+    return found
+
+
+@pytest.mark.parametrize("command, flag", _integer_options())
+def test_no_integer_option_accepts_minus_one(command, flag, tmp_path, capsys):
+    """No integer flag but --seed has a meaning at -1: each exits 1 with an
+    error line that names it."""
+    words_json = tmp_path / "words.json"
+    words_json.write_text(json.dumps({"words": [["x1"], ["x1", "x1"], ["x1", "x1", "x1"]]}))
+    argv = [command, *(str(words_json) if a == "{words}" else a for a in COMPUTING[command])]
+    assert main(argv + [flag, "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and flag.lstrip("-") in err and "Traceback" not in err
 
 
 def test_separate_rejects_the_removed_samples_flag(capsys):

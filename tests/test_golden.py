@@ -49,6 +49,8 @@ def _cases() -> dict[str, list[str]]:
             cases[f"cayley-ball-{name}-{fmt}"] = ["cayley-ball", spec, "--radius", "3",
                                                   "--emit", fmt]
         cases[f"boundary-{name}"] = ["boundary", spec, "--depth", "4"]
+    # radius 0 holds no identity edge, so the artifact has no tiling tree
+    cases["tree-ball-dinf-r0"] = ["tree-ball", "corpus:dinf", "--radius", "0", "--emit", "json"]
     cases["boundary-z2z2-d6"] = ["boundary", "corpus:z2z2", "--depth", "6"]
     # depth 5 of DEAD_ENDS has empty cells: edges into v3 cosets lie on no branch
     cases["boundary-dead-ends"] = ["boundary", "{dead-ends}", "--depth", "5"]
