@@ -224,6 +224,8 @@ def _cmd_boundary(args) -> dict:
 
 def _cmd_amalgam_check(args) -> dict:
     _require(args, "depth")
+    if args.samples < 1:  # (a5) with no sampled pair would pass having tested nothing
+        raise ValueError(f"samples must be >= 1, got {args.samples}")
     b = boundary_approx(_fg(args), args.depth, _tree_config(args))
     family = limit_set_family(b)
     payload = amalgam_check(b, family, seed=args.seed, samples=args.samples).to_json()

@@ -253,14 +253,30 @@ class FundamentalGroup:
         reduced and canonical.  So the cost is the cancelled letters plus the
         syllables the carry passes, not the length of the word.
 
+        Two junctions need neither loop, whatever the edge groups.  If x has
+        no tail, x·y is x's g0 times y's g0 followed by y's tail.  If y's g0
+        is 1 and y's first edge is not bar of x's last, the junction cannot
+        pinch and nothing is carried: x·y is the two tails joined.  That word
+        is reduced, since only the junction could pinch, and canonical, since
+        whether a syllable is its coset representative depends on its own
+        edge alone and every syllable keeps its edge (normal form theorem;
+        Serre, *Trees*, I.1).  The joined tail shares x's and y's syllables.
+
         The general loop is right for trivial edge groups too, but measure
-        before dropping the trivial-edge loop: without it, ``ends corpus:f2
-        --radii 3,5,7 --margin 2`` in process (CPython 3.11, 2-core Xeon) was
-        slower in 11 of 16 alternating runs, median 0.203 s against 0.228 s.
+        before dropping the trivial-edge loop.  With the shortcuts in front,
+        dropping it left ``word_metric_ball(9)`` of ``corpus:f2`` within noise
+        and made ``word_metric_ball(5)`` of ``corpus:z2z2`` about 9% slower
+        (0.042 against 0.046 s, best of 15, 5 of 6 alternating runs; CPython
+        3.11, 2-vCPU VM).
         """
         if x.group is not y.group:
             raise BaseMismatch("operands anchored at different base structures")
-        groups, omega, xt, yt = self.gog.vertex_groups, self.gog.graph.omega, x.tail, y.tail
+        xt, yt = x.tail, y.tail
+        if not xt:
+            return NormalForm(self, self.root_group.mul(x.g0, y.g0), yt)
+        if y.g0 == self._identity.g0 and (not yt or yt[0][0] != bar(xt[-1][0])):
+            return NormalForm(self, x.g0, xt + yt)
+        groups, omega = self.gog.vertex_groups, self.gog.graph.omega
         if self._fast_metric:
             carry, n, k = y.g0, len(xt), 0
             while n:
@@ -492,14 +508,21 @@ class FundamentalGroup:
         :func:`amalgam_lab.groups.bfs`), so every product of a ball element by
         a step is formed at most once, and none twice in inverse pairs.  The
         walk does not step out of the outer sphere, so its rows are finished
-        here: all at once in a bipartite Cayley graph, else by
-        :func:`amalgam_lab.groups.fill_table`, one exact product per entry
-        still unset.
+        here.  In a bipartite Cayley graph they already are: the walk set
+        every step into the ball, and each entry it left at -1 leaves it.
+        Else :func:`amalgam_lab.groups.fill_table` forms one exact product per
+        entry still -1.  When a larger ball is cached, B(n) is its prefix
+        (see :meth:`CayleyBall.prefix`) and no product is formed.
         """
         if radius < 0:
             raise ValueError(f"ball radius must be >= 0, got {radius}")
         if radius in self._ball_cache:
             return self._ball_cache[radius]
+        larger = [r for r in self._ball_cache if r > radius]
+        if larger:
+            ball = self._ball_cache[min(larger)].prefix(radius)
+            self._ball_cache[radius] = ball
+            return ball
         gs = self.generating_set()
         order = sorted(range(len(gs.steps)), key=lambda i: gs.step_labels[i])
         steps = [gs.steps[i] for i in order]
@@ -507,20 +530,19 @@ class FundamentalGroup:
         index: dict[NormalForm, int] = {}
         table = array("i")
         starts = [0]
-        for b, a, _ in bfs(self._identity, steps, self.multiply, index, radius,
+        last = None
+        for _, a, _ in bfs(self._identity, steps, self.multiply, index, radius,
                            self.ball_budget, "Cayley ball", table, inverse):
-            if index[a] >= starts[-1]:  # a lies in the newest layer, so b opens the next
-                starts.append(index[b])
+            if a is not last:
+                last, p = a, index[a]
+            if p >= starts[-1]:  # a lies in the newest layer, so b opens the next
+                starts.append(len(index) - 1)
         starts.append(len(index))
         layers = [hi - lo for lo, hi in zip(starts, starts[1:])]
         layers += [0] * (radius + 1 - len(layers))
-        elements, m = tuple(index), len(steps)
-        outer = len(elements) - layers[radius]
-        if self._bipartite_cayley_graph():
-            # no step joins two elements of the outer sphere, and the walk set
-            # every step into the ball: what is left unset leaves it
-            table[outer * m:] = array("i", [-1 if q == UNSET else q for q in table[outer * m:]])
-        else:
+        elements = tuple(index)
+        if not self._bipartite_cayley_graph():
+            outer = len(elements) - layers[radius]
             fill_table(elements, steps, self.multiply, index, table, inverse, outer)
         ball = CayleyBall(group=self, radius=radius, elements=elements, index=index,
                           layer_sizes=tuple(layers), step_table=table)
@@ -573,8 +595,11 @@ class CayleyBall:
     Distances between ball elements are computed in the group (never
     truncated to the ball), via ``group.dist``.
     ``step_table`` is the R = 1 neighbour table, filled by the walk that
-    found the elements.  Tables for R > 1 are composed from it on first use
-    and cached per R; they never change the elements or the layers.
+    found the elements: entry (p, i) is the position of
+    ``elements[p] * steps[i]`` (steps sorted by label), or -1 exactly when
+    that product lies outside the ball.  Tables for R > 1 are composed from
+    it on first use and cached per R; they never change the elements or the
+    layers.
     """
 
     group: FundamentalGroup
@@ -592,6 +617,24 @@ class CayleyBall:
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    def prefix(self, r: int) -> "CayleyBall":
+        """B(r) for r <= ``radius``, equal field by field to a fresh walk.
+
+        The walk is deterministic and reaches B(r) first, in the same order,
+        so the elements, index and layers are prefixes.  The rows of layers
+        below r are complete in both balls, and every entry lies in B(r).  A
+        row of layer r is complete here too, so a position past B(r) is a
+        product that leaves it and reads -1; every other entry is the fresh
+        walk's.
+        """
+        n, m = self.layer_starts[r + 1], len(self.step_table) // len(self)
+        elements, table = self.elements[:n], self.step_table[:n * m]
+        outer = self.layer_starts[r] * m
+        table[outer:] = array("i", [q if q < n else UNSET for q in table[outer:]])
+        return CayleyBall(group=self.group, radius=r, elements=elements,
+                          index=dict(zip(elements, range(n))),
+                          layer_sizes=self.layer_sizes[:r + 1], step_table=table)
 
     def sphere(self, k: int) -> list[NormalForm]:
         if not 0 <= k <= self.radius:

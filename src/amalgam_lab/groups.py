@@ -25,7 +25,9 @@ from .errors import (
 )
 
 
-UNSET = -2  # a step-table entry that no product has filled yet
+# a step-table entry that no product has filled yet; in a finished table, a
+# product that leaves the ball
+UNSET = -1
 
 
 def bfs(start, steps, mul, seen: dict, radius: int | None = None,
@@ -40,15 +42,19 @@ def bfs(start, steps, mul, seen: dict, radius: int | None = None,
     empty; raises :class:`BudgetExceeded`, naming ``walk``, once ``seen``
     holds more than ``budget`` elements.
 
-    Given a ``table`` (an empty ``array("i")``), ``seen`` gets each element's
-    position in discovery order (``start`` is 0) instead of its distance, and
-    the walk records every product it forms, new or not.  Row p holds
-    ``len(steps)`` entries; entry i is the position of the p-th element times
-    ``steps[i]``, or :data:`UNSET`.  ``steps[inverse[i]]`` is the inverse of
-    ``steps[i]``, so a product ``a * steps[i] = b`` also fills b's entry for
+    Each product is looked up in ``seen`` once.  Given a ``table`` (an empty
+    ``array("i")``), ``seen`` gets each element's position in discovery order
+    (``start`` is 0) instead of its distance, and the walk records every
+    product it forms, new or not.  Row p holds ``len(steps)`` entries; entry
+    i is the position of the p-th element times ``steps[i]``, or
+    :data:`UNSET`.  ``steps[inverse[i]]`` is the inverse of ``steps[i]``, so a
+    product ``a * steps[i] = b`` also fills b's entry for
     ``steps[inverse[i]]`` with a, and a filled entry is never multiplied.
-    Every row of an element walked from is then complete; the rows of the
-    last layer hold only the entries filled from the layer before.
+    Every product the walk forms lies in ``seen``, so it never writes
+    "outside".  Every row of an element walked from is then complete; the
+    rows of the last layer hold only the entries filled from the layer
+    before, and each entry still :data:`UNSET` there is either a product
+    that leaves the ball or one that :func:`fill_table` has yet to form.
     """
     m = len(steps)
     blank = array("i", [UNSET]) * m
@@ -67,16 +73,16 @@ def bfs(start, steps, mul, seen: dict, radius: int | None = None,
                 if table is not None and table[row + i] != UNSET:
                     continue
                 b = mul(a, s)
-                new = b not in seen
+                q = seen.get(b)
+                new = q is None
                 if new:
-                    seen[b] = r if table is None else len(seen)
+                    q = seen[b] = r if table is None else len(seen)
                     if budget is not None and len(seen) > budget:
                         raise BudgetExceeded(budget, walk)
                     nxt.append(b)
                     if table is not None:
                         table.extend(blank)
                 if table is not None:
-                    q = seen[b]
                     table[row + i] = q
                     table[q * m + inverse[i]] = p
                 if new:
@@ -86,19 +92,21 @@ def bfs(start, steps, mul, seen: dict, radius: int | None = None,
 
 def fill_table(elements, steps, mul, index: dict, table: array, inverse, start: int = 0):
     """Fill each :data:`UNSET` entry of rows ``start`` on of a step table in
-    the format of :func:`bfs` by one exact product.
+    the format of :func:`bfs` by one exact product and one lookup.
 
     Entry (p, i) becomes the position of ``elements[p] * steps[i]`` in
-    ``index``, or -1 when the product is not there.  A product found at
+    ``index``, or stays :data:`UNSET` (-1) when the product is not there: an
+    unfilled entry and one that leaves the ball are the same -1, and each
+    entry is visited once, so none is multiplied twice.  A product found at
     position q also fills q's entry for ``steps[inverse[i]]`` with p, so no
-    inverse pair is multiplied twice.
+    inverse pair is multiplied twice either.
     """
     m, get = len(steps), index.get
     for p in range(start, len(elements)):
         x, row = elements[p], p * m
         for i, s in enumerate(steps):
             if table[row + i] == UNSET:
-                q = table[row + i] = get(mul(x, s), -1)
+                q = table[row + i] = get(mul(x, s), UNSET)
                 if q >= 0:
                     table[q * m + inverse[i]] = p
 

@@ -153,6 +153,16 @@ def components(ball, label) -> list[list[NormalForm]]:
     return comps
 
 
+def swept_product(fg, x, y):
+    """The general product, the oracle of ``multiply``: merge the junction,
+    then normalize the whole word."""
+    if not x.tail:
+        return fg.normalize(fg.root_group.mul(x.g0, y.g0), y.tail)
+    en, gn = x.tail[-1]
+    merged = fg.gog.vertex_groups[fg.gog.graph.omega[en]].mul(gn, y.g0)
+    return fg.normalize(x.g0, x.tail[:-1] + ((en, merged),) + y.tail)
+
+
 def make_fg(name: str, ball_budget: int = DEFAULT_BALL_BUDGET):
     """A corpus input by name, or a graph of groups given as DSL text."""
     gog = parse_gog(text(name) if name in NAMES else name)

@@ -18,7 +18,7 @@ from amalgam_lab.corpus import NAMES
 from amalgam_lab.fundgroup import FundamentalGroup
 from amalgam_lab.separation import r_components
 
-from conftest import FINITE_EDGED, SL2Z, components, make_fg
+from conftest import ALL_TEXTS, FINITE_EDGED, SL2Z, components, make_fg, swept_product
 
 INPUTS = [*NAMES, "sl2z"]
 SOURCES = {"sl2z": SL2Z, **FINITE_EDGED}
@@ -91,6 +91,60 @@ def test_ball_forms_each_step_product_once(name, monkeypatch):
     inside = sum(1 for k in table if k >= 0)
     assert inside % 2 == 0
     assert calls == inside // 2 + (0 if bipartite else table.count(-1))
+
+
+# the inputs whose relators all have even length, so that the walk's table
+# needs no fill_table pass
+BIPARTITE = {"trivial", "dinf", "f2", "zxz2", "z2z2", "zz", "segment", "free_one",
+             "dead_ends", "stable_clash"}
+
+
+@pytest.mark.parametrize("name", ALL_TEXTS)
+def test_finished_step_table_reads_minus_one_exactly_outside(name):
+    """At radius 4, on bipartite Cayley graphs (f2, z2z2, ...) and others
+    (z2z3, sl2z, ...): every entry of the R = 1 table is a position or -1,
+    and it is -1 exactly when the product, formed by the full normalize,
+    lies outside the ball.  So an entry the walk left unfilled and one that
+    leaves the ball are the same -1."""
+    _, _, fg = make_fg(ALL_TEXTS[name])
+    assert fg._bipartite_cayley_graph() == (name in BIPARTITE)
+    ball = fg.word_metric_ball(4)
+    gs = fg.generating_set()
+    steps = [s for _, s in sorted(zip(gs.step_labels, gs.steps), key=lambda ls: ls[0])]
+    table, m = ball.step_table, len(steps)
+    assert len(table) == len(ball) * m and min(table, default=-1) >= -1
+    for p, x in enumerate(ball.elements):
+        for i, s in enumerate(steps):
+            assert table[p * m + i] == ball.index.get(swept_product(fg, x, s), -1)
+
+
+@pytest.mark.parametrize("name", ALL_TEXTS)
+def test_smaller_ball_is_a_prefix_of_a_cached_larger_one(name, monkeypatch):
+    """With B(4) cached, B(r) for r < 4 forms no product and equals a fresh
+    walk of radius r field by field: elements, index in order, radius,
+    layers and the R = 1 table."""
+    _, _, fg = make_fg(ALL_TEXTS[name])
+    fg.word_metric_ball(4)
+    multiply = FundamentalGroup.multiply
+    calls = 0
+
+    def counted(self, x, y):
+        nonlocal calls
+        calls += 1
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(FundamentalGroup, "multiply", counted)
+    sliced = [fg.word_metric_ball(r) for r in range(4)]
+    assert calls == 0
+    monkeypatch.undo()
+    for r, ball in enumerate(sliced):
+        fresh = FundamentalGroup(fg.gog, fg.sd).word_metric_ball(r)
+        assert ball.radius == fresh.radius == r
+        assert ball.elements == fresh.elements
+        assert list(ball.index.items()) == list(fresh.index.items())
+        assert ball.layer_sizes == fresh.layer_sizes
+        assert ball.layer_starts == fresh.layer_starts
+        assert ball.step_table == fresh.step_table
 
 
 class _UnionFind:

@@ -245,6 +245,9 @@ OUT_OF_RANGE = {
     "ends-margin": (["ends", "corpus:f2", "--radii", "2", "--margin", "-5"], ["margin", "-5"]),
     "amalgam-check-samples": (["amalgam-check", "corpus:z2z2", "--depth", "4", "--samples", "-1"],
                               ["samples", "-1"]),
+    # (a5) with no sampled pair would pass having tested nothing
+    "amalgam-check-samples-0": (["amalgam-check", "corpus:z2z2", "--depth", "4",
+                                 "--samples", "0"], ["samples", "0"]),
     "tree-ball-radius": (["tree-ball", "corpus:dinf", "--radius", "-1"], ["radius", "-1"]),
     "boundary-depth": (["boundary", "corpus:dinf", "--depth", "-1"], ["depth", "-1"]),
     "amalgam-check-depth": (["amalgam-check", "corpus:dinf", "--depth", "-1"], ["depth", "-1"]),

@@ -14,6 +14,7 @@ from amalgam_lab.dsl import parse_gog
 from amalgam_lab.errors import BaseMismatch
 from amalgam_lab.fundgroup import (
     FundamentalGroup,
+    NormalForm,
     _finite_words,
     _generators,
     abelianization,
@@ -22,7 +23,7 @@ from amalgam_lab.fundgroup import (
 from amalgam_lab.gog import bar, spanning_tree
 
 from abelianization_oracle import abelian_invariants
-from conftest import ALL_TEXTS, FINITE_EDGED, ORACLES, S3_Z4, SL2Z, make_fg
+from conftest import ALL_TEXTS, FINITE_EDGED, ORACLES, S3_Z4, SL2Z, make_fg, swept_product
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -553,15 +554,6 @@ EDGED = {**{name: name for name in ("dinf", "f2", "z2z2", "z2z3", "zxz2")},
 FG = {name: make_fg(source)[2] for name, source in EDGED.items()}
 
 
-def _swept_product(fg, x, y):
-    """The general product: merge the junction, then normalize the whole word."""
-    if not x.tail:
-        return fg.normalize(fg.root_group.mul(x.g0, y.g0), y.tail)
-    en, gn = x.tail[-1]
-    merged = fg.gog.vertex_groups[fg.gog.graph.omega[en]].mul(gn, y.g0)
-    return fg.normalize(x.g0, x.tail[:-1] + ((en, merged),) + y.tail)
-
-
 def _vertex_elements(backend):
     """Elements of a vertex group, the identity drawn about a third of the time."""
     if backend.is_finite:
@@ -595,10 +587,63 @@ def test_multiply_equals_full_normalize(name, data):
     fg = FG[name]
     x, z = data.draw(canonical_words(fg)), data.draw(canonical_words(fg))
     # y = x^-1 z cancels against all of x down to where x and z part
-    y = _swept_product(fg, fg.invert(x), z)
+    y = swept_product(fg, fg.invert(x), z)
     for a, b in ((x, z), (z, x), (x, y), (y, x), (x, fg.invert(x))):
-        assert fg.multiply(a, b) == _swept_product(fg, a, b)
+        assert fg.multiply(a, b) == swept_product(fg, a, b)
     assert fg.multiply(x, y) == z
+
+
+def _random_vertex_element(backend, rng):
+    """An element of a vertex group, the identity about a third of the time."""
+    if rng.random() < 1 / 3:
+        return backend.identity()
+    if backend.is_finite:
+        return rng.choice(list(backend.elements()))
+    if backend.kind == "free_abelian":
+        return tuple(rng.randint(-2, 2) for _ in range(backend.rank))
+    letters = [l for i in range(1, backend.rank + 1) for l in (i, -i)]
+    return backend.reduce([rng.choice(letters) for _ in range(rng.randrange(5))])
+
+
+def _random_canonical(fg, rng):
+    """normalize of a random closed walk at the root with random vertex
+    elements: ``canonical_words`` drawn from a seeded ``random.Random``."""
+    g, groups = fg.gog.graph, fg.gog.vertex_groups
+    v, tail = fg.root, []
+    for _ in range(rng.randrange(11) if g.n_edges else 0):
+        e = rng.choice([e for e in range(2 * g.n_edges) if g.alpha[e] == v])
+        v = g.omega[e]
+        tail.append((e, _random_vertex_element(groups[v], rng)))
+    for e in reversed(fg._tree_paths[v]):
+        tail.append((bar(e), _random_vertex_element(groups[g.omega[bar(e)]], rng)))
+    return fg.normalize(_random_vertex_element(fg.root_group, rng), tail)
+
+
+# Gamma is the root vertex group, so no canonical word has a tail
+ROOT_ONLY = {"trivial", "zz", "segment"}
+
+
+@pytest.mark.parametrize("name", ALL_TEXTS)
+def test_multiply_joins_the_tails_when_the_junction_cannot_pinch(name):
+    """Pairs with y's g0 = 1 against the full normalize, split by whether the
+    junction can pinch (y's first edge is bar of x's last): the others are
+    the two tails joined.  Each such y also goes in with each non-identity
+    generator of the root group as its g0, which always takes the loop."""
+    _, _, fg = make_fg(ALL_TEXTS[name])
+    rng = random.Random(34)
+    words = [_random_canonical(fg, rng) for _ in range(40)]
+    one = fg.identity().g0
+    heads = [g for _, g in fg.gog.generating_sets[fg.root] if g != one]
+    classes = {True: 0, False: 0}
+    for x in words:
+        for z in (*words[:10], fg.invert(x)):
+            y = NormalForm(fg, one, z.tail)
+            classes[bool(x.tail and y.tail) and y.tail[0][0] == bar(x.tail[-1][0])] += 1
+            assert fg.multiply(x, y) == swept_product(fg, x, y)
+            for g in heads:
+                y = NormalForm(fg, g, z.tail)
+                assert fg.multiply(x, y) == swept_product(fg, x, y)
+    assert classes[False] and bool(classes[True]) == (name not in ROOT_ONLY)
 
 
 @pytest.mark.parametrize("name", ["f2", SL2Z], ids=["f2", "sl2z"])

@@ -611,7 +611,9 @@ def test_K_construction_coset_distances_need_no_walk(monkeypatch):
     """On the benchmark's verify-k run, the wordlen walk stops at B(12), the
     884 elements that the diameters need, and no coset distance forms a
     product: the identity edge's map d(x, G_y) reads x itself.  L and P
-    are read off the ball and K is one thicken, so 10,153 products in all.
+    are read off the ball and K is one thicken, so 9,853 products in all:
+    ``thicken``'s B(3) and B(6) are prefixes of the cached B(12), and their
+    300 products are not formed again.
     The automaton stays small because its states are normalised."""
     _, _, fg = make_fg((PERFBENCH / "sl2z.gog").read_text())
     products, per_call = [0], []
@@ -634,7 +636,7 @@ def test_K_construction_coset_distances_need_no_walk(monkeypatch):
     monkeypatch.setattr(FundamentalGroup, "coset_distances", counted_distances)
     assert verify_K_construction(fg, 12).holds
     assert len(per_call) == 438 and set(per_call) == {0}
-    assert products[0] == 10_153
+    assert products[0] == 9_853
     assert len(fg._len_index) == len(fg.word_metric_ball(12)) == 884
     assert len(fg._cosets.table) < 20
 
