@@ -5,10 +5,11 @@ y -> min |h·left·y| over a finite subgroup H by a min-plus dynamic programme
 over a reduced spelling of left·y, read across the junction of left and y with
 no product formed; its docstring proves the programme exact.  This module
 holds the two parts that programme needs: the length in Gamma of each vertex
-group element (:func:`vertex_lengths`, also the table of ``wordlen``'s
-syllable sum), and the programme itself, run as a finite automaton
-(:class:`CosetAutomaton`).  Both are built on the first call, so the package
-imports this module only then.
+group element (:func:`vertex_lengths`), and the programme itself, run as a
+finite automaton (:class:`CosetAutomaton`).  The automaton reads left·y with
+the junction loop of ``multiply`` (``FundamentalGroup.junction``), and with
+trivial edge groups its run from H = {1} is ``wordlen``.  Both are built on
+the first call, so the package imports this module only then.
 """
 
 from __future__ import annotations
@@ -105,6 +106,7 @@ class CosetAutomaton:
         self.states: dict[tuple, int] = {}
         self.vectors: list[tuple] = []
         self.table: dict = {}
+        self.unit = self.start((fg.identity(),))  # the start of H = {1}, read by wordlen
 
     def distances(self, left: NormalForm, H):
         """The map y -> min |h·left·y| over h in H, a tuple or frozenset of
@@ -113,8 +115,7 @@ class CosetAutomaton:
         member h here, and takes the least of their maps."""
         start = self.start(H)
         if start is None:
-            one = self.start((self.fg.identity(),))
-            parts = [self.junction(one, self.fg.multiply(h, left)) for h in H]
+            parts = [self.junction(self.unit, self.fg.multiply(h, left)) for h in H]
             return lambda y: min(part(y) for part in parts)
         return self.junction(start, left)
 
@@ -122,10 +123,11 @@ class CosetAutomaton:
         """y -> the least cost of a spelling of h·left·y over h in the start set.
 
         The run over left's spelling is made once, and the state and cost
-        before each of its pieces are kept.  Per y, only the junction loop
-        of ``FundamentalGroup.multiply`` runs: it cancels the pinches across
-        the junction until the first that does not pinch, at left's n-th
-        letter, where left's n-th syllable merges with what y carries in.
+        before each of its pieces are kept.  Per y, only
+        ``FundamentalGroup.junction`` runs, the pinch loop of ``multiply``:
+        it cancels the pinches across the junction until the first that does
+        not pinch, at left's n-th letter, where left's n-th syllable merges
+        with what y carries in.
         g0 t_e1 g1 ... t_en (merged) followed by y's uncancelled letters is a
         reduced spelling of left·y.  It is not canonical, and it need not
         be: every reduced spelling is an edge-group insertion of every other,
@@ -135,23 +137,15 @@ class CosetAutomaton:
         key0, state0 = start
         trace: list = []
         self.run(state0, key0, 0, left.g0, left.tail, trace)
-        run, lt, g0, root = self.run, left.tail, left.g0, self.fg.root_group
-        groups, omega, embeddings = self.groups, self.fg.gog.graph.omega, self.fg.gog.embeddings
+        run, junction, root = self.run, self.fg.junction, self.fg.root_group
+        lt, g0 = left.tail, left.g0
 
         def distance(y: NormalForm) -> int:
-            yt, carry, n, k = y.tail, y.g0, len(lt), 0
-            while n:
-                en, gn = lt[n - 1]
-                merged = groups[omega[en]].mul(gn, carry)
-                emb = embeddings[en]
-                if k == len(yt) or yt[k][0] != en ^ 1 or not emb.contains(merged):
-                    state, total = trace[n]
-                    return run(state, en, total, merged, yt[k:])
-                f, yk = yt[k]
-                carry = groups[omega[f]].mul(embeddings[f].apply(emb.preimage(merged)), yk)
-                n -= 1
-                k += 1
-            return run(state0, key0, 0, root.mul(g0, carry), yt[k:])
+            n, k, merged = junction(lt, y)
+            if n:
+                state, total = trace[n]
+                return run(state, lt[n - 1][0], total, merged, y.tail[k:])
+            return run(state0, key0, 0, root.mul(g0, merged), y.tail[k:])
         return distance
 
     def start(self, H):

@@ -17,9 +17,11 @@ uniquely, so equality is literal comparison.
 A product x·y is computed by :meth:`FundamentalGroup.multiply`.  Both operands
 are canonical, so only the junction of x and y can cancel, and the product
 touches only the syllables that cancel there and the one that merges after
-them.  With finite edge groups that merged syllable may also hand an edge-group
-element leftward; the sweep that carries it stops at the first syllable where
-the carry becomes trivial.  :meth:`FundamentalGroup.normalize` sweeps a whole
+them.  One method, :meth:`FundamentalGroup.junction`, cancels those pinches;
+the coset automaton reads its distances across a junction with it too.  With
+finite edge groups the merged syllable may also hand an edge-group element
+leftward; the sweep that carries it stops at the first syllable where the
+carry becomes trivial.  :meth:`FundamentalGroup.normalize` sweeps a whole
 word; it builds vertex elements and stable letters and is the test oracle.
 """
 
@@ -224,50 +226,39 @@ class FundamentalGroup:
     def multiply(self, x: NormalForm, y: NormalForm) -> NormalForm:
         """The canonical form of x·y.
 
-        When every edge group is trivial, only the junction of x and y is
-        touched.  Membership of g in an embedded edge group then means g = 1,
-        and every vertex element is its own coset representative.  Both
-        operands are Britton-reduced and canonical, so the only pinch the
-        concatenation can hold is t_e·1·t_{bar e} across the junction, and
-        removing it makes a new junction one letter further in on each side.
-        So the loop merges x's last syllable with y's next element, drops both
-        letters while the merged element is 1 and y's next edge is bar of
-        x's last, and carries y's following element leftward.  The first
-        junction that does not pinch ends it.  No element ever moves left past
-        it, because there is no edge-group part to move, so every other
-        syllable of x and y stays as it is.  The cost is linear in the number
-        of cancelled letters, not in the length of the word.
+        Both operands are Britton-reduced and canonical, so only the junction
+        of x and y can pinch: x's last edge is e, y's next is bar e, and the
+        merged element lies in im(i_e).  Then t_e i_e(h) t_{bar e} = i_{bar e}(h)
+        joins y's following element, and the junction moves one letter further
+        in on each side (:meth:`junction`).  At the first junction that does
+        not pinch, the merged syllable is split as i_e(h)·r with r its
+        right-coset representative, and i_{bar e}(h) moves into the syllable
+        before it, which is split the same way, and so on leftward.  The sweep
+        stops once the carried h is the identity, since the syllables further
+        left are already canonical, or at g0.  This push creates no pinch: a
+        pinch at syllable g of x needs the pushed element to lie in the same
+        image im(i), and g·i(h) lies in im(i) exactly when g does.  y's suffix
+        after the junction is left as it is, reduced and canonical.  So the
+        cost is the cancelled letters plus the syllables the carry passes, not
+        the length of the word.  With a trivial edge group the carried h is
+        always 1: a pinch needs the merged element to be 1, every element is
+        its own coset representative, and nothing moves left of the junction.
 
-        With a non-trivial edge group the junction pinches when x's last edge
-        is e, y's next is bar e, and the merged element lies in im(i_e).  Then
-        t_e i_e(h) t_{bar e} = i_{bar e}(h), which joins y's following element,
-        and the loop goes one letter further in on each side.  At the first
-        junction that does not pinch, the merged syllable is split as
-        i_e(h)·r with r its right-coset representative, and i_{bar e}(h) moves
-        into the syllable before it, which is split the same way, and so on
-        leftward.  The sweep stops once the carried h is the identity, since
-        the syllables further left are already canonical, or at g0.  This
-        push creates no pinch: a pinch at syllable g of x needs the pushed
-        element to lie in the same image im(i), and g·i(h) lies in im(i)
-        exactly when g does.  y's suffix after the junction is left as it is,
-        reduced and canonical.  So the cost is the cancelled letters plus the
-        syllables the carry passes, not the length of the word.
+        Two junctions need no loop.  If x has no tail, x·y is x's g0 times y's
+        g0 followed by y's tail.  If y's g0 is 1 and y's first edge is not bar
+        of x's last, the junction cannot pinch and nothing is carried: x·y is
+        the two tails joined.  That word is reduced, since only the junction
+        could pinch, and canonical, since whether a syllable is its coset
+        representative depends on its own edge alone and every syllable keeps
+        its edge (normal form theorem; Serre, *Trees*, I.1).  The joined tail
+        shares x's and y's syllables.
 
-        Two junctions need neither loop, whatever the edge groups.  If x has
-        no tail, x·y is x's g0 times y's g0 followed by y's tail.  If y's g0
-        is 1 and y's first edge is not bar of x's last, the junction cannot
-        pinch and nothing is carried: x·y is the two tails joined.  That word
-        is reduced, since only the junction could pinch, and canonical, since
-        whether a syllable is its coset representative depends on its own
-        edge alone and every syllable keeps its edge (normal form theorem;
-        Serre, *Trees*, I.1).  The joined tail shares x's and y's syllables.
-
-        The general loop is right for trivial edge groups too, but measure
-        before dropping the trivial-edge loop.  With the shortcuts in front,
-        dropping it left ``word_metric_ball(9)`` of ``corpus:f2`` within noise
-        and made ``word_metric_ball(5)`` of ``corpus:z2z2`` about 9% slower
-        (0.042 against 0.046 s, best of 15, 5 of 6 alternating runs; CPython
-        3.11, 2-vCPU VM).
+        The one loop serves trivial edge groups too, at a measured cost:
+        against a copy specialised to them, ``word_metric_ball(5)`` of
+        ``corpus:z2z2`` is about 10% slower (0.048-0.050 against 0.044-0.046
+        s, best of 7, three alternating runs; CPython 3.11, 2-vCPU VM).  No
+        benchmark workload reaches the loop with a trivial edge group: the
+        products of ``ends corpus:f2`` all take the shortcuts.
         """
         if x.group is not y.group:
             raise BaseMismatch("operands anchored at different base structures")
@@ -276,34 +267,16 @@ class FundamentalGroup:
             return NormalForm(self, self.root_group.mul(x.g0, y.g0), yt)
         if y.g0 == self._identity.g0 and (not yt or yt[0][0] != bar(xt[-1][0])):
             return NormalForm(self, x.g0, xt + yt)
-        groups, omega = self.gog.vertex_groups, self.gog.graph.omega
-        if self._fast_metric:
-            carry, n, k = y.g0, len(xt), 0
-            while n:
-                en, gn = xt[n - 1]
-                backend = groups[omega[en]]
-                merged = backend.mul(gn, carry)
-                if k == len(yt) or yt[k][0] != bar(en) or not backend.is_identity(merged):
-                    return NormalForm(self, x.g0, xt[:n - 1] + ((en, merged),) + yt[k:])
-                carry = yt[k][1]
-                n -= 1
-                k += 1
-            return NormalForm(self, self.root_group.mul(x.g0, carry), yt[k:])
+        n, k, merged = self.junction(xt, y)
+        if not n:
+            return NormalForm(self, self.root_group.mul(x.g0, merged), yt[k:])
         embeddings = self.gog.embeddings
-        carry, n, k = y.g0, len(xt), 0
-        while n:
-            en, gn = xt[n - 1]
-            merged = groups[omega[en]].mul(gn, carry)
-            emb = embeddings[en]
-            if k == len(yt) or yt[k][0] != bar(en) or not emb.contains(merged):
-                break
-            f, yk = yt[k]
-            carry = groups[omega[f]].mul(embeddings[f].apply(emb.preimage(merged)), yk)
-            n -= 1
-            k += 1
-        else:
-            return NormalForm(self, self.root_group.mul(x.g0, carry), yt[k:])
+        en = xt[n - 1][0]
+        emb = embeddings[en]
         h, r = emb.right_decompose(merged)
+        if h == emb.edge_group.identity_index:
+            return NormalForm(self, x.g0, xt[:n - 1] + ((en, r),) + yt[k:])
+        groups, omega = self.gog.vertex_groups, self.gog.graph.omega
         head = list(xt[:n])
         head[-1] = (en, r)
         i, g0 = n - 1, x.g0
@@ -318,6 +291,33 @@ class FundamentalGroup:
             h, r = emb.right_decompose(groups[omega[e]].mul(gi, pushed))
             head[i] = (e, r)
         return NormalForm(self, g0, tuple(head) + yt[k:])
+
+    def junction(self, xt: tuple, y: NormalForm) -> tuple[int, int, Elem]:
+        """Cancel the pinches t_e·i_e(h)·t_{bar e} -> i_{bar e}(h) across the
+        junction of a reduced tail ``xt`` and y, innermost first (Britton's
+        lemma; Lyndon-Schupp IV.2).
+
+        Returns (n, k, g): ``xt[:n]`` and ``y.tail[k:]`` are what is left, and
+        g is y's carry merged into ``xt``'s n-th syllable, the first that does
+        not pinch; when n = 0 every letter of ``xt`` cancelled and g is the
+        carry that reaches the g0 before ``xt``.  g need not be a coset
+        representative: :meth:`multiply` canonicalises it, and the coset
+        automaton reads any reduced spelling.
+        """
+        gog = self.gog
+        groups, omega, embeddings = gog.vertex_groups, gog.graph.omega, gog.embeddings
+        yt, carry, n, k = y.tail, y.g0, len(xt), 0
+        while n:
+            en, gn = xt[n - 1]
+            merged = groups[omega[en]].mul(gn, carry)
+            emb = embeddings[en]
+            if k == len(yt) or yt[k][0] != bar(en) or not emb.contains(merged):
+                return n, k, merged
+            f, yk = yt[k]
+            carry = groups[omega[f]].mul(embeddings[f].apply(emb.preimage(merged)), yk)
+            n -= 1
+            k += 1
+        return 0, k, carry
 
     def invert(self, x: NormalForm) -> NormalForm:
         """x^-1, canonicalised without a Britton pass.
@@ -418,28 +418,21 @@ class FundamentalGroup:
         )
         return self._genset
 
-    def _syllable_length_sum(self, x: NormalForm) -> int:
-        """Each stable letter counts 1 and each vertex element its L_v: the
-        coset automaton's run with H = {1} on a word whose every carrier is
-        trivial, unrolled for speed."""
-        cosets = self._coset_automaton()
-        direct, stable = cosets.direct, cosets.stable
-        total = cosets.lengths[self.root](x.g0)
-        for e, g in x.tail:
-            total += stable[e] + direct[e](g)
-        return total
-
     def wordlen(self, x: NormalForm) -> int:
         """Exact d_S(1, x).
 
-        With trivial edge groups (free products, free factors), the syllable
-        sum over canonical forms is the exact word length; otherwise fall back
-        to a lazily extended global BFS.  The walk runs in the step-table mode
-        of :func:`amalgam_lab.groups.bfs`, so no inverse pair of products is
-        formed twice, and each element's length is its parent's plus one.
+        With trivial edge groups (free products, free factors), it is the
+        coset automaton's run from the start H = {1} over x's own spelling
+        (see :meth:`coset_distances`): each stable letter counts 1 and each
+        vertex element its L_v, with no table and no step.  Otherwise fall
+        back to a lazily extended global BFS.  The walk runs in the step-table
+        mode of :func:`amalgam_lab.groups.bfs`, so no inverse pair of products
+        is formed twice, and each element's length is its parent's plus one.
         """
         if self._fast_metric:
-            return self._syllable_length_sum(x)
+            cosets = self._coset_automaton()
+            key, state = cosets.unit
+            return cosets.run(state, key, 0, x.g0, x.tail)
         if self._len_walk is None:
             steps = self.generating_set().steps
             self._len_index, self._len_depth = {}, array("i", [0])

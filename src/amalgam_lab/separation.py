@@ -406,7 +406,7 @@ def ends_estimate(fg: FundamentalGroup, radii, margin: int = 3) -> EndsReport:
     position, outermost first, through a union-find over component ids whose
     roots carry their size and their largest ball position.
     """
-    radii = tuple(sorted(radii))
+    radii = tuple(sorted(set(radii)))  # a repeated radius counts once
     if not radii:
         raise ValueError("radii must be nonempty")
     if radii[0] < 0 or margin < 0:
@@ -462,7 +462,7 @@ def ends_estimate(fg: FundamentalGroup, radii, margin: int = 3) -> EndsReport:
     counts_t = tuple(len(sizes[n]) for n in radii)
     if exhausted and all(c == 0 for c in counts_t):
         verdict = "0"
-    elif len(set(radii)) < 2:
+    elif len(radii) < 2:
         raise Inconclusive(f"component counts {counts_t} did not stabilize: "
                            f"a pattern needs two distinct radii, got {list(radii)}")
     elif all(c == 1 for c in counts_t):

@@ -133,6 +133,15 @@ def test_ends_needs_two_distinct_radii(argv, capsys):
     assert "did not stabilize: a pattern needs two distinct radii" in data["error"]
 
 
+def test_ends_counts_a_repeated_radius_once(capsys):
+    """f2 has 36 components at radius 2 and 108 at radius 3; a repeated 2
+    would read (36, 36, 108), which is not strictly growing."""
+    assert main(["ends", "corpus:f2", "--radii", "2,2,3", "--margin", "1"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] == "infinity-growing"
+    assert data["radii"] == [2, 3] and data["counts"] == [36, 108]
+
+
 def test_ends_reads_0_from_one_exhausted_ball(capsys):
     assert main(["ends", "corpus:trivial", "--radii", "3", "--margin", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "0"

@@ -302,7 +302,7 @@ def test_vertex_lengths_see_through_the_edge_group():
                                   if parse_gog(ALL_TEXTS[name]).all_edge_groups_trivial])
 def test_vertex_lengths_are_the_generator_lengths_without_edge_groups(name):
     """With trivial edge groups no edge move lowers an entry, so L_v is the
-    length over S_v, the table ``wordlen``'s syllable sum reads."""
+    length over S_v, the table ``wordlen``'s run reads."""
     gog, sd, _ = make_fg(ALL_TEXTS[name])
     lengths = vertex_lengths(gog, sd)
     for v, (G, genset) in enumerate(zip(gog.vertex_groups, gog.generating_sets)):
@@ -328,7 +328,8 @@ def test_coset_length_reads_infinite_vertex_groups_without_a_step(name, monkeypa
     """A piece at a vertex whose edge groups are all trivial, finite or
     infinite, adds L_v(g) plus its letter in the run itself.  With H = {1}
     the programme is the word length on every element of the radius-6 ball,
-    and neither the first pass nor a second calls ``step``."""
+    read off the ball's layers (``wordlen`` is this run here), and neither
+    the first pass nor a second calls ``step``."""
     _, _, fg = make_fg(name)
     steps = []
     step = CosetAutomaton.step
@@ -339,8 +340,10 @@ def test_coset_length_reads_infinite_vertex_groups_without_a_step(name, monkeypa
     monkeypatch.setattr(CosetAutomaton, "step", counted)
     length = fg.coset_distances(fg.identity(), (fg.identity(),))
     ball = fg.word_metric_ball(6)
-    for x in ball.elements:
-        assert length(x) == fg.wordlen(x), x.display()
+    starts = ball.layer_starts
+    for k in range(7):
+        for p in range(starts[k], starts[k + 1]):
+            assert length(ball.elements[p]) == k, ball.elements[p].display()
     for x in ball.elements:
         fg.coset_distances(fg.identity(), (fg.identity(),))(x)
     assert steps == []
@@ -353,7 +356,9 @@ def test_coset_distances_equal_coset_length_of_the_product(name):
     and the least length of h·left·y over the members h, each from {1}.
     H ranges over {1}, every edge subgroup and every finite vertex subgroup,
     some of them off the root group; left and y come from the radius-4
-    ball, and y = left^-1 cancels all of left."""
+    ball, and y = left^-1 cancels all of left.  The products are formed by
+    ``swept_product``, which runs none of the junction loop that both
+    ``multiply`` and the map share."""
     gog, _, fg = make_fg(ALL_TEXTS[name])
     elements = fg.word_metric_ball(4).elements
     rng = random.Random(name)
@@ -369,8 +374,8 @@ def test_coset_distances_equal_coset_length_of_the_product(name):
         for left in lefts:
             distance = fg.coset_distances(left, H)
             for y in [*ys, fg.invert(left)]:
-                xy = fg.multiply(left, y)
-                d = min(length(fg.multiply(h, xy)) for h in H)
+                xy = swept_product(fg, left, y)
+                d = min(length(swept_product(fg, h, xy)) for h in H)
                 assert distance(y) == whole(xy) == d, (left.display(), y.display())
 
 

@@ -455,8 +455,9 @@ def test_ends_inconclusive_without_margin(zz):
 
 def _ends_per_radius(fg, radii, margin):
     """Oracle for ``ends_estimate``: one ``r_components`` labelling of each
-    annulus ball(n_max) minus ball(n), kept by the same rule."""
-    radii = sorted(radii)
+    annulus ball(n_max) minus ball(n), kept by the same rule; a repeated
+    radius counts once."""
+    radii = sorted(set(radii))
     n_max = radii[-1] + margin
     ball = fg.word_metric_ball(n_max)
     outer = len(ball) - ball.layer_sizes[-1]
