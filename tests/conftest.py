@@ -205,6 +205,20 @@ def zz():
     return make_fg("zz")
 
 
+@pytest.fixture
+def dist_calls(monkeypatch):
+    """A one-element list that counts ``FundamentalGroup.dist`` calls, each
+    one pair measured, for the length of the test."""
+    calls = [0]
+    dist = FundamentalGroup.dist
+
+    def counted(self, x, y):
+        calls[0] += 1
+        return dist(self, x, y)
+    monkeypatch.setattr(FundamentalGroup, "dist", counted)
+    return calls
+
+
 class FreeProductOracle:
     """Independent string model of C_{n_1} * ... * C_{n_k} (order 0 means Z).
 

@@ -224,6 +224,13 @@ def test_verify_k_budget_caps_the_diameter_pairs(capsys):
         in capsys.readouterr().err
 
 
+def test_verify_k_on_f2_measures_few_diameter_pairs(dist_calls, capsys):
+    """f2's I_3/2 at radius 6 has 1,457 elements, 1,060,696 pairs; the
+    pruned diameter measures fewer than 100 of them."""
+    assert main(["verify-k", "corpus:f2", "--radius", "6"]) == 0
+    assert 0 < dist_calls[0] < 100
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", "corpus:dinf", "--tree-budget", "1"],
     ["collapse", "corpus:dinf", "--budget", "10"],

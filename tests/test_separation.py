@@ -24,7 +24,7 @@ from amalgam_lab.separation import (
     verify_thickening_lemma,
 )
 
-from conftest import (ALL_TEXTS, DEAD_ENDS, FINITE_EDGED, S3_Z4, SEGMENT, SL2Z, Z2_PATH,
+from conftest import (ALL_TEXTS, DEAD_ENDS, FINITE_EDGED, GOG_TEXTS, S3_Z4, SEGMENT, SL2Z, Z2_PATH,
                       components, make_fg)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -609,12 +609,13 @@ def test_edge_coset_distance_equals_set_distance(name):
 
 
 def test_K_construction_coset_distances_need_no_walk(monkeypatch):
-    """On the benchmark's verify-k run, the wordlen walk stops at B(12), the
-    884 elements that the diameters need, and no coset distance forms a
-    product: the identity edge's map d(x, G_y) reads x itself.  L and P
-    are read off the ball and K is one thicken, so 9,853 products in all:
-    ``thicken``'s B(3) and B(6) are prefixes of the cached B(12), and their
-    300 products are not formed again.
+    """On the benchmark's verify-k run, the wordlen walk stops at 838
+    elements, inside B(12): the pruned diameters measure 24 pairs, and the
+    lengths of the points they read are all that the walk must reach.  No
+    coset distance forms a product: the identity edge's map d(x, G_y) reads
+    x itself.  L and P are read off the ball and K is one thicken, so 4,695
+    products in all: ``thicken``'s B(3) and B(6) are prefixes of the cached
+    B(12), and their 300 products are not formed again.
     The automaton stays small because its states are normalised."""
     _, _, fg = make_fg((PERFBENCH / "sl2z.gog").read_text())
     products, per_call = [0], []
@@ -637,24 +638,69 @@ def test_K_construction_coset_distances_need_no_walk(monkeypatch):
     monkeypatch.setattr(FundamentalGroup, "coset_distances", counted_distances)
     assert verify_K_construction(fg, 12).holds
     assert len(per_call) == 438 and set(per_call) == {0}
-    assert products[0] == 9_853
-    assert len(fg._len_index) == len(fg.word_metric_ball(12)) == 884
+    assert products[0] == 4_695
+    assert len(fg._len_index) == 838 < len(fg.word_metric_ball(12)) == 884
     assert len(fg._cosets.table) < 20
 
 
-@pytest.mark.parametrize("name", ["sl2z", "dinf", "z2z3"])
+DIAMETER_INPUTS = {**GOG_TEXTS, "z2_path": Z2_PATH}
+# the inputs whose I_{3/2} has at most about 20,000 pairs; f2, z2z2, hnn6,
+# chain and free_one have 10^6 or more
+SMALL_I_SESQ = [name for name in DIAMETER_INPUTS
+                if name not in ("f2", "z2z2", "hnn6", "chain", "free_one")]
+
+
+def _ordered_pairs_max(fg, points) -> int:
+    """The brute-force diameter: every ordered pair, no bound."""
+    return max((fg.dist(a, b) for a in points for b in points), default=0)
+
+
+@pytest.mark.parametrize("name", SMALL_I_SESQ)
 def test_diameter_equals_ordered_pairs_max(name):
-    """The unordered-pairs diameter equals the max over ordered pairs on the
-    sets P and I_{3/2} of the K-construction."""
-    _, _, fg = make_fg(SL2Z if name == "sl2z" else name)
+    """The pruned diameter equals the max over ordered pairs on the sets P
+    and I_{3/2} of the K-construction."""
+    _, _, fg = make_fg(DIAMETER_INPUTS[name])
     L = [fg.identity(), *fg.generating_set().steps]
     P = {fg.multiply(a, fg.invert(b)) for a in L for b in L}
-    diam_P = max(fg.dist(a, b) for a in P for b in P)
+    diam_P = _ordered_pairs_max(fg, P)
     assert diameter(fg, P) == diam_P
     base = {h for k in range(fg.gog.graph.n_edges) for h in fg.edge_subgroup_elements(k)}
     I_sesq = thicken(fg, base, (3 * diam_P + 1) // 2)
-    assert diameter(fg, I_sesq) == max(fg.dist(a, b) for a in I_sesq for b in I_sesq)
+    assert diameter(fg, I_sesq) == _ordered_pairs_max(fg, I_sesq)
     assert diameter(fg, [fg.identity()]) == 0
+
+
+@pytest.mark.parametrize("name", DIAMETER_INPUTS)
+def test_diameter_of_ball_subsets_equals_ordered_pairs_max(name):
+    """On seeded subsets of B(4), where the bound |a| + |b| is loose: sets
+    with and without 1, single layers (every bound alike), and left
+    translates g·X, which keep the diameter but not the lengths."""
+    _, _, fg = make_fg(DIAMETER_INPUTS[name])
+    ball = fg.word_metric_ball(4)
+    rng = random.Random(f"diameter-{name}")
+    others = ball.elements[1:]
+    subsets = [rng.sample(ball.elements, min(len(ball), rng.randint(2, 24))) for _ in range(4)]
+    subsets += [rng.sample(others, min(len(others), rng.randint(2, 24))) for _ in range(4)]
+    starts = ball.layer_starts
+    for k in range(1, len(starts) - 1):
+        layer = ball.elements[starts[k]:starts[k + 1]]
+        subsets.append(rng.sample(layer, min(len(layer), 32)))
+    for X in subsets:
+        d = diameter(fg, X)
+        assert d == _ordered_pairs_max(fg, X), [x.display() for x in X]
+        g = rng.choice(ball.elements)
+        gX = [fg.multiply(g, x) for x in X]
+        assert diameter(fg, gX) == d == _ordered_pairs_max(fg, gX), g.display()
+
+
+def test_K_construction_measures_24_diameter_pairs(dist_calls):
+    """On the benchmark's verify-k run the two diameters measure 24 pairs
+    through ``dist``, where the all-pairs search measured 5,070 (120 of P,
+    4,950 of I_{3/2})."""
+    _, _, fg = make_fg((PERFBENCH / "sl2z.gog").read_text())
+    rep = verify_K_construction(fg, 12)
+    assert rep.holds and (rep.details["diam_P"], rep.details["diam_I_3/2"]) == (4, 12)
+    assert dist_calls[0] == 24
 
 
 def test_cayley_separation_enumerates_each_vertex_coset_once(monkeypatch):
