@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import bfs
+from .groups import Walk
 
 Elem = object  # int | tuple[int, ...]
 
@@ -122,8 +122,6 @@ class GroupBackend:
 
     def ball(self, radius: int, budget: int | None = None) -> list[Elem]:
         """All elements of generator-length <= radius, in shortlex order."""
-        depth: dict[Elem, int] = {}
         steps = self.generators() + [self.inv(g) for g in self.generators()]
-        for _ in bfs(self.identity(), steps, self.mul, depth, radius, budget, "backend ball"):
-            pass
-        return sorted(depth, key=self.sort_key)
+        walk = Walk(self.identity(), steps, self.mul, budget, "backend ball").run(radius)
+        return sorted(walk.elements, key=self.sort_key)

@@ -236,7 +236,13 @@ def limit_set_approx(b: BoundaryApprox, vid: int) -> LimitSetApprox:
 
 def limit_set_family(b: BoundaryApprox) -> list[LimitSetApprox]:
     """W: the limit-set proxies of the infinite-type coset vertices that have
-    directions, in vid order.  Only vertices above depth d can have any."""
+    directions, in vid order.  Only vertices above depth d can have any.
+
+    Refuses a tree ball with ``star_small`` < 2, whose members can share
+    branches (see (a1) in :func:`amalgam_check`).
+    """
+    if b.tree.config.star_small < 2:
+        raise ValueError(f"limit sets need --star-small >= 2, got {b.tree.config.star_small}")
     members = (limit_set_approx(b, v.vid) for v in b.tree.vertices[:b.leaves.start]
                if v.truncated)
     return [m for m in members if m.directions]
@@ -272,6 +278,24 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
     are separated by an explicit saturated clopen built from an edge split.
     eps = 2^(-depth+2).  ``family_size`` counts the infinite-type coset
     vertices of the ball, and (a4) ranges over their types.
+
+    On a family whose members' directions lie below their coset vertices,
+    as in every ``limit_set_family``, three conditions hold by construction
+    (they are still checked, for any family):
+
+    * (a2): a member at depth k has its directions below its vertex, so they
+      share its first k edges: its diameter is at most 2^(-k) < 2^(-k+1).
+    * (a1), with ``star_small`` >= 2: the cone of a truncated vertex drops
+      only the identity of its parent edge type, so it keeps a non-fresh
+      child, and a member's branches cross one fresh edge, just below its
+      vertex, and none after it.  Two members holding one leaf lie on its
+      root path, and the lower one's fresh edge would lie on the upper one's
+      tame path.  (With one small parameter, the band is the identity alone.)
+    * (a5), given (a1): members have distinct vertices, so ``side_in`` is
+      never the root and the other member lies outside its subtree; its
+      directions leave H, z_out with them.  A member inside keeps all its
+      directions, z_in among them, unless an outside member shares one,
+      which (a1) forbids; so H is saturated and holds z_in.
     """
     if b.depth < 4:
         raise DepthTooSmall(f"depth {b.depth} < 4")

@@ -33,7 +33,7 @@ from .errors import (
     UnknownGroupRef,
 )
 from .gog import GraphOfGroups, TrivialEmbedding, build_graph
-from .groups import (TRIVIAL_GROUP, EdgeEmbedding, FiniteGroup, bfs, check_group,
+from .groups import (TRIVIAL_GROUP, EdgeEmbedding, FiniteGroup, Walk, check_group,
                      check_monomorphism, cyclic_group)
 from .jsonio import artifact
 
@@ -208,9 +208,11 @@ def _extend_generator_map(edge_group: FiniteGroup, target: FiniteGroup | GroupBa
              for key, val in gen_images}
     # each element's image is the product of the images along its first word
     gens = tuple(named)
-    images = {edge_group.identity_index: G.identity_index}
-    for b, a, i in bfs(edge_group.identity_index, gens, edge_group.mul, {}):
-        images[b] = G.mul(images[a], named[gens[i]])
+    walk = Walk(edge_group.identity_index, gens, edge_group.mul).run()
+    images = [G.identity_index]  # by walk position
+    for p, i in zip(walk.parent[1:], walk.step[1:]):
+        images.append(G.mul(images[p], named[gens[i]]))
+    images = dict(zip(walk.elements, images))
     if any(images[a] != fa for a, fa in named.items()):
         raise _fault(EmbeddingNotInjective, f"{which}: generator images are inconsistent",
                      at, column)

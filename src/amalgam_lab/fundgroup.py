@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .backends import FREE_ABELIAN, Elem, GroupBackend, reduce_free_word
 from .errors import BaseMismatch, BudgetExceeded
 from .gog import GraphOfGroups, SpanningData, bar
-from .groups import UNSET, FiniteGroup, bfs, fill_table
+from .groups import UNSET, FiniteGroup, Walk
 
 DEFAULT_BALL_BUDGET = 2_000_000
 
@@ -131,9 +132,7 @@ class FundamentalGroup:
 
         # word metric support
         self._genset: GeneratingSet | None = None
-        self._len_index: dict[NormalForm, int] = {}  # walk position of each element met
-        self._len_depth = array("i")  # word length, by walk position
-        self._len_walk = None
+        self._len_walk: Walk | None = None
         self._fast_metric = gog.all_edge_groups_trivial
         self._cosets = None  # the automaton behind coset_distances, built on first call
         self._bipartite: bool | None = None
@@ -425,32 +424,26 @@ class FundamentalGroup:
         coset automaton's run from the start H = {1} over x's own spelling
         (see :meth:`coset_distances`): each stable letter counts 1 and each
         vertex element its L_v, with no table and no step.  Otherwise fall
-        back to a lazily extended global BFS.  The walk runs in the step-table
-        mode of :func:`amalgam_lab.groups.bfs`, so no inverse pair of products
-        is formed twice, and each element's length is its parent's plus one.
+        back to a lazily grown global :class:`amalgam_lab.groups.Walk` with a
+        step table, a whole layer at a time: x's length is the layer holding
+        its position.  A walk stopped by the budget is dropped.
         """
         if self._fast_metric:
             cosets = self._coset_automaton()
             key, state = cosets.unit
             return cosets.run(state, key, 0, x.g0, x.tail)
-        if self._len_walk is None:
-            steps = self.generating_set().steps
-            self._len_index, self._len_depth = {}, array("i", [0])
-            self._len_walk = bfs(self._identity, steps, self.multiply, self._len_index,
-                                 budget=self.ball_budget, walk="wordlen",
-                                 table=array("i"), inverse=self._inverse_columns(steps))
-        index, depth = self._len_index, self._len_depth
-        while x not in index:
-            try:
-                _, a, _ = next(self._len_walk)
-            except StopIteration:
-                raise BudgetExceeded(self.ball_budget, "wordlen",
-                                     "element unreachable: S does not generate?") from None
-            except BudgetExceeded:
-                self._len_walk = None  # a generator that raised is closed: restart next call
-                raise
-            depth.append(depth[index[a]] + 1)
-        return depth[index[x]]
+        walk = self._len_walk
+        if walk is None:
+            walk = self._len_walk = self._walk(self.generating_set().steps, "wordlen")
+        try:
+            while x not in walk.index:
+                if not walk.grow():
+                    raise BudgetExceeded(self.ball_budget, "wordlen",
+                                         "element unreachable: S does not generate?")
+        except BudgetExceeded:
+            self._len_walk = None
+            raise
+        return bisect_right(walk.layer_starts, walk.index[x]) - 1
 
     def dist(self, x: NormalForm, y: NormalForm) -> int:
         return self.wordlen(self.multiply(self.invert(x), y))
@@ -495,15 +488,15 @@ class FundamentalGroup:
         """Exact radius-n ball around the identity, as an indexed graph,
         within the group's ``ball_budget`` and cached per radius.
 
-        Returns a :class:`CayleyBall` whose elements
-        are in BFS discovery order, layer by layer, together with its R = 1
-        step table.  The walk fills that table as it goes (see
-        :func:`amalgam_lab.groups.bfs`), so every product of a ball element by
-        a step is formed at most once, and none twice in inverse pairs.  The
-        walk does not step out of the outer sphere, so its rows are finished
-        here.  In a bipartite Cayley graph they already are: the walk set
-        every step into the ball, and each entry it left at -1 leaves it.
-        Else :func:`amalgam_lab.groups.fill_table` forms one exact product per
+        Returns a :class:`CayleyBall` whose elements are in BFS discovery
+        order, layer by layer, together with its R = 1 step table, all read
+        off one :class:`amalgam_lab.groups.Walk` of n layers.  It fills the
+        table as it goes, so every product of a ball element by a step is
+        formed at most once, and none twice in inverse pairs.  The walk does
+        not step out of the outer sphere, so its rows are finished here.  In
+        a bipartite Cayley graph they already are: the walk set every step
+        into the ball, and each entry it left at -1 leaves it.  Else
+        :meth:`~amalgam_lab.groups.Walk.close` forms one exact product per
         entry still -1.  When a larger ball is cached, B(n) is its prefix
         (see :meth:`CayleyBall.prefix`) and no product is formed.
         """
@@ -519,33 +512,22 @@ class FundamentalGroup:
         gs = self.generating_set()
         order = sorted(range(len(gs.steps)), key=lambda i: gs.step_labels[i])
         steps = [gs.steps[i] for i in order]
-        inverse = self._inverse_columns(steps)
-        index: dict[NormalForm, int] = {}
-        table = array("i")
-        starts = [0]
-        last = None
-        for _, a, _ in bfs(self._identity, steps, self.multiply, index, radius,
-                           self.ball_budget, "Cayley ball", table, inverse):
-            if a is not last:
-                last, p = a, index[a]
-            if p >= starts[-1]:  # a lies in the newest layer, so b opens the next
-                starts.append(len(index) - 1)
-        starts.append(len(index))
+        walk = self._walk(steps, "Cayley ball").run(radius)
+        if not self._bipartite_cayley_graph():
+            walk.close()
+        starts = walk.layer_starts
         layers = [hi - lo for lo, hi in zip(starts, starts[1:])]
         layers += [0] * (radius + 1 - len(layers))
-        elements = tuple(index)
-        if not self._bipartite_cayley_graph():
-            outer = len(elements) - layers[radius]
-            fill_table(elements, steps, self.multiply, index, table, inverse, outer)
-        ball = CayleyBall(group=self, radius=radius, elements=elements, index=index,
-                          layer_sizes=tuple(layers), step_table=table)
+        ball = CayleyBall(group=self, radius=radius, elements=tuple(walk.elements),
+                          index=walk.index, layer_sizes=tuple(layers), step_table=walk.table)
         self._ball_cache[radius] = ball
         return ball
 
-    def _inverse_columns(self, steps) -> list[int]:
-        """Column i maps to the column of ``steps[i]``'s inverse."""
+    def _walk(self, steps, name: str) -> Walk:
+        """A walk from 1 over ``steps`` that keeps the step table."""
         column = {s: j for j, s in enumerate(steps)}
-        return [column[self.invert(s)] for s in steps]
+        return Walk(self._identity, steps, self.multiply, self.ball_budget, name,
+                    [column[self.invert(s)] for s in steps])
 
     def _bipartite_cayley_graph(self) -> bool:
         """True when every defining relator over S has even length.
@@ -740,10 +722,11 @@ def _finite_words(G: FiniteGroup, gens) -> dict[int, tuple[int, ...]]:
     from the identity."""
     letters = [l for j in range(1, len(gens) + 1) for l in (j, -j)]
     steps = [s for x in gens for s in (x, G.inv(x))]
-    words = {G.identity_index: ()}
-    for b, a, i in bfs(G.identity_index, steps, G.mul, {}):
-        words[b] = words[a] + (letters[i],)
-    return words
+    walk = Walk(G.identity_index, steps, G.mul).run()
+    words = [()]  # by walk position
+    for p, i in zip(walk.parent[1:], walk.step[1:]):
+        words.append(words[p] + (letters[i],))
+    return dict(zip(walk.elements, words))
 
 
 def emit_presentation(gog: GraphOfGroups, sd: SpanningData) -> Presentation:

@@ -6,7 +6,8 @@ it answers the same arithmetic, ordering and display calls as the Z^n and F_n
 backends of :mod:`amalgam_lab.backends`.  All validation happens once, in
 :func:`check_group` / :func:`check_monomorphism`, which returns the
 embedding's tables as an :class:`EdgeEmbedding`; the resulting objects are
-immutable and safe to share.
+immutable and safe to share.  :class:`Walk` is the package's one breadth-first
+walk, of any Cayley graph; callers read its layers and parents.
 """
 
 from __future__ import annotations
@@ -30,84 +31,79 @@ from .errors import (
 UNSET = -1
 
 
-def bfs(start, steps, mul, seen: dict, radius: int | None = None,
-        budget: int | None = None, walk: str = "breadth-first walk",
-        table: array | None = None, inverse=None):
-    """Walk the Cayley graph of ``steps`` breadth-first from ``start``.
+class Walk:
+    """A breadth-first walk of the Cayley graph of ``steps`` from ``start``,
+    grown a layer per call of :meth:`grow`, that records what it finds.
 
-    Writes each element's distance from ``start`` into the caller's ``seen``
-    dict, which is the only visited set, and yields ``(b, a, i)`` the first
-    time it reaches ``b = mul(a, steps[i])``: in frontier order, then step
-    order.  Stops after layer ``radius`` (never, if None) or when a layer is
-    empty; raises :class:`BudgetExceeded`, naming ``walk``, once ``seen``
-    holds more than ``budget`` elements.
+    ``elements`` lists them in discovery order (by layer, then by the
+    position of the element reaching them, then by step); ``index`` maps each
+    to its position.  Layer k is ``elements[layer_starts[k]:layer_starts[k +
+    1]]``, and position q > 0 was first reached as ``elements[parent[q]] *
+    steps[step[q]]``.
 
-    Each product is looked up in ``seen`` once.  Given a ``table`` (an empty
-    ``array("i")``), ``seen`` gets each element's position in discovery order
-    (``start`` is 0) instead of its distance, and the walk records every
-    product it forms, new or not.  Row p holds ``len(steps)`` entries; entry
-    i is the position of the p-th element times ``steps[i]``, or
-    :data:`UNSET`.  ``steps[inverse[i]]`` is the inverse of ``steps[i]``, so a
-    product ``a * steps[i] = b`` also fills b's entry for
-    ``steps[inverse[i]]`` with a, and a filled entry is never multiplied.
-    Every product the walk forms lies in ``seen``, so it never writes
-    "outside".  Every row of an element walked from is then complete; the
-    rows of the last layer hold only the entries filled from the layer
-    before, and each entry still :data:`UNSET` there is either a product
-    that leaves the ball or one that :func:`fill_table` has yet to form.
+    Given ``inverse`` (``steps[inverse[i]]`` inverts ``steps[i]``), the walk
+    keeps the step table: entry ``p * len(steps) + i`` of ``table`` is the
+    position of ``elements[p] * steps[i]``, or -1 (:data:`UNSET`), one value
+    for "unfilled" and "outside".  A product a * steps[i] = b, new or not,
+    also fills b's entry for ``steps[inverse[i]]``, and no filled entry is
+    multiplied, so no inverse pair is formed twice.  A layer walked from has
+    complete rows; the newest layer's are complete once :meth:`close` forms
+    each entry still -1 in the loop that grows a layer, adding no element.
+
+    Past ``budget`` elements (None: no limit) the walk raises
+    :class:`BudgetExceeded` naming ``name``, mid-layer: the caller drops it.
     """
-    m = len(steps)
-    blank = array("i", [UNSET]) * m
-    seen[start] = 0
-    if table is not None:
-        table.extend(blank)
-    frontier = [start]
-    r = 0
-    while frontier and (radius is None or r < radius):
-        r += 1
-        nxt = []
-        for a in frontier:
-            p = seen[a]  # a's position, when there is a table
-            row = p * m
+
+    def __init__(self, start, steps, mul, budget: int | None = None,
+                 name: str = "breadth-first walk", inverse=None):
+        self.steps, self.mul, self.budget, self.name = tuple(steps), mul, budget, name
+        self.elements, self.index, self.layer_starts = [start], {start: 0}, [0, 1]
+        self.parent, self.step = array("i", [UNSET]), array("i", [UNSET])
+        self.inverse = inverse
+        self.table = None if inverse is None else array("i", [UNSET]) * len(self.steps)
+
+    def grow(self) -> bool:
+        """Walk one layer further; False if it is empty: the walk holds the
+        whole group."""
+        self._pass(grow=True)
+        self.layer_starts.append(len(self.elements))
+        return self.layer_starts[-1] > self.layer_starts[-2]
+
+    def run(self, radius: int | None = None) -> "Walk":
+        """Grow to layer ``radius``, or (None) until a layer is empty."""
+        while (radius is None or len(self.layer_starts) - 2 < radius) and self.grow():
+            pass
+        return self
+
+    def close(self) -> None:
+        """Form each entry still -1 in the newest layer's rows."""
+        self._pass(grow=False)
+
+    def _pass(self, grow: bool) -> None:
+        """Multiply the newest layer by each step with an unfilled entry."""
+        steps, mul, index, elements = self.steps, self.mul, self.index, self.elements
+        table, inverse, m = self.table, self.inverse, len(steps)
+        blank = array("i", [UNSET]) * m
+        for p in range(self.layer_starts[-2], self.layer_starts[-1]):
+            a, row = elements[p], p * m
             for i, s in enumerate(steps):
                 if table is not None and table[row + i] != UNSET:
                     continue
                 b = mul(a, s)
-                q = seen.get(b)
-                new = q is None
-                if new:
-                    q = seen[b] = r if table is None else len(seen)
-                    if budget is not None and len(seen) > budget:
-                        raise BudgetExceeded(budget, walk)
-                    nxt.append(b)
+                q = index.get(b)
+                if q is None:
+                    if not grow:
+                        continue
+                    q = index[b] = len(elements)
+                    if self.budget is not None and q >= self.budget:
+                        raise BudgetExceeded(self.budget, self.name)
+                    elements.append(b)
+                    self.parent.append(p)
+                    self.step.append(i)
                     if table is not None:
                         table.extend(blank)
                 if table is not None:
                     table[row + i] = q
-                    table[q * m + inverse[i]] = p
-                if new:
-                    yield b, a, i
-        frontier = nxt
-
-
-def fill_table(elements, steps, mul, index: dict, table: array, inverse, start: int = 0):
-    """Fill each :data:`UNSET` entry of rows ``start`` on of a step table in
-    the format of :func:`bfs` by one exact product and one lookup.
-
-    Entry (p, i) becomes the position of ``elements[p] * steps[i]`` in
-    ``index``, or stays :data:`UNSET` (-1) when the product is not there: an
-    unfilled entry and one that leaves the ball are the same -1, and each
-    entry is visited once, so none is multiplied twice.  A product found at
-    position q also fills q's entry for ``steps[inverse[i]]`` with p, so no
-    inverse pair is multiplied twice either.
-    """
-    m, get = len(steps), index.get
-    for p in range(start, len(elements)):
-        x, row = elements[p], p * m
-        for i, s in enumerate(steps):
-            if table[row + i] == UNSET:
-                q = table[row + i] = get(mul(x, s), UNSET)
-                if q >= 0:
                     table[q * m + inverse[i]] = p
 
 
@@ -159,10 +155,7 @@ class FiniteGroup:
     def subgroup_generated(self, gens: set[int] | list[int]) -> frozenset[int]:
         """One walk from the identity over ``gens``: in a finite group the
         positive words already reach every inverse."""
-        closure: dict[int, int] = {}
-        for _ in bfs(self.identity_index, tuple(gens), self.mul, closure):
-            pass
-        return frozenset(closure)
+        return frozenset(Walk(self.identity_index, gens, self.mul).run().elements)
 
     def is_subgroup(self, elems: frozenset[int]) -> bool:
         if self.identity_index not in elems:
@@ -209,9 +202,7 @@ def check_group(table: list[list[int]], labels: list[str] | None = None) -> Fini
     reached = {identity: 0}
     while len(reached) < n:
         gens.append(next(g for g in range(n) if g not in reached))
-        reached = {}
-        for _ in bfs(identity, gens, lambda a, b: table[a][b], reached):
-            pass
+        reached = Walk(identity, gens, lambda a, b: table[a][b]).run().index
     for c in gens:
         col = [row[c] for row in table]
         for a, row in enumerate(table):

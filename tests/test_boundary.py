@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from amalgam_lab.bass_serre import TreeBall
+from amalgam_lab.bass_serre import TreeBall, TreeBallConfig
 from amalgam_lab.boundary import (
     BoundaryApprox,
     LimitSetApprox,
@@ -22,6 +22,7 @@ from amalgam_lab.errors import DepthTooSmall
 from amalgam_lab.fundgroup import FundamentalGroup, NormalForm
 
 from conftest import (
+    ALL_TEXTS,
     CHAIN,
     DEAD_ENDS,
     S3_Z4,
@@ -364,6 +365,22 @@ def test_amalgam_z2z2_passes(z2z2):
     diag = cert.conditions["a2_null"]["max_diam_per_tree_distance"]
     for k, v in diag.items():
         assert v <= 2.0 ** (-int(k) + 1)
+
+
+@pytest.mark.parametrize("star_small", [2, 3])
+@pytest.mark.parametrize("name", ALL_TEXTS)
+def test_a1_a2_a5_hold_by_construction_on_limit_set_families(name, star_small):
+    """(a1), (a2) and (a5) hold on every ``limit_set_family`` whose tree ball
+    keeps at least two small star parameters (the proofs are in
+    ``amalgam_check``'s docstring), at depths 4-6 and seeds 0-2, 200 pairs each."""
+    _, _, fg = make_fg(ALL_TEXTS[name])
+    for depth in (4, 5, 6):
+        b = boundary_approx(fg, depth, TreeBallConfig(star_small=star_small))
+        family = limit_set_family(b)
+        for seed in range(3):
+            conditions = amalgam_check(b, family, seed=seed, samples=200).conditions
+            for c in ("a1_disjoint", "a2_null", "a5_saturated_separation"):
+                assert conditions[c]["passed"], (depth, seed, c, conditions[c]["witnesses"])
 
 
 def test_amalgam_vacuous_for_finite_types(z2z3):

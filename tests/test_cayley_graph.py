@@ -94,7 +94,7 @@ def test_ball_forms_each_step_product_once(name, monkeypatch):
 
 
 # the inputs whose relators all have even length, so that the walk's table
-# needs no fill_table pass
+# needs no closing pass
 BIPARTITE = {"trivial", "dinf", "f2", "zxz2", "z2z2", "zz", "segment", "free_one",
              "dead_ends", "stable_clash"}
 

@@ -386,6 +386,15 @@ def test_malformed_flag_exit_1_names_the_flag(argv, flag, capsys):
     assert f"error: argument {flag}: " in err and "Traceback" not in err
 
 
+def test_amalgam_check_needs_two_small_star_parameters(capsys):
+    """One small parameter would turn the z2z2 PASS into a false FAIL, so
+    amalgam-check refuses it as bad input; tree-ball still accepts it."""
+    assert main(["amalgam-check", "corpus:z2z2", "--depth", "5", "--star-small", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "--star-small >= 2" in err and "Traceback" not in err
+    assert main(["tree-ball", "corpus:z2z2", "--radius", "2", "--star-small", "1"]) == 0
+
+
 def test_embedding_not_a_homomorphism_exit_1_names_the_line(tmp_path, capsys):
     """Named images that generate but do not respect the edge group's law: a
     of order 2 sent to a of order 6."""

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from amalgam_lab.coset_metric import CosetAutomaton, vertex_lengths
 from amalgam_lab.dsl import parse_gog
-from amalgam_lab.errors import BaseMismatch
+from amalgam_lab.errors import BaseMismatch, BudgetExceeded
 from amalgam_lab.fundgroup import (
     FundamentalGroup,
     NormalForm,
@@ -225,8 +225,8 @@ edge e1 v1 -- v2 group E embed_fwd {a:a2} embed_bwd {a:a2}
 
 def _plain_bfs_lengths(fg, radius: int) -> dict:
     """Oracle: |x| for every x of the radius ball, from a dict-and-list
-    breadth-first walk over the steps written here, not from ``groups.bfs``,
-    which ``wordlen`` itself runs on."""
+    breadth-first walk over the steps written here, not from
+    ``groups.Walk``, which ``wordlen`` itself runs on."""
     steps = fg.generating_set().steps
     lengths, frontier = {fg.identity(): 0}, [fg.identity()]
     for r in range(1, radius + 1):
@@ -250,6 +250,42 @@ def test_wordlen_fallback_agrees_with_a_plain_bfs(name, radius):
     lengths = _plain_bfs_lengths(fg, radius)
     for x in sorted(lengths, key=lengths.get, reverse=True):
         assert fg.wordlen(x) == lengths[x], x.display()
+
+
+@pytest.mark.parametrize("name", ALL_TEXTS)
+def test_walk_records_layers_and_parents(name):
+    """Grown to radius 4, the walk's layers are the oracle's spheres, and
+    each element is its recorded parent, one layer up, times its recorded
+    step."""
+    _, _, fg = make_fg(ALL_TEXTS[name])
+    steps = fg.generating_set().steps
+    walk = fg._walk(steps, "walk").run(4)
+    lengths = _plain_bfs_lengths(fg, 4)
+    spheres = [sum(1 for k in lengths.values() if k == r)
+               for r in range(len(walk.layer_starts) - 1)]
+    assert walk.layer_starts == [0, *itertools.accumulate(spheres)]
+    assert len(spheres) == 5 or spheres[-1] == 0     # a finite group stops on an empty layer
+    assert set(walk.elements) == set(lengths)
+    for q, x in enumerate(walk.elements):
+        assert walk.index[x] == q
+        if q:
+            p = walk.parent[q]
+            assert fg.multiply(walk.elements[p], steps[walk.step[q]]) == x
+            assert lengths[walk.elements[p]] == lengths[x] - 1
+
+
+def test_wordlen_after_a_budget_stop_starts_a_new_walk():
+    """A walk that stops on the budget mid-layer is dropped: with the budget
+    raised, the next call walks afresh and reads the oracle's length."""
+    _, _, fg = make_fg(SL2Z, ball_budget=50)
+    x = fg.evaluate_word(["a", "v2.a"] * 6)
+    with pytest.raises(BudgetExceeded, match="wordlen"):
+        fg.wordlen(x)
+    fg.ball_budget = 1_000
+    lengths = _plain_bfs_lengths(fg, 12)
+    assert fg.wordlen(x) == lengths[x] == 12
+    for y in lengths:
+        assert fg.wordlen(y) == lengths[y]
 
 
 def test_wordlen_walk_forms_no_inverse_pair_twice(monkeypatch):

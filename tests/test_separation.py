@@ -609,11 +609,11 @@ def test_edge_coset_distance_equals_set_distance(name):
 
 
 def test_K_construction_coset_distances_need_no_walk(monkeypatch):
-    """On the benchmark's verify-k run, the wordlen walk stops at 838
-    elements, inside B(12): the pruned diameters measure 24 pairs, and the
-    lengths of the points they read are all that the walk must reach.  No
+    """On the benchmark's verify-k run, the wordlen walk grows whole layers
+    and stops once it holds B(12), all 884 elements: the pruned diameters
+    measure 24 pairs, and the lengths of the points they read lie in it.  No
     coset distance forms a product: the identity edge's map d(x, G_y) reads
-    x itself.  L and P are read off the ball and K is one thicken, so 4,695
+    x itself.  L and P are read off the ball and K is one thicken, so 4,812
     products in all: ``thicken``'s B(3) and B(6) are prefixes of the cached
     B(12), and their 300 products are not formed again.
     The automaton stays small because its states are normalised."""
@@ -638,8 +638,8 @@ def test_K_construction_coset_distances_need_no_walk(monkeypatch):
     monkeypatch.setattr(FundamentalGroup, "coset_distances", counted_distances)
     assert verify_K_construction(fg, 12).holds
     assert len(per_call) == 438 and set(per_call) == {0}
-    assert products[0] == 4_695
-    assert len(fg._len_index) == 838 < len(fg.word_metric_ball(12)) == 884
+    assert products[0] == 4_812
+    assert len(fg._len_walk.elements) == len(fg.word_metric_ball(12)) == 884
     assert len(fg._cosets.table) < 20
 
 
