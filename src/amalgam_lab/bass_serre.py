@@ -1,21 +1,19 @@
 """Finite portions of the Bass-Serre tree: coset vertices and edges, BFS
-balls, geodesics, edge splits, the tiling tree, and the edge-to-element
-function phi.
+balls, geodesics, edge splits and the tiling tree.
 
 A tree vertex is the coset rep*G_v; a tree edge the coset mu*G_y (edge
 subgroups are finite, so edge cosets are enumerated exactly).  Each non-root
-vertex has one parent edge, so the ball keeps one record per vertex: an edge
-is named by its child's vid, and the child holds the edge's type, star band
-and coset representative.  Artifacts print the edge into c as edge c - 1.
+vertex has one parent edge, so an edge is named by its child's vid.
+Artifacts print the edge into c as edge c - 1.
 
 The star of a vertex of type v is parametrized by pairs (y, g) with
 omega(y) = v and g ranging over coset representatives of im(i_y) in G_v;
 crossing the edge multiplies by the stable letter of bar(y) for non-tree
 types.  The step g·t_{bar y} (g alone on a tree edge) is formed once per
-vertex type, and the build forms no other product: a child of u records u
-and its step, and its rep u.rep·step is formed on first read.  A crossing
-against the orientation A also records g, and the edge coset's
-representative u.rep·g is likewise formed on first read.
+vertex type, and the build forms no other product: a child's rep, its
+parent's rep·step, is formed on first read.  A crossing against the
+orientation A also records g, and the edge coset's representative, the
+parent's rep·g, is likewise formed on first read.
 
 A vertex's children depend only on its cone type (Cannon): its vertex type
 and ``back``, the type of its parent edge seen from it (None at the root).
@@ -28,9 +26,17 @@ identity (``star_small >= 1``), its one member of the trivial image.  A tree
 has no cycles (Serre, *Trees*, I.4), so every other candidate is a new vertex
 with a new parent edge, and no coset needs a key.
 
-After the build the vertices are numbered in pre-order, children in
-discovery order, with subtree sizes.  A subtree is then an interval of that
-order: ancestry is one comparison, and the two sides of an edge are slices.
+So the ball is kept as columns over vids, in BFS order, and one entry list
+per cone type; no vertex has a record of its own.  Per vid: its vertex type,
+parent, cone type and first child.  BFS appends each vertex's children one
+after another, in parent order, so the children of u are the vids
+first_child[u] up to first_child[u + 1], and a child's parent edge (type,
+star band, step) is its parent's cone entry at its sibling index.  The vids
+below a level range [a, b), one level down, are [first_child[a],
+first_child[b]), so a subtree is one vid range per level: ancestry and the
+two sides of an edge are read by lifting ranges.  The layer sizes are powers
+of the cone types' transfer matrix, so the budget is checked before any
+vertex is built.
 
 Vertices with an infinite (backend) vertex group have infinite degree; their
 stars are truncated to a shortlex band of coset parameters (the small band
@@ -40,7 +46,11 @@ the boundary machinery) and flagged ``truncated``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
+from itertools import accumulate, chain, islice, repeat
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, NoEdges, NotInBall
 from .fundgroup import FundamentalGroup, NormalForm
@@ -63,56 +73,103 @@ class TreeBallConfig:
             raise ValueError("budget must be positive")
 
 
-@dataclass(slots=True, eq=False)
-class TreeVertex:
-    """A coset vertex and, below the root, its parent edge."""
+class ConeEntry(NamedTuple):
+    """A star parameter of a cone type that leads to a child: the child's
+    parent edge."""
 
-    vid: int
-    vtype: int                 # vertex id of Y
-    depth: int
-    truncated: bool            # star truncated (infinite true degree)
-    up: TreeVertex | None = field(repr=False)   # the parent, None at the root
-    step: NormalForm | None = field(repr=False)  # rep = up.rep·step
-    ytype: int = -1            # parent edge: oriented edge of Y pointing INTO the parent
-    fresh: bool = False        # parent edge: top-band backend star parameter
-    ve: NormalForm | None = field(default=None, repr=False)   # against A only
-    children: list[int] = field(default_factory=list)   # vids in discovery order
-    _rep: NormalForm | None = field(default=None, init=False, repr=False)
-    _edge_rep: NormalForm | None = field(default=None, init=False, repr=False)
+    ytype: int                 # oriented edge of Y pointing INTO the parent
+    ve: NormalForm | None      # g, for a crossing against the orientation A
+    step: NormalForm | None    # the child's rep is the parent's rep·step
+    fresh: bool                # top-band backend star parameter
+
+
+class TreeVertex:
+    """A view of ball vertex vid, made on access: its columns and, below the
+    root, its parent edge, read from its parent's cone entry."""
+
+    __slots__ = ("tree", "vid")
+
+    def __init__(self, tree: TreeBall, vid: int):
+        self.tree = tree
+        self.vid = vid
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, TreeVertex) and self.tree is other.tree
+                and self.vid == other.vid)
+
+    def __hash__(self) -> int:
+        return hash(self.vid)
+
+    @property
+    def vtype(self) -> int:          # vertex id of Y
+        return self.tree.vtype[self.vid]
+
+    @property
+    def depth(self) -> int:
+        return self.tree.depth(self.vid)
+
+    @property
+    def truncated(self) -> bool:     # star truncated (infinite true degree)
+        return self.tree.truncated[self.vtype]
+
+    @property
+    def up(self) -> TreeVertex | None:
+        return TreeVertex(self.tree, self.tree.parent[self.vid]) if self.vid else None
+
+    @property
+    def children(self) -> range:
+        return self.tree.children(self.vid)
+
+    def _edge_entry(self) -> ConeEntry:
+        return self.tree.parent_edge(self.vid) if self.vid else ConeEntry(-1, None, None, False)
+
+    @property
+    def ytype(self) -> int:          # parent edge: oriented edge of Y pointing INTO the parent
+        return self._edge_entry().ytype
 
     @property
     def pair(self) -> int:
         return self.ytype // 2
 
     @property
+    def fresh(self) -> bool:         # parent edge: top-band backend star parameter
+        return self._edge_entry().fresh
+
+    @property
+    def step(self) -> NormalForm | None:   # rep = up.rep·step
+        return self._edge_entry().step
+
+    @property
     def rep(self) -> NormalForm:
-        """BFS-least coset representative, up.rep·step, formed on first read.
-        A deep ball holds long unformed chains, so walk up to the nearest
-        formed ancestor and multiply back down instead of recursing."""
-        if self._rep is None:
-            chain, v = [], self
-            while v._rep is None:
-                chain.append(v)
-                v = v.up
-            for w in reversed(chain):
-                w._rep = w.step.group.multiply(v._rep, w.step)
-                v = w
-        return self._rep
+        return self.tree.rep(self.vid)
 
     @property
     def edge_rep(self) -> NormalForm:
-        """The parent edge's discovery representative mu (a coset member):
-        this vertex's rep, or up.rep·ve for a crossing against the
-        orientation A, formed on first read."""
-        if self.ve is None:
-            return self.rep
-        if self._edge_rep is None:
-            self._edge_rep = self.ve.group.multiply(self.up.rep, self.ve)
-        return self._edge_rep
+        return self.tree.edge_rep(self.vid)
+
+
+class _Vertices(Sequence):
+    """The ball's vertices as views, made on access."""
+
+    def __init__(self, tree: TreeBall):
+        self._tree = tree
+
+    def __len__(self) -> int:
+        return len(self._tree.vtype)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [TreeVertex(self._tree, vid) for vid in range(len(self))[i]]
+        return TreeVertex(self._tree, range(len(self))[i])
 
 
 class TreeBall:
-    """Radius-n combinatorial ball around the base vertex 1*G_{v0}."""
+    """Radius-n combinatorial ball around the base vertex 1*G_{v0}, as columns
+    over vids in BFS order (see the module docstring): ``vtype``, ``parent``
+    (-1 at the root), ``cone`` (an index into ``cones``) and ``first_child``
+    (n + 1 entries; n at depth ``radius`` and at the sentinel).  The columns
+    are lists of ints: they build and read faster than ``array('i')``, which
+    boxes every int it hands out."""
 
     def __init__(self, fg: FundamentalGroup, radius: int,
                  config: TreeBallConfig | None = None):
@@ -121,31 +178,33 @@ class TreeBall:
         self.fg = fg
         self.radius = radius
         self.config = config or TreeBallConfig()
-        self.vertices: list[TreeVertex] = []
+        self.truncated = [not G.is_finite for G in fg.gog.vertex_groups]   # per vertex type
         self._build()
-        self._number()
+        self.vertices = _Vertices(self)
+        self._reps = {0: fg.identity()}
+        self._edge_reps: dict[int, NormalForm] = {}
 
     # --- construction -------------------------------------------------------
 
-    def _edge(self, child: int) -> TreeVertex:
-        """Vertex child, which holds the edge into it; the root holds none."""
-        if not 0 < child < len(self.vertices):
+    def _edge(self, child: int) -> int:
+        """child, if it names an edge: the root and vids past the ball do not."""
+        if not 0 < child < len(self.vtype):
             raise NotInBall(f"no edge into vertex {child} in the ball")
-        return self.vertices[child]
+        return child
 
     def edge_coset_elements(self, child: int) -> list[NormalForm]:
         """The coset of the edge into vertex child."""
-        c = self._edge(child)
-        return [self.fg.multiply(c.edge_rep, h) for h in self.fg.edge_subgroup_elements(c.pair)]
+        pair, mu = self.edge_pair(child), self.edge_rep(child)
+        return [self.fg.multiply(mu, h) for h in self.fg.edge_subgroup_elements(pair)]
 
-    def _cones(self) -> dict[tuple[int, int | None], list[tuple]]:
-        """Per cone type (vtype, back): the (y, child_type, ve, step, fresh)
-        tuples of the star parameters g that lead to children, in sibling
-        order: by y, then by g (the fresh band after the small one).  The
-        child of u has rep u.rep·step, with step = g·t_{bar y}
-        (g on a tree edge).  ve is g when the edge coset is represented by
-        u.rep·g instead (a crossing against the orientation A), else None.
-        (vtype, None) is the whole star; (vtype, back) drops the parent."""
+    def _cones(self) -> dict[tuple[int, int | None], list[ConeEntry]]:
+        """Per cone type (vtype, back): the entries of the star parameters g
+        that lead to children, in sibling order: by y, then by g (the fresh
+        band after the small one).  The child of u has rep u.rep·step, with
+        step = g·t_{bar y} (g on a tree edge).  ve is g when the edge coset is
+        represented by u.rep·g instead (a crossing against the orientation A),
+        else None.  (vtype, None) is the whole star; (vtype, back) drops the
+        parent."""
         fg = self.fg
         cones = {}
         for vtype, backend in enumerate(fg.gog.vertex_groups):
@@ -171,101 +230,142 @@ class TreeBall:
                         parent_at[y] = len(star)
                     ve = fg.vertex_element(vtype, g)
                     step = ve if crossing is None else fg.multiply(ve, crossing)
-                    star.append((y, fg.gog.graph.alpha[y], None if at_child else ve,
-                                 step, fresh))
+                    star.append(ConeEntry(y, None if at_child else ve, step, fresh))
             cones[vtype, None] = star
             for back, i in parent_at.items():
                 cones[vtype, back] = star[:i] + star[i + 1:]
         return cones
 
     def _build(self):
-        fg = self.fg
-        truncated = [not G.is_finite for G in fg.gog.vertex_groups]
-        cones = self._cones()
-        root = TreeVertex(vid=0, vtype=fg.root, depth=0, truncated=truncated[fg.root],
-                          up=None, step=None)
-        root._rep = fg.identity()
-        self.vertices.append(root)
+        """Number the cone types, count the layers from them and check the
+        budget, then fill the columns a layer at a time: a vertex's children
+        are its cone's child cone types, appended in parent order."""
+        alpha = self.fg.gog.graph.alpha
+        by_key = self._cones()
+        ids = {key: c for c, key in enumerate(by_key)}
+        self.cones: list[list[ConeEntry]] = list(by_key.values())
+        self.cone_vtype = [vtype for vtype, _ in by_key]
+        self.cone_kids = [[ids[alpha[e.ytype], bar(e.ytype)] for e in entries]
+                          for entries in self.cones]
+        self.root_cone = ids[self.fg.root, None]
+        if any(total > self.config.budget for total in accumulate(self.layer_sizes())):
+            raise BudgetExceeded(self.config.budget, "tree ball")
+        kids = self.cone_kids
+        cone, parent, first_child = [self.root_cone], [-1], []
         self._starts = [0, 1]   # the depth-k vids are _starts[k] up to _starts[k + 1]
-        frontier = [root]
-        for depth in range(self.radius):
-            nxt: list[TreeVertex] = []
-            for u in frontier:
-                back = None if u.up is None else bar(u.ytype)
-                for y, child_type, ve, step, fresh in cones[u.vtype, back]:
-                    cvid = len(self.vertices)
-                    # positional, in field order: keywords cost about 0.6 µs
-                    # a record, a tenth of an amalgam-check at depth 7
-                    child = TreeVertex(cvid, child_type, depth + 1, truncated[child_type],
-                                       u, step, y, fresh, ve)
-                    self.vertices.append(child)
-                    u.children.append(cvid)
-                    nxt.append(child)
-                    if len(self.vertices) > self.config.budget:
-                        raise BudgetExceeded(self.config.budget, "tree ball")
-            frontier = nxt
-            self._starts.append(len(self.vertices))
+        for _ in range(self.radius):
+            lo, hi = self._starts[-2:]
+            if lo == hi:    # an empty level: every deeper one is empty too
+                break
+            layer = cone[lo:hi]
+            counts = [len(kids[c]) for c in layer]
+            first_child.extend(islice(accumulate(counts, initial=hi), len(counts)))
+            parent.extend(chain.from_iterable(map(repeat, range(lo, hi), counts)))
+            cone.extend(chain.from_iterable(map(kids.__getitem__, layer)))
+            self._starts.append(len(cone))
+        n = len(cone)
+        self._starts.extend(repeat(n, self.radius + 2 - len(self._starts)))
+        first_child.extend(repeat(n, n + 1 - len(first_child)))
+        self.cone, self.parent, self.first_child = cone, parent, first_child
+        self.vtype = list(map(self.cone_vtype.__getitem__, cone))
 
-    def _number(self):
-        """Parent vids, subtree sizes and the pre-order numbering.  Vids are
-        in BFS order, so every parent precedes its children."""
-        n = len(self.vertices)
-        self.parent: list[int] = [-1] + [v.up.vid for v in self.vertices[1:]]
-        size = [1] * n
-        for vid in range(n - 1, 0, -1):
-            size[self.parent[vid]] += size[vid]
-        pre = [0] * n
-        for v in self.vertices:
-            nxt = pre[v.vid] + 1
-            for child in v.children:
-                pre[child] = nxt
-                nxt += size[child]
-        order = [0] * n
-        for vid, p in enumerate(pre):
-            order[p] = vid
-        self._size, self._pre, self._order = size, pre, order
+    def layer_sizes(self) -> Iterator[int]:
+        """The number of vertices at each depth up to the radius, in order,
+        counted from the child cone types of each cone type: powers of the
+        transfer matrix applied to the root's cone type."""
+        count = {self.root_cone: 1}
+        for k in range(self.radius + 1):
+            if not count:
+                yield from repeat(0, self.radius + 1 - k)
+                return
+            yield sum(count.values())
+            nxt: dict[int, int] = {}
+            for c, m in count.items():
+                for child in self.cone_kids[c]:
+                    nxt[child] = nxt.get(child, 0) + m
+            count = nxt
+
+    # --- columns read per vid ---------------------------------------------------
+
+    def depth(self, vid: int) -> int:
+        return bisect_right(self._starts, vid) - 1
+
+    def children(self, vid: int) -> range:
+        return range(self.first_child[vid], self.first_child[vid + 1])
+
+    def parent_edge(self, child: int) -> ConeEntry:
+        """The cone entry of the edge into vertex child: its parent's, at its
+        sibling index."""
+        p = self.parent[self._edge(child)]
+        return self.cones[self.cone[p]][child - self.first_child[p]]
+
+    def edge_pair(self, child: int) -> int:
+        return self.parent_edge(child).ytype // 2
+
+    def rep(self, vid: int) -> NormalForm:
+        """BFS-least coset representative, parent rep·step, formed on first
+        read.  A deep ball holds long unformed chains, so walk up to the
+        nearest formed ancestor and multiply back down instead of recursing."""
+        reps, chain = self._reps, []
+        while vid not in reps:
+            chain.append(vid)
+            vid = self.parent[vid]
+        rep = reps[vid]
+        for w in reversed(chain):
+            rep = reps[w] = self.fg.multiply(rep, self.parent_edge(w).step)
+        return rep
+
+    def edge_rep(self, child: int) -> NormalForm:
+        """The parent edge's discovery representative mu (a coset member):
+        child's rep, or the parent's rep·ve for a crossing against the
+        orientation A, formed on first read."""
+        ve = self.parent_edge(child).ve
+        if ve is None:
+            return self.rep(child)
+        if child not in self._edge_reps:
+            self._edge_reps[child] = self.fg.multiply(self.rep(self.parent[child]), ve)
+        return self._edge_reps[child]
 
     # --- queries -----------------------------------------------------------------
 
     def level(self, k: int) -> range:
         """The depth-k vids, consecutive since vids are in BFS order."""
-        n = len(self.vertices)
+        n = len(self.vtype)
         return range(self._starts[k], self._starts[k + 1]) if k <= self.radius else range(n, n)
 
-    def degree(self, vid: int) -> int:
-        return len(self.vertices[vid].children) + (vid > 0)
+    def lift(self, bounds: Sequence[int], levels: int) -> list[int]:
+        """Vid boundaries of one level, moved ``levels`` levels down: the vids
+        below a level range [a, b), one level down, are [first_child[a],
+        first_child[b]).  So consecutive ranges stay consecutive, and each
+        becomes the range of its vids' descendants."""
+        fc = self.first_child
+        for _ in range(levels):
+            bounds = [fc[b] for b in bounds]
+        return list(bounds)
 
-    def full_star_degree(self, vtype: int) -> int | None:
-        """Sum over incident types of [G_v : i_y(G_y)]; None for an infinite
-        vertex group, whose star is infinite."""
-        gog = self.fg.gog
-        if not gog.vertex_groups[vtype].is_finite:
-            return None
-        return sum(gog.embedding(y).index_in_target() for y in gog.graph.incident_into(vtype))
+    def descendants(self, vid: int, depth: int) -> range:
+        """vid's descendants at a depth, as one vid range; empty above vid."""
+        k = depth - self.depth(vid)
+        return range(*self.lift((vid, vid + 1), k)) if k >= 0 else range(0)
 
     def find_vertex(self, x: NormalForm, vtype: int) -> int | None:
         """Locate the coset x*G_vtype in the ball, or None."""
-        for v in self.vertices:
-            if v.vtype == vtype and self.fg.coset_membership(x, vtype, v.rep):
-                return v.vid
+        for vid, t in enumerate(self.vtype):
+            if t == vtype and self.fg.coset_membership(x, vtype, self.rep(vid)):
+                return vid
         return None
 
     def find_edge(self, mu: NormalForm, pair: int) -> int | None:
         """The child vid of the first edge of the pair whose coset holds mu,
         or None; BFS order finds the cosets near the root first."""
-        for c in self.vertices[1:]:
-            if c.pair == pair and mu in self.edge_coset_elements(c.vid):
-                return c.vid
+        for child in range(1, len(self.vtype)):
+            if self.edge_pair(child) == pair and mu in self.edge_coset_elements(child):
+                return child
         return None
-
-    def subtree_interval(self, vid: int) -> tuple[int, int]:
-        """The pre-order numbers [lo, hi) of vid's subtree; lo is vid's own."""
-        return self._pre[vid], self._pre[vid] + self._size[vid]
 
     def in_subtree(self, vid: int, ancestor: int) -> bool:
         """Whether ancestor lies on the path from the root to vid."""
-        lo, hi = self.subtree_interval(ancestor)
-        return lo <= self._pre[vid] < hi
+        return vid in self.descendants(ancestor, self.depth(vid))
 
     def root_path(self, vid: int) -> list[int]:
         """The edges from the root down to vid, as child vids."""
@@ -278,14 +378,15 @@ class TreeBall:
 
     def geodesic(self, u: int, w: int) -> list[int]:
         """The unique simple edge path between two ball vertices, as child vids."""
-        if u >= len(self.vertices) or w >= len(self.vertices):
+        if u >= len(self.vtype) or w >= len(self.vtype):
             raise NotInBall(f"vertex {max(u, w)} not in ball")
-        vs, parent = self.vertices, self.parent
+        parent = self.parent
+        du, dw = self.depth(u), self.depth(w)
         up, down = [], []
-        while vs[u].depth > vs[w].depth:
+        for _ in range(du - dw):
             up.append(u)
             u = parent[u]
-        while vs[w].depth > vs[u].depth:
+        for _ in range(dw - du):
             down.append(w)
             w = parent[w]
         while u != w:
@@ -296,22 +397,21 @@ class TreeBall:
 
     def split_by_edge(self, child: int) -> tuple[frozenset[int], frozenset[int]]:
         """Vertex sets of the two components of ball minus the open edge
-        into vertex child; the first contains child (the alpha end)."""
-        lo, hi = self.subtree_interval(self._edge(child).vid)
-        return (frozenset(self._order[lo:hi]),
-                frozenset(self._order[:lo] + self._order[hi:]))
+        into vertex child; the first contains child (the alpha end): its
+        descendants, one vid range per level."""
+        lo, hi = self._edge(child), child + 1
+        below = []
+        while lo < hi:
+            below.extend(range(lo, hi))
+            lo, hi = self.lift((lo, hi), 1)
+        side = frozenset(below)
+        return side, frozenset(range(len(self.vtype))) - side
 
     def edge_tree_distance(self, child: int, vid: int) -> int:
         """Distance from the edge into vertex child to a vertex: 0 if incident."""
-        if self.in_subtree(vid, self._edge(child).vid):
-            return self.vertices[vid].depth - self.vertices[child].depth
+        if self.in_subtree(vid, self._edge(child)):
+            return self.depth(vid) - self.depth(child)
         return len(self.geodesic(self.parent[child], vid))
-
-    # --- phi ---------------------------------------------------------------------
-
-    def phi(self, child: int) -> NormalForm:
-        """Canonical member of the edge coset: its sort-key least element."""
-        return min(self.edge_coset_elements(child), key=NormalForm.sort_key)
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .bass_serre import TreeBall, TreeBallConfig, TreeVertex
 from .errors import DepthTooSmall
@@ -33,38 +34,26 @@ from .jsonio import artifact
 
 
 class BoundaryApprox:
-    """All depth-d branches with the visual ultrametric and clopen basis, as a
-    view of the tree ball: branch i is the depth-d vertex ``leaves[i]``, and
-    every query reads the tree's parent array and pre-order intervals.
-
-    Invariant: on the depth-d vertices, vid order and pre-order agree.  Vids
-    are in BFS order, children in discovery order, and the pre-order of
-    ``TreeBall._number`` visits children in that same order.  By induction on
-    depth, vertices a < b of one level share a parent, whose children list
-    orders both, or have parents p(a) < p(b), whose disjoint subtree
-    intervals come in that order and hold a and b.  So the depth-d vertices
-    are consecutive vids with increasing pre-order numbers, and those below a
-    vertex u are the consecutive branches numbered inside u's subtree
-    interval.  Deeper vertices only take other numbers: a deeper tree is fine.
+    """All depth-d branches with their common prefix lengths (the visual
+    ultrametric is 2^(-split)) and clopen basis, as a view of the tree ball:
+    branch i is the depth-d vertex ``leaves[i]``.  The branches through a
+    vertex are its depth-d descendants, one vid range (see
+    ``TreeBall.lift``), so they are one range of branch indices.  A deeper
+    tree is fine.
     """
 
     def __init__(self, tree: TreeBall, depth: int):
         self.tree = tree
         self.depth = depth
         self.leaves = tree.level(depth)
-        self._leaf_pre = [tree.subtree_interval(leaf)[0] for leaf in self.leaves]
 
     def __len__(self) -> int:
         return len(self.leaves)
 
     def _under(self, vid: int) -> range:
         """Indices of the branches through vertex vid."""
-        lo, hi = self.tree.subtree_interval(vid)
-        return range(bisect_left(self._leaf_pre, lo), bisect_left(self._leaf_pre, hi))
-
-    def index_of_leaf(self, leaf_vid: int) -> int | None:
-        """The branch ending at a depth-d vertex, else None."""
-        return leaf_vid - self.leaves.start if leaf_vid in self.leaves else None
+        below, start = self.tree.descendants(vid, self.depth), self.leaves.start
+        return range(below.start - start, below.stop - start)
 
     def ancestor(self, i: int, k: int) -> int:
         """The depth-k vertex on branch i."""
@@ -84,21 +73,21 @@ class BoundaryApprox:
             k -= 1
         return k
 
-    def visual_dist(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        return 2.0 ** (-self.split(i, j))
-
     def basis_members(self, child: int) -> frozenset[int]:
         """U_e: indices of branches passing through the tree edge e into
         vertex child; empty for the root, which has no parent edge."""
         return frozenset(self._under(child)) if child > 0 else frozenset()
 
-    def groups_by_prefix(self, k: int) -> dict[int, list[int]]:
-        """Branch indices grouped by their depth-k ancestor vertex, in vid
-        order; a vertex with no branch below it is left out."""
-        return {vid: list(under) for vid in self.tree.level(k)
-                if (under := self._under(vid))}
+    def groups_by_prefix(self, k: int) -> dict[int, range]:
+        """The branches grouped by their depth-k ancestor vertex, in vid
+        order, each group a range of branch indices; a vertex with no branch
+        below it is left out."""
+        if k > self.depth:
+            return {}
+        level, start = self.tree.level(k), self.leaves.start
+        bounds = self.tree.lift(range(level.start, level.stop + 1), self.depth - k)
+        return {vid: range(lo - start, hi - start)
+                for vid, lo, hi in zip(level, bounds, bounds[1:]) if lo < hi}
 
 
 def boundary_approx(fg: FundamentalGroup, depth: int,
@@ -139,9 +128,9 @@ def cantor_check(b: BoundaryApprox, window: int = 3) -> CantorVerdict:
 
     Totally-disconnected-at-depth holds by construction, so it is not
     tested.  Two distinct branches whose common prefix has length s part at
-    their depth-(s+1) vertices; the pre-order interval of the first one's
-    vertex holds its branch and not the other, so the clopen basis separates
-    every pair of branches.
+    their depth-(s+1) vertices; the cell of the first one's vertex holds its
+    branch and not the other, so the clopen basis separates every pair of
+    branches.
     """
     if b.depth < 3:
         raise DepthTooSmall(f"depth {b.depth} < 3")
@@ -159,18 +148,21 @@ def cantor_check(b: BoundaryApprox, window: int = 3) -> CantorVerdict:
     # top-down (parents precede children): run[v] counts the consecutive
     # vertices with < 2 children on the root path ending at v, and first[v]
     # is the start of the first window without branching on that path, or -1
-    run = [0] * len(tree.vertices)
-    first = [-1] * len(tree.vertices)
-    for v in tree.vertices[:b.leaves.start]:
-        if v.depth == b.depth - 1 and not v.children:
-            verdict.no_dead_ends = False
-            verdict.witnesses.append({"reason": "dead end", "vertex": v.rep.display()})
-        p = tree.parent[v.vid]
-        run[v.vid] = 0 if len(v.children) >= 2 else (run[p] + 1 if p >= 0 else 1)
-        if p >= 0 and first[p] >= 0:
-            first[v.vid] = first[p]
-        elif run[v.vid] >= window:
-            first[v.vid] = v.depth - window + 1
+    fc, parent = tree.first_child, tree.parent
+    run = [0] * b.leaves.start
+    first = [-1] * b.leaves.start
+    for k in range(b.depth):
+        for vid in tree.level(k):
+            kids = fc[vid + 1] - fc[vid]
+            if not kids and k == b.depth - 1:
+                verdict.no_dead_ends = False
+                verdict.witnesses.append({"reason": "dead end", "vertex": tree.rep(vid).display()})
+            p = parent[vid]
+            run[vid] = 0 if kids >= 2 else (run[p] + 1 if p >= 0 else 1)
+            if p >= 0 and first[p] >= 0:
+                first[vid] = first[p]
+            elif run[vid] >= window:
+                first[vid] = k - window + 1
     for i, leaf in enumerate(b.leaves):
         start = first[tree.parent[leaf]]
         if start >= 0:
@@ -206,16 +198,39 @@ class LimitSetApprox:
         return f"{rep.group.gog.graph.vertex_names[self.vertex.vtype]}:{rep.display()}"
 
 
-def _tame_descent(tree: TreeBall, vid: int, target_depth: int) -> int | None:
-    """Follow the first non-escaping child (the first child, if all escape)
-    down to target depth; leaf vid.  Children are in sibling order."""
-    v = tree.vertices[vid]
-    while v.depth < target_depth:
-        options = [tree.vertices[c] for c in v.children]
-        if not options:
-            return None
-        v = next((c for c in options if not c.fresh), options[0])
-    return v.vid
+def _tame_descent(b: BoundaryApprox) -> list[int]:
+    """Per vid down to depth d: the branch reached by following the first
+    non-escaping child (the first child, if all escape) at every level, or
+    -1 if that walk meets a vertex with no children.  The child followed is
+    one sibling index per cone type, so the table is filled bottom-up, a
+    level at a time."""
+    tree = b.tree
+    fc, cone = tree.first_child, tree.cone
+    tame = [next((i for i, e in enumerate(entries) if not e.fresh), 0)
+            for entries in tree.cones]
+    leaf = [-1] * b.leaves.start + list(range(len(b.leaves)))
+    for k in reversed(range(b.depth)):
+        level = tree.level(k)
+        leaf[level.start:level.stop] = [leaf[fc[v] + tame[cone[v]]] if fc[v] < fc[v + 1] else -1
+                                        for v in level]
+    return leaf
+
+
+def _members(b: BoundaryApprox, vids) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(vid, directions) for the coset vertices vids: one branch per escaping
+    (fresh) child, where its tame descent reaches depth d.  Children come in
+    sibling order and own disjoint, ordered branch ranges, so the directions
+    are sorted."""
+    tree = b.tree
+    fc, cone, vtype, truncated = tree.first_child, tree.cone, tree.vtype, tree.truncated
+    fresh = [[i for i, e in enumerate(entries) if e.fresh] for entries in tree.cones]
+    leaf = _tame_descent(b)
+    for vid in vids:
+        if vid >= b.leaves.start or not truncated[vtype[vid]]:
+            yield vid, ()
+        else:
+            first = fc[vid]
+            yield vid, tuple(t for i in fresh[cone[vid]] if (t := leaf[first + i]) >= 0)
 
 
 def limit_set_approx(b: BoundaryApprox, vid: int) -> LimitSetApprox:
@@ -223,15 +238,8 @@ def limit_set_approx(b: BoundaryApprox, vid: int) -> LimitSetApprox:
     edge, each continued tamely to the full depth.  Finite vertex groups have
     empty limit sets, and so, at depth d, does a vertex at depth >= d: it has
     no descendant at depth d, so its children are not scanned."""
-    tree = b.tree
-    v = tree.vertices[vid]
-    dirs: set[int] = set()
-    if v.depth < b.depth and v.truncated:
-        for c in v.children:
-            leaf = _tame_descent(tree, c, b.depth) if tree.vertices[c].fresh else None
-            if leaf is not None:    # a descent that reaches depth d ends at a leaf
-                dirs.add(b.index_of_leaf(leaf))
-    return LimitSetApprox(v, tuple(sorted(dirs)))
+    ((_, directions),) = _members(b, (vid,))
+    return LimitSetApprox(TreeVertex(b.tree, vid), directions)
 
 
 def limit_set_family(b: BoundaryApprox) -> list[LimitSetApprox]:
@@ -239,13 +247,22 @@ def limit_set_family(b: BoundaryApprox) -> list[LimitSetApprox]:
     directions, in vid order.  Only vertices above depth d can have any.
 
     Refuses a tree ball with ``star_small`` < 2, whose members can share
-    branches (see (a1) in :func:`amalgam_check`).
+    branches (see (a1) in :func:`amalgam_check`), and one whose star at an
+    infinite vertex has edges but no fresh parameter: every member there is
+    empty, so (a4) would fail on every prefix group without a counterexample.
     """
-    if b.tree.config.star_small < 2:
-        raise ValueError(f"limit sets need --star-small >= 2, got {b.tree.config.star_small}")
-    members = (limit_set_approx(b, v.vid) for v in b.tree.vertices[:b.leaves.start]
-               if v.truncated)
-    return [m for m in members if m.directions]
+    tree = b.tree
+    cfg = tree.config
+    if cfg.star_small < 2:
+        raise ValueError(f"limit sets need --star-small >= 2, got {cfg.star_small}")
+    for vtype, entries in zip(tree.cone_vtype, tree.cones):
+        if tree.truncated[vtype] and entries and not any(e.fresh for e in entries):
+            name = tree.fg.gog.graph.vertex_names[vtype]
+            raise ValueError(f"limit sets need a fresh star parameter: vertex {name} has none "
+                             f"at --star-fresh {cfg.star_fresh} (--star-radius "
+                             f"{cfg.star_radius}, --star-small {cfg.star_small})")
+    return [LimitSetApprox(TreeVertex(tree, vid), directions)
+            for vid, directions in _members(b, range(b.leaves.start)) if directions]
 
 
 # --- dense-amalgam checker -------------------------------------------------------
@@ -322,9 +339,10 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
     conditions["a1_disjoint"] = {"passed": not witnesses, "witnesses": witnesses[:10]}
 
     # (a2) nullness.  In the ultrametric a member's diameter is 2^(-s), with s
-    # the common prefix length of all its directions.  Branches are numbered
-    # in pre-order, so the last common vertex of a set of branches is that of
-    # its least and greatest.  The members at tree distance >= k are those of
+    # the common prefix length of all its directions.  On one level vid order
+    # is the order of root paths (children are appended in parent order), so
+    # the last common vertex of a set of branches is that of its least and
+    # greatest.  The members at tree distance >= k are those of
     # depth >= k, so the maximum per k is a suffix maximum of the maxima per
     # depth, and it cannot grow with k.
     witnesses = []
@@ -345,20 +363,20 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
     }
 
     # (a3) boundary subsets: complement of each member is eps-dense.  Each
-    # prefix group is a consecutive range of branches, in the order of
-    # groups_by_prefix, so one pass over a member's sorted directions meets
-    # the groups it touches in that order and counts its directions in each
-    # by bisection; it covers a group iff it holds all of them.
+    # prefix group is a consecutive range of branches, in vid order, so one
+    # pass over a member's sorted directions meets the groups it touches in
+    # that order and counts its directions in each by bisection; it covers a
+    # group iff it holds all of them.
     witnesses = []
     groups = b.groups_by_prefix(eps_split)
     prefixes = list(groups)
-    starts = [members[0] for members in groups.values()]
+    starts = [under.start for under in groups.values()]
     for m in family:
         dirs = sorted(set(m.directions))
         i = 0
         while i < len(dirs):
             anc = prefixes[bisect_right(starts, dirs[i]) - 1]
-            j = bisect_left(dirs, groups[anc][-1] + 1, i)
+            j = bisect_left(dirs, groups[anc].stop, i)
             if j - i == len(groups[anc]) and len(witnesses) < 10:
                 witnesses.append({"member": m.label, "prefix_vertex": anc})
             i = j
@@ -366,14 +384,14 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
 
     # (a4) each per-type union is eps-dense
     witnesses = []
-    truncated = [v.vtype for v in tree.vertices if v.truncated]
-    for vtype in sorted(set(truncated)):
-        union = set()
-        for m in family:
-            if m.vertex.vtype == vtype:
-                union.update(m.directions)
-        for anc, members in groups.items():
-            if not (set(members) & union):
+    truncated = {t: tree.vtype.count(t) for t, inf in enumerate(tree.truncated) if inf}
+    unions: dict[int, set[int]] = {}
+    for m in family:
+        unions.setdefault(m.vertex.vtype, set()).update(m.directions)
+    for vtype in sorted(t for t, count in truncated.items() if count):
+        union = unions.get(vtype, set())
+        for anc, under in groups.items():
+            if union.isdisjoint(under):
                 witnesses.append({
                     "vtype": tree.fg.gog.graph.vertex_names[vtype],
                     "prefix_vertex": anc,
@@ -427,7 +445,7 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
 
     return AmalgamCertificate(
         depth=d, conditions=conditions,
-        family_size=len(truncated), nonempty_members=len(family),
+        family_size=sum(truncated.values()), nonempty_members=len(family),
     )
 
 
@@ -452,16 +470,15 @@ def branch_density_check(b: BoundaryApprox, family: list[LimitSetApprox]) -> Den
     for m in family:
         owned.update(m.directions)
     # a direction's non-member neighbours within 2^(-d+2) are exactly the
-    # non-owned branches of its depth-(d-2) prefix group
-    dense = {anc: not owned.issuperset(members)
-             for anc, members in b.groups_by_prefix(b.depth - 2).items()}
-    witnesses = []
-    for m in family:
-        for di in m.directions:
-            if not dense[b.ancestor(di, b.depth - 2)] and len(witnesses) < 10:
-                witnesses.append({"member": m.label, "branch": di})
-    return DensityVerdict(status="pass" if not witnesses else "fail",
-                          witnesses=witnesses[:10])
+    # non-owned branches of its depth-(d-2) prefix group, so only the
+    # directions in a group that the members cover fail
+    covered = bytearray(len(b))
+    for under in b.groups_by_prefix(b.depth - 2).values():
+        if owned.issuperset(under):
+            covered[under.start:under.stop] = b"\1" * len(under)
+    failing = ((m, di) for m in family for di in m.directions if covered[di])
+    witnesses = [{"member": m.label, "branch": di} for m, di in islice(failing, 10)]
+    return DensityVerdict(status="pass" if not witnesses else "fail", witnesses=witnesses)
 
 
 # --- direction classification ------------------------------------------------------
@@ -495,12 +512,12 @@ def dist_to_vertex_coset(fg: FundamentalGroup, tree: TreeBall, x: NormalForm,
     is symmetric and holds the identity, out to where candidates can no
     longer beat the identity translate.
     """
-    v = tree.vertices[vid]
-    backend = fg.gog.vertex_groups[v.vtype]
+    vtype, rep = tree.vtype[vid], tree.rep(vid)
+    backend = fg.gog.vertex_groups[vtype]
     if backend.is_finite:
-        return fg.coset_distances(fg.invert(v.rep), fg.vertex_subgroup_elements(v.vtype))(x)
-    z = fg.multiply(fg.invert(v.rep), x)
-    members = (fg.vertex_element(v.vtype, g)
+        return fg.coset_distances(fg.invert(rep), fg.vertex_subgroup_elements(vtype))(x)
+    z = fg.multiply(fg.invert(rep), x)
+    members = (fg.vertex_element(vtype, g)
                for g in backend.ball(2 * fg.wordlen(z), fg.ball_budget))
     return min(fg.wordlen(fg.multiply(h, z)) for h in members)
 
@@ -535,10 +552,9 @@ def classify_direction(fg: FundamentalGroup, tree: TreeBall, elements,
     for vid in candidates:
         dmax = max(dist_to_vertex_coset(fg, tree, x, vid) for x in elements)
         if dmax <= r_bound:
-            v = tree.vertices[vid]
             return ClassifyResult(
                 kind="vertex_point", coset_vid=vid,
-                coset_label=f"{g.vertex_names[v.vtype]}:{v.rep.display()}",
+                coset_label=f"{g.vertex_names[tree.vtype[vid]]}:{tree.rep(vid).display()}",
                 diagnostics={"max_distance": dmax, "r_bound": r_bound},
             )
 

@@ -145,18 +145,18 @@ def _cmd_tree_ball(args) -> dict:
         "n_edges": len(tb.vertices) - 1,
         "vertices": [
             {
-                "id": v.vid, "type": g.vertex_names[v.vtype], "rep": v.rep.display(),
-                "depth": v.depth, "truncated_star": v.truncated,
-                "parent_edge": v.vid - 1,   # edge ids are child vid - 1; the root's is -1
+                "id": vid, "type": g.vertex_names[vtype], "rep": tb.rep(vid).display(),
+                "depth": tb.depth(vid), "truncated_star": tb.truncated[vtype],
+                "parent_edge": vid - 1,   # edge ids are child vid - 1; the root's is -1
             }
-            for v in tb.vertices
+            for vid, vtype in enumerate(tb.vtype)
         ],
         "edges": [
             {
-                "id": v.vid - 1, "pair": g.edge_names[v.pair], "rep": v.edge_rep.display(),
-                "parent": v.up.vid, "child": v.vid,
+                "id": child - 1, "pair": g.edge_names[tb.edge_pair(child)],
+                "rep": tb.edge_rep(child).display(), "parent": tb.parent[child], "child": child,
             }
-            for v in tb.vertices[1:]
+            for child in range(1, len(tb.vertices))
         ],
     })
     try:
@@ -215,7 +215,7 @@ def _cmd_boundary(args) -> dict:
         "branch_count": len(b),
         "degenerate": fg.gog.graph.n_edges == 0,
         "branches": [
-            {"leaf_rep": b.tree.vertices[leaf].rep.display(),
+            {"leaf_rep": b.tree.rep(leaf).display(),
              "edges": [c - 1 for c in b.tree.root_path(leaf)]}
             for leaf in b.leaves
         ],

@@ -225,10 +225,11 @@ def _identity_edges(fg: FundamentalGroup, ball_radius: int, margin: int):
     tb = TreeBall(fg, max(3, ball_radius - 2))
     children = tiling_tree(tb).edge_ids   # NoEdges: no edge coset to test
     ball = fg.word_metric_ball(ball_radius)
-    points = [coset_elements_in_ball(fg, ball, v.rep, v.vtype, margin) for v in tb.vertices]
+    points = [coset_elements_in_ball(fg, ball, tb.rep(vid), vtype, margin)
+              for vid, vtype in enumerate(tb.vtype)]
     edges = []
     for child in children:
-        pair = tb.vertices[child].pair
+        pair = tb.edge_pair(child)
         H = fg.edge_subgroup_elements(pair)
         distance = fg.coset_distances(fg.identity(), H)   # x -> d(x, G_y)
         sides = tb.split_by_edge(child)

@@ -295,6 +295,31 @@ ORACLES = {
 # --- tree-ball walks, the group action on tree balls, and choices of phi ----
 
 
+def degree(tree: TreeBall, vid: int) -> int:
+    """The number of ball edges at vid: its children and its parent edge."""
+    return len(tree.children(vid)) + (vid > 0)
+
+
+def full_star_degree(fg: FundamentalGroup, vtype: int) -> int | None:
+    """Sum over incident types y of [G_v : i_y(G_y)]; None for an infinite
+    vertex group, whose star is infinite."""
+    gog = fg.gog
+    if not gog.vertex_groups[vtype].is_finite:
+        return None
+    return sum(gog.embedding(y).index_in_target() for y in gog.graph.incident_into(vtype))
+
+
+def phi(tree: TreeBall, child: int) -> NormalForm:
+    """The canonical choice of phi: the sort-key least member of the coset
+    of the edge into vertex child."""
+    return min(tree.edge_coset_elements(child), key=NormalForm.sort_key)
+
+
+def visual_dist(b, i: int, j: int) -> float:
+    """The visual ultrametric 2^(-split) between two branches."""
+    return 0.0 if i == j else 2.0 ** (-b.split(i, j))
+
+
 def in_subtree_walk(tree: TreeBall, vid: int, ancestor: int) -> bool:
     """Ancestry by walking parent edges to the root: the oracle for
     ``TreeBall.in_subtree``."""
@@ -331,7 +356,8 @@ def translate_edge(ball: TreeBall, gamma: NormalForm, child: int) -> int | None:
 
 
 def phi_random(ball: TreeBall, child: int, rng: random.Random) -> NormalForm:
-    """A uniformly random member of the edge coset: another choice of phi."""
+    """A uniformly random member of the edge coset: another choice of
+    :func:`phi`."""
     elems = ball.edge_coset_elements(child)
     return elems[rng.randrange(len(elems))]
 

@@ -4,23 +4,28 @@ import random
 
 import pytest
 
-from amalgam_lab.bass_serre import TreeBall, tiling_tree
+from amalgam_lab.bass_serre import TreeBall, TreeBallConfig, tiling_tree
+from amalgam_lab.boundary import BoundaryApprox
 from amalgam_lab.corpus import NAMES
-from amalgam_lab.errors import NoEdges, NotInBall
+from amalgam_lab.errors import BudgetExceeded, NoEdges, NotInBall
 from amalgam_lab.fundgroup import FundamentalGroup, NormalForm
 
 from conftest import (
     ALL_TEXTS,
     FINITE_EDGED,
     SL2Z,
+    degree,
     eager_rep,
+    full_star_degree,
     in_subtree_walk,
     make_fg,
+    phi,
     phi_random,
     phi_spread_bound,
     translate_edge,
     translate_vertex,
 )
+from tree_oracle import OracleTreeBall
 
 CORPUS = ["dinf", "z2z3", "f2", "zxz2", "z2z2"]
 
@@ -31,7 +36,7 @@ def test_dinf_is_path_small_radii(dinf):
         tb = TreeBall(fg, r)
         assert len(tb.vertices) == 2 * r + 1
         assert sum(len(v.children) for v in tb.vertices) == len(tb.vertices) - 1
-        assert all(tb.degree(v.vid) <= 2 for v in tb.vertices)
+        assert all(degree(tb, v.vid) <= 2 for v in tb.vertices)
 
 
 def test_full_star_degree_of_an_infinite_vertex_group_is_none(zxz2):
@@ -39,12 +44,12 @@ def test_full_star_degree_of_an_infinite_vertex_group_is_none(zxz2):
     coset per element of Z/2."""
     gog, _, fg = zxz2
     tb = TreeBall(fg, 2)
-    degrees = [tb.full_star_degree(v) for v in range(gog.graph.n_vertices)]
+    degrees = [full_star_degree(fg, v) for v in range(gog.graph.n_vertices)]
     assert [d is None for d in degrees] == [not G.is_finite for G in gog.vertex_groups]
     assert [d for d in degrees if d is not None] == [2]
     for v in tb.vertices:
         if v.depth < tb.radius and not v.truncated:
-            assert tb.degree(v.vid) == tb.full_star_degree(v.vtype)
+            assert degree(tb, v.vid) == full_star_degree(fg, v.vtype)
 
 
 def test_z2z3_degrees_by_type(z2z3):
@@ -53,7 +58,7 @@ def test_z2z3_degrees_by_type(z2z3):
     for v in tb.vertices:
         if v.depth < tb.radius:
             want = 2 if gog.graph.vertex_names[v.vtype] == "v1" else 3
-            assert tb.degree(v.vid) == want == tb.full_star_degree(v.vtype)
+            assert degree(tb, v.vid) == want == full_star_degree(fg, v.vtype)
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -64,7 +69,7 @@ def test_ball_is_tree(name):
         # every vertex but the root is the child of exactly one vertex
         children = sorted(c for v in tb.vertices for c in v.children)
         assert children == list(range(1, len(tb.vertices)))
-        assert all(tb.vertices[c].up is v for v in tb.vertices for c in v.children)
+        assert all(tb.vertices[c].up == v for v in tb.vertices for c in v.children)
 
 
 def test_single_vertex_no_edges(trivial):
@@ -125,7 +130,7 @@ def test_the_root_has_no_parent_edge(dinf):
     _, _, fg = dinf
     tb = TreeBall(fg, 3)
     for child in (0, len(tb.vertices)):
-        for query in (tb.split_by_edge, tb.edge_coset_elements, tb.phi,
+        for query in (tb.split_by_edge, tb.edge_coset_elements, lambda c: phi(tb, c),
                       lambda c: tb.edge_tree_distance(c, 1)):
             with pytest.raises(NotInBall):
                 query(child)
@@ -245,7 +250,7 @@ def test_phi_identity_edge(dinf):
     tb = TreeBall(fg, 2)
     tt = tiling_tree(tb)
     child = tt.edge_ids[0]
-    val = tb.phi(child)
+    val = phi(tb, child)
     assert val in tb.edge_coset_elements(child)
     assert val.is_identity()   # the trivial edge group's identity coset
 
@@ -257,7 +262,7 @@ def test_phi_variants_within_spread_bound(z2z3):
     rng = random.Random(17)
     edges = list(range(1, len(tb.vertices)))
     for child in (edges if len(edges) <= 500 else edges[:500]):
-        canonical = tb.phi(child)
+        canonical = phi(tb, child)
         rand = phi_random(tb, child, rng)
         assert fg.dist(canonical, rand) <= D
 
@@ -268,8 +273,8 @@ def test_phi_uniformly_finite_to_one(z2z3):
     bound = max(g.order for g in gog.edge_groups)
     counts = {}
     for child in range(1, len(tb.vertices)):
-        counts.setdefault(tb.phi(child), 0)
-        counts[tb.phi(child)] += 1
+        counts.setdefault(phi(tb, child), 0)
+        counts[phi(tb, child)] += 1
     assert max(counts.values()) <= bound
 
 
@@ -319,7 +324,7 @@ def test_amalgam_tree_structure_nontrivial_edge_group():
     assert sum(len(v.children) for v in tb.vertices) == len(tb.vertices) - 1
     for v in tb.vertices:
         if v.depth < tb.radius:
-            assert tb.degree(v.vid) == (2 if v.vtype == 0 else 3)
+            assert degree(tb, v.vid) == (2 if v.vtype == 0 else 3)
 
 
 def test_phi_variants_500_edges_nontrivial_subgroup():
@@ -330,7 +335,7 @@ def test_phi_variants_500_edges_nontrivial_subgroup():
     assert D >= 1    # the embedded Z/2 is not a point
     rng = random.Random(31)
     for child in range(1, 501):
-        canonical = tb.phi(child)
+        canonical = phi(tb, child)
         rand = phi_random(tb, child, rng)
         assert fg.dist(canonical, rand) <= D
 
@@ -374,7 +379,7 @@ def test_tree_vertices_and_edges_are_pairwise_distinct_cosets(spec):
     and no two ball edges the same edge coset, finite types included."""
     _, _, fg = make_fg(spec)
     tb = TreeBall(fg, 4)
-    vs = tb.vertices
+    vs = list(tb.vertices)   # views made once, not per access
     for i in range(len(vs)):
         for j in range(i + 1, len(vs)):
             if vs[i].vtype == vs[j].vtype:
@@ -442,7 +447,7 @@ def test_indexed_tree_matches_walks(spec):
         for vid in range(n):
             assert tb.edge_tree_distance(e.vid, vid) == _edge_tree_distance_walk(tb, e.vid, vid)
         coset = tb.edge_coset_elements(e.vid)
-        assert tb.phi(e.vid) == min(coset, key=NormalForm.sort_key)
+        assert phi(tb, e.vid) == min(coset, key=NormalForm.sort_key)
         for m in coset:
             assert tb.find_edge(m, e.pair) == e.vid
 
@@ -508,7 +513,7 @@ def test_tree_build_forms_one_product_per_star_candidate(monkeypatch):
     # a tree vertex meets each of its star parameters once, so the degree of
     # a vertex above the last layer counts its type's parameters; the edge
     # subgroups are formed once as well
-    params = {v.vtype: tb.degree(v.vid) for v in tb.vertices if v.depth < tb.radius}
+    params = {v.vtype: degree(tb, v.vid) for v in tb.vertices if v.depth < tb.radius}
     assert len(params) == fg.gog.graph.n_vertices
     edge_subgroups = sum(len(fg.edge_subgroup_elements(k))
                          for k in range(fg.gog.graph.n_edges))
@@ -581,3 +586,80 @@ def test_vertices_of_one_cone_type_have_the_same_child_list(spec):
         children = [(c.ytype, c.fresh, c.step) for c in (tb.vertices[x] for x in v.children)]
         assert lists.setdefault((v.vtype, back), children) == children
     assert lists
+
+
+# --- the column store against the object-per-vertex oracle --------------------
+
+
+def _configs(fg):
+    """Every star configuration when some vertex group is infinite, else the
+    default one: finite stars do not read it."""
+    if all(G.is_finite for G in fg.gog.vertex_groups):
+        return [TreeBallConfig()]
+    return [TreeBallConfig(star_radius=r, star_small=s, star_fresh=f)
+            for r in (1, 2) for s in (2, 3) for f in (0, 1, 2)]
+
+
+def _sample(seq, k, rng):
+    seq = list(seq)
+    return seq if len(seq) <= k else rng.sample(seq, k)
+
+
+def _assert_ball_equals_oracle(fg, radius, config, rng):
+    tb, ob = TreeBall(fg, radius, config), OracleTreeBall(fg, radius, config)
+    n = len(ob.vertices)
+    assert len(tb.vertices) == n
+    assert [tb.level(k) for k in range(radius + 2)] == [ob.level(k) for k in range(radius + 2)]
+    assert list(tb.layer_sizes()) == [len(ob.level(k)) for k in range(radius + 1)]
+    for v, o in zip(tb.vertices, ob.vertices):
+        assert (v.vid, v.vtype, v.depth, v.truncated, list(v.children)) == \
+            (o.vid, o.vtype, o.depth, o.truncated, o.children)
+        assert tb.parent[v.vid] == ob.parent[o.vid]
+        if o.up is not None:
+            assert tb.parent_edge(o.vid) == (o.ytype, o.ve, o.step, o.fresh)
+            assert (v.ytype, v.pair, v.fresh, v.step) == (o.ytype, o.pair, o.fresh, o.step)
+    assert [tb.rep(vid) for vid in range(n)] == [o.rep for o in ob.vertices]
+    assert [tb.edge_rep(c) for c in range(1, n)] == [o.edge_rep for o in ob.vertices[1:]]
+    vids = _sample(range(n), 60, rng)
+    for vid in vids:
+        path = set(ob.geodesic(0, vid)) | {0}
+        for anc in {*path, *_sample(range(n), 20, rng)}:
+            assert tb.in_subtree(vid, anc) == ob.in_subtree(vid, anc), (vid, anc)
+    for child in _sample(range(1, n), 25, rng):
+        assert tb.split_by_edge(child) == ob.split_by_edge(child)
+        for vid in vids:
+            assert tb.edge_tree_distance(child, vid) == ob.edge_tree_distance(child, vid)
+    for depth in range(radius + 1):
+        b = BoundaryApprox(tb, depth)
+        for vid in range(n) if n <= 1500 else vids:
+            assert b._under(vid) == ob.branches_under(vid, depth), (depth, vid)
+
+
+@pytest.mark.parametrize("spec", [*ALL_TEXTS.values()], ids=[*ALL_TEXTS])
+def test_column_ball_equals_the_object_per_vertex_build(spec):
+    """Radii 0-6 and, with an infinite vertex group, every star configuration
+    with ``star_radius`` 1-2, ``star_small`` 2-3 and ``star_fresh`` 0-2: the
+    columns read the same vertices, parent edges and reps as the oracle's
+    records, and the lifted ranges the same ancestry, edge splits, edge
+    distances and branch ranges as its pre-order intervals (all pairs on
+    small balls, seeded samples on large ones)."""
+    _, _, fg = make_fg(spec)
+    rng = random.Random(38)
+    for config in _configs(fg):
+        for radius in range(7):
+            _assert_ball_equals_oracle(fg, radius, config, rng)
+
+
+@pytest.mark.parametrize("spec", [*ALL_TEXTS.values()], ids=[*ALL_TEXTS])
+def test_layer_sizes_are_counted_from_the_cone_types(spec):
+    """The transfer-matrix counts equal the built levels at depths <= 7, and
+    a budget one short of the total stops the build before any vertex."""
+    _, _, fg = make_fg(spec)
+    tb = TreeBall(fg, 7)
+    sizes = list(tb.layer_sizes())
+    assert sizes == [len(tb.level(k)) for k in range(8)]
+    total = sum(sizes)
+    if total > 1:
+        with pytest.raises(BudgetExceeded, match=": tree ball: element budget"):
+            TreeBall(fg, 7, TreeBallConfig(budget=total - 1))
+    assert len(TreeBall(fg, 7, TreeBallConfig(budget=total)).vertices) == total

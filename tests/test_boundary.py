@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -30,7 +31,9 @@ from conftest import (
     eager_rep,
     in_subtree_walk,
     make_fg,
+    phi,
     phi_random,
+    visual_dist,
 )
 
 
@@ -42,7 +45,7 @@ def test_dinf_two_branches_distance_one(dinf):
     for d in (3, 5, 7):
         b = boundary_approx(fg, d)
         assert len(b) == 2
-        assert b.visual_dist(0, 1) == 1.0
+        assert visual_dist(b, 0, 1) == 1.0
 
 
 def test_z2z3_branch_count_matches_dfs_oracle(z2z3):
@@ -136,7 +139,7 @@ def test_boundary_view_matches_branch_oracle(name, radius, depth):
         groups = {}
         for i, (vids, _) in enumerate(branches):
             groups.setdefault(vids[k], []).append(i)
-        assert list(b.groups_by_prefix(k).items()) == list(groups.items()), k
+        assert [(v, list(r)) for v, r in b.groups_by_prefix(k).items()] == list(groups.items()), k
         for i, (vids, _) in enumerate(branches):
             assert b.ancestor(i, k) == vids[k]
     n = len(branches)
@@ -147,9 +150,8 @@ def test_boundary_view_matches_branch_oracle(name, radius, depth):
         pairs = [(i, j) for i in range(n) for j in range(n)]
     for i, j in pairs:
         assert b.split(i, j) == _oracle_split(branches, i, j), (i, j)
-    index = {vids[-1]: i for i, (vids, _) in enumerate(branches)}
-    for v in tree.vertices:
-        assert b.index_of_leaf(v.vid) == index.get(v.vid)
+    assert {leaf: i for i, leaf in enumerate(b.leaves)} == \
+        {vids[-1]: i for i, (vids, _) in enumerate(branches)}
     if name == "z2z3" and radius == 3:
         assert n == 0 and not b.groups_by_prefix(depth)
 
@@ -177,7 +179,7 @@ def test_visual_metric_is_ultrametric(f2):
     n = len(b)
     for _ in range(500):
         i, j, k = (rng.randrange(n) for _ in range(3))
-        assert b.visual_dist(i, k) <= max(b.visual_dist(i, j), b.visual_dist(j, k)) + 1e-12
+        assert visual_dist(b, i, k) <= max(visual_dist(b, i, j), visual_dist(b, j, k)) + 1e-12
 
 
 @pytest.mark.parametrize("name", NAMES + ("sl2z", "dead-ends"))
@@ -197,7 +199,7 @@ def test_distinct_branches_separated_below_split(name):
         p_i, p_j = (b.tree.root_path(b.leaves[k]) for k in (i, j))
         s = next(k for k, (u, w) in enumerate(zip(p_i, p_j)) if u != w)
         assert b.split(i, j) == s
-        assert b.visual_dist(i, j) >= 2.0 ** (-b.depth)
+        assert visual_dist(b, i, j) >= 2.0 ** (-b.depth)
         cell = b.basis_members(p_i[s])
         assert i in cell and j not in cell
 
@@ -236,18 +238,40 @@ def _first_unbranched_window(b, window):
     return None
 
 
+def _pruned(tree, cut):
+    """A copy of the tree ball in which each vertex of ``cut`` keeps only its
+    first child: the columns of the vertices left, renumbered in BFS order.
+    A first child is sibling 0 in the pruned tree too, so its parent edge
+    and rep are read as before."""
+    pruned = copy.copy(tree)
+    old, parent, first_child, starts = [0], [-1], [], [0, 1]
+    for _ in range(tree.radius):
+        for u in range(*starts[-2:]):
+            kids = tree.children(old[u])[:1 if old[u] in cut else None]
+            first_child.append(len(old))
+            old.extend(kids)
+            parent.extend([u] * len(kids))
+        starts.append(len(old))
+    first_child.extend([len(old)] * (len(old) + 1 - len(first_child)))
+    pruned.parent, pruned.first_child, pruned._starts = parent, first_child, starts
+    pruned.cone = [tree.cone[vid] for vid in old]
+    pruned.vtype = [tree.vtype[vid] for vid in old]
+    pruned.vertices = type(tree.vertices)(pruned)
+    pruned._reps, pruned._edge_reps = {0: tree.fg.identity()}, {}
+    return pruned
+
+
 @pytest.mark.parametrize("name", ["z2z3", "f2", "dinf"])
 def test_cantor_windows_match_branch_scan_on_pruned_trees(name):
     """On trees whose branching is cut at random vertices, the top-down window
     flags name the same first failing branch and window start as the scan."""
     _, _, fg = make_fg(name)
     rng = random.Random(5)
+    tree = TreeBall(fg, 6)
     for trial in range(12):
-        b = boundary_approx(fg, 6)
         p = trial / 12
-        for v in b.tree.vertices:
-            if v.depth < b.depth and rng.random() < p:
-                v.children = v.children[:1]   # only the window flags read the count
+        cut = {vid for vid in range(tree.level(6).start) if rng.random() < p}
+        b = BoundaryApprox(_pruned(tree, cut), 6)
         for window in range(1, b.depth + 2):
             verdict = cantor_check(b, window)
             found = [(w["branch"], w["window_start"]) for w in verdict.witnesses
@@ -348,7 +372,7 @@ def test_members_have_packet_diameter(z2z2):
     b = boundary_approx(fg, 5)
     for m in limit_set_family(b):
         if len(m.directions) >= 2:
-            diam = max(b.visual_dist(i, j)
+            diam = max(visual_dist(b, i, j)
                        for i in m.directions for j in m.directions)
             assert diam == 2.0 ** (-m.vertex.depth)
 
@@ -413,7 +437,7 @@ def _a2_a3_oracle(b, family):
     max_diam_per_k = {}
     for k in range(0, d + 1):
         diams = [
-            max((b.visual_dist(i, j) for i in m.directions for j in m.directions),
+            max((visual_dist(b, i, j) for i in m.directions for j in m.directions),
                 default=0.0)
             for m in nonempty if m.vertex.depth >= k
         ]
@@ -447,7 +471,7 @@ def _adversarial_family(b):
     """Members that cover whole prefix groups (in an order other than the
     groups'), nearly cover one, repeat directions, and break the (a2) bound,
     each on its own vertex, by name."""
-    groups = list(b.groups_by_prefix(b.depth - 2).values())
+    groups = [list(g) for g in b.groups_by_prefix(b.depth - 2).values()]
     assert len(groups) > 12
     picked = [i for g in (groups[8], groups[1], groups[3]) for i in reversed(g)]
     return {
@@ -670,7 +694,7 @@ def _density_failures(b, family):
     free = [j for j in range(len(b)) if j not in owned]
     return [{"member": m.label, "branch": di}
             for m in family for di in m.directions
-            if not any(b.visual_dist(di, j) <= 2.0 ** (2 - b.depth) for j in free)]
+            if not any(visual_dist(b, di, j) <= 2.0 ** (2 - b.depth) for j in free)]
 
 
 @pytest.mark.parametrize("depth", [4, 5])
@@ -748,7 +772,7 @@ def test_classify_phi_chain_is_branch_point(dinf):
     tb = TreeBall(fg, 10)
     b = BoundaryApprox(tb, 10)
     edges = tb.root_path(b.leaves[0])
-    phis = [tb.phi(e) for e in edges]
+    phis = [phi(tb, e) for e in edges]
     r = classify_direction(fg, tb, phis)
     assert r.kind == "branch_point"
     assert len(r.prefix) >= 5
@@ -760,7 +784,7 @@ def test_classify_phi_variants_agree(dinf):
     b = BoundaryApprox(tb, 10)
     edges = tb.root_path(b.leaves[0])
     rng = random.Random(4)
-    canonical = classify_direction(fg, tb, [tb.phi(e) for e in edges])
+    canonical = classify_direction(fg, tb, [phi(tb, e) for e in edges])
     randomized = classify_direction(fg, tb, [phi_random(tb, e, rng) for e in edges])
     assert canonical.kind == randomized.kind == "branch_point"
     overlap = min(len(canonical.prefix), len(randomized.prefix))
@@ -774,8 +798,8 @@ def test_classify_alternating_rays_inconclusive(dinf):
     edges1, edges2 = (tb.root_path(leaf) for leaf in b.leaves)
     elems = []
     for i in range(2, 9):
-        elems.append(tb.phi(edges1[i]))
-        elems.append(tb.phi(edges2[i]))
+        elems.append(phi(tb, edges1[i]))
+        elems.append(phi(tb, edges2[i]))
     r = classify_direction(fg, tb, elems)
     assert r.kind == "inconclusive"
 

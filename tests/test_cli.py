@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import tracemalloc
 
 import pytest
 
@@ -393,6 +394,36 @@ def test_amalgam_check_needs_two_small_star_parameters(capsys):
     err = capsys.readouterr().err
     assert "--star-small >= 2" in err and "Traceback" not in err
     assert main(["tree-ball", "corpus:z2z2", "--radius", "2", "--star-small", "1"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["corpus:z2z2", "--depth", "5", "--star-fresh", "0"],
+    ["corpus:z2z2", "--depth", "5", "--star-radius", "1", "--star-small", "5"],
+    ["corpus:zxz2", "--depth", "5", "--star-fresh", "0"],
+], ids=["z2z2-fresh-0", "z2z2-top-band-in-small-band", "zxz2-fresh-0"])
+def test_amalgam_check_needs_a_fresh_star_parameter(argv, capsys):
+    """A star with no fresh parameter leaves every limit set empty, which
+    would fail (a4) on every prefix group without a counterexample; so
+    amalgam-check refuses it as bad input, naming --star-fresh, and
+    tree-ball still accepts it."""
+    assert main(["amalgam-check", *argv]) == 1
+    err = capsys.readouterr().err
+    assert "--star-fresh" in err and "Traceback" not in err
+    assert main(["tree-ball", argv[0], "--radius", "2", *argv[3:]]) == 0
+
+
+def test_tree_budget_is_checked_before_any_vertex_is_built(capsys):
+    """The tree ball counts its layers from the cone types first, so z2z2 at
+    depth 9 (436,906 vertices) stops on the 200,000-vertex budget having
+    allocated almost nothing: building up to the budget takes tens of MB."""
+    tracemalloc.start()
+    try:
+        assert main(["amalgam-check", "corpus:z2z2", "--depth", "9"]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "tree ball: element budget 200000 exceeded" in capsys.readouterr().err
+    assert peak < 2_000_000
 
 
 def test_embedding_not_a_homomorphism_exit_1_names_the_line(tmp_path, capsys):

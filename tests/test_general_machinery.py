@@ -11,6 +11,8 @@ from amalgam_lab.dsl import parse_gog
 from amalgam_lab.fundgroup import FundamentalGroup, abelianization, emit_presentation
 from amalgam_lab.gog import bar, spanning_tree
 
+from conftest import degree
+
 TEXT = """
 # Z/4 and Z/6 amalgamated over Z/2 along a tree edge, plus an HNN edge
 # conjugating the same Z/2 subgroups
@@ -84,7 +86,7 @@ def test_tree_and_tiling():
     for v in tb.vertices:
         if v.depth < tb.radius:
             # each vertex meets both edge pairs: 2+2 and 3+3
-            assert tb.degree(v.vid) == (4 if v.vtype == 0 else 6)
+            assert degree(tb, v.vid) == (4 if v.vtype == 0 else 6)
     tt = tiling_tree(tb)
     assert tt.connected and len(tt.edge_ids) == 2
 
