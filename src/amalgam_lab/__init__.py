@@ -14,7 +14,6 @@ from .boundary import (
     branch_density_check,
     cantor_check,
     classify_direction,
-    limit_set_approx,
     limit_set_family,
 )
 from .dsl import gog_from_json, gog_to_json, parse_gog
@@ -50,7 +49,7 @@ __all__ = [
     "TreeBall", "TreeBallConfig", "tiling_tree",
     "BoundaryApprox", "amalgam_check", "boundary_approx",
     "branch_density_check", "cantor_check", "classify_direction",
-    "limit_set_approx", "limit_set_family",
+    "limit_set_family",
     "gog_from_json", "gog_to_json", "parse_gog",
     "FundamentalGroup", "NormalForm", "Presentation",
     "abelianization", "emit_presentation",

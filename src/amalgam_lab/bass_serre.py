@@ -83,86 +83,6 @@ class ConeEntry(NamedTuple):
     fresh: bool                # top-band backend star parameter
 
 
-class TreeVertex:
-    """A view of ball vertex vid, made on access: its columns and, below the
-    root, its parent edge, read from its parent's cone entry."""
-
-    __slots__ = ("tree", "vid")
-
-    def __init__(self, tree: TreeBall, vid: int):
-        self.tree = tree
-        self.vid = vid
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TreeVertex) and self.tree is other.tree
-                and self.vid == other.vid)
-
-    def __hash__(self) -> int:
-        return hash(self.vid)
-
-    @property
-    def vtype(self) -> int:          # vertex id of Y
-        return self.tree.vtype[self.vid]
-
-    @property
-    def depth(self) -> int:
-        return self.tree.depth(self.vid)
-
-    @property
-    def truncated(self) -> bool:     # star truncated (infinite true degree)
-        return self.tree.truncated[self.vtype]
-
-    @property
-    def up(self) -> TreeVertex | None:
-        return TreeVertex(self.tree, self.tree.parent[self.vid]) if self.vid else None
-
-    @property
-    def children(self) -> range:
-        return self.tree.children(self.vid)
-
-    def _edge_entry(self) -> ConeEntry:
-        return self.tree.parent_edge(self.vid) if self.vid else ConeEntry(-1, None, None, False)
-
-    @property
-    def ytype(self) -> int:          # parent edge: oriented edge of Y pointing INTO the parent
-        return self._edge_entry().ytype
-
-    @property
-    def pair(self) -> int:
-        return self.ytype // 2
-
-    @property
-    def fresh(self) -> bool:         # parent edge: top-band backend star parameter
-        return self._edge_entry().fresh
-
-    @property
-    def step(self) -> NormalForm | None:   # rep = up.rep·step
-        return self._edge_entry().step
-
-    @property
-    def rep(self) -> NormalForm:
-        return self.tree.rep(self.vid)
-
-    @property
-    def edge_rep(self) -> NormalForm:
-        return self.tree.edge_rep(self.vid)
-
-
-class _Vertices(Sequence):
-    """The ball's vertices as views, made on access."""
-
-    def __init__(self, tree: TreeBall):
-        self._tree = tree
-
-    def __len__(self) -> int:
-        return len(self._tree.vtype)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [TreeVertex(self._tree, vid) for vid in range(len(self))[i]]
-        return TreeVertex(self._tree, range(len(self))[i])
-
-
 class TreeBall:
     """Radius-n combinatorial ball around the base vertex 1*G_{v0}, as columns
     over vids in BFS order (see the module docstring): ``vtype``, ``parent``
@@ -180,7 +100,6 @@ class TreeBall:
         self.config = config or TreeBallConfig()
         self.truncated = [not G.is_finite for G in fg.gog.vertex_groups]   # per vertex type
         self._build()
-        self.vertices = _Vertices(self)
         self._reps = {0: fg.identity()}
         self._edge_reps: dict[int, NormalForm] = {}
 
@@ -287,6 +206,11 @@ class TreeBall:
 
     # --- columns read per vid ---------------------------------------------------
 
+    @property
+    def vertices(self) -> range:
+        """The vids."""
+        return range(len(self.vtype))
+
     def depth(self, vid: int) -> int:
         return bisect_right(self._starts, vid) - 1
 
@@ -314,6 +238,10 @@ class TreeBall:
         for w in reversed(chain):
             rep = reps[w] = self.fg.multiply(rep, self.parent_edge(w).step)
         return rep
+
+    def label(self, vid: int) -> str:
+        """The witness label ``name:rep`` of vertex vid; it forms the rep."""
+        return f"{self.fg.gog.graph.vertex_names[self.vtype[vid]]}:{self.rep(vid).display()}"
 
     def edge_rep(self, child: int) -> NormalForm:
         """The parent edge's discovery representative mu (a coset member):

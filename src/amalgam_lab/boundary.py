@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import accumulate, islice
 
-from .bass_serre import TreeBall, TreeBallConfig, TreeVertex
+from .bass_serre import TreeBall, TreeBallConfig
 from .errors import DepthTooSmall
 from .fundgroup import FundamentalGroup, NormalForm
 from .jsonio import artifact
@@ -178,24 +177,10 @@ def cantor_check(b: BoundaryApprox, window: int = 3) -> CantorVerdict:
 
 # --- limit-set proxies ----------------------------------------------------------
 
-
-@dataclass(frozen=True, slots=True)
-class LimitSetApprox:
-    """Finite-depth proxy of the limit set of one infinite vertex-group coset:
-    its coset vertex and its directions.
-
-    Its witness label ``name:rep`` is formed only when read: only the
-    witnesses of a failed condition print a label, and only they form the
-    coset vertex's rep.
-    """
-
-    vertex: TreeVertex
-    directions: tuple[int, ...]      # branch indices in the BoundaryApprox
-
-    @property
-    def label(self) -> str:
-        rep = self.vertex.rep
-        return f"{rep.group.gog.graph.vertex_names[self.vertex.vtype]}:{rep.display()}"
+# A member: a coset vertex and its directions, branch indices in the
+# BoundaryApprox.  Its witness label is ``TreeBall.label(vid)``, formed only
+# for the witnesses of a failed condition, so a passing check forms no rep.
+Member = tuple[int, tuple[int, ...]]
 
 
 def _tame_descent(b: BoundaryApprox) -> list[int]:
@@ -216,35 +201,14 @@ def _tame_descent(b: BoundaryApprox) -> list[int]:
     return leaf
 
 
-def _members(b: BoundaryApprox, vids) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(vid, directions) for the coset vertices vids: one branch per escaping
-    (fresh) child, where its tame descent reaches depth d.  Children come in
-    sibling order and own disjoint, ordered branch ranges, so the directions
-    are sorted."""
-    tree = b.tree
-    fc, cone, vtype, truncated = tree.first_child, tree.cone, tree.vtype, tree.truncated
-    fresh = [[i for i, e in enumerate(entries) if e.fresh] for entries in tree.cones]
-    leaf = _tame_descent(b)
-    for vid in vids:
-        if vid >= b.leaves.start or not truncated[vtype[vid]]:
-            yield vid, ()
-        else:
-            first = fc[vid]
-            yield vid, tuple(t for i in fresh[cone[vid]] if (t := leaf[first + i]) >= 0)
-
-
-def limit_set_approx(b: BoundaryApprox, vid: int) -> LimitSetApprox:
-    """Member packet for the coset vertex vid: one branch per escaping star
-    edge, each continued tamely to the full depth.  Finite vertex groups have
-    empty limit sets, and so, at depth d, does a vertex at depth >= d: it has
-    no descendant at depth d, so its children are not scanned."""
-    ((_, directions),) = _members(b, (vid,))
-    return LimitSetApprox(TreeVertex(b.tree, vid), directions)
-
-
-def limit_set_family(b: BoundaryApprox) -> list[LimitSetApprox]:
+def limit_set_family(b: BoundaryApprox) -> list[Member]:
     """W: the limit-set proxies of the infinite-type coset vertices that have
-    directions, in vid order.  Only vertices above depth d can have any.
+    directions, as (vid, directions) members in vid order.  A member has one
+    branch per escaping (fresh) child, where its tame descent reaches depth
+    d.  Finite vertex groups have empty limit sets, and so, at depth d, does
+    a vertex at depth >= d: it has no descendant at depth d.  Children come
+    in sibling order and own disjoint, ordered branch ranges, so the
+    directions are sorted.
 
     Refuses a tree ball with ``star_small`` < 2, whose members can share
     branches (see (a1) in :func:`amalgam_check`), and one whose star at an
@@ -261,8 +225,17 @@ def limit_set_family(b: BoundaryApprox) -> list[LimitSetApprox]:
             raise ValueError(f"limit sets need a fresh star parameter: vertex {name} has none "
                              f"at --star-fresh {cfg.star_fresh} (--star-radius "
                              f"{cfg.star_radius}, --star-small {cfg.star_small})")
-    return [LimitSetApprox(TreeVertex(tree, vid), directions)
-            for vid, directions in _members(b, range(b.leaves.start)) if directions]
+    fc, cone, types = tree.first_child, tree.cone, tree.vtype
+    fresh = [[i for i, e in enumerate(entries) if e.fresh] for entries in tree.cones]
+    leaf = _tame_descent(b)
+    family = []
+    for vid in range(b.leaves.start):
+        if tree.truncated[types[vid]]:
+            first = fc[vid]
+            directions = tuple(t for i in fresh[cone[vid]] if (t := leaf[first + i]) >= 0)
+            if directions:
+                family.append((vid, directions))
+    return family
 
 
 # --- dense-amalgam checker -------------------------------------------------------
@@ -283,7 +256,7 @@ class AmalgamCertificate:
         return artifact("amalgam_certificate", {**vars(self), "passed": self.passed})
 
 
-def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
+def amalgam_check(b: BoundaryApprox, family: list[Member],
                   seed: int = 0, samples: int = 20) -> AmalgamCertificate:
     """Check the five dense-amalgam conditions at finite depth on a family of
     members, such as ``limit_set_family`` gives; a member with no directions
@@ -322,18 +295,19 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
     d = b.depth
     eps_split = d - 2  # dist <= 2^(-d+2)  <=>  split >= d-2
     conditions: dict[str, dict] = {}
-    family = [m for m in family if m.directions]
+    family = [m for m in family if m[1]]
+    label = tree.label
 
     # (a1) pairwise disjoint; owners[di] lists every member holding di
     witnesses = []
     owners: dict[int, list[int]] = {}
-    for mi, m in enumerate(family):
-        for di in m.directions:
+    for mi, (vid, directions) in enumerate(family):
+        for di in directions:
             held = owners.setdefault(di, [])
             if held and len(witnesses) < 10:
                 witnesses.append({
                     "branch": di,
-                    "members": [family[held[0]].label, m.label],
+                    "members": [label(family[held[0]][0]), label(vid)],
                 })
             held.append(mi)
     conditions["a1_disjoint"] = {"passed": not witnesses, "witnesses": witnesses[:10]}
@@ -347,10 +321,10 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
     # depth, and it cannot grow with k.
     witnesses = []
     max_diam_at_depth = [0.0] * (d + 1)
-    for m in family:
-        lo, hi = min(m.directions), max(m.directions)
+    for vid, directions in family:
+        lo, hi = min(directions), max(directions)
         if lo != hi:
-            cd = min(m.vertex.depth, d)     # a member deeper than d counts at every k
+            cd = min(tree.depth(vid), d)    # a member deeper than d counts at every k
             max_diam_at_depth[cd] = max(max_diam_at_depth[cd], 2.0 ** -b.split(lo, hi))
     max_diam_per_k = list(accumulate(reversed(max_diam_at_depth), max))[::-1]
     for k, diam in enumerate(max_diam_per_k):
@@ -371,14 +345,14 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
     groups = b.groups_by_prefix(eps_split)
     prefixes = list(groups)
     starts = [under.start for under in groups.values()]
-    for m in family:
-        dirs = sorted(set(m.directions))
+    for vid, directions in family:
+        dirs = sorted(set(directions))
         i = 0
         while i < len(dirs):
             anc = prefixes[bisect_right(starts, dirs[i]) - 1]
             j = bisect_left(dirs, groups[anc].stop, i)
             if j - i == len(groups[anc]) and len(witnesses) < 10:
-                witnesses.append({"member": m.label, "prefix_vertex": anc})
+                witnesses.append({"member": label(vid), "prefix_vertex": anc})
             i = j
     conditions["a3_boundary"] = {"passed": not witnesses, "witnesses": witnesses[:10]}
 
@@ -386,8 +360,8 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
     witnesses = []
     truncated = {t: tree.vtype.count(t) for t, inf in enumerate(tree.truncated) if inf}
     unions: dict[int, set[int]] = {}
-    for m in family:
-        unions.setdefault(m.vertex.vtype, set()).update(m.directions)
+    for vid, directions in family:
+        unions.setdefault(tree.vtype[vid], set()).update(directions)
     for vtype in sorted(t for t, count in truncated.items() if count):
         union = unions.get(vtype, set())
         for anc, under in groups.items():
@@ -406,10 +380,9 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
     rng = random.Random(seed)
     if len(family) >= 2:
         for _ in range(samples):
-            W1, W2 = (family[mi] for mi in rng.sample(range(len(family)), 2))
-            z1 = W1.directions[rng.randrange(len(W1.directions))]
-            z2 = W2.directions[rng.randrange(len(W2.directions))]
-            C1, C2 = W1.vertex.vid, W2.vertex.vid
+            (C1, W1), (C2, W2) = (family[mi] for mi in rng.sample(range(len(family)), 2))
+            z1 = W1[rng.randrange(len(W1))]
+            z2 = W2[rng.randrange(len(W2))]
             if C2 != 0 and not tree.in_subtree(C1, C2):
                 side_in, z_in, z_out = C2, z2, z1
             else:
@@ -418,19 +391,19 @@ def amalgam_check(b: BoundaryApprox, family: list[LimitSetApprox],
             meeting = [family[mi] for mi in {mi for di in cell for mi in owners.get(di, ())}]
             removed = 0
             H = set(cell)
-            for m in meeting:
-                if not tree.in_subtree(m.vertex.vid, side_in):
-                    H.difference_update(m.directions)
+            for vid, directions in meeting:
+                if not tree.in_subtree(vid, side_in):
+                    H.difference_update(directions)
                     removed += 1
             checked += 1
             saturated = all(
-                H.issuperset(m.directions) or H.isdisjoint(m.directions)
-                for m in meeting
+                H.issuperset(directions) or H.isdisjoint(directions)
+                for _, directions in meeting
             )
             ok = saturated and (z_in in H) and (z_out not in H)
             if not ok and len(witnesses) < 10:
                 witnesses.append({
-                    "pair": [W1.label, W2.label],
+                    "pair": [label(C1), label(C2)],
                     "edge": side_in - 1,    # printed edge ids are child vid - 1
                     "saturated": saturated,
                     "z_in_ok": z_in in H,
@@ -458,7 +431,7 @@ class DensityVerdict:
         return artifact("branch_density", vars(self))
 
 
-def branch_density_check(b: BoundaryApprox, family: list[LimitSetApprox]) -> DensityVerdict:
+def branch_density_check(b: BoundaryApprox, family: list[Member]) -> DensityVerdict:
     """Every member direction must have a non-member direction within
     visual distance 2^(-d+2): branch-point proxies are dense."""
     if b.depth < 4:
@@ -467,8 +440,8 @@ def branch_density_check(b: BoundaryApprox, family: list[LimitSetApprox]) -> Den
         return DensityVerdict(status="not_applicable",
                               witnesses=[{"reason": "no tree edges"}])
     owned: set[int] = set()
-    for m in family:
-        owned.update(m.directions)
+    for _, directions in family:
+        owned.update(directions)
     # a direction's non-member neighbours within 2^(-d+2) are exactly the
     # non-owned branches of its depth-(d-2) prefix group, so only the
     # directions in a group that the members cover fail
@@ -476,8 +449,8 @@ def branch_density_check(b: BoundaryApprox, family: list[LimitSetApprox]) -> Den
     for under in b.groups_by_prefix(b.depth - 2).values():
         if owned.issuperset(under):
             covered[under.start:under.stop] = b"\1" * len(under)
-    failing = ((m, di) for m in family for di in m.directions if covered[di])
-    witnesses = [{"member": m.label, "branch": di} for m, di in islice(failing, 10)]
+    failing = ((vid, di) for vid, directions in family for di in directions if covered[di])
+    witnesses = [{"member": b.tree.label(vid), "branch": di} for vid, di in islice(failing, 10)]
     return DensityVerdict(status="pass" if not witnesses else "fail", witnesses=witnesses)
 
 
@@ -554,7 +527,7 @@ def classify_direction(fg: FundamentalGroup, tree: TreeBall, elements,
         if dmax <= r_bound:
             return ClassifyResult(
                 kind="vertex_point", coset_vid=vid,
-                coset_label=f"{g.vertex_names[tree.vtype[vid]]}:{tree.rep(vid).display()}",
+                coset_label=tree.label(vid),
                 diagnostics={"max_distance": dmax, "r_bound": r_bound},
             )
 

@@ -323,13 +323,12 @@ def visual_dist(b, i: int, j: int) -> float:
 def in_subtree_walk(tree: TreeBall, vid: int, ancestor: int) -> bool:
     """Ancestry by walking parent edges to the root: the oracle for
     ``TreeBall.in_subtree``."""
-    v = tree.vertices[vid]
     while True:
-        if v.vid == ancestor:
+        if vid == ancestor:
             return True
-        if v.up is None:
+        if vid == 0:
             return False
-        v = v.up
+        vid = tree.parent[vid]
 
 
 def eager_rep(ball: TreeBall, vid: int, multiply=FundamentalGroup.multiply) -> NormalForm:
@@ -338,21 +337,19 @@ def eager_rep(ball: TreeBall, vid: int, multiply=FundamentalGroup.multiply) -> N
     unpatched product, so a test that counts products can still call this."""
     rep = ball.fg.identity()
     for c in ball.root_path(vid):
-        rep = multiply(ball.fg, rep, ball.vertices[c].step)
+        rep = multiply(ball.fg, rep, ball.parent_edge(c).step)
     return rep
 
 
 def translate_vertex(ball: TreeBall, gamma: NormalForm, vid: int) -> int | None:
     """Image of a ball vertex under left translation, if still in the ball."""
-    v = ball.vertices[vid]
-    return ball.find_vertex(ball.fg.multiply(gamma, v.rep), v.vtype)
+    return ball.find_vertex(ball.fg.multiply(gamma, ball.rep(vid)), ball.vtype[vid])
 
 
 def translate_edge(ball: TreeBall, gamma: NormalForm, child: int) -> int | None:
     """Image of the ball edge into vertex child under left translation, as
     its child vid, if still in the ball."""
-    c = ball.vertices[child]
-    return ball.find_edge(ball.fg.multiply(gamma, c.edge_rep), c.pair)
+    return ball.find_edge(ball.fg.multiply(gamma, ball.edge_rep(child)), ball.edge_pair(child))
 
 
 def phi_random(ball: TreeBall, child: int, rng: random.Random) -> NormalForm:

@@ -12,7 +12,6 @@ import time
 import pytest
 
 from amalgam_lab.boundary import (
-    LimitSetApprox,
     amalgam_check,
     boundary_approx,
     branch_density_check,
@@ -75,19 +74,19 @@ def test_criterion_3_bass_serre_structure():
     for r in range(0, 13):
         tb = TreeBall(fg, r)
         assert len(tb.vertices) == 2 * r + 1
-        assert sum(len(v.children) for v in tb.vertices) == len(tb.vertices) - 1
-        assert all(degree(tb, v.vid) <= 2 for v in tb.vertices)
+        assert sum(len(tb.children(v)) for v in tb.vertices) == len(tb.vertices) - 1
+        assert all(degree(tb, v) <= 2 for v in tb.vertices)
 
     gog, _, fg = make_fg("z2z3")
     tb = TreeBall(fg, 5)
     for v in tb.vertices:
-        if v.depth < tb.radius:
-            assert degree(tb, v.vid) == (2 if v.vtype == 0 else 3)
+        if tb.depth(v) < tb.radius:
+            assert degree(tb, v) == (2 if tb.vtype[v] == 0 else 3)
     for name in FULL_CORPUS:
         _, _, fg = make_fg(name)
         for r in (2, 4):
             tb = TreeBall(fg, r)
-            assert len(tb.vertices) == sum(len(v.children) for v in tb.vertices) + 1, name
+            assert len(tb.vertices) == sum(len(tb.children(v)) for v in tb.vertices) + 1, name
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     _report(3, f"D_inf path at radii <= 12, (2,3)-degrees, |V| = |E|+1 "
@@ -111,7 +110,7 @@ def test_criterion_4_tiling_tree_facts():
             ), f"{name}: sT misses T"
         bound = gog.graph.n_edges
         for e in tb.vertices[1:]:
-            mu = e.edge_rep
+            mu = tb.edge_rep(e)
             for vtype in range(gog.graph.n_vertices):
                 found = _edge_vertex_distance(fg, tb, e, mu, vtype, bound)
                 assert found is not None and found <= bound, name
@@ -121,19 +120,17 @@ def test_criterion_4_tiling_tree_facts():
 
 
 def _edge_vertex_distance(fg, tb, e, mu, vtype, bound):
-    frontier = {e.up.vid, e.vid}
+    frontier = {tb.parent[e], e}
     seen = set(frontier)
     for dist in range(0, bound + 1):
         for vid in sorted(frontier):
-            v = tb.vertices[vid]
-            if v.vtype == vtype and fg.coset_membership(mu, vtype, v.rep):
+            if tb.vtype[vid] == vtype and fg.coset_membership(mu, vtype, tb.rep(vid)):
                 return dist
         nxt = set()
         for vid in frontier:
-            v = tb.vertices[vid]
-            if v.up is not None:
-                nxt.add(v.up.vid)
-            nxt.update(v.children)
+            if vid:
+                nxt.add(tb.parent[vid])
+            nxt.update(tb.children(vid))
         frontier = nxt - seen
         seen |= frontier
     return None
@@ -220,9 +217,9 @@ def test_criterion_9_theorem_A_property_suite():
         assert v <= 2.0 ** (-int(k) + 1)
     assert branch_density_check(b, family).status == "pass"
 
-    nonempty = [m for m in family if m.directions]
-    fake = LimitSetApprox(nonempty[1].vertex,
-                          (nonempty[0].directions[0],) + nonempty[1].directions)
+    nonempty = [m for m in family if m[1]]
+    (_, first), (second, directions) = nonempty[:2]
+    fake = (second, (first[0],) + directions)
     bad = amalgam_check(b, [nonempty[0], fake], seed=7)
     assert not bad.conditions["a1_disjoint"]["passed"]
     assert bad.conditions["a1_disjoint"]["witnesses"]

@@ -35,8 +35,8 @@ def test_dinf_is_path_small_radii(dinf):
     for r in range(0, 7):
         tb = TreeBall(fg, r)
         assert len(tb.vertices) == 2 * r + 1
-        assert sum(len(v.children) for v in tb.vertices) == len(tb.vertices) - 1
-        assert all(degree(tb, v.vid) <= 2 for v in tb.vertices)
+        assert sum(len(tb.children(v)) for v in tb.vertices) == len(tb.vertices) - 1
+        assert all(degree(tb, v) <= 2 for v in tb.vertices)
 
 
 def test_full_star_degree_of_an_infinite_vertex_group_is_none(zxz2):
@@ -48,17 +48,17 @@ def test_full_star_degree_of_an_infinite_vertex_group_is_none(zxz2):
     assert [d is None for d in degrees] == [not G.is_finite for G in gog.vertex_groups]
     assert [d for d in degrees if d is not None] == [2]
     for v in tb.vertices:
-        if v.depth < tb.radius and not v.truncated:
-            assert degree(tb, v.vid) == full_star_degree(fg, v.vtype)
+        if tb.depth(v) < tb.radius and not tb.truncated[tb.vtype[v]]:
+            assert degree(tb, v) == full_star_degree(fg, tb.vtype[v])
 
 
 def test_z2z3_degrees_by_type(z2z3):
     gog, _, fg = z2z3
     tb = TreeBall(fg, 4)
     for v in tb.vertices:
-        if v.depth < tb.radius:
-            want = 2 if gog.graph.vertex_names[v.vtype] == "v1" else 3
-            assert degree(tb, v.vid) == want == full_star_degree(fg, v.vtype)
+        if tb.depth(v) < tb.radius:
+            want = 2 if gog.graph.vertex_names[tb.vtype[v]] == "v1" else 3
+            assert degree(tb, v) == want == full_star_degree(fg, tb.vtype[v])
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -67,22 +67,22 @@ def test_ball_is_tree(name):
     for r in (1, 2, 3, 4):
         tb = TreeBall(fg, r)
         # every vertex but the root is the child of exactly one vertex
-        children = sorted(c for v in tb.vertices for c in v.children)
+        children = sorted(c for v in tb.vertices for c in tb.children(v))
         assert children == list(range(1, len(tb.vertices)))
-        assert all(tb.vertices[c].up == v for v in tb.vertices for c in v.children)
+        assert all(tb.parent[c] == v for v in tb.vertices for c in tb.children(v))
 
 
 def test_single_vertex_no_edges(trivial):
     _, _, fg = trivial
     tb = TreeBall(fg, 5)
-    assert len(tb.vertices) == 1 and not tb.vertices[0].children
+    assert len(tb.vertices) == 1 and not tb.children(0)
 
 
 def test_geodesic_trivial_and_endpoints(dinf):
     _, _, fg = dinf
     tb = TreeBall(fg, 3)
     assert tb.geodesic(0, 0) == []
-    leaves = [v.vid for v in tb.vertices if v.depth == 3]
+    leaves = [v for v in tb.vertices if tb.depth(v) == 3]
     # the two ends of the radius-3 path
     assert len(tb.geodesic(leaves[0], leaves[1])) == 6
 
@@ -90,7 +90,7 @@ def test_geodesic_trivial_and_endpoints(dinf):
 def test_geodesic_through_root(z2z3):
     _, _, fg = z2z3
     tb = TreeBall(fg, 2)
-    leaves = [v.vid for v in tb.vertices if v.depth == 2]
+    leaves = [v for v in tb.vertices if tb.depth(v) == 2]
     by_branch = {}
     for leaf in leaves:
         top = tb.root_path(leaf)[0]
@@ -119,9 +119,9 @@ def test_split_by_edge_dinf_middle(dinf):
 def test_split_by_leaf_edge(dinf):
     _, _, fg = dinf
     tb = TreeBall(fg, 3)
-    leaf = next(v for v in tb.vertices if v.depth == 3)
-    side0, _ = tb.split_by_edge(leaf.vid)
-    assert side0 == frozenset({leaf.vid})
+    leaf = next(v for v in tb.vertices if tb.depth(v) == 3)
+    side0, _ = tb.split_by_edge(leaf)
+    assert side0 == frozenset({leaf})
 
 
 def test_the_root_has_no_parent_edge(dinf):
@@ -141,7 +141,7 @@ def test_split_z2z3_root_edge_mixes_types(z2z3):
     tb = TreeBall(fg, 3)
     side0, side1 = tb.split_by_edge(1)
     for side in (side0, side1):
-        types = {tb.vertices[v].vtype for v in side}
+        types = {tb.vtype[v] for v in side}
         assert types == {0, 1}
 
 
@@ -150,8 +150,8 @@ def test_tiling_tree_dinf(dinf):
     tb = TreeBall(fg, 2)
     tt = tiling_tree(tb)
     assert len(tt.edge_ids) == 1 and len(tt.vertex_ids) == 2 and tt.connected
-    e = tb.vertices[tt.edge_ids[0]]
-    assert {e.up.vtype, e.vtype} == {0, 1}
+    e = tt.edge_ids[0]
+    assert {tb.vtype[tb.parent[e]], tb.vtype[e]} == {0, 1}
 
 
 def test_tiling_tree_f2_star(f2):
@@ -193,30 +193,28 @@ def test_fact_edge_to_vertex_distance(name):
     tb = TreeBall(fg, 5)
     bound = gog.graph.n_edges
     for e in tb.vertices[1:]:
-        mu = e.edge_rep
+        mu = tb.edge_rep(e)
         for vtype in range(gog.graph.n_vertices):
             # search the tree neighborhood of the edge out to the bound
             found = None
-            frontier = {e.up.vid, e.vid}
+            frontier = {tb.parent[e], e}
             seen = set(frontier)
             for dist in range(0, bound + 1):
                 for vid in sorted(frontier):
-                    v = tb.vertices[vid]
-                    if v.vtype == vtype and fg.coset_membership(mu, vtype, v.rep):
+                    if tb.vtype[vid] == vtype and fg.coset_membership(mu, vtype, tb.rep(vid)):
                         found = dist
                         break
                 if found is not None:
                     break
                 nxt = set()
                 for vid in frontier:
-                    v = tb.vertices[vid]
-                    if v.up is not None:
-                        nxt.add(v.up.vid)
-                    nxt.update(v.children)
+                    if vid:
+                        nxt.add(tb.parent[vid])
+                    nxt.update(tb.children(vid))
                 frontier = nxt - seen
                 seen |= frontier
             assert found is not None and found <= bound, (
-                f"{name}: no mu*G_{vtype} within {bound} of the edge into {e.vid}")
+                f"{name}: no mu*G_{vtype} within {bound} of the edge into {e}")
 
 
 def test_gamma_action_preserves_adjacency(z2z3):
@@ -227,9 +225,9 @@ def test_gamma_action_preserves_adjacency(z2z3):
     gammas = [ball.elements[rng.randrange(len(ball.elements))] for _ in range(100)]
     for gamma in gammas:
         for e in tb.vertices[1:21]:
-            pi = translate_vertex(tb, gamma, e.up.vid)
-            ci = translate_vertex(tb, gamma, e.vid)
-            te = translate_edge(tb, gamma, e.vid)
+            pi = translate_vertex(tb, gamma, tb.parent[e])
+            ci = translate_vertex(tb, gamma, e)
+            te = translate_edge(tb, gamma, e)
             if pi is not None and ci is not None and te is not None:
                 assert {tb.parent[te], te} == {pi, ci}
 
@@ -239,10 +237,10 @@ def test_remark_edge_coset_in_endpoint_union(name):
     _, _, fg = make_fg(name)
     tb = TreeBall(fg, 3)
     for c in tb.vertices[1:]:
-        p = c.up
-        for x in tb.edge_coset_elements(c.vid):
-            assert (fg.coset_membership(x, p.vtype, p.rep)
-                    or fg.coset_membership(x, c.vtype, c.rep))
+        p = tb.parent[c]
+        for x in tb.edge_coset_elements(c):
+            assert (fg.coset_membership(x, tb.vtype[p], tb.rep(p))
+                    or fg.coset_membership(x, tb.vtype[c], tb.rep(c)))
 
 
 def test_phi_identity_edge(dinf):
@@ -281,14 +279,14 @@ def test_phi_uniformly_finite_to_one(z2z3):
 def test_truncated_stars_marked(z2z2):
     _, _, fg = z2z2
     tb = TreeBall(fg, 2)
-    assert all(v.truncated for v in tb.vertices)
-    assert tb.vertices[0].children
+    assert all(tb.truncated[tb.vtype[v]] for v in tb.vertices)
+    assert tb.children(0)
 
 
 def test_finite_stars_not_truncated(dinf):
     _, _, fg = dinf
     tb = TreeBall(fg, 2)
-    assert not any(v.truncated for v in tb.vertices)
+    assert not any(tb.truncated[tb.vtype[v]] for v in tb.vertices)
 
 
 def test_tree_ball_helper(dinf):
@@ -321,10 +319,10 @@ def test_amalgam_tree_structure_nontrivial_edge_group():
     gog, _, fg = make_amalgam()
     assert not gog.all_edge_groups_trivial
     tb = TreeBall(fg, 5)
-    assert sum(len(v.children) for v in tb.vertices) == len(tb.vertices) - 1
+    assert sum(len(tb.children(v)) for v in tb.vertices) == len(tb.vertices) - 1
     for v in tb.vertices:
-        if v.depth < tb.radius:
-            assert degree(tb, v.vid) == (2 if v.vtype == 0 else 3)
+        if tb.depth(v) < tb.radius:
+            assert degree(tb, v) == (2 if tb.vtype[v] == 0 else 3)
 
 
 def test_phi_variants_500_edges_nontrivial_subgroup():
@@ -379,16 +377,16 @@ def test_tree_vertices_and_edges_are_pairwise_distinct_cosets(spec):
     and no two ball edges the same edge coset, finite types included."""
     _, _, fg = make_fg(spec)
     tb = TreeBall(fg, 4)
-    vs = list(tb.vertices)   # views made once, not per access
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            if vs[i].vtype == vs[j].vtype:
-                assert not fg.coset_membership(vs[i].rep, vs[i].vtype, vs[j].rep), \
-                    (vs[i].rep.display(), vs[j].rep.display())
+    vtype, reps = tb.vtype, [tb.rep(v) for v in tb.vertices]
+    for i in range(len(reps)):
+        for j in range(i + 1, len(reps)):
+            if vtype[i] == vtype[j]:
+                assert not fg.coset_membership(reps[i], vtype[i], reps[j]), \
+                    (reps[i].display(), reps[j].display())
     cosets: dict[tuple[int, NormalForm], int] = {}
     for e in tb.vertices[1:]:
-        for m in tb.edge_coset_elements(e.vid):
-            assert cosets.setdefault((e.pair, m), e.vid) == e.vid, m.display()
+        for m in tb.edge_coset_elements(e):
+            assert cosets.setdefault((tb.edge_pair(e), m), e) == e, m.display()
 
 
 # --- the indexed tree against the walks it replaced ---------------------------
@@ -396,10 +394,9 @@ def test_tree_vertices_and_edges_are_pairwise_distinct_cosets(spec):
 
 def _root_path_walk(tb, vid):
     out = []
-    v = tb.vertices[vid]
-    while v.up is not None:
-        out.append(v.vid)
-        v = v.up
+    while vid:
+        out.append(vid)
+        vid = tb.parent[vid]
     out.reverse()
     return out
 
@@ -418,12 +415,12 @@ def _split_walk(tb, child):
     while stack:
         vid = stack.pop()
         side0.add(vid)
-        stack.extend(tb.vertices[vid].children)
+        stack.extend(tb.children(vid))
     return frozenset(side0), frozenset(range(len(tb.vertices))) - side0
 
 
 def _edge_tree_distance_walk(tb, child, vid):
-    return min(len(_geodesic_walk(tb, tb.vertices[child].up.vid, vid)),
+    return min(len(_geodesic_walk(tb, tb.parent[child], vid)),
                len(_geodesic_walk(tb, child, vid)))
 
 
@@ -441,15 +438,15 @@ def test_indexed_tree_matches_walks(spec):
             assert tb.in_subtree(vid, other) == in_subtree_walk(tb, vid, other)
             assert tb.geodesic(vid, other) == _geodesic_walk(tb, vid, other)
     for e in tb.vertices[1:]:
-        sides = tb.split_by_edge(e.vid)
-        assert sides == _split_walk(tb, e.vid)
+        sides = tb.split_by_edge(e)
+        assert sides == _split_walk(tb, e)
         assert all(type(side) is frozenset for side in sides)
         for vid in range(n):
-            assert tb.edge_tree_distance(e.vid, vid) == _edge_tree_distance_walk(tb, e.vid, vid)
-        coset = tb.edge_coset_elements(e.vid)
-        assert phi(tb, e.vid) == min(coset, key=NormalForm.sort_key)
+            assert tb.edge_tree_distance(e, vid) == _edge_tree_distance_walk(tb, e, vid)
+        coset = tb.edge_coset_elements(e)
+        assert phi(tb, e) == min(coset, key=NormalForm.sort_key)
         for m in coset:
-            assert tb.find_edge(m, e.pair) == e.vid
+            assert tb.find_edge(m, tb.edge_pair(e)) == e
 
 
 @pytest.mark.parametrize("spec", ORACLE_INPUTS, ids=[*NAMES, "sl2z"])
@@ -461,7 +458,7 @@ def test_tiling_tree_connectivity_matches_search(spec):
     tt = tiling_tree(tb)
     adj = {v: set() for v in tt.vertex_ids}
     for child in tt.edge_ids:
-        parent = tb.vertices[child].up.vid
+        parent = tb.parent[child]
         adj[parent].add(child)
         adj[child].add(parent)
     seen, stack = set(), [tt.vertex_ids[0]]
@@ -487,9 +484,9 @@ def _count_calls(monkeypatch, targets):
 
 def _read_every_rep(tb) -> None:
     for v in tb.vertices:
-        v.rep
+        tb.rep(v)
     for v in tb.vertices[1:]:
-        v.edge_rep
+        tb.edge_rep(v)
 
 
 def test_tree_build_forms_one_product_per_star_candidate(monkeypatch):
@@ -513,7 +510,7 @@ def test_tree_build_forms_one_product_per_star_candidate(monkeypatch):
     # a tree vertex meets each of its star parameters once, so the degree of
     # a vertex above the last layer counts its type's parameters; the edge
     # subgroups are formed once as well
-    params = {v.vtype: degree(tb, v.vid) for v in tb.vertices if v.depth < tb.radius}
+    params = {tb.vtype[v]: degree(tb, v) for v in tb.vertices if tb.depth(v) < tb.radius}
     assert len(params) == fg.gog.graph.n_vertices
     edge_subgroups = sum(len(fg.edge_subgroup_elements(k))
                          for k in range(fg.gog.graph.n_edges))
@@ -534,8 +531,8 @@ def test_tree_build_with_stable_letters_and_finite_edge_groups_forms_no_keys(
     calls = _count_calls(monkeypatch, [(NormalForm, "sort_key"),
                                        (FundamentalGroup, "multiply")])
     tb = TreeBall(fg, 5)
-    against_a = sum(1 for e in tb.vertices[1:]
-                    if not sd.in_tree(e.ytype) and e.ytype not in sd.orientation)
+    ytypes = [tb.parent_edge(e).ytype for e in tb.vertices[1:]]
+    against_a = sum(1 for y in ytypes if not sd.in_tree(y) and y not in sd.orientation)
     assert steps == sum(fg.gog.embedding(y).index_in_target()
                         for y in range(2 * fg.gog.graph.n_edges) if not sd.in_tree(y))
     assert calls["multiply"] == steps
@@ -554,10 +551,10 @@ def test_reps_do_not_depend_on_the_order_of_reads(spec):
     reading deepest-first forms the same reps as reading in vid order."""
     _, _, fg = make_fg(spec)
     deep, flat = TreeBall(fg, 4), TreeBall(fg, 4)
-    vertex_reps = [v.rep for v in reversed(deep.vertices)][::-1]
-    edge_reps = [v.edge_rep for v in reversed(deep.vertices[1:])][::-1]
-    assert vertex_reps == [v.rep for v in flat.vertices]
-    assert edge_reps == [v.edge_rep for v in flat.vertices[1:]]
+    vertex_reps = [deep.rep(v) for v in reversed(deep.vertices)][::-1]
+    edge_reps = [deep.edge_rep(v) for v in reversed(deep.vertices[1:])][::-1]
+    assert vertex_reps == [flat.rep(v) for v in flat.vertices]
+    assert edge_reps == [flat.edge_rep(v) for v in flat.vertices[1:]]
 
 
 def test_deepest_rep_read_first_forms_no_recursion(dinf):
@@ -566,10 +563,10 @@ def test_deepest_rep_read_first_forms_no_recursion(dinf):
     _, _, fg = dinf
     tb = TreeBall(fg, 1500)
     last = tb.vertices[-1]
-    assert last.depth == 1500
-    rep = last.rep
+    assert tb.depth(last) == 1500
+    rep = tb.rep(last)
     assert rep.syllable_length == 1500
-    assert rep == eager_rep(tb, last.vid)
+    assert rep == eager_rep(tb, last)
 
 
 @pytest.mark.parametrize("spec", [*ALL_TEXTS.values()], ids=[*ALL_TEXTS])
@@ -580,11 +577,11 @@ def test_vertices_of_one_cone_type_have_the_same_child_list(spec):
     tb = TreeBall(fg, 4)
     lists = {}
     for v in tb.vertices:
-        if v.depth == tb.radius:
+        if tb.depth(v) == tb.radius:
             continue
-        back = None if v.up is None else v.ytype ^ 1
-        children = [(c.ytype, c.fresh, c.step) for c in (tb.vertices[x] for x in v.children)]
-        assert lists.setdefault((v.vtype, back), children) == children
+        back = None if v == 0 else tb.parent_edge(v).ytype ^ 1
+        children = [(e.ytype, e.fresh, e.step) for e in map(tb.parent_edge, tb.children(v))]
+        assert lists.setdefault((tb.vtype[v], back), children) == children
     assert lists
 
 
@@ -612,12 +609,14 @@ def _assert_ball_equals_oracle(fg, radius, config, rng):
     assert [tb.level(k) for k in range(radius + 2)] == [ob.level(k) for k in range(radius + 2)]
     assert list(tb.layer_sizes()) == [len(ob.level(k)) for k in range(radius + 1)]
     for v, o in zip(tb.vertices, ob.vertices):
-        assert (v.vid, v.vtype, v.depth, v.truncated, list(v.children)) == \
+        t = tb.vtype[v]
+        assert (v, t, tb.depth(v), tb.truncated[t], list(tb.children(v))) == \
             (o.vid, o.vtype, o.depth, o.truncated, o.children)
-        assert tb.parent[v.vid] == ob.parent[o.vid]
+        assert tb.parent[v] == ob.parent[o.vid]
         if o.up is not None:
-            assert tb.parent_edge(o.vid) == (o.ytype, o.ve, o.step, o.fresh)
-            assert (v.ytype, v.pair, v.fresh, v.step) == (o.ytype, o.pair, o.fresh, o.step)
+            e = tb.parent_edge(v)
+            assert e == (o.ytype, o.ve, o.step, o.fresh)
+            assert (e.ytype, tb.edge_pair(v), e.fresh, e.step) == (o.ytype, o.pair, o.fresh, o.step)
     assert [tb.rep(vid) for vid in range(n)] == [o.rep for o in ob.vertices]
     assert [tb.edge_rep(c) for c in range(1, n)] == [o.edge_rep for o in ob.vertices[1:]]
     vids = _sample(range(n), 60, rng)

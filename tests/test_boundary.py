@@ -8,14 +8,12 @@ import pytest
 from amalgam_lab.bass_serre import TreeBall, TreeBallConfig
 from amalgam_lab.boundary import (
     BoundaryApprox,
-    LimitSetApprox,
     amalgam_check,
     boundary_approx,
     branch_density_check,
     cantor_check,
     classify_direction,
     dist_to_vertex_coset,
-    limit_set_approx,
     limit_set_family,
 )
 from amalgam_lab.corpus import NAMES
@@ -35,6 +33,7 @@ from conftest import (
     phi_random,
     visual_dist,
 )
+from tree_oracle import OracleTreeBall
 
 
 # --- boundary approximations -----------------------------------------------
@@ -58,8 +57,7 @@ def test_z2z3_branch_count_matches_dfs_oracle(z2z3):
     def count(vid, depth):
         if depth == d:
             return 1
-        v = tree.vertices[vid]
-        return sum(count(c, depth + 1) for c in v.children)
+        return sum(count(c, depth + 1) for c in tree.children(vid))
 
     assert len(b) == count(0, 0) > 0
 
@@ -99,10 +97,10 @@ def _branch_oracle(tree, depth):
     those paths."""
     paths = [((0,), ())]
     for v in tree.vertices[1:]:
-        if v.depth > depth:
+        if tree.depth(v) > depth:
             break
-        vids, edges = paths[v.up.vid]
-        paths.append((vids + (v.vid,), edges + (v.vid,)))
+        vids, edges = paths[tree.parent[v]]
+        paths.append((vids + (v,), edges + (v,)))
     branches = [p for p in paths if len(p[1]) == depth]
     by_edge = {}
     for i, (_, edges) in enumerate(branches):
@@ -210,8 +208,7 @@ def test_refinement_projects_onto_lower_depth(z2z3):
     b6 = BoundaryApprox(tree, 6)
     b5 = BoundaryApprox(tree, 5)
     prefixes = {b6.ancestor(i, 5) for i in range(len(b6))}
-    non_dead = {leaf for leaf in b5.leaves
-                if tree.vertices[leaf].children}
+    non_dead = {leaf for leaf in b5.leaves if tree.children(leaf)}
     assert prefixes == non_dead
 
 
@@ -230,7 +227,7 @@ def test_cantor_verdicts():
 def _first_unbranched_window(b, window):
     """The per-branch scan cantor_check replaced: (branch, start) of the
     first window of levels with no vertex of >= 2 children, or None."""
-    n_children = {v.vid: len(v.children) for v in b.tree.vertices}
+    n_children = {v: len(b.tree.children(v)) for v in b.tree.vertices}
     for i in range(len(b)):
         for start in range(0, b.depth - window + 1):
             if not any(n_children[b.ancestor(i, k)] >= 2 for k in range(start, start + window)):
@@ -256,7 +253,6 @@ def _pruned(tree, cut):
     pruned.parent, pruned.first_child, pruned._starts = parent, first_child, starts
     pruned.cone = [tree.cone[vid] for vid in old]
     pruned.vtype = [tree.vtype[vid] for vid in old]
-    pruned.vertices = type(tree.vertices)(pruned)
     pruned._reps, pruned._edge_reps = {0: tree.fg.identity()}, {}
     return pruned
 
@@ -308,60 +304,104 @@ def test_cantor_depth_too_small(dinf):
 # --- limit sets -----------------------------------------------------------------
 
 
+def _walk_members(ob: OracleTreeBall, depth: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Every vertex's (vid, directions) at a boundary depth, by the
+    definition, on the object-per-vertex build: at an infinite-type vertex
+    above the depth, from each fresh child follow the first non-fresh child
+    (the first child if all are fresh) down to the depth, and drop a walk
+    that dead-ends.  Finite-type vertices and deeper ones get ()."""
+    start = ob.level(depth).start
+    members = []
+    for v in ob.vertices:
+        directions = []
+        if v.truncated and v.depth < depth:
+            for c in v.children:
+                w = ob.vertices[c]
+                if not w.fresh:
+                    continue
+                while w.depth < depth and w.children:
+                    kids = [ob.vertices[x] for x in w.children]
+                    w = next((k for k in kids if not k.fresh), kids[0])
+                if w.depth == depth:
+                    directions.append(w.vid - start)
+        members.append((v.vid, tuple(directions)))
+    return members
+
+
+INFINITE_TEXTS = [name for name, text in ALL_TEXTS.items()
+                  if not all(G.is_finite for G in make_fg(text)[0].vertex_groups)]
+
+
+@pytest.mark.parametrize("name", INFINITE_TEXTS)
+def test_limit_set_family_equals_the_walk_of_the_definition(name):
+    """On every input with an infinite vertex group, at depths 4-6 of a
+    radius-6 tree (deeper than the boundary at 4 and 5), with three and with
+    two small star parameters: the family is the non-empty walked members in
+    vid order, and it is empty only without tree edges."""
+    _, _, fg = make_fg(ALL_TEXTS[name])
+    for config in (TreeBallConfig(), TreeBallConfig(star_small=2)):
+        tree, ob = TreeBall(fg, 6, config), OracleTreeBall(fg, 6, config)
+        for depth in (4, 5, 6):
+            family = limit_set_family(BoundaryApprox(tree, depth))
+            assert family == [m for m in _walk_members(ob, depth) if m[1]], (config, depth)
+            assert bool(family) == (fg.gog.graph.n_edges > 0), (config, depth)
+
+
 def test_finite_coset_limit_set_empty(z2z3):
     _, _, fg = z2z3
     b = boundary_approx(fg, 4)
-    assert limit_set_approx(b, 0).directions == ()
+    assert dict(limit_set_family(b)).get(0, ()) == ()
 
 
 def test_root_limit_set_avoids_other_factor_side(z2z2):
     _, _, fg = z2z2
     b = boundary_approx(fg, 4)
-    m = limit_set_approx(b, 0)
-    assert m.directions
+    directions = dict(limit_set_family(b)).get(0, ())
+    assert directions
     tree = b.tree
     # edges separating the root from the orbit of the other factor's coset:
     # the small-parameter child subtrees hold that orbit
-    for c in tree.vertices[0].children:
-        if not tree.vertices[c].fresh:
-            assert not (set(m.directions) & b.basis_members(c))
+    for c in tree.children(0):
+        if not tree.parent_edge(c).fresh:
+            assert not (set(directions) & b.basis_members(c))
 
 
 def test_limit_set_translate_invariance(z2z2):
     _, _, fg = z2z2
     b = boundary_approx(fg, 4)
     tree = b.tree
+    members = dict(limit_set_family(b))
     gamma = fg.vertex_element(0, (1, 0))
-    child = tree.vertices[0].children[1]
-    m1 = limit_set_approx(b, child)
-    tv = tree.find_vertex(fg.multiply(gamma, tree.vertices[child].rep),
-                          tree.vertices[child].vtype)
+    child = tree.children(0)[1]
+    m1 = members.get(child, ())
+    tv = tree.find_vertex(fg.multiply(gamma, tree.rep(child)), tree.vtype[child])
     assert tv is not None
-    m2 = limit_set_approx(b, tv)
+    m2 = members.get(tv, ())
     translated_leaves = set()
-    for i in m1.directions:
+    for i in m1:
         leaf = b.leaves[i]
-        t = tree.find_vertex(fg.multiply(gamma, tree.vertices[leaf].rep),
-                             tree.vertices[leaf].vtype)
+        t = tree.find_vertex(fg.multiply(gamma, tree.rep(leaf)), tree.vtype[leaf])
         assert t is not None
         translated_leaves.add(t)
-    assert translated_leaves == {b.leaves[i] for i in m2.directions}
+    assert translated_leaves == {b.leaves[i] for i in m2}
 
 
 @pytest.mark.parametrize("name,radius", [("z2z2", 4), ("z2z2", 5), ("zxz2", 6)])
 def test_family_builds_boundary_depth_members_empty(name, radius):
-    """The family is the non-empty limit_set_approx members in vid order, also
-    when the tree reaches past the boundary depth, where every member is
-    empty; family_size counts every infinite-type coset vertex of the ball,
-    and the empty members would not change the certificate."""
+    """The family is the non-empty walked members in vid order, also when
+    the tree reaches past the boundary depth, where every member is empty;
+    family_size counts every infinite-type coset vertex of the ball, and the
+    empty members would not change the certificate."""
     _, _, fg = make_fg(name)
     b = BoundaryApprox(TreeBall(fg, radius), 4)
+    tree = b.tree
     family = limit_set_family(b)
-    truncated = [v for v in b.tree.vertices if not fg.gog.vertex_groups[v.vtype].is_finite]
-    members = [limit_set_approx(b, v.vid) for v in truncated]
-    assert family == [m for m in members if m.directions]
-    assert family and any(v.depth >= b.depth for v in truncated)
-    assert not any(m.directions for m in members if m.vertex.depth >= b.depth)
+    truncated = [v for v in tree.vertices if not fg.gog.vertex_groups[tree.vtype[v]].is_finite]
+    walk = _walk_members(OracleTreeBall(fg, radius), b.depth)
+    members = [walk[v] for v in truncated]
+    assert family == [m for m in members if m[1]]
+    assert family and any(tree.depth(v) >= b.depth for v in truncated)
+    assert not any(directions for vid, directions in members if tree.depth(vid) >= b.depth)
     cert = amalgam_check(b, family, seed=3)
     assert cert.family_size == len(truncated) and cert.nonempty_members == len(family)
     assert amalgam_check(b, members, seed=3).to_json() == cert.to_json()
@@ -370,11 +410,11 @@ def test_family_builds_boundary_depth_members_empty(name, radius):
 def test_members_have_packet_diameter(z2z2):
     _, _, fg = z2z2
     b = boundary_approx(fg, 5)
-    for m in limit_set_family(b):
-        if len(m.directions) >= 2:
+    for vid, directions in limit_set_family(b):
+        if len(directions) >= 2:
             diam = max(visual_dist(b, i, j)
-                       for i in m.directions for j in m.directions)
-            assert diam == 2.0 ** (-m.vertex.depth)
+                       for i in directions for j in directions)
+            assert diam == 2.0 ** (-b.tree.depth(vid))
 
 
 # --- amalgam certificate -----------------------------------------------------------
@@ -421,9 +461,9 @@ def test_amalgam_adversarial_overlap_fails_a1(z2z2):
     _, _, fg = z2z2
     b = boundary_approx(fg, 5)
     family = limit_set_family(b)
-    nonempty = [m for m in family if m.directions]
-    fake = LimitSetApprox(nonempty[1].vertex,
-                          (nonempty[0].directions[0],) + nonempty[1].directions)
+    nonempty = [m for m in family if m[1]]
+    (_, first), (second, directions) = nonempty[:2]
+    fake = (second, (first[0],) + directions)
     cert = amalgam_check(b, [nonempty[0], fake], seed=7)
     assert not cert.conditions["a1_disjoint"]["passed"]
     assert cert.conditions["a1_disjoint"]["witnesses"]
@@ -432,14 +472,14 @@ def test_amalgam_adversarial_overlap_fails_a1(z2z2):
 def _a2_a3_oracle(b, family):
     """(a2) and (a3) by the all-pairs diameter and the subset test per group."""
     d = b.depth
-    nonempty = [m for m in family if m.directions]
+    nonempty = [m for m in family if m[1]]
     witnesses = []
     max_diam_per_k = {}
     for k in range(0, d + 1):
         diams = [
-            max((visual_dist(b, i, j) for i in m.directions for j in m.directions),
+            max((visual_dist(b, i, j) for i in directions for j in directions),
                 default=0.0)
-            for m in nonempty if m.vertex.depth >= k
+            for vid, directions in nonempty if b.tree.depth(vid) >= k
         ]
         max_diam_per_k[k] = max(diams, default=0.0)
         if max_diam_per_k[k] > 2.0 ** (-k + 1):
@@ -453,18 +493,18 @@ def _a2_a3_oracle(b, family):
     }
     witnesses = []
     groups = b.groups_by_prefix(d - 2)
-    for m in nonempty:
-        dirset = set(m.directions)
+    for vid, directions in nonempty:
+        dirset = set(directions)
         for anc, members in groups.items():
             if set(members) <= dirset:
-                witnesses.append({"member": m.label, "prefix_vertex": anc})
+                witnesses.append({"member": b.tree.label(vid), "prefix_vertex": anc})
     a3 = {"passed": not witnesses, "witnesses": witnesses[:10]}
     return a2, a3
 
 
 def _on_vertex(b, directions, depth, i=0):
     """A member with the given directions on the i-th tree vertex of a depth."""
-    return LimitSetApprox(b.tree.vertices[b.tree.level(depth)[i]], tuple(directions))
+    return b.tree.level(depth)[i], tuple(directions)
 
 
 def _adversarial_family(b):
@@ -502,14 +542,15 @@ def test_a2_a3_match_oracle_on_adversarial_family(z2z2, depth):
     b = boundary_approx(fg, depth)
     members = _adversarial_family(b)
     family = list(members.values())
-    assert len({m.label for m in family}) == len(family)
+    assert len({b.tree.label(vid) for vid, _ in family}) == len(family)
     cert = amalgam_check(b, family, seed=7, samples=3)
     a2, a3 = _a2_a3_oracle(b, family)
     assert cert.conditions["a2_null"] == a2
     assert cert.conditions["a3_boundary"] == a3
     assert not a2["passed"] and not a3["passed"]
     assert len(a3["witnesses"]) == 10      # the cut falls inside "covers-all"
-    assert [w["member"] for w in a3["witnesses"][:5]] == [members[name].label for name in (
+    label = b.tree.label
+    assert [w["member"] for w in a3["witnesses"][:5]] == [label(members[name][0]) for name in (
         "covers-8-1-3", "covers-8-1-3", "covers-8-1-3", "covers-5-twice", "covers-all")]
 
 
@@ -542,17 +583,16 @@ def _a5_oracle(b, family, seed, samples):
     """(a5) by the full-family loop: every member is tested for removal and
     for saturation on every sample, with ancestry by walking to the root."""
     tree = b.tree
-    nonempty = [m for m in family if m.directions]
+    nonempty = [m for m in family if m[1]]
     witnesses = []
     checked = 0
     rng = random.Random(seed)
     if len(nonempty) >= 2:
         for _ in range(samples):
             m1, m2 = rng.sample(range(len(nonempty)), 2)
-            W1, W2 = nonempty[m1], nonempty[m2]
-            z1 = W1.directions[rng.randrange(len(W1.directions))]
-            z2 = W2.directions[rng.randrange(len(W2.directions))]
-            C1, C2 = W1.vertex.vid, W2.vertex.vid
+            (C1, W1), (C2, W2) = nonempty[m1], nonempty[m2]
+            z1 = W1[rng.randrange(len(W1))]
+            z2 = W2[rng.randrange(len(W2))]
             if C2 != 0 and not in_subtree_walk(tree, C1, C2):
                 side_in, z_in, z_out = C2, z2, z1
             else:
@@ -560,22 +600,22 @@ def _a5_oracle(b, family, seed, samples):
             cell = set(b.basis_members(side_in))
             removed = 0
             H = set(cell)
-            for m in family:
-                if not m.directions:
+            for vid, directions in family:
+                if not directions:
                     continue
-                if not in_subtree_walk(tree, m.vertex.vid, side_in):
-                    if set(m.directions) & cell:
-                        H -= set(m.directions)
+                if not in_subtree_walk(tree, vid, side_in):
+                    if set(directions) & cell:
+                        H -= set(directions)
                         removed += 1
             checked += 1
             saturated = all(
-                set(m.directions) <= H or not (set(m.directions) & H)
-                for m in family if m.directions
+                set(directions) <= H or not (set(directions) & H)
+                for _, directions in family if directions
             )
             ok = saturated and (z_in in H) and (z_out not in H)
             if not ok and len(witnesses) < 10:
                 witnesses.append({
-                    "pair": [W1.label, W2.label],
+                    "pair": [tree.label(C1), tree.label(C2)],
                     "edge": side_in - 1,
                     "saturated": saturated,
                     "z_in_ok": z_in in H,
@@ -592,9 +632,8 @@ def _shared_direction_family(b):
     cell's subtree but the root's, so it must be removed from H wherever it
     meets the cell.  Two straddling members join directions of neighbours."""
     real = limit_set_family(b)
-    root = b.tree.vertices[0]
-    copies = [LimitSetApprox(root, m.directions) for i, m in enumerate(real) if i % 3 == 0]
-    straddle = [LimitSetApprox(real[i + 1].vertex, real[i].directions[:1] + real[i + 1].directions)
+    copies = [(0, directions) for i, (_, directions) in enumerate(real) if i % 3 == 0]
+    straddle = [(real[i + 1][0], real[i][1][:1] + real[i + 1][1])
                 for i in (1, len(real) // 2)]
     return real + copies + straddle
 
@@ -675,9 +714,17 @@ def test_limit_set_labels_are_formed_only_for_witnesses(z2z2, monkeypatch):
         density = branch_density_check(b, fam)
         assert len(calls) <= _witness_labels(cert, density)
     assert len(calls) == _witness_labels(cert, density) > 0
-    first = family[0].vertex
-    assert cert.conditions["a1_disjoint"]["witnesses"][0]["members"][0] == (
-        f"{fg.gog.graph.vertex_names[first.vtype]}:{display(eager_rep(b.tree, first.vid))}")
+    tree = b.tree
+    first = family[0][0]
+    label = f"{fg.gog.graph.vertex_names[tree.vtype[first]]}:{display(eager_rep(tree, first))}"
+    assert cert.conditions["a1_disjoint"]["witnesses"][0]["members"] == [label, label]
+    assert tree.label(first) == label
+    # a second owner on another vertex: the witness names both owners
+    second = family[1][0]
+    cert = amalgam_check(b, family + [(second, family[0][1])], seed=7)
+    assert cert.conditions["a1_disjoint"]["witnesses"][0]["members"] == [
+        label, tree.label(second)]
+    assert tree.label(second) != label
 
 
 def test_amalgam_depth_too_small(z2z2):
@@ -690,10 +737,10 @@ def test_amalgam_depth_too_small(z2z2):
 def _density_failures(b, family):
     """Branch density by brute force: every member direction with no branch
     that no member owns within visual distance 2^(-d+2)."""
-    owned = {di for m in family for di in m.directions}
+    owned = {di for _, directions in family for di in directions}
     free = [j for j in range(len(b)) if j not in owned]
-    return [{"member": m.label, "branch": di}
-            for m in family for di in m.directions
+    return [{"member": b.tree.label(vid), "branch": di}
+            for vid, directions in family for di in directions
             if not any(visual_dist(b, di, j) <= 2.0 ** (2 - b.depth) for j in free)]
 
 
@@ -707,7 +754,7 @@ def test_branch_density_matches_oracle_on_adversarial_family(z2z2, depth, drop):
     family.append(_on_vertex(b, all_but_last, 2, 1))    # all but the last of a group
     failures = _density_failures(b, family)
     # "covers-all" leaves no free branch; without it the verdict is mixed
-    assert (len(failures) == sum(len(m.directions) for m in family)) == (drop is None)
+    assert (len(failures) == sum(len(directions) for _, directions in family)) == (drop is None)
     # witnesses stop at 10, so each member also leads the family once
     for i in range(len(family)):
         rotated = family[i:] + family[:i]
@@ -746,16 +793,17 @@ def test_dist_to_vertex_coset_matches_brute_force(name, ball_radius):
     tb = TreeBall(fg, 2)
     xs = fg.word_metric_ball(ball_radius).elements
     for v in tb.vertices:
-        backend = fg.gog.vertex_groups[v.vtype]
+        vtype, rep = tb.vtype[v], tb.rep(v)
+        backend = fg.gog.vertex_groups[vtype]
         for x in xs:
             if backend.is_finite:
-                members = fg.vertex_subgroup_elements(v.vtype)
+                members = fg.vertex_subgroup_elements(vtype)
             else:
-                z = fg.multiply(fg.invert(v.rep), x)
-                members = [fg.vertex_element(v.vtype, g)
+                z = fg.multiply(fg.invert(rep), x)
+                members = [fg.vertex_element(vtype, g)
                            for g in backend.ball(2 * fg.wordlen(z) + 2)]
-            expected = min(fg.dist(x, fg.multiply(v.rep, h)) for h in members)
-            assert dist_to_vertex_coset(fg, tb, x, v.vid) == expected, (v.vid, x.display())
+            expected = min(fg.dist(x, fg.multiply(rep, h)) for h in members)
+            assert dist_to_vertex_coset(fg, tb, x, v) == expected, (v, x.display())
 
 
 def test_classify_backend_coset_enumeration(z2z2):
@@ -820,11 +868,12 @@ def test_limit_sets_refine_monotonically(z2z2):
     tree = TreeBall(fg, 6)
     b6 = BoundaryApprox(tree, 6)
     b5 = BoundaryApprox(tree, 5)
+    family6, family5 = dict(limit_set_family(b6)), dict(limit_set_family(b5))
     for v in tree.vertices:
-        if fg.gog.vertex_groups[v.vtype].is_finite or v.depth > 4:
+        if fg.gog.vertex_groups[tree.vtype[v]].is_finite or tree.depth(v) > 4:
             continue
-        m6 = limit_set_approx(b6, v.vid)
-        m5 = limit_set_approx(b5, v.vid)
-        prefixes = {b6.ancestor(i, 5) for i in m6.directions}
-        coarse = {b5.leaves[i] for i in m5.directions}
+        m6 = family6.get(v, ())
+        m5 = family5.get(v, ())
+        prefixes = {b6.ancestor(i, 5) for i in m6}
+        coarse = {b5.leaves[i] for i in m5}
         assert prefixes <= coarse

@@ -82,11 +82,11 @@ def test_stable_letter_conjugates_edge_subgroup():
 def test_tree_and_tiling():
     _, _, fg = build()
     tb = TreeBall(fg, 4)
-    assert sum(len(v.children) for v in tb.vertices) == len(tb.vertices) - 1
+    assert sum(len(tb.children(v)) for v in tb.vertices) == len(tb.vertices) - 1
     for v in tb.vertices:
-        if v.depth < tb.radius:
+        if tb.depth(v) < tb.radius:
             # each vertex meets both edge pairs: 2+2 and 3+3
-            assert degree(tb, v.vid) == (4 if v.vtype == 0 else 6)
+            assert degree(tb, v) == (4 if tb.vtype[v] == 0 else 6)
     tt = tiling_tree(tb)
     assert tt.connected and len(tt.edge_ids) == 2
 

@@ -379,14 +379,13 @@ def _split_R0(fg, ball, tb, points, K, child):
     """Oracle: the per-edge analysis the sampled verifier ran on any tree
     edge.  R0 of the split at the edge into vertex child, or None when a
     side has no coset point."""
-    edge = tb.vertices[child]
-    gammaK = {fg.multiply(edge.edge_rep, k) for k in K}
+    gammaK = {fg.multiply(tb.edge_rep(child), k) for k in K}
     M, M2 = ({x for vid in side for x in points[vid]} for side in tb.split_by_edge(child))
     if not M or not M2:
         return None
     label = r_components(ball, 1, excluded=gammaK)
-    H = fg.edge_subgroup_elements(edge.pair)
-    distance = fg.coset_distances(fg.invert(edge.edge_rep), H)
+    H = fg.edge_subgroup_elements(tb.edge_pair(child))
+    distance = fg.coset_distances(fg.invert(tb.edge_rep(child)), H)
     AM, AM2 = ([(x, distance(x), label[ball.index[x]]) for x in side] for side in (M, M2))
     max_d_M = max(d for _, d, _ in AM)
     max_d_M2 = max(d for _, d, _ in AM2)
@@ -421,17 +420,18 @@ def test_identity_edge_R0_bounds_its_orbit(name):
     radius = 5
     ball = fg.word_metric_ball(radius)
     tb = TreeBall(fg, radius - 2)
-    points = [coset_elements_in_ball(fg, ball, v.rep, v.vtype, radius - 2) for v in tb.vertices]
+    points = [coset_elements_in_ball(fg, ball, tb.rep(v), tb.vtype[v], radius - 2)
+              for v in tb.vertices]
     K = _K(fg)
     names = fg.gog.graph.edge_names
-    per_orbit = {names[tb.vertices[c].pair]: _split_R0(fg, ball, tb, points, K, c)
+    per_orbit = {names[tb.edge_pair(c)]: _split_R0(fg, ball, tb, points, K, c)
                  for c in tiling_tree(tb).edge_ids}
     if name in ("sl2z", "z6z9", "z2z3", "dinf", "zxz2"):
         assert verify_K_construction(fg, radius).details["R0"] == per_orbit
     for child in range(1, len(tb.vertices)):
         R0 = _split_R0(fg, ball, tb, points, K, child)
         if R0 is not None:
-            assert R0 <= per_orbit[names[tb.vertices[child].pair]], child
+            assert R0 <= per_orbit[names[tb.edge_pair(child)]], child
 
 
 def test_ends_verdicts():
@@ -531,10 +531,12 @@ def _coset_elements_by_wordlen(fg, rep, vtype, maxlen):
 def test_coset_elements_in_ball_matches_wordlen_filter(name):
     _, _, fg = make_fg(name)
     ball = fg.word_metric_ball(5)
-    for v in TreeBall(fg, 3).vertices:
+    tb = TreeBall(fg, 3)
+    for v in tb.vertices:
+        rep, vtype = tb.rep(v), tb.vtype[v]
         for maxlen in range(-3, 6):
-            assert (coset_elements_in_ball(fg, ball, v.rep, v.vtype, maxlen)
-                    == _coset_elements_by_wordlen(fg, v.rep, v.vtype, maxlen)), (v.vid, maxlen)
+            assert (coset_elements_in_ball(fg, ball, rep, vtype, maxlen)
+                    == _coset_elements_by_wordlen(fg, rep, vtype, maxlen)), (v, maxlen)
     with pytest.raises(ValueError, match="exceeds the ball radius"):
         coset_elements_in_ball(fg, ball, fg.identity(), fg.root, 6)
 
@@ -545,9 +547,10 @@ def test_coset_points_are_the_ball_own_objects(name):
     later ``ball.index`` lookups and set unions match it by identity."""
     _, _, fg = make_fg(name)
     ball = fg.word_metric_ball(5)
-    for v in TreeBall(fg, 3).vertices:
-        for x in coset_elements_in_ball(fg, ball, v.rep, v.vtype, 5):
-            assert x is ball.elements[ball.index[x]], (v.vid, x.display())
+    tb = TreeBall(fg, 3)
+    for v in tb.vertices:
+        for x in coset_elements_in_ball(fg, ball, tb.rep(v), tb.vtype[v], 5):
+            assert x is ball.elements[ball.index[x]], (v, x.display())
 
 
 def test_ball_metric_axioms_spot_check(z2z3):
@@ -599,13 +602,14 @@ def test_edge_coset_distance_equals_set_distance(name):
     ball = fg.word_metric_ball(radius)
     tb = TreeBall(fg, depth)
     points = {x for v in tb.vertices
-              for x in coset_elements_in_ball(fg, ball, v.rep, v.vtype, radius - 2)}
+              for x in coset_elements_in_ball(fg, ball, tb.rep(v), tb.vtype[v], radius - 2)}
     assert points
     for e in tb.vertices[1:]:
-        distance = fg.coset_distances(fg.invert(e.edge_rep), fg.edge_subgroup_elements(e.pair))
-        coset = tb.edge_coset_elements(e.vid)
+        distance = fg.coset_distances(fg.invert(tb.edge_rep(e)),
+                                      fg.edge_subgroup_elements(tb.edge_pair(e)))
+        coset = tb.edge_coset_elements(e)
         for x in points:
-            assert distance(x) == set_distance(x, coset, fg.dist), (e.vid, x.display())
+            assert distance(x) == set_distance(x, coset, fg.dist), (e, x.display())
 
 
 def test_K_construction_coset_distances_need_no_walk(monkeypatch):
